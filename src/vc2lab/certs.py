@@ -126,6 +126,9 @@ def _verify_vc2(doc: dict) -> CheckResult:
         return CheckResult(False, "grid size invalid")
     if not (x[0].is_zero() and y[0].is_zero()):
         return CheckResult(False, "x_0 and y_0 must be zero")
+    # the cells x_i + y_j as one (k*k, n) block, cell (i, j) in row i*k + j
+    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
+    grid = (xs[:, None, :] + ys[None, :, :]).reshape(k * k, n)
     seen = set()
     for w in doc["witnesses"]:
         idx = int(w["phi"])
@@ -136,10 +139,10 @@ def _verify_vc2(doc: dict) -> CheckResult:
         seen.add(idx)
         phi = ContainmentMap.from_index(k - 1, idx)
         z = _vec(ctx, w["z"], n)
-        for i in range(k):
-            for j in range(k):
-                if a.contains(x[i] + y[j] + z) != phi.verdicts[i][j]:
-                    return CheckResult(False, f"map {idx} mismatched at cell ({i},{j})")
+        want = np.array([v for row in phi.verdicts for v in row])
+        bad = np.flatnonzero(a.contains_digits((grid + z.as_array()) % p) != want)
+        if bad.size:
+            return CheckResult(False, f"map {idx} mismatched at cell ({bad[0] // k},{bad[0] % k})")
     if len(seen) != 1 << (k * k):
         return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << (k * k)} maps")
     return CheckResult(True, f"all {1 << (k * k)} maps witnessed")

@@ -279,6 +279,9 @@ def _cmd_ramsey_find(cfg: RunConfig) -> RunReport:
     if file:
         colouring = BipartiteColouring.from_text(Path(file).read_text())
     else:
+        missing = [flag for flag, key in (("--m", "m"), ("--n", "n_right"), ("--r", "r")) if key not in cfg.extra]
+        if missing:
+            raise ValueError(f"ramsey-find needs --file or all of --m, --n, --r (missing {', '.join(missing)})")
         colouring = random_colouring(cfg.extra["m"], cfg.extra["n_right"], cfg.extra["r"], seed=cfg.seed)
     q, s = cfg.extra.get("q", 3), cfg.extra.get("s", 3)
     witness = find_mono_biclique(colouring, q, s)

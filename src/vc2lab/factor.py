@@ -17,6 +17,7 @@ indices, the two nonzero y indices, or the roles of X and Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,15 +27,16 @@ from .fp import (
     FpMatrix,
     FpVector,
     _rank_array,
+    affine_solver,
     basis_vector,
     derive_rng,
     digits_to_ranks,
     iter_group_chunks,
     mat_rank,
     orth_complement,
+    quad_forms,
     random_vector,
     ranks_to_digits,
-    solve_affine,
 )
 from .gs import QgsSet
 from .highrank import HighRankBasis
@@ -45,6 +47,7 @@ from .shatter import ContainmentMap, vc2_realizes
 ATOM_EXHAUST_LIMIT = 1 << 21
 ATOM_SAMPLE_BUDGET = 10 ** 7
 ATOM_SAMPLE_BATCH = 1 << 11  # first batch; later batches grow geometrically
+ATOM_EVAL_CHUNK = 1 << 12  # candidate rows evaluated at once, which bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,16 @@ class QuadraticFactor:
     @property
     def complexity(self) -> int:
         return len(self.linear_polys) + len(self.quad_indices)
+
+    @cached_property
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, N): the points with linear values b are T b + alpha N mod p.
+
+        Row-reduced once per factor; a concurrent first use computes the same
+        arrays twice, which is harmless.
+        """
+        ctx = self.linear_polys[0].ctx
+        return affine_solver(FpMatrix(ctx, tuple(v.coords for v in self.linear_polys)))
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,13 @@ def find_in_atom(
 ) -> FpVector:
     """A point whose label matches, by solving the linear part then searching.
 
-    The linear constraints yield an affine subspace; it is enumerated
-    exhaustively while small (deterministic, seed ignored), otherwise
-    sampled with a stream derived from the seed.  Requires complexity < n/2
-    so that non-emptiness is guaranteed.
+    The linear constraints yield an affine subspace part + span(N); it is
+    enumerated exhaustively while small (deterministic, seed ignored),
+    otherwise sampled with a stream derived from the seed.  Candidates are
+    tested in null-space coordinates: with B = [N; part] and a = (alpha, 1),
+    Q_t(part + alpha N) = a (B M_t B^T) a^T, so only the matching point is
+    ever built.  Requires complexity < n/2 so that non-emptiness is
+    guaranteed, and n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
     _check_factor(f, basis)
     ctx, n, p = basis.ctx, basis.n, basis.ctx.p
@@ -114,32 +130,34 @@ def find_in_atom(
         raise ValueError("nonemptiness not guaranteed: complexity must be < n/2")
     if len(label.values) != d:
         raise ValueError("label length mismatch")
+    if n * (p - 1) ** 2 >= 1 << 63:
+        raise ValueError("p too large for exact int64 atom search")
     l = len(f.linear_polys)
-    lin_target = label.values[:l]
     quad_target = np.array(label.values[l:], dtype=np.int64)
-    mats = [basis.mats_array()[t - 1] for t in f.quad_indices]
-
     if l:
-        sol = solve_affine(FpMatrix(ctx, tuple(v.coords for v in f.linear_polys)), FpVector(ctx, lin_target))
-        assert sol is not None  # rows are independent
-        part = sol.particular.as_array()
-        nb = np.stack([v.as_array() for v in sol.null_basis]) if sol.null_basis else np.zeros((0, n), dtype=np.int64)
+        transform, nb = f._affine
+        part = transform @ np.array(label.values[:l], dtype=np.int64) % p
     else:
-        part = np.zeros(n, dtype=np.int64)
-        nb = np.eye(n, dtype=np.int64)
+        part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     dim = nb.shape[0]
+    lifted = np.vstack([nb, part[None, :]])
+    mats = basis.mats_array()[[t - 1 for t in f.quad_indices]]
+    reduced = lifted @ mats % p @ lifted.T % p
 
-    def quad_vals(points: np.ndarray) -> np.ndarray:
-        cols = [np.einsum("ij,jk,ik->i", points, m, points) % p for m in mats]
-        return np.stack(cols, axis=1) if cols else np.zeros((points.shape[0], 0), dtype=np.int64)
+    def first_hit(alphas: np.ndarray) -> FpVector | None:
+        for lo in range(0, alphas.shape[0], ATOM_EVAL_CHUNK):
+            chunk = alphas[lo:lo + ATOM_EVAL_CHUNK]
+            coords = np.hstack([chunk, np.ones((chunk.shape[0], 1), dtype=np.int64)])
+            idx = np.flatnonzero((quad_forms(coords, reduced, p) == quad_target).all(axis=1))
+            if idx.size:
+                return FpVector(ctx, tuple(int(c) for c in (part + chunk[idx[0]] @ nb) % p))
+        return None
 
     if p ** dim <= ATOM_EXHAUST_LIMIT:
-        for start, alphas in iter_group_chunks(p, dim) if dim else [(0, np.zeros((1, 0), dtype=np.int64))]:
-            pts = (part[None, :] + alphas @ nb) % p
-            hit = (quad_vals(pts) == quad_target).all(axis=1)
-            idx = np.flatnonzero(hit)
-            if idx.size:
-                return FpVector(ctx, tuple(int(c) for c in pts[idx[0]]))
+        for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK):
+            z = first_hit(alphas)
+            if z is not None:
+                return z
         raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
 
     rng = derive_rng(seed, "find-in-atom")
@@ -147,12 +165,9 @@ def find_in_atom(
     batch = ATOM_SAMPLE_BATCH
     while tried < budget:
         batch = min(batch, budget - tried)
-        alphas = rng.integers(0, p, size=(batch, dim)).astype(np.int64)
-        pts = (part[None, :] + alphas @ nb) % p
-        hit = (quad_vals(pts) == quad_target).all(axis=1)
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            return FpVector(ctx, tuple(int(c) for c in pts[idx[0]]))
+        z = first_hit(rng.integers(0, p, size=(batch, dim)).astype(np.int64))
+        if z is not None:
+            return z
         tried += batch
         batch = min(batch * 8, 1 << 17)
     raise RuntimeError(f"sampling budget exhausted after {tried} draws")
@@ -171,17 +186,12 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = Tr
     d = f.complexity
     l = len(f.linear_polys)
     lin = np.stack([v.as_array() for v in f.linear_polys]) if l else np.zeros((0, n), dtype=np.int64)
-    mats = [basis.mats_array()[t - 1] for t in f.quad_indices]
+    mats = basis.mats_array()[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for _, block in iter_group_chunks(p, n):
-        cols = []
-        if l:
-            cols.append((block @ lin.T) % p)
-        for m in mats:
-            cols.append((np.einsum("ij,jk,ik->i", block, m, block) % p)[:, None])
-        labels = np.concatenate(cols, axis=1) if cols else np.zeros((block.shape[0], 0), dtype=np.int64)
-        counts += np.bincount(labels @ mult if d else np.zeros(block.shape[0], dtype=np.int64), minlength=p ** d)
+        labels = np.concatenate([block @ lin.T % p, quad_forms(block, mats, p)], axis=1)
+        counts += np.bincount(labels @ mult, minlength=p ** d)
     if check_bound:
         expect = p ** (n - d)
         # |count - p**(n-d)| <= p**(n/2), compared in squared integers
@@ -710,10 +720,12 @@ def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) 
     p = c.basis.ctx.p
     tv = target_values_for_map(phi, p)
     qgs = QgsSet(c.basis)
+    pts = list(c.X[1:]) + list(c.Y[1:])
+    own = quad_forms(np.stack([pt.as_array() for pt in pts]), c.basis.mats_array()[:c.k], p)
     lin_vals = []
-    for pt, targ in zip(list(c.X[1:]) + list(c.Y[1:]), list(tv.a) + list(tv.b)):
-        for t in range(1, c.k + 1):
-            lin_vals.append((targ[t - 1] - tv.q[t - 1] - qgs.eval_q(t, pt)) % p)
+    for own_q, targ in zip(own, list(tv.a) + list(tv.b)):
+        for t in range(c.k):
+            lin_vals.append((targ[t] - tv.q[t] - int(own_q[t])) % p)
     label = AtomLabel(tuple(lin_vals) + tv.q)
     z = find_in_atom(c.factor, c.basis, label, seed=derive_seed_for_map(seed, phi))
     if not vc2_realizes(qgs, c.X, c.Y, phi, z):
@@ -903,10 +915,7 @@ def planted_qualifying_sets(
     rng = derive_rng(seed, "planted-instance", m, cl)
     table = a.membership_table()
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
-    mats = a._mats
-    zero_q = np.ones(total, dtype=bool)
-    for t in range(1, cl + 1):
-        zero_q &= (np.einsum("ij,jk,ik->i", digits, mats[t - 1], digits) % p) == 0
+    zero_q = (quad_forms(digits, basis.mats_array()[:cl], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
     def rank_of(vec: np.ndarray) -> np.ndarray:

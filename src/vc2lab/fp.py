@@ -5,6 +5,12 @@ leftmost-pivot / first-nonzero-row tie-breaking and null-space vectors are
 scaled so their first nonzero coordinate is 1, which makes solved systems,
 orthogonal complements and every downstream certificate bit-identical
 across runs and platforms.
+
+Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
+every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
+integer a double holds exactly), int64 while n (p-1)^2 < 2^63, Python
+integers beyond.  This is the exact-over-floating-point idea of FFLAS-FFPACK
+(Dumas, Giorgi, Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
@@ -283,6 +289,26 @@ def solve_affine(a: FpMatrix, b: FpVector) -> AffineSolution | None:
     )
 
 
+def affine_solver(a: FpMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) with {x : A x = b} = T b + rowspan(N) mod p for every b; A of full row rank.
+
+    One row reduction of [A | I] serves every right-hand side: the pivots of
+    rref([A | b]) all lie in A's columns, so the row operations do not depend
+    on b and the right block of rref([A | I]) maps b to the reduced b.  T b
+    mod p and the rows of N are bit-identical to solve_affine(a, b)'s
+    particular solution and null basis.
+    """
+    p = a.ctx.p
+    n_rows, n_cols = a.n_rows, a.n_cols
+    rref, pivots = _rref(np.concatenate([a.as_array(), np.eye(n_rows, dtype=np.int64)], axis=1), p)
+    if pivots and pivots[-1] >= n_cols:
+        raise ValueError("affine_solver needs a matrix of full row rank")
+    transform = np.zeros((n_cols, n_rows), dtype=np.int64)
+    transform[pivots] = rref[:, n_cols:]
+    nulls = _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
+    return transform, np.stack(nulls) if nulls else np.zeros((0, n_cols), dtype=np.int64)
+
+
 def orth_complement(vs: Sequence[FpVector], ctx: FieldCtx | None = None, n: int | None = None) -> list[FpVector]:
     """Basis of {u : <u, v> = 0 for all v in vs}.
 
@@ -307,6 +333,38 @@ def null_space(a: FpMatrix) -> list[FpVector]:
     rref, pivots = _rref(a.as_array(), a.ctx.p)
     nulls = _null_basis_from_rref(rref, pivots, a.n_cols, a.ctx.p)
     return [FpVector(a.ctx, tuple(int(e) for e in v)) for v in nulls]
+
+
+# ---------------------------------------------------------------------------
+# Quadratic forms.
+# ---------------------------------------------------------------------------
+
+def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """(m, t) array of x^T M x mod p, for each row x of points and each of the t forms.
+
+    points is (m, n) and mats is (t, n, n), both with entries in [0, p).  One
+    GEMM multiplies the points by the forms stacked side by side, then each
+    row of the product is dotted with its point.  The arithmetic is chosen
+    from p and n so that no intermediate can round or wrap: float64 when
+    n^2 (p-1)^3 < 2^53, int64 reduced mod p between the two products when
+    n (p-1)^2 < 2^63, Python integers otherwise.  The result is int64 unless
+    p itself exceeds int64.
+    """
+    points, mats = np.asarray(points), np.asarray(mats)
+    m, n = points.shape
+    t = mats.shape[0]
+    if n * n * (p - 1) ** 3 < 1 << 53:
+        dtype = np.float64
+    elif n * (p - 1) ** 2 < 1 << 63:
+        dtype = np.int64
+    else:
+        dtype = object
+    pts = points.astype(dtype)
+    w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(dtype)).reshape(m, t, n)
+    if dtype is not np.float64:
+        w %= p
+    q = np.matmul(w, pts[:, :, None])[:, :, 0] % p
+    return q if dtype is object and p > 1 << 63 else q.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

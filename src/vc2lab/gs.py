@@ -9,11 +9,10 @@ M_1, ..., M_n of symmetric matrices with the full-rank-combination property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks
+from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, quad_forms
 from .highrank import HighRankBasis
 
 
@@ -79,51 +78,40 @@ class QgsSet:
     def n(self) -> int:
         return self.basis.n
 
-    @cached_property
-    def _mats(self) -> np.ndarray:
-        m = self.basis.mats_array()
-        m.flags.writeable = False
-        return m
+    def _forms(self, t: int, points: np.ndarray) -> np.ndarray:
+        """Q_t on each row of points, t in [1, n]."""
+        if not 1 <= t <= self.n:
+            raise ValueError(f"form index {t} out of range [1, {self.n}]")
+        return quad_forms(points, self.basis.mats_array()[t - 1:t], self.p)[:, 0]
 
     def eval_q(self, t: int, x: FpVector) -> int:
         """Q_t(x) = x^T M_t x mod p, with t in [1, n]."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        v = x.as_array()
-        return int(v @ self._mats[t - 1] @ v % self.p)
+        return int(self._forms(t, x.as_array()[None, :])[0])
 
     def q_values(self, x: FpVector) -> tuple[int, ...]:
-        v = x.as_array()
-        return tuple(int(v @ m @ v % self.p) for m in self._mats)
+        return tuple(int(q) for q in quad_forms(x.as_array()[None, :], self.basis.mats_array(), self.p)[0])
 
     def cross_term(self, t: int, x: FpVector, y: FpVector) -> int:
-        """2 x^T M_t y mod p."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        return int(2 * (x.as_array() @ self._mats[t - 1] @ y.as_array()) % self.p)
+        """2 x^T M_t y mod p, by polarization: Q_t(x + y) - Q_t(x) - Q_t(y)."""
+        q = self._forms(t, np.stack([(x + y).as_array(), x.as_array(), y.as_array()]))
+        return int(q[0] - q[1] - q[2]) % self.p
 
     def contains(self, x: FpVector) -> bool:
         if x.n != self.n:
             raise ValueError("dimension mismatch")
-        v = x.as_array()
-        for m in self._mats:
-            q = int(v @ m @ v % self.p)
-            if q != 0:
-                return q == 1
-        return False
+        return bool(self.contains_digits(x.as_array()[None, :])[0])
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
         """Vectorized membership: scan Q_1, Q_2, ... short-circuiting per row."""
         m = digits.shape[0]
         member = np.zeros(m, dtype=bool)
         undecided = np.ones(m, dtype=bool)
-        for mat in self._mats:
+        for t in range(1, self.n + 1):
             if not undecided.any():
                 break
-            rows = digits[undecided]
-            q = np.einsum("ij,jk,ik->i", rows, mat, rows) % self.p
-            hit = q != 0
             idx = np.flatnonzero(undecided)
+            q = self._forms(t, digits[idx])
+            hit = q != 0
             member[idx[hit]] = q[hit] == 1
             undecided[idx[hit]] = False
         return member

@@ -10,7 +10,7 @@ nondegenerate in odd characteristic, hence of rank n.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -86,13 +86,6 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _peval(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -116,9 +109,9 @@ def _is_irreducible_trial(coeffs: tuple[int, ...], p: int) -> bool:
     n = len(coeffs) - 1
     if n == 1:
         return True
-    if any(_peval(coeffs, x, p) == 0 for x in range(p)):
-        return False
     f = list(coeffs)
+    if _has_root(f, p):
+        return False
     for d in range(2, n // 2 + 1):
         for idx in range(p ** d):
             g = []
@@ -137,28 +130,37 @@ def _is_irreducible_frobenius(coeffs: tuple[int, ...], p: int) -> bool:
     if n == 1:
         return True
     f = list(coeffs)
+    # Most reducible candidates have a root; reject them before the n powerings.
+    if _has_root(f, p):
+        return False
     # x**(p**k) mod f, computed by iterating k Frobenius steps
     t = [0, 1]
     frob_powers = {}
     for k in range(1, n + 1):
         t = _ppowmod(t, p, f, p)
         frob_powers[k] = t
-    x_pn = frob_powers[n]
-    if _ptrim([(a - b) % p for a, b in _zip_pad(x_pn, [0, 1], p)]):
+    if _minus_x(frob_powers[n], p):
         return False
     for q in _prime_factors(n):
-        diff = _ptrim([(a - b) % p for a, b in _zip_pad(frob_powers[n // q], [0, 1], p)])
-        g = _pgcd(f, diff, p)
+        g = _pgcd(f, _minus_x(frob_powers[n // q], p), p)
         if len(g) - 1 != 0:
             return False
     return True
 
 
-def _zip_pad(a: list[int], b: list[int], p: int):
-    m = max(len(a), len(b))
-    a = a + [0] * (m - len(a))
-    b = b + [0] * (m - len(b))
-    return zip(a, b)
+def _has_root(f: list[int], p: int) -> bool:
+    """True iff f has a root in F_p (a linear factor): gcd(f, x**p - x) != 1.
+
+    Costs one powering mod f, where evaluating at every residue costs O(p).
+    """
+    return len(_pgcd(f, _minus_x(_ppowmod([0, 1], p, f, p), p), p)) > 1
+
+
+def _minus_x(a: list[int], p: int) -> list[int]:
+    """The polynomial a - x, trimmed."""
+    a = a + [0] * (2 - len(a))
+    a[1] -= 1
+    return _ptrim([c % p for c in a])
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -217,6 +219,7 @@ class HighRankBasis:
     n: int
     poly: IrreduciblePoly
     mats: tuple[FpMatrix, ...]
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.mats) != self.n:
@@ -224,13 +227,15 @@ class HighRankBasis:
         for m in self.mats:
             if m.n_rows != self.n or m.n_cols != self.n or not m.is_symmetric():
                 raise ValueError("matrices must be symmetric n x n")
-        flat = np.stack([m.as_array().reshape(-1) for m in self.mats])
-        if _rank_array(flat, self.ctx.p) != self.n:
+        stacked = np.stack([m.as_array() for m in self.mats])
+        if _rank_array(stacked.reshape(self.n, -1), self.ctx.p) != self.n:
             raise ValueError("matrices are linearly dependent")
+        stacked.flags.writeable = False
+        object.__setattr__(self, "_stacked", stacked)
 
     def mats_array(self) -> np.ndarray:
-        """Stacked (n, n, n) int64 view of the matrices."""
-        return np.stack([m.as_array() for m in self.mats])
+        """The matrices as one read-only (n, n, n) int64 array, stacked once at construction."""
+        return self._stacked
 
     def to_json(self) -> dict:
         return {

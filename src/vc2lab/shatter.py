@@ -258,7 +258,8 @@ def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult
     def certificate_for(ranks: tuple[int, ...]) -> ShatterCertificate:
         s = tuple(vector_from_rank(ctx, n, r) for r in ranks)
         cert = shatters(a, s, threads=threads)
-        assert isinstance(cert, ShatterCertificate)
+        if not isinstance(cert, ShatterCertificate):
+            raise RuntimeError(f"frontier set {ranks} is not shattered: table search and pattern scan disagree")
         return cert
 
     frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((0,), tt[0].astype(np.int16))]
@@ -333,14 +334,13 @@ def vc2_realizes(
     x, y = tuple(x), tuple(y)
     if len(x) != phi.k + 1 or len(y) != phi.k + 1:
         raise ValueError("grid size mismatch between X, Y and phi")
-    for i in range(phi.k + 1):
-        for j in range(phi.k + 1):
-            want = phi.verdicts[i][j]
-            if want is None:
-                continue
-            if a.contains(x[i] + y[j] + z) != want:
-                return False
-    return True
+    cells = [(i, j) for i in range(phi.k + 1) for j in range(phi.k + 1) if phi.verdicts[i][j] is not None]
+    if not cells:
+        return True
+    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
+    rows = np.stack([xs[i] + ys[j] for i, j in cells]) + z.as_array()
+    want = np.array([phi.verdicts[i][j] for i, j in cells])
+    return bool((a.contains_digits(rows % a.p) == want).all())
 
 
 def exhaustive_z_finder(

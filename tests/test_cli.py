@@ -134,6 +134,14 @@ def test_ramsey_find_command(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["--r", "3"], ["--m", "5", "--r", "3"], ["--m", "5", "--n", "5"]])
+def test_ramsey_find_without_colouring_is_usage_error(capsys, argv):
+    code = main(["ramsey-find", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ramsey-find needs --file") and err.count("\n") == 1
+
+
 def test_basis_command(capsys, tmp_path):
     path = tmp_path / "basis.json"
     code, _ = run(capsys, "basis", "--p", "3", "--n", "3", "--cert", str(path))

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, FpVector, basis_vector
+from vc2lab.fp import (
+    FieldCtx,
+    FpMatrix,
+    FpVector,
+    basis_vector,
+    derive_rng,
+    iter_group_chunks,
+    mat_rank,
+    solve_affine,
+)
 from vc2lab.gs import QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes, vc2_shatters
 from vc2lab.factor import (
+    ATOM_EXHAUST_LIMIT,
+    ATOM_SAMPLE_BATCH,
     AtomLabel,
     QuadraticFactor,
     atom_census,
@@ -75,6 +87,61 @@ def test_find_in_atom_rejects_high_complexity(basis5):
     # complexity 3 >= 5/2: not guaranteed non-empty
     with pytest.raises(ValueError):
         find_in_atom(f, basis5, AtomLabel((0, 0, 0)))
+
+
+def _find_in_atom_full_scan(f, basis, label, seed):
+    """find_in_atom's search in full coordinates: build every candidate point, test its Q-values."""
+    ctx, p, n = basis.ctx, basis.ctx.p, basis.n
+    l = len(f.linear_polys)
+    if l:
+        sol = solve_affine(FpMatrix(ctx, tuple(v.coords for v in f.linear_polys)), FpVector(ctx, label.values[:l]))
+        part = sol.particular.as_array()
+        nb = np.stack([v.as_array() for v in sol.null_basis]) if sol.null_basis else np.zeros((0, n), dtype=np.int64)
+    else:
+        part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    mats = [basis.mats[t - 1].rows for t in f.quad_indices]
+    target = list(label.values[l:])
+
+    def scan(alphas):
+        for alpha in alphas:
+            z = [int(c) for c in (part + alpha @ nb) % p]
+            if [sum(z[i] * m[i][j] * z[j] for i in range(n) for j in range(n)) % p for m in mats] == target:
+                return FpVector(ctx, tuple(z))
+        return None
+
+    dim = nb.shape[0]
+    if p ** dim <= ATOM_EXHAUST_LIMIT:
+        for _, alphas in iter_group_chunks(p, dim):
+            z = scan(alphas)
+            if z is not None:
+                return z
+        return None
+    rng = derive_rng(seed, "find-in-atom")
+    batch = ATOM_SAMPLE_BATCH
+    while True:
+        z = scan(rng.integers(0, p, size=(batch, dim)).astype(np.int64))
+        if z is not None:
+            return z
+        batch = min(batch * 8, 1 << 17)
+
+
+@given(p=st.sampled_from([3, 5]), n=st.sampled_from([9, 13]), l=st.integers(0, 5), q=st.integers(0, 3),
+       seed=st.integers(0, 10_000))
+@example(p=3, n=9, l=2, q=2, seed=1)  # exhaustive branch: 3^7 candidates
+@example(p=5, n=13, l=3, q=3, seed=2)  # sampled branch: 5^10 > ATOM_EXHAUST_LIMIT
+@settings(max_examples=30, deadline=None)
+def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
+    assume(2 * (l + q) < n)
+    ctx = FieldCtx(p)
+    basis = build_trace_basis(ctx, n)
+    rng = np.random.default_rng(seed)
+    lin = [FpVector(ctx, tuple(int(c) for c in rng.integers(0, p, n))) for _ in range(l)]
+    assume(not lin or mat_rank(FpMatrix(ctx, tuple(v.coords for v in lin))) == l)
+    f = QuadraticFactor(tuple(lin), tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
+    label = AtomLabel(tuple(int(v) for v in rng.integers(0, p, l + q)))
+    z = find_in_atom(f, basis, label, seed=seed)
+    assert atom_label(f, basis, z) == label
+    assert z == _find_in_atom_full_scan(f, basis, label, seed)
 
 
 def test_atom_census_trivial_factors(basis9):

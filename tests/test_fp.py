@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +8,13 @@ from vc2lab.fp import (
     FieldCtx,
     FpMatrix,
     FpVector,
+    affine_solver,
     basis_vector,
     digits_to_ranks,
     mat_rank,
     null_space,
     orth_complement,
+    quad_forms,
     ranks_to_digits,
     scalar_inverse,
     solve_affine,
@@ -169,3 +173,60 @@ def test_vector_matrix_json_round_trip():
     assert FpVector.from_json(v.to_json()) == v
     m = FpMatrix(ctx5, ((1, 2), (3, 4)))
     assert FpMatrix.from_json(m.to_json()) == m
+
+
+@given(p=primes, rows=st.integers(1, 4), cols=st.integers(1, 6), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_affine_solver_matches_solve_affine(p, rows, cols, seed):
+    ctx = FieldCtx(p)
+    rng = np.random.default_rng(seed)
+    a = rand_matrix(ctx, rows, cols, rng)
+    if mat_rank(a) < rows:
+        with pytest.raises(ValueError):
+            affine_solver(a)
+        return
+    transform, nb = affine_solver(a)
+    for _ in range(3):
+        b = FpVector(ctx, tuple(int(v) for v in rng.integers(0, p, rows)))
+        sol = solve_affine(a, b)
+        assert tuple(int(c) for c in transform @ b.as_array() % p) == sol.particular.coords
+        assert [tuple(int(c) for c in row) for row in nb] == [v.coords for v in sol.null_basis]
+
+
+# float64 covers 3, 5 and 131071 with n <= 2 (n^2 (p-1)^3 just below 2^53 at n = 2);
+# int64 covers 131071 with n >= 3, 2097169, and 2^31 - 1 with n = 1;
+# Python integers cover 2^31 - 1 with n >= 2 and 2^89 - 1, whose residues overflow int64.
+QF_PRIMES = [3, 5, 131071, 2097169, 2 ** 31 - 1, 2 ** 89 - 1]
+
+
+def _quad_forms_reference(points, mats, p):
+    return [[sum(x[i] * m[i][j] * x[j] for i in range(len(x)) for j in range(len(x))) % p for m in mats]
+            for x in points]
+
+
+def _residues(rnd, p, shape):
+    """Random residues with the extremes 0, 1, p - 1 over-represented, as int64 or object."""
+    flat = [rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(int(np.prod(shape)))]
+    return np.array(flat, dtype=np.int64 if p < 1 << 63 else object).reshape(shape)
+
+
+@given(p=st.sampled_from(QF_PRIMES), m=st.integers(0, 5), n=st.integers(0, 6), t=st.integers(0, 4),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_quad_forms_matches_python_ints(p, m, n, t, seed):
+    rnd = random.Random(seed)
+    points, mats = _residues(rnd, p, (m, n)), _residues(rnd, p, (t, n, n))
+    got = quad_forms(points, mats, p)
+    assert got.shape == (m, t)
+    assert got.tolist() == _quad_forms_reference(points.tolist(), mats.tolist(), p)
+
+
+@pytest.mark.parametrize("p", QF_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 31])
+def test_quad_forms_extreme_entries(p, n):
+    # every entry p - 1: the largest value each product and partial sum can take
+    dtype = np.int64 if p < 1 << 63 else object
+    points = np.full((2, n), p - 1, dtype=dtype)
+    mats = np.full((2, n, n), p - 1, dtype=dtype)
+    want = (n * n * (p - 1) ** 3) % p
+    assert quad_forms(points, mats, p).tolist() == [[want, want], [want, want]]

@@ -147,3 +147,37 @@ def test_explicit_set_round_trip():
     assert not a.contains(FpVector(ctx3, (0, 0)))
     digits = ranks_to_digits(np.arange(9), 3, 2)
     assert (a.contains_digits(digits) == table).all()
+
+
+def test_forms_and_membership_exact_at_large_p():
+    # (p - 1)^3 > 2^63, so x^T M x evaluated in plain int64 wraps at this p
+    p, n = 2097169, 3
+    ctx = FieldCtx(p)
+    a = QgsSet(build_trace_basis(ctx, n))
+    mats = [[list(row) for row in m.rows] for m in a.basis.mats]
+
+    def q(t, v):
+        return sum(v[i] * mats[t][i][j] * v[j] for i in range(n) for j in range(n)) % p
+
+    rng = np.random.default_rng(p)
+    pts = [[int(c) for c in row] for row in rng.integers(0, p, (200, n))]
+    # scaling x by c multiplies every Q_t(x) by c^2: make every other point a member
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    for v in pts[::2]:
+        w = q(0, v)
+        roots = np.flatnonzero(squares == pow(w, -1, p)) if w else []
+        if len(roots):
+            v[:] = [int(roots[0]) * c % p for c in v]
+    members = 0
+    batched = a.contains_digits(np.array(pts, dtype=np.int64))
+    for v, y, in_batch in zip(pts, pts[1:] + pts[:1], batched):
+        x = FpVector(ctx, tuple(v))
+        ref = tuple(q(t, v) for t in range(n))
+        assert a.q_values(x) == ref
+        assert tuple(a.eval_q(t, x) for t in range(1, n + 1)) == ref
+        member = next((r for r in ref if r), 0) == 1
+        members += member
+        assert a.contains(x) == bool(in_batch) == member
+        cross = tuple(2 * sum(v[i] * mats[t][i][j] * y[j] for i in range(n) for j in range(n)) % p for t in range(n))
+        assert tuple(a.cross_term(t, x, FpVector(ctx, tuple(y))) for t in range(1, n + 1)) == cross
+    assert members >= 20

@@ -5,6 +5,7 @@ from vc2lab.fp import FieldCtx, FpMatrix
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
+    _has_root,
     _is_irreducible_frobenius,
     _is_irreducible_trial,
     build_irreducible,
@@ -42,6 +43,9 @@ def test_irreducibility_tests_agree(p, n):
         coeffs.append(1)
         coeffs = tuple(coeffs)
         assert _is_irreducible_trial(coeffs, p) == _is_irreducible_frobenius(coeffs, p)
+        # both tests share the gcd root pre-filter; evaluation at every residue is its reference
+        roots = any(sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
+        assert _has_root(list(coeffs), p) == roots
 
 
 def test_trace_basis_degree_one():
