@@ -8,13 +8,12 @@ from .fp import (
     basis_vector,
     mat_rank,
     orth_complement,
-    scalar_inverse,
     solve_affine,
     vector,
     zero_vector,
 )
 from .highrank import HighRankBasis, IrreduciblePoly, build_irreducible, build_trace_basis, check_high_rank
-from .gs import ExplicitSet, GsSet, QgsSet, cross_term, eval_q, fnz, gs_contains, qgs_contains
+from .gs import ExplicitSet, GsSet, QgsSet
 from .shatter import (
     ContainmentMap,
     NotShattered,

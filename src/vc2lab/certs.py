@@ -31,6 +31,8 @@ def oracle_spec(a) -> dict:
 
 
 def oracle_from_spec(spec: dict, p: int, n: int):
+    if not isinstance(spec, dict):
+        raise ValueError("set description must be an object")
     ctx = FieldCtx(p)
     kind = spec.get("kind")
     if kind == "gs":
@@ -95,6 +97,8 @@ def _verify_shatter(doc: dict) -> CheckResult:
     k = len(s)
     if not 1 <= k <= 20:
         return CheckResult(False, "set size out of range")
+    s_arr = np.stack([v.as_array() for v in s])
+    bits = 1 << np.arange(k)
     seen = {}
     for w in doc["witnesses"]:
         mask = int(w["pattern"])
@@ -104,10 +108,7 @@ def _verify_shatter(doc: dict) -> CheckResult:
             return CheckResult(False, f"pattern {mask} appears twice")
         y = _vec(ctx, w["y"], n)
         seen[mask] = y
-        actual = 0
-        for i, v in enumerate(s):
-            if a.contains(v + y):
-                actual |= 1 << i
+        actual = int(a.contains_digits((s_arr + y.as_array()) % p) @ bits)
         if actual != mask:
             return CheckResult(False, f"witness for pattern {mask} realizes {actual}")
     if len(seen) != 1 << k:
@@ -148,8 +149,10 @@ def _verify_vc2(doc: dict) -> CheckResult:
     return CheckResult(True, f"all {1 << (k * k)} maps witnessed")
 
 
-def verify_certificate(doc: dict) -> CheckResult:
-    """Re-check a certificate document by membership evaluation only."""
+def verify_certificate(doc: Any) -> CheckResult:
+    """Re-check a certificate document by membership evaluation only; never raises on bad input."""
+    if not isinstance(doc, dict):
+        return CheckResult(False, f"malformed certificate: expected an object, got {type(doc).__name__}")
     try:
         kind = doc.get("kind")
         if kind == "shatter":
@@ -157,7 +160,7 @@ def verify_certificate(doc: dict) -> CheckResult:
         if kind == "vc2":
             return _verify_vc2(doc)
         return CheckResult(False, f"unknown certificate kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return CheckResult(False, f"malformed certificate: {exc}")
 
 

@@ -37,10 +37,11 @@ from .fp import (
     quad_forms,
     random_vector,
     ranks_to_digits,
+    vector_from_rank,
 )
 from .gs import QgsSet
 from .highrank import HighRankBasis
-from .shatter import ContainmentMap, vc2_realizes
+from .shatter import ContainmentMap, realizing_shifts, vc2_realizes
 
 # Exhaustive atom search is used while the affine subspace stays this small;
 # beyond it, seeded sampling hits a target of q quadratic values at rate p**-q.
@@ -413,20 +414,22 @@ def predicted_grid(tv: TargetValues, p: int) -> ContainmentMap:
     return ContainmentMap(side - 1, tuple(rows))
 
 
-def _targets_k2(g, p: int) -> TargetValues:
-    def P(*vals):
-        return tuple(v % p for v in vals)
+def _res(p: int, *vals: int) -> tuple[int, ...]:
+    """The residues of vals mod p."""
+    return tuple(v % p for v in vals)
 
+
+def _targets_k2(g, p: int) -> TargetValues:
     s = lambda v: 1 if v else 2
-    q = P(0, s(g[0][0]))
+    q = _res(p, 0, s(g[0][0]))
     if g[1][1] == g[1][0]:
-        a, b = P(s(g[1][0]), 0), P(0, s(g[0][1]))
+        a, b = _res(p, s(g[1][0]), 0), _res(p, 0, s(g[0][1]))
     elif g[1][1] == g[0][1]:
-        a, b = P(0, s(g[1][0])), P(s(g[0][1]), 0)
+        a, b = _res(p, 0, s(g[1][0])), _res(p, s(g[0][1]), 0)
     elif g[1][1]:
-        a, b = P(2, 0), P(-1, 0)
+        a, b = _res(p, 2, 0), _res(p, -1, 0)
     else:
-        a, b = P(1, 0), P(1, 0)
+        a, b = _res(p, 1, 0), _res(p, 1, 0)
     return TargetValues(2, q, (a,), (b,))
 
 
@@ -464,21 +467,18 @@ def _case_const_row(g, p):
     if not (g[1][0] == g[1][1] == g[1][2]):
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
-    a1 = P(1 if g[1][0] else -1, 0, 0)
+    a1 = _res(p, 1 if g[1][0] else -1, 0, 0)
     q, a2 = {
-        (False, True): (P(0, 1, 1), P(0, 2, 2)),
-        (True, True): (P(0, 0, 1), P(0, 1, 2)),
-        (True, False): (P(0, 0, -1), P(0, 1, 0)),
-        (False, False): (P(0, -1, 1), P(0, 0, 2)),
+        (False, True): (_res(p, 0, 1, 1), _res(p, 0, 2, 2)),
+        (True, True): (_res(p, 0, 0, 1), _res(p, 0, 1, 2)),
+        (True, False): (_res(p, 0, 0, -1), _res(p, 0, 1, 0)),
+        (False, False): (_res(p, 0, -1, 1), _res(p, 0, 0, 2)),
     }[(g[2][0], g[0][0])]
     bsel = {
-        (True, True): P(0, 0, 1),
-        (False, True): P(0, 0, 2),
-        (True, False): P(0, 1, 0),
-        (False, False): P(0, -1, 1),
+        (True, True): _res(p, 0, 0, 1),
+        (False, True): _res(p, 0, 0, 2),
+        (True, False): _res(p, 0, 1, 0),
+        (False, False): _res(p, 0, -1, 1),
     }
     b = tuple(bsel[(g[0][j], g[2][j])] for j in (1, 2))
     return TargetValues(3, q, (a1, a2), b)
@@ -489,27 +489,24 @@ def _case_const_rows_interior(g, p):
     if not (g[1][1] == g[1][2] and g[2][1] == g[2][2]):
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     q1 = 1 if g[0][0] else -1
     rows = {
         1: {
-            (False, True): P(2, 0, 0),
-            (True, True): P(1, 1, 0),
-            (True, False): P(0, 1, 0),
-            (False, False): P(0, 2, 0),
+            (False, True): _res(p, 2, 0, 0),
+            (True, True): _res(p, 1, 1, 0),
+            (True, False): _res(p, 0, 1, 0),
+            (False, False): _res(p, 0, 2, 0),
         },
         -1: {
-            (False, True): P(-1, 1, 0),
-            (False, False): P(-1, 2, 0),
-            (True, False): P(1, 0, 0),
-            (True, True): P(0, 1, 0),
+            (False, True): _res(p, -1, 1, 0),
+            (False, False): _res(p, -1, 2, 0),
+            (True, False): _res(p, 1, 0, 0),
+            (True, True): _res(p, 0, 1, 0),
         },
     }[q1]
     a = tuple(rows[(g[i][0], g[i][1])] for i in (1, 2))
-    b = tuple(P(0, 0, 1 if g[0][j] else 2) for j in (1, 2))
-    return TargetValues(3, P(q1, 0, 0), a, b)
+    b = tuple(_res(p, 0, 0, 1 if g[0][j] else 2) for j in (1, 2))
+    return TargetValues(3, _res(p, q1, 0, 0), a, b)
 
 
 def _three_one_pattern(g) -> bool:
@@ -521,17 +518,14 @@ def _case_31(g, p):
     if not _three_one_pattern(g) or g[2][0] != g[0][0]:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     z1 = 1 if g[0][0] else -1
-    q = P(z1, 0, 0)
-    a2 = P(z1, 1, 0)
+    q = _res(p, z1, 0, 0)
+    a2 = _res(p, z1, 1, 0)
     a1 = {
-        (1, True): P(2, 0, 0),
-        (1, False): P(0, 1, 0),
-        (-1, False): P(1, 0, 0),
-        (-1, True): P(0, 2, 0),
+        (1, True): _res(p, 2, 0, 0),
+        (1, False): _res(p, 0, 1, 0),
+        (-1, False): _res(p, 1, 0, 0),
+        (-1, True): _res(p, 0, 2, 0),
     }[(z1, g[1][1])]
     brow = {
         (True, False): (1, 0),
@@ -539,7 +533,7 @@ def _case_31(g, p):
         (False, True): (0, 2),
         (False, False): (-1, 2),
     }
-    b = tuple(P(0, *brow[(g[0][j], g[2][j])]) for j in (1, 2))
+    b = tuple(_res(p, 0, *brow[(g[0][j], g[2][j])]) for j in (1, 2))
     return TargetValues(3, q, (a1, a2), b)
 
 
@@ -547,29 +541,26 @@ def _case_32(g, p):
     if not _three_one_pattern(g) or g[0][1] != g[0][2]:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     zeta = 1 if g[2][0] else -1
     eps = -zeta
-    a2 = P(zeta, 0, 0)
+    a2 = _res(p, zeta, 0, 0)
     rows = {
-        (-1, True, False): ((1, 0), P(2, 0, 0)),
-        (-1, True, True): ((0, 1), P(1, 1, 0)),
-        (-1, False, False): ((-1, 2), P(0, 2, 0)),
-        (-1, False, True): ((0, 2), P(1, 2, 0)),
-        (1, False, False): ((0, 2), P(-1, 2, 0)),
-        (1, False, True): ((2, 0), P(1, 0, 0)),
-        (1, True, True): ((1, 1), P(0, 1, 0)),
-        (1, True, False): ((0, 1), P(-1, 1, 0)),
+        (-1, True, False): ((1, 0), _res(p, 2, 0, 0)),
+        (-1, True, True): ((0, 1), _res(p, 1, 1, 0)),
+        (-1, False, False): ((-1, 2), _res(p, 0, 2, 0)),
+        (-1, False, True): ((0, 2), _res(p, 1, 2, 0)),
+        (1, False, False): ((0, 2), _res(p, -1, 2, 0)),
+        (1, False, True): ((2, 0), _res(p, 1, 0, 0)),
+        (1, True, True): ((1, 1), _res(p, 0, 1, 0)),
+        (1, True, False): ((0, 1), _res(p, -1, 1, 0)),
     }
     pat, q = rows[(eps, g[0][1], g[0][0])]
-    b = tuple(P(pat[0], pat[1], 1 if g[2][j] else 2) for j in (1, 2))
+    b = tuple(_res(p, pat[0], pat[1], 1 if g[2][j] else 2) for j in (1, 2))
     a1 = {
-        (-1, False): P(0, 0, 1),
-        (-1, True): P(2, 0, 0),
-        (1, True): P(0, 0, 2),
-        (1, False): P(1, 0, 0),
+        (-1, False): _res(p, 0, 0, 1),
+        (-1, True): _res(p, 2, 0, 0),
+        (1, True): _res(p, 0, 0, 2),
+        (1, False): _res(p, 1, 0, 0),
     }[(eps, g[1][1])]
     return TargetValues(3, q, (a1, a2), b)
 
@@ -586,12 +577,11 @@ def _case_33(g, p):
     if g != expected:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     if u:
-        return TargetValues(3, P(0, 0, 1), (P(0, 1, 0), P(2, 0, 0)), (P(0, 1, 0), P(-1, 0, 0)))
-    return TargetValues(3, P(0, 0, 2), (P(0, 2, 0), P(1, 0, 0)), (P(0, -1, 0), P(1, 0, 0)))
+        return TargetValues(3, _res(p, 0, 0, 1), (_res(p, 0, 1, 0), _res(p, 2, 0, 0)),
+                            (_res(p, 0, 1, 0), _res(p, -1, 0, 0)))
+    return TargetValues(3, _res(p, 0, 0, 2), (_res(p, 0, 2, 0), _res(p, 1, 0, 0)),
+                        (_res(p, 0, -1, 0), _res(p, 1, 0, 0)))
 
 
 def _diagonal(g) -> bool:
@@ -602,16 +592,13 @@ def _case_41(g, p):
     if not _diagonal(g) or not (g[0][1] and g[1][1]) or g[0][1] == g[0][2]:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
-    q = P(0, 0, 1 if g[0][0] else 2)
-    a1 = P(0, 0, 1 if g[1][0] else 2)
-    b1 = P(1, 2, 0)
+    q = _res(p, 0, 0, 1 if g[0][0] else 2)
+    a1 = _res(p, 0, 0, 1 if g[1][0] else 2)
+    b1 = _res(p, 1, 2, 0)
     if g[2][0]:
-        a2, b2 = P(1, 0, 0), P(-1, 1, 0)
+        a2, b2 = _res(p, 1, 0, 0), _res(p, -1, 1, 0)
     else:
-        a2, b2 = P(-1, 0, 0), P(2, 0, 0)
+        a2, b2 = _res(p, -1, 0, 0), _res(p, 2, 0, 0)
     return TargetValues(3, q, (a1, a2), (b1, b2))
 
 
@@ -621,21 +608,18 @@ def _case_42(g, p):
     if g[0][1] != g[0][2] or g[1][0] != g[2][0]:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     if g[1][0]:
-        q = P(0, 0, 1 if g[0][0] else 2)
-        a = (P(0, 1, 0), P(1, 0, 0))
-        b = (P(1, 0, 0), P(0, 1, 0))
+        q = _res(p, 0, 0, 1 if g[0][0] else 2)
+        a = (_res(p, 0, 1, 0), _res(p, 1, 0, 0))
+        b = (_res(p, 1, 0, 0), _res(p, 0, 1, 0))
     elif g[0][0]:
-        q = P(0, 0, 1)
-        a = (P(-1, 1, 1), P(-1, 0, 0))
-        b = (P(1, 0, 0), P(1, 1, 0))
+        q = _res(p, 0, 0, 1)
+        a = (_res(p, -1, 1, 1), _res(p, -1, 0, 0))
+        b = (_res(p, 1, 0, 0), _res(p, 1, 1, 0))
     else:
-        q = P(0, 0, -1)
-        a = (P(-1, 1, 0), P(-1, 0, 1))
-        b = (P(1, 0, 0), P(1, 1, 0))
+        q = _res(p, 0, 0, -1)
+        a = (_res(p, -1, 1, 0), _res(p, -1, 0, 1))
+        b = (_res(p, 1, 0, 0), _res(p, 1, 1, 0))
     return TargetValues(3, q, a, b)
 
 
@@ -648,9 +632,6 @@ def _case_43(g, p):
     if not _diagonal(g) or g[0][1] or g[0][2] or g[1][0] or g[2][0]:
         return None
 
-    def P(*vals):
-        return tuple(v % p for v in vals)
-
     w = 1 if g[0][0] else 2
     if p == 3:
         al = ((0, 2), (2, 0))
@@ -659,9 +640,9 @@ def _case_43(g, p):
         al = ((2, 0), (p - 1, 0))
         be_diag = ((p - 1, 0), (2, 0))  # sums: (1,0)->in, (4,0)->out, (-2,0)->out
     be = be_diag if g[1][1] else (be_diag[1], be_diag[0])
-    q = P(0, 0, w)
-    a = tuple(P(x0, x1, w) for x0, x1 in al)
-    b = tuple(P(y0, y1, w) for y0, y1 in be)
+    q = _res(p, 0, 0, w)
+    a = tuple(_res(p, x0, x1, w) for x0, x1 in al)
+    b = tuple(_res(p, y0, y1, w) for y0, y1 in be)
     return TargetValues(3, q, a, b)
 
 
@@ -1014,20 +995,11 @@ def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) 
             x, y = planted
         else:
             x, y = random_zero_cross_term_sets(basis, m, seed=seed * 1000 + idx)
-        realizers: list[FpVector] = []
-        for corner in (True, False):
-            phi = base.assign(0, 0, corner)
-            ok = np.ones(p ** n, dtype=bool)
-            for start, block in iter_group_chunks(p, n):
-                stop = start + block.shape[0]
-                for i in range(4):
-                    for j in range(4):
-                        want = phi.verdicts[i][j]
-                        off = (x[i] + y[j]).as_array()
-                        memb = table[digits_to_ranks((block + off) % p, p)]
-                        ok[start:stop] &= memb == want
-            for r in np.flatnonzero(ok):
-                realizers.append(FpVector(a.ctx, tuple(int(c) for c in ranks_to_digits(np.array([r]), p, n)[0])))
+        realizers = [
+            vector_from_rank(a.ctx, n, int(r))
+            for corner in (True, False)
+            for r in np.flatnonzero(realizing_shifts(table, x, y, base.assign(0, 0, corner)))
+        ]
         if not realizers:
             out.append(ForcedZeroInstance(idx, m, 0, True, True, "vacuous: no realizing shift"))
             continue

@@ -1,10 +1,14 @@
 """Arithmetic and dense linear algebra over the prime field F_p, p an odd prime.
 
-Residues live in the canonical range [0, p).  Row reduction uses
-leftmost-pivot / first-nonzero-row tie-breaking and null-space vectors are
-scaled so their first nonzero coordinate is 1, which makes solved systems,
-orthogonal complements and every downstream certificate bit-identical
-across runs and platforms.
+Residues live in the canonical range [0, p).  One elimination kernel,
+_rref, reduces a stack of matrices at once (a leading batch axis); rank,
+affine solving, null spaces and orthogonal complements all run on it.  It
+uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
+are scaled so their first nonzero coordinate is 1, which makes solved
+systems, orthogonal complements and every downstream certificate
+bit-identical across runs and platforms.  It is exact for every p: int64
+while every product of two residues fits, (p-1)^2 < 2^63, Python integers
+beyond.
 
 Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
 every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
@@ -48,11 +52,6 @@ class FieldCtx:
         if a == 0:
             raise ValueError(f"not invertible: 0 mod {self.p}")
         return pow(a, self.p - 2, self.p)
-
-
-def scalar_inverse(ctx: FieldCtx, a: int) -> int:
-    """Multiplicative inverse of a modulo ctx.p.  Raises for a = 0 mod p."""
-    return ctx.inv(a)
 
 
 @dataclass(frozen=True)
@@ -169,89 +168,90 @@ class FpMatrix:
         return FpMatrix(FieldCtx(int(doc["p"])), tuple(tuple(int(e) for e in r) for r in doc["rows"]))
 
 
-def identity_matrix(ctx: FieldCtx, n: int) -> FpMatrix:
-    return FpMatrix(ctx, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Row reduction and derived solvers.
 # ---------------------------------------------------------------------------
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.
+def _inv_array(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues mod p, x^(p-2) by square-and-multiply."""
+    out = np.ones_like(x)
+    e = p - 2
+    while True:
+        if e & 1:
+            out = out * x % p
+        e >>= 1
+        if not e:
+            return out
+        x = x * x % p
+
+
+def _exact_dtype(bound: int) -> type:
+    """int64 when every intermediate stays below bound and bound < 2^63, Python integers otherwise."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms mod p of a stack of matrices, shape (..., r, c).
 
     Pivots are chosen leftmost-column-first and, within a column, the first
-    row (top to bottom) with a nonzero entry.  Deterministic by design.
+    row (top to bottom) at or below the next pivot row with a nonzero entry.
+    Deterministic by design.  Returns the reduced stack and the (..., r) pivot
+    columns: row i of a matrix holds the pivot in pivots[..., i], -1 from its
+    rank on.  The arithmetic is exact for every p: int64 while every product
+    of two residues fits, (p-1)^2 < 2^63, Python integers beyond.
     """
-    a = np.array(a, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    r = 0
+    a = np.asarray(a)
+    lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
+    a = a.reshape(int(np.prod(lead)), n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2)) % p
+    pivots = np.full((a.shape[0], n_rows), -1, dtype=np.int64)
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    row_idx = np.arange(n_rows)[None, :]
     for c in range(n_cols):
-        if r == n_rows:
+        if (rank == n_rows).all():
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        cand = (a[:, :, c] != 0) & (row_idx >= rank[:, None])
+        # the matrices with a pivot in column c, their next pivot row r and the row i that moves there
+        ks = np.flatnonzero(cand.any(axis=1))
+        if ks.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        r, i = rank[ks], cand[ks].argmax(axis=1)
+        # every row from r down is zero left of column c, so only columns c: change
+        row = a[ks, i, c:]
+        a[ks, i, c:] = a[ks, r, c:]
+        row = row * _inv_array(row[:, 0], p)[:, None] % p
+        # eliminating column c from every row also clears row r, which then takes the pivot row
+        a[ks, :, c:] = (a[ks, :, c:] - a[ks, :, c:c + 1] * row[:, None, :]) % p
+        a[ks, r, c:] = row
+        pivots[ks, r] = c
+        rank[ks] += 1
+    return a.reshape(*lead, n_rows, n_cols), pivots.reshape(*lead, n_rows)
 
 
-def _rank_array(a: np.ndarray, p: int) -> int:
-    """Rank mod p by plain forward elimination (no back substitution)."""
-    a = np.array(a, dtype=np.int64) % p
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = a[r + 1:, c]
-        if below.size:
-            a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(below, a[r, c:])) % p
-        r += 1
-    return r
+def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a stack of matrices, shape (..., r, c) -> (...)."""
+    return (_rref(a, p)[1] >= 0).sum(axis=-1)
 
 
 def mat_rank(m: FpMatrix) -> int:
     """Rank of m over F_p."""
-    if m.n_rows == 0 or m.n_cols == 0:
-        return 0
-    return _rank_array(m.as_array(), m.ctx.p)
+    return int(_rank_array(m.as_array(), m.ctx.p))
 
 
-def _null_basis_from_rref(rref: np.ndarray, pivots: list[int], n_cols: int, p: int) -> list[np.ndarray]:
-    """One canonical null-space vector per free column.
+def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, n_cols: int, p: int) -> list[np.ndarray]:
+    """One canonical null-space vector per free column of one reduced matrix.
 
     Each vector is scaled so that its first nonzero coordinate equals 1.
     """
-    pivot_set = set(pivots)
+    pivot_cols = pivots[pivots >= 0]
     out = []
     for f in range(n_cols):
-        if f in pivot_set:
+        if f in pivot_cols:
             continue
-        v = np.zeros(n_cols, dtype=np.int64)
+        v = np.zeros(n_cols, dtype=rref.dtype)
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rref[i, f]) % p
-        first = int(np.nonzero(v)[0][0])
-        v = (v * pow(int(v[first]), p - 2, p)) % p
-        out.append(v)
+        v[pivot_cols] = -rref[:pivot_cols.size, f] % p
+        first = v[np.flatnonzero(v)[0]]
+        out.append((v * pow(int(first), p - 2, p) % p).astype(np.int64))
     return out
 
 
@@ -280,8 +280,7 @@ def solve_affine(a: FpMatrix, b: FpVector) -> AffineSolution | None:
     if n_cols in pivots:
         return None
     x = np.zeros(n_cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = rref[i, n_cols]
+    x[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols]
     nulls = _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
     return AffineSolution(
         FpVector(a.ctx, tuple(int(e) for e in x)),
@@ -301,10 +300,10 @@ def affine_solver(a: FpMatrix) -> tuple[np.ndarray, np.ndarray]:
     p = a.ctx.p
     n_rows, n_cols = a.n_rows, a.n_cols
     rref, pivots = _rref(np.concatenate([a.as_array(), np.eye(n_rows, dtype=np.int64)], axis=1), p)
-    if pivots and pivots[-1] >= n_cols:
+    if (pivots >= n_cols).any():
         raise ValueError("affine_solver needs a matrix of full row rank")
     transform = np.zeros((n_cols, n_rows), dtype=np.int64)
-    transform[pivots] = rref[:, n_cols:]
+    transform[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols:]
     nulls = _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
     return transform, np.stack(nulls) if nulls else np.zeros((0, n_cols), dtype=np.int64)
 
@@ -322,8 +321,7 @@ def orth_complement(vs: Sequence[FpVector], ctx: FieldCtx | None = None, n: int 
     n = vs[0].n
     if any(v.ctx != ctx or v.n != n for v in vs):
         raise ValueError("vectors from different spaces")
-    a = np.stack([v.as_array() for v in vs])
-    rref, pivots = _rref(a, ctx.p)
+    rref, pivots = _rref(np.stack([v.as_array() for v in vs]), ctx.p)
     nulls = _null_basis_from_rref(rref, pivots, n, ctx.p)
     return [FpVector(ctx, tuple(int(e) for e in v)) for v in nulls]
 
@@ -353,12 +351,7 @@ def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     points, mats = np.asarray(points), np.asarray(mats)
     m, n = points.shape
     t = mats.shape[0]
-    if n * n * (p - 1) ** 3 < 1 << 53:
-        dtype = np.float64
-    elif n * (p - 1) ** 2 < 1 << 63:
-        dtype = np.int64
-    else:
-        dtype = object
+    dtype = np.float64 if n * n * (p - 1) ** 3 < 1 << 53 else _exact_dtype(n * (p - 1) ** 2)
     pts = points.astype(dtype)
     w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(dtype)).reshape(m, t, n)
     if dtype is not np.float64:

@@ -16,12 +16,19 @@ from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, quad_for
 from .highrank import HighRankBasis
 
 
-def fnz(x: FpVector) -> int:
-    """1-based index of the first nonzero coordinate; n + 1 for the zero vector."""
-    for i, c in enumerate(x.coords):
-        if c != 0:
-            return i + 1
-    return x.n + 1
+def _contains(a, x: FpVector) -> bool:
+    """Membership of one vector, as a one-row contains_digits call."""
+    if x.n != a.n:
+        raise ValueError("dimension mismatch")
+    return bool(a.contains_digits(x.as_array()[None, :])[0])
+
+
+def _membership_table(a) -> np.ndarray:
+    """Membership of every vector of F_p^n, indexed by rank."""
+    out = np.empty(a.p ** a.n, dtype=bool)
+    for start, block in iter_group_chunks(a.p, a.n):
+        out[start:start + block.shape[0]] = a.contains_digits(block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -39,11 +46,7 @@ class GsSet:
     def p(self) -> int:
         return self.ctx.p
 
-    def contains(self, x: FpVector) -> bool:
-        if x.n != self.n:
-            raise ValueError("dimension mismatch")
-        i = fnz(x)
-        return i <= self.n and x.coords[i - 1] == 1
+    contains = _contains
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (m, n) coordinate block."""
@@ -53,11 +56,7 @@ class GsSet:
         vals = digits[np.arange(digits.shape[0]), first]
         return has & (vals == 1)
 
-    def membership_table(self) -> np.ndarray:
-        out = np.empty(self.p ** self.n, dtype=bool)
-        for start, block in iter_group_chunks(self.p, self.n):
-            out[start:start + block.shape[0]] = self.contains_digits(block)
-        return out
+    membership_table = _membership_table
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,7 @@ class QgsSet:
         q = self._forms(t, np.stack([(x + y).as_array(), x.as_array(), y.as_array()]))
         return int(q[0] - q[1] - q[2]) % self.p
 
-    def contains(self, x: FpVector) -> bool:
-        if x.n != self.n:
-            raise ValueError("dimension mismatch")
-        return bool(self.contains_digits(x.as_array()[None, :])[0])
+    contains = _contains
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
         """Vectorized membership: scan Q_1, Q_2, ... short-circuiting per row."""
@@ -116,11 +112,7 @@ class QgsSet:
             undecided[idx[hit]] = False
         return member
 
-    def membership_table(self) -> np.ndarray:
-        out = np.empty(self.p ** self.n, dtype=bool)
-        for start, block in iter_group_chunks(self.p, self.n):
-            out[start:start + block.shape[0]] = self.contains_digits(block)
-        return out
+    membership_table = _membership_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,32 +134,10 @@ class ExplicitSet:
     def p(self) -> int:
         return self.ctx.p
 
-    def contains(self, x: FpVector) -> bool:
-        r = 0
-        for c in x.coords:
-            r = r * self.p + c
-        return bool(self.table[r])
+    contains = _contains
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
         return self.table[digits_to_ranks(digits, self.p)]
 
     def membership_table(self) -> np.ndarray:
         return self.table
-
-
-# Thin functional aliases matching the oracle-style call signatures.
-
-def gs_contains(a: GsSet, x: FpVector) -> bool:
-    return a.contains(x)
-
-
-def qgs_contains(a: QgsSet, x: FpVector) -> bool:
-    return a.contains(x)
-
-
-def eval_q(a: QgsSet, t: int, x: FpVector) -> int:
-    return a.eval_q(t, x)
-
-
-def cross_term(a: QgsSet, t: int, x: FpVector, y: FpVector) -> int:
-    return a.cross_term(t, x, y)

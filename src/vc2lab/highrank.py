@@ -19,6 +19,7 @@ from .fp import (
     FieldCtx,
     FpMatrix,
     FpVector,
+    _exact_dtype,
     _rank_array,
     derive_rng,
     ranks_to_digits,
@@ -100,32 +101,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# Trial division is exact and transparent but needs p**(n//2) candidate
-# divisors; beyond this budget switch to the x**(p**n) == x criterion.
-_TRIAL_BUDGET = 30_000
+def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
+    """Rabin's irreducibility test (SIAM J. Comput. 1980).
 
-
-def _is_irreducible_trial(coeffs: tuple[int, ...], p: int) -> bool:
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    f = list(coeffs)
-    if _has_root(f, p):
-        return False
-    for d in range(2, n // 2 + 1):
-        for idx in range(p ** d):
-            g = []
-            rem = idx
-            for _ in range(d):
-                g.append(rem % p)
-                rem //= p
-            g.append(1)
-            if not _pmod(f, g, p):
-                return False
-    return True
-
-
-def _is_irreducible_frobenius(coeffs: tuple[int, ...], p: int) -> bool:
+    A monic f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(f, x^(p^(n/q)) - x) = 1 for every prime q dividing n.
+    """
     n = len(coeffs) - 1
     if n == 1:
         return True
@@ -161,14 +142,6 @@ def _minus_x(a: list[int], p: int) -> list[int]:
     a = a + [0] * (2 - len(a))
     a[1] -= 1
     return _ptrim([c % p for c in a])
-
-
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    n = len(coeffs) - 1
-    candidates = sum(p ** d for d in range(2, n // 2 + 1))
-    if candidates <= _TRIAL_BUDGET:
-        return _is_irreducible_trial(coeffs, p)
-    return _is_irreducible_frobenius(coeffs, p)
 
 
 @dataclass(frozen=True)
@@ -289,11 +262,6 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
     return HighRankBasis(ctx, n, poly, tuple(mats))
 
 
-def _combo_rank(mats: np.ndarray, lam: np.ndarray, p: int) -> int:
-    combo = np.tensordot(lam, mats, axes=(0, 0)) % p
-    return _rank_array(combo, p)
-
-
 def check_high_rank(
     basis: HighRankBasis,
     mode: str = "exhaustive",
@@ -308,15 +276,26 @@ def check_high_rank(
     Exhaustive mode requires p**n <= 10**6.
     """
     p, n = basis.ctx.p, basis.n
-    mats = basis.mats_array()
+    # combinations are ranked in batches of about 2^16 matrix entries
+    batch = max(1, (1 << 16) // (n * n))
+    # an entry of a combination sums n products of two residues
+    dtype = _exact_dtype(n * (p - 1) ** 2)
+    flat = basis.mats_array().reshape(n, n * n).astype(dtype)
+
+    def failing(lams: np.ndarray) -> np.ndarray:
+        """Indices of the coefficient rows whose combination has rank below n."""
+        combos = (lams.astype(dtype) @ flat % p).reshape(-1, n, n)
+        return np.flatnonzero(_rank_array(combos, p) != n)
+
     if mode == "exhaustive":
         total = p ** n
         if total > 10 ** 6:
             raise ValueError("exhaustive check infeasible: p**n > 1e6")
-        lams = ranks_to_digits(np.arange(1, total, dtype=np.int64), p, n)
-        for lam in lams:
-            if _combo_rank(mats, lam, p) != n:
-                return FpVector(basis.ctx, tuple(int(x) for x in lam))
+        for lo in range(1, total, batch):
+            lams = ranks_to_digits(np.arange(lo, min(lo + batch, total), dtype=np.int64), p, n)
+            bad = failing(lams)
+            if bad.size:
+                return FpVector(basis.ctx, tuple(int(x) for x in lams[bad[0]]))
         return None
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
@@ -326,12 +305,14 @@ def check_high_rank(
         bad = []
         done = 0
         while done < stream_count:
-            lam = rng.integers(0, p, size=n)
-            if not lam.any():
-                continue
-            done += 1
-            if _combo_rank(mats, lam.astype(np.int64), p) != n:
-                bad.append(tuple(int(x) for x in lam))
+            # one draw per coefficient vector, made only when its batch runs
+            lams = []
+            while len(lams) < min(batch, stream_count - done):
+                lam = rng.integers(0, p, size=n)
+                if lam.any():
+                    lams.append(lam)
+            done += len(lams)
+            bad += [tuple(int(x) for x in lams[i]) for i in failing(np.stack(lams))]
         return bad
 
     threads = max(1, threads)

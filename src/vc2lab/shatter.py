@@ -15,7 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, ranks_to_digits, vector_from_rank
+from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, rank_powers, ranks_to_digits, vector_from_rank
 
 
 class MembershipOracle(Protocol):
@@ -220,12 +220,8 @@ def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
     for v0 in range(0, total, block):
         v1 = min(v0 + block, total)
         sums = (digits[v0:v1, None, :] + digits[None, :, :]) % p
-        out[v0:v1] = table[sums.reshape(-1, n) @ _powers(p, n)].reshape(v1 - v0, total)
+        out[v0:v1] = table[sums.reshape(-1, n) @ rank_powers(p, n)].reshape(v1 - v0, total)
     return out
-
-
-def _powers(p: int, n: int) -> np.ndarray:
-    return np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
 
 
 def _distinct_count_rows(ext: np.ndarray, width: int) -> np.ndarray:
@@ -343,6 +339,32 @@ def vc2_realizes(
     return bool((a.contains_digits(rows % a.p) == want).all())
 
 
+def realizing_shifts(
+    table: np.ndarray,
+    x: Sequence[FpVector],
+    y: Sequence[FpVector],
+    phi: ContainmentMap,
+) -> np.ndarray:
+    """Mask over F_p^n in rank order: True at each z realizing phi on the grid x_i + y_j + z.
+
+    table is the set's membership table; unassigned cells of a partial phi
+    impose nothing.
+    """
+    p, n = x[0].ctx.p, x[0].n
+    cells = [
+        ((xi + yj).as_array(), want)
+        for xi, row in zip(x, phi.verdicts)
+        for yj, want in zip(y, row)
+        if want is not None
+    ]
+    ok = np.ones(p ** n, dtype=bool)
+    for start, block in iter_group_chunks(p, n):
+        stop = start + block.shape[0]
+        for off, want in cells:
+            ok[start:stop] &= table[digits_to_ranks((block + off) % p, p)] == want
+    return ok
+
+
 def exhaustive_z_finder(
     a: MembershipOracle,
     x: Sequence[FpVector],
@@ -354,23 +376,12 @@ def exhaustive_z_finder(
         raise ValueError("group too large for exhaustive shift search")
     table = a.membership_table()
     x, y = tuple(x), tuple(y)
-    cells = [(i, j, ((xi + yj).as_array())) for i, xi in enumerate(x) for j, yj in enumerate(y)]
-    ctx = x[0].ctx
 
     def find(phi: ContainmentMap) -> FpVector | None:
-        ok = np.ones(p ** n, dtype=bool)
-        for start, block in iter_group_chunks(p, n):
-            stop = start + block.shape[0]
-            for i, j, off in cells:
-                want = phi.verdicts[i][j]
-                if want is None:
-                    continue
-                memb = table[digits_to_ranks((block + off) % p, p)]
-                ok[start:stop] &= memb == want
-        hits = np.flatnonzero(ok)
+        hits = np.flatnonzero(realizing_shifts(table, x, y, phi))
         if hits.size == 0:
             return None
-        return vector_from_rank(ctx, n, int(hits[0]))
+        return vector_from_rank(a.ctx, n, int(hits[0]))
 
     return find
 

@@ -6,7 +6,7 @@ from vc2lab.fp import FieldCtx, FpVector
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import shatters, vc2_shatters, ShatterCertificate
-from vc2lab.factor import construct_shatter_pair, realize_map
+from vc2lab.factor import CheckResult, construct_shatter_pair, realize_map
 
 ctx3 = FieldCtx(3)
 
@@ -101,6 +101,13 @@ def test_fuzzed_mutations_rejected(shatter_doc, vc2_doc):
         for _ in range(500):
             mutated = next(gen)
             assert not certs.verify_certificate(mutated).ok
+    # documents of the wrong JSON type, whole or in part, fail instead of raising
+    hostile = [[], "x", 3, None, {**shatter_doc, "set": []}, {**shatter_doc, "set": "gs"},
+               {**vc2_doc, "set": [1]}, {**shatter_doc, "witnesses": [[0]]},
+               {**shatter_doc, "witnesses": [{"pattern": float("inf"), "y": [0, 0, 0]}]}]
+    for doc in hostile:
+        res = certs.verify_certificate(doc)
+        assert isinstance(res, CheckResult) and not res.ok
 
 
 def test_dumps_deterministic(shatter_doc):

@@ -8,6 +8,8 @@ from vc2lab.fp import (
     FieldCtx,
     FpMatrix,
     FpVector,
+    _rank_array,
+    _rref,
     affine_solver,
     basis_vector,
     digits_to_ranks,
@@ -16,7 +18,6 @@ from vc2lab.fp import (
     orth_complement,
     quad_forms,
     ranks_to_digits,
-    scalar_inverse,
     solve_affine,
     vector_from_rank,
     vector_rank,
@@ -40,24 +41,116 @@ def test_field_ctx_rejects_non_primes():
 
 
 def test_scalar_inverse_examples():
-    assert scalar_inverse(ctx3, 2) == 2
-    assert scalar_inverse(ctx5, 3) == 2
-    assert scalar_inverse(ctx7, 1) == 1
+    assert ctx3.inv(2) == 2
+    assert ctx5.inv(3) == 2
+    assert ctx7.inv(1) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
 def test_scalar_inverse_exhaustive(p):
     ctx = FieldCtx(p)
     for a in range(1, p):
-        assert (scalar_inverse(ctx, a) * a) % p == 1
+        assert (ctx.inv(a) * a) % p == 1
     with pytest.raises(ValueError):
-        scalar_inverse(ctx, 0)
+        ctx.inv(0)
 
 
 def test_mat_rank_examples():
     assert mat_rank(FpMatrix(ctx3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
     assert mat_rank(FpMatrix(ctx5, tuple((0,) * 4 for _ in range(4)))) == 0
     assert mat_rank(FpMatrix(ctx5, ((1, 2), (2, 4)))) == 1
+
+
+# (p - 1)^2 > 2^63 here: products of two residues no longer fit in int64
+BIG_P = 4294967311
+
+
+def test_mat_rank_exact_at_large_p():
+    ctx = FieldCtx(BIG_P)
+    row = (3, 5, 7)
+    assert mat_rank(FpMatrix(ctx, (row, tuple((BIG_P - 1) * c for c in row)))) == 1
+
+
+def _dot(u, v, p):
+    return sum(int(a) * int(b) for a, b in zip(u, v)) % p
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solvers_exact_at_large_p(seed):
+    # checked with Python-int dot products only
+    p = BIG_P
+    ctx = FieldCtx(p)
+    rnd = random.Random(seed)
+    rows = [[rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(5)] for _ in range(3)]
+    a = FpMatrix(ctx, tuple(map(tuple, rows)))
+    for u in orth_complement([FpVector(ctx, tuple(r)) for r in rows]):
+        assert all(_dot(u.coords, r, p) == 0 for r in rows)
+        assert next(c for c in u.coords if c) == 1
+    b = [rnd.randrange(p) for _ in range(3)]
+    sol = solve_affine(a, FpVector(ctx, tuple(b)))
+    if sol is None:
+        assert mat_rank(a) < 3
+        return
+    assert [_dot(r, sol.particular.coords, p) for r in rows] == b
+    assert len(sol.null_basis) == 5 - mat_rank(a)
+    for v in sol.null_basis:
+        assert all(_dot(r, v.coords, p) == 0 for r in rows)
+    if mat_rank(a) == 3:
+        transform, nb = affine_solver(a)
+        x = [_dot(t_row, b, p) for t_row in transform.tolist()]
+        assert [_dot(r, x, p) for r in rows] == b
+        assert all(_dot(r, v, p) == 0 for r in rows for v in nb.tolist())
+
+
+def _rref_reference(rows, p):
+    """Scalar Gauss-Jordan elimination on Python ints, with the kernel's pivot rules."""
+    a = [[int(e) % p for e in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [e * inv % p for e in a[r]]
+        for j in range(len(a)):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [(e - f * pe) % p for e, pe in zip(a[j], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _reference_matrix(rnd, p, shape, rank_deficient):
+    rows, cols = shape
+    a = [[rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(cols)] for _ in range(rows)]
+    if rank_deficient and rows > 1:
+        # the last row is a combination of the others
+        c = [rnd.randrange(p) for _ in range(rows - 1)]
+        a[-1] = [sum(ci * a[i][j] for i, ci in enumerate(c)) % p for j in range(cols)]
+    return a
+
+
+@given(p=st.sampled_from([3, 5, 7, BIG_P]), shape=st.sampled_from(["square", "wide", "tall"]),
+       size=st.integers(1, 5), rank_deficient=st.booleans(), batch=st.integers(1, 6), seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, seed):
+    rnd = random.Random(seed)
+    dims = {"square": (size, size), "wide": (size, size + 2), "tall": (size + 2, size)}[shape]
+    mats = [_reference_matrix(rnd, p, dims, rank_deficient) for _ in range(batch)]
+    rref, pivots = _rref(np.array(mats, dtype=np.int64), p)
+    ranks = _rank_array(np.array(mats, dtype=np.int64), p)
+    assert rref.shape == (batch, *dims) and pivots.shape == (batch, dims[0]) and ranks.shape == (batch,)
+    for k, m in enumerate(mats):
+        want, want_piv = _rref_reference(m, p)
+        assert rref[k].tolist() == want
+        assert pivots[k].tolist() == want_piv + [-1] * (dims[0] - len(want_piv))
+        assert ranks[k] == len(want_piv)
+        # a batch of one gives the same answer as the batch it came from
+        one, one_piv = _rref(np.array(m, dtype=np.int64), p)
+        assert one.tolist() == want and one_piv.tolist() == pivots[k].tolist()
 
 
 @given(p=primes, n=st.integers(1, 5), seed=st.integers(0, 10_000))
@@ -139,8 +232,6 @@ def test_orth_complement_involution(p, n, k, seed):
         assert back == []
         return
     stacked = np.stack(vs_arr)
-    from vc2lab.fp import _rank_array
-
     r_vs = _rank_array(stacked, p)
     both = np.concatenate([stacked, np.stack([v.as_array() for v in back])]) if back else stacked
     assert _rank_array(both, p) == r_vs

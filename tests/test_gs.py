@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vc2lab.fp import FieldCtx, FpVector, ranks_to_digits
-from vc2lab.gs import ExplicitSet, GsSet, QgsSet, cross_term, eval_q, fnz, gs_contains, qgs_contains
+from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 
 ctx3 = FieldCtx(3)
@@ -11,16 +11,18 @@ ctx5 = FieldCtx(5)
 
 
 def test_fnz_examples():
-    assert fnz(FpVector(ctx3, (0, 0, 0))) == 4
-    assert fnz(FpVector(ctx3, (0, 2, 1))) == 2
-    assert fnz(FpVector(ctx5, (1, 0))) == 1
+    # membership is decided by the first nonzero coordinate alone
+    assert not GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 0, 0)))
+    assert not GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 2, 1)))
+    assert GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 1, 2)))
+    assert GsSet(ctx5, 2).contains(FpVector(ctx5, (1, 0)))
 
 
 def test_gs_contains_examples():
     a = GsSet(ctx3, 3)
-    assert not gs_contains(a, FpVector(ctx3, (0, 0, 0)))
-    assert gs_contains(a, FpVector(ctx3, (0, 1, 2)))
-    assert not gs_contains(a, FpVector(ctx3, (2, 1, 0)))
+    assert not a.contains(FpVector(ctx3, (0, 0, 0)))
+    assert a.contains(FpVector(ctx3, (0, 1, 2)))
+    assert not a.contains(FpVector(ctx3, (2, 1, 0)))
 
 
 def test_gs_count_f3_4():
@@ -30,12 +32,39 @@ def test_gs_count_f3_4():
     assert sum(3 ** (4 - i) for i in range(1, 5)) == 40
 
 
+def _gs_reference(coords):
+    """Scalar GS rule: the first nonzero coordinate exists and equals 1."""
+    return next((c for c in coords if c), 0) == 1
+
+
+def _horner_rank(coords, p):
+    r = 0
+    for c in coords:
+        r = r * p + c
+    return r
+
+
 def test_gs_vectorized_matches_scalar():
     a = GsSet(ctx5, 3)
     digits = ranks_to_digits(np.arange(5 ** 3), 5, 3)
     vec = a.contains_digits(digits)
     for r in range(5 ** 3):
-        assert vec[r] == a.contains(FpVector(ctx5, tuple(int(c) for c in digits[r])))
+        coords = tuple(int(c) for c in digits[r])
+        ref = _gs_reference(coords)
+        assert bool(vec[r]) == ref
+        assert a.contains(FpVector(ctx5, coords)) == ref
+
+
+def test_explicit_set_matches_scalar():
+    table = np.random.default_rng(3).random(5 ** 3) < 0.4
+    a = ExplicitSet(ctx5, 3, table)
+    digits = ranks_to_digits(np.arange(5 ** 3), 5, 3)
+    vec = a.contains_digits(digits)
+    for r in range(5 ** 3):
+        coords = tuple(int(c) for c in digits[r])
+        ref = bool(table[_horner_rank(coords, 5)])
+        assert bool(vec[r]) == ref
+        assert a.contains(FpVector(ctx5, coords)) == ref
 
 
 @pytest.fixture(scope="module")
@@ -46,31 +75,31 @@ def qgs5():
 def test_eval_q_examples(qgs5):
     zero = FpVector(ctx3, (0,) * 5)
     for t in range(1, 6):
-        assert eval_q(qgs5, t, zero) == 0
+        assert qgs5.eval_q(t, zero) == 0
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
         t = int(rng.integers(1, 6))
-        assert eval_q(qgs5, t, -x) == eval_q(qgs5, t, x)
+        assert qgs5.eval_q(t, -x) == qgs5.eval_q(t, x)
     with pytest.raises(ValueError):
-        eval_q(qgs5, 0, zero)
+        qgs5.eval_q(0, zero)
     with pytest.raises(ValueError):
-        eval_q(qgs5, 6, zero)
+        qgs5.eval_q(6, zero)
 
 
 def test_qgs_contains_examples(qgs5):
     zero = FpVector(ctx3, (0,) * 5)
-    assert not qgs_contains(qgs5, zero)
+    assert not qgs5.contains(zero)
     rng = np.random.default_rng(7)
     seen_one = seen_two = False
     for _ in range(300):
         x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
-        q1 = eval_q(qgs5, 1, x)
+        q1 = qgs5.eval_q(1, x)
         if q1 == 1:
-            assert qgs_contains(qgs5, x)
+            assert qgs5.contains(x)
             seen_one = True
         elif q1 == 2:
-            assert not qgs_contains(qgs5, x)
+            assert not qgs5.contains(x)
             seen_two = True
     assert seen_one and seen_two
 
@@ -102,8 +131,8 @@ def test_cross_term_examples(qgs5):
         x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
         y = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
         t = int(rng.integers(1, 6))
-        assert cross_term(qgs5, t, x, zero) == 0
-        assert cross_term(qgs5, t, x, y) == cross_term(qgs5, t, y, x)
+        assert qgs5.cross_term(t, x, zero) == 0
+        assert qgs5.cross_term(t, x, y) == qgs5.cross_term(t, y, x)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -114,8 +143,8 @@ def test_expansion_identity(seed):
     rng = np.random.default_rng(seed)
     x, y, z = (FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 4))) for _ in range(3))
     t = int(rng.integers(1, 5))
-    lhs = eval_q(a, t, x + y + z)
-    rhs = (eval_q(a, t, x + z) + eval_q(a, t, y + z) - eval_q(a, t, z) + cross_term(a, t, x, y)) % 3
+    lhs = a.eval_q(t, x + y + z)
+    rhs = (a.eval_q(t, x + z) + a.eval_q(t, y + z) - a.eval_q(t, z) + a.cross_term(t, x, y)) % 3
     assert lhs == rhs
 
 

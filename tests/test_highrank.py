@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from vc2lab.fp import FieldCtx, FpMatrix
+from vc2lab.fp import FieldCtx, FpMatrix, _rank_array
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
     _has_root,
-    _is_irreducible_frobenius,
-    _is_irreducible_trial,
+    _is_irreducible,
     build_irreducible,
     build_trace_basis,
     check_high_rank,
@@ -31,21 +30,55 @@ def test_irreducible_poly_rejects_reducible():
         IrreduciblePoly(ctx5, (1, 0, 1))  # x^2 + 1 = (x-2)(x+2) mod 5
 
 
-@pytest.mark.parametrize("p,n", [(3, d) for d in range(2, 7)] + [(5, d) for d in range(2, 5)])
+def _monic(idx, p, n):
+    """The monic polynomial of degree n whose low coefficients are the base-p digits of idx."""
+    coeffs = []
+    for _ in range(n):
+        coeffs.append(idx % p)
+        idx //= p
+    return tuple(coeffs) + (1,)
+
+
+def _remainder(f, g, p):
+    """f mod g for a monic g, little-endian coefficient lists."""
+    f = list(f)
+    while len(f) >= len(g):
+        c = f[-1]
+        shift = len(f) - len(g)
+        for i, gi in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * gi) % p
+        f.pop()
+    return f
+
+
+def _is_irreducible_reference(coeffs, p):
+    """Trial division by every monic polynomial of degree 1 .. n // 2."""
+    n = len(coeffs) - 1
+    return not any(
+        not any(_remainder(coeffs, _monic(idx, p, d), p))
+        for d in range(1, n // 2 + 1)
+        for idx in range(p ** d)
+    )
+
+
+@pytest.mark.parametrize("p,n", [(3, d) for d in range(1, 7)] + [(5, d) for d in range(1, 5)])
 def test_irreducibility_tests_agree(p, n):
-    ctx = FieldCtx(p)
-    for idx in range(min(p ** n, 200)):
-        coeffs = []
-        rem = idx
-        for _ in range(n):
-            coeffs.append(rem % p)
-            rem //= p
-        coeffs.append(1)
-        coeffs = tuple(coeffs)
-        assert _is_irreducible_trial(coeffs, p) == _is_irreducible_frobenius(coeffs, p)
-        # both tests share the gcd root pre-filter; evaluation at every residue is its reference
+    # every monic polynomial of degree n
+    for idx in range(p ** n):
+        coeffs = _monic(idx, p, n)
+        assert _is_irreducible(coeffs, p) == _is_irreducible_reference(coeffs, p)
+        # the root pre-filter: evaluation at every residue is its reference
         roots = any(sum(c * x ** i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
         assert _has_root(list(coeffs), p) == roots
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_build_irreducible_is_first_candidate(p):
+    for n in range(1, 11):
+        if p ** n > 10 ** 5:
+            break
+        first = next(c for c in (_monic(i, p, n) for i in range(p ** n)) if _is_irreducible_reference(c, p))
+        assert build_irreducible(FieldCtx(p), n).coeffs == first
 
 
 def test_trace_basis_degree_one():
@@ -59,8 +92,6 @@ def test_trace_basis_symmetry_and_independence():
         for m in b.mats:
             assert m.is_symmetric()
         flat = np.stack([m.as_array().reshape(-1) for m in b.mats])
-        from vc2lab.fp import _rank_array
-
         assert _rank_array(flat, p) == n
 
 
@@ -90,10 +121,11 @@ def test_high_rank_failure_witness():
     witness = check_high_rank(bad, mode="exhaustive")
     assert witness is not None
     combo = (witness.coords[0] * mats[0].as_array() + witness.coords[1] * mats[1].as_array()) % 3
-    from vc2lab.fp import _rank_array
-
     assert _rank_array(combo, 3) < 2
     assert witness.coords == (1, 1)
+    # sampled mode reports the lexicographically smallest failure over every stream
+    for threads in (1, 2, 3):
+        assert check_high_rank(bad, mode="sampled", count=50, seed=0, threads=threads).coords == (1, 1)
 
 
 def test_exhaustive_limit_enforced():
@@ -110,6 +142,14 @@ def test_sampled_high_rank_n31():
 def test_sampled_threads_agree():
     b = build_trace_basis(ctx3, 7)
     assert check_high_rank(b, mode="sampled", count=500, seed=3, threads=2) is None
+
+
+def test_basis_rejects_dependent_matrices():
+    poly = build_irreducible(ctx3, 2)
+    swap = FpMatrix(ctx3, ((0, 1), (1, 0)))
+    HighRankBasis(ctx3, 2, poly, (swap, FpMatrix(ctx3, ((1, 0), (0, 2)))))
+    with pytest.raises(ValueError, match="dependent"):
+        HighRankBasis(ctx3, 2, poly, (swap, FpMatrix(ctx3, ((0, 2), (2, 0)))))
 
 
 def test_basis_json_round_trip():
