@@ -4,7 +4,8 @@
 Usage: python scripts/reproduce.py [--out DIR] [--seed N] [--skip-slow]
 
 The slow part is the pair of k=3 pipelines at n=31 (about ten seconds each);
-everything else is near-instant.
+everything else is near-instant.  A failed check prints its step and exits
+with status 1 (also under python -O).
 """
 
 from __future__ import annotations
@@ -23,13 +24,22 @@ from vc2lab.factor import QuadraticFactor, atom_census, construct_shatter_pair, 
 from vc2lab.ramsey import br_upper_bound, find_mono_biclique, random_colouring
 
 
-def step(name):
-    print(f"— {name}")
-    return time.perf_counter()
+class Step:
+    """One headline verification: prints its name, then its time, or the check that failed."""
 
+    def __init__(self, name):
+        self.name = name
+        print(f"— {name}")
+        self.t0 = time.perf_counter()
 
-def done(t0, detail=""):
-    print(f"  ok ({time.perf_counter() - t0:.1f}s) {detail}")
+    def require(self, ok, detail=""):
+        """Stop with exit status 1, naming this step, unless ok holds."""
+        if not ok:
+            print(f"FAILED: {self.name}" + (f": {detail}" if detail else ""))
+            sys.exit(1)
+
+    def done(self, detail=""):
+        print(f"  ok ({time.perf_counter() - self.t0:.1f}s) {detail}")
 
 
 def main() -> int:
@@ -41,7 +51,7 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    t0 = step("VC-dimension of the linear set")
+    st = Step("VC-dimension of the linear set")
     values = {}
     for p, n in [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]:
         a = GsSet(FieldCtx(p), n)
@@ -50,50 +60,51 @@ def main() -> int:
         if res.certificate:
             doc = certs.shatter_certificate_doc(res.certificate, a)
             (out / f"vc_witness_p{p}_n{n}.json").write_bytes(certs.dumps(doc))
-    done(t0, f"values: {values}")
+    st.done(f"values: {values}")
 
-    t0 = step("full-rank basis checks")
+    st = Step("full-rank basis checks")
     for p in (3, 5, 7):
         for n in range(1, 5):
-            assert check_high_rank(build_trace_basis(FieldCtx(p), n), mode="exhaustive") is None
-    assert check_high_rank(build_trace_basis(FieldCtx(3), 31), mode="sampled", count=10_000, seed=args.seed) is None
-    done(t0)
+            st.require(check_high_rank(build_trace_basis(FieldCtx(p), n), mode="exhaustive") is None, f"p={p}, n={n}")
+    st.require(check_high_rank(build_trace_basis(FieldCtx(3), 31), mode="sampled", count=10_000, seed=args.seed) is None,
+               "p=3, n=31 sampled")
+    st.done()
 
-    t0 = step("atom census at p=3, n=9 (l=2, q=2)")
+    st = Step("atom census at p=3, n=9 (l=2, q=2)")
     ctx3 = FieldCtx(3)
     basis9 = build_trace_basis(ctx3, 9)
     factor = QuadraticFactor((basis_vector(ctx3, 9, 0), basis_vector(ctx3, 9, 1)), (1, 2))
     census = atom_census(factor, basis9, check_bound=True)
-    done(t0, f"{len(census)} atoms, sizes {min(census.values())}..{max(census.values())}")
+    st.done(f"{len(census)} atoms, sizes {min(census.values())}..{max(census.values())}")
 
     pipelines = [(3, 13, 2)] if args.skip_slow else [(3, 13, 2), (3, 31, 3), (5, 31, 3)]
     for p, n, k in pipelines:
-        t0 = step(f"quadratic shattering pipeline k={k} at p={p}, n={n}")
+        st = Step(f"quadratic shattering pipeline k={k} at p={p}, n={n}")
         basis = build_trace_basis(FieldCtx(p), n)
         c = construct_shatter_pair(basis, k, seed=args.seed)
         a = QgsSet(basis)
         cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=args.seed))
-        assert isinstance(cert, QuadShatterCertificate)
+        st.require(isinstance(cert, QuadShatterCertificate), "a containment map has no witness")
         doc = certs.quad_certificate_doc(cert, a)
         path = out / f"vc2_k{k}_p{p}_n{n}.json"
         path.write_bytes(certs.dumps(doc))
         check = certs.verify_certificate(certs.loads(path.read_bytes()))
-        assert check.ok, check.detail
-        done(t0, f"{len(cert.witnesses)} maps -> {path}")
+        st.require(check.ok, check.detail)
+        st.done(f"{len(cert.witnesses)} maps -> {path}")
 
-    t0 = step("forced-zero probe at p=3, n=5")
+    st = Step("forced-zero probe at p=3, n=5")
     results = forced_zero_probe(build_trace_basis(FieldCtx(3), 5), instances=20, seed=args.seed)
-    assert all(r.ok for r in results)
+    st.require(all(r.ok for r in results), "an instance failed")
     vac = sum(r.vacuous for r in results)
-    done(t0, f"checked={len(results) - vac} vacuous={vac}")
+    st.done(f"checked={len(results) - vac} vacuous={vac}")
 
-    t0 = step("biclique bound chain and constructive search")
-    assert all(br_upper_bound(r).value == 4 * r ** 3 + 1 for r in range(1, 101))
+    st = Step("biclique bound chain and constructive search")
+    st.require(all(br_upper_bound(r).value == 4 * r ** 3 + 1 for r in range(1, 101)), "bound is not 4r^3+1")
     for seed in range(20):
         col = random_colouring(501, 501, 5, seed=seed)
         w = find_mono_biclique(col, 3, 3)
-        assert w is not None and w.verify(col)
-    done(t0)
+        st.require(w is not None and w.verify(col), f"seed {seed}")
+    st.done()
 
     print(f"all verifications passed; certificates in {out}/")
     return 0

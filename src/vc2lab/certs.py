@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector
+from .fp import FieldCtx, FpVector, add_mod
 from .gs import ExplicitSet, GsSet, QgsSet
 from .highrank import build_trace_basis
 from .shatter import ContainmentMap, QuadShatterCertificate, ShatterCertificate
@@ -108,7 +108,7 @@ def _verify_shatter(doc: dict) -> CheckResult:
             return CheckResult(False, f"pattern {mask} appears twice")
         y = _vec(ctx, w["y"], n)
         seen[mask] = y
-        actual = int(a.contains_digits((s_arr + y.as_array()) % p) @ bits)
+        actual = int(a.contains_digits(add_mod(s_arr, y.as_array(), p)) @ bits)
         if actual != mask:
             return CheckResult(False, f"witness for pattern {mask} realizes {actual}")
     if len(seen) != 1 << k:
@@ -129,7 +129,7 @@ def _verify_vc2(doc: dict) -> CheckResult:
         return CheckResult(False, "x_0 and y_0 must be zero")
     # the cells x_i + y_j as one (k*k, n) block, cell (i, j) in row i*k + j
     xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
-    grid = (xs[:, None, :] + ys[None, :, :]).reshape(k * k, n)
+    grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
     seen = set()
     for w in doc["witnesses"]:
         idx = int(w["phi"])
@@ -141,7 +141,7 @@ def _verify_vc2(doc: dict) -> CheckResult:
         phi = ContainmentMap.from_index(k - 1, idx)
         z = _vec(ctx, w["z"], n)
         want = np.array([v for row in phi.verdicts for v in row])
-        bad = np.flatnonzero(a.contains_digits((grid + z.as_array()) % p) != want)
+        bad = np.flatnonzero(a.contains_digits(add_mod(grid, z.as_array(), p)) != want)
         if bad.size:
             return CheckResult(False, f"map {idx} mismatched at cell ({bad[0] // k},{bad[0] % k})")
     if len(seen) != 1 << (k * k):

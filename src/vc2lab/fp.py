@@ -26,24 +26,44 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 2017): below it the Miller-Rabin test on those bases is exact.
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; exact for m < PRIME_BOUND."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """The prime field F_p.  Validated eagerly: p must be an odd prime."""
+    """The prime field F_p.  Validated eagerly: p must be an odd prime below PRIME_BOUND."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, int) and self.p >= PRIME_BOUND:
+            raise ValueError(f"p must be below {PRIME_BOUND}, the bound to which the primality test is exact")
         if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p!r}")
 
@@ -166,6 +186,12 @@ class FpMatrix:
     @staticmethod
     def from_json(doc: dict) -> "FpMatrix":
         return FpMatrix(FieldCtx(int(doc["p"])), tuple(tuple(int(e) for e in r) for r in doc["rows"]))
+
+
+def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a + b) mod p for int64 residues in [0, p): a - (p - b) lies in (-p, p), so no
+    intermediate leaves int64 for any p < 2^63, where a + b would wrap."""
+    return (a - (p - b)) % p
 
 
 # ---------------------------------------------------------------------------

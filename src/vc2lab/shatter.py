@@ -15,7 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, rank_powers, ranks_to_digits, vector_from_rank
+from .fp import FieldCtx, FpVector, add_mod, digits_to_ranks, iter_group_chunks, rank_powers, ranks_to_digits, vector_from_rank
 
 
 class MembershipOracle(Protocol):
@@ -144,11 +144,12 @@ def pattern_signature(a: MembershipOracle, s: Sequence[FpVector], y: FpVector) -
     """Bitmask with bit i set iff s[i] + y lands in the set."""
     if len(s) > MAX_SET_SIZE:
         raise ValueError("set too large")
-    mask = 0
-    for i, v in enumerate(s):
-        if a.contains(v + y):
-            mask |= 1 << i
-    return mask
+    if not s:
+        return 0
+    rows = add_mod(np.stack([v.as_array() for v in s]), y.as_array(), a.p)
+    if rows.shape[1] != a.n:
+        raise ValueError("dimension mismatch")
+    return int(a.contains_digits(rows) @ (1 << np.arange(len(s))))
 
 
 def _pattern_scan(
@@ -235,8 +236,10 @@ def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult
     """Largest k <= k_max with a shattered k-set, plus a certificate for it.
 
     Only candidate sets containing 0 are searched (any shattered set has a
-    shattered translate through 0), and a set is extended only while its
-    achieved-pattern count stays complete.
+    shattered translate through 0), and v extends a level-set s only if every
+    other level-subset through 0 of s + {v} is already shattered.  Sets are
+    searched in lexicographic rank order, so the certificate is for the first
+    shattered set of the largest size found; at k_max the search stops there.
     """
     p, n = a.p, a.n
     total = p ** n
@@ -251,40 +254,47 @@ def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult
 
     ctx = a.ctx
 
-    def certificate_for(ranks: tuple[int, ...]) -> ShatterCertificate:
-        s = tuple(vector_from_rank(ctx, n, r) for r in ranks)
+    def certificate_for(ranks) -> ShatterCertificate:
+        s = tuple(vector_from_rank(ctx, n, int(r)) for r in ranks)
         cert = shatters(a, s, threads=threads)
         if not isinstance(cert, ShatterCertificate):
-            raise RuntimeError(f"frontier set {ranks} is not shattered: table search and pattern scan disagree")
+            raise RuntimeError(f"frontier set {tuple(ranks)} is not shattered: table search and pattern scan disagree")
         return cert
 
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((0,), tt[0].astype(np.int16))]
-    level = 1
-    while level < k_max:
-        prev_keys = {frozenset(s) for s, _ in frontier}
+    # every shattered level-set through 0, as sorted rank rows in lexicographic order;
+    # patterns are rebuilt from tt when needed, so the frontier holds ranks only
+    frontier = np.zeros((1, 1), dtype=np.int64)
+    for level in range(1, k_max):
+        # masks[g, v]: the g-th (level-1)-prefix of the frontier, extended by v, is in the frontier;
+        # rows sharing a prefix are adjacent, since the frontier is sorted
+        starts = np.ones(frontier.shape[0], dtype=bool)
+        starts[1:] = (frontier[1:, :-1] != frontier[:-1, :-1]).any(axis=1)
+        masks = np.zeros((int(starts.sum()), total), dtype=bool)
+        masks[np.cumsum(starts) - 1, frontier[:, -1]] = True
+        mask_of = dict(zip(map(tuple, frontier[starts, :-1].tolist()), masks))
+        weights = np.int16(1) << np.arange(level, dtype=np.int16)
         bit = np.int16(1 << level)
-        nxt: list[tuple[tuple[int, ...], np.ndarray]] = []
         width = 1 << (level + 1)
-        for s, pat in frontier:
-            base = frozenset(s)
-            cands = []
-            for v in range(s[-1] + 1, total):
-                # every (level)-subset through 0 of the extension must already be shattered
-                if level >= 2 and any(frozenset((base - {e}) | {v}) not in prev_keys for e in s[1:]):
-                    continue
-                cands.append(v)
-            if not cands:
+        above, none = np.arange(total), np.zeros(total, dtype=bool)
+        nxt = []
+        for s in frontier.tolist():
+            ok = above > s[-1]
+            for i in range(1, level):
+                ok &= mask_of.get(tuple(s[:i] + s[i + 1:]), none)
+            cands = np.flatnonzero(ok)
+            if cands.size == 0:
                 continue
-            cands = np.array(cands, dtype=np.int64)
-            ext = pat[None, :] + bit * tt[cands].astype(np.int16)
-            full = _distinct_count_rows(ext, width) == width
-            for row in np.flatnonzero(full):
-                nxt.append((s + (int(cands[row]),), ext[row]))
+            # row j: the pattern bitmask of s + {cands[j]} at every translate
+            ext = (weights @ tt[s])[None, :] + bit * tt[cands]
+            hits = cands[_distinct_count_rows(ext, width) == width]
+            if hits.size and level + 1 == k_max:
+                return VcDimResult(k_max, certificate_for(s + [hits[0]]))
+            if hits.size:
+                nxt.append(np.column_stack((np.broadcast_to(s, (hits.size, level)), hits)))
         if not nxt:
-            return VcDimResult(level, certificate_for(frontier[0][0]))
-        frontier = nxt
-        level += 1
-    return VcDimResult(level, certificate_for(frontier[0][0]))
+            return VcDimResult(level, certificate_for(frontier[0]))
+        frontier = np.concatenate(nxt)
+    return VcDimResult(k_max, certificate_for(frontier[0]))
 
 
 def vc_dim_naive(a: MembershipOracle) -> int:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vc2lab
 from vc2lab import certs
 from vc2lab.fp import FieldCtx, FpVector
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
@@ -27,6 +33,40 @@ def vc2_doc():
     a = QgsSet(basis)
     cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
+
+
+_VERIFY_STDIN = (
+    "import sys; from vc2lab import certs; "
+    "r = certs.verify_certificate(certs.loads(sys.stdin.read())); print(r.ok, r.detail)"
+)
+
+
+def _verdict_in_child(doc) -> bool:
+    """verify_certificate's verdict on doc, from a child process with a time limit, so a
+    verifier that hangs fails the calling test instead of blocking the suite."""
+    src = str(Path(vc2lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _VERIFY_STDIN], input=certs.dumps(doc),
+                         capture_output=True, timeout=10, env=env, check=True)
+    return out.stdout.split()[0] == b"True"
+
+
+def test_shatter_certificate_at_p_2_61_minus_1_gets_a_verdict():
+    # GS(p, 1) = {1}: the translate 2 takes 0 out of the set and 1 puts it in
+    doc = {"kind": "shatter", "p": 2 ** 61 - 1, "n": 1, "set": {"kind": "gs"}, "S": [[0]],
+           "witnesses": [{"pattern": 0, "y": [2]}, {"pattern": 1, "y": [1]}]}
+    assert _verdict_in_child(doc)
+
+
+def test_shatter_verdicts_exact_below_2_63():
+    # p = 2^63 - 25: the witness 52 moves p - 1 to 51, outside GS(p, 1) = {1}; an int64 sum
+    # wraps to 2^63 + 26 - 2^64, which is 1 mod p
+    p = 2 ** 63 - 25
+    doc = {"kind": "shatter", "p": p, "n": 1, "set": {"kind": "gs"}, "S": [[p - 1]],
+           "witnesses": [{"pattern": 0, "y": [3]}, {"pattern": 1, "y": [2]}]}
+    assert _verdict_in_child(doc)
+    doc["witnesses"][1]["y"] = [52]
+    assert not _verdict_in_child(doc)
 
 
 def test_emitted_shatter_certificate_verifies(shatter_doc):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vc2lab.fp import (
+    PRIME_BOUND,
     FieldCtx,
     FpMatrix,
     FpVector,
+    _is_prime,
     _rank_array,
     _rref,
+    add_mod,
     affine_solver,
     basis_vector,
     digits_to_ranks,
@@ -38,6 +41,40 @@ def test_field_ctx_rejects_non_primes():
     for bad in (0, 1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             FieldCtx(bad)
+
+
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 448) if all(q % d for d in range(2, q))]  # the primes up to sqrt(2 * 10^5)
+    for m in range(200_000):
+        assert _is_prime(m) == (m >= 2 and all(m % q for q in small if q * q <= m)), m
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37 respectively
+    for m in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+        with pytest.raises(ValueError):
+            FieldCtx(m)
+
+
+def test_field_ctx_accepts_large_primes():
+    for p in (2 ** 31 - 1, 4294967311, 2 ** 61 - 1):
+        assert FieldCtx(p).p == p
+
+
+@pytest.mark.parametrize("p", [3, 4294967311, 2 ** 62 + 135, 2 ** 63 - 25])
+def test_add_mod_exact(p):
+    rng = random.Random(p)
+    vals = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(60)]
+    a = np.array(vals, dtype=np.int64)
+    got = add_mod(a[:, None], a[None, :], p)
+    assert got.tolist() == [[(x + y) % p for y in vals] for x in vals]
+
+
+def test_field_ctx_rejects_p_beyond_prime_bound():
+    for p in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            FieldCtx(p)
 
 
 def test_scalar_inverse_examples():

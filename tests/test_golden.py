@@ -1,4 +1,4 @@
-"""Pinned certificate bytes: the seed-0 vc2-verify certificates must not change.
+"""Pinned certificate bytes: the seed-0 vc2-verify and the vc-dim certificates must not change.
 
 A change to the search, the kernels or the serialization that alters any
 witness shows up here as a digest mismatch.
@@ -25,3 +25,23 @@ def test_seed0_certificate_digest(tmp_path, capsys, k, p, n, threads):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN[(k, p, n)]
+
+
+VCDIM_GOLDEN = {
+    ("gs", 3, 3): "bea45cdf67626731e8916f026d1285c6413a5a61c9e29c680e76b39c35c2b039",
+    ("gs", 3, 4): "6fd302b754eea76fcc9dec267017f2e19240628afe669bdb8f2b4f79ae4c1f39",
+    ("gs", 3, 5): "c26792b0c9b1e75197457281dad043d55bedfa4b8589236138e9a93f6f9f799f",
+    ("gs", 5, 2): "fc4dc6a0a75394eadff53a24ac56935ec3acc820e2b9ff148c35c50c06d38964",
+    ("gs", 5, 3): "6c4675ef41bf5a6b2b388fe22653d915582dead5d4931f7f2d2304cd71a79eb8",
+    ("gs", 7, 2): "56ce270995ff752493fe048cb754c4c96acc6d9f8c933945ecfcb4602b9b73ea",
+    ("qgs", 3, 5): "b2db84aa9dec3426aee9c3e35a9cf7cf9e5073aef65e5b97229a7619ec47550f",
+}
+
+
+@pytest.mark.parametrize("which,p,n", list(VCDIM_GOLDEN))
+def test_vc_dim_certificate_digest(tmp_path, capsys, which, p, n):
+    cert = tmp_path / "cert.json"
+    code = main(["vc-dim", "--p", str(p), "--n", str(n), "--set", which, "--k-max", "4", "--cert", str(cert)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == VCDIM_GOLDEN[(which, p, n)]

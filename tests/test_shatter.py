@@ -11,6 +11,9 @@ from vc2lab.shatter import (
     QuadShatterCertificate,
     ShatterCertificate,
     Vc2Failure,
+    VcDimResult,
+    _distinct_count_rows,
+    _translate_table,
     exhaustive_z_finder,
     pattern_signature,
     shatters,
@@ -116,6 +119,66 @@ def test_vc_dim_matches_naive_oracle(p, n):
     for seed in range(25):
         a = explicit(ctx, n, seed)
         assert vc_dim(a, k_max=5).dim == vc_dim_naive(a)
+
+
+def _vc_dim_reference(a, k_max):
+    """The full-frontier search: builds every shattered level-set through 0 at each level,
+    pruning a candidate v unless every other level-subset through 0 of s + {v} is in the
+    frontier, and certifies the first set of the last non-empty level."""
+    p, n = a.p, a.n
+    total = p ** n
+    table = a.membership_table()
+    if not table.any() or table.all():
+        return VcDimResult(0, None)
+    tt = _translate_table(table, p, n)
+
+    def certificate_for(ranks):
+        cert = shatters(a, tuple(vector_from_rank(a.ctx, n, r) for r in ranks))
+        assert isinstance(cert, ShatterCertificate)
+        return cert
+
+    frontier = [((0,), tt[0].astype(np.int16))]
+    level = 1
+    while level < k_max:
+        prev_keys = {frozenset(s) for s, _ in frontier}
+        bit = np.int16(1 << level)
+        nxt = []
+        width = 1 << (level + 1)
+        for s, pat in frontier:
+            base = frozenset(s)
+            cands = []
+            for v in range(s[-1] + 1, total):
+                if level >= 2 and any(frozenset((base - {e}) | {v}) not in prev_keys for e in s[1:]):
+                    continue
+                cands.append(v)
+            if not cands:
+                continue
+            cands = np.array(cands, dtype=np.int64)
+            ext = pat[None, :] + bit * tt[cands].astype(np.int16)
+            full = _distinct_count_rows(ext, width) == width
+            for row in np.flatnonzero(full):
+                nxt.append((s + (int(cands[row]),), ext[row]))
+        if not nxt:
+            return VcDimResult(level, certificate_for(frontier[0][0]))
+        frontier = nxt
+        level += 1
+    return VcDimResult(level, certificate_for(frontier[0][0]))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (3, 3), (5, 2), (7, 2)])
+def test_vc_dim_matches_full_frontier_reference(p, n):
+    ctx = FieldCtx(p)
+    rng = np.random.default_rng(100 * p + n)
+    for _ in range(8):
+        a = ExplicitSet(ctx, n, rng.random(p ** n) < rng.uniform(0.1, 0.9))
+        for k_max in range(1, 6):
+            got, want = vc_dim(a, k_max=k_max), _vc_dim_reference(a, k_max)
+            assert got.dim == want.dim
+            if want.certificate is None:
+                assert got.certificate is None
+            else:
+                assert got.certificate.S == want.certificate.S
+                assert got.certificate.witnesses == want.certificate.witnesses
 
 
 def test_vc_dim_gs_values():
