@@ -16,7 +16,7 @@ import numpy as np
 from .fp import FieldCtx, FpVector, add_mod
 from .gs import ExplicitSet, GsSet, QgsSet
 from .highrank import build_trace_basis
-from .shatter import ContainmentMap, QuadShatterCertificate, ShatterCertificate
+from .shatter import QuadShatterCertificate, ShatterCertificate
 from .factor import CheckResult
 
 
@@ -30,6 +30,25 @@ def oracle_spec(a) -> dict:
     raise TypeError(f"cannot serialize oracle of type {type(a).__name__}")
 
 
+# The verifier's limits, checked before any oracle is rebuilt.  Points and shifts
+# are replayed as int64 residues, exact for every p below P_BOUND.  A qgs set is
+# rebuilt by the canonical search for its extension polynomial, whose time grows
+# with p and n: within the limits below it took at most 3.1 s (p = 11, n = 55) on
+# a 2-vCPU x86-64 VM, beyond them minutes (p = 127, n = 64 or p = 10^6 + 3, n = 4).
+P_BOUND = 1 << 63
+QGS_MAX_P = 13
+QGS_MAX_N = 64
+
+# membership rows per batched call while a certificate is replayed
+_BLOCK_ROWS = 4096
+
+_MALFORMED = (KeyError, OverflowError, TypeError, ValueError)
+
+
+class LimitExceeded(ValueError):
+    """A certificate outside the verifier's documented limits."""
+
+
 def oracle_from_spec(spec: dict, p: int, n: int):
     if not isinstance(spec, dict):
         raise ValueError("set description must be an object")
@@ -38,16 +57,18 @@ def oracle_from_spec(spec: dict, p: int, n: int):
     if kind == "gs":
         return GsSet(ctx, n)
     if kind == "qgs":
+        if p > QGS_MAX_P or n > QGS_MAX_N:
+            raise LimitExceeded(f"qgs set beyond the verifier's limits p <= {QGS_MAX_P}, n <= {QGS_MAX_N}")
         basis = build_trace_basis(ctx, n)
         if list(basis.poly.coeffs) != [int(c) for c in spec["poly"]]:
             raise ValueError("certificate polynomial does not match the canonical construction")
         return QgsSet(basis)
     if kind == "explicit":
         bits = np.unpackbits(np.frombuffer(bytes.fromhex(spec["bits_hex"]), dtype=np.uint8))
-        total = p ** n
-        if bits.size < total:
+        # p**n >= 2**n, so the first test bounds n before p**n is formed
+        if n >= bits.size.bit_length() or bits.size < p ** n:
             raise ValueError("explicit bitset too short")
-        return ExplicitSet(ctx, n, bits[:total].astype(bool))
+        return ExplicitSet(ctx, n, bits[:p ** n].astype(bool))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
@@ -89,37 +110,89 @@ def _vec(ctx: FieldCtx, coords, n: int) -> FpVector:
     return FpVector(ctx, tuple(coords))
 
 
-def _verify_shatter(doc: dict) -> CheckResult:
+def _open(doc: dict):
+    """The field, the dimension and the rebuilt oracle of a certificate."""
     p, n = int(doc["p"]), int(doc["n"])
+    if p >= P_BOUND:
+        raise LimitExceeded("p exceeds the verifier's limit p < 2^63")
     ctx = FieldCtx(p)
-    a = oracle_from_spec(doc["set"], p, n)
+    return ctx, n, oracle_from_spec(doc["set"], p, n)
+
+
+def _replay(a, base: np.ndarray, witnesses, parse, mismatch) -> CheckResult | None:
+    """The first failing witness in document order, or None.
+
+    parse(w) turns one witness into (key, shift coordinates), returns a
+    CheckResult for a bad key, or raises for a malformed witness.  Witnesses are
+    parsed in order up to the first bad one; the parsed ones are then replayed
+    at the points base + shift in blocks of at most _BLOCK_ROWS membership rows.
+    mismatch(keys, verdicts) gets a block's keys and its (witnesses, len(base))
+    verdicts and returns a CheckResult for the first witness whose verdicts do
+    not match its key, or None.  A mismatch is reported before a bad witness
+    that comes after it.
+    """
+    keys, shifts = [], []
+    failure = None
+    try:
+        for w in witnesses:
+            got = parse(w)
+            if isinstance(got, CheckResult):
+                failure = got
+                break
+            keys.append(got[0])
+            shifts.append(got[1])
+    except _MALFORMED as exc:
+        failure = exc
+    cells, n = base.shape
+    per_block = max(1, _BLOCK_ROWS // cells)
+    for lo in range(0, len(keys), per_block):
+        m = min(per_block, len(keys) - lo)
+        block = np.array(shifts[lo:lo + m], dtype=np.int64).reshape(m, 1, n)
+        verdicts = a.contains_digits(add_mod(base[None], block, a.p).reshape(m * cells, n))
+        bad = mismatch(np.array(keys[lo:lo + m], dtype=np.int64), verdicts.reshape(m, cells))
+        if bad is not None:
+            return bad
+    if isinstance(failure, Exception):
+        raise failure
+    return failure
+
+
+def _verify_shatter(doc: dict) -> CheckResult:
+    ctx, n, a = _open(doc)
     s = [_vec(ctx, row, n) for row in doc["S"]]
     k = len(s)
     if not 1 <= k <= 20:
         return CheckResult(False, "set size out of range")
-    s_arr = np.stack([v.as_array() for v in s])
-    bits = 1 << np.arange(k)
-    seen = {}
-    for w in doc["witnesses"]:
+    seen = set()
+
+    def parse(w):
         mask = int(w["pattern"])
         if not 0 <= mask < (1 << k):
             return CheckResult(False, f"pattern {mask} out of range")
         if mask in seen:
             return CheckResult(False, f"pattern {mask} appears twice")
         y = _vec(ctx, w["y"], n)
-        seen[mask] = y
-        actual = int(a.contains_digits(add_mod(s_arr, y.as_array(), p)) @ bits)
-        if actual != mask:
-            return CheckResult(False, f"witness for pattern {mask} realizes {actual}")
+        seen.add(mask)
+        return mask, y.coords
+
+    def mismatch(masks, verdicts):
+        actual = verdicts @ (1 << np.arange(k))
+        bad = np.flatnonzero(actual != masks)
+        if bad.size:
+            return CheckResult(False, f"witness for pattern {masks[bad[0]]} realizes {actual[bad[0]]}")
+        return None
+
+    s_arr = np.stack([v.as_array() for v in s])
+    failure = _replay(a, s_arr, doc["witnesses"], parse, mismatch)
+    if failure is not None:
+        return failure
     if len(seen) != 1 << k:
         return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << k} patterns")
     return CheckResult(True, f"all {1 << k} patterns witnessed")
 
 
 def _verify_vc2(doc: dict) -> CheckResult:
-    p, n = int(doc["p"]), int(doc["n"])
-    ctx = FieldCtx(p)
-    a = oracle_from_spec(doc["set"], p, n)
+    ctx, n, a = _open(doc)
     x = [_vec(ctx, row, n) for row in doc["X"]]
     y = [_vec(ctx, row, n) for row in doc["Y"]]
     k = len(x)
@@ -129,21 +202,32 @@ def _verify_vc2(doc: dict) -> CheckResult:
         return CheckResult(False, "x_0 and y_0 must be zero")
     # the cells x_i + y_j as one (k*k, n) block, cell (i, j) in row i*k + j
     xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
-    grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
+    grid = add_mod(xs[:, None, :], ys[None, :, :], ctx.p).reshape(k * k, n)
     seen = set()
-    for w in doc["witnesses"]:
+
+    def parse(w):
         idx = int(w["phi"])
         if not 0 <= idx < (1 << (k * k)):
             return CheckResult(False, f"map index {idx} out of range")
         if idx in seen:
             return CheckResult(False, f"map index {idx} appears twice")
-        seen.add(idx)
-        phi = ContainmentMap.from_index(k - 1, idx)
         z = _vec(ctx, w["z"], n)
-        want = np.array([v for row in phi.verdicts for v in row])
-        bad = np.flatnonzero(a.contains_digits(add_mod(grid, z.as_array(), p)) != want)
-        if bad.size:
-            return CheckResult(False, f"map {idx} mismatched at cell ({bad[0] // k},{bad[0] % k})")
+        seen.add(idx)
+        return idx, z.coords
+
+    def mismatch(idxs, verdicts):
+        # ContainmentMap.from_index: bit i*k + j of the index set means cell (i, j) lies outside
+        want = (idxs[:, None] >> np.arange(k * k)) & 1 == 0
+        wrong = verdicts != want
+        rows = np.flatnonzero(wrong.any(axis=1))
+        if rows.size:
+            cell = int(np.argmax(wrong[rows[0]]))
+            return CheckResult(False, f"map {idxs[rows[0]]} mismatched at cell ({cell // k},{cell % k})")
+        return None
+
+    failure = _replay(a, grid, doc["witnesses"], parse, mismatch)
+    if failure is not None:
+        return failure
     if len(seen) != 1 << (k * k):
         return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << (k * k)} maps")
     return CheckResult(True, f"all {1 << (k * k)} maps witnessed")
@@ -160,7 +244,9 @@ def verify_certificate(doc: Any) -> CheckResult:
         if kind == "vc2":
             return _verify_vc2(doc)
         return CheckResult(False, f"unknown certificate kind {kind!r}")
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except LimitExceeded as exc:
+        return CheckResult(False, str(exc))
+    except _MALFORMED as exc:
         return CheckResult(False, f"malformed certificate: {exc}")
 
 

@@ -46,19 +46,18 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f, trimmed; each step touches only the nonzero coefficients of f."""
     a = list(a)
     df = len(f) - 1
     inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        a = _ptrim(a)
-        if len(a) - 1 < df:
-            break
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - coef * fi) % p
-        a = _ptrim(a)
-    return a
+    terms = [(i, fi) for i, fi in enumerate(f[:-1]) if fi]
+    for top in range(len(a) - 1, df - 1, -1):
+        coef = (a[top] * inv_lead) % p
+        if coef:
+            shift = top - df
+            for i, fi in terms:
+                a[shift + i] = (a[shift + i] - coef * fi) % p
+    return _ptrim(a[:df])
 
 
 def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
@@ -68,12 +67,13 @@ def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
 def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     result = [1]
     acc = _pmod(list(base), f, p)
-    while e:
+    while True:
         if e & 1:
             result = _pmulmod(result, acc, f, p)
-        acc = _pmulmod(acc, acc, f, p)
         e >>= 1
-    return result
+        if not e:
+            return result
+        acc = _pmulmod(acc, acc, f, p)
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -87,54 +87,22 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's irreducibility test (SIAM J. Comput. 1980).
+    """Ben-Or's irreducibility test (FOCS 1981).
 
-    A monic f of degree n is irreducible iff x^(p^n) = x mod f and
-    gcd(f, x^(p^(n/q)) - x) = 1 for every prime q dividing n.
+    A monic f of degree n is irreducible iff gcd(f, x^(p^k) - x) = 1 for every
+    k <= n/2.  x^(p^k) - x is the product of the monic irreducibles whose degree
+    divides k, so a reducible f is rejected at the degree of its smallest factor
+    (Gao and Panario 1997); k = 1 is the root test.
     """
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
     f = list(coeffs)
-    # Most reducible candidates have a root; reject them before the n powerings.
-    if _has_root(f, p):
-        return False
-    # x**(p**k) mod f, computed by iterating k Frobenius steps
     t = [0, 1]
-    frob_powers = {}
-    for k in range(1, n + 1):
+    for _ in range((len(f) - 1) // 2):
+        # x**(p**k) mod f, one Frobenius step at a time
         t = _ppowmod(t, p, f, p)
-        frob_powers[k] = t
-    if _minus_x(frob_powers[n], p):
-        return False
-    for q in _prime_factors(n):
-        g = _pgcd(f, _minus_x(frob_powers[n // q], p), p)
-        if len(g) - 1 != 0:
+        if len(_pgcd(f, _minus_x(t, p), p)) > 1:
             return False
     return True
-
-
-def _has_root(f: list[int], p: int) -> bool:
-    """True iff f has a root in F_p (a linear factor): gcd(f, x**p - x) != 1.
-
-    Costs one powering mod f, where evaluating at every residue costs O(p).
-    """
-    return len(_pgcd(f, _minus_x(_ppowmod([0, 1], p, f, p), p), p)) > 1
 
 
 def _minus_x(a: list[int], p: int) -> list[int]:
@@ -179,8 +147,10 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
             coeffs.append(rem % p)
             rem //= p
         coeffs.append(1)
-        if _is_irreducible(tuple(coeffs), p):
+        try:
             return IrreduciblePoly(ctx, tuple(coeffs))
+        except ValueError:  # reducible
+            continue
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 

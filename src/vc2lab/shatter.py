@@ -344,9 +344,10 @@ def vc2_realizes(
     if not cells:
         return True
     xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
-    rows = np.stack([xs[i] + ys[j] for i, j in cells]) + z.as_array()
+    ii, jj = np.array(cells).T
+    rows = add_mod(add_mod(xs[ii], ys[jj], a.p), z.as_array(), a.p)
     want = np.array([phi.verdicts[i][j] for i, j in cells])
-    return bool((a.contains_digits(rows % a.p) == want).all())
+    return bool((a.contains_digits(rows) == want).all())
 
 
 def realizing_shifts(

@@ -1,17 +1,21 @@
+import copy
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vc2lab
 from vc2lab import certs
-from vc2lab.fp import FieldCtx, FpVector
+from vc2lab.fp import FieldCtx, FpVector, add_mod
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import shatters, vc2_shatters, ShatterCertificate
+from vc2lab.shatter import ContainmentMap, shatters, vc2_shatters, ShatterCertificate
 from vc2lab.factor import CheckResult, construct_shatter_pair, realize_map
 
 ctx3 = FieldCtx(3)
@@ -41,14 +45,19 @@ _VERIFY_STDIN = (
 )
 
 
-def _verdict_in_child(doc) -> bool:
-    """verify_certificate's verdict on doc, from a child process with a time limit, so a
-    verifier that hangs fails the calling test instead of blocking the suite."""
+def _result_in_child(doc) -> tuple[bool, str]:
+    """verify_certificate's verdict and detail on doc, from a child process with a time limit,
+    so a verifier that hangs fails the calling test instead of blocking the suite."""
     src = str(Path(vc2lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", _VERIFY_STDIN], input=certs.dumps(doc),
                          capture_output=True, timeout=10, env=env, check=True)
-    return out.stdout.split()[0] == b"True"
+    ok, _, detail = out.stdout.decode().strip().partition(" ")
+    return ok == "True", detail
+
+
+def _verdict_in_child(doc) -> bool:
+    return _result_in_child(doc)[0]
 
 
 def test_shatter_certificate_at_p_2_61_minus_1_gets_a_verdict():
@@ -67,6 +76,40 @@ def test_shatter_verdicts_exact_below_2_63():
     assert _verdict_in_child(doc)
     doc["witnesses"][1]["y"] = [52]
     assert not _verdict_in_child(doc)
+
+
+# p = 2^64 - 59 is prime; GS(p, 1) = {1}
+_P_BEYOND = 2 ** 64 - 59
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "shatter", "p": _P_BEYOND, "n": 1, "set": {"kind": "gs"}, "S": [[0]],
+     "witnesses": [{"pattern": 0, "y": [2]}, {"pattern": 1, "y": [1]}]},
+    {"kind": "vc2", "p": _P_BEYOND, "n": 1, "set": {"kind": "gs"}, "X": [[0]], "Y": [[0]],
+     "witnesses": [{"phi": 0, "z": [1]}, {"phi": 1, "z": [0]}]},
+])
+def test_certificate_beyond_p_limit_fails_naming_the_limit(doc):
+    # both documents are sound; at p = 2^63 - 25 the same certificates pass
+    assert certs.P_BOUND == 2 ** 63
+    assert _result_in_child(doc) == (False, "p exceeds the verifier's limit p < 2^63")
+    assert _verdict_in_child({**doc, "p": 2 ** 63 - 25})
+
+
+def _qgs_doc(p: int, n: int) -> dict:
+    return {"kind": "vc2", "p": p, "n": n, "set": {"kind": "qgs", "poly": [1] * (n + 1)},
+            "X": [[0] * n], "Y": [[0] * n], "witnesses": []}
+
+
+@pytest.mark.parametrize("p,n", [(3, 400), (2 ** 31 - 1, 13), (17, 2)])
+def test_qgs_certificate_beyond_limits_fails_at_once(p, n):
+    limits = f"p <= {certs.QGS_MAX_P}, n <= {certs.QGS_MAX_N}"
+    assert _result_in_child(_qgs_doc(p, n)) == (False, f"qgs set beyond the verifier's limits {limits}")
+
+
+def test_qgs_certificate_at_limits_gets_a_verdict():
+    # the basis is rebuilt, and the made-up polynomial is then rejected
+    assert _result_in_child(_qgs_doc(certs.QGS_MAX_P, certs.QGS_MAX_N)) == (
+        False, "malformed certificate: certificate polynomial does not match the canonical construction")
 
 
 def test_emitted_shatter_certificate_verifies(shatter_doc):
@@ -152,3 +195,200 @@ def test_fuzzed_mutations_rejected(shatter_doc, vc2_doc):
 
 def test_dumps_deterministic(shatter_doc):
     assert certs.dumps(shatter_doc) == certs.dumps(certs.loads(certs.dumps(shatter_doc)))
+
+
+# The per-witness replay loops the batched verifier replaced; it must agree with them exactly.
+
+def _reference_shatter(doc: dict) -> CheckResult:
+    p, n = int(doc["p"]), int(doc["n"])
+    ctx = FieldCtx(p)
+    a = certs.oracle_from_spec(doc["set"], p, n)
+    s = [certs._vec(ctx, row, n) for row in doc["S"]]
+    k = len(s)
+    if not 1 <= k <= 20:
+        return CheckResult(False, "set size out of range")
+    s_arr = np.stack([v.as_array() for v in s])
+    bits = 1 << np.arange(k)
+    seen = {}
+    for w in doc["witnesses"]:
+        mask = int(w["pattern"])
+        if not 0 <= mask < (1 << k):
+            return CheckResult(False, f"pattern {mask} out of range")
+        if mask in seen:
+            return CheckResult(False, f"pattern {mask} appears twice")
+        y = certs._vec(ctx, w["y"], n)
+        seen[mask] = y
+        actual = int(a.contains_digits(add_mod(s_arr, y.as_array(), p)) @ bits)
+        if actual != mask:
+            return CheckResult(False, f"witness for pattern {mask} realizes {actual}")
+    if len(seen) != 1 << k:
+        return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << k} patterns")
+    return CheckResult(True, f"all {1 << k} patterns witnessed")
+
+
+def _reference_vc2(doc: dict) -> CheckResult:
+    p, n = int(doc["p"]), int(doc["n"])
+    ctx = FieldCtx(p)
+    a = certs.oracle_from_spec(doc["set"], p, n)
+    x = [certs._vec(ctx, row, n) for row in doc["X"]]
+    y = [certs._vec(ctx, row, n) for row in doc["Y"]]
+    k = len(x)
+    if len(y) != k or not 1 <= k <= 3:
+        return CheckResult(False, "grid size invalid")
+    if not (x[0].is_zero() and y[0].is_zero()):
+        return CheckResult(False, "x_0 and y_0 must be zero")
+    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
+    grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
+    seen = set()
+    for w in doc["witnesses"]:
+        idx = int(w["phi"])
+        if not 0 <= idx < (1 << (k * k)):
+            return CheckResult(False, f"map index {idx} out of range")
+        if idx in seen:
+            return CheckResult(False, f"map index {idx} appears twice")
+        seen.add(idx)
+        phi = ContainmentMap.from_index(k - 1, idx)
+        z = certs._vec(ctx, w["z"], n)
+        want = np.array([v for row in phi.verdicts for v in row])
+        bad = np.flatnonzero(a.contains_digits(add_mod(grid, z.as_array(), p)) != want)
+        if bad.size:
+            return CheckResult(False, f"map {idx} mismatched at cell ({bad[0] // k},{bad[0] % k})")
+    if len(seen) != 1 << (k * k):
+        return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << (k * k)} maps")
+    return CheckResult(True, f"all {1 << (k * k)} maps witnessed")
+
+
+def _reference_verify(doc) -> CheckResult:
+    try:
+        return (_reference_shatter if doc["kind"] == "shatter" else _reference_vc2)(doc)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        return CheckResult(False, f"malformed certificate: {exc}")
+
+
+_BAD_COORDS = [None, "x", 7, ["a"], [[0]], {"0": 1}, [float("nan")]]
+_BAD_KEYS = [None, "x", [1], {"a": 1}, float("nan"), float("inf")]
+_BAD_WITNESSES = [None, "w", 3, [], {}]
+_EDITS = ["flip", "drop", "dup", "range", "swap", "bad_coords", "short", "bad_key", "no_coords",
+          "bad_witness", "mismatch_then_bad"]
+
+
+@st.composite
+def _edited(draw, doc):
+    """doc with one to four witness edits; witnesses stay in document order."""
+    out = copy.deepcopy(doc)
+    key, ck = ("pattern", "y") if doc["kind"] == "shatter" else ("phi", "z")
+    wits = out["witnesses"]
+    width = (len(wits) - 1).bit_length()
+    for _ in range(draw(st.integers(1, 4))):
+        if len(wits) < 2:
+            break
+        i, j = draw(st.lists(st.integers(0, len(wits) - 1), min_size=2, max_size=2, unique=True))
+        edit = draw(st.sampled_from(_EDITS))
+        w = wits[i] if isinstance(wits[i], dict) else {}
+        if edit == "flip" and type(w.get(key)) is int:
+            w[key] ^= 1 << draw(st.integers(0, width - 1))
+        elif edit == "drop":
+            del wits[i]
+        elif edit == "dup":
+            wits[i] = copy.deepcopy(wits[j])
+        elif edit == "range":
+            w[key] = draw(st.sampled_from([-1, len(doc["witnesses"]), 2 ** 70]))
+        elif edit == "swap":
+            w[ck] = copy.deepcopy(wits[j].get(ck) if isinstance(wits[j], dict) else None)
+        elif edit == "bad_coords":
+            w[ck] = draw(st.sampled_from(_BAD_COORDS))
+        elif edit == "short" and isinstance(w.get(ck), list):
+            w[ck] = w[ck][:-1]
+        elif edit == "bad_key":
+            w[key] = draw(st.sampled_from(_BAD_KEYS))
+        elif edit == "no_coords":
+            w.pop(ck, None)
+        elif edit == "bad_witness":
+            wits[i] = draw(st.sampled_from(_BAD_WITNESSES))
+        elif edit == "mismatch_then_bad" and isinstance(wits[min(i, j)], dict):
+            # the earlier witness takes another's shift, so its key mismatches; the later one is malformed
+            i, j = min(i, j), max(i, j)
+            wits[i][ck] = copy.deepcopy(doc["witnesses"][(i + 1) % len(doc["witnesses"])][ck])
+            wits[j] = {key: wits[j].get(key) if isinstance(wits[j], dict) else 0, ck: ["x"]}
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["shatter", "vc2"]), block_rows=st.sampled_from([1, 5, 4096]))
+def test_batched_replay_matches_per_witness_reference(shatter_doc, vc2_doc, data, which, block_rows):
+    doc = data.draw(_edited(shatter_doc if which == "shatter" else vc2_doc))
+    with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
+        assert certs.verify_certificate(doc) == _reference_verify(doc)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+def test_mismatch_reported_before_later_malformed_witness(vc2_doc, block_rows):
+    doc = copy.deepcopy(vc2_doc)
+    doc["witnesses"][3]["z"] = copy.deepcopy(doc["witnesses"][4]["z"])
+    doc["witnesses"][9]["z"] = ["x"]
+    with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
+        res = certs.verify_certificate(doc)
+    assert res == _reference_verify(doc)
+    assert not res.ok and res.detail.startswith("map 3 mismatched")
+
+
+_WORDS = ["kind", "shatter", "vc2", "set", "gs", "qgs", "explicit", "poly", "bits_hex", "p", "n",
+          "S", "X", "Y", "witnesses", "pattern", "y", "phi", "z"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=4),
+                                                                inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON value, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _structural_edit(draw, doc):
+    """doc with one to three of: a node replaced by arbitrary JSON, deleted, or copied over another."""
+    out = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(out))
+        path = draw(st.sampled_from(paths))
+        if not path:
+            out = draw(_JSON)
+            continue
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = draw(st.sampled_from(["replace", "delete", "copy"]))
+        if edit == "replace":
+            parent[path[-1]] = draw(_JSON)
+        elif edit == "delete":
+            del parent[path[-1]]
+        else:
+            source = out
+            for key in draw(st.sampled_from(paths)):
+                source = source[key]
+            parent[path[-1]] = copy.deepcopy(source)
+    return out
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(doc=_JSON)
+def test_verify_certificate_total_on_arbitrary_json(doc):
+    assert isinstance(certs.verify_certificate(doc), CheckResult)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(data=st.data(), which=st.sampled_from(["shatter", "vc2", "explicit"]))
+def test_verify_certificate_total_on_edited_documents(shatter_doc, vc2_doc, data, which):
+    if which == "explicit":
+        a = ExplicitSet(ctx3, 2, np.arange(9) % 2 == 0)
+        cert = shatters(a, [FpVector(ctx3, (0, 0)), FpVector(ctx3, (1, 0))])
+        base = certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
+    else:
+        base = shatter_doc if which == "shatter" else vc2_doc
+    assert isinstance(certs.verify_certificate(data.draw(_structural_edit(base))), CheckResult)

@@ -231,6 +231,15 @@ def test_vc2_realizes_trivial_cases():
     assert not vc2_realizes(a, [zero], [zero], in_map, zero)
 
 
+def test_vc2_realizes_exact_below_2_63():
+    # p = 2^63 - 25, GS(p, 1) = {1}: only the cell (1, 1), 2(p - 1) + 3 = 1 mod p, lies in the
+    # set; summed in int64 before the reduction it wraps to -49, which is p - 49 mod p
+    ctx = FieldCtx(2 ** 63 - 25)
+    pts = [FpVector(ctx, (0,)), FpVector(ctx, (ctx.p - 1,))]
+    phi = ContainmentMap(1, ((False, False), (False, True)))
+    assert vc2_realizes(GsSet(ctx, 1), pts, pts, phi, FpVector(ctx, (3,)))
+
+
 def test_vc2_shatters_empty_set_fails_at_all_in_map():
     a = ExplicitSet(ctx3, 2, np.zeros(9, dtype=bool))
     zero = FpVector(ctx3, (0, 0))
