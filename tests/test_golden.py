@@ -1,4 +1,4 @@
-"""Pinned certificate bytes: the seed-0 vc2-verify and the vc-dim certificates must not change.
+"""Pinned output bytes: seed-0 vc2-verify, vc-dim and basis certificates and two reports must not change.
 
 A change to the search, the kernels or the serialization that alters any
 witness shows up here as a digest mismatch.
@@ -45,3 +45,30 @@ def test_vc_dim_certificate_digest(tmp_path, capsys, which, p, n):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == VCDIM_GOLDEN[(which, p, n)]
+
+
+BASIS_GOLDEN = "89b81b33dc66eb72e1550c917175dbb1f54b93e3788ae1971cf036a6e8b8f4d0"
+
+
+def test_basis_file_digest(tmp_path, capsys):
+    cert = tmp_path / "basis.json"
+    code = main(["basis", "--p", "3", "--n", "9", "--cert", str(cert)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == BASIS_GOLDEN
+
+
+# Reports pinned by their stdout: prop32-check runs both zero-cross-term samplers
+# (9 of its 20 instances are checked, not vacuous), atom-census the exact census.
+REPORT_GOLDEN = {
+    ("prop32-check", 3, 5): "aee06f75034a1394b7bb35c7ea483cd7353525a4bcb3e33b0f2748f6f9a937b2",
+    ("atom-census", 3, 9): "82910919d9136177ce29ffd0ca6a5758fc2e70501b2b317455b00be998df7af4",
+}
+
+
+@pytest.mark.parametrize("command,p,n", list(REPORT_GOLDEN))
+def test_report_digest(capsys, command, p, n):
+    code = main([command, "--p", str(p), "--n", str(n), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDEN[(command, p, n)]
