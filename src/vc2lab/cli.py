@@ -352,6 +352,13 @@ def dispatch(cfg: RunConfig) -> RunReport:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit status 2, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -359,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "text"], default="text")
     common.add_argument("--output", help="write the report here instead of stdout")
 
-    parser = argparse.ArgumentParser(prog="vc2lab")
+    parser = _Parser(prog="vc2lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):
@@ -426,6 +433,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("VC2LAB_THREADS", "1"))
+    if threads < 1:
+        source = "VC2LAB_THREADS" if args.threads is None else "--threads"
+        raise ValueError(f"{source} must be at least 1, got {threads}")
     extra = {}
     for key in ("mode", "count", "cert", "set", "k_max", "points", "construction",
                 "l", "q", "instances", "m", "n_right", "r", "s", "file", "path"):
@@ -439,7 +449,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         output=args.output,
         format=args.format,
-        threads=max(1, threads),
+        threads=threads,
         extra=extra,
     )
 

@@ -24,22 +24,21 @@ import numpy as np
 
 from .fp import (
     FieldCtx,
-    FpMatrix,
     FpVector,
-    _rank_array,
+    add_mod,
     affine_solver,
-    basis_vector,
     derive_rng,
     digits_to_ranks,
     iter_group_chunks,
     mat_rank,
+    matmul_mod,
     orth_complement,
     quad_forms,
     random_vector,
     ranks_to_digits,
     vector_from_rank,
 )
-from .gs import QgsSet
+from .gs import QgsSet, cross_terms
 from .highrank import HighRankBasis
 from .shatter import ContainmentMap, realizing_shifts, vc2_realizes
 
@@ -49,6 +48,16 @@ ATOM_EXHAUST_LIMIT = 1 << 21
 ATOM_SAMPLE_BUDGET = 10 ** 7
 ATOM_SAMPLE_BATCH = 1 << 11  # first batch; later batches grow geometrically
 ATOM_EVAL_CHUNK = 1 << 12  # candidate rows evaluated at once, which bounds peak memory
+
+
+def _rows(vs: Sequence[FpVector], n: int) -> np.ndarray:
+    """Points as the rows of an (m, n) int64 array."""
+    return np.array([v.coords for v in vs], dtype=np.int64).reshape(len(vs), n)
+
+
+def _points(ctx: FieldCtx, rows) -> tuple[FpVector, ...]:
+    """The rows of an array or of nested lists as points."""
+    return tuple(FpVector(ctx, tuple(int(c) for c in row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -62,9 +71,8 @@ class QuadraticFactor:
         if len(set(self.quad_indices)) != len(self.quad_indices):
             raise ValueError("quadratic indices must be distinct")
         if self.linear_polys:
-            ctx = self.linear_polys[0].ctx
             a = np.stack([v.as_array() for v in self.linear_polys])
-            if _rank_array(a, ctx.p) != len(self.linear_polys):
+            if mat_rank(a, self.linear_polys[0].ctx.p) != len(self.linear_polys):
                 raise ValueError("linear polynomials must be independent")
 
     @property
@@ -78,8 +86,7 @@ class QuadraticFactor:
         Row-reduced once per factor; a concurrent first use computes the same
         arrays twice, which is harmless.
         """
-        ctx = self.linear_polys[0].ctx
-        return affine_solver(FpMatrix(ctx, tuple(v.coords for v in self.linear_polys)))
+        return affine_solver(np.stack([v.as_array() for v in self.linear_polys]), self.linear_polys[0].ctx.p)
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ def find_in_atom(
         part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     dim = nb.shape[0]
     lifted = np.vstack([nb, part[None, :]])
-    mats = basis.mats_array()[[t - 1 for t in f.quad_indices]]
+    mats = basis.mats[[t - 1 for t in f.quad_indices]]
     reduced = lifted @ mats % p @ lifted.T % p
 
     def first_hit(alphas: np.ndarray) -> FpVector | None:
@@ -187,7 +194,7 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = Tr
     d = f.complexity
     l = len(f.linear_polys)
     lin = np.stack([v.as_array() for v in f.linear_polys]) if l else np.zeros((0, n), dtype=np.int64)
-    mats = basis.mats_array()[[t - 1 for t in f.quad_indices]]
+    mats = basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for _, block in iter_group_chunks(p, n):
@@ -226,26 +233,21 @@ class ShatterPairConstruction:
     h_star: tuple[FpVector, ...]
 
 
-def _verify_construction(basis: HighRankBasis, k: int, xs, ys) -> bool:
-    qgs = QgsSet(basis)
+def _verify_construction(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Cross-terms vanish at levels 1..k and the 2k(k-1) linear forms are independent."""
     p = basis.ctx.p
-    for i in range(1, k + 1):
-        for xj in xs:
-            for yj in ys:
-                if qgs.cross_term(i, xj, yj) != 0:
-                    return False
+    if cross_terms(xs, ys, basis.mats[:k], p).any():
+        return False
     lin = _construction_linear_polys(basis, k, xs, ys)
-    a = FpMatrix(basis.ctx, tuple(v.coords for v in lin))
-    return mat_rank(a) == len(lin)
+    return mat_rank(lin, p) == len(lin)
 
 
-def _construction_linear_polys(basis: HighRankBasis, k: int, xs, ys) -> list[FpVector]:
-    mats = [basis.mats[i] for i in range(k)]
-    out = []
-    for pt in list(xs) + list(ys):
-        for m in mats:
-            out.append(m.mul_vec(pt).scale(2))
-    return out
+def _construction_linear_polys(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rows 2 M_t u, point by point over xs then ys, t = 1..k within each point."""
+    p, n = basis.ctx.p, basis.n
+    # M_t is symmetric, so u M_t = M_t u
+    mu = matmul_mod(np.concatenate([xs, ys]), basis.mats[:k], p).transpose(1, 0, 2).reshape(-1, n)
+    return add_mod(mu, mu, p)
 
 
 def construction_doc(c: ShatterPairConstruction) -> dict:
@@ -281,18 +283,14 @@ def construction_from_doc(doc: dict) -> ShatterPairConstruction:
     if list(basis.poly.coeffs) != [int(c) for c in doc["poly"]]:
         raise ValueError("polynomial does not match the canonical basis construction")
     ctx = basis.ctx
-
-    def vecs(rows):
-        return tuple(FpVector(ctx, tuple(int(c) for c in row)) for row in rows)
-
-    x, y = vecs(doc["X"]), vecs(doc["Y"])
-    if not _verify_construction(basis, k, list(x[1:]), list(y[1:])):
+    x, y = _points(ctx, doc["X"]), _points(ctx, doc["Y"])
+    if not _verify_construction(basis, k, _rows(x[1:], n), _rows(y[1:], n)):
         raise ValueError("construction invariants fail verification")
-    factor = QuadraticFactor(vecs(doc["factor"]["linear"]), tuple(int(t) for t in doc["factor"]["quad"]))
+    factor = QuadraticFactor(_points(ctx, doc["factor"]["linear"]), tuple(int(t) for t in doc["factor"]["quad"]))
     prov = doc.get("provenance", {})
     return ShatterPairConstruction(
         k, x, y, factor, basis, int(doc["seed"]),
-        vecs(prov.get("h_x", [])), vecs(prov.get("h_star", [])),
+        _points(ctx, prov.get("h_x", [])), _points(ctx, prov.get("h_star", [])),
     )
 
 
@@ -314,48 +312,43 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
     n_min = 13 if k == 2 else 31
     if n < n_min:
         raise ValueError(f"k={k} construction requires n >= {n_min}")
-    ctx = basis.ctx
-    mats = [basis.mats[i] for i in range(k)]
+    ctx, p = basis.ctx, basis.ctx.p
+    mats = basis.mats[:k]
     npts = k - 1
     rng = derive_rng(seed, "shatter-pair", k)
 
+    def independent(rows: np.ndarray, cand: np.ndarray) -> bool:
+        """cand is nonzero and outside the span of the independent rows."""
+        return cand.any() and (len(rows) == 0 or mat_rank(np.vstack([rows, cand]), p) == len(rows) + 1)
+
     for _ in range(64):
-        xs = []
+        xs = np.zeros((0, n), dtype=np.int64)
         while len(xs) < npts:
-            cand = FpVector(ctx, tuple(int(c) for c in rng.integers(0, ctx.p, size=n)))
-            if cand.is_zero():
-                continue
-            if xs and mat_rank(FpMatrix(ctx, tuple(v.coords for v in xs + [cand]))) != len(xs) + 1:
-                continue
-            xs.append(cand)
-        hx_rows = [m.mul_vec(xj) for m in mats for xj in xs]
-        hstar_rows = hx_rows + [m.mul_vec(r) for m in mats for r in hx_rows]
-        h_x = orth_complement(hx_rows)
-        h_star = orth_complement(hstar_rows)
+            cand = rng.integers(0, p, size=n)
+            if independent(xs, cand):
+                xs = np.vstack([xs, cand])
+        # M_t x_j and M_t' M_t x_j, t-major like the nested loops over t then j
+        hx_rows = matmul_mod(xs, mats, p).reshape(-1, n)
+        hstar_rows = np.vstack([hx_rows, matmul_mod(hx_rows, mats, p).reshape(-1, n)])
+        h_x, h_star = orth_complement(hx_rows, p), orth_complement(hstar_rows, p)
         if len(h_star) < npts:
             continue
-        ys = []
+        ys = np.zeros((0, n), dtype=np.int64)
         attempts = 0
         while len(ys) < npts and attempts < 64:
             attempts += 1
-            coeffs = rng.integers(0, ctx.p, size=len(h_star))
-            cand = FpVector(ctx, tuple(int(c) for c in (
-                np.tensordot(coeffs.astype(np.int64), np.stack([v.as_array() for v in h_star]), axes=(0, 0)) % ctx.p
-            )))
-            if cand.is_zero():
-                continue
-            if ys and mat_rank(FpMatrix(ctx, tuple(v.coords for v in ys + [cand]))) != len(ys) + 1:
-                continue
-            ys.append(cand)
+            cand = matmul_mod(rng.integers(0, p, size=len(h_star)), h_star, p)
+            if independent(ys, cand):
+                ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
         if not _verify_construction(basis, k, xs, ys):
             continue
-        lin = _construction_linear_polys(basis, k, xs, ys)
-        factor = QuadraticFactor(tuple(lin), tuple(range(1, k + 1)))
-        zero = FpVector(ctx, (0,) * n)
+        factor = QuadraticFactor(_points(ctx, _construction_linear_polys(basis, k, xs, ys)), tuple(range(1, k + 1)))
+        zero = np.zeros((1, n), dtype=np.int64)
         return ShatterPairConstruction(
-            k, (zero, *xs), (zero, *ys), factor, basis, seed, tuple(h_x), tuple(h_star)
+            k, _points(ctx, np.vstack([zero, xs])), _points(ctx, np.vstack([zero, ys])), factor, basis, seed,
+            _points(ctx, h_x), _points(ctx, h_star),
         )
     raise RuntimeError("could not build a verified construction; basis invariant suspect")
 
@@ -702,7 +695,7 @@ def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) 
     tv = target_values_for_map(phi, p)
     qgs = QgsSet(c.basis)
     pts = list(c.X[1:]) + list(c.Y[1:])
-    own = quad_forms(np.stack([pt.as_array() for pt in pts]), c.basis.mats_array()[:c.k], p)
+    own = quad_forms(_rows(pts, c.basis.n), c.basis.mats[:c.k], p)
     lin_vals = []
     for own_q, targ in zip(own, list(tv.a) + list(tv.b)):
         for t in range(c.k):
@@ -744,12 +737,8 @@ def zero_forcing_map() -> ContainmentMap:
 
 
 def cross_terms_vanish_below(a: QgsSet, x: Sequence[FpVector], y: Sequence[FpVector], m: int) -> bool:
-    for t in range(1, m):
-        for xi in x:
-            for yj in y:
-                if a.cross_term(t, xi, yj) != 0:
-                    return False
-    return True
+    """Whether 2 x^T M_t y = 0 for every x in x, y in y and t < m."""
+    return m <= 1 or not cross_terms(_rows(x, a.n), _rows(y, a.n), a.basis.mats[:m - 1], a.p).any()
 
 
 def check_forced_zeros(
@@ -792,7 +781,7 @@ def check_forced_zeros(
         bad = conclusion_holds(t)
         if bad:
             return CheckResult(False, f"forced zero violated below m: {bad}")
-    mu = {a.cross_term(m, x[i], y[j]) for i in range(1, 4) for j in range(1, 4)}
+    mu = set(cross_terms(_rows(x[1:], a.n), _rows(y[1:], a.n), a.basis.mats[m - 1:m], a.p).ravel().tolist())
     if len(mu) == 1:
         val = next(iter(mu))
         if val != 0:
@@ -822,11 +811,10 @@ def check_cross_term_range(
             if not vc2_realizes(a, x, y, phi, z):
                 raise ValueError("inapplicable: a supplied witness fails verification")
     allowed = {v % a.p for v in (-2, -1, 0, 1, 2)}
-    for i in range(1, len(x)):
-        for j in range(1, len(y)):
-            mu = a.cross_term(m, x[i], y[j])
-            if mu not in allowed:
-                return CheckResult(False, f"cross-term at ({i},{j}) is {mu}, outside the range")
+    mus = cross_terms(_rows(x[1:], a.n), _rows(y[1:], a.n), a.basis.mats[m - 1:m], a.p)[:, :, 0]
+    for (i, j), mu in np.ndenumerate(mus):
+        if mu not in allowed:
+            return CheckResult(False, f"cross-term at ({i + 1},{j + 1}) is {mu}, outside the range")
     return CheckResult(True, "all level-m cross-terms within {-2..2}")
 
 
@@ -837,33 +825,34 @@ def random_zero_cross_term_sets(
     size: int = 4,
 ) -> tuple[tuple[FpVector, ...], tuple[FpVector, ...]]:
     """Seeded (X, Y) of the given size with vanishing cross-terms below level m."""
-    ctx, n = basis.ctx, basis.n
+    ctx, p, n = basis.ctx, basis.ctx.p, basis.n
     rng = derive_rng(seed, "qualifying-sets", m)
     npts = size - 1
+    zero = np.zeros((1, n), dtype=np.int64)
+
+    def fresh(rows: np.ndarray, cand: np.ndarray) -> bool:
+        """cand is nonzero and not yet among rows."""
+        return cand.any() and not (rows == cand).all(axis=1).any()
+
     for _ in range(256):
-        xs = []
+        xs = zero[:0]
         while len(xs) < npts:
-            cand = FpVector(ctx, tuple(int(c) for c in rng.integers(0, ctx.p, size=n)))
-            if not cand.is_zero() and cand not in xs:
-                xs.append(cand)
-        rows = [basis.mats[t - 1].mul_vec(xi) for t in range(1, m) for xi in xs]
-        space = orth_complement(rows) if rows else [basis_vector(ctx, n, i) for i in range(n)]
-        if not space:
+            cand = rng.integers(0, p, size=n)
+            if fresh(xs, cand):
+                xs = np.vstack([xs, cand])
+        space = orth_complement(matmul_mod(xs, basis.mats[:max(m - 1, 0)], p).reshape(-1, n), p)
+        if not len(space):
             continue
-        ys = []
+        ys = zero[:0]
         attempts = 0
         while len(ys) < npts and attempts < 128:
             attempts += 1
-            coeffs = rng.integers(0, ctx.p, size=len(space)).astype(np.int64)
-            cand = FpVector(ctx, tuple(int(c) for c in (
-                np.tensordot(coeffs, np.stack([v.as_array() for v in space]), axes=(0, 0)) % ctx.p
-            )))
-            if not cand.is_zero() and cand not in ys:
-                ys.append(cand)
+            cand = matmul_mod(rng.integers(0, p, size=len(space)), space, p)
+            if fresh(ys, cand):
+                ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
-        zero = FpVector(ctx, (0,) * n)
-        x, y = (zero, *xs), (zero, *ys)
+        x, y = _points(ctx, np.vstack([zero, xs])), _points(ctx, np.vstack([zero, ys]))
         if cross_terms_vanish_below(QgsSet(basis), x, y, m):
             return x, y
     raise RuntimeError("could not generate qualifying sets")
@@ -896,7 +885,7 @@ def planted_qualifying_sets(
     rng = derive_rng(seed, "planted-instance", m, cl)
     table = a.membership_table()
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
-    zero_q = (quad_forms(digits, basis.mats_array()[:cl], p) == 0).all(axis=1)
+    zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
     def rank_of(vec: np.ndarray) -> np.ndarray:
@@ -906,19 +895,18 @@ def planted_qualifying_sets(
         # x_1, x_2 independent; x_3 a further nonzero combination of them
         x1 = random_vector(ctx, n, rng, nonzero=True)
         x2 = random_vector(ctx, n, rng, nonzero=True)
-        if mat_rank(FpMatrix(ctx, (x1.coords, x2.coords))) != 2:
+        x12 = _rows((x1, x2), n)
+        if mat_rank(x12, p) != 2:
             continue
         c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
         x3 = x1.scale(c1) + x2.scale(c2)
         x_vecs = [x1, x2, x3]
         if x3.is_zero() or x3 in (x1, x2):
             continue
-        rows = [basis.mats[t - 1].mul_vec(xv) for t in range(1, cl + 1) for xv in (x1, x2)]
-        space = orth_complement(rows) if rows else [basis_vector(ctx, n, i) for i in range(n)]
-        if not space:
+        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
+        if not len(space):
             continue
-        span = np.stack([v.as_array() for v in space])
-        sub = (ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)) @ span) % p
+        sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
         sub_r = rank_of(sub)
         x_ranks = [rank_of(v.as_array()[None, :])[0] for v in x_vecs]
 
@@ -951,9 +939,8 @@ def planted_qualifying_sets(
                 ys.append(pick[int(rng.integers(0, len(pick)))])
             if len(ys) != 3:
                 continue
-            zero = FpVector(ctx, (0,) * n)
-            x = (zero, *x_vecs)
-            y = (zero, *(FpVector(ctx, tuple(int(c) for c in digits[r])) for r in ys))
+            x = (FpVector(ctx, (0,) * n), *x_vecs)
+            y = _points(ctx, digits[[0, *ys]])  # rank 0 is the origin
             if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
                 return x, y
     return None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,68 +123,9 @@ class FpVector:
         return FpVector(FieldCtx(int(doc["p"])), tuple(int(c) for c in doc["coords"]))
 
 
-def vector(ctx: FieldCtx, coords: Iterable[int]) -> FpVector:
-    return FpVector(ctx, tuple(coords))
-
-
-def zero_vector(ctx: FieldCtx, n: int) -> FpVector:
-    return FpVector(ctx, (0,) * n)
-
-
 def basis_vector(ctx: FieldCtx, n: int, i: int) -> FpVector:
     """Standard basis vector with a 1 in (0-based) position i."""
     return FpVector(ctx, tuple(1 if j == i else 0 for j in range(n)))
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Immutable dense matrix of residues mod p, stored row-major."""
-
-    ctx: FieldCtx
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        p = self.ctx.p
-        norm = tuple(tuple(int(e) % p for e in row) for row in self.rows)
-        if norm and any(len(r) != len(norm[0]) for r in norm):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", norm)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.n_rows) for j in range(i)
-        )
-
-    def mul_vec(self, v: FpVector) -> FpVector:
-        if v.n != self.n_cols or v.ctx != self.ctx:
-            raise ValueError("dimension mismatch")
-        p = self.ctx.p
-        return FpVector(self.ctx, tuple(sum(r * c for r, c in zip(row, v.coords)) % p for row in self.rows))
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.ctx, tuple(zip(*self.rows)) if self.rows else ())
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.n_rows, self.n_cols)
-
-    @staticmethod
-    def from_array(ctx: FieldCtx, arr: np.ndarray) -> "FpMatrix":
-        return FpMatrix(ctx, tuple(tuple(int(e) for e in row) for row in np.asarray(arr)))
-
-    def to_json(self) -> dict:
-        return {"p": self.ctx.p, "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(doc: dict) -> "FpMatrix":
-        return FpMatrix(FieldCtx(int(doc["p"])), tuple(tuple(int(e) for e in r) for r in doc["rows"]))
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -258,105 +198,82 @@ def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
     return (_rref(a, p)[1] >= 0).sum(axis=-1)
 
 
-def mat_rank(m: FpMatrix) -> int:
-    """Rank of m over F_p."""
-    return int(_rank_array(m.as_array(), m.ctx.p))
+def mat_rank(a: np.ndarray, p: int) -> int:
+    """Rank of one matrix over F_p."""
+    return int(_rank_array(a, p))
 
 
-def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, n_cols: int, p: int) -> list[np.ndarray]:
-    """One canonical null-space vector per free column of one reduced matrix.
+def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, n_cols: int, p: int) -> np.ndarray:
+    """One canonical null-space vector per free column of one reduced matrix, as rows.
 
     Each vector is scaled so that its first nonzero coordinate equals 1.
     """
     pivot_cols = pivots[pivots >= 0]
-    out = []
-    for f in range(n_cols):
-        if f in pivot_cols:
-            continue
-        v = np.zeros(n_cols, dtype=rref.dtype)
-        v[f] = 1
-        v[pivot_cols] = -rref[:pivot_cols.size, f] % p
-        first = v[np.flatnonzero(v)[0]]
-        out.append((v * pow(int(first), p - 2, p) % p).astype(np.int64))
-    return out
+    is_free = np.ones(n_cols, dtype=bool)
+    is_free[pivot_cols] = False
+    free = np.flatnonzero(is_free)
+    out = np.zeros((free.size, n_cols), dtype=rref.dtype)
+    out[np.arange(free.size), free] = 1
+    out[:, pivot_cols] = (-rref[:pivot_cols.size, free] % p).T
+    first = out[np.arange(free.size), (out != 0).argmax(axis=1)]
+    out = out * _inv_array(first, p)[:, None] % p
+    return out if p > 1 << 63 else out.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class AffineSolution:
-    """Full parametrization of the solution set of A x = b.
+def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve A x = b over F_p.
 
-    The solution set is particular + span(null_basis); it has exactly
-    p**len(null_basis) elements.
+    Returns (particular, null_basis): the solution set is particular +
+    rowspan(null_basis), with exactly p**len(null_basis) elements.  Returns
+    None when the system is inconsistent.
     """
-
-    particular: FpVector
-    null_basis: tuple[FpVector, ...]
-
-
-def solve_affine(a: FpMatrix, b: FpVector) -> AffineSolution | None:
-    """Solve A x = b over F_p.  Returns None when the system is inconsistent."""
-    if a.n_rows != b.n:
-        raise ValueError("dimension mismatch: A has %d rows, b has %d coordinates" % (a.n_rows, b.n))
-    if a.ctx != b.ctx:
-        raise ValueError("mixed field contexts")
-    p = a.ctx.p
-    n_cols = a.n_cols
-    aug = np.concatenate([a.as_array(), b.as_array().reshape(-1, 1)], axis=1)
-    rref, pivots = _rref(aug, p)
+    a, b = np.asarray(a), np.asarray(b)
+    n_rows, n_cols = a.shape
+    if b.shape != (n_rows,):
+        raise ValueError("dimension mismatch: A has %d rows, b has shape %s" % (n_rows, b.shape))
+    rref, pivots = _rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
     if n_cols in pivots:
         return None
-    x = np.zeros(n_cols, dtype=np.int64)
+    x = np.zeros(n_cols, dtype=rref.dtype)
     x[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols]
-    nulls = _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
-    return AffineSolution(
-        FpVector(a.ctx, tuple(int(e) for e in x)),
-        tuple(FpVector(a.ctx, tuple(int(e) for e in v)) for v in nulls),
-    )
+    return x if p > 1 << 63 else x.astype(np.int64), _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
 
 
-def affine_solver(a: FpMatrix) -> tuple[np.ndarray, np.ndarray]:
+def affine_solver(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, N) with {x : A x = b} = T b + rowspan(N) mod p for every b; A of full row rank.
 
     One row reduction of [A | I] serves every right-hand side: the pivots of
     rref([A | b]) all lie in A's columns, so the row operations do not depend
     on b and the right block of rref([A | I]) maps b to the reduced b.  T b
-    mod p and the rows of N are bit-identical to solve_affine(a, b)'s
+    mod p and the rows of N are bit-identical to solve_affine(a, b, p)'s
     particular solution and null basis.
     """
-    p = a.ctx.p
-    n_rows, n_cols = a.n_rows, a.n_cols
-    rref, pivots = _rref(np.concatenate([a.as_array(), np.eye(n_rows, dtype=np.int64)], axis=1), p)
+    n_rows, n_cols = np.shape(a)
+    rref, pivots = _rref(np.concatenate([a, np.eye(n_rows, dtype=np.int64)], axis=1), p)
     if (pivots >= n_cols).any():
         raise ValueError("affine_solver needs a matrix of full row rank")
     transform = np.zeros((n_cols, n_rows), dtype=np.int64)
     transform[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols:]
-    nulls = _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
-    return transform, np.stack(nulls) if nulls else np.zeros((0, n_cols), dtype=np.int64)
+    return transform, _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
 
 
-def orth_complement(vs: Sequence[FpVector], ctx: FieldCtx | None = None, n: int | None = None) -> list[FpVector]:
-    """Basis of {u : <u, v> = 0 for all v in vs}.
+def orth_complement(vs: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning {u : <u, v> = 0 for every row v of vs}, an (m, n) array; m = 0 gives the identity."""
+    rref, pivots = _rref(vs, p)
+    return _null_basis_from_rref(rref, pivots, np.shape(vs)[1], p)
 
-    For an empty vs the ambient space must be given via ctx and n.
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, with numpy's matmul broadcasting.
+
+    Exact for every p: int64 while each row-by-column sum, at most
+    k (p-1)^2 for inner dimension k, stays below 2^63, Python integers
+    beyond.  The result is int64 unless p itself exceeds int64.
     """
-    if not vs:
-        if ctx is None or n is None:
-            raise ValueError("empty input: pass ctx and n explicitly")
-        return [basis_vector(ctx, n, i) for i in range(n)]
-    ctx = vs[0].ctx
-    n = vs[0].n
-    if any(v.ctx != ctx or v.n != n for v in vs):
-        raise ValueError("vectors from different spaces")
-    rref, pivots = _rref(np.stack([v.as_array() for v in vs]), ctx.p)
-    nulls = _null_basis_from_rref(rref, pivots, n, ctx.p)
-    return [FpVector(ctx, tuple(int(e) for e in v)) for v in nulls]
-
-
-def null_space(a: FpMatrix) -> list[FpVector]:
-    """Basis of {x : A x = 0}, canonically scaled."""
-    rref, pivots = _rref(a.as_array(), a.ctx.p)
-    nulls = _null_basis_from_rref(rref, pivots, a.n_cols, a.ctx.p)
-    return [FpVector(a.ctx, tuple(int(e) for e in v)) for v in nulls]
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = _exact_dtype(a.shape[-1] * (p - 1) ** 2)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % p
+    return out if p > 1 << 63 else out.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +328,6 @@ def ranks_to_digits(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
 def digits_to_ranks(digits: np.ndarray, p: int) -> np.ndarray:
     digits = np.asarray(digits, dtype=np.int64)
     return digits @ rank_powers(p, digits.shape[1])
-
-
-def vector_rank(v: FpVector) -> int:
-    r = 0
-    for c in v.coords:
-        r = r * v.ctx.p + c
-    return r
 
 
 def vector_from_rank(ctx: FieldCtx, n: int, rank: int) -> FpVector:

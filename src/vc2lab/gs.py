@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, digits_to_ranks, iter_group_chunks, quad_forms
+from .fp import FieldCtx, FpVector, add_mod, digits_to_ranks, iter_group_chunks, quad_forms
 from .highrank import HighRankBasis
 
 
@@ -29,6 +29,17 @@ def _membership_table(a) -> np.ndarray:
     for start, block in iter_group_chunks(a.p, a.n):
         out[start:start + block.shape[0]] = a.contains_digits(block)
     return out
+
+
+def cross_terms(x: np.ndarray, y: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """(|x|, |y|, t) array of 2 x^T M y mod p over the rows of x and y and the t matrices.
+
+    By polarization, Q(x + y) - Q(x) - Q(y), from one quad_forms call.
+    """
+    sums = add_mod(x[:, None], y[None, :], p).reshape(-1, x.shape[1])
+    q = quad_forms(np.concatenate([sums, x, y]), mats, p)
+    qs, qx, qy = np.split(q, [len(sums), len(sums) + len(x)])
+    return ((qs.reshape(len(x), len(y), len(mats)) - qx[:, None]) % p - qy[None, :]) % p
 
 
 @dataclass(frozen=True)
@@ -81,19 +92,17 @@ class QgsSet:
         """Q_t on each row of points, t in [1, n]."""
         if not 1 <= t <= self.n:
             raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        return quad_forms(points, self.basis.mats_array()[t - 1:t], self.p)[:, 0]
+        return quad_forms(points, self.basis.mats[t - 1:t], self.p)[:, 0]
 
     def eval_q(self, t: int, x: FpVector) -> int:
         """Q_t(x) = x^T M_t x mod p, with t in [1, n]."""
         return int(self._forms(t, x.as_array()[None, :])[0])
 
-    def q_values(self, x: FpVector) -> tuple[int, ...]:
-        return tuple(int(q) for q in quad_forms(x.as_array()[None, :], self.basis.mats_array(), self.p)[0])
-
     def cross_term(self, t: int, x: FpVector, y: FpVector) -> int:
-        """2 x^T M_t y mod p, by polarization: Q_t(x + y) - Q_t(x) - Q_t(y)."""
-        q = self._forms(t, np.stack([(x + y).as_array(), x.as_array(), y.as_array()]))
-        return int(q[0] - q[1] - q[2]) % self.p
+        """2 x^T M_t y mod p, with t in [1, n]."""
+        if not 1 <= t <= self.n:
+            raise ValueError(f"form index {t} out of range [1, {self.n}]")
+        return int(cross_terms(x.as_array()[None, :], y.as_array()[None, :], self.basis.mats[t - 1:t], self.p)[0, 0, 0])
 
     contains = _contains
 

@@ -10,20 +10,12 @@ nondegenerate in odd characteristic, hence of rank n.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fp import (
-    FieldCtx,
-    FpMatrix,
-    FpVector,
-    _exact_dtype,
-    _rank_array,
-    derive_rng,
-    ranks_to_digits,
-)
+from .fp import FieldCtx, FpVector, _rank_array, derive_rng, matmul_mod, ranks_to_digits
 
 # Polynomials are little-endian coefficient lists: coeffs[i] multiplies x**i.
 
@@ -154,48 +146,49 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HighRankBasis:
-    """n symmetric n x n matrices, every nonzero combination of full rank n."""
+    """n symmetric n x n matrices, every nonzero combination of full rank n.
+
+    mats is one read-only (n, n, n) int64 array of residues; mats[t - 1] is M_t.
+    """
 
     ctx: FieldCtx
     n: int
     poly: IrreduciblePoly
-    mats: tuple[FpMatrix, ...]
-    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    mats: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.mats) != self.n:
-            raise ValueError("expected n matrices")
-        for m in self.mats:
-            if m.n_rows != self.n or m.n_cols != self.n or not m.is_symmetric():
-                raise ValueError("matrices must be symmetric n x n")
-        stacked = np.stack([m.as_array() for m in self.mats])
-        if _rank_array(stacked.reshape(self.n, -1), self.ctx.p) != self.n:
+        p, n = self.ctx.p, self.n
+        mats = np.asarray(self.mats)
+        if mats.shape != (n, n, n) or mats.dtype.kind not in "iuO":
+            raise ValueError(f"expected an ({n}, {n}, {n}) integer array of matrices")
+        mats = (mats % p).astype(np.int64)
+        if not (mats == mats.transpose(0, 2, 1)).all():
+            raise ValueError("matrices must be symmetric")
+        if _rank_array(mats.reshape(n, -1), p) != n:
             raise ValueError("matrices are linearly dependent")
-        stacked.flags.writeable = False
-        object.__setattr__(self, "_stacked", stacked)
-
-    def mats_array(self) -> np.ndarray:
-        """The matrices as one read-only (n, n, n) int64 array, stacked once at construction."""
-        return self._stacked
+        mats.flags.writeable = False
+        object.__setattr__(self, "mats", mats)
 
     def to_json(self) -> dict:
         return {
             "p": self.ctx.p,
             "n": self.n,
             "poly": list(self.poly.coeffs),
-            "mats": [m.to_json() for m in self.mats],
+            "mats": [{"p": self.ctx.p, "rows": m.tolist()} for m in self.mats],
         }
 
     @staticmethod
     def from_json(doc: dict) -> "HighRankBasis":
         ctx = FieldCtx(int(doc["p"]))
+        if any(int(m["p"]) != ctx.p for m in doc["mats"]):
+            raise ValueError("every matrix must be over the basis field")
         return HighRankBasis(
             ctx,
             int(doc["n"]),
             IrreduciblePoly(ctx, tuple(int(c) for c in doc["poly"])),
-            tuple(FpMatrix.from_json(m) for m in doc["mats"]),
+            np.array([[[int(e) for e in row] for row in m["rows"]] for m in doc["mats"]], dtype=object),
         )
 
 
@@ -223,13 +216,10 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
         return vec[i] if i < len(vec) else 0
 
     # s[k] = Tr(theta^k) = trace of the multiplication-by-theta^k matrix
-    s = [sum(coeff(powers[k + i], i) for i in range(n)) % p for k in range(3 * n - 2)]
-
-    mats = []
-    for t in range(n):
-        rows = tuple(tuple(s[t + i + j] for j in range(n)) for i in range(n))
-        mats.append(FpMatrix(ctx, rows))
-    return HighRankBasis(ctx, n, poly, tuple(mats))
+    s = np.array([sum(coeff(powers[k + i], i) for i in range(n)) % p for k in range(3 * n - 2)], dtype=np.int64)
+    # a Hankel array: M_t[i][j] = s[t + i + j], t counted from 0
+    idx = np.arange(n)
+    return HighRankBasis(ctx, n, poly, s[idx[:, None, None] + idx[None, :, None] + idx[None, None, :]])
 
 
 def check_high_rank(
@@ -245,16 +235,16 @@ def check_high_rank(
     (the lexicographically smallest one among the failures found).
     Exhaustive mode requires p**n <= 10**6.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     p, n = basis.ctx.p, basis.n
     # combinations are ranked in batches of about 2^16 matrix entries
     batch = max(1, (1 << 16) // (n * n))
-    # an entry of a combination sums n products of two residues
-    dtype = _exact_dtype(n * (p - 1) ** 2)
-    flat = basis.mats_array().reshape(n, n * n).astype(dtype)
+    flat = basis.mats.reshape(n, n * n)
 
     def failing(lams: np.ndarray) -> np.ndarray:
         """Indices of the coefficient rows whose combination has rank below n."""
-        combos = (lams.astype(dtype) @ flat % p).reshape(-1, n, n)
+        combos = matmul_mod(lams, flat, p).reshape(-1, n, n)
         return np.flatnonzero(_rank_array(combos, p) != n)
 
     if mode == "exhaustive":
@@ -285,7 +275,6 @@ def check_high_rank(
             bad += [tuple(int(x) for x in lams[i]) for i in failing(np.stack(lams))]
         return bad
 
-    threads = max(1, threads)
     per = [count // threads + (1 if i < count % threads else 0) for i in range(threads)]
     failures: list[tuple[int, ...]] = []
     if threads == 1:

@@ -89,12 +89,6 @@ class ContainmentMap:
         return ContainmentMap(k, rows)
 
 
-def all_maps(k: int):
-    """All total containment maps on [0, k]^2, in index order."""
-    for idx in range(1 << ((k + 1) ** 2)):
-        yield ContainmentMap.from_index(k, idx)
-
-
 @dataclass(frozen=True)
 class ShatterCertificate:
     """One translate witness per subset bitmask; bit i covers S[i]."""

@@ -106,7 +106,7 @@ def test_c05_high_rank_basis_checks():
 def test_c06_expansion_identity_bulk():
     t0 = time.perf_counter()
     basis = build_trace_basis(ctx3, 9)
-    mats = basis.mats_array()
+    mats = basis.mats
     rng = np.random.default_rng(123)
     count = 100_000
     xs = rng.integers(0, 3, (count, 9)).astype(np.int64)

@@ -156,3 +156,38 @@ def test_basis_command(capsys, tmp_path):
 def test_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope"))
+
+
+# One misuse per subcommand, plus the thread count from the flag and from the environment.
+MISUSE = [
+    (["basis", "--p", "x", "--n", "3"], {}),
+    (["basis", "--p", "3", "--n", "3", "--threads", "0"], {}),
+    (["vc-dim", "--p", "3", "--n", "3", "--threads", "-1"], {}),
+    (["vc-dim", "--p", "3"], {}),
+    (["shatter-check", "--p", "3", "--n", "3"], {}),
+    (["vc2-verify", "--p", "3", "--n", "13", "--k", "4"], {}),
+    (["atom-census", "--p", "3", "--n", "9", "--l", "x"], {}),
+    (["prop32-check", "--p", "3", "--n", "5", "--instances"], {}),
+    (["ramsey-find", "--m", "x"], {}),
+    (["br-bound"], {}),
+    (["verify-certificate"], {}),
+    (["verify-certificate", "no-such-file.json"], {}),
+    (["basis", "--p", "3", "--n", "3", "--format", "xml"], {}),
+    (["no-such-command"], {}),
+    ([], {}),
+    (["basis", "--p", "3", "--n", "3"], {"VC2LAB_THREADS": "0"}),
+    (["br-bound", "--r", "2"], {"VC2LAB_THREADS": "x"}),
+]
+
+
+@pytest.mark.parametrize("argv,env", MISUSE, ids=[" ".join(a) + "".join(f" {k}={v}" for k, v in e.items())
+                                                  for a, e in MISUSE])
+def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv, env):
+    monkeypatch.chdir(tmp_path)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1

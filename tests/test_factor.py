@@ -1,19 +1,21 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from vc2lab.fp import (
     FieldCtx,
-    FpMatrix,
     FpVector,
     basis_vector,
     derive_rng,
     iter_group_chunks,
     mat_rank,
+    matmul_mod,
     solve_affine,
 )
 from vc2lab.gs import QgsSet
-from vc2lab.highrank import build_trace_basis
+from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, build_trace_basis
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes, vc2_shatters
 from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
@@ -23,8 +25,10 @@ from vc2lab.factor import (
     atom_census,
     atom_label,
     check_cross_term_range,
+    _construction_linear_polys,
     check_forced_zeros,
     construct_shatter_pair,
+    cross_terms_vanish_below,
     find_in_atom,
     forced_zero_probe,
     planted_qualifying_sets,
@@ -94,12 +98,11 @@ def _find_in_atom_full_scan(f, basis, label, seed):
     ctx, p, n = basis.ctx, basis.ctx.p, basis.n
     l = len(f.linear_polys)
     if l:
-        sol = solve_affine(FpMatrix(ctx, tuple(v.coords for v in f.linear_polys)), FpVector(ctx, label.values[:l]))
-        part = sol.particular.as_array()
-        nb = np.stack([v.as_array() for v in sol.null_basis]) if sol.null_basis else np.zeros((0, n), dtype=np.int64)
+        lin = np.stack([v.as_array() for v in f.linear_polys])
+        part, nb = solve_affine(lin, np.array(label.values[:l], dtype=np.int64), p)
     else:
         part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
-    mats = [basis.mats[t - 1].rows for t in f.quad_indices]
+    mats = [basis.mats[t - 1].tolist() for t in f.quad_indices]
     target = list(label.values[l:])
 
     def scan(alphas):
@@ -136,7 +139,7 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
     basis = build_trace_basis(ctx, n)
     rng = np.random.default_rng(seed)
     lin = [FpVector(ctx, tuple(int(c) for c in rng.integers(0, p, n))) for _ in range(l)]
-    assume(not lin or mat_rank(FpMatrix(ctx, tuple(v.coords for v in lin))) == l)
+    assume(not lin or mat_rank(np.stack([v.as_array() for v in lin]), p) == l)
     f = QuadraticFactor(tuple(lin), tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
     label = AtomLabel(tuple(int(v) for v in rng.integers(0, p, l + q)))
     z = find_in_atom(f, basis, label, seed=seed)
@@ -330,3 +333,50 @@ def test_cross_term_range_p7_detects_outlier():
     x, y = found
     res = check_cross_term_range(a, (zero, x), (zero, y), 1)
     assert not res.ok
+
+
+def test_products_exact_at_large_p():
+    # n (p - 1)^2 >= 2^63: a matrix-vector product summed in plain int64 wraps at this p
+    p, n = 2 ** 61 - 1, 4
+    assert n * (p - 1) ** 2 >= 1 << 63
+    ctx = FieldCtx(p)
+    rnd = random.Random(0)
+    poly = None
+    while poly is None:
+        coeffs = tuple(rnd.randrange(p) for _ in range(n)) + (1,)
+        poly = IrreduciblePoly(ctx, coeffs) if _is_irreducible(coeffs, p) else None
+    entries = lambda: rnd.choice((0, 1, p - 1, rnd.randrange(p)))
+    mats = []
+    for _ in range(n):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = entries()
+        mats.append(m)
+    basis = HighRankBasis(ctx, n, poly, np.array(mats, dtype=np.int64))
+
+    def mat_vec(m, v):
+        return [sum(m[i][j] * v[j] for j in range(n)) % p for i in range(n)]
+
+    pts = [[entries() for _ in range(n)] for _ in range(4)]
+    got = matmul_mod(np.array(pts, dtype=np.int64), basis.mats, p)
+    assert got.tolist() == [[mat_vec(m, v) for v in pts] for m in mats]
+
+    xs, ys = np.array(pts[:2], dtype=np.int64), np.array(pts[2:], dtype=np.int64)
+    lin = _construction_linear_polys(basis, 2, xs, ys)
+    assert lin.tolist() == [[2 * c % p for c in mat_vec(m, v)] for v in pts for m in mats[:2]]
+
+    def cross(t, x, y):
+        return 2 * sum(x[i] * mats[t][i][j] * y[j] for i in range(n) for j in range(n)) % p
+
+    a = QgsSet(basis)
+    x, y = random_zero_cross_term_sets(basis, 2, seed=0)
+    x_list, y_list = [list(v.coords) for v in x], [list(v.coords) for v in y]
+    assert all(cross(0, u, v) == 0 for u in x_list for v in y_list)
+    for m in (2, 3, 4):
+        want = all(cross(t, u, v) == 0 for t in range(m - 1) for u in x_list for v in y_list)
+        assert cross_terms_vanish_below(a, x, y, m) == want
+    # points with nonzero level-1 cross-terms
+    plain = [FpVector(ctx, tuple(v)) for v in pts]
+    assert cross_terms_vanish_below(a, plain[:2], plain[2:], 2) == all(
+        cross(0, u, v) == 0 for u in pts[:2] for v in pts[2:])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
-    FpMatrix,
     FpVector,
     _is_prime,
     _rank_array,
@@ -17,13 +16,12 @@ from vc2lab.fp import (
     basis_vector,
     digits_to_ranks,
     mat_rank,
-    null_space,
+    matmul_mod,
     orth_complement,
     quad_forms,
     ranks_to_digits,
     solve_affine,
     vector_from_rank,
-    vector_rank,
 )
 
 ctx3 = FieldCtx(3)
@@ -33,8 +31,8 @@ ctx7 = FieldCtx(7)
 primes = st.sampled_from([3, 5, 7])
 
 
-def rand_matrix(ctx, rows, cols, rng):
-    return FpMatrix(ctx, tuple(tuple(int(v) for v in rng.integers(0, ctx.p, cols)) for _ in range(rows)))
+def rand_matrix(p, rows, cols, rng):
+    return rng.integers(0, p, (rows, cols))
 
 
 def test_field_ctx_rejects_non_primes():
@@ -93,9 +91,9 @@ def test_scalar_inverse_exhaustive(p):
 
 
 def test_mat_rank_examples():
-    assert mat_rank(FpMatrix(ctx3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
-    assert mat_rank(FpMatrix(ctx5, tuple((0,) * 4 for _ in range(4)))) == 0
-    assert mat_rank(FpMatrix(ctx5, ((1, 2), (2, 4)))) == 1
+    assert mat_rank(np.eye(3, dtype=np.int64), 3) == 3
+    assert mat_rank(np.zeros((4, 4), dtype=np.int64), 5) == 0
+    assert mat_rank(np.array([[1, 2], [2, 4]]), 5) == 1
 
 
 # (p - 1)^2 > 2^63 here: products of two residues no longer fit in int64
@@ -103,9 +101,8 @@ BIG_P = 4294967311
 
 
 def test_mat_rank_exact_at_large_p():
-    ctx = FieldCtx(BIG_P)
-    row = (3, 5, 7)
-    assert mat_rank(FpMatrix(ctx, (row, tuple((BIG_P - 1) * c for c in row)))) == 1
+    row = [3, 5, 7]
+    assert mat_rank(np.array([row, [(BIG_P - 1) * c % BIG_P for c in row]]), BIG_P) == 1
 
 
 def _dot(u, v, p):
@@ -116,24 +113,24 @@ def _dot(u, v, p):
 def test_solvers_exact_at_large_p(seed):
     # checked with Python-int dot products only
     p = BIG_P
-    ctx = FieldCtx(p)
     rnd = random.Random(seed)
     rows = [[rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(5)] for _ in range(3)]
-    a = FpMatrix(ctx, tuple(map(tuple, rows)))
-    for u in orth_complement([FpVector(ctx, tuple(r)) for r in rows]):
-        assert all(_dot(u.coords, r, p) == 0 for r in rows)
-        assert next(c for c in u.coords if c) == 1
+    a = np.array(rows, dtype=np.int64)
+    for u in orth_complement(a, p).tolist():
+        assert all(_dot(u, r, p) == 0 for r in rows)
+        assert next(c for c in u if c) == 1
     b = [rnd.randrange(p) for _ in range(3)]
-    sol = solve_affine(a, FpVector(ctx, tuple(b)))
+    sol = solve_affine(a, np.array(b, dtype=np.int64), p)
     if sol is None:
-        assert mat_rank(a) < 3
+        assert mat_rank(a, p) < 3
         return
-    assert [_dot(r, sol.particular.coords, p) for r in rows] == b
-    assert len(sol.null_basis) == 5 - mat_rank(a)
-    for v in sol.null_basis:
-        assert all(_dot(r, v.coords, p) == 0 for r in rows)
-    if mat_rank(a) == 3:
-        transform, nb = affine_solver(a)
+    particular, null_basis = sol
+    assert [_dot(r, particular.tolist(), p) for r in rows] == b
+    assert len(null_basis) == 5 - mat_rank(a, p)
+    for v in null_basis.tolist():
+        assert all(_dot(r, v, p) == 0 for r in rows)
+    if mat_rank(a, p) == 3:
+        transform, nb = affine_solver(a, p)
         x = [_dot(t_row, b, p) for t_row in transform.tolist()]
         assert [_dot(r, x, p) for r in rows] == b
         assert all(_dot(r, v, p) == 0 for r in rows for v in nb.tolist())
@@ -193,22 +190,20 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
 @given(p=primes, n=st.integers(1, 5), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(p, n, seed):
-    ctx = FieldCtx(p)
     rng = np.random.default_rng(seed)
-    m = rand_matrix(ctx, n, n, rng)
-    assert mat_rank(m) == mat_rank(m.transpose())
+    m = rand_matrix(p, n, n, rng)
+    assert mat_rank(m, p) == mat_rank(m.T, p)
 
 
 def test_solve_affine_examples():
-    eye = FpMatrix(ctx3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    sol = solve_affine(eye, FpVector(ctx3, (1, 2, 0)))
-    assert sol.particular.coords == (1, 2, 0) and sol.null_basis == ()
+    particular, null_basis = solve_affine(np.eye(3, dtype=np.int64), np.array([1, 2, 0]), 3)
+    assert particular.tolist() == [1, 2, 0] and null_basis.shape == (0, 3)
 
-    assert solve_affine(FpMatrix(ctx3, ((0,),)), FpVector(ctx3, (1,))) is None
+    assert solve_affine(np.array([[0]]), np.array([1]), 3) is None
 
-    sol = solve_affine(FpMatrix(ctx3, ((1, 1),)), FpVector(ctx3, (0,)))
-    assert sol.particular.coords == (0, 0)
-    assert [v.coords for v in sol.null_basis] == [(1, 2)]
+    particular, null_basis = solve_affine(np.array([[1, 1]]), np.array([0]), 3)
+    assert particular.tolist() == [0, 0]
+    assert null_basis.tolist() == [[1, 2]]
     # oracle: enumerate all 9 vectors of F_3^2
     solutions = {(a, b) for a in range(3) for b in range(3) if (a + b) % 3 == 0}
     assert solutions == {(0, 0), (1, 2), (2, 1)}
@@ -216,71 +211,61 @@ def test_solve_affine_examples():
 
 def test_solve_affine_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_affine(FpMatrix(ctx3, ((1, 0),)), FpVector(ctx3, (1, 0)))
+        solve_affine(np.array([[1, 0]]), np.array([1, 0]), 3)
 
 
 @given(p=primes, rows=st.integers(1, 4), cols=st.integers(1, 5), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_affine_solution_parametrizes_solution_set(p, rows, cols, seed):
-    ctx = FieldCtx(p)
     rng = np.random.default_rng(seed)
-    a = rand_matrix(ctx, rows, cols, rng)
-    b = FpVector(ctx, tuple(int(v) for v in rng.integers(0, p, rows)))
-    sol = solve_affine(a, b)
-    arr = a.as_array()
+    a = rand_matrix(p, rows, cols, rng)
+    b = rng.integers(0, p, rows)
+    sol = solve_affine(a, b, p)
     brute = [
         tuple(int(c) for c in v)
         for v in ranks_to_digits(np.arange(p ** cols), p, cols)
-        if ((arr @ v) % p == b.as_array()).all()
+        if ((a @ v) % p == b).all()
     ]
     if sol is None:
         assert brute == []
         return
     # every parametrized point solves, and the count matches exactly
-    dim = len(sol.null_basis)
+    particular, null_basis = sol
+    dim = len(null_basis)
     got = set()
     for r in range(p ** dim):
         coeffs = ranks_to_digits(np.array([r]), p, dim)[0] if dim else np.zeros(0, dtype=np.int64)
-        pt = sol.particular.as_array().copy()
-        for c, nb in zip(coeffs, sol.null_basis):
-            pt = (pt + int(c) * nb.as_array()) % p
-        got.add(tuple(int(x) for x in pt))
+        got.add(tuple(int(x) for x in (particular + coeffs @ null_basis) % p))
     assert got == set(brute)
 
 
 def test_orth_complement_examples():
-    basis = orth_complement([basis_vector(ctx3, 3, 0)])
-    assert [v.coords for v in basis] == [(0, 1, 0), (0, 0, 1)]
-    assert len(orth_complement([], ctx=ctx3, n=2)) == 2
-    assert [v.coords for v in orth_complement([FpVector(ctx3, (1, 1))])] == [(1, 2)]
+    assert orth_complement(basis_vector(ctx3, 3, 0).as_array()[None, :], 3).tolist() == [[0, 1, 0], [0, 0, 1]]
+    # no constraints: the whole space, as the identity
+    assert orth_complement(np.zeros((0, 2), dtype=np.int64), 3).tolist() == [[1, 0], [0, 1]]
+    assert orth_complement(np.array([[1, 1]]), 3).tolist() == [[1, 2]]
 
 
 @given(p=primes, n=st.integers(1, 5), k=st.integers(0, 3), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_orth_complement_involution(p, n, k, seed):
-    ctx = FieldCtx(p)
     rng = np.random.default_rng(seed)
-    vs = [FpVector(ctx, tuple(int(v) for v in rng.integers(0, p, n))) for _ in range(k)]
-    comp = orth_complement(vs, ctx=ctx, n=n)
-    back = orth_complement(comp, ctx=ctx, n=n)
+    vs = rng.integers(0, p, (k, n))
+    comp = orth_complement(vs, p)
+    back = orth_complement(comp, p)
     # span(back) == span(vs): mutual containment via rank tests
-    vs_arr = [v.as_array() for v in vs if not v.is_zero()]
-    if not vs_arr:
-        assert back == []
-        return
-    stacked = np.stack(vs_arr)
-    r_vs = _rank_array(stacked, p)
-    both = np.concatenate([stacked, np.stack([v.as_array() for v in back])]) if back else stacked
-    assert _rank_array(both, p) == r_vs
-    assert len(back) == r_vs
+    r_vs = mat_rank(vs, p)
+    assert back.shape == (r_vs, n)
+    assert mat_rank(np.concatenate([vs, back]), p) == r_vs
 
 
 def test_null_space_vectors_are_canonical():
-    m = FpMatrix(ctx5, ((2, 1, 3),))
-    for v in null_space(m):
-        first = next(c for c in v.coords if c != 0)
-        assert first == 1
-        assert m.mul_vec(v).is_zero()
+    m = np.array([[2, 1, 3]])
+    null_basis = orth_complement(m, 5)
+    assert null_basis.shape == (2, 3)
+    for v in null_basis:
+        assert v[np.flatnonzero(v)[0]] == 1
+        assert not (m @ v % 5).any()
 
 
 def test_rank_encoding_round_trip():
@@ -291,7 +276,7 @@ def test_rank_encoding_round_trip():
         digits = ranks_to_digits(ranks, p, n)
         assert (digits_to_ranks(digits, p) == ranks).all()
         v = vector_from_rank(ctx, n, total - 1)
-        assert vector_rank(v) == total - 1
+        assert digits_to_ranks(v.as_array()[None, :], p).tolist() == [total - 1]
         # rank order is lexicographic on coordinates
         assert digits[0].tolist() < digits[1].tolist() < digits[2].tolist()
 
@@ -299,26 +284,23 @@ def test_rank_encoding_round_trip():
 def test_vector_matrix_json_round_trip():
     v = FpVector(ctx5, (1, 4, 0))
     assert FpVector.from_json(v.to_json()) == v
-    m = FpMatrix(ctx5, ((1, 2), (3, 4)))
-    assert FpMatrix.from_json(m.to_json()) == m
 
 
 @given(p=primes, rows=st.integers(1, 4), cols=st.integers(1, 6), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_affine_solver_matches_solve_affine(p, rows, cols, seed):
-    ctx = FieldCtx(p)
     rng = np.random.default_rng(seed)
-    a = rand_matrix(ctx, rows, cols, rng)
-    if mat_rank(a) < rows:
+    a = rand_matrix(p, rows, cols, rng)
+    if mat_rank(a, p) < rows:
         with pytest.raises(ValueError):
-            affine_solver(a)
+            affine_solver(a, p)
         return
-    transform, nb = affine_solver(a)
+    transform, nb = affine_solver(a, p)
     for _ in range(3):
-        b = FpVector(ctx, tuple(int(v) for v in rng.integers(0, p, rows)))
-        sol = solve_affine(a, b)
-        assert tuple(int(c) for c in transform @ b.as_array() % p) == sol.particular.coords
-        assert [tuple(int(c) for c in row) for row in nb] == [v.coords for v in sol.null_basis]
+        b = rng.integers(0, p, rows)
+        particular, null_basis = solve_affine(a, b, p)
+        assert (transform @ b % p).tolist() == particular.tolist()
+        assert nb.tolist() == null_basis.tolist()
 
 
 # float64 covers 3, 5 and 131071 with n <= 2 (n^2 (p-1)^3 just below 2^53 at n = 2);
@@ -358,3 +340,18 @@ def test_quad_forms_extreme_entries(p, n):
     mats = np.full((2, n, n), p - 1, dtype=dtype)
     want = (n * n * (p - 1) ** 3) % p
     assert quad_forms(points, mats, p).tolist() == [[want, want], [want, want]]
+
+
+@given(p=st.sampled_from(QF_PRIMES[:-1] + [2 ** 61 - 1, 2 ** 63 - 25]), lead=st.integers(0, 3),
+       m=st.integers(0, 4), k=st.integers(0, 6), r=st.integers(0, 4), seed=st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_matmul_mod_matches_python_ints(p, lead, m, k, r, seed):
+    # a stack of lead matrices (none for lead = 0) times one matrix; p = 2^63 - 25 needs Python ints at k = 1
+    rnd = random.Random(seed)
+    a = _residues(rnd, p, (lead, m, k) if lead else (m, k))
+    b = _residues(rnd, p, (k, r))
+    got = matmul_mod(a, b, p)
+    want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in mat]
+            for mat in (a.tolist() if lead else [a.tolist()])]
+    assert got.dtype == np.int64
+    assert (got.tolist() if lead else [got.tolist()]) == want

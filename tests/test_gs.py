@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, FpVector, ranks_to_digits
+from vc2lab.fp import FieldCtx, FpVector, quad_forms, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 
@@ -117,7 +117,7 @@ def test_qgs_depends_only_on_value_sequence(qgs5):
     seqs = {}
     for r in range(3 ** 5):
         x = FpVector(ctx3, tuple(int(c) for c in digits[r]))
-        key = qgs5.q_values(x)
+        key = tuple(quad_forms(x.as_array()[None, :], qgs5.basis.mats, 3)[0].tolist())
         if key in seqs:
             assert table[r] == seqs[key]
         else:
@@ -151,7 +151,7 @@ def test_expansion_identity(seed):
 def test_expansion_identity_bulk():
     # vectorized form of the same identity over a large random batch
     basis = build_trace_basis(ctx3, 9)
-    mats = basis.mats_array()
+    mats = basis.mats
     rng = np.random.default_rng(0)
     count = 20_000
     xs = rng.integers(0, 3, (count, 9)).astype(np.int64)
@@ -183,7 +183,7 @@ def test_forms_and_membership_exact_at_large_p():
     p, n = 2097169, 3
     ctx = FieldCtx(p)
     a = QgsSet(build_trace_basis(ctx, n))
-    mats = [[list(row) for row in m.rows] for m in a.basis.mats]
+    mats = a.basis.mats.tolist()
 
     def q(t, v):
         return sum(v[i] * mats[t][i][j] * v[j] for i in range(n) for j in range(n)) % p
@@ -202,7 +202,7 @@ def test_forms_and_membership_exact_at_large_p():
     for v, y, in_batch in zip(pts, pts[1:] + pts[:1], batched):
         x = FpVector(ctx, tuple(v))
         ref = tuple(q(t, v) for t in range(n))
-        assert a.q_values(x) == ref
+        assert tuple(quad_forms(np.array([v]), a.basis.mats, p)[0].tolist()) == ref
         assert tuple(a.eval_q(t, x) for t in range(1, n + 1)) == ref
         member = next((r for r in ref if r), 0) == 1
         members += member

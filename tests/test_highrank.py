@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vc2lab.fp import FieldCtx, FpMatrix, _rank_array
+from vc2lab.fp import FieldCtx, _rank_array
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
@@ -90,22 +90,21 @@ def test_build_irreducible_matches_benchmark_certificates(name):
 
 def test_trace_basis_degree_one():
     b = build_trace_basis(ctx3, 1)
-    assert b.mats[0].rows == ((1,),)
+    assert b.mats.tolist() == [[[1]]]
 
 
 def test_trace_basis_symmetry_and_independence():
     for p, n in [(3, 3), (5, 2), (7, 3), (3, 4)]:
         b = build_trace_basis(FieldCtx(p), n)
-        for m in b.mats:
-            assert m.is_symmetric()
-        flat = np.stack([m.as_array().reshape(-1) for m in b.mats])
-        assert _rank_array(flat, p) == n
+        assert b.mats.shape == (n, n, n) and b.mats.dtype == np.int64 and not b.mats.flags.writeable
+        assert (b.mats == b.mats.transpose(0, 2, 1)).all()
+        assert _rank_array(b.mats.reshape(n, -1), p) == n
 
 
 def test_trace_basis_deterministic():
     a = build_trace_basis(ctx3, 5)
     b = build_trace_basis(ctx3, 5)
-    assert a.poly == b.poly and a.mats == b.mats
+    assert a.poly == b.poly and np.array_equal(a.mats, b.mats)
 
 
 def test_exhaustive_high_rank_small():
@@ -123,11 +122,11 @@ def test_exhaustive_high_rank_sweep(p, n):
 def test_high_rank_failure_witness():
     # I and diag(1, p-1) at p=3: the sum is diag(2, 0) with rank 1
     poly = build_irreducible(ctx3, 2)
-    mats = (FpMatrix(ctx3, ((1, 0), (0, 1))), FpMatrix(ctx3, ((1, 0), (0, 2))))
+    mats = np.array([[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
     bad = HighRankBasis(ctx3, 2, poly, mats)
     witness = check_high_rank(bad, mode="exhaustive")
     assert witness is not None
-    combo = (witness.coords[0] * mats[0].as_array() + witness.coords[1] * mats[1].as_array()) % 3
+    combo = (witness.coords[0] * mats[0] + witness.coords[1] * mats[1]) % 3
     assert _rank_array(combo, 3) < 2
     assert witness.coords == (1, 1)
     # sampled mode reports the lexicographically smallest failure over every stream
@@ -153,14 +152,53 @@ def test_sampled_threads_agree():
 
 def test_basis_rejects_dependent_matrices():
     poly = build_irreducible(ctx3, 2)
-    swap = FpMatrix(ctx3, ((0, 1), (1, 0)))
-    HighRankBasis(ctx3, 2, poly, (swap, FpMatrix(ctx3, ((1, 0), (0, 2)))))
+    swap = [[0, 1], [1, 0]]
+    HighRankBasis(ctx3, 2, poly, [swap, [[1, 0], [0, 2]]])
     with pytest.raises(ValueError, match="dependent"):
-        HighRankBasis(ctx3, 2, poly, (swap, FpMatrix(ctx3, ((0, 2), (2, 0)))))
+        HighRankBasis(ctx3, 2, poly, [swap, [[0, 2], [2, 0]]])
 
 
 def test_basis_json_round_trip():
     b = build_trace_basis(ctx5, 3)
     doc = b.to_json()
     back = HighRankBasis.from_json(doc)
-    assert back.mats == b.mats and back.poly.coeffs == b.poly.coeffs
+    assert np.array_equal(back.mats, b.mats) and back.poly.coeffs == b.poly.coeffs
+    assert back.to_json() == doc
+    assert doc["mats"][0] == {"p": 5, "rows": b.mats[0].tolist()}
+
+
+def test_basis_checks_outside_input():
+    poly = build_irreducible(ctx3, 2)
+    good = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    # entries are normalized mod p; the stored array is a read-only copy
+    given = np.array(good) + 3
+    b = HighRankBasis(ctx3, 2, poly, given)
+    assert b.mats.tolist() == good and not b.mats.flags.writeable and given.flags.writeable
+    for bad, match in [
+        (good[:1], "integer array"),
+        ([[[1, 0, 0], [0, 1, 0]]] * 2, "integer array"),
+        (np.array(good, dtype=float), "integer array"),
+        ([[[1, 0], [0, 1]], [[0, 1], [2, 0]]], "symmetric"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            HighRankBasis(ctx3, 2, poly, bad)
+
+
+def test_basis_json_rejects_foreign_field_and_bad_shape():
+    doc = build_trace_basis(ctx3, 2).to_json()
+    # F_7 rows, entries 5 and 6, inside an F_3 basis document
+    foreign = json.loads(json.dumps(doc))
+    foreign["mats"][0] = {"p": 7, "rows": [[5, 6], [6, 5]]}
+    with pytest.raises(ValueError, match="basis field"):
+        HighRankBasis.from_json(foreign)
+    for mats in (doc["mats"][:1], [doc["mats"][0], {"p": 3, "rows": [[1, 0]]}],
+                 [doc["mats"][0], {"p": 3, "rows": [[1, 0], [0]]}]):
+        with pytest.raises(ValueError):
+            HighRankBasis.from_json({**doc, "mats": mats})
+
+
+def test_check_high_rank_rejects_fewer_than_one_thread():
+    b = build_trace_basis(ctx3, 3)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            check_high_rank(b, mode="sampled", count=10, threads=threads)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import vc2lab.certs  # noqa: F401  (the tracer binds names in every vc2lab module)
 import vc2lab.cli  # noqa: F401
-from vc2lab.fp import FieldCtx, FpMatrix, FpVector, mat_rank
+import numpy as np
+
+from vc2lab.fp import FieldCtx, FpVector, mat_rank
 from vc2lab.gs import GsSet
 
 
@@ -44,7 +46,7 @@ def test_tracer_installs_and_uninstalls():
         assert all(during[attr] is not before[attr] for attr in before)
         ctx = FieldCtx(3)
         tracer.open_pass(0)
-        assert mat_rank(FpMatrix(ctx, ((1, 2), (2, 1)))) == 1
+        assert mat_rank(np.array([[1, 2], [2, 1]]), 3) == 1
         assert GsSet(ctx, 2).contains(FpVector(ctx, (0, 1)))
         tracer.close_pass()
         counts = tracer.pass_metrics(0)
