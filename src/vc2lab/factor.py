@@ -327,7 +327,7 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
             cand = rng.integers(0, p, size=n)
             if independent(xs, cand):
                 xs = np.vstack([xs, cand])
-        # M_t x_j and M_t' M_t x_j, t-major like the nested loops over t then j
+        # H_x is cut out by the M_t x_j, H* by those and the M_t' M_t x_j
         hx_rows = matmul_mod(xs, mats, p).reshape(-1, n)
         hstar_rows = np.vstack([hx_rows, matmul_mod(hx_rows, mats, p).reshape(-1, n)])
         h_x, h_star = orth_complement(hx_rows, p), orth_complement(hstar_rows, p)

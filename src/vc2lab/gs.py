@@ -102,7 +102,8 @@ class QgsSet:
         """2 x^T M_t y mod p, with t in [1, n]."""
         if not 1 <= t <= self.n:
             raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        return int(cross_terms(x.as_array()[None, :], y.as_array()[None, :], self.basis.mats[t - 1:t], self.p)[0, 0, 0])
+        x_row, y_row = x.as_array()[None, :], y.as_array()[None, :]
+        return int(cross_terms(x_row, y_row, self.basis.mats[t - 1:t], self.p)[0, 0, 0])
 
     contains = _contains
 
