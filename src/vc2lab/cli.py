@@ -117,10 +117,9 @@ def _oracle(cfg: RunConfig):
 
 
 def _cmd_basis(cfg: RunConfig) -> RunReport:
-    ctx = FieldCtx(cfg.p)
+    basis = build_trace_basis(FieldCtx(cfg.p), cfg.n)
     if cfg.n % 2 == 0:
         print("warning: even n; the full-rank basis is only asserted to exist for odd n", file=sys.stderr)
-    basis = build_trace_basis(ctx, cfg.n)
     mode = cfg.extra.get("mode", "exhaustive" if cfg.p ** cfg.n <= 10 ** 6 else "sampled")
     witness = check_high_rank(
         basis, mode=mode, count=cfg.extra.get("count", 10_000), seed=cfg.seed, threads=cfg.threads
@@ -432,7 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("VC2LAB_THREADS", "1"))
+        raw = os.environ.get("VC2LAB_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"VC2LAB_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
         source = "VC2LAB_THREADS" if args.threads is None else "--threads"
         raise ValueError(f"{source} must be at least 1, got {threads}")

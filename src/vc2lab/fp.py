@@ -10,17 +10,28 @@ bit-identical across runs and platforms.  It is exact for every p: int64
 while every product of two residues fits, (p-1)^2 < 2^63, Python integers
 beyond.
 
+Ranks (_rank_array) come from its rank-only mode: forward elimination with
+delayed modular reduction.  Each column reduces only the pivot column and
+the pivot row mod p; the rows below take f * row with f and row in [0, p)
+and no reduction, so an entry drifts by at most (p-1)^2 per pivot and stays
+in (-min(r, c) (p-1)^2, p).  The mode runs in int16 while
+min(r, c) (p-1)^2 + p < 2^15, int64 or Python integers beyond, as above.
+
 Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
 every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
 integer a double holds exactly), int64 while n (p-1)^2 < 2^63, Python
-integers beyond.  This is the exact-over-floating-point idea of FFLAS-FFPACK
-(Dumas, Giorgi, Pernet, ACM TOMS 2008).
+integers beyond.  Products mod p, matmul_mod, follow the same rule with
+bound k (p-1)^2 for inner dimension k.  Delayed reduction and exact
+floating-point products are the ideas of FFLAS-FFPACK (Dumas, Giorgi,
+Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,8 +149,19 @@ def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # Row reduction and derived solvers.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _inv_table(p: int) -> np.ndarray:
+    """Read-only int16 table of the inverses mod p < 2^15, indexed by residue; 0 maps to 0."""
+    table = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int16)
+    table.flags.writeable = False
+    return table
+
+
 def _inv_array(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of nonzero residues mod p, x^(p-2) by square-and-multiply."""
+    """Elementwise inverse of residues mod p, 0 mapping to 0: a table lookup for p < 2^15,
+    x^(p-2) by square-and-multiply beyond."""
+    if p < 1 << 15:
+        return _inv_table(p)[x]
     out = np.ones_like(x)
     e = p - 2
     while True:
@@ -156,7 +178,7 @@ def _exact_dtype(bound: int) -> type:
     return np.int64 if bound < 1 << 63 else object
 
 
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack of matrices, shape (..., r, c).
 
     Pivots are chosen leftmost-column-first and, within a column, the first
@@ -165,37 +187,62 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     columns: row i of a matrix holds the pivot in pivots[..., i], -1 from its
     rank on.  The arithmetic is exact for every p: int64 while every product
     of two residues fits, (p-1)^2 < 2^63, Python integers beyond.
+
+    With rank_only the pivots are the same, but only forward elimination
+    runs, with delayed reduction (see the module docstring), and the
+    returned stack is scratch: neither reduced nor mod p.
     """
     a = np.asarray(a)
     lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
-    a = a.reshape(int(np.prod(lead)), n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2)) % p
-    pivots = np.full((a.shape[0], n_rows), -1, dtype=np.int64)
-    rank = np.zeros(a.shape[0], dtype=np.int64)
-    row_idx = np.arange(n_rows)[None, :]
+    count = math.prod(lead)
+    a = a.reshape(count, n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2), copy=False) % p
+    dtype = a.dtype
+    if rank_only:
+        bound = min(n_rows, n_cols) * (p - 1) ** 2 + p
+        dtype = np.int16 if bound < 1 << 15 else _exact_dtype(bound)
+    # (r, c, batch): the batch axis is the inner loop of every row operation
+    a = a.transpose(1, 2, 0).astype(dtype, order="C")
+    pivots = np.full((n_rows, count), -1, dtype=np.int64)
+    rank = np.zeros(count, dtype=np.int64)
+    row_idx = np.arange(n_rows)[:, None]
+    lo = 0 if count else n_rows  # rows above lo hold a pivot in every matrix
     for c in range(n_cols):
-        if (rank == n_rows).all():
+        if lo == n_rows:
             break
-        cand = (a[:, :, c] != 0) & (row_idx >= rank[:, None])
+        # column c mod p, zeroed in the rows that hold a pivot
+        col = a[lo:, c] % p * (row_idx[lo:] >= rank)
         # the matrices with a pivot in column c, their next pivot row r and the row i that moves there
-        ks = np.flatnonzero(cand.any(axis=1))
+        ks = col.any(axis=0).nonzero()[0]
         if ks.size == 0:
             continue
-        r, i = rank[ks], cand[ks].argmax(axis=1)
+        # the same matrices as a slice when they are all of them: views, not copies
+        some = slice(None) if ks.size == count else ks
+        r, i = rank[ks], (col[:, some] != 0).argmax(axis=0) + lo
         # every row from r down is zero left of column c, so only columns c: change
-        row = a[ks, i, c:]
-        a[ks, i, c:] = a[ks, r, c:]
-        row = row * _inv_array(row[:, 0], p)[:, None] % p
-        # eliminating column c from every row also clears row r, which then takes the pivot row
-        a[ks, :, c:] = (a[ks, :, c:] - a[ks, :, c:c + 1] * row[:, None, :]) % p
-        a[ks, r, c:] = row
-        pivots[ks, r] = c
-        rank[ks] += 1
-    return a.reshape(*lead, n_rows, n_cols), pivots.reshape(*lead, n_rows)
+        row = np.ascontiguousarray(a[i, c:, ks].T)
+        if rank_only:
+            # rows from r down take f * row with f and row in [0, p), so nothing is reduced
+            row %= p
+            f = col[:, some] * _inv_array(row[0], p) % p
+            a[lo:, c + 1:, some] -= f[:, None] * row[1:]
+        else:
+            row = row * _inv_array(row[0], p) % p
+            # row r is zero in column c unless it is row i, which this clears
+            a[:, c:, some] = (a[:, c:, some] - a[:, c:c + 1, some] * row) % p
+        # row i takes the row r it displaces; rank_only never reads row r again
+        if (i != r).any():
+            a[i, c:, ks] = a[r, c:, ks]
+        if not rank_only:
+            a[r, c:, ks] = row.T
+        pivots[r, ks] = c
+        rank[some] += 1
+        lo = lo + 1 if ks.size == count else rank.min()
+    return a.transpose(2, 0, 1).reshape(*lead, n_rows, n_cols), pivots.T.reshape(*lead, n_rows)
 
 
 def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks mod p of a stack of matrices, shape (..., r, c) -> (...)."""
-    return (_rref(a, p)[1] >= 0).sum(axis=-1)
+    return (_rref(a, p, rank_only=True)[1] >= 0).sum(axis=-1)
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:
@@ -266,12 +313,19 @@ def orth_complement(vs: np.ndarray, p: int) -> np.ndarray:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue arrays, with numpy's matmul broadcasting.
 
-    Exact for every p: int64 while each row-by-column sum, at most
-    k (p-1)^2 for inner dimension k, stays below 2^63, Python integers
-    beyond.  The result is int64 unless p itself exceeds int64.
+    Exact for every p: float64 BLAS while each row-by-column sum, at most
+    k (p-1)^2 for inner dimension k, stays below 2^53, int64 while it stays
+    below 2^63, Python integers beyond.  The result is int64 unless p
+    itself exceeds int64.
     """
     a, b = np.asarray(a), np.asarray(b)
-    dtype = _exact_dtype(a.shape[-1] * (p - 1) ** 2)
+    bound = a.shape[-1] * (p - 1) ** 2
+    if bound < 1 << 53:
+        # every sum is an integer a double holds exactly; int64 % is faster than float %
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
+    dtype = _exact_dtype(bound)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % p
     return out if p > 1 << 63 else out.astype(np.int64, copy=False)
 

@@ -146,6 +146,11 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
+def _check_int64_field(ctx: FieldCtx) -> None:
+    if ctx.p >= 1 << 63:
+        raise ValueError(f"quadratic bases need p < 2^63, whose residues fit the int64 basis array; got p = {ctx.p}")
+
+
 @dataclass(frozen=True, eq=False)
 class HighRankBasis:
     """n symmetric n x n matrices, every nonzero combination of full rank n.
@@ -160,6 +165,7 @@ class HighRankBasis:
 
     def __post_init__(self) -> None:
         p, n = self.ctx.p, self.n
+        _check_int64_field(self.ctx)
         mats = np.asarray(self.mats)
         if mats.shape != (n, n, n) or mats.dtype.kind not in "iuO":
             raise ValueError(f"expected an ({n}, {n}, {n}) integer array of matrices")
@@ -202,6 +208,7 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_int64_field(ctx)
     p = ctx.p
     poly = build_irreducible(ctx, n)
     f = list(poly.coeffs)
@@ -238,8 +245,8 @@ def check_high_rank(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     p, n = basis.ctx.p, basis.n
-    # combinations are ranked in batches of about 2^16 matrix entries
-    batch = max(1, (1 << 16) // (n * n))
+    # combinations are ranked in batches of about 2^17 matrix entries
+    batch = max(1, (1 << 17) // (n * n))
     flat = basis.mats.reshape(n, n * n)
 
     def failing(lams: np.ndarray) -> np.ndarray:

@@ -177,6 +177,8 @@ MISUSE = [
     ([], {}),
     (["basis", "--p", "3", "--n", "3"], {"VC2LAB_THREADS": "0"}),
     (["br-bound", "--r", "2"], {"VC2LAB_THREADS": "x"}),
+    # a prime FieldCtx accepts whose residues overflow the int64 basis array
+    (["basis", "--p", "9223372036854775837", "--n", "2"], {}),
 ]
 
 
@@ -191,3 +193,5 @@ def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv,
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    # a bad environment variable is named
+    assert all(key in out.err for key in env)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -187,6 +188,59 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
         assert one.tolist() == want and one_piv.tolist() == pivots[k].tolist()
 
 
+# 181 runs the rank mode in int16 at min(r, c) = 1 (180^2 + 181 < 2^15) and in int64 from 2 on; 191 never in int16
+@given(p=st.sampled_from([3, 5, 181, 191, BIG_P]), rows=st.integers(0, 7), cols=st.integers(0, 7),
+       rank_deficient=st.booleans(), batch=st.integers(0, 6), seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_rank_mode_matches_scalar_reference(p, rows, cols, rank_deficient, batch, seed):
+    rnd = random.Random(seed)
+    mats = [_reference_matrix(rnd, p, (rows, cols), rank_deficient) for _ in range(batch)]
+    stack = np.array(mats, dtype=np.int64).reshape(batch, rows, cols)
+    scratch, pivots = _rref(stack, p, rank_only=True)
+    ranks = _rank_array(stack, p)
+    assert scratch.shape == (batch, rows, cols) and pivots.shape == (batch, rows) and ranks.shape == (batch,)
+    for k, m in enumerate(mats):
+        want_piv = _rref_reference(m, p)[1]
+        assert pivots[k].tolist() == want_piv + [-1] * (rows - len(want_piv))
+        assert ranks[k] == len(want_piv) == mat_rank(stack[k], p)
+
+
+@pytest.mark.parametrize("size", [9, 31, 40])
+def test_rank_mode_drift_at_p3(size):
+    # up to 40 pivots of unreduced updates; low-rank products B C and full random matrices in one batch
+    rnd = np.random.default_rng(size)
+    mats = [rnd.integers(0, 3, (size, k)) @ rnd.integers(0, 3, (k, size)) % 3 for k in range(0, size + 1, 4)]
+    mats += [np.full((size, size), 2), rnd.integers(0, 3, (size, size))]
+    ranks = _rank_array(np.array(mats), 3)
+    assert ranks.tolist() == [len(_rref_reference(m.tolist(), 3)[1]) for m in mats]
+
+
+def test_rank_mode_drift_at_p181():
+    # rank-3 products of factors with entries 1 and p - 1: updates near 180^2 pile up past the int16 range
+    # (int16 gives a wrong rank for a few of these 300), and the rank drops to 3 only if every entry is exact
+    rnd = np.random.default_rng(181)
+    mats = rnd.choice([1, 180], size=(300, 4, 3)) @ rnd.choice([1, 180], size=(300, 3, 4)) % 181
+    assert _rank_array(mats, 181).tolist() == [len(_rref_reference(m.tolist(), 181)[1]) for m in mats]
+
+
+def test_rank_mode_dtype():
+    # the smallest exact dtype: int16 while min(r, c) (p-1)^2 + p < 2^15, then int64, then Python ints
+    for p, shape, dtype in [(3, (40, 40), np.int16), (181, (1, 9), np.int16), (181, (9, 1), np.int16),
+                            (181, (2, 9), np.int64), (191, (1, 9), np.int64), (BIG_P, (2, 3), object)]:
+        assert _rref(np.ones(shape, dtype=np.int64), p, rank_only=True)[0].dtype == dtype
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0)])
+@pytest.mark.parametrize("p", [3, BIG_P])
+def test_empty_stacks(shape, p):
+    a = np.zeros(shape, dtype=np.int64)
+    ranks = _rank_array(a, p)
+    assert ranks.shape == shape[:-2] and not ranks.any()
+    for rank_only in (False, True):
+        out, pivots = _rref(a, p, rank_only=rank_only)
+        assert out.shape == shape and pivots.shape == shape[:-1] and (pivots == -1).all()
+
+
 @given(p=primes, n=st.integers(1, 5), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(p, n, seed):
@@ -355,3 +409,34 @@ def test_matmul_mod_matches_python_ints(p, lead, m, k, r, seed):
             for mat in (a.tolist() if lead else [a.tolist()])]
     assert got.dtype == np.int64
     assert (got.tolist() if lead else [got.tolist()]) == want
+
+
+def _largest_odd_sum(k, p):
+    """(k-1)(p-1)^2 + (p-2)^2: the largest odd row-by-column sum over k residues, which float64 rounds past 2^53."""
+    return (k - 1) * (p - 1) ** 2 + (p - 2) ** 2
+
+
+def _float64_boundary_primes(k):
+    """The largest prime p with k (p-1)^2 < 2^53, inside matmul_mod's float64 limit, and the smallest
+    prime whose largest odd sum reaches 2^53."""
+    q = math.isqrt(((1 << 53) - 1) // k)  # the largest p - 1 inside the limit
+    below = next(m for m in range(q + 1, 2, -1) if _is_prime(m))
+    above = next(m for m in range(q + 2, 4 * q) if _is_prime(m) and _largest_odd_sum(k, m) >= 1 << 53)
+    assert k * (below - 1) ** 2 < 1 << 53 <= _largest_odd_sum(k, above)
+    return below, above
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 31, 1000])
+def test_matmul_mod_at_float64_limit(k):
+    rnd = random.Random(k)
+    for p in _float64_boundary_primes(k):
+        # the first row and column reach the largest odd sum, the rest are random residues
+        a = _residues(rnd, p, (3, k))
+        b = _residues(rnd, p, (k, 2))
+        a[0], b[:, 0] = p - 1, p - 1
+        a[0, -1] = b[-1, 0] = p - 2
+        assert int(a[0] @ b[:, 0]) == _largest_odd_sum(k, p)
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()]
+                                for row in a.tolist()]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vc2lab.fp import FieldCtx, _rank_array
+from vc2lab.fp import FieldCtx, _rank_array, _rref, ranks_to_digits
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
@@ -134,6 +134,26 @@ def test_high_rank_failure_witness():
         assert check_high_rank(bad, mode="sampled", count=50, seed=0, threads=threads).coords == (1, 1)
 
 
+def test_planted_failure_same_witness_in_every_mode():
+    # n = 9 trace matrices with M_1 replaced so that the combination planted = (1, 2, 0, 1, 0, 0, 2, 1, 1)
+    # is the rank-1 matrix v v^T; other combinations with a nonzero first coefficient may fail too
+    p, n = 3, 9
+    mats = build_trace_basis(ctx3, n).mats.copy()
+    planted = np.array([1, 2, 0, 1, 0, 0, 2, 1, 1])
+    v = np.array([1, 0, 2, 2, 1, 0, 1, 1, 2])
+    mats[0] = (np.outer(v, v) - np.tensordot(planted[1:], mats[1:], axes=1)) % p
+    bad = HighRankBasis(ctx3, n, build_irreducible(ctx3, n), mats)
+    assert _rank_array(np.tensordot(planted, bad.mats, axes=1) % p, p) == 1
+    # reference: the first failing combination in rank order, ranked by the full reduction
+    lams = ranks_to_digits(np.arange(1, p ** n), p, n)
+    _, pivots = _rref((lams @ bad.mats.reshape(n, -1) % p).reshape(-1, n, n), p)
+    want = tuple(int(x) for x in lams[np.flatnonzero((pivots >= 0).sum(axis=-1) < n)[0]])
+    assert check_high_rank(bad, mode="exhaustive").coords == want
+    # 10^5 draws from the 3^9 - 1 nonzero combinations miss a given one with probability e^-5
+    for threads in (1, 2):
+        assert check_high_rank(bad, mode="sampled", count=100_000, seed=0, threads=threads).coords == want
+
+
 def test_exhaustive_limit_enforced():
     b = build_trace_basis(ctx3, 13)
     with pytest.raises(ValueError):
@@ -202,3 +222,12 @@ def test_check_high_rank_rejects_fewer_than_one_thread():
     for threads in (0, -1):
         with pytest.raises(ValueError, match="threads"):
             check_high_rank(b, mode="sampled", count=10, threads=threads)
+
+
+def test_basis_rejects_p_beyond_int64():
+    # 2^63 + 29 is a prime FieldCtx accepts, but its residues overflow the int64 basis array
+    big = FieldCtx(9223372036854775837)
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_trace_basis(big, 2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        HighRankBasis(big, 1, IrreduciblePoly(big, (0, 1)), np.array([[[big.p - 1]]], dtype=object))
