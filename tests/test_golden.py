@@ -1,4 +1,5 @@
-"""Pinned output bytes: seed-0 vc2-verify, vc-dim and basis certificates and two reports must not change.
+"""Pinned output bytes: seed-0 vc2-verify, vc-dim, shatter-check and basis certificates, a
+construction file and two reports must not change.
 
 A change to the search, the kernels or the serialization that alters any
 witness shows up here as a digest mismatch.
@@ -27,6 +28,17 @@ def test_seed0_certificate_digest(tmp_path, capsys, k, p, n, threads):
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN[(k, p, n)]
 
 
+CONSTRUCTION_GOLDEN = "ff8e74f905a1d6c31fe19d730ff03008d45744ed717a31fb16a90254ef64aeb1"
+
+
+def test_construction_file_digest(tmp_path, capsys):
+    cons = tmp_path / "construction.json"
+    code = main(["vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--construction", str(cons)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(cons.read_bytes()).hexdigest() == CONSTRUCTION_GOLDEN
+
+
 VCDIM_GOLDEN = {
     ("gs", 3, 3): "bea45cdf67626731e8916f026d1285c6413a5a61c9e29c680e76b39c35c2b039",
     ("gs", 3, 4): "6fd302b754eea76fcc9dec267017f2e19240628afe669bdb8f2b4f79ae4c1f39",
@@ -45,6 +57,18 @@ def test_vc_dim_certificate_digest(tmp_path, capsys, which, p, n):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == VCDIM_GOLDEN[(which, p, n)]
+
+
+# the points carry out-of-range coordinates, which the certificate records reduced mod p
+SHATTER_GOLDEN = "fadbcd632cd80d75744be08a60e876ae975c71505ed286dee9680d5e7b1b4bbd"
+
+
+def test_shatter_check_certificate_digest(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    code = main(["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0;0 1 -1;3 2 4", "--cert", str(cert)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == SHATTER_GOLDEN
 
 
 BASIS_GOLDEN = "89b81b33dc66eb72e1550c917175dbb1f54b93e3788ae1971cf036a6e8b8f4d0"
