@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from vc2lab.fp import FieldCtx, FpVector
+from vc2lab.fp import FieldCtx
 from vc2lab.gs import GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import QuadShatterCertificate, exhaustive_z_finder, vc2_shatters, vc_dim
@@ -28,8 +28,7 @@ def cmd_vc(args) -> int:
     res = vc_dim(a, k_max=args.k_max)
     print(f"vc-dim({args.set}, p={args.p}, n={args.n}) = {res.dim}")
     if res.certificate:
-        pts = [list(v.coords) for v in res.certificate.S]
-        print(f"witness set: {pts}")
+        print(f"witness set: {res.certificate.S.tolist()}")
     return 0
 
 
@@ -37,18 +36,16 @@ def cmd_vc2_random(args) -> int:
     ctx = FieldCtx(args.p)
     a = GsSet(ctx, args.n) if args.set == "gs" else QgsSet(build_trace_basis(ctx, args.n))
     rng = np.random.default_rng(args.seed)
-    zero = FpVector(ctx, (0,) * args.n)
+    zero = np.zeros((1, args.n), dtype=np.int64)
     best = None
     for trial in range(args.tries):
-        xs = [zero] + [FpVector(ctx, tuple(int(c) for c in rng.integers(0, args.p, args.n)))
-                       for _ in range(args.k - 1)]
-        ys = [zero] + [FpVector(ctx, tuple(int(c) for c in rng.integers(0, args.p, args.n)))
-                       for _ in range(args.k - 1)]
+        xs = np.vstack([zero] + [rng.integers(0, args.p, args.n) for _ in range(args.k - 1)])
+        ys = np.vstack([zero] + [rng.integers(0, args.p, args.n) for _ in range(args.k - 1)])
         res = vc2_shatters(a, xs, ys, exhaustive_z_finder(a, xs, ys))
         if isinstance(res, QuadShatterCertificate):
             print(f"trial {trial}: shattered pair found")
-            print(f"  X = {[list(v.coords) for v in xs]}")
-            print(f"  Y = {[list(v.coords) for v in ys]}")
+            print(f"  X = {xs.tolist()}")
+            print(f"  Y = {ys.tolist()}")
             return 0
         best = res if best is None or res.map_index > best.map_index else best
     deepest = -1 if best is None else best.map_index

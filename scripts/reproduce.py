@@ -15,8 +15,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from vc2lab import certs
-from vc2lab.fp import FieldCtx, basis_vector
+from vc2lab.fp import FieldCtx
 from vc2lab.gs import GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis, check_high_rank
 from vc2lab.shatter import QuadShatterCertificate, vc2_shatters, vc_dim
@@ -73,7 +75,7 @@ def main() -> int:
     st = Step("atom census at p=3, n=9 (l=2, q=2)")
     ctx3 = FieldCtx(3)
     basis9 = build_trace_basis(ctx3, 9)
-    factor = QuadraticFactor((basis_vector(ctx3, 9, 0), basis_vector(ctx3, 9, 1)), (1, 2))
+    factor = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
     census = atom_census(factor, basis9, check_bound=True)
     st.done(f"{len(census)} atoms, sizes {min(census.values())}..{max(census.values())}")
 

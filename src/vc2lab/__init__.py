@@ -1,6 +1,6 @@
 """VC- and VC2-dimension computations for Green-Sanders sets over F_p^n."""
 
-from .fp import FieldCtx, FpVector, basis_vector, mat_rank, orth_complement, solve_affine
+from .fp import FieldCtx, as_points, mat_rank, orth_complement, solve_affine
 from .highrank import HighRankBasis, IrreduciblePoly, build_irreducible, build_trace_basis, check_high_rank
 from .gs import ExplicitSet, GsSet, QgsSet
 from .shatter import (

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, add_mod
+from .fp import FieldCtx, add_mod
 from .gs import ExplicitSet, GsSet, QgsSet
 from .highrank import build_trace_basis
 from .shatter import QuadShatterCertificate, ShatterCertificate
@@ -73,50 +73,49 @@ def oracle_from_spec(spec: dict, p: int, n: int):
 
 
 def shatter_certificate_doc(cert: ShatterCertificate, a) -> dict:
-    p = cert.S[0].ctx.p
-    n = cert.S[0].n
+    """The document of a certificate found for the set a."""
     return {
         "kind": "shatter",
-        "p": p,
-        "n": n,
+        "p": a.p,
+        "n": a.n,
         "set": oracle_spec(a),
-        "S": [list(v.coords) for v in cert.S],
+        "S": cert.S.tolist(),
         "witnesses": [
-            {"pattern": mask, "y": list(y.coords)} for mask, y in enumerate(cert.witnesses)
+            {"pattern": mask, "y": y} for mask, y in enumerate(cert.witnesses.tolist())
         ],
     }
 
 
 def quad_certificate_doc(cert: QuadShatterCertificate, a) -> dict:
-    p = cert.X[0].ctx.p
-    n = cert.X[0].n
+    """The document of a certificate found for the set a."""
     return {
         "kind": "vc2",
-        "p": p,
-        "n": n,
+        "p": a.p,
+        "n": a.n,
         "set": oracle_spec(a),
-        "X": [list(v.coords) for v in cert.X],
-        "Y": [list(v.coords) for v in cert.Y],
+        "X": cert.X.tolist(),
+        "Y": cert.Y.tolist(),
         "witnesses": [
-            {"phi": idx, "z": list(z.coords)} for idx, z in enumerate(cert.witnesses)
+            {"phi": idx, "z": z} for idx, z in enumerate(cert.witnesses.tolist())
         ],
     }
 
 
-def _vec(ctx: FieldCtx, coords, n: int) -> FpVector:
-    coords = [int(c) for c in coords]
+def _vec(p: int, coords, n: int) -> np.ndarray:
+    """One point of a document as an int64 row, each coordinate reduced as a Python integer."""
+    coords = [int(c) % p for c in coords]
     if len(coords) != n:
         raise ValueError("coordinate length mismatch")
-    return FpVector(ctx, tuple(coords))
+    return np.array(coords, dtype=np.int64)
 
 
 def _open(doc: dict):
-    """The field, the dimension and the rebuilt oracle of a certificate."""
+    """p, n and the rebuilt oracle of a certificate."""
     p, n = int(doc["p"]), int(doc["n"])
     if p >= P_BOUND:
         raise LimitExceeded("p exceeds the verifier's limit p < 2^63")
-    ctx = FieldCtx(p)
-    return ctx, n, oracle_from_spec(doc["set"], p, n)
+    FieldCtx(p)  # p must be an odd prime before the set description is read
+    return p, n, oracle_from_spec(doc["set"], p, n)
 
 
 def _replay(a, base: np.ndarray, witnesses, parse, mismatch) -> CheckResult | None:
@@ -158,8 +157,8 @@ def _replay(a, base: np.ndarray, witnesses, parse, mismatch) -> CheckResult | No
 
 
 def _verify_shatter(doc: dict) -> CheckResult:
-    ctx, n, a = _open(doc)
-    s = [_vec(ctx, row, n) for row in doc["S"]]
+    p, n, a = _open(doc)
+    s = [_vec(p, row, n) for row in doc["S"]]
     k = len(s)
     if not 1 <= k <= 20:
         return CheckResult(False, "set size out of range")
@@ -171,9 +170,9 @@ def _verify_shatter(doc: dict) -> CheckResult:
             return CheckResult(False, f"pattern {mask} out of range")
         if mask in seen:
             return CheckResult(False, f"pattern {mask} appears twice")
-        y = _vec(ctx, w["y"], n)
+        y = _vec(p, w["y"], n)
         seen.add(mask)
-        return mask, y.coords
+        return mask, y
 
     def mismatch(masks, verdicts):
         actual = verdicts @ (1 << np.arange(k))
@@ -182,8 +181,7 @@ def _verify_shatter(doc: dict) -> CheckResult:
             return CheckResult(False, f"witness for pattern {masks[bad[0]]} realizes {actual[bad[0]]}")
         return None
 
-    s_arr = np.stack([v.as_array() for v in s])
-    failure = _replay(a, s_arr, doc["witnesses"], parse, mismatch)
+    failure = _replay(a, np.stack(s), doc["witnesses"], parse, mismatch)
     if failure is not None:
         return failure
     if len(seen) != 1 << k:
@@ -192,17 +190,17 @@ def _verify_shatter(doc: dict) -> CheckResult:
 
 
 def _verify_vc2(doc: dict) -> CheckResult:
-    ctx, n, a = _open(doc)
-    x = [_vec(ctx, row, n) for row in doc["X"]]
-    y = [_vec(ctx, row, n) for row in doc["Y"]]
+    p, n, a = _open(doc)
+    x = [_vec(p, row, n) for row in doc["X"]]
+    y = [_vec(p, row, n) for row in doc["Y"]]
     k = len(x)
     if len(y) != k or not 1 <= k <= 3:
         return CheckResult(False, "grid size invalid")
-    if not (x[0].is_zero() and y[0].is_zero()):
+    if x[0].any() or y[0].any():
         return CheckResult(False, "x_0 and y_0 must be zero")
     # the cells x_i + y_j as one (k*k, n) block, cell (i, j) in row i*k + j
-    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
-    grid = add_mod(xs[:, None, :], ys[None, :, :], ctx.p).reshape(k * k, n)
+    xs, ys = np.stack(x), np.stack(y)
+    grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
     seen = set()
 
     def parse(w):
@@ -211,9 +209,9 @@ def _verify_vc2(doc: dict) -> CheckResult:
             return CheckResult(False, f"map index {idx} out of range")
         if idx in seen:
             return CheckResult(False, f"map index {idx} appears twice")
-        z = _vec(ctx, w["z"], n)
+        z = _vec(p, w["z"], n)
         seen.add(idx)
-        return idx, z.coords
+        return idx, z
 
     def mismatch(idxs, verdicts):
         # ContainmentMap.from_index: bit i*k + j of the index set means cell (i, j) lies outside

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import certs
 from .factor import (
     QuadraticFactor,
@@ -27,7 +29,7 @@ from .factor import (
     forced_zero_probe,
     realize_map,
 )
-from .fp import FieldCtx, FpVector, basis_vector
+from .fp import FieldCtx, as_points
 from .gs import GsSet, QgsSet
 from .highrank import build_trace_basis, check_high_rank
 from .ramsey import BipartiteColouring, br_upper_bound, find_mono_biclique, random_colouring
@@ -132,7 +134,7 @@ def _cmd_basis(cfg: RunConfig) -> RunReport:
         command="basis",
         params={"p": cfg.p, "n": cfg.n, "mode": mode},
         outcome="pass" if ok else "fail",
-        value=None if ok else list(witness.coords),
+        value=None if ok else witness.tolist(),
         certificate=path,
         seed=cfg.seed,
         details=[["basis", cfg.p, cfg.n, mode, "pass" if ok else "fail"]],
@@ -156,20 +158,15 @@ def _cmd_vc_dim(cfg: RunConfig) -> RunReport:
     )
 
 
-def _parse_points(text: str, ctx: FieldCtx) -> list[FpVector]:
-    pts = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        coords = [int(t) for t in part.replace(",", " ").split()]
-        pts.append(FpVector(ctx, tuple(coords)))
-    return pts
+def _parse_points(text: str, p: int, n: int) -> np.ndarray:
+    """Semicolon-separated points of n coordinates each, as an (m, n) array of residues."""
+    rows = [[int(t) for t in part.replace(",", " ").split()] for part in text.split(";") if part.strip()]
+    return as_points(rows, p, n)
 
 
 def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
     a = _oracle(cfg)
-    pts = _parse_points(cfg.extra["points"], FieldCtx(cfg.p))
+    pts = _parse_points(cfg.extra["points"], cfg.p, cfg.n)
     result = shatters(a, pts, threads=cfg.threads)
     if isinstance(result, ShatterCertificate):
         path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(result, a))
@@ -240,10 +237,7 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
     ctx = FieldCtx(cfg.p)
     basis = build_trace_basis(ctx, cfg.n)
     l, q = cfg.extra.get("l", 2), cfg.extra.get("q", 2)
-    factor = QuadraticFactor(
-        tuple(basis_vector(ctx, cfg.n, i) for i in range(l)),
-        tuple(range(1, q + 1)),
-    )
+    factor = QuadraticFactor(ctx, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1)))
     census = atom_census(factor, basis, check_bound=True)
     sizes = sorted(census.values())
     return RunReport(

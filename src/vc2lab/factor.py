@@ -12,6 +12,9 @@ values cell-by-cell reduces "realize this containment map" to "find a point
 in a prescribed atom".  The prescriptions live in case tables below, keyed
 by the shape of the map after grid symmetries (swapping the two nonzero x
 indices, the two nonzero y indices, or the roles of X and Y).
+
+Points, point sets and linear forms are int64 arrays of residues, one per
+row (see fp.as_points); the dataclasses below hold them read-only.
 """
 
 from __future__ import annotations
@@ -24,19 +27,18 @@ import numpy as np
 
 from .fp import (
     FieldCtx,
-    FpVector,
     add_mod,
     affine_solver,
+    as_points,
     derive_rng,
     digits_to_ranks,
+    freeze_points,
     iter_group_chunks,
     mat_rank,
     matmul_mod,
     orth_complement,
     quad_forms,
-    random_vector,
     ranks_to_digits,
-    vector_from_rank,
 )
 from .gs import QgsSet, cross_terms
 from .highrank import HighRankBasis
@@ -50,30 +52,28 @@ ATOM_SAMPLE_BATCH = 1 << 11  # first batch; later batches grow geometrically
 ATOM_EVAL_CHUNK = 1 << 12  # candidate rows evaluated at once, which bounds peak memory
 
 
-def _rows(vs: Sequence[FpVector], n: int) -> np.ndarray:
-    """Points as the rows of an (m, n) int64 array."""
-    return np.array([v.coords for v in vs], dtype=np.int64).reshape(len(vs), n)
-
-
-def _points(ctx: FieldCtx, rows) -> tuple[FpVector, ...]:
-    """The rows of an array or of nested lists as points."""
-    return tuple(FpVector(ctx, tuple(int(c) for c in row)) for row in rows)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticFactor:
-    """Joint level-set partition data: linear forms plus quadratic form indices."""
+    """Joint level-set partition data over ctx: linear forms plus quadratic form indices.
 
-    linear_polys: tuple[FpVector, ...]
+    linear_polys holds one form per row, an (l, n) array (l may be 0); the
+    factor keeps a read-only copy reduced mod p.
+    """
+
+    ctx: FieldCtx
+    linear_polys: np.ndarray
     quad_indices: tuple[int, ...]  # 1-based indices into the basis matrices
 
     def __post_init__(self) -> None:
         if len(set(self.quad_indices)) != len(self.quad_indices):
             raise ValueError("quadratic indices must be distinct")
-        if self.linear_polys:
-            a = np.stack([v.as_array() for v in self.linear_polys])
-            if mat_rank(a, self.linear_polys[0].ctx.p) != len(self.linear_polys):
-                raise ValueError("linear polynomials must be independent")
+        lin = np.asarray(self.linear_polys)
+        if lin.ndim != 2:
+            raise ValueError("linear polynomials must be the rows of an (l, n) array")
+        lin = as_points(lin, self.ctx.p, lin.shape[1])
+        if len(lin) and mat_rank(lin, self.ctx.p) != len(lin):
+            raise ValueError("linear polynomials must be independent")
+        object.__setattr__(self, "linear_polys", lin)
 
     @property
     def complexity(self) -> int:
@@ -86,7 +86,7 @@ class QuadraticFactor:
         Row-reduced once per factor; a concurrent first use computes the same
         arrays twice, which is harmless.
         """
-        return affine_solver(np.stack([v.as_array() for v in self.linear_polys]), self.linear_polys[0].ctx.p)
+        return affine_solver(self.linear_polys, self.ctx.p)
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,16 @@ def _check_factor(f: QuadraticFactor, basis: HighRankBasis) -> None:
     for t in f.quad_indices:
         if not 1 <= t <= basis.n:
             raise ValueError(f"quadratic index {t} outside [1, {basis.n}]")
-    for v in f.linear_polys:
-        if v.n != basis.n or v.ctx != basis.ctx:
-            raise ValueError("linear polynomial dimension mismatch")
+    if f.ctx != basis.ctx or f.linear_polys.shape[1] != basis.n:
+        raise ValueError("linear polynomial dimension mismatch")
 
 
-def atom_label(f: QuadraticFactor, basis: HighRankBasis, x: FpVector) -> AtomLabel:
-    """Evaluate the factor's polynomials at x, linear then quadratic."""
+def atom_label(f: QuadraticFactor, basis: HighRankBasis, x) -> AtomLabel:
+    """Evaluate the factor's polynomials at the point x, linear then quadratic."""
     _check_factor(f, basis)
     q = QgsSet(basis)
-    lin = tuple(v.dot(x) for v in f.linear_polys)
+    x = as_points([x], q.p, q.n)[0]
+    lin = tuple(int(v) for v in matmul_mod(f.linear_polys, x, q.p))
     quad = tuple(q.eval_q(t, x) for t in f.quad_indices)
     return AtomLabel(lin + quad)
 
@@ -120,7 +120,7 @@ def find_in_atom(
     label: AtomLabel,
     seed: int = 0,
     budget: int = ATOM_SAMPLE_BUDGET,
-) -> FpVector:
+) -> np.ndarray:
     """A point whose label matches, by solving the linear part then searching.
 
     The linear constraints yield an affine subspace part + span(N); it is
@@ -132,7 +132,7 @@ def find_in_atom(
     guaranteed, and n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
     _check_factor(f, basis)
-    ctx, n, p = basis.ctx, basis.n, basis.ctx.p
+    n, p = basis.n, basis.ctx.p
     d = f.complexity
     if 2 * d >= n:
         raise ValueError("nonemptiness not guaranteed: complexity must be < n/2")
@@ -152,13 +152,13 @@ def find_in_atom(
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
     reduced = lifted @ mats % p @ lifted.T % p
 
-    def first_hit(alphas: np.ndarray) -> FpVector | None:
+    def first_hit(alphas: np.ndarray) -> np.ndarray | None:
         for lo in range(0, alphas.shape[0], ATOM_EVAL_CHUNK):
             chunk = alphas[lo:lo + ATOM_EVAL_CHUNK]
             coords = np.hstack([chunk, np.ones((chunk.shape[0], 1), dtype=np.int64)])
             idx = np.flatnonzero((quad_forms(coords, reduced, p) == quad_target).all(axis=1))
             if idx.size:
-                return FpVector(ctx, tuple(int(c) for c in (part + chunk[idx[0]] @ nb) % p))
+                return (part + chunk[idx[0]] @ nb) % p
         return None
 
     if p ** dim <= ATOM_EXHAUST_LIMIT:
@@ -192,13 +192,11 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = Tr
     if p ** n > 10 ** 7:
         raise ValueError("group too large for an exhaustive census")
     d = f.complexity
-    l = len(f.linear_polys)
-    lin = np.stack([v.as_array() for v in f.linear_polys]) if l else np.zeros((0, n), dtype=np.int64)
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for _, block in iter_group_chunks(p, n):
-        labels = np.concatenate([block @ lin.T % p, quad_forms(block, mats, p)], axis=1)
+        labels = np.concatenate([block @ f.linear_polys.T % p, quad_forms(block, mats, p)], axis=1)
         counts += np.bincount(labels @ mult, minlength=p ** d)
     if check_bound:
         expect = p ** (n - d)
@@ -219,18 +217,24 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = Tr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShatterPairConstruction:
-    """Points X, Y with vanishing cross-terms plus the factor that steers shifts."""
+    """Points X, Y with vanishing cross-terms plus the factor that steers shifts.
+
+    X, Y and the spanning rows of H_x and H* are read-only point arrays.
+    """
 
     k: int
-    X: tuple[FpVector, ...]
-    Y: tuple[FpVector, ...]
+    X: np.ndarray
+    Y: np.ndarray
     factor: QuadraticFactor
     basis: HighRankBasis
     seed: int
-    h_x: tuple[FpVector, ...]
-    h_star: tuple[FpVector, ...]
+    h_x: np.ndarray
+    h_star: np.ndarray
+
+    def __post_init__(self) -> None:
+        freeze_points(self, "X", "Y", "h_x", "h_star")
 
 
 def _verify_construction(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> bool:
@@ -259,15 +263,15 @@ def construction_doc(c: ShatterPairConstruction) -> dict:
         "k": c.k,
         "seed": c.seed,
         "poly": list(c.basis.poly.coeffs),
-        "X": [list(v.coords) for v in c.X],
-        "Y": [list(v.coords) for v in c.Y],
+        "X": c.X.tolist(),
+        "Y": c.Y.tolist(),
         "factor": {
-            "linear": [list(v.coords) for v in c.factor.linear_polys],
+            "linear": c.factor.linear_polys.tolist(),
             "quad": list(c.factor.quad_indices),
         },
         "provenance": {
-            "h_x": [list(v.coords) for v in c.h_x],
-            "h_star": [list(v.coords) for v in c.h_star],
+            "h_x": c.h_x.tolist(),
+            "h_star": c.h_star.tolist(),
         },
     }
 
@@ -282,15 +286,15 @@ def construction_from_doc(doc: dict) -> ShatterPairConstruction:
     basis = build_trace_basis(FieldCtx(p), n)
     if list(basis.poly.coeffs) != [int(c) for c in doc["poly"]]:
         raise ValueError("polynomial does not match the canonical basis construction")
-    ctx = basis.ctx
-    x, y = _points(ctx, doc["X"]), _points(ctx, doc["Y"])
-    if not _verify_construction(basis, k, _rows(x[1:], n), _rows(y[1:], n)):
+    x, y = as_points(doc["X"], p, n), as_points(doc["Y"], p, n)
+    if not _verify_construction(basis, k, x[1:], y[1:]):
         raise ValueError("construction invariants fail verification")
-    factor = QuadraticFactor(_points(ctx, doc["factor"]["linear"]), tuple(int(t) for t in doc["factor"]["quad"]))
+    linear = as_points(doc["factor"]["linear"], p, n)
+    factor = QuadraticFactor(basis.ctx, linear, tuple(int(t) for t in doc["factor"]["quad"]))
     prov = doc.get("provenance", {})
     return ShatterPairConstruction(
         k, x, y, factor, basis, int(doc["seed"]),
-        _points(ctx, prov.get("h_x", [])), _points(ctx, prov.get("h_star", [])),
+        as_points(prov.get("h_x", []), p, n), as_points(prov.get("h_star", []), p, n),
     )
 
 
@@ -312,7 +316,7 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
     n_min = 13 if k == 2 else 31
     if n < n_min:
         raise ValueError(f"k={k} construction requires n >= {n_min}")
-    ctx, p = basis.ctx, basis.ctx.p
+    p = basis.ctx.p
     mats = basis.mats[:k]
     npts = k - 1
     rng = derive_rng(seed, "shatter-pair", k)
@@ -344,11 +348,10 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
             continue
         if not _verify_construction(basis, k, xs, ys):
             continue
-        factor = QuadraticFactor(_points(ctx, _construction_linear_polys(basis, k, xs, ys)), tuple(range(1, k + 1)))
+        factor = QuadraticFactor(basis.ctx, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
         zero = np.zeros((1, n), dtype=np.int64)
         return ShatterPairConstruction(
-            k, _points(ctx, np.vstack([zero, xs])), _points(ctx, np.vstack([zero, ys])), factor, basis, seed,
-            _points(ctx, h_x), _points(ctx, h_star),
+            k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor, basis, seed, h_x, h_star,
         )
     raise RuntimeError("could not build a verified construction; basis invariant suspect")
 
@@ -682,7 +685,7 @@ def target_values_for_map(phi: ContainmentMap, p: int) -> TargetValues:
     return tv
 
 
-def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> FpVector:
+def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> np.ndarray:
     """A shift z realizing phi, found inside the atom the target values select.
 
     The atom label subtracts, per point u and form index t, both the shift
@@ -694,8 +697,7 @@ def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) 
     p = c.basis.ctx.p
     tv = target_values_for_map(phi, p)
     qgs = QgsSet(c.basis)
-    pts = list(c.X[1:]) + list(c.Y[1:])
-    own = quad_forms(_rows(pts, c.basis.n), c.basis.mats[:c.k], p)
+    own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:c.k], p)
     lin_vals = []
     for own_q, targ in zip(own, list(tv.a) + list(tv.b)):
         for t in range(c.k):
@@ -736,18 +738,13 @@ def zero_forcing_map() -> ContainmentMap:
     return ContainmentMap(3, rows)
 
 
-def cross_terms_vanish_below(a: QgsSet, x: Sequence[FpVector], y: Sequence[FpVector], m: int) -> bool:
-    """Whether 2 x^T M_t y = 0 for every x in x, y in y and t < m."""
-    return m <= 1 or not cross_terms(_rows(x, a.n), _rows(y, a.n), a.basis.mats[:m - 1], a.p).any()
+def cross_terms_vanish_below(a: QgsSet, x, y, m: int) -> bool:
+    """Whether 2 x^T M_t y = 0 for every point x in x, y in y and t < m."""
+    x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
+    return m <= 1 or not cross_terms(x, y, a.basis.mats[:m - 1], a.p).any()
 
 
-def check_forced_zeros(
-    a: QgsSet,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
-    m: int,
-    z: FpVector,
-) -> CheckResult:
+def check_forced_zeros(a: QgsSet, x, y, m: int, z) -> CheckResult:
     """Check the forced conclusions for a shift realizing the zero-forcing map.
 
     Requires: cross-terms 2 x_i^T M_t y_j vanish for all t < m on the grid,
@@ -756,8 +753,8 @@ def check_forced_zeros(
     if the level-m cross-terms are constant over [1,3]^2, the same must hold
     at t = m and the constant must be 0.
     """
-    x, y = tuple(x), tuple(y)
-    if len(x) != 4 or len(y) != 4 or not x[0].is_zero() or not y[0].is_zero():
+    x, y, z = as_points(x, a.p, a.n), as_points(y, a.p, a.n), as_points([z], a.p, a.n)[0]
+    if len(x) != 4 or len(y) != 4 or x[0].any() or y[0].any():
         raise ValueError("expected X, Y of size 4 with x_0 = y_0 = 0")
     if not 1 <= m <= a.n:
         raise ValueError("m out of range")
@@ -771,9 +768,9 @@ def check_forced_zeros(
         if a.eval_q(t, z) != 0:
             return f"Q_{t}(z) = {a.eval_q(t, z)} != 0"
         for i in range(1, 4):
-            if a.eval_q(t, x[i] + z) != 0:
+            if a.eval_q(t, add_mod(x[i], z, a.p)) != 0:
                 return f"Q_{t}(x_{i}+z) != 0"
-            if a.eval_q(t, y[i] + z) != 0:
+            if a.eval_q(t, add_mod(y[i], z, a.p)) != 0:
                 return f"Q_{t}(y_{i}+z) != 0"
         return None
 
@@ -781,7 +778,7 @@ def check_forced_zeros(
         bad = conclusion_holds(t)
         if bad:
             return CheckResult(False, f"forced zero violated below m: {bad}")
-    mu = set(cross_terms(_rows(x[1:], a.n), _rows(y[1:], a.n), a.basis.mats[m - 1:m], a.p).ravel().tolist())
+    mu = set(cross_terms(x[1:], y[1:], a.basis.mats[m - 1:m], a.p).ravel().tolist())
     if len(mu) == 1:
         val = next(iter(mu))
         if val != 0:
@@ -795,13 +792,13 @@ def check_forced_zeros(
 
 def check_cross_term_range(
     a: QgsSet,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
+    x,
+    y,
     m: int,
-    witnesses: Sequence[tuple[ContainmentMap, FpVector]] | None = None,
+    witnesses: Sequence[tuple[ContainmentMap, np.ndarray]] | None = None,
 ) -> CheckResult:
     """Every level-m cross-term over the nonzero grid must lie in {-2,...,2} mod p."""
-    x, y = tuple(x), tuple(y)
+    x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
     if not 1 <= m <= a.n:
         raise ValueError("m out of range")
     if not cross_terms_vanish_below(a, x, y, m):
@@ -811,7 +808,7 @@ def check_cross_term_range(
             if not vc2_realizes(a, x, y, phi, z):
                 raise ValueError("inapplicable: a supplied witness fails verification")
     allowed = {v % a.p for v in (-2, -1, 0, 1, 2)}
-    mus = cross_terms(_rows(x[1:], a.n), _rows(y[1:], a.n), a.basis.mats[m - 1:m], a.p)[:, :, 0]
+    mus = cross_terms(x[1:], y[1:], a.basis.mats[m - 1:m], a.p)[:, :, 0]
     for (i, j), mu in np.ndenumerate(mus):
         if mu not in allowed:
             return CheckResult(False, f"cross-term at ({i + 1},{j + 1}) is {mu}, outside the range")
@@ -823,9 +820,9 @@ def random_zero_cross_term_sets(
     m: int,
     seed: int = 0,
     size: int = 4,
-) -> tuple[tuple[FpVector, ...], tuple[FpVector, ...]]:
-    """Seeded (X, Y) of the given size with vanishing cross-terms below level m."""
-    ctx, p, n = basis.ctx, basis.ctx.p, basis.n
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded point arrays (X, Y) of the given size with vanishing cross-terms below level m."""
+    p, n = basis.ctx.p, basis.n
     rng = derive_rng(seed, "qualifying-sets", m)
     npts = size - 1
     zero = np.zeros((1, n), dtype=np.int64)
@@ -852,7 +849,7 @@ def random_zero_cross_term_sets(
                 ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
-        x, y = _points(ctx, np.vstack([zero, xs])), _points(ctx, np.vstack([zero, ys]))
+        x, y = np.vstack([zero, xs]), np.vstack([zero, ys])
         if cross_terms_vanish_below(QgsSet(basis), x, y, m):
             return x, y
     raise RuntimeError("could not generate qualifying sets")
@@ -863,8 +860,8 @@ def planted_qualifying_sets(
     m: int,
     seed: int = 0,
     constrain_level: int | None = None,
-) -> tuple[tuple[FpVector, ...], tuple[FpVector, ...]] | None:
-    """Qualifying (X, Y) built around a planted realizing shift.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Qualifying point arrays (X, Y) built around a planted realizing shift.
 
     Cross-terms are forced to vanish for t <= constrain_level (default
     max(m - 1, 1)), so the instance satisfies the probe hypothesis and the
@@ -875,7 +872,7 @@ def planted_qualifying_sets(
     Returns None when the seeded search fails.
     """
     a = QgsSet(basis)
-    ctx, p, n = basis.ctx, basis.ctx.p, basis.n
+    p, n = basis.ctx.p, basis.n
     total = p ** n
     if total > 10 ** 5:
         raise ValueError("group too large for planted generation")
@@ -891,24 +888,27 @@ def planted_qualifying_sets(
     def rank_of(vec: np.ndarray) -> np.ndarray:
         return digits_to_ranks(vec % p, p)
 
+    def nonzero_draw() -> np.ndarray:
+        while True:
+            v = rng.integers(0, p, size=n)
+            if v.any():
+                return v
+
     for _ in range(256):
         # x_1, x_2 independent; x_3 a further nonzero combination of them
-        x1 = random_vector(ctx, n, rng, nonzero=True)
-        x2 = random_vector(ctx, n, rng, nonzero=True)
-        x12 = _rows((x1, x2), n)
+        x12 = np.stack([nonzero_draw(), nonzero_draw()])
         if mat_rank(x12, p) != 2:
             continue
         c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
-        x3 = x1.scale(c1) + x2.scale(c2)
-        x_vecs = [x1, x2, x3]
-        if x3.is_zero() or x3 in (x1, x2):
+        x3 = (c1 * x12[0] + c2 * x12[1]) % p
+        if not x3.any() or (x12 == x3).all(axis=1).any():
             continue
         space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
         if not len(space):
             continue
         sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
         sub_r = rank_of(sub)
-        x_ranks = [rank_of(v.as_array()[None, :])[0] for v in x_vecs]
+        x_ranks = rank_of(np.vstack([x12, x3]))
 
         # feasibility of each shift z: forced zeros at z and x_i + z, row verdicts
         z_ok = zero_q.copy()
@@ -939,8 +939,8 @@ def planted_qualifying_sets(
                 ys.append(pick[int(rng.integers(0, len(pick)))])
             if len(ys) != 3:
                 continue
-            x = (FpVector(ctx, (0,) * n), *x_vecs)
-            y = _points(ctx, digits[[0, *ys]])  # rank 0 is the origin
+            # rank 0 is the origin
+            x, y = digits[[0, *x_ranks]], digits[[0, *ys]]
             if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
                 return x, y
     return None
@@ -982,12 +982,10 @@ def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) 
             x, y = planted
         else:
             x, y = random_zero_cross_term_sets(basis, m, seed=seed * 1000 + idx)
-        realizers = [
-            vector_from_rank(a.ctx, n, int(r))
-            for corner in (True, False)
-            for r in np.flatnonzero(realizing_shifts(table, x, y, base.assign(0, 0, corner)))
-        ]
-        if not realizers:
+        realizers = ranks_to_digits(np.concatenate([
+            np.flatnonzero(realizing_shifts(a, table, x, y, base.assign(0, 0, corner))) for corner in (True, False)
+        ]), p, n)
+        if not len(realizers):
             out.append(ForcedZeroInstance(idx, m, 0, True, True, "vacuous: no realizing shift"))
             continue
         verdict = CheckResult(True, "")

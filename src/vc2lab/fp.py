@@ -1,6 +1,8 @@
 """Arithmetic and dense linear algebra over the prime field F_p, p an odd prime.
 
-Residues live in the canonical range [0, p).  One elimination kernel,
+Residues live in the canonical range [0, p).  A point of F_p^n is a
+length-n int64 row and a set of points an (m, n) int64 array of residues;
+as_points checks and reduces the points a caller passes.  One elimination kernel,
 _rref, reduces a stack of matrices at once (a leading batch axis); rank,
 affine solving, null spaces and orthogonal complements all run on it.  It
 uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
@@ -84,59 +86,34 @@ class FieldCtx:
         return pow(a, self.p - 2, self.p)
 
 
-@dataclass(frozen=True)
-class FpVector:
-    """Immutable dense vector of residues mod p.  Coordinates are normalized."""
+def as_points(rows, p: int, n: int) -> np.ndarray:
+    """Points from a caller as a read-only (m, n) int64 array of residues mod p.
 
-    ctx: FieldCtx
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) % self.ctx.p for c in self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check_compatible(other)
-        return FpVector(self.ctx, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check_compatible(other)
-        return FpVector(self.ctx, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "FpVector":
-        return FpVector(self.ctx, tuple(-a for a in self.coords))
-
-    def scale(self, c: int) -> "FpVector":
-        return FpVector(self.ctx, tuple(c * a for a in self.coords))
-
-    def dot(self, other: "FpVector") -> int:
-        self._check_compatible(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords)) % self.ctx.p
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
-
-    def _check_compatible(self, other: "FpVector") -> None:
-        if self.ctx != other.ctx or self.n != other.n:
-            raise ValueError("vectors from different spaces")
-
-    def to_json(self) -> dict:
-        return {"p": self.ctx.p, "coords": list(self.coords)}
-
-    @staticmethod
-    def from_json(doc: dict) -> "FpVector":
-        return FpVector(FieldCtx(int(doc["p"])), tuple(int(c) for c in doc["coords"]))
+    rows is an array or a sequence of m coordinate sequences, an empty one
+    meaning no points; every coordinate, an integer, is reduced mod p.
+    Raises ValueError for any other shape, for entries that are not
+    integers, and for p >= 2^63, whose residues int64 cannot hold.
+    """
+    if p >= 1 << 63:
+        raise ValueError(f"points are int64 residues, so p must be below 2^63; got p = {p}")
+    a = np.asarray(rows)
+    if a.shape == (0,):
+        a = np.zeros((0, n), dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"expected points with {n} coordinates each, got an array of shape {a.shape}")
+    if a.dtype.kind not in "iuO":
+        raise ValueError(f"point coordinates must be integers, got {a.dtype}")
+    a = (a % p).astype(np.int64)
+    a.flags.writeable = False
+    return a
 
 
-def basis_vector(ctx: FieldCtx, n: int, i: int) -> FpVector:
-    """Standard basis vector with a 1 in (0-based) position i."""
-    return FpVector(ctx, tuple(1 if j == i else 0 for j in range(n)))
+def freeze_points(obj, *names: str) -> None:
+    """Replace each named point-array field of a frozen dataclass by a read-only int64 copy."""
+    for name in names:
+        a = np.array(getattr(obj, name), dtype=np.int64)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -319,7 +296,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     itself exceeds int64.
     """
     a, b = np.asarray(a), np.asarray(b)
-    bound = a.shape[-1] * (p - 1) ** 2
+    # the sums are at most k (p-1)^2; the dtype must also hold p itself, which matters at k = 0
+    bound = max(a.shape[-1] * (p - 1) ** 2, p)
     if bound < 1 << 53:
         # every sum is an integer a double holds exactly; int64 % is faster than float %
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
@@ -384,14 +362,6 @@ def digits_to_ranks(digits: np.ndarray, p: int) -> np.ndarray:
     return digits @ rank_powers(p, digits.shape[1])
 
 
-def vector_from_rank(ctx: FieldCtx, n: int, rank: int) -> FpVector:
-    coords = []
-    for _ in range(n):
-        coords.append(rank % ctx.p)
-        rank //= ctx.p
-    return FpVector(ctx, tuple(reversed(coords)))
-
-
 def iter_group_chunks(p: int, n: int, chunk: int = 1 << 16):
     """Yield (start_rank, digit_block) over all of F_p^n in rank order."""
     total = p ** n
@@ -416,9 +386,3 @@ def derive_rng(seed: int, *key: object) -> np.random.Generator:
             parts.append(int(k) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(parts))
 
-
-def random_vector(ctx: FieldCtx, n: int, rng: np.random.Generator, nonzero: bool = False) -> FpVector:
-    while True:
-        v = FpVector(ctx, tuple(int(x) for x in rng.integers(0, ctx.p, size=n)))
-        if not nonzero or not v.is_zero():
-            return v

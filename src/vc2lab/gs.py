@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, add_mod, digits_to_ranks, iter_group_chunks, quad_forms
+from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, iter_group_chunks, quad_forms
 from .highrank import HighRankBasis
 
 
-def _contains(a, x: FpVector) -> bool:
-    """Membership of one vector, as a one-row contains_digits call."""
-    if x.n != a.n:
-        raise ValueError("dimension mismatch")
-    return bool(a.contains_digits(x.as_array()[None, :])[0])
+def _contains(a, x) -> bool:
+    """Membership of one point, as a one-row contains_digits call."""
+    return bool(a.contains_digits(as_points([x], a.p, a.n))[0])
 
 
 def _membership_table(a) -> np.ndarray:
@@ -94,15 +92,15 @@ class QgsSet:
             raise ValueError(f"form index {t} out of range [1, {self.n}]")
         return quad_forms(points, self.basis.mats[t - 1:t], self.p)[:, 0]
 
-    def eval_q(self, t: int, x: FpVector) -> int:
+    def eval_q(self, t: int, x) -> int:
         """Q_t(x) = x^T M_t x mod p, with t in [1, n]."""
-        return int(self._forms(t, x.as_array()[None, :])[0])
+        return int(self._forms(t, as_points([x], self.p, self.n))[0])
 
-    def cross_term(self, t: int, x: FpVector, y: FpVector) -> int:
+    def cross_term(self, t: int, x, y) -> int:
         """2 x^T M_t y mod p, with t in [1, n]."""
         if not 1 <= t <= self.n:
             raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        x_row, y_row = x.as_array()[None, :], y.as_array()[None, :]
+        x_row, y_row = as_points([x], self.p, self.n), as_points([y], self.p, self.n)
         return int(cross_terms(x_row, y_row, self.basis.mats[t - 1:t], self.p)[0, 0, 0])
 
     contains = _contains

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, _rank_array, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _rank_array, derive_rng, matmul_mod, ranks_to_digits
 
 # Polynomials are little-endian coefficient lists: coeffs[i] multiplies x**i.
 
@@ -235,11 +235,11 @@ def check_high_rank(
     count: int = 10_000,
     seed: int = 0,
     threads: int = 1,
-) -> FpVector | None:
+) -> np.ndarray | None:
     """Verify that every checked nonzero combination has rank n.
 
-    Returns None on pass, or the offending coefficient vector on failure
-    (the lexicographically smallest one among the failures found).
+    Returns None on pass, or the offending coefficient vector, an int64 row,
+    on failure (the lexicographically smallest one among the failures found).
     Exhaustive mode requires p**n <= 10**6.
     """
     if threads < 1:
@@ -262,7 +262,7 @@ def check_high_rank(
             lams = ranks_to_digits(np.arange(lo, min(lo + batch, total), dtype=np.int64), p, n)
             bad = failing(lams)
             if bad.size:
-                return FpVector(basis.ctx, tuple(int(x) for x in lams[bad[0]]))
+                return lams[bad[0]]
         return None
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
@@ -291,5 +291,5 @@ def check_high_rank(
             for res in ex.map(run_stream, range(threads), per):
                 failures.extend(res)
     if failures:
-        return FpVector(basis.ctx, min(failures))
+        return np.array(min(failures), dtype=np.int64)
     return None

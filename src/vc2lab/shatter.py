@@ -4,18 +4,19 @@ The linear search enumerates every translate y once per candidate set,
 collects the achieved pattern bitmasks, and tests completeness; candidate
 sets are grown only from already-shattered sets (shattering is monotone
 under subsets), with the representative fixed to contain 0 (shattering is
-translation invariant).
+translation invariant).  Points are (m, n) int64 arrays of residues, one
+point per row (see fp.as_points); a single point is a length-n row.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
-from .fp import FieldCtx, FpVector, add_mod, digits_to_ranks, iter_group_chunks, rank_powers, ranks_to_digits, vector_from_rank
+from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, freeze_points, iter_group_chunks, rank_powers, ranks_to_digits
 
 
 class MembershipOracle(Protocol):
@@ -29,7 +30,7 @@ class MembershipOracle(Protocol):
     @property
     def n(self) -> int: ...
 
-    def contains(self, x: FpVector) -> bool: ...
+    def contains(self, x) -> bool: ...
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray: ...
 
@@ -89,14 +90,15 @@ class ContainmentMap:
         return ContainmentMap(k, rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShatterCertificate:
-    """One translate witness per subset bitmask; bit i covers S[i]."""
+    """One translate witness per subset bitmask; bit i covers S[i].  Read-only point arrays."""
 
-    S: tuple[FpVector, ...]
-    witnesses: tuple[FpVector, ...]
+    S: np.ndarray
+    witnesses: np.ndarray
 
     def __post_init__(self) -> None:
+        freeze_points(self, "S", "witnesses")
         if len(self.witnesses) != 1 << len(self.S):
             raise ValueError("need one witness per subset")
 
@@ -106,15 +108,16 @@ class NotShattered:
     missing: int  # smallest unachieved bitmask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadShatterCertificate:
-    """One shift witness per containment map index on the [0, k-1]^2 grid."""
+    """One shift witness per containment map index on the [0, k-1]^2 grid.  Read-only point arrays."""
 
-    X: tuple[FpVector, ...]
-    Y: tuple[FpVector, ...]
-    witnesses: tuple[FpVector, ...]
+    X: np.ndarray
+    Y: np.ndarray
+    witnesses: np.ndarray
 
     def __post_init__(self) -> None:
+        freeze_points(self, "X", "Y", "witnesses")
         k = len(self.X)
         if len(self.Y) != k:
             raise ValueError("X and Y must have equal size")
@@ -134,16 +137,12 @@ class VcDimResult:
     certificate: ShatterCertificate | None
 
 
-def pattern_signature(a: MembershipOracle, s: Sequence[FpVector], y: FpVector) -> int:
+def pattern_signature(a: MembershipOracle, s, y) -> int:
     """Bitmask with bit i set iff s[i] + y lands in the set."""
+    s, y = as_points(s, a.p, a.n), as_points([y], a.p, a.n)
     if len(s) > MAX_SET_SIZE:
         raise ValueError("set too large")
-    if not s:
-        return 0
-    rows = add_mod(np.stack([v.as_array() for v in s]), y.as_array(), a.p)
-    if rows.shape[1] != a.n:
-        raise ValueError("dimension mismatch")
-    return int(a.contains_digits(rows) @ (1 << np.arange(len(s))))
+    return int(a.contains_digits(add_mod(s, y, a.p)) @ (1 << np.arange(len(s))))
 
 
 def _pattern_scan(
@@ -185,25 +184,22 @@ def _pattern_scan(
 
 def shatters(
     a: MembershipOracle,
-    s: Sequence[FpVector],
+    s,
     threads: int = 1,
 ) -> ShatterCertificate | NotShattered:
     """Find a translate witness per subset of s, or the smallest missing bitmask."""
-    s = tuple(s)
-    if not s:
+    if len(s) == 0:
         raise ValueError("empty candidate set")
     if len(s) > MAX_SET_SIZE:
         raise ValueError(f"|S| must be <= {MAX_SET_SIZE}")
     if a.p ** a.n > MAX_GROUP_ENUM:
         raise ValueError("group too large to enumerate translates")
-    s_digits = np.stack([v.as_array() for v in s])
-    first = _pattern_scan(a, s_digits, threads=threads)
+    s = as_points(s, a.p, a.n)
+    first = _pattern_scan(a, s, threads=threads)
     missing = np.flatnonzero(first < 0)
     if missing.size:
         return NotShattered(int(missing[0]))
-    ctx, n = s[0].ctx, s[0].n
-    witnesses = tuple(vector_from_rank(ctx, n, int(r)) for r in first)
-    return ShatterCertificate(s, witnesses)
+    return ShatterCertificate(s, ranks_to_digits(first, a.p, a.n))
 
 
 def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -246,11 +242,8 @@ def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult
         return VcDimResult(0, None)
     tt = _translate_table(table, p, n)
 
-    ctx = a.ctx
-
     def certificate_for(ranks) -> ShatterCertificate:
-        s = tuple(vector_from_rank(ctx, n, int(r)) for r in ranks)
-        cert = shatters(a, s, threads=threads)
+        cert = shatters(a, ranks_to_digits(ranks, p, n), threads=threads)
         if not isinstance(cert, ShatterCertificate):
             raise RuntimeError(f"frontier set {tuple(ranks)} is not shattered: table search and pattern scan disagree")
         return cert
@@ -302,8 +295,7 @@ def vc_dim_naive(a: MembershipOracle) -> int:
     total = p ** n
     if total > 16:
         raise ValueError("naive oracle limited to groups of size <= 16")
-    ctx = a.ctx
-    elems = [vector_from_rank(ctx, n, r) for r in range(total)]
+    elems = ranks_to_digits(np.arange(total), p, n)
     patterns_by_y = {}
     best = 0
     for k in range(1, total + 1):
@@ -323,41 +315,30 @@ def vc_dim_naive(a: MembershipOracle) -> int:
     return best
 
 
-def vc2_realizes(
-    a: MembershipOracle,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
-    phi: ContainmentMap,
-    z: FpVector,
-) -> bool:
+def vc2_realizes(a: MembershipOracle, x, y, phi: ContainmentMap, z) -> bool:
     """True iff membership of x_i + y_j + z matches phi on every assigned cell."""
-    x, y = tuple(x), tuple(y)
+    x, y, z = as_points(x, a.p, a.n), as_points(y, a.p, a.n), as_points([z], a.p, a.n)
     if len(x) != phi.k + 1 or len(y) != phi.k + 1:
         raise ValueError("grid size mismatch between X, Y and phi")
     cells = [(i, j) for i in range(phi.k + 1) for j in range(phi.k + 1) if phi.verdicts[i][j] is not None]
     if not cells:
         return True
-    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
     ii, jj = np.array(cells).T
-    rows = add_mod(add_mod(xs[ii], ys[jj], a.p), z.as_array(), a.p)
+    rows = add_mod(add_mod(x[ii], y[jj], a.p), z, a.p)
     want = np.array([phi.verdicts[i][j] for i, j in cells])
     return bool((a.contains_digits(rows) == want).all())
 
 
-def realizing_shifts(
-    table: np.ndarray,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
-    phi: ContainmentMap,
-) -> np.ndarray:
+def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: ContainmentMap) -> np.ndarray:
     """Mask over F_p^n in rank order: True at each z realizing phi on the grid x_i + y_j + z.
 
-    table is the set's membership table; unassigned cells of a partial phi
-    impose nothing.
+    table is a.membership_table(), which callers compute once; unassigned
+    cells of a partial phi impose nothing.
     """
-    p, n = x[0].ctx.p, x[0].n
+    p, n = a.p, a.n
+    x, y = as_points(x, p, n), as_points(y, p, n)
     cells = [
-        ((xi + yj).as_array(), want)
+        (add_mod(xi, yj, p), want)
         for xi, row in zip(x, phi.verdicts)
         for yj, want in zip(y, row)
         if want is not None
@@ -370,45 +351,41 @@ def realizing_shifts(
     return ok
 
 
-def exhaustive_z_finder(
-    a: MembershipOracle,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
-) -> Callable[[ContainmentMap], FpVector | None]:
+def exhaustive_z_finder(a: MembershipOracle, x, y) -> Callable[[ContainmentMap], np.ndarray | None]:
     """Shift finder scanning the whole group in rank order (small groups only)."""
     p, n = a.p, a.n
     if p ** n > 10 ** 6:
         raise ValueError("group too large for exhaustive shift search")
     table = a.membership_table()
-    x, y = tuple(x), tuple(y)
+    x, y = as_points(x, p, n), as_points(y, p, n)
 
-    def find(phi: ContainmentMap) -> FpVector | None:
-        hits = np.flatnonzero(realizing_shifts(table, x, y, phi))
+    def find(phi: ContainmentMap) -> np.ndarray | None:
+        hits = np.flatnonzero(realizing_shifts(a, table, x, y, phi))
         if hits.size == 0:
             return None
-        return vector_from_rank(a.ctx, n, int(hits[0]))
+        return ranks_to_digits(hits[:1], p, n)[0]
 
     return find
 
 
 def vc2_shatters(
     a: MembershipOracle,
-    x: Sequence[FpVector],
-    y: Sequence[FpVector],
-    z_finder: Callable[[ContainmentMap], FpVector | None],
+    x,
+    y,
+    z_finder: Callable[[ContainmentMap], np.ndarray | None],
 ) -> QuadShatterCertificate | Vc2Failure:
     """Witness every containment map on the [0, k-1]^2 grid, or report the first failure.
 
     X and Y have size k with x_0 = y_0 = 0; maps are tried in index order, so
     a failure reports the first unrealizable map in that order.
     """
-    x, y = tuple(x), tuple(y)
     k = len(x)
     if len(y) != k:
         raise ValueError("X and Y must have equal size")
     if not 1 <= k <= 3:
         raise ValueError("grid size k must be between 1 and 3")
-    if not (x[0].is_zero() and y[0].is_zero()):
+    x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
+    if x[0].any() or y[0].any():
         raise ValueError("x_0 and y_0 must both be 0")
     witnesses = []
     for idx in range(1 << (k * k)):
@@ -416,5 +393,5 @@ def vc2_shatters(
         z = z_finder(phi)
         if z is None or not vc2_realizes(a, x, y, phi, z):
             return Vc2Failure(idx, phi)
-        witnesses.append(z)
-    return QuadShatterCertificate(x, y, tuple(witnesses))
+        witnesses.append(as_points([z], a.p, a.n)[0])
+    return QuadShatterCertificate(x, y, witnesses)

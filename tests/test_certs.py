@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import vc2lab
 from vc2lab import certs
-from vc2lab.fp import FieldCtx, FpVector, add_mod
+from vc2lab.fp import FieldCtx, add_mod
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import ContainmentMap, shatters, vc2_shatters, ShatterCertificate
@@ -24,8 +24,7 @@ ctx3 = FieldCtx(3)
 @pytest.fixture(scope="module")
 def shatter_doc():
     a = GsSet(ctx3, 3)
-    s = [FpVector(ctx3, (0, 0, 0)), FpVector(ctx3, (0, 1, 2)), FpVector(ctx3, (0, 2, 1))]
-    cert = shatters(a, s)
+    cert = shatters(a, [(0, 0, 0), (0, 1, 2), (0, 2, 1)])
     assert isinstance(cert, ShatterCertificate)
     return certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
 
@@ -201,13 +200,13 @@ def test_dumps_deterministic(shatter_doc):
 
 def _reference_shatter(doc: dict) -> CheckResult:
     p, n = int(doc["p"]), int(doc["n"])
-    ctx = FieldCtx(p)
+    FieldCtx(p)
     a = certs.oracle_from_spec(doc["set"], p, n)
-    s = [certs._vec(ctx, row, n) for row in doc["S"]]
+    s = [certs._vec(p, row, n) for row in doc["S"]]
     k = len(s)
     if not 1 <= k <= 20:
         return CheckResult(False, "set size out of range")
-    s_arr = np.stack([v.as_array() for v in s])
+    s_arr = np.stack(s)
     bits = 1 << np.arange(k)
     seen = {}
     for w in doc["witnesses"]:
@@ -216,9 +215,9 @@ def _reference_shatter(doc: dict) -> CheckResult:
             return CheckResult(False, f"pattern {mask} out of range")
         if mask in seen:
             return CheckResult(False, f"pattern {mask} appears twice")
-        y = certs._vec(ctx, w["y"], n)
+        y = certs._vec(p, w["y"], n)
         seen[mask] = y
-        actual = int(a.contains_digits(add_mod(s_arr, y.as_array(), p)) @ bits)
+        actual = int(a.contains_digits(add_mod(s_arr, y, p)) @ bits)
         if actual != mask:
             return CheckResult(False, f"witness for pattern {mask} realizes {actual}")
     if len(seen) != 1 << k:
@@ -228,16 +227,16 @@ def _reference_shatter(doc: dict) -> CheckResult:
 
 def _reference_vc2(doc: dict) -> CheckResult:
     p, n = int(doc["p"]), int(doc["n"])
-    ctx = FieldCtx(p)
+    FieldCtx(p)
     a = certs.oracle_from_spec(doc["set"], p, n)
-    x = [certs._vec(ctx, row, n) for row in doc["X"]]
-    y = [certs._vec(ctx, row, n) for row in doc["Y"]]
+    x = [certs._vec(p, row, n) for row in doc["X"]]
+    y = [certs._vec(p, row, n) for row in doc["Y"]]
     k = len(x)
     if len(y) != k or not 1 <= k <= 3:
         return CheckResult(False, "grid size invalid")
-    if not (x[0].is_zero() and y[0].is_zero()):
+    if x[0].any() or y[0].any():
         return CheckResult(False, "x_0 and y_0 must be zero")
-    xs, ys = np.stack([v.as_array() for v in x]), np.stack([v.as_array() for v in y])
+    xs, ys = np.stack(x), np.stack(y)
     grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
     seen = set()
     for w in doc["witnesses"]:
@@ -248,9 +247,9 @@ def _reference_vc2(doc: dict) -> CheckResult:
             return CheckResult(False, f"map index {idx} appears twice")
         seen.add(idx)
         phi = ContainmentMap.from_index(k - 1, idx)
-        z = certs._vec(ctx, w["z"], n)
+        z = certs._vec(p, w["z"], n)
         want = np.array([v for row in phi.verdicts for v in row])
-        bad = np.flatnonzero(a.contains_digits(add_mod(grid, z.as_array(), p)) != want)
+        bad = np.flatnonzero(a.contains_digits(add_mod(grid, z, p)) != want)
         if bad.size:
             return CheckResult(False, f"map {idx} mismatched at cell ({bad[0] // k},{bad[0] % k})")
     if len(seen) != 1 << (k * k):
@@ -332,6 +331,33 @@ def test_mismatch_reported_before_later_malformed_witness(vc2_doc, block_rows):
     assert not res.ok and res.detail.startswith("map 3 mismatched")
 
 
+# offsets that keep every residue mod 3: a negative coordinate, p + c, and beyond int64 either way
+@pytest.mark.parametrize("offset", [-3, 3, 3 << 62, -(3 << 62)])
+@pytest.mark.parametrize("which", ["shatter", "vc2"])
+def test_out_of_range_coordinates_get_the_verdict_of_their_residues(shatter_doc, vc2_doc, which, offset):
+    doc = shatter_doc if which == "shatter" else vc2_doc
+    points, ck = (["S"], "y") if which == "shatter" else (["X", "Y"], "z")
+
+    def shifted(d):
+        d = copy.deepcopy(d)
+        for key in points:
+            d[key] = [[c + offset for c in row] for row in d[key]]
+        for w in d["witnesses"]:
+            w[ck] = [c + offset for c in w[ck]]
+        return d
+
+    want = CheckResult(True, "all 8 patterns witnessed" if which == "shatter" else "all 16 maps witnessed")
+    assert certs.verify_certificate(doc) == want
+    assert certs.verify_certificate(shifted(doc)) == want
+    # a wrong witness gets the same detail whichever representatives the document writes
+    bad = copy.deepcopy(doc)
+    bad["witnesses"][5][ck][0] = (bad["witnesses"][5][ck][0] + 1) % 3
+    want = CheckResult(False, "witness for pattern 5 realizes 7" if which == "shatter"
+                       else "map 5 mismatched at cell (0,0)")
+    assert certs.verify_certificate(bad) == want
+    assert certs.verify_certificate(shifted(bad)) == want == _reference_verify(shifted(bad))
+
+
 _WORDS = ["kind", "shatter", "vc2", "set", "gs", "qgs", "explicit", "poly", "bits_hex", "p", "n",
           "S", "X", "Y", "witnesses", "pattern", "y", "phi", "z"]
 _JSON = st.recursive(
@@ -387,7 +413,7 @@ def test_verify_certificate_total_on_arbitrary_json(doc):
 def test_verify_certificate_total_on_edited_documents(shatter_doc, vc2_doc, data, which):
     if which == "explicit":
         a = ExplicitSet(ctx3, 2, np.arange(9) % 2 == 0)
-        cert = shatters(a, [FpVector(ctx3, (0, 0)), FpVector(ctx3, (1, 0))])
+        cert = shatters(a, [(0, 0), (1, 0)])
         base = certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
     else:
         base = shatter_doc if which == "shatter" else vc2_doc

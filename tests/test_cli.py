@@ -165,6 +165,9 @@ MISUSE = [
     (["vc-dim", "--p", "3", "--n", "3", "--threads", "-1"], {}),
     (["vc-dim", "--p", "3"], {}),
     (["shatter-check", "--p", "3", "--n", "3"], {}),
+    # points that do not have n coordinates
+    (["shatter-check", "--p", "3", "--n", "3", "--points", "1;2"], {}),
+    (["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0 0;0 1 2 0"], {}),
     (["vc2-verify", "--p", "3", "--n", "13", "--k", "4"], {}),
     (["atom-census", "--p", "3", "--n", "9", "--l", "x"], {}),
     (["prop32-check", "--p", "3", "--n", "5", "--instances"], {}),

@@ -6,8 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from vc2lab.fp import (
     FieldCtx,
-    FpVector,
-    basis_vector,
     derive_rng,
     iter_group_chunks,
     mat_rank,
@@ -60,21 +58,21 @@ def basis5():
 
 def test_factor_rejects_dependent_linears():
     with pytest.raises(ValueError):
-        QuadraticFactor((FpVector(ctx3, (1, 1, 0)), FpVector(ctx3, (2, 2, 0))), ())
+        QuadraticFactor(ctx3, [(1, 1, 0), (2, 2, 0)], ())
     with pytest.raises(ValueError):
-        QuadraticFactor((), (1, 1))
+        QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), (1, 1))
 
 
 def test_atom_label_examples(basis9):
-    f = QuadraticFactor((basis_vector(ctx3, 9, 0),), (1,))
-    zero = FpVector(ctx3, (0,) * 9)
+    f = QuadraticFactor(ctx3, np.eye(1, 9, dtype=np.int64), (1,))
+    zero = np.zeros(9, dtype=np.int64)
     assert atom_label(f, basis9, zero).values == (0, 0)
-    x = FpVector(ctx3, (2,) + (0,) * 8)
+    x = (2,) + (0,) * 8
     assert atom_label(f, basis9, x).values[0] == 2
 
 
 def test_find_in_atom_round_trip(basis9):
-    f = QuadraticFactor((basis_vector(ctx3, 9, 0), basis_vector(ctx3, 9, 1)), (1, 2))
+    f = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
     for rank in range(0, 81, 5):
         vals = []
         r = rank
@@ -87,7 +85,7 @@ def test_find_in_atom_round_trip(basis9):
 
 
 def test_find_in_atom_rejects_high_complexity(basis5):
-    f = QuadraticFactor(tuple(basis_vector(ctx3, 5, i) for i in range(2)), (1,))
+    f = QuadraticFactor(ctx3, np.eye(2, 5, dtype=np.int64), (1,))
     # complexity 3 >= 5/2: not guaranteed non-empty
     with pytest.raises(ValueError):
         find_in_atom(f, basis5, AtomLabel((0, 0, 0)))
@@ -95,11 +93,10 @@ def test_find_in_atom_rejects_high_complexity(basis5):
 
 def _find_in_atom_full_scan(f, basis, label, seed):
     """find_in_atom's search in full coordinates: build every candidate point, test its Q-values."""
-    ctx, p, n = basis.ctx, basis.ctx.p, basis.n
+    p, n = basis.ctx.p, basis.n
     l = len(f.linear_polys)
     if l:
-        lin = np.stack([v.as_array() for v in f.linear_polys])
-        part, nb = solve_affine(lin, np.array(label.values[:l], dtype=np.int64), p)
+        part, nb = solve_affine(f.linear_polys, np.array(label.values[:l], dtype=np.int64), p)
     else:
         part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     mats = [basis.mats[t - 1].tolist() for t in f.quad_indices]
@@ -109,7 +106,7 @@ def _find_in_atom_full_scan(f, basis, label, seed):
         for alpha in alphas:
             z = [int(c) for c in (part + alpha @ nb) % p]
             if [sum(z[i] * m[i][j] * z[j] for i in range(n) for j in range(n)) % p for m in mats] == target:
-                return FpVector(ctx, tuple(z))
+                return np.array(z, dtype=np.int64)
         return None
 
     dim = nb.shape[0]
@@ -138,19 +135,20 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
     ctx = FieldCtx(p)
     basis = build_trace_basis(ctx, n)
     rng = np.random.default_rng(seed)
-    lin = [FpVector(ctx, tuple(int(c) for c in rng.integers(0, p, n))) for _ in range(l)]
-    assume(not lin or mat_rank(np.stack([v.as_array() for v in lin]), p) == l)
-    f = QuadraticFactor(tuple(lin), tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
+    # one draw per linear form
+    lin = np.array([rng.integers(0, p, n) for _ in range(l)], dtype=np.int64).reshape(l, n)
+    assume(not l or mat_rank(lin, p) == l)
+    f = QuadraticFactor(ctx, lin, tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
     label = AtomLabel(tuple(int(v) for v in rng.integers(0, p, l + q)))
     z = find_in_atom(f, basis, label, seed=seed)
     assert atom_label(f, basis, z) == label
-    assert z == _find_in_atom_full_scan(f, basis, label, seed)
+    assert np.array_equal(z, _find_in_atom_full_scan(f, basis, label, seed))
 
 
 def test_atom_census_trivial_factors(basis9):
     b3 = build_trace_basis(ctx3, 3)
-    assert list(atom_census(QuadraticFactor((), ()), b3).values()) == [27]
-    census = atom_census(QuadraticFactor((basis_vector(ctx3, 3, 0),), ()), b3)
+    assert list(atom_census(QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), ()), b3).values()) == [27]
+    census = atom_census(QuadraticFactor(ctx3, np.eye(1, 3, dtype=np.int64), ()), b3)
     assert sorted(census.values()) == [9, 9, 9]
 
 
@@ -158,7 +156,7 @@ def test_atom_census_bound_sweep(basis9):
     # every (l, q) combination with l, q <= 2 over the same basis
     for l in range(3):
         for q in range(3):
-            f = QuadraticFactor(tuple(basis_vector(ctx3, 9, i) for i in range(l)), tuple(range(1, q + 1)))
+            f = QuadraticFactor(ctx3, np.eye(l, 9, dtype=np.int64), tuple(range(1, q + 1)))
             census = atom_census(f, basis9, check_bound=True)
             assert len(census) == 3 ** (l + q)
             if l + q * 2 < 9:
@@ -166,7 +164,7 @@ def test_atom_census_bound_sweep(basis9):
 
 
 def test_atom_census_single_quadratic_level_sets(basis9):
-    f = QuadraticFactor((), (1,))
+    f = QuadraticFactor(ctx3, np.zeros((0, 9), dtype=np.int64), (1,))
     census = atom_census(f, basis9, check_bound=True)
     assert len(census) == 3
     assert sum(census.values()) == 3 ** 9
@@ -208,7 +206,8 @@ def test_target_values_reject_partial_maps():
 def test_construct_pair_k2_invariants(basis13):
     c = construct_shatter_pair(basis13, 2, seed=0)
     assert len(c.X) == 2 and len(c.Y) == 2
-    assert c.X[0].is_zero() and c.Y[0].is_zero()
+    assert not c.X[0].any() and not c.Y[0].any()
+    assert not (c.X.flags.writeable or c.h_star.flags.writeable or c.factor.linear_polys.flags.writeable)
     assert len(c.factor.linear_polys) == 4
     assert c.factor.complexity == 6
     a = QgsSet(basis13)
@@ -219,7 +218,7 @@ def test_construct_pair_k2_invariants(basis13):
 def test_construct_pair_deterministic(basis13):
     c1 = construct_shatter_pair(basis13, 2, seed=42)
     c2 = construct_shatter_pair(basis13, 2, seed=42)
-    assert c1.X == c2.X and c1.Y == c2.Y
+    assert np.array_equal(c1.X, c2.X) and np.array_equal(c1.Y, c2.Y)
 
 
 def test_construct_pair_size_limits(basis13):
@@ -244,7 +243,7 @@ def test_k2_pipeline_realizes_all_maps(basis13):
 def test_realize_map_deterministic(basis13):
     c = construct_shatter_pair(basis13, 2, seed=1)
     phi = ContainmentMap.from_index(1, 9)
-    assert realize_map(c, phi, seed=5) == realize_map(c, phi, seed=5)
+    assert np.array_equal(realize_map(c, phi, seed=5), realize_map(c, phi, seed=5))
 
 
 def test_construction_doc_round_trip(basis13):
@@ -254,8 +253,9 @@ def test_construction_doc_round_trip(basis13):
     c = construct_shatter_pair(basis13, 2, seed=3)
     doc = certs.loads(certs.dumps(construction_doc(c)))
     back = construction_from_doc(doc)
-    assert back.X == c.X and back.Y == c.Y
-    assert back.factor == c.factor
+    assert np.array_equal(back.X, c.X) and np.array_equal(back.Y, c.Y)
+    assert back.factor.ctx == c.factor.ctx and back.factor.quad_indices == c.factor.quad_indices
+    assert np.array_equal(back.factor.linear_polys, c.factor.linear_polys)
     # the reloaded construction still drives realization
     phi = ContainmentMap.from_index(1, 11)
     a = QgsSet(basis13)
@@ -304,7 +304,7 @@ def test_planted_instances_admit_realizers(basis5):
 def test_check_forced_zeros_inapplicable_without_hypothesis(basis5):
     a = QgsSet(basis5)
     x, y = random_zero_cross_term_sets(basis5, 1, seed=0)
-    z = FpVector(ctx3, (0,) * 5)
+    z = np.zeros(5, dtype=np.int64)
     grid_ok = vc2_realizes(a, x, y, zero_forcing_map(), z)
     if not grid_ok:
         with pytest.raises(ValueError):
@@ -321,13 +321,13 @@ def test_cross_term_range_p3_vacuous(basis5):
 def test_cross_term_range_p7_detects_outlier():
     basis = build_trace_basis(FieldCtx(7), 3)
     a = QgsSet(basis)
-    zero = FpVector(FieldCtx(7), (0, 0, 0))
+    zero = (0, 0, 0)
     # search a pair with 2 x^T M_1 y outside {-2..2} mod 7, i.e. in {3, 4}
     rng = np.random.default_rng(0)
     found = None
     while found is None:
-        x = FpVector(FieldCtx(7), tuple(int(c) for c in rng.integers(0, 7, 3)))
-        y = FpVector(FieldCtx(7), tuple(int(c) for c in rng.integers(0, 7, 3)))
+        x = rng.integers(0, 7, 3)
+        y = rng.integers(0, 7, 3)
         if a.cross_term(1, x, y) in (3, 4):
             found = (x, y)
     x, y = found
@@ -371,12 +371,11 @@ def test_products_exact_at_large_p():
 
     a = QgsSet(basis)
     x, y = random_zero_cross_term_sets(basis, 2, seed=0)
-    x_list, y_list = [list(v.coords) for v in x], [list(v.coords) for v in y]
+    x_list, y_list = x.tolist(), y.tolist()
     assert all(cross(0, u, v) == 0 for u in x_list for v in y_list)
     for m in (2, 3, 4):
         want = all(cross(t, u, v) == 0 for t in range(m - 1) for u in x_list for v in y_list)
         assert cross_terms_vanish_below(a, x, y, m) == want
     # points with nonzero level-1 cross-terms
-    plain = [FpVector(ctx, tuple(v)) for v in pts]
-    assert cross_terms_vanish_below(a, plain[:2], plain[2:], 2) == all(
+    assert cross_terms_vanish_below(a, pts[:2], pts[2:], 2) == all(
         cross(0, u, v) == 0 for u in pts[:2] for v in pts[2:])

@@ -3,18 +3,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
-    FpVector,
     _is_prime,
     _rank_array,
     _rref,
     add_mod,
     affine_solver,
-    basis_vector,
+    as_points,
     digits_to_ranks,
     mat_rank,
     matmul_mod,
@@ -22,7 +21,6 @@ from vc2lab.fp import (
     quad_forms,
     ranks_to_digits,
     solve_affine,
-    vector_from_rank,
 )
 
 ctx3 = FieldCtx(3)
@@ -294,7 +292,7 @@ def test_affine_solution_parametrizes_solution_set(p, rows, cols, seed):
 
 
 def test_orth_complement_examples():
-    assert orth_complement(basis_vector(ctx3, 3, 0).as_array()[None, :], 3).tolist() == [[0, 1, 0], [0, 0, 1]]
+    assert orth_complement(np.array([[1, 0, 0]]), 3).tolist() == [[0, 1, 0], [0, 0, 1]]
     # no constraints: the whole space, as the identity
     assert orth_complement(np.zeros((0, 2), dtype=np.int64), 3).tolist() == [[1, 0], [0, 1]]
     assert orth_complement(np.array([[1, 1]]), 3).tolist() == [[1, 2]]
@@ -324,20 +322,27 @@ def test_null_space_vectors_are_canonical():
 
 def test_rank_encoding_round_trip():
     for p, n in [(3, 4), (5, 3)]:
-        ctx = FieldCtx(p)
         total = p ** n
         ranks = np.arange(total)
         digits = ranks_to_digits(ranks, p, n)
         assert (digits_to_ranks(digits, p) == ranks).all()
-        v = vector_from_rank(ctx, n, total - 1)
-        assert digits_to_ranks(v.as_array()[None, :], p).tolist() == [total - 1]
+        assert digits[total - 1].tolist() == [p - 1] * n
         # rank order is lexicographic on coordinates
         assert digits[0].tolist() < digits[1].tolist() < digits[2].tolist()
 
 
-def test_vector_matrix_json_round_trip():
-    v = FpVector(ctx5, (1, 4, 0))
-    assert FpVector.from_json(v.to_json()) == v
+def test_as_points_checks_shape_and_reduces():
+    # every coordinate reduced mod p, a negative one and one beyond int64 included
+    pts = as_points([[1, -1, 5], [2 ** 70, 7, 0]], 5, 3)
+    assert pts.dtype == np.int64 and pts.tolist() == [[1, 4, 0], [2 ** 70 % 5, 2, 0]]
+    assert not pts.flags.writeable
+    assert as_points(np.array([[3, 4]], dtype=np.uint64), 3, 2).tolist() == [[0, 1]]
+    assert as_points([], 3, 4).shape == (0, 4)
+    for bad in ([[1, 2]], [[1, 2, 3, 4]], [1, 2, 3], [[[1, 2, 3]]], [[1, 2, 3], [1, 2]], [[1.0, 2.0, 3.0]], [["1", "2", "3"]]):
+        with pytest.raises(ValueError):
+            as_points(bad, 5, 3)
+    with pytest.raises(ValueError):
+        as_points([[1]], 2 ** 89 - 1, 1)
 
 
 @given(p=primes, rows=st.integers(1, 4), cols=st.integers(1, 6), seed=st.integers(0, 10_000))
@@ -399,6 +404,7 @@ def test_quad_forms_extreme_entries(p, n):
 @given(p=st.sampled_from(QF_PRIMES[:-1] + [2 ** 61 - 1, 2 ** 63 - 25]), lead=st.integers(0, 3),
        m=st.integers(0, 4), k=st.integers(0, 6), r=st.integers(0, 4), seed=st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
+@example(p=2 ** 89 - 1, lead=0, m=2, k=0, r=3, seed=0)  # an empty inner dimension beyond int64
 def test_matmul_mod_matches_python_ints(p, lead, m, k, r, seed):
     # a stack of lead matrices (none for lead = 0) times one matrix; p = 2^63 - 25 needs Python ints at k = 1
     rnd = random.Random(seed)
@@ -407,7 +413,7 @@ def test_matmul_mod_matches_python_ints(p, lead, m, k, r, seed):
     got = matmul_mod(a, b, p)
     want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in mat]
             for mat in (a.tolist() if lead else [a.tolist()])]
-    assert got.dtype == np.int64
+    assert got.dtype == (np.int64 if p < 1 << 63 else object)
     assert (got.tolist() if lead else [got.tolist()]) == want
 
 

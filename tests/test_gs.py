@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, FpVector, quad_forms, ranks_to_digits
+from vc2lab.fp import FieldCtx, quad_forms, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 
@@ -12,17 +12,17 @@ ctx5 = FieldCtx(5)
 
 def test_fnz_examples():
     # membership is decided by the first nonzero coordinate alone
-    assert not GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 0, 0)))
-    assert not GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 2, 1)))
-    assert GsSet(ctx3, 3).contains(FpVector(ctx3, (0, 1, 2)))
-    assert GsSet(ctx5, 2).contains(FpVector(ctx5, (1, 0)))
+    assert not GsSet(ctx3, 3).contains((0, 0, 0))
+    assert not GsSet(ctx3, 3).contains((0, 2, 1))
+    assert GsSet(ctx3, 3).contains((0, 1, 2))
+    assert GsSet(ctx5, 2).contains((1, 0))
 
 
 def test_gs_contains_examples():
     a = GsSet(ctx3, 3)
-    assert not a.contains(FpVector(ctx3, (0, 0, 0)))
-    assert a.contains(FpVector(ctx3, (0, 1, 2)))
-    assert not a.contains(FpVector(ctx3, (2, 1, 0)))
+    assert not a.contains((0, 0, 0))
+    assert a.contains((0, 1, 2))
+    assert not a.contains((2, 1, 0))
 
 
 def test_gs_count_f3_4():
@@ -52,7 +52,7 @@ def test_gs_vectorized_matches_scalar():
         coords = tuple(int(c) for c in digits[r])
         ref = _gs_reference(coords)
         assert bool(vec[r]) == ref
-        assert a.contains(FpVector(ctx5, coords)) == ref
+        assert a.contains(coords) == ref
 
 
 def test_explicit_set_matches_scalar():
@@ -64,7 +64,7 @@ def test_explicit_set_matches_scalar():
         coords = tuple(int(c) for c in digits[r])
         ref = bool(table[_horner_rank(coords, 5)])
         assert bool(vec[r]) == ref
-        assert a.contains(FpVector(ctx5, coords)) == ref
+        assert a.contains(coords) == ref
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +73,12 @@ def qgs5():
 
 
 def test_eval_q_examples(qgs5):
-    zero = FpVector(ctx3, (0,) * 5)
+    zero = np.zeros(5, dtype=np.int64)
     for t in range(1, 6):
         assert qgs5.eval_q(t, zero) == 0
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
+        x = rng.integers(0, 3, 5)
         t = int(rng.integers(1, 6))
         assert qgs5.eval_q(t, -x) == qgs5.eval_q(t, x)
     with pytest.raises(ValueError):
@@ -88,12 +88,12 @@ def test_eval_q_examples(qgs5):
 
 
 def test_qgs_contains_examples(qgs5):
-    zero = FpVector(ctx3, (0,) * 5)
+    zero = np.zeros(5, dtype=np.int64)
     assert not qgs5.contains(zero)
     rng = np.random.default_rng(7)
     seen_one = seen_two = False
     for _ in range(300):
-        x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
+        x = rng.integers(0, 3, 5)
         q1 = qgs5.eval_q(1, x)
         if q1 == 1:
             assert qgs5.contains(x)
@@ -108,7 +108,7 @@ def test_qgs_vectorized_matches_scalar(qgs5):
     digits = ranks_to_digits(np.arange(3 ** 5), 3, 5)
     vec = qgs5.contains_digits(digits)
     for r in range(0, 3 ** 5, 7):
-        assert vec[r] == qgs5.contains(FpVector(ctx3, tuple(int(c) for c in digits[r])))
+        assert vec[r] == qgs5.contains(digits[r])
 
 
 def test_qgs_depends_only_on_value_sequence(qgs5):
@@ -116,8 +116,7 @@ def test_qgs_depends_only_on_value_sequence(qgs5):
     digits = ranks_to_digits(np.arange(3 ** 5), 3, 5)
     seqs = {}
     for r in range(3 ** 5):
-        x = FpVector(ctx3, tuple(int(c) for c in digits[r]))
-        key = tuple(quad_forms(x.as_array()[None, :], qgs5.basis.mats, 3)[0].tolist())
+        key = tuple(quad_forms(digits[r:r + 1], qgs5.basis.mats, 3)[0].tolist())
         if key in seqs:
             assert table[r] == seqs[key]
         else:
@@ -125,11 +124,11 @@ def test_qgs_depends_only_on_value_sequence(qgs5):
 
 
 def test_cross_term_examples(qgs5):
-    zero = FpVector(ctx3, (0,) * 5)
+    zero = np.zeros(5, dtype=np.int64)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        x = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
-        y = FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 5)))
+        x = rng.integers(0, 3, 5)
+        y = rng.integers(0, 3, 5)
         t = int(rng.integers(1, 6))
         assert qgs5.cross_term(t, x, zero) == 0
         assert qgs5.cross_term(t, x, y) == qgs5.cross_term(t, y, x)
@@ -141,7 +140,7 @@ def test_expansion_identity(seed):
     basis = build_trace_basis(ctx3, 4)
     a = QgsSet(basis)
     rng = np.random.default_rng(seed)
-    x, y, z = (FpVector(ctx3, tuple(int(c) for c in rng.integers(0, 3, 4))) for _ in range(3))
+    x, y, z = (rng.integers(0, 3, 4) for _ in range(3))
     t = int(rng.integers(1, 5))
     lhs = a.eval_q(t, x + y + z)
     rhs = (a.eval_q(t, x + z) + a.eval_q(t, y + z) - a.eval_q(t, z) + a.cross_term(t, x, y)) % 3
@@ -172,8 +171,8 @@ def test_explicit_set_round_trip():
     table = np.zeros(9, dtype=bool)
     table[[1, 3, 4]] = True
     a = ExplicitSet(ctx3, 2, table)
-    assert a.contains(FpVector(ctx3, (0, 1)))
-    assert not a.contains(FpVector(ctx3, (0, 0)))
+    assert a.contains((0, 1))
+    assert not a.contains((0, 0))
     digits = ranks_to_digits(np.arange(9), 3, 2)
     assert (a.contains_digits(digits) == table).all()
 
@@ -200,13 +199,12 @@ def test_forms_and_membership_exact_at_large_p():
     members = 0
     batched = a.contains_digits(np.array(pts, dtype=np.int64))
     for v, y, in_batch in zip(pts, pts[1:] + pts[:1], batched):
-        x = FpVector(ctx, tuple(v))
         ref = tuple(q(t, v) for t in range(n))
         assert tuple(quad_forms(np.array([v]), a.basis.mats, p)[0].tolist()) == ref
-        assert tuple(a.eval_q(t, x) for t in range(1, n + 1)) == ref
+        assert tuple(a.eval_q(t, v) for t in range(1, n + 1)) == ref
         member = next((r for r in ref if r), 0) == 1
         members += member
-        assert a.contains(x) == bool(in_batch) == member
+        assert a.contains(v) == bool(in_batch) == member
         cross = tuple(2 * sum(v[i] * mats[t][i][j] * y[j] for i in range(n) for j in range(n)) % p for t in range(n))
-        assert tuple(a.cross_term(t, x, FpVector(ctx, tuple(y))) for t in range(1, n + 1)) == cross
+        assert tuple(a.cross_term(t, v, y) for t in range(1, n + 1)) == cross
     assert members >= 20

@@ -125,13 +125,14 @@ def test_high_rank_failure_witness():
     mats = np.array([[[1, 0], [0, 1]], [[1, 0], [0, 2]]])
     bad = HighRankBasis(ctx3, 2, poly, mats)
     witness = check_high_rank(bad, mode="exhaustive")
-    assert witness is not None
-    combo = (witness.coords[0] * mats[0] + witness.coords[1] * mats[1]) % 3
+    assert witness is not None and witness.dtype == np.int64
+    combo = (witness[0] * mats[0] + witness[1] * mats[1]) % 3
     assert _rank_array(combo, 3) < 2
-    assert witness.coords == (1, 1)
+    assert witness.tolist() == [1, 1]
     # sampled mode reports the lexicographically smallest failure over every stream
     for threads in (1, 2, 3):
-        assert check_high_rank(bad, mode="sampled", count=50, seed=0, threads=threads).coords == (1, 1)
+        witness = check_high_rank(bad, mode="sampled", count=50, seed=0, threads=threads)
+        assert witness.dtype == np.int64 and witness.tolist() == [1, 1]
 
 
 def test_planted_failure_same_witness_in_every_mode():
@@ -147,11 +148,11 @@ def test_planted_failure_same_witness_in_every_mode():
     # reference: the first failing combination in rank order, ranked by the full reduction
     lams = ranks_to_digits(np.arange(1, p ** n), p, n)
     _, pivots = _rref((lams @ bad.mats.reshape(n, -1) % p).reshape(-1, n, n), p)
-    want = tuple(int(x) for x in lams[np.flatnonzero((pivots >= 0).sum(axis=-1) < n)[0]])
-    assert check_high_rank(bad, mode="exhaustive").coords == want
+    want = lams[np.flatnonzero((pivots >= 0).sum(axis=-1) < n)[0]].tolist()
+    assert check_high_rank(bad, mode="exhaustive").tolist() == want
     # 10^5 draws from the 3^9 - 1 nonzero combinations miss a given one with probability e^-5
     for threads in (1, 2):
-        assert check_high_rank(bad, mode="sampled", count=100_000, seed=0, threads=threads).coords == want
+        assert check_high_rank(bad, mode="sampled", count=100_000, seed=0, threads=threads).tolist() == want
 
 
 def test_exhaustive_limit_enforced():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, FpVector, vector_from_rank
+from vc2lab.fp import FieldCtx, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import (
@@ -40,16 +40,16 @@ def check_certificate(a, cert: ShatterCertificate):
 
 def test_pattern_signature_singleton():
     a = GsSet(ctx3, 2)
-    inside = FpVector(ctx3, (1, 0))
-    outside = FpVector(ctx3, (2, 0))
-    zero = FpVector(ctx3, (0, 0))
+    inside = (1, 0)
+    outside = (2, 0)
+    zero = (0, 0)
     assert pattern_signature(a, [zero], inside) == 1
     assert pattern_signature(a, [zero], outside) == 0
 
 
 def test_three_point_set_is_shattered():
     a = GsSet(ctx3, 3)
-    s = [FpVector(ctx3, (0, 0, 0)), FpVector(ctx3, (0, 1, 2)), FpVector(ctx3, (0, 2, 1))]
+    s = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
     cert = shatters(a, s)
     assert isinstance(cert, ShatterCertificate)
     check_certificate(a, cert)
@@ -57,10 +57,10 @@ def test_three_point_set_is_shattered():
 
 def test_pair_with_named_witness_pool():
     a = GsSet(ctx5, 2)
-    s = [FpVector(ctx5, (0, 0)), FpVector(ctx5, (0, 1))]
+    s = [(0, 0), (0, 1)]
     cert = shatters(a, s)
     assert isinstance(cert, ShatterCertificate)
-    pool = [FpVector(ctx5, (0, 0)), FpVector(ctx5, (1, 0)), FpVector(ctx5, (4, 0)), FpVector(ctx5, (0, 1))]
+    pool = [(0, 0), (1, 0), (4, 0), (0, 1)]
     assert {pattern_signature(a, s, y) for y in pool} == {0, 1, 2, 3}
 
 
@@ -69,7 +69,7 @@ def test_four_point_sets_not_shattered_in_gs34():
     rng = np.random.default_rng(2)
     for _ in range(5):
         ranks = rng.choice(3 ** 4 - 1, size=3, replace=False) + 1
-        s = [FpVector(ctx3, (0, 0, 0, 0))] + [vector_from_rank(ctx3, 4, int(r)) for r in ranks]
+        s = ranks_to_digits(np.concatenate([[0], ranks]), 3, 4)
         result = shatters(a, s)
         if isinstance(result, NotShattered):
             assert 0 <= result.missing < 16
@@ -77,10 +77,10 @@ def test_four_point_sets_not_shattered_in_gs34():
 
 def test_shatters_threads_match():
     a = GsSet(ctx3, 4)
-    s = [FpVector(ctx3, (0, 0, 0, 0)), FpVector(ctx3, (0, 0, 1, 2)), FpVector(ctx3, (0, 0, 2, 1))]
+    s = [(0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1)]
     c1 = shatters(a, s, threads=1)
     c2 = shatters(a, s, threads=2)
-    assert isinstance(c1, ShatterCertificate) and c1.witnesses == c2.witnesses
+    assert isinstance(c1, ShatterCertificate) and np.array_equal(c1.witnesses, c2.witnesses)
 
 
 @given(seed=st.integers(0, 2_000))
@@ -89,7 +89,7 @@ def test_monotone_under_subsets(seed):
     a = explicit(ctx3, 2, seed)
     rng = np.random.default_rng(seed + 1)
     ranks = rng.choice(9, size=3, replace=False)
-    s = [vector_from_rank(ctx3, 2, int(r)) for r in ranks]
+    s = ranks_to_digits(ranks, 3, 2)
     if isinstance(shatters(a, s), ShatterCertificate):
         for drop in range(3):
             sub = [v for i, v in enumerate(s) if i != drop]
@@ -102,10 +102,10 @@ def test_translation_invariance(seed, shift):
     a = explicit(ctx3, 2, seed)
     rng = np.random.default_rng(seed + 7)
     ranks = rng.choice(9, size=2, replace=False)
-    s = [vector_from_rank(ctx3, 2, int(r)) for r in ranks]
-    t = vector_from_rank(ctx3, 2, shift)
+    s = ranks_to_digits(ranks, 3, 2)
+    t = ranks_to_digits([shift], 3, 2)[0]
     res = shatters(a, s)
-    moved = shatters(a, [v + t for v in s])
+    moved = shatters(a, s + t)
     assert isinstance(res, ShatterCertificate) == isinstance(moved, ShatterCertificate)
     if isinstance(res, ShatterCertificate):
         # witnesses for the translated set are witnesses of the original shifted by -t
@@ -133,7 +133,7 @@ def _vc_dim_reference(a, k_max):
     tt = _translate_table(table, p, n)
 
     def certificate_for(ranks):
-        cert = shatters(a, tuple(vector_from_rank(a.ctx, n, r) for r in ranks))
+        cert = shatters(a, ranks_to_digits(ranks, p, n))
         assert isinstance(cert, ShatterCertificate)
         return cert
 
@@ -177,8 +177,8 @@ def test_vc_dim_matches_full_frontier_reference(p, n):
             if want.certificate is None:
                 assert got.certificate is None
             else:
-                assert got.certificate.S == want.certificate.S
-                assert got.certificate.witnesses == want.certificate.witnesses
+                assert np.array_equal(got.certificate.S, want.certificate.S)
+                assert np.array_equal(got.certificate.witnesses, want.certificate.witnesses)
 
 
 def test_vc_dim_gs_values():
@@ -222,7 +222,7 @@ def test_containment_map_index_round_trip():
 def test_vc2_realizes_trivial_cases():
     basis = build_trace_basis(ctx3, 5)
     a = QgsSet(basis)
-    zero = FpVector(ctx3, (0,) * 5)
+    zero = np.zeros(5, dtype=np.int64)
     out_map = ContainmentMap(0, ((False,),))
     in_map = ContainmentMap(0, ((True,),))
     assert vc2_realizes(a, [zero], [zero], out_map, zero)
@@ -233,15 +233,30 @@ def test_vc2_realizes_exact_below_2_63():
     # p = 2^63 - 25, GS(p, 1) = {1}: only the cell (1, 1), 2(p - 1) + 3 = 1 mod p, lies in the
     # set; summed in int64 before the reduction it wraps to -49, which is p - 49 mod p
     ctx = FieldCtx(2 ** 63 - 25)
-    pts = [FpVector(ctx, (0,)), FpVector(ctx, (ctx.p - 1,))]
+    pts = [(0,), (ctx.p - 1,)]
     phi = ContainmentMap(1, ((False, False), (False, True)))
-    assert vc2_realizes(GsSet(ctx, 1), pts, pts, phi, FpVector(ctx, (3,)))
+    assert vc2_realizes(GsSet(ctx, 1), pts, pts, phi, (3,))
+
+
+@pytest.mark.parametrize("bad", [[(1,), (2,)], [(0, 0, 0, 0), (0, 1, 2, 0)]], ids=["1-coordinate", "4-coordinate"])
+def test_wrong_length_points_raise(bad):
+    # points of F_3^3 with 1 or 4 coordinates were broadcast against the others, not rejected
+    a = GsSet(ctx3, 3)
+    zero, phi = (0, 0, 0), ContainmentMap.from_index(1, 0)
+    with pytest.raises(ValueError):
+        shatters(a, bad)
+    with pytest.raises(ValueError):
+        pattern_signature(a, [zero], bad[1])
+    with pytest.raises(ValueError):
+        vc2_realizes(a, bad, [zero, zero], phi, zero)
+    with pytest.raises(ValueError):
+        vc2_realizes(a, [zero, zero], [zero, zero], phi, bad[1])
 
 
 def test_vc2_shatters_empty_set_fails_at_all_in_map():
     a = ExplicitSet(ctx3, 2, np.zeros(9, dtype=bool))
-    zero = FpVector(ctx3, (0, 0))
-    v = FpVector(ctx3, (0, 1))
+    zero = (0, 0)
+    v = (0, 1)
     res = vc2_shatters(a, [zero, v], [zero, v], exhaustive_z_finder(a, [zero, v], [zero, v]))
     assert isinstance(res, Vc2Failure)
     assert res.map_index == 0
@@ -251,7 +266,7 @@ def test_vc2_shatters_empty_set_fails_at_all_in_map():
 def test_vc2_shatters_exhaustive_small_group():
     # a dense random set on F_3^3 quadratically shatters k=1 trivially
     a = explicit(ctx3, 3, seed=5)
-    zero = FpVector(ctx3, (0, 0, 0))
+    zero = (0, 0, 0)
     res = vc2_shatters(a, [zero], [zero], exhaustive_z_finder(a, [zero], [zero]))
     assert isinstance(res, QuadShatterCertificate)
     assert len(res.witnesses) == 2

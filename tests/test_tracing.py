@@ -12,7 +12,7 @@ import vc2lab.certs  # noqa: F401  (the tracer binds names in every vc2lab modul
 import vc2lab.cli  # noqa: F401
 import numpy as np
 
-from vc2lab.fp import FieldCtx, FpVector, mat_rank
+from vc2lab.fp import FieldCtx, mat_rank
 from vc2lab.gs import GsSet
 
 
@@ -47,7 +47,7 @@ def test_tracer_installs_and_uninstalls():
         ctx = FieldCtx(3)
         tracer.open_pass(0)
         assert mat_rank(np.array([[1, 2], [2, 1]]), 3) == 1
-        assert GsSet(ctx, 2).contains(FpVector(ctx, (0, 1)))
+        assert GsSet(ctx, 2).contains((0, 1))
         tracer.close_pass()
         counts = tracer.pass_metrics(0)
         assert counts["fp.rank.calls"] == 1
