@@ -385,4 +385,3 @@ def derive_rng(seed: int, *key: object) -> np.random.Generator:
         else:
             parts.append(int(k) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(parts))
-
