@@ -48,7 +48,6 @@ from .shatter import ContainmentMap, realizing_shifts, vc2_realizes
 # beyond it, seeded sampling hits a target of q quadratic values at rate p**-q.
 ATOM_EXHAUST_LIMIT = 1 << 21
 ATOM_SAMPLE_BUDGET = 10 ** 7
-ATOM_SAMPLE_BATCH = 1 << 11  # first batch; later batches grow geometrically
 ATOM_EVAL_CHUNK = 1 << 12  # candidate rows evaluated at once, which bounds peak memory
 
 
@@ -150,16 +149,12 @@ def find_in_atom(
     dim = nb.shape[0]
     lifted = np.vstack([nb, part[None, :]])
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
-    reduced = lifted @ mats % p @ lifted.T % p
+    reduced = matmul_mod(matmul_mod(lifted, mats, p), lifted.T, p)
 
     def first_hit(alphas: np.ndarray) -> np.ndarray | None:
-        for lo in range(0, alphas.shape[0], ATOM_EVAL_CHUNK):
-            chunk = alphas[lo:lo + ATOM_EVAL_CHUNK]
-            coords = np.hstack([chunk, np.ones((chunk.shape[0], 1), dtype=np.int64)])
-            idx = np.flatnonzero((quad_forms(coords, reduced, p) == quad_target).all(axis=1))
-            if idx.size:
-                return (part + chunk[idx[0]] @ nb) % p
-        return None
+        coords = np.hstack([alphas, np.ones((alphas.shape[0], 1), dtype=np.int64)])
+        idx = np.flatnonzero((quad_forms(coords, reduced, p) == quad_target).all(axis=1))
+        return (part + alphas[idx[0]] @ nb) % p if idx.size else None
 
     if p ** dim <= ATOM_EXHAUST_LIMIT:
         for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK):
@@ -168,16 +163,18 @@ def find_in_atom(
                 return z
         raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
 
+    # Candidates are drawn a chunk at a time and each chunk is tested before
+    # the next is drawn.  The generator yields the same rows however the draws
+    # are split, so the first hit does not depend on the chunk sizes.
     rng = derive_rng(seed, "find-in-atom")
-    tried = 0
-    batch = ATOM_SAMPLE_BATCH
+    tried, chunk = 0, 64
     while tried < budget:
-        batch = min(batch, budget - tried)
-        z = first_hit(rng.integers(0, p, size=(batch, dim)).astype(np.int64))
+        size = min(chunk, budget - tried)
+        z = first_hit(rng.integers(0, p, size=(size, dim)))
         if z is not None:
             return z
-        tried += batch
-        batch = min(batch * 8, 1 << 17)
+        tried += size
+        chunk = min(chunk * 4, ATOM_EVAL_CHUNK)
     raise RuntimeError(f"sampling budget exhausted after {tried} draws")
 
 
@@ -283,14 +280,25 @@ def construction_from_doc(doc: dict) -> ShatterPairConstruction:
     if doc.get("kind") != "construction":
         raise ValueError("not a construction document")
     p, n, k = int(doc["p"]), int(doc["n"]), int(doc["k"])
+    if k not in (2, 3):
+        raise ValueError("k must be 2 or 3")
     basis = build_trace_basis(FieldCtx(p), n)
     if list(basis.poly.coeffs) != [int(c) for c in doc["poly"]]:
         raise ValueError("polynomial does not match the canonical basis construction")
     x, y = as_points(doc["X"], p, n), as_points(doc["Y"], p, n)
+    if len(x) != k or len(y) != k:
+        raise ValueError(f"X and Y must hold k = {k} points each")
+    if x[0].any() or y[0].any():
+        raise ValueError("X[0] and Y[0] must both be the origin")
     if not _verify_construction(basis, k, x[1:], y[1:]):
         raise ValueError("construction invariants fail verification")
     linear = as_points(doc["factor"]["linear"], p, n)
-    factor = QuadraticFactor(basis.ctx, linear, tuple(int(t) for t in doc["factor"]["quad"]))
+    if not np.array_equal(linear, _construction_linear_polys(basis, k, x[1:], y[1:])):
+        raise ValueError("factor linear forms are not the forms 2 M_t u of the points")
+    quad = tuple(int(t) for t in doc["factor"]["quad"])
+    if quad != tuple(range(1, k + 1)):
+        raise ValueError(f"factor quadratic indices must be 1..{k}")
+    factor = QuadraticFactor(basis.ctx, linear, quad)
     prov = doc.get("provenance", {})
     return ShatterPairConstruction(
         k, x, y, factor, basis, int(doc["seed"]),

@@ -229,6 +229,17 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
     return HighRankBasis(ctx, n, poly, s[idx[:, None, None] + idx[None, :, None] + idx[None, None, :]])
 
 
+def _nonzero_rows(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarray:
+    """m nonzero rows of n residues: a block draw with the zero rows dropped, topped up
+    until full.  The generator yields the same rows however the draws are split, so
+    these are the rows a loop of one draw per row, skipping zero rows, would give."""
+    rows = np.zeros((0, n), dtype=np.int64)
+    while len(rows) < m:
+        block = rng.integers(0, p, size=(m - len(rows), n))
+        rows = np.concatenate([rows, block[block.any(axis=1)]])
+    return rows
+
+
 def check_high_rank(
     basis: HighRankBasis,
     mode: str = "exhaustive",
@@ -272,14 +283,10 @@ def check_high_rank(
         bad = []
         done = 0
         while done < stream_count:
-            # one draw per coefficient vector, made only when its batch runs
-            lams = []
-            while len(lams) < min(batch, stream_count - done):
-                lam = rng.integers(0, p, size=n)
-                if lam.any():
-                    lams.append(lam)
+            # drawn only when its batch runs
+            lams = _nonzero_rows(rng, min(batch, stream_count - done), n, p)
             done += len(lams)
-            bad += [tuple(int(x) for x in lams[i]) for i in failing(np.stack(lams))]
+            bad += [tuple(int(x) for x in lams[i]) for i in failing(lams)]
         return bad
 
     per = [count // threads + (1 if i < count % threads else 0) for i in range(threads)]

@@ -376,22 +376,34 @@ def vc2_shatters(
 ) -> QuadShatterCertificate | Vc2Failure:
     """Witness every containment map on the [0, k-1]^2 grid, or report the first failure.
 
-    X and Y have size k with x_0 = y_0 = 0; maps are tried in index order, so
-    a failure reports the first unrealizable map in that order.
+    X and Y have size k with x_0 = y_0 = 0.  Shifts are requested in map
+    index order up to the first None; then every grid is checked in one
+    membership call, and a failure reports the first map in index order that
+    has no shift or a wrong one.
     """
     k = len(x)
     if len(y) != k:
         raise ValueError("X and Y must have equal size")
     if not 1 <= k <= 3:
         raise ValueError("grid size k must be between 1 and 3")
-    x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
+    p, n = a.p, a.n
+    x, y = as_points(x, p, n), as_points(y, p, n)
     if x[0].any() or y[0].any():
         raise ValueError("x_0 and y_0 must both be 0")
     witnesses = []
     for idx in range(1 << (k * k)):
-        phi = ContainmentMap.from_index(k - 1, idx)
-        z = z_finder(phi)
-        if z is None or not vc2_realizes(a, x, y, phi, z):
-            return Vc2Failure(idx, phi)
-        witnesses.append(as_points([z], a.p, a.n)[0])
+        z = z_finder(ContainmentMap.from_index(k - 1, idx))
+        if z is None:
+            break
+        witnesses.append(as_points([z], p, n)[0])
+    if witnesses:
+        # cell c = i k + j of map idx is x_i + y_j + z_idx, in the set iff bit c of idx is clear
+        cells = add_mod(x[:, None], y[None, :], p).reshape(-1, n)
+        rows = add_mod(cells[None], np.array(witnesses)[:, None], p).reshape(-1, n)
+        want = (np.arange(len(witnesses))[:, None] >> np.arange(k * k)) & 1 == 0
+        wrong = np.flatnonzero((a.contains_digits(rows).reshape(len(witnesses), -1) != want).any(axis=1))
+        if wrong.size:
+            return Vc2Failure(int(wrong[0]), ContainmentMap.from_index(k - 1, int(wrong[0])))
+    if len(witnesses) < 1 << (k * k):
+        return Vc2Failure(len(witnesses), ContainmentMap.from_index(k - 1, len(witnesses)))
     return QuadShatterCertificate(x, y, witnesses)

@@ -17,7 +17,6 @@ from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, bui
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes, vc2_shatters
 from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
-    ATOM_SAMPLE_BATCH,
     AtomLabel,
     QuadraticFactor,
     atom_census,
@@ -92,7 +91,12 @@ def test_find_in_atom_rejects_high_complexity(basis5):
 
 
 def _find_in_atom_full_scan(f, basis, label, seed):
-    """find_in_atom's search in full coordinates: build every candidate point, test its Q-values."""
+    """find_in_atom's search in full coordinates: build every candidate point, test its Q-values.
+
+    The sampled branch draws in batches of 2048 rows, then 8 times more per
+    batch up to 2^17, a schedule unlike find_in_atom's; the two agree because
+    the generator yields the same rows however the draws are split.
+    """
     p, n = basis.ctx.p, basis.n
     l = len(f.linear_polys)
     if l:
@@ -117,7 +121,7 @@ def _find_in_atom_full_scan(f, basis, label, seed):
                 return z
         return None
     rng = derive_rng(seed, "find-in-atom")
-    batch = ATOM_SAMPLE_BATCH
+    batch = 2048
     while True:
         z = scan(rng.integers(0, p, size=(batch, dim)).astype(np.int64))
         if z is not None:
@@ -125,24 +129,45 @@ def _find_in_atom_full_scan(f, basis, label, seed):
         batch = min(batch * 8, 1 << 17)
 
 
-@given(p=st.sampled_from([3, 5]), n=st.sampled_from([9, 13]), l=st.integers(0, 5), q=st.integers(0, 3),
-       seed=st.integers(0, 10_000))
-@example(p=3, n=9, l=2, q=2, seed=1)  # exhaustive branch: 3^7 candidates
-@example(p=5, n=13, l=3, q=3, seed=2)  # sampled branch: 5^10 > ATOM_EXHAUST_LIMIT
-@settings(max_examples=30, deadline=None)
-def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
-    assume(2 * (l + q) < n)
+def _random_factor(p, n, l, q, seed):
+    """A factor with l random linear forms and q random quadratic indices, and a random label;
+    None when the linear forms are dependent."""
     ctx = FieldCtx(p)
     basis = build_trace_basis(ctx, n)
     rng = np.random.default_rng(seed)
     # one draw per linear form
     lin = np.array([rng.integers(0, p, n) for _ in range(l)], dtype=np.int64).reshape(l, n)
-    assume(not l or mat_rank(lin, p) == l)
+    if l and mat_rank(lin, p) != l:
+        return None
     f = QuadraticFactor(ctx, lin, tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
     label = AtomLabel(tuple(int(v) for v in rng.integers(0, p, l + q)))
+    return f, basis, label
+
+
+@given(p=st.sampled_from([3, 5]), n=st.sampled_from([9, 13]), l=st.integers(0, 5), q=st.integers(0, 3),
+       seed=st.integers(0, 10_000))
+@example(p=3, n=9, l=2, q=2, seed=1)  # exhaustive branch: 3^7 candidates
+@example(p=5, n=13, l=3, q=3, seed=2)  # sampled branch: 5^10 > ATOM_EXHAUST_LIMIT; first hit at draw 237
+@example(p=5, n=13, l=3, q=3, seed=7)  # first hit at draw 436: the 64- and 256-row chunks both miss
+@settings(max_examples=30, deadline=None)
+def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
+    assume(2 * (l + q) < n)
+    case = _random_factor(p, n, l, q, seed)
+    assume(case is not None)
+    f, basis, label = case
     z = find_in_atom(f, basis, label, seed=seed)
     assert atom_label(f, basis, z) == label
     assert np.array_equal(z, _find_in_atom_full_scan(f, basis, label, seed))
+
+
+def test_find_in_atom_budget_counts_draws():
+    # sampled branch whose first hit is draw 436 (0-based)
+    f, basis, label = _random_factor(5, 13, 3, 3, 7)
+    for budget in (0, 1, 64, 100, 436):
+        with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
+            find_in_atom(f, basis, label, seed=7, budget=budget)
+    z = find_in_atom(f, basis, label, seed=7, budget=437)
+    assert np.array_equal(z, find_in_atom(f, basis, label, seed=7))
 
 
 def test_atom_census_trivial_factors(basis9):
@@ -263,6 +288,28 @@ def test_construction_doc_round_trip(basis13):
     # tampering with a point breaks the invariant verification
     doc["Y"][1][0] = (doc["Y"][1][0] + 1) % 3
     with pytest.raises(ValueError):
+        construction_from_doc(doc)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["X"][0].__setitem__(0, 1), "origin"),
+    (lambda d: d["Y"][0].__setitem__(3, 2), "origin"),
+    (lambda d: d["X"].pop(), "k = 2 points"),
+    (lambda d: d["Y"].append([0] * 13), "k = 2 points"),
+    (lambda d: d["factor"]["linear"].reverse(), "linear forms"),
+    (lambda d: d["factor"]["linear"][2].__setitem__(0, (d["factor"]["linear"][2][0] + 1) % 3), "linear forms"),
+    (lambda d: d["factor"].__setitem__("quad", [2, 1]), "quadratic indices"),
+    (lambda d: d["factor"].__setitem__("quad", [1]), "quadratic indices"),
+    (lambda d: d.__setitem__("k", 4), "k must be 2 or 3"),
+], ids=["x0", "y0", "short-X", "long-Y", "reordered-linear", "edited-linear", "quad-order", "quad-short", "k"])
+def test_construction_from_doc_rejects(basis13, edit, message):
+    from vc2lab.factor import construction_doc, construction_from_doc
+    from vc2lab import certs
+
+    doc = certs.loads(certs.dumps(construction_doc(construct_shatter_pair(basis13, 2, seed=3))))
+    construction_from_doc(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
         construction_from_doc(doc)
 
 

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vc2lab.fp import FieldCtx, _rank_array, _rref, ranks_to_digits
+from vc2lab.fp import FieldCtx, _rank_array, _rref, derive_rng, ranks_to_digits
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
     _is_irreducible,
+    _nonzero_rows,
     build_irreducible,
     build_trace_basis,
     check_high_rank,
@@ -153,6 +154,23 @@ def test_planted_failure_same_witness_in_every_mode():
     # 10^5 draws from the 3^9 - 1 nonzero combinations miss a given one with probability e^-5
     for threads in (1, 2):
         assert check_high_rank(bad, mode="sampled", count=100_000, seed=0, threads=threads).tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 31])
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_nonzero_rows_match_one_draw_per_row(p, n):
+    # the sampled check's block draws against the loop of one draw per coefficient vector;
+    # at n = 1 about one row in p is zero, so the block is topped up
+    for seed in range(20):
+        block, loop = derive_rng(seed, "high-rank-check", 0), derive_rng(seed, "high-rank-check", 0)
+        got = np.concatenate([_nonzero_rows(block, m, n, p) for m in (7, 50, 1)])
+        want = []
+        while len(want) < len(got):
+            lam = loop.integers(0, p, size=n)
+            if lam.any():
+                want.append(lam)
+        assert got.dtype == np.int64 and np.array_equal(got, np.array(want))
+        assert block.integers(0, 1 << 40) == loop.integers(0, 1 << 40)  # both streams end at the same place
 
 
 def test_exhaustive_limit_enforced():

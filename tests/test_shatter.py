@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, ranks_to_digits
+from vc2lab.fp import FieldCtx, digits_to_ranks, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import (
@@ -261,6 +261,68 @@ def test_vc2_shatters_empty_set_fails_at_all_in_map():
     assert isinstance(res, Vc2Failure)
     assert res.map_index == 0
     assert all(val for row in res.phi.verdicts for val in row)
+
+
+def _disjoint_grids(k):
+    """A set of F_3^n in which every map on the [0, k-1]^2 grid has its own known shift.
+
+    X = {0, e_1, ..}, Y = {0, e_k, ..}, and the shift of map idx writes idx in base 3
+    on the last m coordinates, so no two maps' grids share a point; the set holds
+    exactly the in-set cells of every map's grid.
+    """
+    p, maps = 3, 1 << (k * k)
+    m = next(m for m in range(1, 10) if p ** m >= maps)
+    n = 2 * (k - 1) + m
+    eye = np.eye(n, dtype=np.int64)
+    x = np.vstack([np.zeros((1, n), dtype=np.int64), eye[:k - 1]])
+    y = np.vstack([np.zeros((1, n), dtype=np.int64), eye[k - 1:2 * (k - 1)]])
+    shifts = np.zeros((maps, n), dtype=np.int64)
+    shifts[:, n - m:] = ranks_to_digits(np.arange(maps), p, m)
+    table = np.zeros(p ** n, dtype=bool)
+    for idx, z in enumerate(shifts):
+        for c in range(k * k):
+            if not (idx >> c) & 1:
+                table[digits_to_ranks(((x[c // k] + y[c % k] + z) % p)[None], p)] = True
+    return ExplicitSet(ctx3, n, table), x, y, shifts
+
+
+def _scripted_finder(shifts, script):
+    """Shift finder answering from script where it names the map, else with the map's own shift."""
+    calls = []
+
+    def find(phi):
+        idx = phi.to_index()
+        calls.append(idx)
+        return script[idx] if idx in script else shifts[idx]
+
+    return find, calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vc2_shatters_reports_first_failure_in_index_order(k):
+    a, x, y, shifts = _disjoint_grids(k)
+    maps = len(shifts)
+    # every shift correct: the certificate holds them in index order
+    find, calls = _scripted_finder(shifts, {})
+    res = vc2_shatters(a, x, y, find)
+    assert isinstance(res, QuadShatterCertificate)
+    assert np.array_equal(res.witnesses, shifts) and calls == list(range(maps))
+    # a wrong shift at i, then no shift at a later j: i is reported
+    i, j = maps // 4, maps // 2
+    find, calls = _scripted_finder(shifts, {i: shifts[i ^ 1], j: None})
+    res = vc2_shatters(a, x, y, find)
+    assert isinstance(res, Vc2Failure)
+    assert res.map_index == i and res.phi == ContainmentMap.from_index(k - 1, i)
+    # no shift at j, before a wrong shift at a later i: j is reported, and no map after j is asked for
+    j, i = maps // 4, maps // 2
+    find, calls = _scripted_finder(shifts, {j: None, i: shifts[i ^ 1]})
+    res = vc2_shatters(a, x, y, find)
+    assert isinstance(res, Vc2Failure)
+    assert res.map_index == j and res.phi == ContainmentMap.from_index(k - 1, j)
+    assert calls == list(range(j + 1))
+    # a wrong shift at the last map alone
+    find, _ = _scripted_finder(shifts, {maps - 1: shifts[0]})
+    assert vc2_shatters(a, x, y, find).map_index == maps - 1
 
 
 def test_vc2_shatters_exhaustive_small_group():
