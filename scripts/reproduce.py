@@ -3,7 +3,7 @@
 
 Usage: python scripts/reproduce.py [--out DIR] [--seed N] [--skip-slow]
 
-The slow part is the pair of k=3 pipelines at n=31 (about ten seconds each);
+The slowest part is the pair of k=3 pipelines at n=31 (under a second each);
 everything else is near-instant.  A failed check prints its step and exits
 with status 1 (also under python -O).
 """
@@ -21,8 +21,8 @@ from vc2lab import certs
 from vc2lab.fp import FieldCtx
 from vc2lab.gs import GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis, check_high_rank
-from vc2lab.shatter import QuadShatterCertificate, vc2_shatters, vc_dim
-from vc2lab.factor import QuadraticFactor, atom_census, construct_shatter_pair, forced_zero_probe, realize_map
+from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_shatters, vc_dim
+from vc2lab.factor import QuadraticFactor, atom_census, construct_shatter_pair, forced_zero_probe, realize_maps
 from vc2lab.ramsey import br_upper_bound, find_mono_biclique, random_colouring
 
 
@@ -85,7 +85,8 @@ def main() -> int:
         basis = build_trace_basis(FieldCtx(p), n)
         c = construct_shatter_pair(basis, k, seed=args.seed)
         a = QgsSet(basis)
-        cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=args.seed))
+        found = realize_maps(c, [ContainmentMap.from_index(k - 1, idx) for idx in range(1 << (k * k))], seed=args.seed)
+        cert = vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
         st.require(isinstance(cert, QuadShatterCertificate), "a containment map has no witness")
         doc = certs.quad_certificate_doc(cert, a)
         path = out / f"vc2_k{k}_p{p}_n{n}.json"

@@ -31,10 +31,12 @@ from .factor import (
     construction_doc,
     construction_from_doc,
     find_in_atom,
+    find_in_atoms,
     forced_zero_probe,
     planted_qualifying_sets,
     predicted_grid,
     realize_map,
+    realize_maps,
     target_values_for_map,
     zero_forcing_map,
 )

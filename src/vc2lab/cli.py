@@ -27,13 +27,13 @@ from .factor import (
     construct_shatter_pair,
     construction_doc,
     forced_zero_probe,
-    realize_map,
+    realize_maps,
 )
 from .fp import FieldCtx, as_points
 from .gs import GsSet, QgsSet
 from .highrank import build_trace_basis, check_high_rank
 from .ramsey import BipartiteColouring, br_upper_bound, find_mono_biclique, random_colouring
-from .shatter import ShatterCertificate, shatters, vc2_shatters, vc_dim
+from .shatter import ContainmentMap, ShatterCertificate, shatters, vc2_shatters, vc_dim
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ def _write_cert(path: str | None, doc: dict) -> str | None:
     if path is None:
         return None
     data = certs.dumps(doc)
-    Path(path).write_bytes(data)
     check = certs.verify_certificate(certs.loads(data))
     if not check.ok:
         raise RuntimeError(f"emitted certificate failed self-verification: {check.detail}")
+    Path(path).write_bytes(data)
     return path
 
 
@@ -193,21 +193,9 @@ def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
     basis = build_trace_basis(ctx, cfg.n)
     construction = construct_shatter_pair(basis, cfg.k, seed=cfg.seed)
     a = QgsSet(basis)
-    n_maps = 1 << (cfg.k * cfg.k)
-    if cfg.threads > 1:
-        # realizations for distinct maps are independent; precompute in parallel
-        from concurrent.futures import ThreadPoolExecutor
-        from .shatter import ContainmentMap
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            found = list(ex.map(
-                lambda idx: realize_map(construction, ContainmentMap.from_index(cfg.k - 1, idx), seed=cfg.seed),
-                range(n_maps),
-            ))
-        finder = lambda phi: found[phi.to_index()]
-    else:
-        finder = lambda phi: realize_map(construction, phi, seed=cfg.seed)
-    cert = vc2_shatters(a, construction.X, construction.Y, finder)
+    maps = [ContainmentMap.from_index(cfg.k - 1, idx) for idx in range(1 << (cfg.k * cfg.k))]
+    found = realize_maps(construction, maps, seed=cfg.seed)
+    cert = vc2_shatters(a, construction.X, construction.Y, lambda phi: found[phi.to_index()])
     if not hasattr(cert, "witnesses"):
         return RunReport(
             command="vc2-verify",

@@ -120,62 +120,104 @@ def find_in_atom(
     seed: int = 0,
     budget: int = ATOM_SAMPLE_BUDGET,
 ) -> np.ndarray:
-    """A point whose label matches, by solving the linear part then searching.
+    """A point whose label matches: find_in_atoms for the one label."""
+    return find_in_atoms(f, basis, [label.values], [seed], budget)[0]
 
-    The linear constraints yield an affine subspace part + span(N); it is
-    enumerated exhaustively while small (deterministic, seed ignored),
-    otherwise sampled with a stream derived from the seed.  Candidates are
-    tested in null-space coordinates: with B = [N; part] and a = (alpha, 1),
-    Q_t(part + alpha N) = a (B M_t B^T) a^T, so only the matching point is
-    ever built.  Requires complexity < n/2 so that non-emptiness is
-    guaranteed, and n (p-1)^2 < 2^63 so that the int64 products are exact.
+
+def find_in_atoms(
+    f: QuadraticFactor,
+    basis: HighRankBasis,
+    labels: Sequence[Sequence[int]] | np.ndarray,
+    seeds: Sequence[int],
+    budget: int = ATOM_SAMPLE_BUDGET,
+) -> list[np.ndarray]:
+    """A point in each label's atom, by solving the linear part then searching.
+
+    labels holds one label's values per row, linear values first, and
+    seeds one seed per label.  The linear constraints yield an affine
+    subspace part + span(N); it is enumerated exhaustively in rank order
+    while small (deterministic, seeds ignored), otherwise sampled with a
+    stream derived from the label's seed, so each label gets the point a
+    search for it alone would give.  Candidates are tested in null-space
+    coordinates: Q_t(part + alpha N) = alpha A_t alpha^T + alpha . 2 N M_t
+    part^T + Q_t(part) with A_t = N M_t N^T shared by every label (M_t is
+    symmetric), so one evaluation serves a block of candidates from many
+    labels, and only the matching point is ever built.  Labels are searched
+    ATOM_EVAL_CHUNK // 64 at a time, so at most that many generators are
+    alive, and at most ATOM_EVAL_CHUNK candidate rows are evaluated at once.
+    Requires complexity < n/2 so that non-emptiness is guaranteed, and
+    n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
     _check_factor(f, basis)
     n, p = basis.n, basis.ctx.p
     d = f.complexity
     if 2 * d >= n:
         raise ValueError("nonemptiness not guaranteed: complexity must be < n/2")
-    if len(label.values) != d:
+    if len(seeds) != len(labels):
+        raise ValueError("one seed per label expected")
+    if not len(labels):
+        return []
+    vals = np.asarray(labels, dtype=np.int64)
+    if vals.ndim != 2 or vals.shape[1] != d:
         raise ValueError("label length mismatch")
     if n * (p - 1) ** 2 >= 1 << 63:
         raise ValueError("p too large for exact int64 atom search")
     l = len(f.linear_polys)
-    quad_target = np.array(label.values[l:], dtype=np.int64)
     if l:
         transform, nb = f._affine
-        part = transform @ np.array(label.values[:l], dtype=np.int64) % p
+        parts = vals[:, :l] @ transform.T % p
     else:
-        part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        parts, nb = np.zeros((len(vals), n), dtype=np.int64), np.eye(n, dtype=np.int64)
     dim = nb.shape[0]
-    lifted = np.vstack([nb, part[None, :]])
+    target = vals[:, l:]
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
-    reduced = matmul_mod(matmul_mod(lifted, mats, p), lifted.T, p)
+    nm = matmul_mod(nb, mats, p)
+    shared = matmul_mod(nm, nb.T, p)
+    cross = matmul_mod(nm, parts.T, p)
+    linear = add_mod(cross, cross, p).transpose(2, 1, 0)  # (labels, dim, q)
+    const = quad_forms(parts, mats, p)
+    found: list[np.ndarray | None] = [None] * len(vals)
 
-    def first_hit(alphas: np.ndarray) -> np.ndarray | None:
-        coords = np.hstack([alphas, np.ones((alphas.shape[0], 1), dtype=np.int64)])
-        idx = np.flatnonzero((quad_forms(coords, reduced, p) == quad_target).all(axis=1))
-        return (part + alphas[idx[0]] @ nb) % p if idx.size else None
+    def settle(owners: list[int], alphas: np.ndarray) -> None:
+        """Record each owner's first hit among its rows alphas[j], or among alphas[0] when all share them."""
+        quad = quad_forms(alphas.reshape(-1, dim), shared, p).reshape(*alphas.shape[:2], -1)
+        got = quad + matmul_mod(alphas, linear[owners], p) + const[owners, None]
+        hit = (got % p == target[owners, None]).all(axis=2)
+        cand = np.broadcast_to(alphas, hit.shape + (dim,))
+        for j in np.flatnonzero(hit.any(axis=1)):
+            found[owners[j]] = (parts[owners[j]] + cand[j, hit[j].argmax()] @ nb) % p
 
-    if p ** dim <= ATOM_EXHAUST_LIMIT:
-        for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK):
-            z = first_hit(alphas)
-            if z is not None:
-                return z
-        raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
+    group = ATOM_EVAL_CHUNK // 64
+    for start in range(0, len(vals), group):
+        pending = list(range(start, min(start + group, len(vals))))
+        if p ** dim <= ATOM_EXHAUST_LIMIT:
+            for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK // len(pending)):
+                settle(pending, alphas[None])
+                pending = [i for i in pending if found[i] is None]
+                if not pending:
+                    break
+            else:
+                raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
+            continue
 
-    # Candidates are drawn a chunk at a time and each chunk is tested before
-    # the next is drawn.  The generator yields the same rows however the draws
-    # are split, so the first hit does not depend on the chunk sizes.
-    rng = derive_rng(seed, "find-in-atom")
-    tried, chunk = 0, 64
-    while tried < budget:
-        size = min(chunk, budget - tried)
-        z = first_hit(rng.integers(0, p, size=(size, dim)))
-        if z is not None:
-            return z
-        tried += size
-        chunk = min(chunk * 4, ATOM_EVAL_CHUNK)
-    raise RuntimeError(f"sampling budget exhausted after {tried} draws")
+        # Each label's candidates are drawn a chunk at a time and each chunk is
+        # tested before the next is drawn.  The generator yields the same rows
+        # however the draws are split, so the first hit does not depend on the
+        # chunk sizes or on which labels share an evaluation.
+        rngs = {i: derive_rng(seeds[i], "find-in-atom") for i in pending}
+        tried, chunk = 0, 64
+        while pending and tried < budget:
+            size = min(chunk, budget - tried)
+            step = ATOM_EVAL_CHUNK // size
+            for j in range(0, len(pending), step):
+                owners = pending[j:j + step]
+                settle(owners, np.stack([rngs[i].integers(0, p, size=(size, dim)) for i in owners]))
+            pending = [i for i in pending if found[i] is None]
+            tried += size
+            chunk = min(chunk * 4, ATOM_EVAL_CHUNK)
+        if pending:
+            raise RuntimeError(f"sampling budget exhausted after {tried} draws")
+    return found
 
 
 def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = True) -> dict[AtomLabel, int]:
@@ -694,27 +736,37 @@ def target_values_for_map(phi: ContainmentMap, p: int) -> TargetValues:
 
 
 def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> np.ndarray:
-    """A shift z realizing phi, found inside the atom the target values select.
+    """A shift z realizing phi: realize_maps for the one map."""
+    return realize_maps(c, [phi], seed)[0]
+
+
+def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], seed: int = 0) -> list[np.ndarray]:
+    """A shift realizing each map, found inside the atom its target values select.
 
     The atom label subtracts, per point u and form index t, both the shift
-    value q_t and the point's own value Q_t(u) from the target; the final
-    answer is re-verified against direct membership before returning.
+    value q_t and the point's own value Q_t(u) from the target.  All atoms
+    are searched in one find_in_atoms call, map phi with the seed
+    derive_seed_for_map(seed, phi), and every grid is re-verified against
+    direct membership in one call before returning.
     """
-    if phi.k + 1 != c.k:
+    if any(phi.k + 1 != c.k for phi in maps):
         raise ValueError("map grid does not match the construction size")
-    p = c.basis.ctx.p
-    tv = target_values_for_map(phi, p)
-    qgs = QgsSet(c.basis)
-    own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:c.k], p)
-    lin_vals = []
-    for own_q, targ in zip(own, list(tv.a) + list(tv.b)):
-        for t in range(c.k):
-            lin_vals.append((targ[t] - tv.q[t] - int(own_q[t])) % p)
-    label = AtomLabel(tuple(lin_vals) + tv.q)
-    z = find_in_atom(c.factor, c.basis, label, seed=derive_seed_for_map(seed, phi))
-    if not vc2_realizes(qgs, c.X, c.Y, phi, z):
+    if not maps:
+        return []
+    p, n, k = c.basis.ctx.p, c.basis.n, c.k
+    tvs = [target_values_for_map(phi, p) for phi in maps]
+    q = np.array([tv.q for tv in tvs], dtype=np.int64)
+    own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
+    lin = (np.array([tv.a + tv.b for tv in tvs], dtype=np.int64) - q[:, None] - own) % p
+    labels = np.concatenate([lin.reshape(len(maps), -1), q], axis=1)
+    zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, phi) for phi in maps]))
+    # cell i k + j of a map's grid is x_i + y_j + z
+    cells = add_mod(c.X[:, None], c.Y[None, :], p).reshape(-1, n)
+    rows = add_mod(cells[None], zs[:, None], p).reshape(-1, n)
+    want = np.array([[v for row in phi.verdicts for v in row] for phi in maps])
+    if (QgsSet(c.basis).contains_digits(rows).reshape(len(maps), -1) != want).any():
         raise RuntimeError("realization failed verification: case table or atom search bug")
-    return z
+    return list(zs)
 
 
 def derive_seed_for_map(seed: int, phi: ContainmentMap) -> int:

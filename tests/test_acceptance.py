@@ -14,6 +14,7 @@ from vc2lab.fp import FieldCtx
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis, check_high_rank
 from vc2lab.shatter import (
+    ContainmentMap,
     QuadShatterCertificate,
     vc2_shatters,
     vc_dim,
@@ -24,13 +25,19 @@ from vc2lab.factor import (
     atom_census,
     construct_shatter_pair,
     forced_zero_probe,
-    realize_map,
+    realize_maps,
 )
 from vc2lab.ramsey import br_upper_bound, find_mono_biclique, random_colouring
 
 ctx3 = FieldCtx(3)
 ctx5 = FieldCtx(5)
 ctx7 = FieldCtx(7)
+
+
+def realized_shatter(a, c):
+    """vc2_shatters over the shifts realize_maps finds for every map of the construction's grid."""
+    found = realize_maps(c, [ContainmentMap.from_index(c.k - 1, idx) for idx in range(1 << (c.k * c.k))], seed=0)
+    return vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
 
 
 def report(name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):
@@ -65,7 +72,7 @@ def test_c03_k2_pipeline():
     basis = build_trace_basis(ctx3, 13)
     c = construct_shatter_pair(basis, 2, seed=0)
     a = QgsSet(basis)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
+    cert = realized_shatter(a, c)
     ok = isinstance(cert, QuadShatterCertificate) and len(cert.witnesses) == 16
     if ok:
         doc = certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
@@ -81,7 +88,7 @@ def test_c04_k3_pipeline(p):
     basis = build_trace_basis(ctx, 31)
     c = construct_shatter_pair(basis, 3, seed=0)
     a = QgsSet(basis)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
+    cert = realized_shatter(a, c)
     ok = isinstance(cert, QuadShatterCertificate) and len(cert.witnesses) == 512
     if ok:
         doc = certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
@@ -175,7 +182,7 @@ def test_c09b_certificate_fuzzing():
     basis = build_trace_basis(ctx3, 13)
     c = construct_shatter_pair(basis, 2, seed=0)
     qa = QgsSet(basis)
-    qcert = vc2_shatters(qa, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
+    qcert = realized_shatter(qa, c)
     qdoc = certs.loads(certs.dumps(certs.quad_certificate_doc(qcert, qa)))
 
     rng = np.random.default_rng(99)

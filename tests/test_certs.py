@@ -16,7 +16,7 @@ from vc2lab.fp import FieldCtx, add_mod
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import ContainmentMap, shatters, vc2_shatters, ShatterCertificate
-from vc2lab.factor import CheckResult, construct_shatter_pair, realize_map
+from vc2lab.factor import CheckResult, construct_shatter_pair, realize_maps
 
 ctx3 = FieldCtx(3)
 
@@ -34,7 +34,8 @@ def vc2_doc():
     basis = build_trace_basis(ctx3, 13)
     c = construct_shatter_pair(basis, 2, seed=0)
     a = QgsSet(basis)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
+    found = realize_maps(c, [ContainmentMap.from_index(1, idx) for idx in range(16)], seed=0)
+    cert = vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
 
 

@@ -88,6 +88,20 @@ def test_threads_do_not_change_certificate_bytes(capsys, tmp_path):
     assert one.read_bytes() == four.read_bytes()
 
 
+def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, monkeypatch):
+    # a verifier limit below every prime makes the verifier refuse the k=2 certificate
+    monkeypatch.setattr(certs, "QGS_MAX_P", 2)
+    cert = tmp_path / "vc2.json"
+    code = main(["vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--cert", str(cert)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: emitted certificate failed self-verification: qgs set beyond the verifier's limits "
+        f"p <= 2, n <= {certs.QGS_MAX_N}"
+    ]
+    assert not cert.exists()
+
+
 def test_report_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, "br-bound", "--r", "2", "--format", "json", "--output", str(out_path))

@@ -26,12 +26,15 @@ from vc2lab.factor import (
     check_forced_zeros,
     construct_shatter_pair,
     cross_terms_vanish_below,
+    derive_seed_for_map,
     find_in_atom,
+    find_in_atoms,
     forced_zero_probe,
     planted_qualifying_sets,
     predicted_grid,
     random_zero_cross_term_sets,
     realize_map,
+    realize_maps,
     target_values_for_map,
     zero_forcing_map,
 )
@@ -144,13 +147,22 @@ def _random_factor(p, n, l, q, seed):
     return f, basis, label
 
 
+def _extra_labels(p, l, q, seed, count):
+    """count further (label values, seed) pairs for a factor with l linear and q quadratic forms."""
+    rng = np.random.default_rng(seed + 1)
+    return [(tuple(int(v) for v in rng.integers(0, p, l + q)), int(rng.integers(0, 10_000))) for _ in range(count)]
+
+
 @given(p=st.sampled_from([3, 5]), n=st.sampled_from([9, 13]), l=st.integers(0, 5), q=st.integers(0, 3),
-       seed=st.integers(0, 10_000))
-@example(p=3, n=9, l=2, q=2, seed=1)  # exhaustive branch: 3^7 candidates
-@example(p=5, n=13, l=3, q=3, seed=2)  # sampled branch: 5^10 > ATOM_EXHAUST_LIMIT; first hit at draw 237
-@example(p=5, n=13, l=3, q=3, seed=7)  # first hit at draw 436: the 64- and 256-row chunks both miss
+       seed=st.integers(0, 10_000), extra=st.integers(0, 4))
+@example(p=3, n=9, l=2, q=2, seed=1, extra=3)  # exhaustive branch: 3^7 candidates
+# sampled branch: 5^10 > ATOM_EXHAUST_LIMIT; first hit at draw 237, the extra labels' at draws 182, 1, 185, 102
+@example(p=5, n=13, l=3, q=3, seed=2, extra=4)
+# first hit at draw 436: the 64- and 256-row chunks both miss; the extra labels hit at draws 216, 10, 62, 11
+@example(p=5, n=13, l=3, q=3, seed=7, extra=4)
 @settings(max_examples=30, deadline=None)
-def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
+def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed, extra):
+    """find_in_atom, and find_in_atoms on a batch of extra labels besides, label by label."""
     assume(2 * (l + q) < n)
     case = _random_factor(p, n, l, q, seed)
     assume(case is not None)
@@ -158,16 +170,38 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed):
     z = find_in_atom(f, basis, label, seed=seed)
     assert atom_label(f, basis, z) == label
     assert np.array_equal(z, _find_in_atom_full_scan(f, basis, label, seed))
+    batch = [(label.values, seed)] + _extra_labels(p, l, q, seed, extra)
+    zs = find_in_atoms(f, basis, [vals for vals, _ in batch], [s for _, s in batch])
+    assert len(zs) == len(batch) and np.array_equal(zs[0], z)
+    for z, (vals, s) in zip(zs[1:], batch[1:]):
+        assert np.array_equal(z, _find_in_atom_full_scan(f, basis, AtomLabel(vals), s))
 
 
 def test_find_in_atom_budget_counts_draws():
-    # sampled branch whose first hit is draw 436 (0-based)
+    # sampled branch whose first hit is draw 436 (0-based), alone and in a batch with
+    # labels whose first hits are draws 216, 10, 62 and 11
     f, basis, label = _random_factor(5, 13, 3, 3, 7)
+    batch = [(label.values, 7)] + _extra_labels(5, 3, 3, 7, 4)
+    labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
     for budget in (0, 1, 64, 100, 436):
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
             find_in_atom(f, basis, label, seed=7, budget=budget)
+        with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
+            find_in_atoms(f, basis, labels, seeds, budget=budget)
     z = find_in_atom(f, basis, label, seed=7, budget=437)
     assert np.array_equal(z, find_in_atom(f, basis, label, seed=7))
+    zs = find_in_atoms(f, basis, labels, seeds, budget=437)
+    for z, vals, s in zip(zs, labels, seeds):
+        assert np.array_equal(z, find_in_atom(f, basis, AtomLabel(vals), seed=s))
+
+
+def test_find_in_atoms_argument_checks(basis9):
+    f = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
+    assert find_in_atoms(f, basis9, [], []) == []
+    with pytest.raises(ValueError, match="one seed per label"):
+        find_in_atoms(f, basis9, [(0, 0, 0, 0)], [1, 2])
+    with pytest.raises(ValueError, match="label length mismatch"):
+        find_in_atoms(f, basis9, [(0, 0, 0)], [1])
 
 
 def test_atom_census_trivial_factors(basis9):
@@ -253,16 +287,67 @@ def test_construct_pair_size_limits(basis13):
         construct_shatter_pair(basis13, 4, seed=0)
 
 
+def _all_maps(k):
+    return [ContainmentMap.from_index(k - 1, idx) for idx in range(1 << (k * k))]
+
+
 def test_k2_pipeline_realizes_all_maps(basis13):
     c = construct_shatter_pair(basis13, 2, seed=0)
     a = QgsSet(basis13)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: realize_map(c, phi, seed=0))
+    found = realize_maps(c, _all_maps(2), seed=0)
+    cert = vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
     assert isinstance(cert, QuadShatterCertificate)
     assert len(cert.witnesses) == 16
     # independent re-check of a few witnesses
     for idx in (0, 7, 15):
         phi = ContainmentMap.from_index(1, idx)
         assert vc2_realizes(a, c.X, c.Y, phi, cert.witnesses[idx])
+
+
+def _label_for_map(c, phi):
+    """The atom label realize_maps searches for phi, computed point by point and form by form."""
+    p = c.basis.ctx.p
+    tv = target_values_for_map(phi, p)
+    a = QgsSet(c.basis)
+    lin = [
+        (targ[t] - tv.q[t] - a.eval_q(t + 1, u)) % p
+        for u, targ in zip(list(c.X[1:]) + list(c.Y[1:]), list(tv.a) + list(tv.b))
+        for t in range(c.k)
+    ]
+    return AtomLabel(tuple(lin) + tv.q)
+
+
+@pytest.mark.parametrize("k,n", [(2, 13), (3, 31)])  # k=2: exhaustive branch; k=3: sampled
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_realize_maps_equals_per_map_search(k, n, p, seed):
+    c = construct_shatter_pair(build_trace_basis(FieldCtx(p), n), k, seed=seed)
+    maps = _all_maps(k)
+    got = realize_maps(c, maps, seed=seed)
+    assert len(got) == len(maps)
+    for phi, z in zip(maps, got):
+        want = find_in_atom(c.factor, c.basis, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi))
+        assert np.array_equal(z, want)
+
+
+def test_realize_maps_rejects_a_corrupted_target_table(basis13, monkeypatch):
+    import vc2lab.factor as factor
+
+    c = construct_shatter_pair(basis13, 2, seed=0)
+    honest = factor.target_values_for_map
+    # map 5 is given map 6's targets, so its atom holds shifts realizing map 6 instead
+    monkeypatch.setattr(factor, "target_values_for_map",
+                        lambda phi, p: honest(ContainmentMap.from_index(1, 6) if phi.to_index() == 5 else phi, p))
+    with pytest.raises(RuntimeError, match="realization failed verification"):
+        realize_maps(c, _all_maps(2), seed=0)
+    assert len(realize_maps(c, _all_maps(2)[:5], seed=0)) == 5
+
+
+def test_realize_maps_rejects_a_grid_size_mismatch(basis13):
+    c = construct_shatter_pair(basis13, 2, seed=0)
+    assert realize_maps(c, [], seed=0) == []
+    with pytest.raises(ValueError, match="grid does not match"):
+        realize_maps(c, [ContainmentMap.from_index(2, 0)], seed=0)
 
 
 def test_realize_map_deterministic(basis13):
