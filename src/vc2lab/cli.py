@@ -46,7 +46,6 @@ class RunConfig:
     budget: int | None = None
     output: str | None = None
     format: str = "text"
-    threads: int = 1
     extra: dict = field(default_factory=dict)
 
 
@@ -123,9 +122,7 @@ def _cmd_basis(cfg: RunConfig) -> RunReport:
     if cfg.n % 2 == 0:
         print("warning: even n; the full-rank basis is only asserted to exist for odd n", file=sys.stderr)
     mode = cfg.extra.get("mode", "exhaustive" if cfg.p ** cfg.n <= 10 ** 6 else "sampled")
-    witness = check_high_rank(
-        basis, mode=mode, count=cfg.extra.get("count", 10_000), seed=cfg.seed, threads=cfg.threads
-    )
+    witness = check_high_rank(basis, mode=mode, count=cfg.extra.get("count", 10_000), seed=cfg.seed)
     path = cfg.extra.get("cert")
     if path:
         Path(path).write_bytes(certs.dumps(basis.to_json()))
@@ -143,7 +140,7 @@ def _cmd_basis(cfg: RunConfig) -> RunReport:
 
 def _cmd_vc_dim(cfg: RunConfig) -> RunReport:
     a = _oracle(cfg)
-    res = vc_dim(a, k_max=cfg.extra.get("k_max", 4), threads=cfg.threads)
+    res = vc_dim(a, k_max=cfg.extra.get("k_max", 4))
     path = None
     if res.certificate is not None:
         path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(res.certificate, a))
@@ -167,7 +164,7 @@ def _parse_points(text: str, p: int, n: int) -> np.ndarray:
 def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
     a = _oracle(cfg)
     pts = _parse_points(cfg.extra["points"], cfg.p, cfg.n)
-    result = shatters(a, pts, threads=cfg.threads)
+    result = shatters(a, pts)
     if isinstance(result, ShatterCertificate):
         path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(result, a))
         return RunReport(
@@ -343,7 +340,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None, help="worker cap; env VC2LAB_THREADS as fallback")
+    common.add_argument("--threads", type=int, default=None, help="accepted for compatibility; ignored")
     common.add_argument("--format", choices=["json", "csv", "text"], default="text")
     common.add_argument("--output", help="write the report here instead of stdout")
 
@@ -434,7 +431,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         output=args.output,
         format=args.format,
-        threads=threads,
         extra=extra,
     )
 

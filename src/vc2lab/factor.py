@@ -82,8 +82,7 @@ class QuadraticFactor:
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, N): the points with linear values b are T b + alpha N mod p.
 
-        Row-reduced once per factor; a concurrent first use computes the same
-        arrays twice, which is harmless.
+        Row-reduced once per factor.
         """
         return affine_solver(self.linear_polys, self.ctx.p)
 

@@ -117,9 +117,11 @@ def freeze_points(obj, *names: str) -> None:
 
 
 def add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a + b) mod p for int64 residues in [0, p): a - (p - b) lies in (-p, p), so no
-    intermediate leaves int64 for any p < 2^63, where a + b would wrap."""
-    return (a - (p - b)) % p
+    """(a + b) mod p for residues in [0, p), in their signed dtype if it holds -p (int8 for
+    p <= 127): a - (p - b) lies in (-p, p), where a + b could wrap, and one add of p reduces it."""
+    d = a - (p - b)
+    d += (d < 0).astype(d.dtype) * d.dtype.type(p)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,7 @@ def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(dtype)).reshape(m, t, n)
     if dtype is not np.float64:
         w %= p
-    q = np.matmul(w, pts[:, :, None])[:, :, 0] % p
+    q = np.einsum("mtn,mn->mt", w, pts) % p
     return q if dtype is object and p > 1 << 63 else q.astype(np.int64)
 
 
@@ -363,13 +365,23 @@ def digits_to_ranks(digits: np.ndarray, p: int) -> np.ndarray:
 
 
 def iter_group_chunks(p: int, n: int, chunk: int = 1 << 16):
-    """Yield (start_rank, digit_block) over all of F_p^n in rank order."""
-    total = p ** n
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        yield start, ranks_to_digits(np.arange(start, stop, dtype=np.int64), p, n)
-        start = stop
+    """Yield (start_rank, digit_block) over all of F_p^n in rank order, as fresh int64 blocks of
+    at most max(chunk, 1) rows: whole runs of the low j digits, for the largest j <= n with
+    p**j <= chunk, copied from one table, so only the high digits are decoded per block."""
+    j = 0
+    while j < n and p ** (j + 1) <= chunk:
+        j += 1
+    run = p ** j
+    per_block = max(1, chunk // run)
+    low = np.tile(ranks_to_digits(np.arange(run, dtype=np.int64), p, j), (per_block, 1))
+    highs = p ** (n - j)
+    for hi in range(0, highs, per_block):
+        count = min(per_block, highs - hi)
+        block = np.empty((count * run, n), dtype=np.int64)
+        high = ranks_to_digits(np.arange(hi, hi + count, dtype=np.int64), p, n - j)
+        block[:, :n - j] = np.repeat(high, run, axis=0)
+        block[:, n - j:] = low[:count * run]
+        yield hi * run, block
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ nondegenerate in odd characteristic, hence of rank n.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,7 +244,6 @@ def check_high_rank(
     mode: str = "exhaustive",
     count: int = 10_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> np.ndarray | None:
     """Verify that every checked nonzero combination has rank n.
 
@@ -253,8 +251,6 @@ def check_high_rank(
     on failure (the lexicographically smallest one among the failures found).
     Exhaustive mode requires p**n <= 10**6.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     p, n = basis.ctx.p, basis.n
     # combinations are ranked in batches of about 2^17 matrix entries
     batch = max(1, (1 << 17) // (n * n))
@@ -278,25 +274,14 @@ def check_high_rank(
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
 
-    def run_stream(stream_idx: int, stream_count: int) -> list[tuple[int, ...]]:
-        rng = derive_rng(seed, "high-rank-check", stream_idx)
-        bad = []
-        done = 0
-        while done < stream_count:
-            # drawn only when its batch runs
-            lams = _nonzero_rows(rng, min(batch, stream_count - done), n, p)
-            done += len(lams)
-            bad += [tuple(int(x) for x in lams[i]) for i in failing(lams)]
-        return bad
-
-    per = [count // threads + (1 if i < count % threads else 0) for i in range(threads)]
+    rng = derive_rng(seed, "high-rank-check", 0)
     failures: list[tuple[int, ...]] = []
-    if threads == 1:
-        failures = run_stream(0, count)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for res in ex.map(run_stream, range(threads), per):
-                failures.extend(res)
+    done = 0
+    while done < count:
+        # drawn only when its batch runs
+        lams = _nonzero_rows(rng, min(batch, count - done), n, p)
+        done += len(lams)
+        failures += [tuple(int(x) for x in lams[i]) for i in failing(lams)]
     if failures:
         return np.array(min(failures), dtype=np.int64)
     return None

@@ -10,7 +10,6 @@ point per row (see fp.as_points); a single point is a length-n row.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -145,48 +144,29 @@ def pattern_signature(a: MembershipOracle, s, y) -> int:
     return int(a.contains_digits(add_mod(s, y, a.p)) @ (1 << np.arange(len(s))))
 
 
-def _pattern_scan(
-    a: MembershipOracle,
-    s_digits: np.ndarray,
-    threads: int = 1,
-    chunk: int = 1 << 15,
-) -> np.ndarray:
-    """First translate rank achieving each bitmask (-1 where unachieved)."""
+def _pattern_scan(a: MembershipOracle, s_digits: np.ndarray) -> np.ndarray:
+    """First translate rank achieving each bitmask (-1 where unachieved), stopping once all are;
+    add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
     p, n = a.p, a.n
     k = s_digits.shape[0]
     first = np.full(1 << k, -1, dtype=np.int64)
-
-    def scan_block(args):
-        start, block = args
+    dtype = np.min_scalar_type(-p)
+    s_digits = s_digits.astype(dtype)
+    for start, block in iter_group_chunks(p, n, 1 << 15):
+        block = block.astype(dtype)
         pat = np.zeros(block.shape[0], dtype=np.int64)
         for i in range(k):
-            pat |= a.contains_digits((block + s_digits[i]) % p).astype(np.int64) << i
+            pat |= a.contains_digits(add_mod(block, s_digits[i], p)).astype(np.int64) << i
         uniq, idx = np.unique(pat, return_index=True)
-        return start, uniq, idx
-
-    blocks = iter_group_chunks(p, n, chunk)
-    if threads <= 1:
-        results = map(scan_block, blocks)
-        for start, uniq, idx in results:
-            for u, i in zip(uniq, idx):
-                if first[u] < 0:
-                    first[u] = start + i
-            if (first >= 0).all():
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for start, uniq, idx in ex.map(scan_block, blocks):
-                for u, i in zip(uniq, idx):
-                    if first[u] < 0:
-                        first[u] = start + i
+        for u, i in zip(uniq, idx):
+            if first[u] < 0:
+                first[u] = start + i
+        if (first >= 0).all():
+            break
     return first
 
 
-def shatters(
-    a: MembershipOracle,
-    s,
-    threads: int = 1,
-) -> ShatterCertificate | NotShattered:
+def shatters(a: MembershipOracle, s) -> ShatterCertificate | NotShattered:
     """Find a translate witness per subset of s, or the smallest missing bitmask."""
     if len(s) == 0:
         raise ValueError("empty candidate set")
@@ -195,7 +175,7 @@ def shatters(
     if a.p ** a.n > MAX_GROUP_ENUM:
         raise ValueError("group too large to enumerate translates")
     s = as_points(s, a.p, a.n)
-    first = _pattern_scan(a, s, threads=threads)
+    first = _pattern_scan(a, s)
     missing = np.flatnonzero(first < 0)
     if missing.size:
         return NotShattered(int(missing[0]))
@@ -210,7 +190,7 @@ def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
     block = max(1, (1 << 20) // max(total, 1))
     for v0 in range(0, total, block):
         v1 = min(v0 + block, total)
-        sums = (digits[v0:v1, None, :] + digits[None, :, :]) % p
+        sums = add_mod(digits[v0:v1, None, :], digits[None, :, :], p)
         out[v0:v1] = table[sums.reshape(-1, n) @ rank_powers(p, n)].reshape(v1 - v0, total)
     return out
 
@@ -222,7 +202,7 @@ def _distinct_count_rows(ext: np.ndarray, width: int) -> np.ndarray:
     return (counts.reshape(rows, width) > 0).sum(axis=1)
 
 
-def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult:
+def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     """Largest k <= k_max with a shattered k-set, plus a certificate for it.
 
     Only candidate sets containing 0 are searched (any shattered set has a
@@ -243,7 +223,7 @@ def vc_dim(a: MembershipOracle, k_max: int = 4, threads: int = 1) -> VcDimResult
     tt = _translate_table(table, p, n)
 
     def certificate_for(ranks) -> ShatterCertificate:
-        cert = shatters(a, ranks_to_digits(ranks, p, n), threads=threads)
+        cert = shatters(a, ranks_to_digits(ranks, p, n))
         if not isinstance(cert, ShatterCertificate):
             raise RuntimeError(f"frontier set {tuple(ranks)} is not shattered: table search and pattern scan disagree")
         return cert
@@ -347,7 +327,7 @@ def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: Containm
     for start, block in iter_group_chunks(p, n):
         stop = start + block.shape[0]
         for off, want in cells:
-            ok[start:stop] &= table[digits_to_ranks((block + off) % p, p)] == want
+            ok[start:stop] &= table[digits_to_ranks(add_mod(block, off, p), p)] == want
     return ok
 
 

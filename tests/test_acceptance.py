@@ -49,7 +49,7 @@ def report(name: str, ok: bool, elapsed: float, budget: float, detail: str = "")
 
 def test_c01_linear_vc_dimension_p3():
     t0 = time.perf_counter()
-    dims = {n: vc_dim(GsSet(ctx3, n), k_max=4, threads=1).dim for n in (3, 4, 5)}
+    dims = {n: vc_dim(GsSet(ctx3, n), k_max=4).dim for n in (3, 4, 5)}
     elapsed = time.perf_counter() - t0
     report("vc-dim GS(3,n) = 3 for n in {3,4,5}", all(d == 3 for d in dims.values()),
            elapsed, 3 * 300, f"dims={dims}")

@@ -86,6 +86,16 @@ def test_threads_do_not_change_certificate_bytes(capsys, tmp_path):
                   "--threads", "4", "--cert", str(four))
     assert code == 0
     assert one.read_bytes() == four.read_bytes()
+    # the translate scan and the sampled full-rank check ignore the thread count too: same report, same file
+    cert = tmp_path / "cert.json"
+    for argv in (["shatter-check", "--p", "3", "--n", "4", "--points", "0 0 0 0;0 0 1 2;0 0 2 1"],
+                 ["basis", "--p", "3", "--n", "9", "--mode", "sampled", "--count", "500"]):
+        outputs = []
+        for threads in ("1", "4"):
+            code, out = run(capsys, *argv, "--format", "json", "--threads", threads, "--cert", str(cert))
+            assert code == 0
+            outputs.append((out, cert.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, monkeypatch):

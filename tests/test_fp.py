@@ -15,6 +15,7 @@ from vc2lab.fp import (
     affine_solver,
     as_points,
     digits_to_ranks,
+    iter_group_chunks,
     mat_rank,
     matmul_mod,
     orth_complement,
@@ -59,12 +60,17 @@ def test_field_ctx_accepts_large_primes():
         assert FieldCtx(p).p == p
 
 
-@pytest.mark.parametrize("p", [3, 4294967311, 2 ** 62 + 135, 2 ** 63 - 25])
-def test_add_mod_exact(p):
+@pytest.mark.parametrize("dtype,p", [
+    pytest.param(np.int8, 3, id="int8-3"), pytest.param(np.int8, 127, id="int8-127"),
+    pytest.param(np.int16, 131, id="int16-131"), pytest.param(np.int16, 32749, id="int16-32749"),
+    *[pytest.param(np.int64, p, id=str(p)) for p in (3, 4294967311, 2 ** 62 + 135, 2 ** 63 - 25)],
+])
+def test_add_mod_exact(dtype, p):
     rng = random.Random(p)
     vals = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(60)]
-    a = np.array(vals, dtype=np.int64)
+    a = np.array(vals, dtype=dtype)
     got = add_mod(a[:, None], a[None, :], p)
+    assert got.dtype == dtype
     assert got.tolist() == [[(x + y) % p for y in vals] for x in vals]
 
 
@@ -329,6 +335,18 @@ def test_rank_encoding_round_trip():
         assert digits[total - 1].tolist() == [p - 1] * n
         # rank order is lexicographic on coordinates
         assert digits[0].tolist() < digits[1].tolist() < digits[2].tolist()
+
+
+@pytest.mark.parametrize("p,n,chunk", [
+    (3, 1, 1), (3, 1, 2), (3, 1, 100), (5, 3, 1), (5, 3, 4), (5, 3, 24), (5, 3, 25), (5, 3, 124),
+    (3, 4, 10), (3, 4, 81), (3, 4, 1 << 16), (7, 2, 0), (101, 2, 5_000), (3, 10, 1 << 15),
+])
+def test_iter_group_chunks_covers_the_group_in_rank_order(p, n, chunk):
+    blocks = list(iter_group_chunks(p, n, chunk))
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), ranks_to_digits(np.arange(p ** n), p, n))
+    sizes = [len(b) for _, b in blocks]
+    assert [s for s, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert all(b.dtype == np.int64 and len(b) <= max(chunk, 1) for _, b in blocks)
 
 
 def test_as_points_checks_shape_and_reduces():

@@ -13,6 +13,7 @@ from vc2lab.shatter import (
     Vc2Failure,
     VcDimResult,
     _distinct_count_rows,
+    _pattern_scan,
     _translate_table,
     exhaustive_z_finder,
     pattern_signature,
@@ -75,12 +76,25 @@ def test_four_point_sets_not_shattered_in_gs34():
             assert 0 <= result.missing < 16
 
 
-def test_shatters_threads_match():
-    a = GsSet(ctx3, 4)
-    s = [(0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1)]
-    c1 = shatters(a, s, threads=1)
-    c2 = shatters(a, s, threads=2)
-    assert isinstance(c1, ShatterCertificate) and np.array_equal(c1.witnesses, c2.witnesses)
+@pytest.mark.parametrize("p,n,density", [(3, 2, 0.3), (127, 2, 0.3), (131, 2, 0.3), (3, 10, 0.03)])
+def test_pattern_scan_matches_python_int_loop(p, n, density):
+    # p = 127 is the widest int8 scan, p = 131 the narrowest int16 one; the sparse set in
+    # F_3^10 first meets two patterns in the second and third of the scan's three blocks
+    # and never meets the all-in one, so that scan runs to the end
+    rng = np.random.default_rng(p + n)
+    a = ExplicitSet(FieldCtx(p), n, rng.random(p ** n) < density)
+    s = ranks_to_digits(rng.choice(p ** n, size=4, replace=False), p, n)
+    points = s.tolist()
+    want = [-1] * 16
+    for y in range(p ** n):
+        y_digits = [y // p ** (n - 1 - i) % p for i in range(n)]
+        mask = 0
+        for i, point in enumerate(points):
+            rank = sum((u + v) % p * p ** (n - 1 - j) for j, (u, v) in enumerate(zip(point, y_digits)))
+            mask |= int(a.table[rank]) << i
+        if want[mask] < 0:
+            want[mask] = y
+    assert _pattern_scan(a, s).tolist() == want
 
 
 @given(seed=st.integers(0, 2_000))
