@@ -1,9 +1,10 @@
 """Serializable shattering certificates and their independent re-checker.
 
-The verifier never searches: it rebuilds the membership oracle from the
-document (the quadratic oracle is reconstructed from the extension
-polynomial alone, so the matrices are re-derived rather than trusted),
-evaluates memberships pointwise, and checks pattern/map coverage.
+The verifier searches for no witness: it rebuilds the membership oracle
+from the document, evaluates memberships pointwise, and checks pattern/map
+coverage.  A qgs oracle is rebuilt by rerunning build_trace_basis's canonical
+polynomial search and matching the recorded polynomial, which is why
+QGS_MAX_P exists (ROADMAP item 1 would check the recorded polynomial instead).
 """
 
 from __future__ import annotations

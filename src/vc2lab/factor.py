@@ -41,8 +41,8 @@ from .fp import (
     ranks_to_digits,
 )
 from .gs import QgsSet, cross_terms
-from .highrank import HighRankBasis
-from .shatter import ContainmentMap, realizing_shifts, vc2_realizes
+from .highrank import HighRankBasis, _nonzero_rows
+from .shatter import ContainmentMap, grid_verdicts, realizing_shifts, vc2_realizes
 
 # Exhaustive atom search is used while the affine subspace stays this small;
 # beyond it, seeded sampling hits a target of q quadratic values at rate p**-q.
@@ -219,11 +219,11 @@ def find_in_atoms(
     return found
 
 
-def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = True) -> dict[AtomLabel, int]:
+def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int]:
     """Exact atom sizes over the whole group (p**n <= 1e7).
 
-    With check_bound, asserts |size - p**(n-D)| <= p**(n/2) for every label,
-    including labels of empty atoms; a violation raises.
+    Checks |size - p**(n-D)| <= p**(n/2) for every label, including labels
+    of empty atoms; a violation raises.
     """
     _check_factor(f, basis)
     p, n = basis.ctx.p, basis.n
@@ -236,13 +236,11 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis, check_bound: bool = Tr
     for _, block in iter_group_chunks(p, n):
         labels = np.concatenate([block @ f.linear_polys.T % p, quad_forms(block, mats, p)], axis=1)
         counts += np.bincount(labels @ mult, minlength=p ** d)
-    if check_bound:
-        expect = p ** (n - d)
-        # |count - p**(n-d)| <= p**(n/2), compared in squared integers
-        dev = counts.astype(object) - expect
-        if ((dev * dev) > p ** n).any():
-            bad = int(np.argmax((dev * dev) > p ** n))
-            raise ValueError(f"atom size bound violated at label rank {bad}: size {int(counts[bad])}")
+    # |count - p**(n-d)| <= p**(n/2), compared in squared integers
+    dev = counts.astype(object) - p ** (n - d)
+    if ((dev * dev) > p ** n).any():
+        bad = int(np.argmax((dev * dev) > p ** n))
+        raise ValueError(f"atom size bound violated at label rank {bad}: size {int(counts[bad])}")
     out = {}
     for r in range(p ** d):
         digits = ranks_to_digits(np.array([r]), p, d)[0] if d else np.zeros(0, dtype=np.int64)
@@ -716,15 +714,10 @@ def target_values_for_map(phi: ContainmentMap, p: int) -> TargetValues:
     if k == 2:
         tv = _targets_k2(g, p)
     elif k == 3:
-        tv = None
-        for case in _CASES_K3:
-            for sym in _SYMS:
-                got = case(_apply_sym(g, sym), p)
-                if got is not None:
-                    tv = _undo_sym_targets(got, sym)
-                    break
-            if tv is not None:
-                break
+        # the first case in _CASES_K3 order matching an image, images in _SYMS order
+        images = [(sym, _apply_sym(g, sym)) for sym in _SYMS]
+        tv = next((_undo_sym_targets(got, sym) for case in _CASES_K3 for sym, img in images
+                   if (got := case(img, p)) is not None), None)
         if tv is None:
             raise RuntimeError(f"no case matched map index {phi.to_index()}")
     else:
@@ -752,18 +745,15 @@ def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], see
         raise ValueError("map grid does not match the construction size")
     if not maps:
         return []
-    p, n, k = c.basis.ctx.p, c.basis.n, c.k
+    p, k = c.basis.ctx.p, c.k
     tvs = [target_values_for_map(phi, p) for phi in maps]
     q = np.array([tv.q for tv in tvs], dtype=np.int64)
     own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
     lin = (np.array([tv.a + tv.b for tv in tvs], dtype=np.int64) - q[:, None] - own) % p
     labels = np.concatenate([lin.reshape(len(maps), -1), q], axis=1)
     zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, phi) for phi in maps]))
-    # cell i k + j of a map's grid is x_i + y_j + z
-    cells = add_mod(c.X[:, None], c.Y[None, :], p).reshape(-1, n)
-    rows = add_mod(cells[None], zs[:, None], p).reshape(-1, n)
     want = np.array([[v for row in phi.verdicts for v in row] for phi in maps])
-    if (QgsSet(c.basis).contains_digits(rows).reshape(len(maps), -1) != want).any():
+    if (grid_verdicts(QgsSet(c.basis), c.X, c.Y, zs) != want).any():
         raise RuntimeError("realization failed verification: case table or atom search bug")
     return list(zs)
 
@@ -944,18 +934,15 @@ def planted_qualifying_sets(
     zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
+    # the verdicts of columns 1..3 of phi, column j in row j - 1
+    col_want = np.array([[row[j] for row in phi] for j in (1, 2, 3)], dtype=bool)
+
     def rank_of(vec: np.ndarray) -> np.ndarray:
         return digits_to_ranks(vec % p, p)
 
-    def nonzero_draw() -> np.ndarray:
-        while True:
-            v = rng.integers(0, p, size=n)
-            if v.any():
-                return v
-
     for _ in range(256):
         # x_1, x_2 independent; x_3 a further nonzero combination of them
-        x12 = np.stack([nonzero_draw(), nonzero_draw()])
+        x12 = _nonzero_rows(rng, 2, n, p)
         if mat_rank(x12, p) != 2:
             continue
         c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
@@ -980,13 +967,10 @@ def planted_qualifying_sets(
         order = order[rng.permutation(order.size)]
         for z_r in order[:64]:
             z_d = digits[z_r]
-            pools = []
-            for j in (1, 2, 3):
-                mask = zero_q[rank_of(sub + z_d)] & (table[rank_of(sub + z_d)] == phi[0][j])
-                for i, xr in enumerate(x_ranks, start=1):
-                    mask &= table[rank_of(sub + digits[xr] + z_d)] == phi[i][j]
-                mask &= sub_r != 0
-                pools.append(np.flatnonzero(mask))
+            # row i: ranks of x_i + s + z over the subspace points s, with x_0 = 0
+            at = np.stack([rank_of(sub + z_d), *(rank_of(sub + digits[xr] + z_d) for xr in x_ranks)])
+            free = zero_q[at[0]] & (sub_r != 0)
+            pools = [np.flatnonzero(free & (table[at] == want[:, None]).all(axis=0)) for want in col_want]
             if any(pool.size == 0 for pool in pools):
                 continue
             ys: list[int] = []

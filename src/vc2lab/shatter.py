@@ -295,18 +295,23 @@ def vc_dim_naive(a: MembershipOracle) -> int:
     return best
 
 
+def grid_verdicts(a: MembershipOracle, x: np.ndarray, y: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """(m, |x| |y|) membership of x_i + y_j + z for the m rows z of zs, cell (i, j) in column i |y| + j.
+
+    x, y and zs are residue rows (see fp.as_points); every grid goes through one contains_digits call.
+    """
+    cells = add_mod(x[:, None], y[None, :], a.p).reshape(-1, a.n)
+    rows = add_mod(cells[None], zs[:, None], a.p).reshape(-1, a.n)
+    return a.contains_digits(rows).reshape(len(zs), len(x) * len(y))
+
+
 def vc2_realizes(a: MembershipOracle, x, y, phi: ContainmentMap, z) -> bool:
     """True iff membership of x_i + y_j + z matches phi on every assigned cell."""
     x, y, z = as_points(x, a.p, a.n), as_points(y, a.p, a.n), as_points([z], a.p, a.n)
     if len(x) != phi.k + 1 or len(y) != phi.k + 1:
         raise ValueError("grid size mismatch between X, Y and phi")
-    cells = [(i, j) for i in range(phi.k + 1) for j in range(phi.k + 1) if phi.verdicts[i][j] is not None]
-    if not cells:
-        return True
-    ii, jj = np.array(cells).T
-    rows = add_mod(add_mod(x[ii], y[jj], a.p), z, a.p)
-    want = np.array([phi.verdicts[i][j] for i, j in cells])
-    return bool((a.contains_digits(rows) == want).all())
+    want = [v for row in phi.verdicts for v in row]
+    return all(w is None or w == got for w, got in zip(want, grid_verdicts(a, x, y, z)[0].tolist()))
 
 
 def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: ContainmentMap) -> np.ndarray:
@@ -376,14 +381,11 @@ def vc2_shatters(
         if z is None:
             break
         witnesses.append(as_points([z], p, n)[0])
-    if witnesses:
-        # cell c = i k + j of map idx is x_i + y_j + z_idx, in the set iff bit c of idx is clear
-        cells = add_mod(x[:, None], y[None, :], p).reshape(-1, n)
-        rows = add_mod(cells[None], np.array(witnesses)[:, None], p).reshape(-1, n)
-        want = (np.arange(len(witnesses))[:, None] >> np.arange(k * k)) & 1 == 0
-        wrong = np.flatnonzero((a.contains_digits(rows).reshape(len(witnesses), -1) != want).any(axis=1))
-        if wrong.size:
-            return Vc2Failure(int(wrong[0]), ContainmentMap.from_index(k - 1, int(wrong[0])))
+    # cell c = i k + j of map idx is in the set iff bit c of idx is clear
+    want = (np.arange(len(witnesses))[:, None] >> np.arange(k * k)) & 1 == 0
+    wrong = np.flatnonzero((grid_verdicts(a, x, y, as_points(witnesses, p, n)) != want).any(axis=1))
+    if wrong.size:
+        return Vc2Failure(int(wrong[0]), ContainmentMap.from_index(k - 1, int(wrong[0])))
     if len(witnesses) < 1 << (k * k):
         return Vc2Failure(len(witnesses), ContainmentMap.from_index(k - 1, len(witnesses)))
     return QuadShatterCertificate(x, y, witnesses)

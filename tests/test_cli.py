@@ -112,6 +112,24 @@ def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, 
     assert not cert.exists()
 
 
+def test_vc2_verify_with_a_wrong_shift_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    import vc2lab.factor as factor
+    from vc2lab.shatter import ContainmentMap
+
+    # map 5 is given map 6's targets, so the shift found for it realizes map 6 instead
+    honest = factor.target_values_for_map
+    monkeypatch.setattr(factor, "target_values_for_map",
+                        lambda phi, p: honest(ContainmentMap.from_index(1, 6) if phi.to_index() == 5 else phi, p))
+    cert = tmp_path / "vc2.json"
+    code = main(["vc2-verify", "--k", "2", "--p", "3", "--n", "13", "--cert", str(cert)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: realization failed verification: case table or atom search bug"
+    ]
+    assert not cert.exists()
+
+
 def test_report_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, "br-bound", "--r", "2", "--format", "json", "--output", str(out_path))

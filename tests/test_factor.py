@@ -216,7 +216,7 @@ def test_atom_census_bound_sweep(basis9):
     for l in range(3):
         for q in range(3):
             f = QuadraticFactor(ctx3, np.eye(l, 9, dtype=np.int64), tuple(range(1, q + 1)))
-            census = atom_census(f, basis9, check_bound=True)
+            census = atom_census(f, basis9)
             assert len(census) == 3 ** (l + q)
             if l + q * 2 < 9:
                 assert min(census.values()) > 0
@@ -224,7 +224,7 @@ def test_atom_census_bound_sweep(basis9):
 
 def test_atom_census_single_quadratic_level_sets(basis9):
     f = QuadraticFactor(ctx3, np.zeros((0, 9), dtype=np.int64), (1,))
-    census = atom_census(f, basis9, check_bound=True)
+    census = atom_census(f, basis9)
     assert len(census) == 3
     assert sum(census.values()) == 3 ** 9
     for size in census.values():

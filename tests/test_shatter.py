@@ -16,6 +16,7 @@ from vc2lab.shatter import (
     _pattern_scan,
     _translate_table,
     exhaustive_z_finder,
+    grid_verdicts,
     pattern_signature,
     shatters,
     vc2_realizes,
@@ -231,6 +232,20 @@ def test_containment_map_index_round_trip():
     # index 0 is the all-in-set map
     phi = ContainmentMap.from_index(1, 0)
     assert all(v for row in phi.verdicts for v in row)
+
+
+@pytest.mark.parametrize("which", ["gs", "qgs", "explicit"])
+@pytest.mark.parametrize("shifts", [0, 1, 5])
+def test_grid_verdicts_match_pointwise_contains(which, shifts):
+    """Cell (i, j) of grid z, in column i |y| + j, is contains(x_i + y_j + z); zero shifts give no rows."""
+    p, n = 3, 4
+    a = {"gs": GsSet(ctx3, n), "qgs": QgsSet(build_trace_basis(ctx3, n)), "explicit": explicit(ctx3, n, seed=2)}[which]
+    rng = np.random.default_rng(shifts)
+    x, y, zs = (rng.integers(0, p, size=(m, n)) for m in (3, 2, shifts))
+    got = grid_verdicts(a, x, y, zs)
+    assert got.shape == (shifts, 6)
+    for z, row in zip(zs, got):
+        assert row.tolist() == [a.contains((xi + yj + z) % p) for xi in x for yj in y]
 
 
 def test_vc2_realizes_trivial_cases():
