@@ -949,14 +949,9 @@ def planted_qualifying_sets(
         x3 = (c1 * x12[0] + c2 * x12[1]) % p
         if not x3.any() or (x12 == x3).all(axis=1).any():
             continue
-        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
-        if not len(space):
-            continue
-        sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
-        sub_r = rank_of(sub)
         x_ranks = rank_of(np.vstack([x12, x3]))
 
-        # feasibility of each shift z: forced zeros at z and x_i + z, row verdicts
+        # feasibility of each shift z (forced zeros at z and x_i + z, row verdicts), before the y-side subspace
         z_ok = zero_q.copy()
         for i, xr in enumerate(x_ranks, start=1):
             shifted = rank_of(digits + digits[xr])
@@ -964,6 +959,11 @@ def planted_qualifying_sets(
         order = np.flatnonzero(z_ok)
         if order.size == 0:
             continue
+        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
+        if not len(space):
+            continue
+        sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
+        sub_r = rank_of(sub)
         order = order[rng.permutation(order.size)]
         for z_r in order[:64]:
             z_d = digits[z_r]

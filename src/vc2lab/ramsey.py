@@ -120,13 +120,16 @@ def _constructive_33(colouring: BipartiteColouring) -> BicliqueWitness | None:
     nbrs = np.flatnonzero(h[:, y])[: 4 * r + 1]
     hh = h[nbrs].copy()
     hh[:, y] = False
-    # common neighbourhood counts between right vertices inside the class
-    common = hh.astype(np.int32).T @ hh.astype(np.int32)
-    np.fill_diagonal(common, 0)
-    pairs = np.argwhere(np.triu(common >= 3, k=1))
-    if pairs.size == 0:
+    # the first pair j1 < j2 in row-major order with at least 3 common neighbours inside the
+    # class; each row of counts is one float64 product, exact since a count is at most 4r + 1
+    g = hh.T.astype(np.float64, order="C")
+    for j1 in range(n - 1):
+        later = np.flatnonzero((g[j1 + 1:] @ g[j1]).astype(np.int64) >= 3)
+        if later.size:
+            j2 = j1 + 1 + int(later[0])
+            break
+    else:
         return None
-    j1, j2 = (int(v) for v in pairs[0])
     shared = np.flatnonzero(hh[:, j1] & hh[:, j2])[:3]
     left = tuple(int(left_class[nbrs[i]]) for i in shared)
     right = tuple(sorted((j1, j2, y)))

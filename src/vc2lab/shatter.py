@@ -195,13 +195,6 @@ def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
-def _distinct_count_rows(ext: np.ndarray, width: int) -> np.ndarray:
-    rows = ext.shape[0]
-    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
-    counts = np.bincount((ext + offsets).ravel(), minlength=rows * width)
-    return (counts.reshape(rows, width) > 0).sum(axis=1)
-
-
 def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     """Largest k <= k_max with a shattered k-set, plus a certificate for it.
 
@@ -240,8 +233,7 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
         masks[np.cumsum(starts) - 1, frontier[:, -1]] = True
         mask_of = dict(zip(map(tuple, frontier[starts, :-1].tolist()), masks))
         weights = np.int16(1) << np.arange(level, dtype=np.int16)
-        bit = np.int16(1 << level)
-        width = 1 << (level + 1)
+        classes = np.arange(1 << level, dtype=np.int16)
         above, none = np.arange(total), np.zeros(total, dtype=bool)
         nxt = []
         for s in frontier.tolist():
@@ -251,9 +243,13 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
             cands = np.flatnonzero(ok)
             if cands.size == 0:
                 continue
-            # row j: the pattern bitmask of s + {cands[j]} at every translate
-            ext = (weights @ tt[s])[None, :] + bit * tt[cands]
-            hits = cands[_distinct_count_rows(ext, width) == width]
+            # s is shattered, so s + {v} is shattered iff v + y is in the set for some but not all y
+            # in each class Y_P of translates with pattern P on s; count[j, P] counts them for
+            # v = cands[j], all in one float64 GEMM, exact since each count is at most p**n < 2**53
+            pat = weights @ tt[s]
+            onehot = (pat[:, None] == classes).astype(np.float64)
+            count = (tt[cands].astype(np.float64) @ onehot).astype(np.int64)
+            hits = cands[((count > 0) & (count < np.bincount(pat, minlength=classes.size))).all(axis=1)]
             if hits.size and level + 1 == k_max:
                 return VcDimResult(k_max, certificate_for(s + [hits[0]]))
             if hits.size:

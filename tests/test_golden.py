@@ -1,5 +1,6 @@
 """Pinned output bytes: seed-0 vc2-verify, vc-dim, shatter-check and basis certificates,
-seed-1 k=3 vc2-verify certificates, a construction file and two reports must not change.
+seed-1 k=3 vc2-verify certificates, a construction file and the prop32-check and
+atom-census reports must not change.
 
 A change to the search, the kernels or the serialization that alters any
 witness shows up here as a digest mismatch.
@@ -100,16 +101,22 @@ def test_basis_file_digest(tmp_path, capsys):
 
 
 # Reports pinned by their stdout: prop32-check runs both zero-cross-term samplers
-# (9 of its 20 instances are checked, not vacuous), atom-census the exact census.
+# (at seed 0, 9 of its 20 instances are checked, not vacuous), and other seeds and
+# primes draw other planted instances; atom-census the exact census.
 REPORT_GOLDEN = {
-    ("prop32-check", 3, 5): "aee06f75034a1394b7bb35c7ea483cd7353525a4bcb3e33b0f2748f6f9a937b2",
-    ("atom-census", 3, 9): "82910919d9136177ce29ffd0ca6a5758fc2e70501b2b317455b00be998df7af4",
+    ("prop32-check", 3, 5, 0): "aee06f75034a1394b7bb35c7ea483cd7353525a4bcb3e33b0f2748f6f9a937b2",
+    ("prop32-check", 3, 5, 1): "deadacc822d420f543198622803443f6b4cccdc05a1a8cad037e5e99c4b785c3",
+    ("prop32-check", 3, 5, 2): "6680f642f5d1113835ee13ee6921cdb510f3e294f679a25b00305c13f3590b0a",
+    ("prop32-check", 3, 5, 3): "0c3163541796f627d50ba4ed26506a11cec356f493b2f71d939bf80c1e57e5df",
+    ("prop32-check", 5, 3, 0): "5032d5695eea6f531d105f10d677e0b4271b0395d09df188d6be9ba4ce090ec7",
+    ("prop32-check", 7, 3, 0): "8481c9e9220dfa49e8eef7e863a0797483a71b33ea91be162c3c2e372fed7c21",
+    ("atom-census", 3, 9, 0): "82910919d9136177ce29ffd0ca6a5758fc2e70501b2b317455b00be998df7af4",
 }
 
 
-@pytest.mark.parametrize("command,p,n", list(REPORT_GOLDEN))
-def test_report_digest(capsys, command, p, n):
-    code = main([command, "--p", str(p), "--n", str(n), "--format", "json"])
+@pytest.mark.parametrize("command,p,n,seed", list(REPORT_GOLDEN))
+def test_report_digest(capsys, command, p, n, seed):
+    code = main([command, "--p", str(p), "--n", str(n), "--seed", str(seed), "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDEN[(command, p, n)]
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDEN[(command, p, n, seed)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vc2lab.ramsey import (
     BipartiteColouring,
     BicliqueWitness,
+    _dominant_colours,
     br_upper_bound,
     density_biclique_guarantee,
     find_mono_biclique,
@@ -81,6 +82,44 @@ def test_constructive_deterministic():
     w1 = find_mono_biclique(col, 3, 3)
     w2 = find_mono_biclique(col, 3, 3)
     assert w1 == w2
+
+
+def _constructive_33_reference(colouring):
+    """The constructive K_{3,3} search with int64 common-neighbourhood counts and the
+    first pair read from the full upper triangle."""
+    n, r = colouring.n, colouring.r
+    dom = _dominant_colours(colouring)
+    c = int(np.argmax(np.bincount(dom, minlength=r + 1)[1:]) + 1)
+    left_class = np.flatnonzero(dom == c)
+    h = colouring.colours[left_class] == c
+    deg_right = h.sum(axis=0)
+    y = int(np.argmax(deg_right))
+    if deg_right[y] < 4 * r + 1:
+        return None
+    nbrs = np.flatnonzero(h[:, y])[: 4 * r + 1]
+    hh = h[nbrs].astype(np.int64)
+    hh[:, y] = 0
+    pairs = np.argwhere(np.triu(hh.T @ hh >= 3, k=1))
+    if pairs.size == 0:
+        return None
+    j1, j2 = (int(v) for v in pairs[0])
+    shared = np.flatnonzero(hh[:, j1] & hh[:, j2])[:3]
+    return BicliqueWitness(tuple(int(left_class[nbrs[i]]) for i in shared), tuple(sorted((j1, j2, y))), c)
+
+
+@pytest.mark.parametrize("m,n,r,seeds", [
+    (501, 501, 5, range(20)),  # the colourings of the small-search benchmark at seed 0
+    (33, 33, 2, range(10)),
+    (109, 109, 3, range(10)),
+    (257, 257, 4, range(5)),
+    (40, 33, 2, range(5)),
+])
+def test_constructive_matches_int64_reference(m, n, r, seeds):
+    for seed in seeds:
+        col = random_colouring(m, n, r, seed=seed)
+        want = _constructive_33_reference(col)
+        assert want is not None
+        assert find_mono_biclique(col, 3, 3) == want
 
 
 def test_fallback_path_small_regime():

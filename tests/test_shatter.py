@@ -12,7 +12,6 @@ from vc2lab.shatter import (
     ShatterCertificate,
     Vc2Failure,
     VcDimResult,
-    _distinct_count_rows,
     _pattern_scan,
     _translate_table,
     exhaustive_z_finder,
@@ -134,6 +133,14 @@ def test_vc_dim_matches_naive_oracle(p, n):
     for seed in range(25):
         a = explicit(ctx, n, seed)
         assert vc_dim(a, k_max=5).dim == vc_dim_naive(a)
+
+
+def _distinct_count_rows(ext, width):
+    """Number of distinct values in each row of ext, whose entries lie in [0, width)."""
+    rows = ext.shape[0]
+    offsets = (np.arange(rows, dtype=np.int64) * width)[:, None]
+    counts = np.bincount((ext + offsets).ravel(), minlength=rows * width)
+    return (counts.reshape(rows, width) > 0).sum(axis=1)
 
 
 def _vc_dim_reference(a, k_max):
