@@ -10,12 +10,10 @@ from .shatter import (
     ShatterCertificate,
     Vc2Failure,
     VcDimResult,
-    pattern_signature,
     shatters,
     vc2_realizes,
     vc2_shatters,
     vc_dim,
-    vc_dim_naive,
 )
 from .factor import (
     AtomLabel,

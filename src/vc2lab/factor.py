@@ -39,6 +39,7 @@ from .fp import (
     orth_complement,
     quad_forms,
     ranks_to_digits,
+    shifted_ranks,
 )
 from .gs import QgsSet, cross_terms
 from .highrank import HighRankBasis, _nonzero_rows
@@ -916,8 +917,11 @@ def planted_qualifying_sets(
     max(m - 1, 1)), so the instance satisfies the probe hypothesis and the
     level-m cross-terms form a constant zero grid when constrain_level >= m.
     The x's are taken inside a 2-dimensional span to keep the y-side
-    subspace large; the shift is then chosen by scanning all z for one where
-    the zero-forcing verdicts and the forced-zero pattern can be completed.
+    subspace large: x_1, x_2 are drawn until some 2x2 minor is nonzero mod p,
+    which is exact in int64 for the p**n <= 10**5 admitted here.  Every
+    translate comes from fp.shifted_ranks: one call on the x's gives the
+    feasible shifts z, scanned in a seeded order, and one call on
+    [0, x_1, x_2, x_3] + z gives the grid rows over the y-side subspace.
     Returns None when the seeded search fails.
     """
     a = QgsSet(basis)
@@ -934,28 +938,24 @@ def planted_qualifying_sets(
     zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
-    # the verdicts of columns 1..3 of phi, column j in row j - 1
+    # the verdicts of column 0 of phi in rows 1..3, and of columns 1..3, column j in row j - 1
+    row_want = np.array([phi[i][0] for i in (1, 2, 3)], dtype=bool)
     col_want = np.array([[row[j] for row in phi] for j in (1, 2, 3)], dtype=bool)
-
-    def rank_of(vec: np.ndarray) -> np.ndarray:
-        return digits_to_ranks(vec % p, p)
 
     for _ in range(256):
         # x_1, x_2 independent; x_3 a further nonzero combination of them
         x12 = _nonzero_rows(rng, 2, n, p)
-        if mat_rank(x12, p) != 2:
+        if not ((np.outer(x12[0], x12[1]) - np.outer(x12[1], x12[0])) % p).any():
             continue
         c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
         x3 = (c1 * x12[0] + c2 * x12[1]) % p
         if not x3.any() or (x12 == x3).all(axis=1).any():
             continue
-        x_ranks = rank_of(np.vstack([x12, x3]))
+        xs = np.vstack([x12, x3])
 
         # feasibility of each shift z (forced zeros at z and x_i + z, row verdicts), before the y-side subspace
-        z_ok = zero_q.copy()
-        for i, xr in enumerate(x_ranks, start=1):
-            shifted = rank_of(digits + digits[xr])
-            z_ok &= zero_q[shifted] & (table[shifted] == phi[i][0])
+        shifted = shifted_ranks(xs, p)
+        z_ok = zero_q & (zero_q[shifted] & (table[shifted] == row_want[:, None])).all(axis=0)
         order = np.flatnonzero(z_ok)
         if order.size == 0:
             continue
@@ -963,12 +963,12 @@ def planted_qualifying_sets(
         if not len(space):
             continue
         sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
-        sub_r = rank_of(sub)
+        sub_r = digits_to_ranks(sub, p)
         order = order[rng.permutation(order.size)]
+        grid = np.vstack([np.zeros(n, dtype=np.int64), xs])
         for z_r in order[:64]:
-            z_d = digits[z_r]
             # row i: ranks of x_i + s + z over the subspace points s, with x_0 = 0
-            at = np.stack([rank_of(sub + z_d), *(rank_of(sub + digits[xr] + z_d) for xr in x_ranks)])
+            at = shifted_ranks(add_mod(grid, digits[z_r], p), p)[:, sub_r]
             free = zero_q[at[0]] & (sub_r != 0)
             pools = [np.flatnonzero(free & (table[at] == want[:, None]).all(axis=0)) for want in col_want]
             if any(pool.size == 0 for pool in pools):
@@ -983,7 +983,7 @@ def planted_qualifying_sets(
             if len(ys) != 3:
                 continue
             # rank 0 is the origin
-            x, y = digits[[0, *x_ranks]], digits[[0, *ys]]
+            x, y = grid, digits[[0, *ys]]
             if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
                 return x, y
     return None

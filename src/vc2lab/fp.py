@@ -174,7 +174,10 @@ def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, n
     a = np.asarray(a)
     lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
     count = math.prod(lead)
-    a = a.reshape(count, n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2), copy=False) % p
+    a = a.reshape(count, n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2), copy=False)
+    # reduce only input that needs it; the copy below keeps the caller's array untouched
+    if a.dtype == object or a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
     dtype = a.dtype
     if rank_only:
         bound = min(n_rows, n_cols) * (p - 1) ** 2 + p
@@ -362,6 +365,20 @@ def ranks_to_digits(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
 def digits_to_ranks(digits: np.ndarray, p: int) -> np.ndarray:
     digits = np.asarray(digits, dtype=np.int64)
     return digits @ rank_powers(p, digits.shape[1])
+
+
+def shifted_ranks(offsets: np.ndarray, p: int) -> np.ndarray:
+    """(m, p**n) int64: row i holds rank(offsets[i] + z) for every z of F_p^n in rank order.
+
+    offsets is an (m, n) array of residues.  The ranks are built one digit at a time, most
+    significant first, so no (m, p**n, n) array of sums is ever formed.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    out = np.zeros((offsets.shape[0], 1), dtype=np.int64)
+    for o in offsets.T:
+        digit = (np.arange(p, dtype=np.int64) + o[:, None]) % p
+        out = (out[:, :, None] * p + digit[:, None, :]).reshape(len(out), out.shape[1] * p)
+    return out
 
 
 def iter_group_chunks(p: int, n: int, chunk: int = 1 << 16):

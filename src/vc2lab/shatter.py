@@ -15,7 +15,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, freeze_points, iter_group_chunks, rank_powers, ranks_to_digits
+from .fp import FieldCtx, add_mod, as_points, freeze_points, iter_group_chunks, ranks_to_digits, shifted_ranks
 
 
 class MembershipOracle(Protocol):
@@ -136,14 +136,6 @@ class VcDimResult:
     certificate: ShatterCertificate | None
 
 
-def pattern_signature(a: MembershipOracle, s, y) -> int:
-    """Bitmask with bit i set iff s[i] + y lands in the set."""
-    s, y = as_points(s, a.p, a.n), as_points([y], a.p, a.n)
-    if len(s) > MAX_SET_SIZE:
-        raise ValueError("set too large")
-    return int(a.contains_digits(add_mod(s, y, a.p)) @ (1 << np.arange(len(s))))
-
-
 def _pattern_scan(a: MembershipOracle, s_digits: np.ndarray) -> np.ndarray:
     """First translate rank achieving each bitmask (-1 where unachieved), stopping once all are;
     add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
@@ -189,9 +181,7 @@ def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
     out = np.empty((total, total), dtype=np.uint8)
     block = max(1, (1 << 20) // max(total, 1))
     for v0 in range(0, total, block):
-        v1 = min(v0 + block, total)
-        sums = add_mod(digits[v0:v1, None, :], digits[None, :, :], p)
-        out[v0:v1] = table[sums.reshape(-1, n) @ rank_powers(p, n)].reshape(v1 - v0, total)
+        out[v0:v0 + block] = table[shifted_ranks(digits[v0:v0 + block], p)]
     return out
 
 
@@ -260,37 +250,6 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     return VcDimResult(k_max, certificate_for(frontier[0]))
 
 
-def vc_dim_naive(a: MembershipOracle) -> int:
-    """Reference oracle: test every subset of the group against every translate.
-
-    Exponential; intended only for tiny groups in cross-checks.
-    """
-    from itertools import combinations
-
-    p, n = a.p, a.n
-    total = p ** n
-    if total > 16:
-        raise ValueError("naive oracle limited to groups of size <= 16")
-    elems = ranks_to_digits(np.arange(total), p, n)
-    patterns_by_y = {}
-    best = 0
-    for k in range(1, total + 1):
-        found = False
-        for s in combinations(elems, k):
-            achieved = set()
-            for y in elems:
-                achieved.add(pattern_signature(a, s, y))
-                if len(achieved) == 1 << k:
-                    break
-            if len(achieved) == 1 << k:
-                found = True
-                break
-        if not found:
-            break
-        best = k
-    return best
-
-
 def grid_verdicts(a: MembershipOracle, x: np.ndarray, y: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """(m, |x| |y|) membership of x_i + y_j + z for the m rows z of zs, cell (i, j) in column i |y| + j.
 
@@ -314,21 +273,21 @@ def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: Containm
     """Mask over F_p^n in rank order: True at each z realizing phi on the grid x_i + y_j + z.
 
     table is a.membership_table(), which callers compute once; unassigned
-    cells of a partial phi impose nothing.
+    cells of a partial phi impose nothing.  The assigned cells are gathered
+    from table in blocks of at most 2^20 translates.
     """
     p, n = a.p, a.n
     x, y = as_points(x, p, n), as_points(y, p, n)
-    cells = [
-        (add_mod(xi, yj, p), want)
-        for xi, row in zip(x, phi.verdicts)
-        for yj, want in zip(y, row)
-        if want is not None
-    ]
+    if len(x) != phi.k + 1 or len(y) != phi.k + 1:
+        raise ValueError("grid size mismatch between X, Y and phi")
+    verdicts = [v for row in phi.verdicts for v in row]
+    assigned = np.array([v is not None for v in verdicts], dtype=bool)
+    cells = add_mod(x[:, None], y[None, :], p).reshape(-1, n)[assigned]
+    want = np.array([bool(v) for v in verdicts])[assigned]
     ok = np.ones(p ** n, dtype=bool)
-    for start, block in iter_group_chunks(p, n):
-        stop = start + block.shape[0]
-        for off, want in cells:
-            ok[start:stop] &= table[digits_to_ranks(add_mod(block, off, p), p)] == want
+    block = max(1, (1 << 20) // p ** n)
+    for c0 in range(0, len(cells), block):
+        ok &= (table[shifted_ranks(cells[c0:c0 + block], p)] == want[c0:c0 + block, None]).all(axis=0)
     return ok
 
 

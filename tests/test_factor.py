@@ -7,13 +7,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vc2lab.fp import (
     FieldCtx,
     derive_rng,
+    digits_to_ranks,
     iter_group_chunks,
     mat_rank,
     matmul_mod,
+    orth_complement,
+    quad_forms,
+    ranks_to_digits,
     solve_affine,
 )
 from vc2lab.gs import QgsSet
-from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, build_trace_basis
+from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, _nonzero_rows, build_trace_basis
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes, vc2_shatters
 from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
@@ -431,6 +435,92 @@ def test_planted_instances_admit_realizers(basis5):
     for xi in x:
         for yj in y:
             assert a.cross_term(1, xi, yj) == 0
+
+
+def _planted_qualifying_sets_reference(basis, m, seed=0, constrain_level=None):
+    """The planted search as one mat_rank call and a full-group digit-sum pass per translate."""
+    a = QgsSet(basis)
+    p, n = basis.ctx.p, basis.n
+    total = p ** n
+    if total > 10 ** 5:
+        raise ValueError("group too large for planted generation")
+    cl = max(m - 1, 1) if constrain_level is None else constrain_level
+    if cl < m - 1:
+        raise ValueError("constrain_level must be at least m - 1")
+    rng = derive_rng(seed, "planted-instance", m, cl)
+    table = a.membership_table()
+    digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
+    zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
+    phi = zero_forcing_map().verdicts
+
+    # the verdicts of columns 1..3 of phi, column j in row j - 1
+    col_want = np.array([[row[j] for row in phi] for j in (1, 2, 3)], dtype=bool)
+
+    def rank_of(vec: np.ndarray) -> np.ndarray:
+        return digits_to_ranks(vec % p, p)
+
+    for _ in range(256):
+        # x_1, x_2 independent; x_3 a further nonzero combination of them
+        x12 = _nonzero_rows(rng, 2, n, p)
+        if mat_rank(x12, p) != 2:
+            continue
+        c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
+        x3 = (c1 * x12[0] + c2 * x12[1]) % p
+        if not x3.any() or (x12 == x3).all(axis=1).any():
+            continue
+        x_ranks = rank_of(np.vstack([x12, x3]))
+
+        # feasibility of each shift z (forced zeros at z and x_i + z, row verdicts), before the y-side subspace
+        z_ok = zero_q.copy()
+        for i, xr in enumerate(x_ranks, start=1):
+            shifted = rank_of(digits + digits[xr])
+            z_ok &= zero_q[shifted] & (table[shifted] == phi[i][0])
+        order = np.flatnonzero(z_ok)
+        if order.size == 0:
+            continue
+        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
+        if not len(space):
+            continue
+        sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
+        sub_r = rank_of(sub)
+        order = order[rng.permutation(order.size)]
+        for z_r in order[:64]:
+            z_d = digits[z_r]
+            # row i: ranks of x_i + s + z over the subspace points s, with x_0 = 0
+            at = np.stack([rank_of(sub + z_d), *(rank_of(sub + digits[xr] + z_d) for xr in x_ranks)])
+            free = zero_q[at[0]] & (sub_r != 0)
+            pools = [np.flatnonzero(free & (table[at] == want[:, None]).all(axis=0)) for want in col_want]
+            if any(pool.size == 0 for pool in pools):
+                continue
+            ys: list[int] = []
+            for pool in pools:
+                pick = [int(sub_r[s]) for s in pool if int(sub_r[s]) not in ys]
+                if not pick:
+                    ys = []
+                    break
+                ys.append(pick[int(rng.integers(0, len(pick)))])
+            if len(ys) != 3:
+                continue
+            # rank 0 is the origin
+            x, y = digits[[0, *x_ranks]], digits[[0, *ys]]
+            if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
+                return x, y
+    return None
+
+
+# only p = 3 with n >= 5 yields instances at these sizes; the rest exercise the search up to None
+@pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 3), (7, 3)])
+@pytest.mark.parametrize("m,cl", [(1, 1), (2, 1), (2, 2)])
+def test_planted_qualifying_sets_match_reference(p, n, m, cl):
+    basis = build_trace_basis(FieldCtx(p), n)
+    for seed in range(8):
+        got = planted_qualifying_sets(basis, m, seed=seed, constrain_level=cl)
+        want = _planted_qualifying_sets_reference(basis, m, seed=seed, constrain_level=cl)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_check_forced_zeros_inapplicable_without_hypothesis(basis5):

@@ -21,6 +21,7 @@ from vc2lab.fp import (
     orth_complement,
     quad_forms,
     ranks_to_digits,
+    shifted_ranks,
     solve_affine,
 )
 
@@ -245,6 +246,30 @@ def test_empty_stacks(shape, p):
         assert out.shape == shape and pivots.shape == shape[:-1] and (pivots == -1).all()
 
 
+@pytest.mark.parametrize("p", [3, 5, 181, BIG_P])
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_reduces_unreduced_and_negative_input(p, seed):
+    # entries outside [0, p), negative ones included, give the reduced input's forms and pivots,
+    # and the caller's array is left as it was
+    rnd = random.Random(seed)
+    mats = [_reference_matrix(rnd, p, (4, 5), seed % 2 == 1) for _ in range(3)]
+    reduced = np.array(mats, dtype=np.int64)
+    if p == BIG_P:
+        lifts = np.array([[[rnd.randrange(-3, 3) for _ in range(5)] for _ in range(4)] for _ in range(3)], dtype=np.int64)
+    else:
+        lifts = np.array([[[rnd.randrange(-1000, 1000) for _ in range(5)] for _ in range(4)] for _ in range(3)])
+    unreduced = reduced + lifts * p
+    before = unreduced.copy()
+    for rank_only in (False, True):
+        want, want_piv = _rref(reduced, p, rank_only=rank_only)
+        got, got_piv = _rref(unreduced, p, rank_only=rank_only)
+        assert np.array_equal(got_piv, want_piv)
+        if not rank_only:
+            assert got.tolist() == want.tolist()
+    assert np.array_equal(unreduced, before)
+    assert _rank_array(unreduced, p).tolist() == _rank_array(reduced, p).tolist()
+
+
 @given(p=primes, n=st.integers(1, 5), seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(p, n, seed):
@@ -347,6 +372,20 @@ def test_iter_group_chunks_covers_the_group_in_rank_order(p, n, chunk):
     sizes = [len(b) for _, b in blocks]
     assert [s for s, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
     assert all(b.dtype == np.int64 and len(b) <= max(chunk, 1) for _, b in blocks)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 4), (5, 3), (7, 2), (11, 1), (13, 2)])
+def test_shifted_ranks_matches_add_mod(p, n):
+    rng = np.random.default_rng(p * 100 + n)
+    # a zero offset row, then the largest residues, then random rows
+    offsets = np.vstack([np.zeros((1, n), dtype=np.int64), np.full((1, n), p - 1), rng.integers(0, p, (5, n))])
+    digits = ranks_to_digits(np.arange(p ** n), p, n)
+    got = shifted_ranks(offsets, p)
+    assert got.dtype == np.int64 and got.shape == (len(offsets), p ** n)
+    for row, o in zip(got, offsets):
+        assert np.array_equal(row, digits_to_ranks(add_mod(digits, o, p), p))
+    assert np.array_equal(got[0], np.arange(p ** n))
+    assert shifted_ranks(offsets[:0], p).shape == (0, p ** n)
 
 
 def test_as_points_checks_shape_and_reduces():

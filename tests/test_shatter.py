@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, digits_to_ranks, ranks_to_digits
+from vc2lab.fp import FieldCtx, add_mod, as_points, digits_to_ranks, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
 from vc2lab.shatter import (
     ContainmentMap,
     NotShattered,
     QuadShatterCertificate,
+    MAX_SET_SIZE,
     ShatterCertificate,
     Vc2Failure,
     VcDimResult,
@@ -16,12 +17,11 @@ from vc2lab.shatter import (
     _translate_table,
     exhaustive_z_finder,
     grid_verdicts,
-    pattern_signature,
+    realizing_shifts,
     shatters,
     vc2_realizes,
     vc2_shatters,
     vc_dim,
-    vc_dim_naive,
 )
 
 ctx3 = FieldCtx(3)
@@ -187,6 +187,44 @@ def _vc_dim_reference(a, k_max):
     return VcDimResult(level, certificate_for(frontier[0][0]))
 
 
+def pattern_signature(a, s, y) -> int:
+    """Reference: bitmask with bit i set iff s[i] + y lands in the set."""
+    s, y = as_points(s, a.p, a.n), as_points([y], a.p, a.n)
+    if len(s) > MAX_SET_SIZE:
+        raise ValueError("set too large")
+    return int(a.contains_digits(add_mod(s, y, a.p)) @ (1 << np.arange(len(s))))
+
+
+def vc_dim_naive(a) -> int:
+    """Reference oracle: test every subset of the group against every translate.
+
+    Exponential; intended only for tiny groups in cross-checks.
+    """
+    from itertools import combinations
+
+    p, n = a.p, a.n
+    total = p ** n
+    if total > 16:
+        raise ValueError("naive oracle limited to groups of size <= 16")
+    elems = ranks_to_digits(np.arange(total), p, n)
+    best = 0
+    for k in range(1, total + 1):
+        found = False
+        for s in combinations(elems, k):
+            achieved = set()
+            for y in elems:
+                achieved.add(pattern_signature(a, s, y))
+                if len(achieved) == 1 << k:
+                    break
+            if len(achieved) == 1 << k:
+                found = True
+                break
+        if not found:
+            break
+        best = k
+    return best
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (3, 3), (5, 2), (7, 2)])
 def test_vc_dim_matches_full_frontier_reference(p, n):
     ctx = FieldCtx(p)
@@ -253,6 +291,62 @@ def test_grid_verdicts_match_pointwise_contains(which, shifts):
     assert got.shape == (shifts, 6)
     for z, row in zip(zs, got):
         assert row.tolist() == [a.contains((xi + yj + z) % p) for xi in x for yj in y]
+
+
+@pytest.mark.parametrize("which", ["gs", "qgs", "explicit"])
+def test_realizing_shifts_match_per_shift_scan(which):
+    """The mask equals vc2_realizes at every z, for total maps, partial maps and a map with no assigned cell."""
+    p, n = {"gs": (5, 3), "qgs": (3, 5), "explicit": (3, 4)}[which]
+    ctx = FieldCtx(p)
+    a = {"gs": lambda: GsSet(ctx, n), "qgs": lambda: QgsSet(build_trace_basis(ctx, n)),
+         "explicit": lambda: explicit(ctx, n, seed=4)}[which]()
+    table = a.membership_table()
+    zs = ranks_to_digits(np.arange(p ** n), p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    for k in (1, 2):
+        x, y = rng.integers(0, p, size=(k + 1, n)), rng.integers(0, p, size=(k + 1, n))
+        side = k + 1
+        maps = [ContainmentMap.from_index(k, int(rng.integers(0, 1 << side * side))) for _ in range(2)]
+        maps.append(ContainmentMap(k, tuple(tuple(None for _ in range(side)) for _ in range(side))))
+        for phi in maps[:2]:
+            partial = phi
+            for i, j in rng.integers(0, side, size=(side, 2)).tolist():
+                partial = partial.assign(i, j, None)
+            maps.append(partial)
+        for phi in maps:
+            got = realizing_shifts(a, table, x, y, phi)
+            assert got.tolist() == [vc2_realizes(a, x, y, phi, z) for z in zs]
+    assert realizing_shifts(a, table, x, y, maps[2]).all()
+    # a grid of the wrong size is rejected, not truncated to the cells it shares with phi
+    with pytest.raises(ValueError, match="grid size mismatch"):
+        realizing_shifts(a, table, x[:2], y[:2], maps[0])
+
+
+@pytest.mark.parametrize("which", ["gs34", "qgs35"])
+def test_translate_table_matches_membership(which):
+    a = {"gs34": lambda: GsSet(ctx3, 4), "qgs35": lambda: QgsSet(build_trace_basis(ctx3, 5))}[which]()
+    p, n = a.p, a.n
+    digits = ranks_to_digits(np.arange(p ** n), p, n)
+    tt = _translate_table(a.membership_table(), p, n)
+    assert tt.dtype == np.uint8 and tt.shape == (p ** n, p ** n)
+    for v, row in enumerate(tt):
+        assert np.array_equal(row, a.contains_digits(add_mod(digits, digits[v], p)))
+
+
+def test_translate_table_peak_memory():
+    # GS(3,7): the table is 2187^2 bytes (4.8 MB); the translates of each block are ranked
+    # digit by digit, never as a (rows, p^n, n) array of sums
+    import tracemalloc
+
+    table = GsSet(ctx3, 7).membership_table()
+    tracemalloc.start()
+    try:
+        tt = _translate_table(table, 3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tt.shape == (3 ** 7, 3 ** 7)
+    assert peak < 40 * 2 ** 20
 
 
 def test_vc2_realizes_trivial_cases():
