@@ -9,6 +9,7 @@ nondegenerate in odd characteristic, hence of rank n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,91 +17,93 @@ import numpy as np
 
 from .fp import FieldCtx, _rank_array, derive_rng, matmul_mod, ranks_to_digits
 
-# Polynomials are little-endian coefficient lists: coeffs[i] multiplies x**i.
+
+def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for a stack of square matrices and e >= 1, by repeated squaring."""
+    if e == 1:
+        return a
+    half = _mpow(matmul_mod(a, a, p), e >> 1, p)
+    return matmul_mod(half, a, p) if e & 1 else half
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f, trimmed; each step touches only the nonzero coefficients of f."""
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    terms = [(i, fi) for i, fi in enumerate(f[:-1]) if fi]
-    for top in range(len(a) - 1, df - 1, -1):
-        coef = (a[top] * inv_lead) % p
-        if coef:
-            shift = top - df
-            for i, fi in terms:
-                a[shift + i] = (a[shift + i] - coef * fi) % p
-    return _ptrim(a[:df])
-
-
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _pmod(list(base), f, p)
+def _krylov(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Stacked n x n matrices whose column i is a^i v mod p, from log2(n) doublings."""
+    n, cols = a.shape[-1], v[..., None]
     while True:
-        if e & 1:
-            result = _pmulmod(result, acc, f, p)
-        e >>= 1
-        if not e:
-            return result
-        acc = _pmulmod(acc, acc, f, p)
+        cols = np.concatenate([cols, matmul_mod(a, cols, p)], axis=-1)
+        if cols.shape[-1] >= n:
+            return cols[..., :n]
+        a = matmul_mod(a, a, p)
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-        b = _ptrim(b)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
+def _frobenius_table(f: np.ndarray, d: int, p: int) -> np.ndarray:
+    """Frobenius matrices of a stack of monic f, (m, n + 1): column i is x^(p i) mod f.
+
+    Shift-and-subtract, x^j = -sum_i f_i x^(j - n + i) up to j = p (n - 1): n - d + 1 powers
+    at a time, with f_0 .. f_(d-1) the only nonzero low coefficients.
+    """
+    m, n = f.shape[0], f.shape[1] - 1
+    neg, step = -f[:, :d, None] % p, n - d + 1
+    # x^(j - n) .. x^(j - 1) of every f, (n, m, n)
+    last = np.broadcast_to(np.eye(n, dtype=np.int64)[:, None], (n, m, n))
+    cols, j = [last[::p]], n
+    while j <= p * (n - 1):
+        new = sum(last[i:i + step] * neg[:, i] for i in range(d)) % p
+        cols.append(new[-j % p::p])
+        last, j = np.concatenate([last[step:], new]), j + step
+    return np.concatenate(cols)[:n].transpose(1, 2, 0)
+
+
+def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
+    """Which rows of f, (m, n + 1) little-endian coefficients of monic f of degree n, are irreducible.
+
+    Rabin's test (SIAM J. Comput. 1980): x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1
+    for each prime q | n, with the cheapest rejections first, each on the rows left:
+    1. a root, which about two canonical candidates in three have: for p < 40 f is
+       evaluated on all of F_p, beyond that gcd(f, x^p - x) = 1 is tested as in 3;
+    2. n Frobenius steps t <- t^p = Q t from t = x: a reducible f without a root passes
+       only if n is composite and the degree of each factor divides n;
+    3. the other gcds, as nonsingular multiplication-by-(t - x) matrices, in one rank.
+    Q is _frobenius_table's for p < 40 and sparse f, as the canonical candidates are, else the
+    powers of the multiplication-by-x^p matrix, faster there.  Products are fp.matmul_mod's.
+    """
+    m, n = f.shape[0], f.shape[1] - 1
+    if n == 1:
+        return np.ones(m, dtype=bool)
+    small = p < 40
+    comp = np.zeros((m, n, n), dtype=f.dtype)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1
+    comp[:, :, -1] = -f[:, :n] % p  # multiplication by x mod f
+    if small:
+        powers = np.array([[pow(a, i, p) for a in range(p)] for i in range(n + 1)])
+        ok = matmul_mod(f, powers, p).all(axis=1)
+    else:
+        xp = _mpow(comp, p, p)
+        ok = _rank_array(xp - comp, p) == n
+    live, unit = np.flatnonzero(ok), np.eye(n, dtype=f.dtype)
+    support = np.flatnonzero(f[live, :n].any(axis=0))
+    d = support[-1] + 1 if support.size else 1
+    if small and d * p * n <= 256 * (n - d + 1):  # the table takes about 2 d p n / (n - d + 1) numpy calls
+        q = _frobenius_table(f[live], d, p)
+    else:
+        xp = _mpow(comp[live], p, p) if small else xp[live]
+        q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
+    ks = [n // r for r in range(2, n) if n % r == 0 and all(r % s for s in range(2, r))]
+    ts = [np.broadcast_to(unit[1], (live.size, n))]  # x^(p^k) mod f, k = 0 .. n
+    for _ in range(n):
+        ts.append(matmul_mod(q, ts[-1][..., None], p)[..., 0])
+    passed = (ts[n] == unit[1]).all(axis=1)
+    ok[live] = passed
+    rest = live[passed]
+    if ks and rest.size:
+        g = (np.stack([ts[k] for k in ks])[:, passed] - unit[1]) % p
+        ok[rest] = (_rank_array(_krylov(comp[rest], g, p), p) == n).all(axis=0)
+    return ok
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Ben-Or's irreducibility test (FOCS 1981).
-
-    A monic f of degree n is irreducible iff gcd(f, x^(p^k) - x) = 1 for every
-    k <= n/2.  x^(p^k) - x is the product of the monic irreducibles whose degree
-    divides k, so a reducible f is rejected at the degree of its smallest factor
-    (Gao and Panario 1997); k = 1 is the root test.
-    """
-    f = list(coeffs)
-    t = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        # x**(p**k) mod f, one Frobenius step at a time
-        t = _ppowmod(t, p, f, p)
-        if len(_pgcd(f, _minus_x(t, p), p)) > 1:
-            return False
-    return True
-
-
-def _minus_x(a: list[int], p: int) -> list[int]:
-    """The polynomial a - x, trimmed."""
-    a = a + [0] * (2 - len(a))
-    a[1] -= 1
-    return _ptrim([c % p for c in a])
+    """Whether the monic polynomial with these coefficients is irreducible: the block test on one row."""
+    return bool(_irreducible_rows(np.array([coeffs], dtype=np.int64 if p < 1 << 63 else object), p)[0])
 
 
 @dataclass(frozen=True)
@@ -126,23 +129,25 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
     """Smallest monic irreducible of degree n, enumerating low coefficients fastest.
 
     Candidates are ordered by the integer sum(c_i * p**i) over the non-leading
-    coefficients, so x**2 + 2 precedes x**2 + x + 1 for p = 5.
+    coefficients, so x**2 + 2 precedes x**2 + x + 1 for p = 5.  They are tested
+    in blocks of 8, 32, 128, ... candidates, at most about 2^18 matrix entries each.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     p = ctx.p
-    for idx in range(p ** n):
-        coeffs = []
-        rem = idx
-        for _ in range(n):
-            coeffs.append(rem % p)
-            rem //= p
-        coeffs.append(1)
-        try:
-            return IrreduciblePoly(ctx, tuple(coeffs))
-        except ValueError:  # reducible
-            continue
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    lo, size = 0, 8
+    while True:
+        # candidate c has the base-p digits of c as coefficients, only the low d of them nonzero
+        d = min(n, 1 + int(math.log(lo + size, p)))
+        rows = np.zeros((size, n + 1), dtype=np.int64 if p < 1 << 63 else object)
+        rows[:, :d] = np.arange(lo, lo + size, dtype=rows.dtype)[:, None] // np.array([p ** i for i in range(d)]) % p
+        rows[:, n] = 1
+        hit = np.flatnonzero(_irreducible_rows(rows, p))
+        if hit.size:
+            poly = object.__new__(IrreduciblePoly)  # the winner passed the constructor's test just now
+            poly.__dict__.update(ctx=ctx, coeffs=tuple(int(c) for c in rows[hit[0]]))
+            return poly
+        lo, size = lo + size, min(4 * size, max(8, (1 << 18) // n ** 2))
 
 
 def _check_int64_field(ctx: FieldCtx) -> None:
@@ -210,19 +215,14 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
     _check_int64_field(ctx)
     p = ctx.p
     poly = build_irreducible(ctx, n)
-    f = list(poly.coeffs)
-
-    # theta^k mod f as coefficient vectors, k = 0 .. 4n-4
-    powers = [[1]]
-    for _ in range(max(4 * n - 4, 0)):
-        nxt = _pmod([0] + powers[-1], f, p)
-        powers.append(nxt)
-
-    def coeff(vec: list[int], i: int) -> int:
-        return vec[i] if i < len(vec) else 0
-
-    # s[k] = Tr(theta^k) = trace of the multiplication-by-theta^k matrix
-    s = np.array([sum(coeff(powers[k + i], i) for i in range(n)) % p for k in range(3 * n - 2)], dtype=np.int64)
+    a = poly.coeffs
+    # s[k] = Tr(theta^k), the power sums of the roots of f, by Newton's identities:
+    # s_0 = n, s_k = -(k a_(n-k) [k <= n] + sum over 1 <= j <= min(k - 1, n) of a_(n-j) s_(k-j))
+    terms = [(j, a[n - j]) for j in range(1, n + 1) if a[n - j]]
+    s = [n % p]
+    for k in range(1, 3 * n - 2):
+        s.append(-(sum(c * s[k - j] for j, c in terms if j < k) + (k * a[n - k] if k <= n else 0)) % p)
+    s = np.array(s, dtype=np.int64)
     # a Hankel array: M_t[i][j] = s[t + i + j], t counted from 0
     idx = np.arange(n)
     return HighRankBasis(ctx, n, poly, s[idx[:, None, None] + idx[None, :, None] + idx[None, None, :]])

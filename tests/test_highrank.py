@@ -1,13 +1,16 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vc2lab.fp import FieldCtx, _rank_array, _rref, derive_rng, ranks_to_digits
+from vc2lab import highrank
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
+    _irreducible_rows,
     _is_irreducible,
     _nonzero_rows,
     build_irreducible,
@@ -64,13 +67,188 @@ def _is_irreducible_reference(coeffs, p):
     )
 
 
+# The list-polynomial Ben-Or test that highrank ran before its array test, kept verbatim
+# as a second reference: little-endian coefficient lists, coeffs[i] multiplies x**i.
+
+
+def _ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f, trimmed; each step touches only the nonzero coefficients of f."""
+    a = list(a)
+    df = len(f) - 1
+    inv_lead = pow(f[-1], p - 2, p)
+    terms = [(i, fi) for i, fi in enumerate(f[:-1]) if fi]
+    for top in range(len(a) - 1, df - 1, -1):
+        coef = (a[top] * inv_lead) % p
+        if coef:
+            shift = top - df
+            for i, fi in terms:
+                a[shift + i] = (a[shift + i] - coef * fi) % p
+    return _ptrim(a[:df])
+
+
+def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    return _pmod(_pmul(a, b, p), f, p)
+
+
+def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    result = [1]
+    acc = _pmod(list(base), f, p)
+    while True:
+        if e & 1:
+            result = _pmulmod(result, acc, f, p)
+        e >>= 1
+        if not e:
+            return result
+        acc = _pmulmod(acc, acc, f, p)
+
+
+def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        a, b = b, _pmod(a, b, p)
+        b = _ptrim(b)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def _is_irreducible_ben_or(coeffs: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's irreducibility test (FOCS 1981).
+
+    A monic f of degree n is irreducible iff gcd(f, x^(p^k) - x) = 1 for every
+    k <= n/2.  x^(p^k) - x is the product of the monic irreducibles whose degree
+    divides k, so a reducible f is rejected at the degree of its smallest factor
+    (Gao and Panario 1997); k = 1 is the root test.
+    """
+    f = list(coeffs)
+    t = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        # x**(p**k) mod f, one Frobenius step at a time
+        t = _ppowmod(t, p, f, p)
+        if len(_pgcd(f, _minus_x(t, p), p)) > 1:
+            return False
+    return True
+
+
+def _minus_x(a: list[int], p: int) -> list[int]:
+    """The polynomial a - x, trimmed."""
+    a = a + [0] * (2 - len(a))
+    a[1] -= 1
+    return _ptrim([c % p for c in a])
+
+
+def _trace_basis_reference(poly, n, p):
+    """build_trace_basis's matrices from the power-basis traces it computed before Newton's identities."""
+    f = list(poly.coeffs)
+
+    # theta^k mod f as coefficient vectors, k = 0 .. 4n-4
+    powers = [[1]]
+    for _ in range(max(4 * n - 4, 0)):
+        nxt = _pmod([0] + powers[-1], f, p)
+        powers.append(nxt)
+
+    def coeff(vec: list[int], i: int) -> int:
+        return vec[i] if i < len(vec) else 0
+
+    # s[k] = Tr(theta^k) = trace of the multiplication-by-theta^k matrix
+    s = np.array([sum(coeff(powers[k + i], i) for i in range(n)) % p for k in range(3 * n - 2)], dtype=np.int64)
+    # a Hankel array: M_t[i][j] = s[t + i + j], t counted from 0
+    idx = np.arange(n)
+    return s[idx[:, None, None] + idx[None, :, None] + idx[None, None, :]]
+
+
 @pytest.mark.parametrize("p,n", [(3, d) for d in range(1, 7)] + [(5, d) for d in range(1, 5)]
-                         + [(7, d) for d in range(1, 5)])
+                         + [(7, d) for d in range(1, 5)] + [(11, d) for d in range(1, 4)]
+                         + [(13, d) for d in range(1, 4)])
 def test_irreducibility_tests_agree(p, n):
     # every monic polynomial of degree n
     for idx in range(p ** n):
         coeffs = _monic(idx, p, n)
         assert _is_irreducible(coeffs, p) == _is_irreducible_reference(coeffs, p)
+
+
+@pytest.mark.parametrize("p,n_max", [(3, 8), (5, 5), (7, 4)])
+def test_block_test_matches_ben_or_exhaustively(p, n_max):
+    # every monic polynomial of each degree up to n_max, as one block
+    for n in range(1, n_max + 1):
+        polys = [_monic(idx, p, n) for idx in range(p ** n)]
+        assert _irreducible_rows(np.array(polys), p).tolist() == [_is_irreducible_ben_or(c, p) for c in polys]
+
+
+def _reciprocal(coeffs, p):
+    """The monic reciprocal x^n f(1/x) / f(0) of f, irreducible when f is and f(0) != 0."""
+    inv = pow(coeffs[0], p - 2, p)
+    return tuple(c * inv % p for c in reversed(coeffs))
+
+
+def _random_monic(rng, p, n):
+    return tuple(rng.randrange(p) for _ in range(n)) + (1,)
+
+
+# matmul_mod's products run in float64 at p = 3, 5 and 13, in int64 at 268435399 (below 2^28)
+# for n <= 7, and in Python integers at 2^31 - 1, 2^61 - 1 and 2^63 + 29, whose residues
+# need object arrays.  Q comes from the matrix powers for those four and for the blocks with
+# dense rows, and from the table for the sparse rows tested one at a time
+@pytest.mark.parametrize("p,degrees", [(3, (31, 48, 64)), (5, (31, 48, 64)), (13, (31, 48, 64)),
+                                       (268435399, (2, 3, 4, 6)), ((1 << 31) - 1, (2, 3, 4, 6)),
+                                       ((1 << 61) - 1, (2, 3, 4)), (9223372036854775837, (2, 3, 4))])
+def test_block_test_on_random_and_constructed_polynomials(p, degrees):
+    rng, verdicts = random.Random(p), set()
+    dtype = np.int64 if p < 1 << 63 else object
+    for n in degrees:
+        # random monic polynomials, and below 2^8 the canonical irreducible, against Ben-Or
+        polys = [_random_monic(rng, p, n) for _ in range(8)]
+        if p < 1 << 8:
+            polys.append(build_irreducible(FieldCtx(p), n).coeffs)
+        want = [_is_irreducible_ben_or(c, p) for c in polys]
+        # then x h, which has the root 0, and for even n g g* for an irreducible g of degree n / 2
+        # and its reciprocal g*: no root, and each factor's degree divides n, so only a gcd rejects it
+        polys.append((0,) + _random_monic(rng, p, n - 1))
+        if n % 2 == 0:
+            g = next(c for c in iter(lambda: _random_monic(rng, p, n // 2), None) if _is_irreducible(c, p))
+            polys.append(tuple(_pmul(list(g), list(_reciprocal(g, p)), p)))
+        want += [False] * (len(polys) - len(want))
+        assert _irreducible_rows(np.array(polys, dtype=dtype), p).tolist() == want
+        assert [_is_irreducible(c, p) for c in polys] == want
+        verdicts.update(want)
+    assert verdicts == {False, True}
+
+
+def test_build_irreducible_tests_the_winner_once(monkeypatch):
+    # blocks of 8 and 32 candidates at (3, 31), and no second, one-row test of the winner
+    sizes = []
+    block_test = highrank._irreducible_rows
+    monkeypatch.setattr(highrank, "_irreducible_rows", lambda f, p: sizes.append(len(f)) or block_test(f, p))
+    poly = build_irreducible(ctx3, 31)
+    assert sizes == [8, 32]
+    checked = IrreduciblePoly(ctx3, poly.coeffs)
+    assert poly == checked and hash(poly) == hash(checked) and poly.degree == 31
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_trace_basis_matches_power_basis_reference(p):
+    # n up to 40 includes n divisible by p, where s_0 = Tr(1) = n = 0: (3, 9), (5, 25), (13, 26), ...
+    for n in range(1, 41):
+        b = build_trace_basis(FieldCtx(p), n)
+        assert np.array_equal(b.mats, _trace_basis_reference(b.poly, n, p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -80,6 +258,13 @@ def test_build_irreducible_is_first_candidate(p):
             break
         first = next(c for c in (_monic(i, p, n) for i in range(p ** n)) if _is_irreducible_reference(c, p))
         assert build_irreducible(FieldCtx(p), n).coeffs == first
+
+
+@pytest.mark.parametrize("p,n", [(101, 4), ((1 << 61) - 1, 3), (9223372036854775837, 2)])
+def test_build_irreducible_is_first_candidate_at_large_p(p, n):
+    # the matrix-power path, with Python-integer products and, at 2^63 + 29, object arrays
+    first = next(c for c in (_monic(i, p, n) for i in range(p ** n)) if _is_irreducible_ben_or(c, p))
+    assert build_irreducible(FieldCtx(p), n).coeffs == first
 
 
 @pytest.mark.parametrize("name", ["k3_p3_n31.json", "k3_p5_n31.json", "k2_p3_n13.json"])
