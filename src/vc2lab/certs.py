@@ -34,8 +34,8 @@ def oracle_spec(a) -> dict:
 # The verifier's limits, checked before any oracle is rebuilt.  Points and shifts
 # are replayed as int64 residues, exact for every p below P_BOUND.  A qgs set is
 # rebuilt by the canonical search for its extension polynomial, whose time grows
-# with p and n: within the limits below it took at most 0.36 s (p = 11, n = 55) on
-# a 2-vCPU x86-64 VM, beyond them 30 s (p = 127, n = 64) or 14 s (p = 10^6 + 3, n = 4).
+# with p and n: within the limits below it took at most 0.40 s (p = 11, n = 55) on
+# a 2-vCPU x86-64 VM, beyond them 9 s (p = 127, n = 64) or 15 s (p = 10^6 + 3, n = 4).
 P_BOUND = 1 << 63
 QGS_MAX_P = 13
 QGS_MAX_N = 64

@@ -36,41 +36,24 @@ def _krylov(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
         a = matmul_mod(a, a, p)
 
 
-def _frobenius_table(f: np.ndarray, d: int, p: int) -> np.ndarray:
-    """Frobenius matrices of a stack of monic f, (m, n + 1): column i is x^(p i) mod f.
-
-    Shift-and-subtract, x^j = -sum_i f_i x^(j - n + i) up to j = p (n - 1): n - d + 1 powers
-    at a time, with f_0 .. f_(d-1) the only nonzero low coefficients.
-    """
-    m, n = f.shape[0], f.shape[1] - 1
-    neg, step = -f[:, :d, None] % p, n - d + 1
-    # x^(j - n) .. x^(j - 1) of every f, (n, m, n)
-    last = np.broadcast_to(np.eye(n, dtype=np.int64)[:, None], (n, m, n))
-    cols, j = [last[::p]], n
-    while j <= p * (n - 1):
-        new = sum(last[i:i + step] * neg[:, i] for i in range(d)) % p
-        cols.append(new[-j % p::p])
-        last, j = np.concatenate([last[step:], new]), j + step
-    return np.concatenate(cols)[:n].transpose(1, 2, 0)
-
-
 def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     """Which rows of f, (m, n + 1) little-endian coefficients of monic f of degree n, are irreducible.
 
     Rabin's test (SIAM J. Comput. 1980): x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1
     for each prime q | n, with the cheapest rejections first, each on the rows left:
-    1. a root, which about two canonical candidates in three have: for p < 40 f is
+    1. a root, which about two canonical candidates in three have: for p < 256 f is
        evaluated on all of F_p, beyond that gcd(f, x^p - x) = 1 is tested as in 3;
     2. n Frobenius steps t <- t^p = Q t from t = x: a reducible f without a root passes
        only if n is composite and the degree of each factor divides n;
-    3. the other gcds, as nonsingular multiplication-by-(t - x) matrices, in one rank.
-    Q is _frobenius_table's for p < 40 and sparse f, as the canonical candidates are, else the
-    powers of the multiplication-by-x^p matrix, faster there.  Products are fp.matmul_mod's.
+    3. for composite n, x^(p^(n/q)) != x for each prime q | n, which is free, then one gcd, of f
+       and the product of the x^(p^(n/q)) - x mod f, as a nonsingular multiplication matrix.
+    Q, whose column i is x^(p i) mod f, is built from powers of the multiplication-by-x^p matrix.
+    Products are fp.matmul_mod's.
     """
     m, n = f.shape[0], f.shape[1] - 1
     if n == 1:
         return np.ones(m, dtype=bool)
-    small = p < 40
+    small = p < 256
     comp = np.zeros((m, n, n), dtype=f.dtype)
     comp[:, np.arange(1, n), np.arange(n - 1)] = 1
     comp[:, :, -1] = -f[:, :n] % p  # multiplication by x mod f
@@ -81,13 +64,8 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
         xp = _mpow(comp, p, p)
         ok = _rank_array(xp - comp, p) == n
     live, unit = np.flatnonzero(ok), np.eye(n, dtype=f.dtype)
-    support = np.flatnonzero(f[live, :n].any(axis=0))
-    d = support[-1] + 1 if support.size else 1
-    if small and d * p * n <= 256 * (n - d + 1):  # the table takes about 2 d p n / (n - d + 1) numpy calls
-        q = _frobenius_table(f[live], d, p)
-    else:
-        xp = _mpow(comp[live], p, p) if small else xp[live]
-        q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
+    xp = _mpow(comp[live], p, p) if small else xp[live]
+    q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
     ks = [n // r for r in range(2, n) if n % r == 0 and all(r % s for s in range(2, r))]
     ts = [np.broadcast_to(unit[1], (live.size, n))]  # x^(p^k) mod f, k = 0 .. n
     for _ in range(n):
@@ -97,7 +75,14 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     rest = live[passed]
     if ks and rest.size:
         g = (np.stack([ts[k] for k in ks])[:, passed] - unit[1]) % p
-        ok[rest] = (_rank_array(_krylov(comp[rest], g, p), p) == n).all(axis=0)
+        # x^(p^k) = x for a k < n already means every factor has degree dividing k
+        ok[rest] = g.any(axis=2).all(axis=0)
+        rest, g = rest[ok[rest]], g[:, ok[rest]]
+    if ks and rest.size:
+        h = g[0]  # prod_k (x^(p^k) - x) mod f, whose gcd with f is 1 iff each factor's is
+        for gk in g[1:]:
+            h = matmul_mod(_krylov(comp[rest], h, p), gk[..., None], p)[..., 0]
+        ok[rest] = _rank_array(_krylov(comp[rest], h, p), p) == n
     return ok
 
 

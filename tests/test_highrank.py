@@ -193,6 +193,17 @@ def test_block_test_matches_ben_or_exhaustively(p, n_max):
         assert _irreducible_rows(np.array(polys), p).tolist() == [_is_irreducible_ben_or(c, p) for c in polys]
 
 
+@pytest.mark.parametrize("p", [251, 257])
+def test_block_test_is_a_root_test_below_degree_4(p):
+    # a monic polynomial of degree 2 or 3 is irreducible iff it has no root: 2,000 seeded ones
+    # of each degree, either side of the switch between the two root tests
+    rng = random.Random(p)
+    for n in (2, 3):
+        polys = np.array([_random_monic(rng, p, n) for _ in range(2000)])
+        values = sum(polys[:, i, None] * np.arange(p) ** i for i in range(n + 1)) % p
+        assert _irreducible_rows(polys, p).tolist() == values.all(axis=1).tolist()
+
+
 def _reciprocal(coeffs, p):
     """The monic reciprocal x^n f(1/x) / f(0) of f, irreducible when f is and f(0) != 0."""
     inv = pow(coeffs[0], p - 2, p)
@@ -203,11 +214,16 @@ def _random_monic(rng, p, n):
     return tuple(rng.randrange(p) for _ in range(n)) + (1,)
 
 
-# matmul_mod's products run in float64 at p = 3, 5 and 13, in int64 at 268435399 (below 2^28)
-# for n <= 7, and in Python integers at 2^31 - 1, 2^61 - 1 and 2^63 + 29, whose residues
-# need object arrays.  Q comes from the matrix powers for those four and for the blocks with
-# dense rows, and from the table for the sparse rows tested one at a time
-@pytest.mark.parametrize("p,degrees", [(3, (31, 48, 64)), (5, (31, 48, 64)), (13, (31, 48, 64)),
+def _random_irreducible(rng, p, n):
+    return next(c for c in iter(lambda: _random_monic(rng, p, n), None) if _is_irreducible(c, p))
+
+
+# matmul_mod's products run in float64 at p = 3, 5, 13, 251 and 257, in int64 at 268435399
+# (below 2^28) for n <= 7, and in Python integers at 2^31 - 1, 2^61 - 1 and 2^63 + 29, whose
+# residues need object arrays.  The root test evaluates f on F_p up to p = 251 and is a gcd
+# from p = 257 on
+@pytest.mark.parametrize("p,degrees", [(3, (12, 31, 48, 64)), (5, (12, 31, 48, 64)), (13, (12, 31, 48, 64)),
+                                       (251, (2, 3, 4, 6, 12)), (257, (2, 3, 4, 6, 12)),
                                        (268435399, (2, 3, 4, 6)), ((1 << 31) - 1, (2, 3, 4, 6)),
                                        ((1 << 61) - 1, (2, 3, 4)), (9223372036854775837, (2, 3, 4))])
 def test_block_test_on_random_and_constructed_polynomials(p, degrees):
@@ -219,17 +235,35 @@ def test_block_test_on_random_and_constructed_polynomials(p, degrees):
         if p < 1 << 8:
             polys.append(build_irreducible(FieldCtx(p), n).coeffs)
         want = [_is_irreducible_ben_or(c, p) for c in polys]
-        # then x h, which has the root 0, and for even n g g* for an irreducible g of degree n / 2
-        # and its reciprocal g*: no root, and each factor's degree divides n, so only a gcd rejects it
+        # then x h, which has the root 0; for even n g g* for an irreducible g of degree n / 2
+        # and its reciprocal g*, which has no root and x^(p^(n/2)) = x mod g g*; and for 6 | n
+        # the product of irreducibles of degree n / 6, n / 3 and n / 2, whose lcm is n, so
+        # that only the gcd rejects it
         polys.append((0,) + _random_monic(rng, p, n - 1))
         if n % 2 == 0:
-            g = next(c for c in iter(lambda: _random_monic(rng, p, n // 2), None) if _is_irreducible(c, p))
+            g = _random_irreducible(rng, p, n // 2)
             polys.append(tuple(_pmul(list(g), list(_reciprocal(g, p)), p)))
+        if n % 6 == 0:
+            g = [1]
+            for d in (n // 6, n // 3, n // 2):
+                g = _pmul(g, list(_random_irreducible(rng, p, d)), p)
+            polys.append(tuple(g))
         want += [False] * (len(polys) - len(want))
         assert _irreducible_rows(np.array(polys, dtype=dtype), p).tolist() == want
         assert [_is_irreducible(c, p) for c in polys] == want
         verdicts.update(want)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_block_test_runs_every_gcd(p):
+    # irreducible factors of degree 2, 6, 6, 6 and 10: no root, the lcm is 30 and every degree is
+    # even, so gcd(f, x^(p^15) - x) = 1 and only the gcds for 30 / 3 and 30 / 5 reject f
+    rng, f = random.Random(p), [1]
+    for d in (2, 6, 6, 6, 10):
+        f = _pmul(f, list(_random_irreducible(rng, p, d)), p)
+    polys = [tuple(f), build_irreducible(FieldCtx(p), 30).coeffs]
+    assert _irreducible_rows(np.array(polys), p).tolist() == [False, True]
 
 
 def test_build_irreducible_tests_the_winner_once(monkeypatch):
@@ -260,9 +294,11 @@ def test_build_irreducible_is_first_candidate(p):
         assert build_irreducible(FieldCtx(p), n).coeffs == first
 
 
-@pytest.mark.parametrize("p,n", [(101, 4), ((1 << 61) - 1, 3), (9223372036854775837, 2)])
+@pytest.mark.parametrize("p,n", [(101, 4), (251, 4), (251, 6), (257, 4), (257, 6), ((1 << 61) - 1, 3),
+                                 (9223372036854775837, 2)])
 def test_build_irreducible_is_first_candidate_at_large_p(p, n):
-    # the matrix-power path, with Python-integer products and, at 2^63 + 29, object arrays
+    # either side of the switch between the two root tests, then Python-integer products
+    # and, at 2^63 + 29, object arrays
     first = next(c for c in (_monic(i, p, n) for i in range(p ** n)) if _is_irreducible_ben_or(c, p))
     assert build_irreducible(FieldCtx(p), n).coeffs == first
 
