@@ -5,7 +5,7 @@ Examples:
     # exact VC-dimension of the quadratic set on a small group
     python scripts/explore_shattering.py vc --p 3 --n 3 --set qgs --k-max 5
 
-    # try to quadratically shatter random small pairs by exhaustive shift search
+    # try to quadratically shatter random small pairs by one pattern scan over the grid cells
     python scripts/explore_shattering.py vc2-random --p 3 --n 5 --k 2 --tries 200
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from vc2lab.fp import FieldCtx
 from vc2lab.gs import GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import QuadShatterCertificate, exhaustive_z_finder, vc2_shatters, vc_dim
+from vc2lab.shatter import QuadShatterCertificate, vc2_shatters, vc_dim
 
 
 def cmd_vc(args) -> int:
@@ -41,14 +41,14 @@ def cmd_vc2_random(args) -> int:
     for trial in range(args.tries):
         xs = np.vstack([zero] + [rng.integers(0, args.p, args.n) for _ in range(args.k - 1)])
         ys = np.vstack([zero] + [rng.integers(0, args.p, args.n) for _ in range(args.k - 1)])
-        res = vc2_shatters(a, xs, ys, exhaustive_z_finder(a, xs, ys))
+        res = vc2_shatters(a, xs, ys)
         if isinstance(res, QuadShatterCertificate):
             print(f"trial {trial}: shattered pair found")
             print(f"  X = {xs.tolist()}")
             print(f"  Y = {ys.tolist()}")
             return 0
-        best = res if best is None or res.map_index > best.map_index else best
-    deepest = -1 if best is None else best.map_index
+        best = res if best is None or res.missing > best.missing else best
+    deepest = -1 if best is None else best.missing
     print(f"no shattered pair in {args.tries} trials; deepest failure at map index {deepest}")
     return 1
 

@@ -8,7 +8,6 @@ from .shatter import (
     NotShattered,
     QuadShatterCertificate,
     ShatterCertificate,
-    Vc2Failure,
     VcDimResult,
     shatters,
     vc2_realizes,

@@ -221,7 +221,7 @@ def find_in_atoms(
 
 
 def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int]:
-    """Exact atom sizes over the whole group (p**n <= 1e7).
+    """Exact atom sizes over the whole group (p**n <= 1e7), one count per label (p**D <= 1e7).
 
     Checks |size - p**(n-D)| <= p**(n/2) for every label, including labels
     of empty atoms; a violation raises.
@@ -231,6 +231,8 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int
     if p ** n > 10 ** 7:
         raise ValueError("group too large for an exhaustive census")
     d = f.complexity
+    if p ** d > 10 ** 7:
+        raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > 1e7)")
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
@@ -1008,13 +1010,15 @@ def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) 
     free corner) is checked; instances with no realizing z are recorded as
     vacuous passes.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     a = QgsSet(basis)
     p, n = a.p, a.n
     if p ** n > 10 ** 6:
         raise ValueError("group too large for the exhaustive probe")
     table = a.membership_table()
     out = []
-    base = zero_forcing_map()
+    phi = zero_forcing_map()
     for idx in range(instances):
         m = 1 + idx % 2
         planted = None
@@ -1025,9 +1029,8 @@ def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) 
             x, y = planted
         else:
             x, y = random_zero_cross_term_sets(basis, m, seed=seed * 1000 + idx)
-        realizers = ranks_to_digits(np.concatenate([
-            np.flatnonzero(realizing_shifts(a, table, x, y, base.assign(0, 0, corner))) for corner in (True, False)
-        ]), p, n)
+        # phi leaves the (0,0) corner unassigned, so one scan yields the shifts for both of its verdicts
+        realizers = ranks_to_digits(np.flatnonzero(realizing_shifts(a, table, x, y, phi)), p, n)
         if not len(realizers):
             out.append(ForcedZeroInstance(idx, m, 0, True, True, "vacuous: no realizing shift"))
             continue

@@ -234,7 +234,7 @@ def check_high_rank(
 
     Returns None on pass, or the offending coefficient vector, an int64 row,
     on failure (the lexicographically smallest one among the failures found).
-    Exhaustive mode requires p**n <= 10**6.
+    Exhaustive mode requires p**n <= 10**6; sampled mode checks count >= 1 draws.
     """
     p, n = basis.ctx.p, basis.n
     # combinations are ranked in batches of about 2^17 matrix entries
@@ -258,6 +258,8 @@ def check_high_rank(
         return None
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if count < 1:
+        raise ValueError(f"sampled check needs count >= 1, got {count}")
 
     rng = derive_rng(seed, "high-rank-check", 0)
     failures: list[tuple[int, ...]] = []

@@ -11,7 +11,7 @@ point per row (see fp.as_points); a single point is a length-n row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class ContainmentMap:
     def is_total(self) -> bool:
         return all(v is not None for row in self.verdicts for v in row)
 
-    def assign(self, i: int, j: int, verdict: bool) -> "ContainmentMap":
-        rows = [list(r) for r in self.verdicts]
-        rows[i][j] = verdict
-        return ContainmentMap(self.k, tuple(tuple(r) for r in rows))
-
     def to_index(self) -> int:
         """Bit (i*(k+1)+j) set means the cell (i, j) is a complement cell.
 
@@ -104,7 +99,8 @@ class ShatterCertificate:
 
 @dataclass(frozen=True)
 class NotShattered:
-    missing: int  # smallest unachieved bitmask
+    # shatters: the smallest unachieved subset bitmask; vc2_shatters: the smallest map index with no shift
+    missing: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +121,19 @@ class QuadShatterCertificate:
 
 
 @dataclass(frozen=True)
-class Vc2Failure:
-    map_index: int
-    phi: ContainmentMap
-
-
-@dataclass(frozen=True)
 class VcDimResult:
     dim: int
     certificate: ShatterCertificate | None
 
 
 def _pattern_scan(a: MembershipOracle, s_digits: np.ndarray) -> np.ndarray:
-    """First translate rank achieving each bitmask (-1 where unachieved), stopping once all are;
-    add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
+    """First translate rank achieving each bitmask (-1 where unachieved), stopping once all are.
+
+    Enumerates at most MAX_GROUP_ENUM translates, the one group-size guard of
+    shatters and vc2_shatters; add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
     p, n = a.p, a.n
+    if p ** n > MAX_GROUP_ENUM:
+        raise ValueError("group too large to enumerate translates")
     k = s_digits.shape[0]
     first = np.full(1 << k, -1, dtype=np.int64)
     dtype = np.min_scalar_type(-p)
@@ -164,8 +158,6 @@ def shatters(a: MembershipOracle, s) -> ShatterCertificate | NotShattered:
         raise ValueError("empty candidate set")
     if len(s) > MAX_SET_SIZE:
         raise ValueError(f"|S| must be <= {MAX_SET_SIZE}")
-    if a.p ** a.n > MAX_GROUP_ENUM:
-        raise ValueError("group too large to enumerate translates")
     s = as_points(s, a.p, a.n)
     first = _pattern_scan(a, s)
     missing = np.flatnonzero(first < 0)
@@ -291,35 +283,14 @@ def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: Containm
     return ok
 
 
-def exhaustive_z_finder(a: MembershipOracle, x, y) -> Callable[[ContainmentMap], np.ndarray | None]:
-    """Shift finder scanning the whole group in rank order (small groups only)."""
-    p, n = a.p, a.n
-    if p ** n > 10 ** 6:
-        raise ValueError("group too large for exhaustive shift search")
-    table = a.membership_table()
-    x, y = as_points(x, p, n), as_points(y, p, n)
+def vc2_shatters(a: MembershipOracle, x, y) -> QuadShatterCertificate | NotShattered:
+    """Witness every containment map on the [0, k-1]^2 grid, or report the first map with no shift.
 
-    def find(phi: ContainmentMap) -> np.ndarray | None:
-        hits = np.flatnonzero(realizing_shifts(a, table, x, y, phi))
-        if hits.size == 0:
-            return None
-        return ranks_to_digits(hits[:1], p, n)[0]
-
-    return find
-
-
-def vc2_shatters(
-    a: MembershipOracle,
-    x,
-    y,
-    z_finder: Callable[[ContainmentMap], np.ndarray | None],
-) -> QuadShatterCertificate | Vc2Failure:
-    """Witness every containment map on the [0, k-1]^2 grid, or report the first failure.
-
-    X and Y have size k with x_0 = y_0 = 0.  Shifts are requested in map
-    index order up to the first None; then every grid is checked in one
-    membership call, and a failure reports the first map in index order that
-    has no shift or a wrong one.
+    X and Y have size k with x_0 = y_0 = 0.  One pattern scan runs over the k^2
+    cells x_i + y_j, cell (i, j) in row i k + j: a shift z realizes map idx iff
+    the pattern of the cells + z is full ^ idx, since a set bit of idx marks a
+    complement cell.  Coinciding cells need no check of their own: no shift
+    separates them, so no map that does is ever witnessed.
     """
     k = len(x)
     if len(y) != k:
@@ -330,17 +301,9 @@ def vc2_shatters(
     x, y = as_points(x, p, n), as_points(y, p, n)
     if x[0].any() or y[0].any():
         raise ValueError("x_0 and y_0 must both be 0")
-    witnesses = []
-    for idx in range(1 << (k * k)):
-        z = z_finder(ContainmentMap.from_index(k - 1, idx))
-        if z is None:
-            break
-        witnesses.append(as_points([z], p, n)[0])
-    # cell c = i k + j of map idx is in the set iff bit c of idx is clear
-    want = (np.arange(len(witnesses))[:, None] >> np.arange(k * k)) & 1 == 0
-    wrong = np.flatnonzero((grid_verdicts(a, x, y, as_points(witnesses, p, n)) != want).any(axis=1))
-    if wrong.size:
-        return Vc2Failure(int(wrong[0]), ContainmentMap.from_index(k - 1, int(wrong[0])))
-    if len(witnesses) < 1 << (k * k):
-        return Vc2Failure(len(witnesses), ContainmentMap.from_index(k - 1, len(witnesses)))
-    return QuadShatterCertificate(x, y, witnesses)
+    full = (1 << (k * k)) - 1
+    first = _pattern_scan(a, add_mod(x[:, None], y[None, :], p).reshape(-1, n))[full ^ np.arange(full + 1)]
+    missing = np.flatnonzero(first < 0)
+    if missing.size:
+        return NotShattered(int(missing[0]))
+    return QuadShatterCertificate(x, y, ranks_to_digits(first, p, n))

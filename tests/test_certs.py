@@ -15,7 +15,7 @@ from vc2lab import certs
 from vc2lab.fp import FieldCtx, add_mod
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import ContainmentMap, shatters, vc2_shatters, ShatterCertificate
+from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, shatters, ShatterCertificate
 from vc2lab.factor import CheckResult, construct_shatter_pair, realize_maps
 
 ctx3 = FieldCtx(3)
@@ -35,7 +35,7 @@ def vc2_doc():
     c = construct_shatter_pair(basis, 2, seed=0)
     a = QgsSet(basis)
     found = realize_maps(c, [ContainmentMap.from_index(1, idx) for idx in range(16)], seed=0)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
+    cert = QuadShatterCertificate(c.X, c.Y, found)
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
 
 

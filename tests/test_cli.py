@@ -212,7 +212,12 @@ MISUSE = [
     (["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0 0;0 1 2 0"], {}),
     (["vc2-verify", "--p", "3", "--n", "13", "--k", "4"], {}),
     (["atom-census", "--p", "3", "--n", "9", "--l", "x"], {}),
+    # a group within the census cap whose 3**28 atom labels are not
+    (["atom-census", "--p", "3", "--n", "14", "--l", "14", "--q", "14"], {}),
     (["prop32-check", "--p", "3", "--n", "5", "--instances"], {}),
+    # runs that would check nothing
+    (["basis", "--p", "3", "--n", "5", "--mode", "sampled", "--count", "0"], {}),
+    (["prop32-check", "--p", "3", "--n", "5", "--instances", "0"], {}),
     (["ramsey-find", "--m", "x"], {}),
     (["br-bound"], {}),
     (["verify-certificate"], {}),

@@ -18,7 +18,7 @@ from vc2lab.fp import (
 )
 from vc2lab.gs import QgsSet
 from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, _nonzero_rows, build_trace_basis
-from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes, vc2_shatters
+from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes
 from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
     AtomLabel,
@@ -226,6 +226,14 @@ def test_atom_census_bound_sweep(basis9):
                 assert min(census.values()) > 0
 
 
+def test_atom_census_rejects_label_space_over_cap():
+    # p**n = 3**14 is within the census cap, but a counts array of 3**28 labels would need 166 TiB
+    b = build_trace_basis(ctx3, 14)
+    f = QuadraticFactor(ctx3, np.eye(14, 14, dtype=np.int64), tuple(range(1, 15)))
+    with pytest.raises(ValueError, match="too many atom labels"):
+        atom_census(f, b)
+
+
 def test_atom_census_single_quadratic_level_sets(basis9):
     f = QuadraticFactor(ctx3, np.zeros((0, 9), dtype=np.int64), (1,))
     census = atom_census(f, basis9)
@@ -299,8 +307,7 @@ def test_k2_pipeline_realizes_all_maps(basis13):
     c = construct_shatter_pair(basis13, 2, seed=0)
     a = QgsSet(basis13)
     found = realize_maps(c, _all_maps(2), seed=0)
-    cert = vc2_shatters(a, c.X, c.Y, lambda phi: found[phi.to_index()])
-    assert isinstance(cert, QuadShatterCertificate)
+    cert = QuadShatterCertificate(c.X, c.Y, found)
     assert len(cert.witnesses) == 16
     # independent re-check of a few witnesses
     for idx in (0, 7, 15):
@@ -424,6 +431,13 @@ def test_forced_zero_probe_mixed_outcomes(basis5):
     assert all(r.ok for r in results)
     assert any(r.vacuous for r in results)
     assert any(not r.vacuous for r in results)
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_forced_zero_probe_rejects_empty_runs(basis5, instances):
+    # a run of no instance checks nothing and must not report a pass
+    with pytest.raises(ValueError, match="instances must be at least 1"):
+        forced_zero_probe(basis5, instances=instances)
 
 
 def test_planted_instances_admit_realizers(basis5):

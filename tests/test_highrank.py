@@ -398,6 +398,13 @@ def test_exhaustive_limit_enforced():
         check_high_rank(b, mode="exhaustive")
 
 
+@pytest.mark.parametrize("count", [0, -4])
+def test_sampled_check_rejects_empty_runs(count):
+    # no draw checks nothing and must not report a pass
+    with pytest.raises(ValueError, match="count >= 1"):
+        check_high_rank(build_trace_basis(ctx3, 5), mode="sampled", count=count)
+
+
 def test_sampled_high_rank_n31():
     b = build_trace_basis(ctx3, 31)
     assert check_high_rank(b, mode="sampled", count=2_000, seed=1) is None

@@ -11,11 +11,9 @@ from vc2lab.shatter import (
     QuadShatterCertificate,
     MAX_SET_SIZE,
     ShatterCertificate,
-    Vc2Failure,
     VcDimResult,
     _pattern_scan,
     _translate_table,
-    exhaustive_z_finder,
     grid_verdicts,
     realizing_shifts,
     shatters,
@@ -309,10 +307,10 @@ def test_realizing_shifts_match_per_shift_scan(which):
         maps = [ContainmentMap.from_index(k, int(rng.integers(0, 1 << side * side))) for _ in range(2)]
         maps.append(ContainmentMap(k, tuple(tuple(None for _ in range(side)) for _ in range(side))))
         for phi in maps[:2]:
-            partial = phi
+            rows = [list(r) for r in phi.verdicts]
             for i, j in rng.integers(0, side, size=(side, 2)).tolist():
-                partial = partial.assign(i, j, None)
-            maps.append(partial)
+                rows[i][j] = None
+            maps.append(ContainmentMap(k, tuple(tuple(r) for r in rows)))
         for phi in maps:
             got = realizing_shifts(a, table, x, y, phi)
             assert got.tolist() == [vc2_realizes(a, x, y, phi, z) for z in zs]
@@ -387,10 +385,7 @@ def test_vc2_shatters_empty_set_fails_at_all_in_map():
     a = ExplicitSet(ctx3, 2, np.zeros(9, dtype=bool))
     zero = (0, 0)
     v = (0, 1)
-    res = vc2_shatters(a, [zero, v], [zero, v], exhaustive_z_finder(a, [zero, v], [zero, v]))
-    assert isinstance(res, Vc2Failure)
-    assert res.map_index == 0
-    assert all(val for row in res.phi.verdicts for val in row)
+    assert vc2_shatters(a, [zero, v], [zero, v]) == NotShattered(0)
 
 
 def _disjoint_grids(k):
@@ -416,49 +411,86 @@ def _disjoint_grids(k):
     return ExplicitSet(ctx3, n, table), x, y, shifts
 
 
-def _scripted_finder(shifts, script):
-    """Shift finder answering from script where it names the map, else with the map's own shift."""
-    calls = []
+def _vc2_reference(a, x, y):
+    """Per-map search in index order: each map's first realizing shift in rank order, or the
+    first map with none."""
+    k, p, n = len(x), a.p, a.n
+    table = a.membership_table()
+    first = []
+    for idx in range(1 << (k * k)):
+        hits = np.flatnonzero(realizing_shifts(a, table, x, y, ContainmentMap.from_index(k - 1, idx)))
+        if hits.size == 0:
+            return NotShattered(idx)
+        first.append(hits[0])
+    return ranks_to_digits(np.array(first), p, n)
 
-    def find(phi):
-        idx = phi.to_index()
-        calls.append(idx)
-        return script[idx] if idx in script else shifts[idx]
 
-    return find, calls
+def _random_pairs(p, n, k, seed, count):
+    """count seeded (X, Y) pairs with x_0 = y_0 = 0; every third pair has y_1 = x_1, so that its
+    cells (0, 1) and (1, 0) coincide."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        x, y = (np.vstack([np.zeros((1, n), dtype=np.int64), rng.integers(0, p, size=(k - 1, n))]) for _ in "xy")
+        if k > 1 and t % 3 == 0:
+            y[1] = x[1]
+        yield x, y
+
+
+_VC2_SETS = {
+    "gs34": lambda: GsSet(ctx3, 4),
+    "gs53": lambda: GsSet(ctx5, 3),
+    "qgs34": lambda: QgsSet(build_trace_basis(ctx3, 4)),
+    "qgs53": lambda: QgsSet(build_trace_basis(ctx5, 3)),
+    "qgs36": lambda: QgsSet(build_trace_basis(ctx3, 6)),
+    "explicit34": lambda: explicit(ctx3, 4, seed=6),
+    "explicit72": lambda: ExplicitSet(FieldCtx(7), 2, np.random.default_rng(7).random(49) < 0.5),
+}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_vc2_shatters_reports_first_failure_in_index_order(k):
+@pytest.mark.parametrize("which", sorted(_VC2_SETS))
+def test_vc2_shatters_matches_per_map_reference(which, k):
+    """The cell scan's witnesses are each map's first realizing shift in rank order, and a failure
+    names the smallest map index with no shift, also where cells coincide."""
+    a = _VC2_SETS[which]()
+    pairs = _random_pairs(a.p, a.n, k, seed=k * 100 + a.p * 10 + a.n, count=12)
+    coinciding = shattered = 0
+    for x, y in pairs:
+        cells = add_mod(x[:, None], y[None, :], a.p).reshape(-1, a.n)
+        coinciding += len(np.unique(cells, axis=0)) < len(cells)
+        got, want = vc2_shatters(a, x, y), _vc2_reference(a, x, y)
+        if isinstance(want, NotShattered):
+            assert got == want
+        else:
+            shattered += 1
+            assert isinstance(got, QuadShatterCertificate)
+            assert np.array_equal(got.witnesses, want)
+            assert np.array_equal(got.X, x) and np.array_equal(got.Y, y)
+    assert coinciding > 0 or k == 1
+    # GS shatters no k=2 pair here, and a group of fewer than 512 points no k=3 grid
+    assert shattered > 0 or k == 3 or which.startswith("gs")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vc2_shatters_disjoint_grids(k):
+    """Every map has a shift of its own, so the scan certifies all of them; at k=3 (p^n = 3^10)
+    the per-map reference runs on 16 seeded maps only."""
     a, x, y, shifts = _disjoint_grids(k)
-    maps = len(shifts)
-    # every shift correct: the certificate holds them in index order
-    find, calls = _scripted_finder(shifts, {})
-    res = vc2_shatters(a, x, y, find)
+    res = vc2_shatters(a, x, y)
     assert isinstance(res, QuadShatterCertificate)
-    assert np.array_equal(res.witnesses, shifts) and calls == list(range(maps))
-    # a wrong shift at i, then no shift at a later j: i is reported
-    i, j = maps // 4, maps // 2
-    find, calls = _scripted_finder(shifts, {i: shifts[i ^ 1], j: None})
-    res = vc2_shatters(a, x, y, find)
-    assert isinstance(res, Vc2Failure)
-    assert res.map_index == i and res.phi == ContainmentMap.from_index(k - 1, i)
-    # no shift at j, before a wrong shift at a later i: j is reported, and no map after j is asked for
-    j, i = maps // 4, maps // 2
-    find, calls = _scripted_finder(shifts, {j: None, i: shifts[i ^ 1]})
-    res = vc2_shatters(a, x, y, find)
-    assert isinstance(res, Vc2Failure)
-    assert res.map_index == j and res.phi == ContainmentMap.from_index(k - 1, j)
-    assert calls == list(range(j + 1))
-    # a wrong shift at the last map alone
-    find, _ = _scripted_finder(shifts, {maps - 1: shifts[0]})
-    assert vc2_shatters(a, x, y, find).map_index == maps - 1
+    maps = np.arange(len(shifts))
+    assert (grid_verdicts(a, x, y, res.witnesses) == (maps[:, None] >> np.arange(k * k) & 1 == 0)).all()
+    table = a.membership_table()
+    sample = maps if k < 3 else np.random.default_rng(k).choice(maps, size=16, replace=False)
+    for idx in sample.tolist():
+        hits = np.flatnonzero(realizing_shifts(a, table, x, y, ContainmentMap.from_index(k - 1, idx)))
+        assert digits_to_ranks(res.witnesses[idx][None], a.p)[0] == hits[0]
 
 
 def test_vc2_shatters_exhaustive_small_group():
     # a dense random set on F_3^3 quadratically shatters k=1 trivially
     a = explicit(ctx3, 3, seed=5)
     zero = (0, 0, 0)
-    res = vc2_shatters(a, [zero], [zero], exhaustive_z_finder(a, [zero], [zero]))
+    res = vc2_shatters(a, [zero], [zero])
     assert isinstance(res, QuadShatterCertificate)
     assert len(res.witnesses) == 2
