@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vc2lab
-from vc2lab import certs
-from vc2lab.fp import FieldCtx, add_mod
+from vc2lab import certs, cli
+from vc2lab.fp import FieldCtx, add_mod, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, shatters, ShatterCertificate
+from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, realizing_shifts, shatters, ShatterCertificate
 from vc2lab.factor import CheckResult, construct_shatter_pair, realize_maps
 
 ctx3 = FieldCtx(3)
@@ -263,6 +265,52 @@ def _reference_verify(doc) -> CheckResult:
         return (_reference_shatter if doc["kind"] == "shatter" else _reference_vc2)(doc)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         return CheckResult(False, f"malformed certificate: {exc}")
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded read-only; it names the documents verify-replay replays."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_replay_verdicts_pinned(tmp_path):
+    # the golden certificates pass and every seeded mutant fails, with the reference's detail
+    workloads = _load_workloads()
+    golden = {workloads.DATA / name for name in workloads.GOLDEN}
+    for name, digest in workloads.GOLDEN.items():
+        assert hashlib.sha256((workloads.DATA / name).read_bytes()).hexdigest() == digest, name
+    cmds = workloads._verify_replay(tmp_path, 0)
+    assert len(cmds) == len(golden) + 2 * workloads.MUTATIONS_PER_CERT
+    for cmd in cmds:
+        path = Path(cmd.config.extra["path"])
+        report = cli.dispatch(cmd.config)
+        assert cmd.check(report) is None, (path.name, report.value)
+        assert (report.outcome == "pass") == (path in golden), (path.name, report.value)
+        assert CheckResult(report.outcome == "pass", report.value) == _reference_verify(certs.loads(path.read_bytes()))
+
+
+@pytest.mark.parametrize("block_rows", [1, 4096])
+def test_coinciding_cells_fail_at_first_separating_map(block_rows):
+    # x_1 = y_1 = v, so cells (0,1) and (1,0) coincide; {0, v, 2v} is shattered by GS(3,3) translates
+    a = GsSet(ctx3, 3)
+    xs = ys = [[0, 0, 0], [0, 1, 2]]
+    table = a.membership_table()
+    witnesses = []
+    for idx in range(16):
+        z = [0, 0, 0]
+        if (idx >> 1 & 1) == (idx >> 2 & 1):
+            hits = np.flatnonzero(realizing_shifts(a, table, xs, ys, ContainmentMap.from_index(1, idx)))
+            z = ranks_to_digits(hits[:1], 3, 3)[0].tolist()
+        witnesses.append({"phi": idx, "z": z})
+    doc = {"kind": "vc2", "p": 3, "n": 3, "set": {"kind": "gs"}, "X": xs, "Y": ys, "witnesses": witnesses}
+    with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
+        res = certs.verify_certificate(doc)
+    assert res == _reference_verify(doc)
+    assert res.detail.startswith("map 2 mismatched at cell ")  # 2 is the least index with bit 1 != bit 2
 
 
 _BAD_COORDS = [None, "x", 7, ["a"], [[0]], {"0": 1}, [float("nan")]]
