@@ -2,14 +2,18 @@
 
 The verifier searches for no witness: it rebuilds the membership oracle
 from the document, evaluates memberships pointwise, and checks pattern/map
-coverage.  A qgs oracle is rebuilt by rerunning build_trace_basis's canonical
-polynomial search and matching the recorded polynomial, which is why
-QGS_MAX_P exists (ROADMAP item 1 would check the recorded polynomial instead).
+coverage.  Both kinds are replayed the same way, as translates of cells: a
+shatter document's cells are S, with key pattern; a vc2 document is replayed
+as its k^2 cells x_i + y_j, with key full ^ idx for map idx.  A qgs oracle is
+rebuilt by rerunning build_trace_basis's canonical polynomial search and
+matching the recorded polynomial, which is why QGS_MAX_P exists (ROADMAP item 1
+would check the recorded polynomial instead).  It does not import factor's search code.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -18,7 +22,6 @@ from .fp import FieldCtx, add_mod
 from .gs import ExplicitSet, GsSet, QgsSet
 from .highrank import build_trace_basis
 from .shatter import QuadShatterCertificate, ShatterCertificate
-from .factor import CheckResult
 
 
 def oracle_spec(a) -> dict:
@@ -44,6 +47,14 @@ QGS_MAX_N = 64
 _BLOCK_ROWS = 4096
 
 _MALFORMED = (KeyError, OverflowError, TypeError, ValueError)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """A verdict and its one-line detail."""
+
+    ok: bool
+    detail: str
 
 
 class LimitExceeded(ValueError):
@@ -110,126 +121,75 @@ def _vec(p: int, coords, n: int) -> np.ndarray:
     return np.array(coords, dtype=np.int64)
 
 
-def _open(doc: dict):
-    """p, n and the rebuilt oracle of a certificate."""
+def _verify(doc: dict, kind: str) -> CheckResult:
+    """Replay a shatter or vc2 document as translates of its cells.
+
+    A shatter document's cells are S, and the witness for pattern key must
+    realize key.  A vc2 document's cells are x_i + y_j, cell (i, j) in row
+    i k + j, and the witness for map key must realize full ^ key: bit i k + j
+    of a map index marks cell (i, j) outside the set.  Witnesses are parsed in
+    document order up to the first bad one; the parsed ones are then replayed
+    in blocks of at most _BLOCK_ROWS membership rows, so a mismatch is reported
+    before a bad witness that comes after it.
+    """
     p, n = int(doc["p"]), int(doc["n"])
     if p >= P_BOUND:
         raise LimitExceeded("p exceeds the verifier's limit p < 2^63")
     FieldCtx(p)  # p must be an odd prime before the set description is read
-    return p, n, oracle_from_spec(doc["set"], p, n)
-
-
-def _replay(a, base: np.ndarray, witnesses, parse, mismatch) -> CheckResult | None:
-    """The first failing witness in document order, or None.
-
-    parse(w) turns one witness into (key, shift coordinates), returns a
-    CheckResult for a bad key, or raises for a malformed witness.  Witnesses are
-    parsed in order up to the first bad one; the parsed ones are then replayed
-    at the points base + shift in blocks of at most _BLOCK_ROWS membership rows.
-    mismatch(keys, verdicts) gets a block's keys and its (witnesses, len(base))
-    verdicts and returns a CheckResult for the first witness whose verdicts do
-    not match its key, or None.  A mismatch is reported before a bad witness
-    that comes after it.
-    """
-    keys, shifts = [], []
+    a = oracle_from_spec(doc["set"], p, n)
+    if kind == "shatter":
+        s = [_vec(p, row, n) for row in doc["S"]]
+        if not 1 <= len(s) <= 20:
+            return CheckResult(False, "set size out of range")
+        cells, key, coords, name, noun, flip = np.stack(s), "pattern", "y", "pattern", "patterns", 0
+    else:
+        x = [_vec(p, row, n) for row in doc["X"]]
+        y = [_vec(p, row, n) for row in doc["Y"]]
+        k = len(x)
+        if len(y) != k or not 1 <= k <= 3:
+            return CheckResult(False, "grid size invalid")
+        if x[0].any() or y[0].any():
+            return CheckResult(False, "x_0 and y_0 must be zero")
+        cells = add_mod(np.stack(x)[:, None, :], np.stack(y)[None, :, :], p).reshape(k * k, n)
+        key, coords, name, noun, flip = "phi", "z", "map index", "maps", (1 << (k * k)) - 1
+    width = len(cells)
+    seen = {}  # key -> shift, in document order
     failure = None
     try:
-        for w in witnesses:
-            got = parse(w)
-            if isinstance(got, CheckResult):
-                failure = got
+        for w in doc["witnesses"]:
+            idx = int(w[key])
+            if not 0 <= idx < (1 << width):
+                failure = CheckResult(False, f"{name} {idx} out of range")
                 break
-            keys.append(got[0])
-            shifts.append(got[1])
+            if idx in seen:
+                failure = CheckResult(False, f"{name} {idx} appears twice")
+                break
+            seen[idx] = _vec(p, w[coords], n)
     except _MALFORMED as exc:
         failure = exc
-    cells, n = base.shape
-    per_block = max(1, _BLOCK_ROWS // cells)
+    keys, shifts = list(seen), list(seen.values())
+    wants = [idx ^ flip for idx in keys]  # Python ints: no numpy xor loop to map in
+    per_block = max(1, _BLOCK_ROWS // width)
     for lo in range(0, len(keys), per_block):
         m = min(per_block, len(keys) - lo)
         block = np.array(shifts[lo:lo + m], dtype=np.int64).reshape(m, 1, n)
-        verdicts = a.contains_digits(add_mod(base[None], block, a.p).reshape(m * cells, n))
-        bad = mismatch(np.array(keys[lo:lo + m], dtype=np.int64), verdicts.reshape(m, cells))
-        if bad is not None:
-            return bad
+        verdicts = a.contains_digits(add_mod(cells[None], block, p).reshape(m * width, n))
+        actual = verdicts.reshape(m, width) @ (1 << np.arange(width))
+        bad = np.flatnonzero(actual != np.array(wants[lo:lo + m]))
+        if bad.size:
+            idx, got = keys[lo + bad[0]], int(actual[bad[0]])
+            if kind == "shatter":
+                return CheckResult(False, f"witness for pattern {idx} realizes {got}")
+            wrong = got ^ idx ^ flip
+            cell = (wrong & -wrong).bit_length() - 1  # the first wrong cell in row-major order
+            return CheckResult(False, f"map {idx} mismatched at cell ({cell // k},{cell % k})")
     if isinstance(failure, Exception):
         raise failure
-    return failure
-
-
-def _verify_shatter(doc: dict) -> CheckResult:
-    p, n, a = _open(doc)
-    s = [_vec(p, row, n) for row in doc["S"]]
-    k = len(s)
-    if not 1 <= k <= 20:
-        return CheckResult(False, "set size out of range")
-    seen = set()
-
-    def parse(w):
-        mask = int(w["pattern"])
-        if not 0 <= mask < (1 << k):
-            return CheckResult(False, f"pattern {mask} out of range")
-        if mask in seen:
-            return CheckResult(False, f"pattern {mask} appears twice")
-        y = _vec(p, w["y"], n)
-        seen.add(mask)
-        return mask, y
-
-    def mismatch(masks, verdicts):
-        actual = verdicts @ (1 << np.arange(k))
-        bad = np.flatnonzero(actual != masks)
-        if bad.size:
-            return CheckResult(False, f"witness for pattern {masks[bad[0]]} realizes {actual[bad[0]]}")
-        return None
-
-    failure = _replay(a, np.stack(s), doc["witnesses"], parse, mismatch)
     if failure is not None:
         return failure
-    if len(seen) != 1 << k:
-        return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << k} patterns")
-    return CheckResult(True, f"all {1 << k} patterns witnessed")
-
-
-def _verify_vc2(doc: dict) -> CheckResult:
-    p, n, a = _open(doc)
-    x = [_vec(p, row, n) for row in doc["X"]]
-    y = [_vec(p, row, n) for row in doc["Y"]]
-    k = len(x)
-    if len(y) != k or not 1 <= k <= 3:
-        return CheckResult(False, "grid size invalid")
-    if x[0].any() or y[0].any():
-        return CheckResult(False, "x_0 and y_0 must be zero")
-    # the cells x_i + y_j as one (k*k, n) block, cell (i, j) in row i*k + j
-    xs, ys = np.stack(x), np.stack(y)
-    grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
-    seen = set()
-
-    def parse(w):
-        idx = int(w["phi"])
-        if not 0 <= idx < (1 << (k * k)):
-            return CheckResult(False, f"map index {idx} out of range")
-        if idx in seen:
-            return CheckResult(False, f"map index {idx} appears twice")
-        z = _vec(p, w["z"], n)
-        seen.add(idx)
-        return idx, z
-
-    def mismatch(idxs, verdicts):
-        # ContainmentMap.from_index: bit i*k + j of the index set means cell (i, j) lies outside
-        want = (idxs[:, None] >> np.arange(k * k)) & 1 == 0
-        wrong = verdicts != want
-        rows = np.flatnonzero(wrong.any(axis=1))
-        if rows.size:
-            cell = int(np.argmax(wrong[rows[0]]))
-            return CheckResult(False, f"map {idxs[rows[0]]} mismatched at cell ({cell // k},{cell % k})")
-        return None
-
-    failure = _replay(a, grid, doc["witnesses"], parse, mismatch)
-    if failure is not None:
-        return failure
-    if len(seen) != 1 << (k * k):
-        return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << (k * k)} maps")
-    return CheckResult(True, f"all {1 << (k * k)} maps witnessed")
+    if len(seen) != 1 << width:
+        return CheckResult(False, f"coverage incomplete: {len(seen)} of {1 << width} {noun}")
+    return CheckResult(True, f"all {1 << width} {noun} witnessed")
 
 
 def verify_certificate(doc: Any) -> CheckResult:
@@ -238,10 +198,8 @@ def verify_certificate(doc: Any) -> CheckResult:
         return CheckResult(False, f"malformed certificate: expected an object, got {type(doc).__name__}")
     try:
         kind = doc.get("kind")
-        if kind == "shatter":
-            return _verify_shatter(doc)
-        if kind == "vc2":
-            return _verify_vc2(doc)
+        if kind in ("shatter", "vc2"):
+            return _verify(doc, kind)
         return CheckResult(False, f"unknown certificate kind {kind!r}")
     except LimitExceeded as exc:
         return CheckResult(False, str(exc))

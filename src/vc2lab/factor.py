@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .certs import CheckResult
 from .fp import (
     FieldCtx,
     add_mod,
@@ -244,11 +245,8 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int
     if ((dev * dev) > p ** n).any():
         bad = int(np.argmax((dev * dev) > p ** n))
         raise ValueError(f"atom size bound violated at label rank {bad}: size {int(counts[bad])}")
-    out = {}
-    for r in range(p ** d):
-        digits = ranks_to_digits(np.array([r]), p, d)[0] if d else np.zeros(0, dtype=np.int64)
-        out[AtomLabel(tuple(int(c) for c in digits))] = int(counts[r])
-    return out
+    labels = ranks_to_digits(np.arange(p ** d), p, d).tolist()
+    return {AtomLabel(tuple(label)): count for label, count in zip(labels, counts.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -768,12 +766,6 @@ def derive_seed_for_map(seed: int, phi: ContainmentMap) -> int:
 # ---------------------------------------------------------------------------
 # Property checkers: forced zero values and the cross-term range.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    detail: str
 
 
 def zero_forcing_map() -> ContainmentMap:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import importlib.util
@@ -23,22 +24,34 @@ from vc2lab.factor import CheckResult, construct_shatter_pair, realize_maps
 ctx3 = FieldCtx(3)
 
 
-@pytest.fixture(scope="module")
-def shatter_doc():
+def _shatter_base() -> dict:
     a = GsSet(ctx3, 3)
     cert = shatters(a, [(0, 0, 0), (0, 1, 2), (0, 2, 1)])
     assert isinstance(cert, ShatterCertificate)
     return certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
 
 
-@pytest.fixture(scope="module")
-def vc2_doc():
+def _vc2_base() -> dict:
     basis = build_trace_basis(ctx3, 13)
     c = construct_shatter_pair(basis, 2, seed=0)
     a = QgsSet(basis)
     found = realize_maps(c, [ContainmentMap.from_index(1, idx) for idx in range(16)], seed=0)
     cert = QuadShatterCertificate(c.X, c.Y, found)
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
+
+
+# the two emitted documents, built once; tests edit deep copies of them
+_BASES = {"shatter": _shatter_base(), "vc2": _vc2_base()}
+
+
+@pytest.fixture(scope="module")
+def shatter_doc():
+    return _BASES["shatter"]
+
+
+@pytest.fixture(scope="module")
+def vc2_doc():
+    return _BASES["vc2"]
 
 
 _VERIFY_STDIN = (
@@ -193,6 +206,23 @@ def test_fuzzed_mutations_rejected(shatter_doc, vc2_doc):
     for doc in hostile:
         res = certs.verify_certificate(doc)
         assert isinstance(res, CheckResult) and not res.ok
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The vc2lab modules a source file imports, relatively or by absolute name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "vc2lab"):
+            module = (node.module or "").removeprefix("vc2lab").lstrip(".")
+            out |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.removeprefix("vc2lab.") for alias in node.names if alias.name.startswith("vc2lab")}
+    return out
+
+
+def test_verifier_imports_no_search_code():
+    assert _package_imports(Path(certs.__file__)) == {"fp", "gs", "highrank", "shatter"}
+    assert vc2lab.CheckResult is vc2lab.factor.CheckResult is certs.CheckResult
 
 
 def test_dumps_deterministic(shatter_doc):
@@ -362,9 +392,9 @@ def _edited(draw, doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["shatter", "vc2"]), block_rows=st.sampled_from([1, 5, 4096]))
-def test_batched_replay_matches_per_witness_reference(shatter_doc, vc2_doc, data, which, block_rows):
-    doc = data.draw(_edited(shatter_doc if which == "shatter" else vc2_doc))
+@given(doc=st.sampled_from(["shatter", "vc2"]).flatmap(lambda which: _edited(_BASES[which])),
+       block_rows=st.sampled_from([1, 5, 4096]))
+def test_batched_replay_matches_per_witness_reference(doc, block_rows):
     with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
         assert certs.verify_certificate(doc) == _reference_verify(doc)
 
