@@ -2,9 +2,10 @@
 
 Residues live in the canonical range [0, p).  A point of F_p^n is a
 length-n int64 row and a set of points an (m, n) int64 array of residues;
-as_points checks and reduces the points a caller passes.  One elimination kernel,
-_rref, reduces a stack of matrices at once (a leading batch axis); rank,
-affine solving, null spaces and orthogonal complements all run on it.  It
+as_points checks and reduces the points a caller passes.  Elimination runs
+on stacks of matrices (a leading batch axis), with one loop for reduced
+forms and one for ranks.  _rref computes reduced row echelon forms;
+affine solving, null spaces and orthogonal complements run on it.  It
 uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
 are scaled so their first nonzero coordinate is 1, which makes solved
 systems, orthogonal complements and every downstream certificate
@@ -12,12 +13,20 @@ bit-identical across runs and platforms.  It is exact for every p: int64
 while every product of two residues fits, (p-1)^2 < 2^63, Python integers
 beyond.
 
-Ranks (_rank_array) come from its rank-only mode: forward elimination with
-delayed modular reduction.  Each column reduces only the pivot column and
+Ranks (_rank_array) come from forward elimination with delayed modular
+reduction and no row swaps.  The matrices of a stack share their pivot
+row, the first row of what is left of them; a matrix whose pivot row is 0
+in the pivot column adds the first row below that is not, a row operation
+that leaves the rank alone.  Each column reduces only the pivot column and
 the pivot row mod p; the rows below take f * row with f and row in [0, p)
-and no reduction, so an entry drifts by at most (p-1)^2 per pivot and stays
-in (-min(r, c) (p-1)^2, p).  The mode runs in int16 while
-min(r, c) (p-1)^2 + p < 2^15, int64 or Python integers beyond, as above.
+and no reduction, so an entry drifts by at most (p-1)^2 per pivot and, a
+matrix meeting at most min(r, c) pivots, stays in (-min(r, c) (p-1)^2, p),
+while a pivot-row sum stays below 2p.  A matrix without a pivot in a
+column leaves the stack, and what is left of it is ranked as a stack of its
+own.  Ranks run in int16 while min(r, c) (p-1)^2 + 2p < 2^15, int64 or
+Python integers beyond, as above.  Both loops reduce arrays of 512 entries
+or more by floor division, x - p (x // p), since numpy divides by a scalar
+with SIMD but computes % one element at a time.
 
 Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
 every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
@@ -157,7 +166,25 @@ def _exact_dtype(bound: int) -> type:
     return np.int64 if bound < 1 << 63 else object
 
 
-def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p).  numpy divides an integer array by a scalar with SIMD but computes %
+    one element at a time, so from 512 entries on x is reduced as x - p (x // p), three calls
+    that give the same residues; p (x // p) needs the dtype to hold x - p + 1.  Smaller arrays,
+    and Python integers, take the one call of %."""
+    if x.dtype == object or x.size < 512:
+        return x % p
+    return x - p * (x // p)
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """An integer array as residues mod p: a itself when it holds only residues, otherwise
+    reduced in int64, or in Python integers once (p-1)^2 >= 2^63."""
+    if a.dtype.kind in "iu" and (a.size == 0 or a.min() >= 0 and a.max() < p):
+        return a
+    return _mod(a.astype(_exact_dtype((p - 1) ** 2), copy=False), p)
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack of matrices, shape (..., r, c).
 
     Pivots are chosen leftmost-column-first and, within a column, the first
@@ -166,24 +193,13 @@ def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, n
     columns: row i of a matrix holds the pivot in pivots[..., i], -1 from its
     rank on.  The arithmetic is exact for every p: int64 while every product
     of two residues fits, (p-1)^2 < 2^63, Python integers beyond.
-
-    With rank_only the pivots are the same, but only forward elimination
-    runs, with delayed reduction (see the module docstring), and the
-    returned stack is scratch: neither reduced nor mod p.
     """
     a = np.asarray(a)
     lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
     count = math.prod(lead)
-    a = a.reshape(count, n_rows, n_cols).astype(_exact_dtype((p - 1) ** 2), copy=False)
-    # reduce only input that needs it; the copy below keeps the caller's array untouched
-    if a.dtype == object or a.size and (a.min() < 0 or a.max() >= p):
-        a = a % p
-    dtype = a.dtype
-    if rank_only:
-        bound = min(n_rows, n_cols) * (p - 1) ** 2 + p
-        dtype = np.int16 if bound < 1 << 15 else _exact_dtype(bound)
-    # (r, c, batch): the batch axis is the inner loop of every row operation
-    a = a.transpose(1, 2, 0).astype(dtype, order="C")
+    a = _residues(a.reshape(count, n_rows, n_cols), p)
+    # (r, c, batch): the batch axis is the inner loop of every row operation; always a copy
+    a = a.transpose(1, 2, 0).astype(_exact_dtype((p - 1) ** 2), order="C")
     pivots = np.full((n_rows, count), -1, dtype=np.int64)
     rank = np.zeros(count, dtype=np.int64)
     row_idx = np.arange(n_rows)[:, None]
@@ -191,8 +207,8 @@ def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, n
     for c in range(n_cols):
         if lo == n_rows:
             break
-        # column c mod p, zeroed in the rows that hold a pivot
-        col = a[lo:, c] % p * (row_idx[lo:] >= rank)
+        # column c, zeroed in the rows that hold a pivot
+        col = a[lo:, c] * (row_idx[lo:] >= rank)
         # the matrices with a pivot in column c, their next pivot row r and the row i that moves there
         ks = col.any(axis=0).nonzero()[0]
         if ks.size == 0:
@@ -201,30 +217,73 @@ def _rref(a: np.ndarray, p: int, rank_only: bool = False) -> tuple[np.ndarray, n
         some = slice(None) if ks.size == count else ks
         r, i = rank[ks], (col[:, some] != 0).argmax(axis=0) + lo
         # every row from r down is zero left of column c, so only columns c: change
-        row = np.ascontiguousarray(a[i, c:, ks].T)
-        if rank_only:
-            # rows from r down take f * row with f and row in [0, p), so nothing is reduced
-            row %= p
-            f = col[:, some] * _inv_array(row[0], p) % p
-            a[lo:, c + 1:, some] -= f[:, None] * row[1:]
-        else:
-            row = row * _inv_array(row[0], p) % p
-            # row r is zero in column c unless it is row i, which this clears
-            a[:, c:, some] = (a[:, c:, some] - a[:, c:c + 1, some] * row) % p
-        # row i takes the row r it displaces; rank_only never reads row r again
+        row = a[i, c:, ks].T
+        row = _mod(row * _inv_array(row[0], p), p)
+        # row r is zero in column c unless it is row i, which this clears
+        a[:, c:, some] = _mod(a[:, c:, some] - a[:, c:c + 1, some] * row, p)
+        # row i takes the row r it displaces
         if (i != r).any():
             a[i, c:, ks] = a[r, c:, ks]
-        if not rank_only:
-            a[r, c:, ks] = row.T
+        a[r, c:, ks] = row.T
         pivots[r, ks] = c
         rank[some] += 1
         lo = lo + 1 if ks.size == count else rank.min()
     return a.transpose(2, 0, 1).reshape(*lead, n_rows, n_cols), pivots.T.reshape(*lead, n_rows)
 
 
+def _rank_dtype(n_rows: int, n_cols: int, p: int) -> type:
+    """_rank_array's dtype for (r, c) matrices: int16 while min(r, c) (p-1)^2 + 2p < 2^15, then
+    int64 or Python integers as _exact_dtype says."""
+    bound = min(n_rows, n_cols) * (p - 1) ** 2 + 2 * p
+    return np.int16 if bound < 1 << 15 else _exact_dtype(bound)
+
+
 def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks mod p of a stack of matrices, shape (..., r, c) -> (...)."""
-    return (_rref(a, p, rank_only=True)[1] >= 0).sum(axis=-1)
+    """Ranks mod p of a stack of matrices, shape (..., r, c) -> (...).
+
+    Forward elimination with delayed reduction, a shared pivot row and no
+    row swaps (see the module docstring).  Stacks that split off wait on a
+    work-list, so no depth of splitting recurses.
+    """
+    a = np.asarray(a)
+    lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
+    count = math.prod(lead)
+    dtype = _rank_dtype(n_rows, n_cols, p)
+    a = _residues(a.reshape(count, n_rows, n_cols), p)
+    ranks = np.zeros(count, dtype=np.int64)
+    # (stack, its rank so far, its matrices' indices), each stack laid out (r, c, batch)
+    work = [(a.transpose(1, 2, 0).astype(dtype, order="C"), 0, np.arange(count))] if count else []
+    while work:
+        a, rank, ids = work.pop()
+        scratch = np.empty(a.size, dtype=dtype)  # the products f * row, reused by every column
+        while a.shape[0] and a.shape[1]:
+            col = _mod(a[:, 0], p)
+            nz = col != 0
+            has = nz.any(axis=0)
+            if not has.all():
+                if not has.any():
+                    a = a[:, 1:]
+                    continue
+                # the matrices without a pivot here leave, to be ranked from the next column on
+                work.append((a[:, 1:, ~has], rank, ids[~has]))
+                a, col, nz, ids = a[:, :, has], col[:, has], nz[:, has], ids[has]
+            # row 0 is the pivot row; where its entry is 0 it takes row i, the first with a nonzero one
+            i = nz.argmax(axis=0)
+            if i.any():
+                pick = np.arange(i.size)
+                piv = col[i, pick]
+                row = _mod(_mod(a[i, 1:, pick].T, p) + (i > 0) * _mod(a[0, 1:], p), p)
+            else:
+                piv, row = col[0], _mod(a[0, 1:], p)
+            # the rows below take f * row with f and row in [0, p): nothing else is reduced
+            f = _mod(col[1:] * _inv_array(piv, p), p)
+            a = a[1:, 1:]
+            prod = scratch[:a.size].reshape(a.shape)
+            np.multiply(f[:, None], row, out=prod)
+            a -= prod
+            rank += 1
+        ranks[ids] = rank
+    return ranks.reshape(lead)
 
 
 def mat_rank(a: np.ndarray, p: int) -> int:

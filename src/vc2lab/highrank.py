@@ -224,6 +224,12 @@ def _nonzero_rows(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarra
     return rows
 
 
+# check_high_rank ranks about 2^19 matrix entries per _rank_array call, and builds them
+# 2^17 entries at a time, so no 2^19-entry int64 or float64 product is formed
+RANK_BATCH_ENTRIES = 1 << 19
+PRODUCT_ENTRIES = 1 << 17
+
+
 def check_high_rank(
     basis: HighRankBasis,
     mode: str = "exhaustive",
@@ -237,14 +243,16 @@ def check_high_rank(
     Exhaustive mode requires p**n <= 10**6; sampled mode checks count >= 1 draws.
     """
     p, n = basis.ctx.p, basis.n
-    # combinations are ranked in batches of about 2^17 matrix entries
-    batch = max(1, (1 << 17) // (n * n))
+    batch, chunk = max(1, RANK_BATCH_ENTRIES // (n * n)), max(1, PRODUCT_ENTRIES // (n * n))
     flat = basis.mats.reshape(n, n * n)
+    combos = np.empty((batch, n, n), dtype=np.int16 if p < 1 << 15 else np.int64)
 
     def failing(lams: np.ndarray) -> np.ndarray:
         """Indices of the coefficient rows whose combination has rank below n."""
-        combos = matmul_mod(lams, flat, p).reshape(-1, n, n)
-        return np.flatnonzero(_rank_array(combos, p) != n)
+        out = combos[:len(lams)]
+        for lo in range(0, len(lams), chunk):
+            out[lo:lo + chunk] = matmul_mod(lams[lo:lo + chunk], flat, p).reshape(-1, n, n)
+        return np.flatnonzero(_rank_array(out, p) != n)
 
     if mode == "exhaustive":
         total = p ** n

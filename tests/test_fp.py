@@ -10,6 +10,7 @@ from vc2lab.fp import (
     FieldCtx,
     _is_prime,
     _rank_array,
+    _rank_dtype,
     _rref,
     add_mod,
     affine_solver,
@@ -193,7 +194,7 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
         assert one.tolist() == want and one_piv.tolist() == pivots[k].tolist()
 
 
-# 181 runs the rank mode in int16 at min(r, c) = 1 (180^2 + 181 < 2^15) and in int64 from 2 on; 191 never in int16
+# 181 ranks in int16 at min(r, c) = 1 (180^2 + 2 * 181 < 2^15) and in int64 from 2 on; 191 never in int16
 @given(p=st.sampled_from([3, 5, 181, 191, BIG_P]), rows=st.integers(0, 7), cols=st.integers(0, 7),
        rank_deficient=st.booleans(), batch=st.integers(0, 6), seed=st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
@@ -201,13 +202,66 @@ def test_rank_mode_matches_scalar_reference(p, rows, cols, rank_deficient, batch
     rnd = random.Random(seed)
     mats = [_reference_matrix(rnd, p, (rows, cols), rank_deficient) for _ in range(batch)]
     stack = np.array(mats, dtype=np.int64).reshape(batch, rows, cols)
-    scratch, pivots = _rref(stack, p, rank_only=True)
     ranks = _rank_array(stack, p)
-    assert scratch.shape == (batch, rows, cols) and pivots.shape == (batch, rows) and ranks.shape == (batch,)
+    assert ranks.shape == (batch,)
     for k, m in enumerate(mats):
-        want_piv = _rref_reference(m, p)[1]
-        assert pivots[k].tolist() == want_piv + [-1] * (rows - len(want_piv))
-        assert ranks[k] == len(want_piv) == mat_rank(stack[k], p)
+        assert ranks[k] == len(_rref_reference(m, p)[1]) == mat_rank(stack[k], p)
+
+
+def _echelon_stack(rnd, p, rows, cols, pivot_sets):
+    """One (rows, cols) matrix per set of pivot columns: an echelon form with those pivots,
+    times a random invertible matrix on the left, so its reduced form has exactly those pivots."""
+    dtype = np.int64 if rows * (p - 1) ** 2 < 1 << 63 else object
+    out = []
+    for cs in pivot_sets:
+        e = np.zeros((rows, cols), dtype=dtype)
+        for r, c in enumerate(cs):
+            e[r, c] = rnd.randrange(1, p)
+            e[r, c + 1:] = [rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(c + 1, cols)]
+        while True:
+            left = [[rnd.randrange(p) for _ in range(rows)] for _ in range(rows)]
+            if len(_rref_reference(left, p)[1]) == rows:
+                break
+        out.append((np.array(left, dtype=dtype) @ e % p).tolist())
+    return out
+
+
+@given(p=st.sampled_from([3, 5, 181, BIG_P]), rows=st.integers(1, 6), extra_cols=st.integers(-2, 5),
+       data=st.data(), seed=st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_rank_stack_leaves_at_several_depths(p, rows, extra_cols, data, seed):
+    # full-rank and deficient matrices in one stack, the first missing pivot of each in a column
+    # of its own, so matrices leave the stack at several depths; wide stacks (r < c) included
+    cols = max(1, rows + extra_cols)
+    subsets = st.lists(st.integers(0, cols - 1), unique=True, max_size=min(rows, cols)).map(sorted)
+    pivot_sets = data.draw(st.lists(subsets, min_size=1, max_size=8))
+    mats = _echelon_stack(random.Random(seed), p, rows, cols, pivot_sets)
+    ranks = _rank_array(np.array(mats, dtype=np.int64), p)
+    for m, cs, rank in zip(mats, pivot_sets, ranks.tolist()):
+        assert _rref_reference(m, p)[1] == cs and rank == len(cs)
+
+
+@pytest.mark.parametrize("p", [3, 181, BIG_P])
+def test_rank_stack_without_recursion(p):
+    # a single (64, 4096) matrix never splits; 64 (2, 200) matrices whose pivots diverge leave at
+    # 64 depths; the Python-integer kernel takes the small stack only
+    rnd = random.Random(p)
+    if p != BIG_P:
+        cs = sorted(rnd.sample(range(4096), 60))
+        wide = np.array(_echelon_stack(rnd, p, 64, 4096, [cs])[0], dtype=np.int64)
+        assert _rank_array(wide, p) == 60 and (_rref(wide, p)[1] >= 0).sum() == 60
+    sets = [[c] if k % 2 else [c, c + 1 + k % 7] for k, c in enumerate(range(0, 192, 3))]
+    stack = np.array(_echelon_stack(rnd, p, 2, 200, sets), dtype=np.int64)
+    assert _rank_array(stack, p).tolist() == [len(s) for s in sets]
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (40, 1)])
+def test_rank_at_int16_boundary(shape):
+    # 181 is the largest prime ranked in int16, and only at min(r, c) = 1; entries 0, 1 and p - 1
+    rnd = np.random.default_rng(shape[0])
+    mats = rnd.choice([0, 1, 180], size=(200, *shape))
+    assert _rank_dtype(*shape, 181) == np.int16
+    assert _rank_array(mats, 181).tolist() == [len(_rref_reference(m.tolist(), 181)[1]) for m in mats]
 
 
 @pytest.mark.parametrize("size", [9, 31, 40])
@@ -229,10 +283,10 @@ def test_rank_mode_drift_at_p181():
 
 
 def test_rank_mode_dtype():
-    # the smallest exact dtype: int16 while min(r, c) (p-1)^2 + p < 2^15, then int64, then Python ints
+    # the smallest exact dtype: int16 while min(r, c) (p-1)^2 + 2p < 2^15, then int64, then Python ints
     for p, shape, dtype in [(3, (40, 40), np.int16), (181, (1, 9), np.int16), (181, (9, 1), np.int16),
                             (181, (2, 9), np.int64), (191, (1, 9), np.int64), (BIG_P, (2, 3), object)]:
-        assert _rref(np.ones(shape, dtype=np.int64), p, rank_only=True)[0].dtype == dtype
+        assert _rank_dtype(*shape, p) == dtype
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0)])
@@ -241,9 +295,8 @@ def test_empty_stacks(shape, p):
     a = np.zeros(shape, dtype=np.int64)
     ranks = _rank_array(a, p)
     assert ranks.shape == shape[:-2] and not ranks.any()
-    for rank_only in (False, True):
-        out, pivots = _rref(a, p, rank_only=rank_only)
-        assert out.shape == shape and pivots.shape == shape[:-1] and (pivots == -1).all()
+    out, pivots = _rref(a, p)
+    assert out.shape == shape and pivots.shape == shape[:-1] and (pivots == -1).all()
 
 
 @pytest.mark.parametrize("p", [3, 5, 181, BIG_P])
@@ -260,12 +313,9 @@ def test_rref_reduces_unreduced_and_negative_input(p, seed):
         lifts = np.array([[[rnd.randrange(-1000, 1000) for _ in range(5)] for _ in range(4)] for _ in range(3)])
     unreduced = reduced + lifts * p
     before = unreduced.copy()
-    for rank_only in (False, True):
-        want, want_piv = _rref(reduced, p, rank_only=rank_only)
-        got, got_piv = _rref(unreduced, p, rank_only=rank_only)
-        assert np.array_equal(got_piv, want_piv)
-        if not rank_only:
-            assert got.tolist() == want.tolist()
+    want, want_piv = _rref(reduced, p)
+    got, got_piv = _rref(unreduced, p)
+    assert np.array_equal(got_piv, want_piv) and got.tolist() == want.tolist()
     assert np.array_equal(unreduced, before)
     assert _rank_array(unreduced, p).tolist() == _rank_array(reduced, p).tolist()
 

@@ -375,6 +375,36 @@ def test_planted_failure_same_witness_in_every_mode():
     assert check_high_rank(bad, mode="sampled", count=100_000, seed=0).tolist() == want
 
 
+@pytest.mark.parametrize("mode,n", [("exhaustive", 9), ("sampled", 31)])
+def test_planted_failure_past_the_first_batch(mode, n):
+    # M_1 is edited so that one combination planted, with a nonzero first coefficient, is the rank-1
+    # matrix v v^T; every failing combination has a nonzero first coefficient, so in exhaustive order
+    # (ranks from 3^8 on) and, at seed 2, among the sampled draws the witness lies past the first batch
+    p, seed = 3, 2
+    batch = highrank.RANK_BATCH_ENTRIES // (n * n)
+    if mode == "exhaustive":
+        lams = ranks_to_digits(np.arange(1, p ** n), p, n)
+        planted = lams[p ** (n - 1) + 6]  # (1, 0, ..., 0, 2, 1)
+    else:
+        lams = _nonzero_rows(derive_rng(seed, "high-rank-check", 0), 2 * batch, n, p)
+        # the smallest draw with a nonzero first coefficient, draw 700 of 1,090
+        planted = lams[min(np.flatnonzero(lams[:, 0]), key=lambda i: tuple(lams[i]))]
+    v = np.random.default_rng(n).integers(0, p, n)
+    mats = build_trace_basis(ctx3, n).mats.copy()
+    mats[0] = pow(int(planted[0]), p - 2, p) * (np.outer(v, v) - np.tensordot(planted[1:], mats[1:], axes=1)) % p
+    bad = HighRankBasis(ctx3, n, build_irreducible(ctx3, n), mats)
+    # reference: the rank of each combination from its own reduced form, by the full reduction
+    _, pivots = _rref((lams @ bad.mats.reshape(n, -1) % p).reshape(-1, n, n), p)
+    fails = np.flatnonzero((pivots >= 0).sum(axis=-1) < n)
+    if mode == "exhaustive":
+        want = fails[0]  # the first failure in rank order
+    else:
+        want = min(fails, key=lambda i: tuple(lams[i]))
+        assert lams[want].tolist() == planted.tolist()
+    assert want >= batch
+    assert check_high_rank(bad, mode=mode, count=len(lams), seed=seed).tolist() == lams[want].tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 31])
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_nonzero_rows_match_one_draw_per_row(p, n):
