@@ -4,7 +4,11 @@ The verifier searches for no witness: it rebuilds the membership oracle
 from the document, evaluates memberships pointwise, and checks pattern/map
 coverage.  Both kinds are replayed the same way, as translates of cells: a
 shatter document's cells are S, with key pattern; a vc2 document is replayed
-as its k^2 cells x_i + y_j, with key full ^ idx for map idx.  A qgs oracle is
+as its k^2 cells x_i + y_j, with key full ^ idx for map idx.  Every number in
+a document is read as an integer (operator.index: bools count as 1/0, floats
+and digit strings are malformed).  Witness coordinates are read as one int64
+array when numpy can read them so, else row by row up to the first bad row,
+and replayed in slices of at most _BLOCK_ROWS membership rows.  A qgs oracle is
 rebuilt by rerunning build_trace_basis's canonical polynomial search and
 matching the recorded polynomial, which is why QGS_MAX_P exists (ROADMAP item 1
 would check the recorded polynomial instead).  It does not import factor's search code.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Any
 
 import numpy as np
@@ -43,8 +48,10 @@ P_BOUND = 1 << 63
 QGS_MAX_P = 13
 QGS_MAX_N = 64
 
-# membership rows per batched call while a certificate is replayed
-_BLOCK_ROWS = 4096
+# Membership rows per batched call while a certificate is replayed.  On the
+# verify-replay benchmark (2-vCPU x86-64 VM) 1,024 beat 512, 2,048 and 4,096,
+# 0.22 s against 0.23-0.24 s; at n = 31 a block is a 254 KB int64 array.
+_BLOCK_ROWS = 1024
 
 _MALFORMED = (KeyError, OverflowError, TypeError, ValueError)
 
@@ -72,7 +79,7 @@ def oracle_from_spec(spec: dict, p: int, n: int):
         if p > QGS_MAX_P or n > QGS_MAX_N:
             raise LimitExceeded(f"qgs set beyond the verifier's limits p <= {QGS_MAX_P}, n <= {QGS_MAX_N}")
         basis = build_trace_basis(ctx, n)
-        if list(basis.poly.coeffs) != [int(c) for c in spec["poly"]]:
+        if list(basis.poly.coeffs) != [index(c) for c in spec["poly"]]:
             raise ValueError("certificate polynomial does not match the canonical construction")
         return QgsSet(basis)
     if kind == "explicit":
@@ -114,11 +121,35 @@ def quad_certificate_doc(cert: QuadShatterCertificate, a) -> dict:
 
 
 def _vec(p: int, coords, n: int) -> np.ndarray:
-    """One point of a document as an int64 row, each coordinate reduced as a Python integer."""
-    coords = [int(c) % p for c in coords]
+    """One point of a document as an int64 row, each coordinate read as an integer and reduced mod p."""
+    coords = [index(c) % p for c in coords]
     if len(coords) != n:
         raise ValueError("coordinate length mismatch")
     return np.array(coords, dtype=np.int64)
+
+
+def _rows(p: int, raw: list, n: int) -> tuple[np.ndarray, Exception | None]:
+    """The points raw as one (m, n) int64 array of residues, and the error of its first bad row.
+
+    Rows that numpy reads as one int64 array of shape (len(raw), n) are
+    reduced in one step.  Anything else (ragged or nested rows, floats,
+    strings, None, integers beyond int64) is read row by row by _vec, and
+    the array stops before the first row that raises.
+    """
+    try:
+        arr = np.asarray(raw)
+    except _MALFORMED:  # ragged rows
+        arr = None
+    if arr is not None and arr.dtype == np.int64 and arr.shape == (len(raw), n):
+        return arr % p, None
+    rows, failure = [], None
+    for coords in raw:
+        try:
+            rows.append(_vec(p, coords, n))
+        except _MALFORMED as exc:
+            failure = exc
+            break
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), failure
 
 
 def _verify(doc: dict, kind: str) -> CheckResult:
@@ -127,12 +158,13 @@ def _verify(doc: dict, kind: str) -> CheckResult:
     A shatter document's cells are S, and the witness for pattern key must
     realize key.  A vc2 document's cells are x_i + y_j, cell (i, j) in row
     i k + j, and the witness for map key must realize full ^ key: bit i k + j
-    of a map index marks cell (i, j) outside the set.  Witnesses are parsed in
-    document order up to the first bad one; the parsed ones are then replayed
-    in blocks of at most _BLOCK_ROWS membership rows, so a mismatch is reported
-    before a bad witness that comes after it.
+    of a map index marks cell (i, j) outside the set.  Witness keys are read
+    in document order up to the first bad one, and their coordinates are then
+    read as one array up to the first bad row (see _rows); the witnesses read
+    are replayed in blocks of at most _BLOCK_ROWS membership rows, so a
+    mismatch is reported before a bad witness that comes after it.
     """
-    p, n = int(doc["p"]), int(doc["n"])
+    p, n = index(doc["p"]), index(doc["n"])
     if p >= P_BOUND:
         raise LimitExceeded("p exceeds the verifier's limit p < 2^63")
     FieldCtx(p)  # p must be an odd prime before the set description is read
@@ -153,27 +185,29 @@ def _verify(doc: dict, kind: str) -> CheckResult:
         cells = add_mod(np.stack(x)[:, None, :], np.stack(y)[None, :, :], p).reshape(k * k, n)
         key, coords, name, noun, flip = "phi", "z", "map index", "maps", (1 << (k * k)) - 1
     width = len(cells)
-    seen = {}  # key -> shift, in document order
+    seen = {}  # key -> coordinates as written, in document order
     failure = None
     try:
         for w in doc["witnesses"]:
-            idx = int(w[key])
+            idx = index(w[key])
             if not 0 <= idx < (1 << width):
                 failure = CheckResult(False, f"{name} {idx} out of range")
                 break
             if idx in seen:
                 failure = CheckResult(False, f"{name} {idx} appears twice")
                 break
-            seen[idx] = _vec(p, w[coords], n)
+            seen[idx] = w[coords]
     except _MALFORMED as exc:
         failure = exc
-    keys, shifts = list(seen), list(seen.values())
+    keys = list(seen)
+    shifts, bad_row = _rows(p, list(seen.values()), n)
+    if bad_row is not None:  # the bad row comes before any failure of the key loop
+        keys, failure = keys[:len(shifts)], bad_row
     wants = [idx ^ flip for idx in keys]  # Python ints: no numpy xor loop to map in
     per_block = max(1, _BLOCK_ROWS // width)
     for lo in range(0, len(keys), per_block):
         m = min(per_block, len(keys) - lo)
-        block = np.array(shifts[lo:lo + m], dtype=np.int64).reshape(m, 1, n)
-        verdicts = a.contains_digits(add_mod(cells[None], block, p).reshape(m * width, n))
+        verdicts = a.contains_digits(add_mod(cells[None], shifts[lo:lo + m, None], p).reshape(m * width, n))
         actual = verdicts.reshape(m, width) @ (1 << np.arange(width))
         bad = np.flatnonzero(actual != np.array(wants[lo:lo + m]))
         if bad.size:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from datetime import timedelta
+from operator import index
 from pathlib import Path
 from unittest import mock
 
@@ -230,9 +231,10 @@ def test_dumps_deterministic(shatter_doc):
 
 
 # The per-witness replay loops the batched verifier replaced; it must agree with them exactly.
+# Like the verifier, they read every number of a document as an integer (bools as 1/0).
 
 def _reference_shatter(doc: dict) -> CheckResult:
-    p, n = int(doc["p"]), int(doc["n"])
+    p, n = index(doc["p"]), index(doc["n"])
     FieldCtx(p)
     a = certs.oracle_from_spec(doc["set"], p, n)
     s = [certs._vec(p, row, n) for row in doc["S"]]
@@ -243,7 +245,7 @@ def _reference_shatter(doc: dict) -> CheckResult:
     bits = 1 << np.arange(k)
     seen = {}
     for w in doc["witnesses"]:
-        mask = int(w["pattern"])
+        mask = index(w["pattern"])
         if not 0 <= mask < (1 << k):
             return CheckResult(False, f"pattern {mask} out of range")
         if mask in seen:
@@ -259,7 +261,7 @@ def _reference_shatter(doc: dict) -> CheckResult:
 
 
 def _reference_vc2(doc: dict) -> CheckResult:
-    p, n = int(doc["p"]), int(doc["n"])
+    p, n = index(doc["p"]), index(doc["n"])
     FieldCtx(p)
     a = certs.oracle_from_spec(doc["set"], p, n)
     x = [certs._vec(p, row, n) for row in doc["X"]]
@@ -273,7 +275,7 @@ def _reference_vc2(doc: dict) -> CheckResult:
     grid = add_mod(xs[:, None, :], ys[None, :, :], p).reshape(k * k, n)
     seen = set()
     for w in doc["witnesses"]:
-        idx = int(w["phi"])
+        idx = index(w["phi"])
         if not 0 <= idx < (1 << (k * k)):
             return CheckResult(False, f"map index {idx} out of range")
         if idx in seen:
@@ -323,7 +325,11 @@ def test_verify_replay_verdicts_pinned(tmp_path):
         assert CheckResult(report.outcome == "pass", report.value) == _reference_verify(certs.loads(path.read_bytes()))
 
 
-@pytest.mark.parametrize("block_rows", [1, 4096])
+# the shipped block size among them, so the replay as shipped is tested too
+_BLOCK_SIZES = sorted({1, 5, certs._BLOCK_ROWS, 4096})
+
+
+@pytest.mark.parametrize("block_rows", _BLOCK_SIZES)
 def test_coinciding_cells_fail_at_first_separating_map(block_rows):
     # x_1 = y_1 = v, so cells (0,1) and (1,0) coincide; {0, v, 2v} is shattered by GS(3,3) translates
     a = GsSet(ctx3, 3)
@@ -343,7 +349,11 @@ def test_coinciding_cells_fail_at_first_separating_map(block_rows):
     assert res.detail.startswith("map 2 mismatched at cell ")  # 2 is the least index with bit 1 != bit 2
 
 
-_BAD_COORDS = [None, "x", 7, ["a"], [[0]], {"0": 1}, [float("nan")]]
+# A callable edits the witness's own row; each of those rows leaves the verifier's one-array read.
+_BAD_COORDS = [None, "x", 7, ["a"], [[0]], {"0": 1}, [float("nan")],
+               lambda row: [2 ** 63] + row[1:], lambda row: row[:-1] + [-2 ** 63 - 1],
+               lambda row: [2.0] + row[1:], lambda row: ["1"] + row[1:], lambda row: row + [0],
+               lambda row: [[c] for c in row]]
 _BAD_KEYS = [None, "x", [1], {"a": 1}, float("nan"), float("inf")]
 _BAD_WITNESSES = [None, "w", 3, [], {}]
 _EDITS = ["flip", "drop", "dup", "range", "swap", "bad_coords", "short", "bad_key", "no_coords",
@@ -374,7 +384,11 @@ def _edited(draw, doc):
         elif edit == "swap":
             w[ck] = copy.deepcopy(wits[j].get(ck) if isinstance(wits[j], dict) else None)
         elif edit == "bad_coords":
-            w[ck] = draw(st.sampled_from(_BAD_COORDS))
+            bad = draw(st.sampled_from(_BAD_COORDS))
+            if not callable(bad):
+                w[ck] = bad
+            elif isinstance(w.get(ck), list):
+                w[ck] = bad(w[ck])
         elif edit == "short" and isinstance(w.get(ck), list):
             w[ck] = w[ck][:-1]
         elif edit == "bad_key":
@@ -393,13 +407,13 @@ def _edited(draw, doc):
 
 @settings(max_examples=300, deadline=None)
 @given(doc=st.sampled_from(["shatter", "vc2"]).flatmap(lambda which: _edited(_BASES[which])),
-       block_rows=st.sampled_from([1, 5, 4096]))
+       block_rows=st.sampled_from(_BLOCK_SIZES))
 def test_batched_replay_matches_per_witness_reference(doc, block_rows):
     with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
         assert certs.verify_certificate(doc) == _reference_verify(doc)
 
 
-@pytest.mark.parametrize("block_rows", [1, 4096])
+@pytest.mark.parametrize("block_rows", _BLOCK_SIZES)
 def test_mismatch_reported_before_later_malformed_witness(vc2_doc, block_rows):
     doc = copy.deepcopy(vc2_doc)
     doc["witnesses"][3]["z"] = copy.deepcopy(doc["witnesses"][4]["z"])
@@ -408,6 +422,71 @@ def test_mismatch_reported_before_later_malformed_witness(vc2_doc, block_rows):
         res = certs.verify_certificate(doc)
     assert res == _reference_verify(doc)
     assert not res.ok and res.detail.startswith("map 3 mismatched")
+
+
+@pytest.mark.parametrize("block_rows", _BLOCK_SIZES)
+@pytest.mark.parametrize("edit", [lambda r: [float(r[0])] + r[1:], lambda r: [str(r[0])] + r[1:],
+                                  lambda r: r + [0], lambda r: [r[:1]] + r[1:]])
+def test_malformed_row_wins_over_later_bad_key(shatter_doc, block_rows, edit):
+    # witness 2's row is read before witness 6's out-of-range key would be
+    doc = copy.deepcopy(shatter_doc)
+    doc["witnesses"][2]["y"] = edit(doc["witnesses"][2]["y"])
+    doc["witnesses"][6]["pattern"] = 8
+    with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
+        res = certs.verify_certificate(doc)
+    assert res == _reference_verify(doc)
+    assert res.detail.startswith("malformed certificate: ")
+    # a row beyond int64 with the same residues is read row by row, and the key error stands
+    doc["witnesses"][2]["y"] = [c + (3 << 62) for c in shatter_doc["witnesses"][2]["y"]]
+    with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
+        assert certs.verify_certificate(doc) == CheckResult(False, "pattern 8 out of range") == _reference_verify(doc)
+
+
+def _gs_3_5() -> dict:
+    """A shipped shatter certificate for GS(3, 5), read-only."""
+    return certs.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "vcdim_gs_3_5.json").read_bytes())
+
+
+# every number the verifier reads, written as a float or a digit string; int() would truncate or parse it
+@pytest.mark.parametrize("field,edit,got", [
+    ("p", lambda d: d.update(p=3.0), "float"),
+    ("n", lambda d: d.update(n="5"), "str"),
+    ("pattern", lambda d: d["witnesses"][3].update(pattern=3.0), "float"),
+    ("y", lambda d: d["witnesses"][0].update(y=[c + 0.7 for c in d["witnesses"][0]["y"]]), "float"),
+    ("y", lambda d: d["witnesses"][0].update(y=[str(c) for c in d["witnesses"][0]["y"]]), "str"),
+    ("S", lambda d: d["S"].__setitem__(0, [c + 0.5 for c in d["S"][0]]), "float"),
+])
+def test_non_integer_shatter_fields_rejected(field, edit, got):
+    doc = _gs_3_5()
+    assert certs.verify_certificate(doc) == CheckResult(True, "all 8 patterns witnessed")
+    edit(doc)
+    want = CheckResult(False, f"malformed certificate: '{got}' object cannot be interpreted as an integer")
+    assert certs.verify_certificate(doc) == want == _reference_verify(doc)
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("phi", lambda d: d["witnesses"][5].update(phi="5")),
+    ("z", lambda d: d["witnesses"][5]["z"].__setitem__(0, d["witnesses"][5]["z"][0] + 0.0)),
+    ("X", lambda d: d["X"][1].__setitem__(2, str(d["X"][1][2]))),
+    ("Y", lambda d: d["Y"][1].__setitem__(0, d["Y"][1][0] + 0.0)),
+    ("poly", lambda d: d["set"]["poly"].__setitem__(0, d["set"]["poly"][0] + 0.0)),
+])
+def test_non_integer_vc2_fields_rejected(vc2_doc, field, edit):
+    doc = copy.deepcopy(vc2_doc)
+    edit(doc)
+    res = certs.verify_certificate(doc)
+    assert not res.ok and res.detail.startswith("malformed certificate: ")
+    assert res.detail.endswith("object cannot be interpreted as an integer")
+    assert res == _reference_verify(doc)
+
+
+def test_boolean_coordinates_read_as_one_and_zero(shatter_doc):
+    doc = copy.deepcopy(shatter_doc)
+    for w in doc["witnesses"]:
+        w["y"] = [bool(c) if c < 2 else c for c in w["y"]]
+    kinds = {tuple(type(c) for c in w["y"]) for w in doc["witnesses"]}
+    assert (bool,) * 3 in kinds and any(int in t and bool in t for t in kinds)  # bool rows and mixed rows
+    assert certs.verify_certificate(doc) == CheckResult(True, "all 8 patterns witnessed") == _reference_verify(doc)
 
 
 # offsets that keep every residue mod 3: a negative coordinate, p + c, and beyond int64 either way
