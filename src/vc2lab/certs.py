@@ -7,17 +7,20 @@ shatter document's cells are S, with key pattern; a vc2 document is replayed
 as its k^2 cells x_i + y_j, with key full ^ idx for map idx.  Every number in
 a document is read as an integer (operator.index: bools count as 1/0, floats
 and digit strings are malformed).  Witness coordinates are read as one int64
-array when numpy can read them so, else row by row up to the first bad row,
-and replayed in slices of at most _BLOCK_ROWS membership rows.  A qgs oracle is
-rebuilt by rerunning build_trace_basis's canonical polynomial search and
-matching the recorded polynomial, which is why QGS_MAX_P exists (ROADMAP item 1
-would check the recorded polynomial instead).  It does not import factor's search code.
+array when every row holds n integers that fit int64, else row by row up to
+the first bad row, and replayed in slices of at most _BLOCK_ROWS
+membership rows.  A qgs oracle is rebuilt by rerunning build_trace_basis's
+canonical polynomial search and matching the recorded polynomial, which is why
+QGS_MAX_P exists (ROADMAP item 1 would check the recorded polynomial instead).
+It does not import factor's search code.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import index
 from typing import Any
 
@@ -131,17 +134,20 @@ def _vec(p: int, coords, n: int) -> np.ndarray:
 def _rows(p: int, raw: list, n: int) -> tuple[np.ndarray, Exception | None]:
     """The points raw as one (m, n) int64 array of residues, and the error of its first bad row.
 
-    Rows that numpy reads as one int64 array of shape (len(raw), n) are
-    reduced in one step.  Anything else (ragged or nested rows, floats,
-    strings, None, integers beyond int64) is read row by row by _vec, and
-    the array stops before the first row that raises.
+    When every row has length n and holds only integers that fit int64, the
+    rows are read in one step by array('q'), which reads integers only (bools
+    as 1/0), and reduced with one % p.  numpy never guesses their dtype: it
+    would read a string among them as a fixed-width unicode array, every
+    element as wide as the longest string.  Anything else (ragged or nested
+    rows, floats, strings, None, integers beyond int64) is read row by row by
+    _vec, and the array stops before the first row that raises.
     """
     try:
-        arr = np.asarray(raw)
-    except _MALFORMED:  # ragged rows
-        arr = None
-    if arr is not None and arr.dtype == np.int64 and arr.shape == (len(raw), n):
-        return arr % p, None
+        if set(map(len, raw)) <= {n}:
+            flat = array("q", list(chain.from_iterable(raw)))
+            return np.frombuffer(flat, dtype=np.int64).reshape(len(raw), n) % p, None
+    except _MALFORMED:
+        pass
     rows, failure = [], None
     for coords in raw:
         try:

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import importlib.util
 import os
+import resource
 import subprocess
 import sys
 from datetime import timedelta
@@ -61,13 +62,18 @@ _VERIFY_STDIN = (
 )
 
 
-def _result_in_child(doc) -> tuple[bool, str]:
+def _result_in_child(doc, max_address_space: int | None = None) -> tuple[bool, str]:
     """verify_certificate's verdict and detail on doc, from a child process with a time limit,
-    so a verifier that hangs fails the calling test instead of blocking the suite."""
+    so a verifier that hangs fails the calling test instead of blocking the suite.  With
+    max_address_space (bytes), an allocation beyond it fails the child, and so the test."""
     src = str(Path(vc2lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cap = None
+    if max_address_space is not None:
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (max_address_space, max_address_space))
     out = subprocess.run([sys.executable, "-c", _VERIFY_STDIN], input=certs.dumps(doc),
-                         capture_output=True, timeout=10, env=env, check=True)
+                         capture_output=True, timeout=10, env=env, check=True, preexec_fn=cap)
     ok, _, detail = out.stdout.decode().strip().partition(" ")
     return ok == "True", detail
 
@@ -440,6 +446,18 @@ def test_malformed_row_wins_over_later_bad_key(shatter_doc, block_rows, edit):
     doc["witnesses"][2]["y"] = [c + (3 << 62) for c in shatter_doc["witnesses"][2]["y"]]
     with mock.patch.object(certs, "_BLOCK_ROWS", block_rows):
         assert certs.verify_certificate(doc) == CheckResult(False, "pattern 8 out of range") == _reference_verify(doc)
+
+
+def test_long_string_coordinate_among_many_witnesses_rejected_in_bounded_memory():
+    # 1,024 witnesses of GS(3, 5); numpy would read a 100,000-character string among their rows as
+    # 5,120 unicode elements of 400 KB each (2 GB), so the rows must reach numpy only as integers
+    s = ranks_to_digits(np.arange(10), 3, 5).tolist()
+    witnesses = [{"pattern": mask, "y": [0] * 5} for mask in range(1 << 10)]
+    witnesses[0]["y"] = ["1" * 100_000, 0, 0, 0, 0]
+    doc = {"kind": "shatter", "p": 3, "n": 5, "set": {"kind": "gs"}, "S": s, "witnesses": witnesses}
+    res = _result_in_child(doc, max_address_space=1 << 30)
+    assert res == (False, _reference_verify(doc).detail)
+    assert res[1].startswith("malformed certificate: ")
 
 
 def _gs_3_5() -> dict:
