@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -329,7 +328,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None, help="accepted for compatibility; ignored")
     common.add_argument("--format", choices=["json", "csv", "text"], default="text")
     common.add_argument("--output", help="write the report here instead of stdout")
 
@@ -344,20 +342,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--mode", choices=["exhaustive", "sampled"])
-    sp.add_argument("--count", type=int, default=10_000)
+    sp.add_argument("--count", type=int)
     sp.add_argument("--cert")
 
     sp = add("vc-dim", help="compute the VC-dimension by pruned shattering search")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", choices=["gs", "qgs"], default="gs")
-    sp.add_argument("--k-max", type=int, default=4)
+    sp.add_argument("--set", choices=["gs", "qgs"])
+    sp.add_argument("--k-max", type=int)
     sp.add_argument("--cert")
 
     sp = add("shatter-check", help="test whether a specific point set is shattered")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", choices=["gs", "qgs"], default="gs")
+    sp.add_argument("--set", choices=["gs", "qgs"])
     sp.add_argument("--points", required=True, help="semicolon-separated vectors, e.g. '0 0 0;0 1 2'")
     sp.add_argument("--cert")
 
@@ -371,20 +369,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("atom-census", help="exact atom sizes for a small quadratic factor")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, default=2)
-    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--l", type=int)
+    sp.add_argument("--q", type=int)
 
     sp = add("prop32-check", help="forced-zero checks over seeded qualifying instances")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--instances", type=int, default=20)
+    sp.add_argument("--instances", type=int)
 
     sp = add("ramsey-find", help="find a monochromatic biclique in a colouring")
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", dest="n_right", type=int)
     sp.add_argument("--r", type=int)
-    sp.add_argument("--q", type=int, default=3)
-    sp.add_argument("--s", type=int, default=3)
+    sp.add_argument("--q", type=int)
+    sp.add_argument("--s", type=int)
     sp.add_argument("--file", help="read the colouring from a file instead of generating one")
 
     sp = add("br-bound", help="the 4r^3+1 bound with its arithmetic chain")
@@ -397,16 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("VC2LAB_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"VC2LAB_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        source = "VC2LAB_THREADS" if args.threads is None else "--threads"
-        raise ValueError(f"{source} must be at least 1, got {threads}")
     extra = {}
     for key in ("mode", "count", "cert", "set", "k_max", "points", "construction",
                 "l", "q", "instances", "m", "n_right", "r", "s", "file", "path"):

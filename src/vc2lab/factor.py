@@ -119,10 +119,9 @@ def find_in_atom(
     basis: HighRankBasis,
     label: AtomLabel,
     seed: int = 0,
-    budget: int = ATOM_SAMPLE_BUDGET,
 ) -> np.ndarray:
     """A point whose label matches: find_in_atoms for the one label."""
-    return find_in_atoms(f, basis, [label.values], [seed], budget)[0]
+    return find_in_atoms(f, basis, [label.values], [seed])[0]
 
 
 def find_in_atoms(
@@ -130,7 +129,6 @@ def find_in_atoms(
     basis: HighRankBasis,
     labels: Sequence[Sequence[int]] | np.ndarray,
     seeds: Sequence[int],
-    budget: int = ATOM_SAMPLE_BUDGET,
 ) -> list[np.ndarray]:
     """A point in each label's atom, by solving the linear part then searching.
 
@@ -139,11 +137,13 @@ def find_in_atoms(
     subspace part + span(N); it is enumerated exhaustively in rank order
     while small (deterministic, seeds ignored), otherwise sampled with a
     stream derived from the label's seed, so each label gets the point a
-    search for it alone would give.  Candidates are tested in null-space
-    coordinates: Q_t(part + alpha N) = alpha A_t alpha^T + alpha . 2 N M_t
-    part^T + Q_t(part) with A_t = N M_t N^T shared by every label (M_t is
-    symmetric), so one evaluation serves a block of candidates from many
-    labels, and only the matching point is ever built.  Labels are searched
+    search for it alone would give; a label still unmatched after
+    ATOM_SAMPLE_BUDGET draws (read at call time) raises RuntimeError.
+    Candidates are tested in null-space coordinates: Q_t(part + alpha N) =
+    alpha A_t alpha^T + alpha . 2 N M_t part^T + Q_t(part) with A_t =
+    N M_t N^T shared by every label (M_t is symmetric), so one evaluation
+    serves a block of candidates from many labels, and only the matching
+    point is ever built.  Labels are searched
     ATOM_EVAL_CHUNK // 64 at a time, so at most that many generators are
     alive, and at most ATOM_EVAL_CHUNK candidate rows are evaluated at once.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
@@ -207,8 +207,8 @@ def find_in_atoms(
         # chunk sizes or on which labels share an evaluation.
         rngs = {i: derive_rng(seeds[i], "find-in-atom") for i in pending}
         tried, chunk = 0, 64
-        while pending and tried < budget:
-            size = min(chunk, budget - tried)
+        while pending and tried < ATOM_SAMPLE_BUDGET:
+            size = min(chunk, ATOM_SAMPLE_BUDGET - tried)
             step = ATOM_EVAL_CHUNK // size
             for j in range(0, len(pending), step):
                 owners = pending[j:j + step]
@@ -767,6 +767,8 @@ def derive_seed_for_map(seed: int, phi: ContainmentMap) -> int:
 # Property checkers: forced zero values and the cross-term range.
 # ---------------------------------------------------------------------------
 
+PROBE_MAX_GROUP = 10 ** 5  # forced_zero_probe scans every shift and builds the digits of every point
+
 
 def zero_forcing_map() -> ContainmentMap:
     """The partial map on [0,3]^2 whose realizations have forced zero Q-values.
@@ -834,23 +836,13 @@ def check_forced_zeros(a: QgsSet, x, y, m: int, z) -> CheckResult:
     return CheckResult(True, "conclusions hold below m; level-m cross-terms not constant")
 
 
-def check_cross_term_range(
-    a: QgsSet,
-    x,
-    y,
-    m: int,
-    witnesses: Sequence[tuple[ContainmentMap, np.ndarray]] | None = None,
-) -> CheckResult:
+def check_cross_term_range(a: QgsSet, x, y, m: int) -> CheckResult:
     """Every level-m cross-term over the nonzero grid must lie in {-2,...,2} mod p."""
     x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
     if not 1 <= m <= a.n:
         raise ValueError("m out of range")
     if not cross_terms_vanish_below(a, x, y, m):
         raise ValueError("inapplicable: cross-terms below m do not vanish")
-    if witnesses is not None:
-        for phi, z in witnesses:
-            if not vc2_realizes(a, x, y, phi, z):
-                raise ValueError("inapplicable: a supplied witness fails verification")
     allowed = {v % a.p for v in (-2, -1, 0, 1, 2)}
     mus = cross_terms(x[1:], y[1:], a.basis.mats[m - 1:m], a.p)[:, :, 0]
     for (i, j), mu in np.ndenumerate(mus):
@@ -859,16 +851,17 @@ def check_cross_term_range(
     return CheckResult(True, "all level-m cross-terms within {-2..2}")
 
 
-def random_zero_cross_term_sets(
-    basis: HighRankBasis,
-    m: int,
-    seed: int = 0,
-    size: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded point arrays (X, Y) of the given size with vanishing cross-terms below level m."""
+def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded point arrays (X, Y) of size 4, x_0 = y_0 = 0, with vanishing cross-terms below level m.
+
+    The three further points of each side are distinct and nonzero, so the
+    group needs at least 4 points; a smaller one raises ValueError.
+    """
     p, n = basis.ctx.p, basis.n
+    if p ** n < 4:
+        raise ValueError(f"X and Y need 4 distinct points; F_{p}^{n} has {p ** n}")
     rng = derive_rng(seed, "qualifying-sets", m)
-    npts = size - 1
+    npts = 3
     zero = np.zeros((1, n), dtype=np.int64)
 
     def fresh(rows: np.ndarray, cand: np.ndarray) -> bool:
@@ -899,20 +892,14 @@ def random_zero_cross_term_sets(
     raise RuntimeError("could not generate qualifying sets")
 
 
-def planted_qualifying_sets(
-    basis: HighRankBasis,
-    m: int,
-    seed: int = 0,
-    constrain_level: int | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Qualifying point arrays (X, Y) built around a planted realizing shift.
+def planted_qualifying_sets(basis: HighRankBasis, seed: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
+    """Qualifying point arrays (X, Y) for the level m = 2, built around a planted realizing shift.
 
-    Cross-terms are forced to vanish for t <= constrain_level (default
-    max(m - 1, 1)), so the instance satisfies the probe hypothesis and the
-    level-m cross-terms form a constant zero grid when constrain_level >= m.
-    The x's are taken inside a 2-dimensional span to keep the y-side
-    subspace large: x_1, x_2 are drawn until some 2x2 minor is nonzero mod p,
-    which is exact in int64 for the p**n <= 10**5 admitted here.  Every
+    Level-1 cross-terms are forced to vanish, so the instance satisfies the
+    probe hypothesis at m = 2.  The x's are taken inside a 2-dimensional
+    span to keep the y-side subspace large: x_1, x_2 are drawn until some
+    2x2 minor is nonzero mod p, which is exact in int64 for the groups of
+    at most PROBE_MAX_GROUP points that forced_zero_probe admits.  Every
     translate comes from fp.shifted_ranks: one call on the x's gives the
     feasible shifts z, scanned in a seeded order, and one call on
     [0, x_1, x_2, x_3] + z gives the grid rows over the y-side subspace.
@@ -921,15 +908,10 @@ def planted_qualifying_sets(
     a = QgsSet(basis)
     p, n = basis.ctx.p, basis.n
     total = p ** n
-    if total > 10 ** 5:
-        raise ValueError("group too large for planted generation")
-    cl = max(m - 1, 1) if constrain_level is None else constrain_level
-    if cl < m - 1:
-        raise ValueError("constrain_level must be at least m - 1")
-    rng = derive_rng(seed, "planted-instance", m, cl)
+    rng = derive_rng(seed, "planted-instance", 2, 1)
     table = a.membership_table()
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
-    zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
+    zero_q = (quad_forms(digits, basis.mats[:1], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
     # the verdicts of column 0 of phi in rows 1..3, and of columns 1..3, column j in row j - 1
@@ -953,7 +935,7 @@ def planted_qualifying_sets(
         order = np.flatnonzero(z_ok)
         if order.size == 0:
             continue
-        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
+        space = orth_complement(matmul_mod(x12, basis.mats[:1], p).reshape(-1, n), p)
         if not len(space):
             continue
         sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
@@ -978,7 +960,7 @@ def planted_qualifying_sets(
                 continue
             # rank 0 is the origin
             x, y = grid, digits[[0, *ys]]
-            if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
+            if cross_terms_vanish_below(a, x, y, 2):
                 return x, y
     return None
 
@@ -996,27 +978,26 @@ class ForcedZeroInstance:
 def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) -> list[ForcedZeroInstance]:
     """Exhaustive shift search over seeded qualifying (X, Y) instances.
 
-    Odd-numbered instances are planted so that at least one realizing shift
-    exists; even-numbered ones are drawn blind and usually admit none.
-    Every z realizing the zero-forcing map (under either assignment of the
-    free corner) is checked; instances with no realizing z are recorded as
-    vacuous passes.
+    Even-numbered instances check the level m = 1 and odd-numbered ones
+    m = 2.  Odd-numbered instances are planted so that at least one
+    realizing shift exists, and drawn blind when the plant fails;
+    even-numbered ones are drawn blind and usually admit none.  The group
+    must have between 4 and PROBE_MAX_GROUP points.  Every z realizing the
+    zero-forcing map (under either assignment of the free corner) is
+    checked; instances with no realizing z are recorded as vacuous passes.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     a = QgsSet(basis)
     p, n = a.p, a.n
-    if p ** n > 10 ** 6:
-        raise ValueError("group too large for the exhaustive probe")
+    if p ** n > PROBE_MAX_GROUP:
+        raise ValueError(f"group too large for the forced-zero probe (p**n > {PROBE_MAX_GROUP})")
     table = a.membership_table()
     out = []
     phi = zero_forcing_map()
     for idx in range(instances):
         m = 1 + idx % 2
-        planted = None
-        if idx % 2 == 1:
-            cl = m if m == 1 else m - 1
-            planted = planted_qualifying_sets(basis, m, seed=seed * 1000 + idx, constrain_level=cl)
+        planted = planted_qualifying_sets(basis, seed=seed * 1000 + idx) if m == 2 else None
         if planted is not None:
             x, y = planted
         else:

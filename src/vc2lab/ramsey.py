@@ -46,6 +46,8 @@ class BipartiteColouring:
     @staticmethod
     def from_text(text: str) -> "BipartiteColouring":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty colouring: expected a header line 'm n r'")
         m, n, r = (int(t) for t in lines[0].split())
         rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
         return BipartiteColouring(m, n, r, np.array(rows, dtype=np.int32))
@@ -139,7 +141,10 @@ def _constructive_33(colouring: BipartiteColouring) -> BicliqueWitness | None:
     return witness
 
 
-def _fallback_search(colouring: BipartiteColouring, q: int, s: int, cap: int = 10 ** 8) -> BicliqueWitness | None:
+FALLBACK_WORK_CAP = 10 ** 8  # neighbour visits plus q-subsets, after which the direct search gives up
+
+
+def _fallback_search(colouring: BipartiteColouring, q: int, s: int) -> BicliqueWitness | None:
     """Direct search, processing right vertices in decreasing colour-degree order."""
     m, n = colouring.m, colouring.n
     if m < q or n < s:
@@ -157,7 +162,7 @@ def _fallback_search(colouring: BipartiteColouring, q: int, s: int, cap: int = 1
                 continue
             for combo in combinations(map(int, nbrs), q):
                 work += 1
-                if work > cap:
+                if work > FALLBACK_WORK_CAP:
                     return None
                 bucket = seen.setdefault(combo, [])
                 bucket.append(v)
@@ -174,8 +179,10 @@ def find_mono_biclique(colouring: BipartiteColouring, q: int, s: int) -> Bicliqu
 
     For (q, s) = (3, 3) and both sides at least 4r^3 + 1 the constructive
     route always succeeds; otherwise a capped direct search runs and "none
-    found" is a legitimate outcome.
+    found" is a legitimate outcome.  q and s must be at least 1.
     """
+    if q < 1 or s < 1:
+        raise ValueError(f"a biclique needs q, s >= 1, got q={q}, s={s}")
     r = colouring.r
     guaranteed = q == 3 and s == 3 and min(colouring.m, colouring.n) >= 4 * r ** 3 + 1
     if guaranteed:

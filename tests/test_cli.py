@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vc2lab
 from vc2lab import certs
 from vc2lab.cli import RunConfig, dispatch, emit_report, main
 
@@ -76,26 +81,6 @@ def test_rerun_is_byte_identical(capsys, tmp_path):
                       "--seed", "7", "--cert", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_threads_do_not_change_certificate_bytes(capsys, tmp_path):
-    one, four = tmp_path / "one.json", tmp_path / "four.json"
-    code, _ = run(capsys, "vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--cert", str(one))
-    assert code == 0
-    code, _ = run(capsys, "vc2-verify", "--p", "3", "--n", "13", "--k", "2",
-                  "--threads", "4", "--cert", str(four))
-    assert code == 0
-    assert one.read_bytes() == four.read_bytes()
-    # the translate scan and the sampled full-rank check ignore the thread count too: same report, same file
-    cert = tmp_path / "cert.json"
-    for argv in (["shatter-check", "--p", "3", "--n", "4", "--points", "0 0 0 0;0 0 1 2;0 0 2 1"],
-                 ["basis", "--p", "3", "--n", "9", "--mode", "sampled", "--count", "500"]):
-        outputs = []
-        for threads in ("1", "4"):
-            code, out = run(capsys, *argv, "--format", "json", "--threads", threads, "--cert", str(cert))
-            assert code == 0
-            outputs.append((out, cert.read_bytes()))
-        assert outputs[0] == outputs[1]
 
 
 def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, monkeypatch):
@@ -200,48 +185,68 @@ def test_dispatch_rejects_unknown():
         dispatch(RunConfig(command="nope"))
 
 
-# One misuse per subcommand, plus the thread count from the flag and from the environment.
+# One misuse per subcommand.
 MISUSE = [
-    (["basis", "--p", "x", "--n", "3"], {}),
-    (["basis", "--p", "3", "--n", "3", "--threads", "0"], {}),
-    (["vc-dim", "--p", "3", "--n", "3", "--threads", "-1"], {}),
-    (["vc-dim", "--p", "3"], {}),
-    (["shatter-check", "--p", "3", "--n", "3"], {}),
+    ["basis", "--p", "x", "--n", "3"],
+    # the thread count flag is gone; it is an unrecognized argument like any other
+    ["basis", "--p", "3", "--n", "3", "--threads", "0"],
+    ["vc-dim", "--p", "3", "--n", "3", "--threads", "-1"],
+    ["vc-dim", "--p", "3"],
+    ["shatter-check", "--p", "3", "--n", "3"],
     # points that do not have n coordinates
-    (["shatter-check", "--p", "3", "--n", "3", "--points", "1;2"], {}),
-    (["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0 0;0 1 2 0"], {}),
-    (["vc2-verify", "--p", "3", "--n", "13", "--k", "4"], {}),
-    (["atom-census", "--p", "3", "--n", "9", "--l", "x"], {}),
+    ["shatter-check", "--p", "3", "--n", "3", "--points", "1;2"],
+    ["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0 0;0 1 2 0"],
+    ["vc2-verify", "--p", "3", "--n", "13", "--k", "4"],
+    ["atom-census", "--p", "3", "--n", "9", "--l", "x"],
     # a group within the census cap whose 3**28 atom labels are not
-    (["atom-census", "--p", "3", "--n", "14", "--l", "14", "--q", "14"], {}),
-    (["prop32-check", "--p", "3", "--n", "5", "--instances"], {}),
+    ["atom-census", "--p", "3", "--n", "14", "--l", "14", "--q", "14"],
+    ["prop32-check", "--p", "3", "--n", "5", "--instances"],
+    # beyond the probe's group cap, also for a single, blind instance
+    ["prop32-check", "--p", "3", "--n", "11", "--instances", "1"],
     # runs that would check nothing
-    (["basis", "--p", "3", "--n", "5", "--mode", "sampled", "--count", "0"], {}),
-    (["prop32-check", "--p", "3", "--n", "5", "--instances", "0"], {}),
-    (["ramsey-find", "--m", "x"], {}),
-    (["br-bound"], {}),
-    (["verify-certificate"], {}),
-    (["verify-certificate", "no-such-file.json"], {}),
-    (["basis", "--p", "3", "--n", "3", "--format", "xml"], {}),
-    (["no-such-command"], {}),
-    ([], {}),
-    (["basis", "--p", "3", "--n", "3"], {"VC2LAB_THREADS": "0"}),
-    (["br-bound", "--r", "2"], {"VC2LAB_THREADS": "x"}),
+    ["basis", "--p", "3", "--n", "5", "--mode", "sampled", "--count", "0"],
+    ["prop32-check", "--p", "3", "--n", "5", "--instances", "0"],
+    ["ramsey-find", "--m", "x"],
+    ["ramsey-find", "--m", "3", "--n", "3", "--r", "1", "--q", "0"],
+    ["br-bound"],
+    ["verify-certificate"],
+    ["verify-certificate", "no-such-file.json"],
+    ["basis", "--p", "3", "--n", "3", "--format", "xml"],
+    ["no-such-command"],
+    [],
     # a prime FieldCtx accepts whose residues overflow the int64 basis array
-    (["basis", "--p", "9223372036854775837", "--n", "2"], {}),
+    ["basis", "--p", "9223372036854775837", "--n", "2"],
 ]
 
 
-@pytest.mark.parametrize("argv,env", MISUSE, ids=[" ".join(a) + "".join(f" {k}={v}" for k, v in e.items())
-                                                  for a, e in MISUSE])
-def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv, env):
+@pytest.mark.parametrize("argv", MISUSE, ids=[" ".join(a) for a in MISUSE])
+def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     code = main(argv)
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
-    # a bad environment variable is named
-    assert all(key in out.err for key in env)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "3 3 2\n"], ids=["empty", "blank lines", "header only"])
+def test_ramsey_find_rejects_a_colouring_file_without_rows(capsys, tmp_path, text):
+    path = tmp_path / "colouring.txt"
+    path.write_text(text)
+    code = main(["ramsey-find", "--file", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_prop32_check_refuses_a_group_below_4_points_in_a_child():
+    # F_3^1 has 2 nonzero points, where X and Y each need 3: the blind sampler drew forever.
+    # A child process with a time limit makes a regression fail this test instead of hanging it.
+    src = str(Path(vc2lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-m", "vc2lab.cli", "prop32-check", "--p", "3", "--n", "1"],
+                         capture_output=True, timeout=30, env=env)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.decode() == "error: X and Y need 4 distinct points; F_3^1 has 3\n"

@@ -181,22 +181,26 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed, extra):
         assert np.array_equal(z, _find_in_atom_full_scan(f, basis, AtomLabel(vals), s))
 
 
-def test_find_in_atom_budget_counts_draws():
+def test_find_in_atom_budget_counts_draws(monkeypatch):
     # sampled branch whose first hit is draw 436 (0-based), alone and in a batch with
     # labels whose first hits are draws 216, 10, 62 and 11
+    import vc2lab.factor as factor
+
     f, basis, label = _random_factor(5, 13, 3, 3, 7)
     batch = [(label.values, 7)] + _extra_labels(5, 3, 3, 7, 4)
     labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
+    want = find_in_atom(f, basis, label, seed=7)
+    wants = [find_in_atom(f, basis, AtomLabel(vals), seed=s) for vals, s in zip(labels, seeds)]
     for budget in (0, 1, 64, 100, 436):
+        monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
-            find_in_atom(f, basis, label, seed=7, budget=budget)
+            find_in_atom(f, basis, label, seed=7)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
-            find_in_atoms(f, basis, labels, seeds, budget=budget)
-    z = find_in_atom(f, basis, label, seed=7, budget=437)
-    assert np.array_equal(z, find_in_atom(f, basis, label, seed=7))
-    zs = find_in_atoms(f, basis, labels, seeds, budget=437)
-    for z, vals, s in zip(zs, labels, seeds):
-        assert np.array_equal(z, find_in_atom(f, basis, AtomLabel(vals), seed=s))
+            find_in_atoms(f, basis, labels, seeds)
+    monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", 437)
+    assert np.array_equal(find_in_atom(f, basis, label, seed=7), want)
+    for z, w in zip(find_in_atoms(f, basis, labels, seeds), wants):
+        assert np.array_equal(z, w)
 
 
 def test_find_in_atoms_argument_checks(basis9):
@@ -442,7 +446,7 @@ def test_forced_zero_probe_rejects_empty_runs(basis5, instances):
 
 def test_planted_instances_admit_realizers(basis5):
     a = QgsSet(basis5)
-    got = planted_qualifying_sets(basis5, m=1, seed=3, constrain_level=1)
+    got = planted_qualifying_sets(basis5, seed=3)
     assert got is not None
     x, y = got
     # level-1 cross-terms vanish on the whole grid
@@ -451,20 +455,15 @@ def test_planted_instances_admit_realizers(basis5):
             assert a.cross_term(1, xi, yj) == 0
 
 
-def _planted_qualifying_sets_reference(basis, m, seed=0, constrain_level=None):
+def _planted_qualifying_sets_reference(basis, seed=0):
     """The planted search as one mat_rank call and a full-group digit-sum pass per translate."""
     a = QgsSet(basis)
     p, n = basis.ctx.p, basis.n
     total = p ** n
-    if total > 10 ** 5:
-        raise ValueError("group too large for planted generation")
-    cl = max(m - 1, 1) if constrain_level is None else constrain_level
-    if cl < m - 1:
-        raise ValueError("constrain_level must be at least m - 1")
-    rng = derive_rng(seed, "planted-instance", m, cl)
+    rng = derive_rng(seed, "planted-instance", 2, 1)
     table = a.membership_table()
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
-    zero_q = (quad_forms(digits, basis.mats[:cl], p) == 0).all(axis=1)
+    zero_q = (quad_forms(digits, basis.mats[:1], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
 
     # the verdicts of columns 1..3 of phi, column j in row j - 1
@@ -492,7 +491,7 @@ def _planted_qualifying_sets_reference(basis, m, seed=0, constrain_level=None):
         order = np.flatnonzero(z_ok)
         if order.size == 0:
             continue
-        space = orth_complement(matmul_mod(x12, basis.mats[:cl], p).reshape(-1, n), p)
+        space = orth_complement(matmul_mod(x12, basis.mats[:1], p).reshape(-1, n), p)
         if not len(space):
             continue
         sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
@@ -517,19 +516,18 @@ def _planted_qualifying_sets_reference(basis, m, seed=0, constrain_level=None):
                 continue
             # rank 0 is the origin
             x, y = digits[[0, *x_ranks]], digits[[0, *ys]]
-            if cross_terms_vanish_below(a, x, y, max(m, cl + 1)):
+            if cross_terms_vanish_below(a, x, y, 2):
                 return x, y
     return None
 
 
 # only p = 3 with n >= 5 yields instances at these sizes; the rest exercise the search up to None
 @pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 3), (7, 3)])
-@pytest.mark.parametrize("m,cl", [(1, 1), (2, 1), (2, 2)])
-def test_planted_qualifying_sets_match_reference(p, n, m, cl):
+def test_planted_qualifying_sets_match_reference(p, n):
     basis = build_trace_basis(FieldCtx(p), n)
     for seed in range(8):
-        got = planted_qualifying_sets(basis, m, seed=seed, constrain_level=cl)
-        want = _planted_qualifying_sets_reference(basis, m, seed=seed, constrain_level=cl)
+        got = planted_qualifying_sets(basis, seed=seed)
+        want = _planted_qualifying_sets_reference(basis, seed=seed)
         if want is None:
             assert got is None
         else:

@@ -69,6 +69,14 @@ def test_too_small_returns_none():
     assert find_mono_biclique(c, 3, 3) is None
 
 
+@pytest.mark.parametrize("q,s", [(0, 1), (1, 0), (-1, 3)])
+def test_empty_biclique_side_rejected(q, s):
+    # a K_{0,s} is vacuously monochromatic, so a search for one used to report a witness
+    c = BipartiteColouring(3, 3, 1, np.ones((3, 3), dtype=np.int32))
+    with pytest.raises(ValueError, match=r"q, s >= 1"):
+        find_mono_biclique(c, q, s)
+
+
 def test_constructive_path_on_guaranteed_regime():
     for seed in range(5):
         col = random_colouring(501, 501, 5, seed=seed)
@@ -140,6 +148,12 @@ def test_colouring_text_round_trip():
     back = BipartiteColouring.from_text(col.to_text())
     assert back.m == 4 and back.n == 6 and back.r == 3
     assert (back.colours == col.colours).all()
+
+
+@pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank lines"])
+def test_colouring_text_without_header_rejected(text):
+    with pytest.raises(ValueError, match="empty colouring"):
+        BipartiteColouring.from_text(text)
 
 
 def test_colouring_validation():

@@ -1,20 +1,25 @@
-"""Pinned output of scripts/explore_shattering.py, loaded in-process.
+"""The scripts under scripts/, loaded in-process.
 
-`vc2-random` draws seeded (X, Y) pairs and reports the first quadratically
-shattered one, or the deepest failing map index.  A change to the VC₂ search
-that moves a witness, the failure order or the draw shows up here.
+`explore_shattering.py vc2-random` draws seeded (X, Y) pairs and reports the
+first quadratically shattered one, or the deepest failing map index; its
+output is pinned, so a change to the VC₂ search that moves a witness, the
+failure order or the draw shows up here.  `reproduce.py --skip-slow` must
+pass and write certificates that verify.
 """
 
 import argparse
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from vc2lab import certs
 
-def _load_explore():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "explore_shattering.py"
-    spec = importlib.util.spec_from_file_location("explore_shattering", path)
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,7 +50,7 @@ K3 = {0: 22, 1: 17, 2: 13, 3: 13}
 
 @pytest.fixture(scope="module")
 def explore():
-    return _load_explore()
+    return _load_script("explore_shattering")
 
 
 def _run(explore, capsys, n, k, seed):
@@ -63,3 +68,14 @@ def test_vc2_random_k2_pinned(explore, capsys, seed):
 def test_vc2_random_k3_pinned(explore, capsys, seed):
     want = f"no shattered pair in 100 trials; deepest failure at map index {K3[seed]}\n"
     assert _run(explore, capsys, 6, 3, seed) == (1, want)
+
+
+def test_reproduce_skip_slow_writes_verified_certificates(capsys, monkeypatch, tmp_path):
+    reproduce = _load_script("reproduce")
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", "--skip-slow", "--out", str(tmp_path)])
+    assert reproduce.main() == 0
+    assert "all verifications passed" in capsys.readouterr().out
+    witnesses = [f"vc_witness_p{p}_n{n}.json" for p, n in [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(witnesses + ["vc2_k2_p3_n13.json"])
+    for path in tmp_path.iterdir():
+        assert certs.verify_certificate(certs.loads(path.read_bytes())).ok, path.name
