@@ -106,7 +106,7 @@ class QgsSet:
     contains = _contains
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Vectorized membership: scan Q_1, Q_2, ... short-circuiting per row."""
+        """Vectorized membership of residue rows (see fp.as_points): scan Q_1, Q_2, ... short-circuiting per row."""
         m = digits.shape[0]
         member = np.zeros(m, dtype=bool)
         undecided = np.ones(m, dtype=bool)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, _rank_array, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _matmul_residues, _rank_array, derive_rng, matmul_mod, ranks_to_digits
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -241,6 +241,10 @@ def check_high_rank(
     Returns None on pass, or the offending coefficient vector, an int64 row,
     on failure (the lexicographically smallest one among the failures found).
     Exhaustive mode requires p**n <= 10**6; sampled mode checks count >= 1 draws.
+    The combinations are built a chunk at a time by fp._matmul_residues, whose
+    float64 products are reduced in the narrowest dtype that holds them (int16
+    at p = 3, n = 31) and stored in an int16 buffer for p < 2^15, so no int64
+    product is formed there.
     """
     p, n = basis.ctx.p, basis.n
     batch, chunk = max(1, RANK_BATCH_ENTRIES // (n * n)), max(1, PRODUCT_ENTRIES // (n * n))
@@ -251,7 +255,7 @@ def check_high_rank(
         """Indices of the coefficient rows whose combination has rank below n."""
         out = combos[:len(lams)]
         for lo in range(0, len(lams), chunk):
-            out[lo:lo + chunk] = matmul_mod(lams[lo:lo + chunk], flat, p).reshape(-1, n, n)
+            out[lo:lo + chunk] = _matmul_residues(lams[lo:lo + chunk], flat, p).reshape(-1, n, n)
         return np.flatnonzero(_rank_array(out, p) != n)
 
     if mode == "exhaustive":

@@ -50,7 +50,11 @@ class BipartiteColouring:
             raise ValueError("empty colouring: expected a header line 'm n r'")
         m, n, r = (int(t) for t in lines[0].split())
         rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
-        return BipartiteColouring(m, n, r, np.array(rows, dtype=np.int32))
+        colours = np.array(rows, dtype=np.int32)
+        if not rows and min(m, n) == 0:
+            # to_text writes no row for m = 0, and for n = 0 blank rows, which the filter above drops
+            colours = colours.reshape(m, n)
+        return BipartiteColouring(m, n, r, colours)
 
 
 def random_colouring(m: int, n: int, r: int, seed: int = 0) -> BipartiteColouring:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
     _is_prime,
+    _narrow_dtype,
     _rank_array,
     _rank_dtype,
     _rref,
@@ -553,3 +555,69 @@ def test_matmul_mod_at_float64_limit(k):
         assert got.dtype == np.int64
         assert got.tolist() == [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()]
                                 for row in a.tolist()]
+
+
+def test_narrow_dtype_holds_bound_and_p():
+    assert _narrow_dtype((1 << 15) - 1, 3) is np.int16
+    assert _narrow_dtype(1 << 15, 3) is np.int32
+    assert _narrow_dtype((1 << 31) - 1, 3) is np.int32
+    assert _narrow_dtype(1 << 31, 3) is np.int64
+    assert _narrow_dtype(1 << 63, 3) is object
+    # an empty product's bound is 0, but _mod reduces by p as a scalar of the array's dtype
+    assert _narrow_dtype(0, 131071) is np.int32
+    assert _narrow_dtype(0, 2 ** 89 - 1) is object
+
+
+def _primes_either_side(size, limit):
+    """The largest prime p >= 3 with size(p) < limit, when there is one, and the smallest prime
+    with size(p) >= limit; size increases with p and size(2) < limit."""
+    lo, hi = 2, 3
+    while size(hi) < limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # size(lo) < limit <= size(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if size(mid) < limit else (lo, mid)
+    below = next((m for m in range(lo, 2, -1) if _is_prime(m)), None)
+    above = next(m for m in itertools.count(hi) if _is_prime(m))
+    return [q for q in (below, above) if q]
+
+
+# matmul_mod reduces its float64 sums, at most k (p-1)^2, in int16 below 2^15 and in int32 below
+# 2^31; quad_forms its forms, at most n^2 (p-1)^3, likewise.  Each limit is tested at the primes on
+# either side of it, with the largest sum reached and at least 512 entries, the size from which
+# fp._mod reduces by floor division
+@given(limit=st.sampled_from([1 << 15, 1 << 31]), k=st.integers(1, 40), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_matmul_mod_at_narrow_dtype_limits(limit, k, seed):
+    rnd = random.Random(seed)
+    for p in _primes_either_side(lambda q: k * (q - 1) ** 2, limit):
+        a, b = _residues(rnd, p, (2, 16, k)), _residues(rnd, p, (k, 20))
+        a[0, 0], b[:, 0] = p - 1, p - 1  # the sum k (p-1)^2
+        got = matmul_mod(a, b, p)
+        want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in mat]
+                for mat in a.tolist()]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@given(limit=st.sampled_from([1 << 15, 1 << 31]), n=st.integers(1, 8), seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_quad_forms_at_narrow_dtype_limits(limit, n, seed):
+    rnd = random.Random(seed)
+    for p in _primes_either_side(lambda q: n * n * (q - 1) ** 3, limit):
+        points, mats = _residues(rnd, p, (200, n)), _residues(rnd, p, (3, n, n))
+        points[0], mats[0] = p - 1, p - 1  # the form n^2 (p-1)^3
+        got = quad_forms(points, mats, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == _quad_forms_reference(points.tolist(), mats.tolist(), p)
+
+
+@pytest.mark.parametrize("p", [131071, 2 ** 89 - 1])
+@pytest.mark.parametrize("rows", [3, 200])
+def test_empty_products_at_large_p(p, rows):
+    # k = 0 and n = 0: every sum is 0, reduced in a dtype that must still hold p, by % below
+    # 512 entries and by floor division from there on
+    dtype = np.int64 if p < 1 << 63 else object
+    got = matmul_mod(np.zeros((rows, 0), dtype=dtype), np.zeros((0, 3), dtype=dtype), p)
+    assert got.dtype == dtype and got.tolist() == [[0] * 3] * rows
+    got = quad_forms(np.zeros((rows, 0), dtype=dtype), np.zeros((3, 0, 0), dtype=dtype), p)
+    assert got.dtype == np.int64 and got.tolist() == [[0] * 3] * rows

@@ -405,6 +405,44 @@ def test_planted_failure_past_the_first_batch(mode, n):
     assert check_high_rank(bad, mode=mode, count=len(lams), seed=seed).tolist() == lams[want].tolist()
 
 
+def _rank_reference(rows, p):
+    """Rank over F_p of a matrix of Python integers, by Gaussian elimination with row swaps."""
+    rows, rank = [list(r) for r in rows], 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# the combinations' float64 sums, at most n (p-1)^2, are reduced in int32 at p = 37, n = 31
+# (40,176 >= 2^15) and in int64 at p = 65537, n = 4 (2^34 >= 2^31); p = 37 stores them in the
+# int16 buffer, p = 65537 in an int64 one
+@pytest.mark.parametrize("p,n", [(37, 31), (65537, 4)])
+def test_planted_failure_beyond_int16_products(p, n):
+    ctx, seed, count = FieldCtx(p), 5, 32
+    lams = _nonzero_rows(derive_rng(seed, "high-rank-check", 0), count, n, p)
+    planted = lams[np.flatnonzero(lams[:, 0])[-1]]
+    v = np.random.default_rng(n).integers(0, p, n)
+    mats = build_trace_basis(ctx, n).mats.copy()
+    mats[0] = pow(int(planted[0]), p - 2, p) * (np.outer(v, v) - np.tensordot(planted[1:], mats[1:], axes=1)) % p
+    bad = HighRankBasis(ctx, n, build_irreducible(ctx, n), mats)
+    # reference: each draw's combination in Python integers, ranked one at a time
+    rows = bad.mats.tolist()
+    fails = [tuple(lam) for lam in lams.tolist()
+             if _rank_reference([[sum(c * m[i][j] for c, m in zip(lam, rows)) for j in range(n)]
+                                 for i in range(n)], p) < n]
+    assert tuple(planted.tolist()) in fails
+    assert check_high_rank(bad, mode="sampled", count=count, seed=seed).tolist() == list(min(fails))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 31])
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_nonzero_rows_match_one_draw_per_row(p, n):

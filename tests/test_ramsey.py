@@ -150,6 +150,20 @@ def test_colouring_text_round_trip():
     assert (back.colours == col.colours).all()
 
 
+@pytest.mark.parametrize("m,n", [(0, 5), (3, 0), (0, 0)])
+def test_colouring_text_round_trip_without_edges(m, n):
+    # to_text writes the header alone for m = 0 and blank rows for n = 0
+    text = random_colouring(m, n, 3, seed=9).to_text()
+    back = BipartiteColouring.from_text(text)
+    assert (back.m, back.n, back.r) == (m, n, 3) and back.colours.shape == (m, n)
+    assert back.to_text() == text
+
+
+def test_colouring_text_missing_rows_rejected():
+    with pytest.raises(ValueError, match="m x n"):
+        BipartiteColouring.from_text("3 5 2\n")
+
+
 @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank lines"])
 def test_colouring_text_without_header_rejected(text):
     with pytest.raises(ValueError, match="empty colouring"):
