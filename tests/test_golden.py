@@ -16,6 +16,8 @@ GOLDEN = {
     (2, 3, 13): "1e4593887b01f28b00173db0d142886291e913d2165127b3604cc9c91f6b83fb",
     (3, 3, 31): "41e9ddb9e4f2837c44a340b75e2a786f20ab3c146aa86ff161c25cd5320a9632",
     (3, 5, 31): "edb242eeef78189bd83d19b7bda550e72957c30f72cda8db6ee3235ece9f1c8d",
+    (3, 7, 31): "f1303eece48224d44b8a842e4272b12e555d06c0a47a8bbc64aa6169f3d3676c",
+    (3, 11, 31): "6e4f80a61524961e0d9ce4e6c6c10c757c51aaf86088c1ae00cd9d8ec6b7b31a",
 }
 
 
