@@ -9,9 +9,11 @@ The shattering constructions pick points X, Y whose pairwise cross-terms
 2 x^T M_t y vanish, so the value grid Q(x_i + y_j + z) is an affine function
 of the per-point values Q(x_i + z), Q(y_j + z), Q(z); prescribing those
 values cell-by-cell reduces "realize this containment map" to "find a point
-in a prescribed atom".  The prescriptions live in case tables below, keyed
-by the shape of the map after grid symmetries (swapping the two nonzero x
-indices, the two nonzero y indices, or the roles of X and Y).
+in a prescribed atom".  The prescriptions come from one array kernel,
+target_table, over cases keyed by the shape of the map after grid
+symmetries (swapping the two nonzero x indices, the two nonzero y indices,
+or the roles of X and Y); each case is a mask plus lookup tables keyed by
+the cells it branches on.
 
 Points, point sets and linear forms are int64 arrays of residues, one per
 row (see fp.as_points); the dataclasses below hold them read-only.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +54,7 @@ from .shatter import ContainmentMap, grid_verdicts, realizing_shifts, vc2_realiz
 ATOM_EXHAUST_LIMIT = 1 << 21
 ATOM_SAMPLE_BUDGET = 10 ** 7
 ATOM_EVAL_CHUNK = 1 << 12  # candidate rows evaluated at once, which bounds peak memory
+ATOM_DRAW_CHUNK = 64  # candidate rows each label draws per round of sampling
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +140,18 @@ def find_in_atoms(
     seeds one seed per label.  The linear constraints yield an affine
     subspace part + span(N); it is enumerated exhaustively in rank order
     while small (deterministic, seeds ignored), otherwise sampled with a
-    stream derived from the label's seed, so each label gets the point a
-    search for it alone would give; a label still unmatched after
-    ATOM_SAMPLE_BUDGET draws (read at call time) raises RuntimeError.
+    stream derived from the label's seed, ATOM_DRAW_CHUNK rows per label per
+    round, so each label gets the point a search for it alone would give; a
+    label still unmatched after ATOM_SAMPLE_BUDGET draws (read at call time)
+    raises RuntimeError.
     Candidates are tested in null-space coordinates: Q_t(part + alpha N) =
     alpha A_t alpha^T + alpha . 2 N M_t part^T + Q_t(part) with A_t =
     N M_t N^T shared by every label (M_t is symmetric), so one evaluation
     serves a block of candidates from many labels, and only the matching
     point is ever built.  Labels are searched
-    ATOM_EVAL_CHUNK // 64 at a time, so at most that many generators are
-    alive, and at most ATOM_EVAL_CHUNK candidate rows are evaluated at once.
+    ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK at a time, so at most that many
+    generators are alive, and at most ATOM_EVAL_CHUNK candidate rows are
+    evaluated at once.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
     n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
@@ -188,7 +194,7 @@ def find_in_atoms(
         for j in np.flatnonzero(hit.any(axis=1)):
             found[owners[j]] = (parts[owners[j]] + cand[j, hit[j].argmax()] @ nb) % p
 
-    group = ATOM_EVAL_CHUNK // 64
+    group = ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
     for start in range(0, len(vals), group):
         pending = list(range(start, min(start + group, len(vals))))
         if p ** dim <= ATOM_EXHAUST_LIMIT:
@@ -201,21 +207,17 @@ def find_in_atoms(
                 raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
             continue
 
-        # Each label's candidates are drawn a chunk at a time and each chunk is
-        # tested before the next is drawn.  The generator yields the same rows
-        # however the draws are split, so the first hit does not depend on the
-        # chunk sizes or on which labels share an evaluation.
+        # Each pending label draws a chunk of candidates per round, and every
+        # chunk is tested before the next is drawn.  The generator yields the
+        # same rows however the draws are split, so the first hit does not
+        # depend on the chunk size or on which labels share an evaluation.
         rngs = {i: derive_rng(seeds[i], "find-in-atom") for i in pending}
-        tried, chunk = 0, 64
+        tried = 0
         while pending and tried < ATOM_SAMPLE_BUDGET:
-            size = min(chunk, ATOM_SAMPLE_BUDGET - tried)
-            step = ATOM_EVAL_CHUNK // size
-            for j in range(0, len(pending), step):
-                owners = pending[j:j + step]
-                settle(owners, np.stack([rngs[i].integers(0, p, size=(size, dim)) for i in owners]))
+            size = min(ATOM_DRAW_CHUNK, ATOM_SAMPLE_BUDGET - tried)
+            settle(pending, np.stack([rngs[i].integers(0, p, size=(size, dim)) for i in pending]))
             pending = [i for i in pending if found[i] is None]
             tried += size
-            chunk = min(chunk * 4, ATOM_EVAL_CHUNK)
         if pending:
             raise RuntimeError(f"sampling budget exhausted after {tried} draws")
     return found
@@ -419,252 +421,182 @@ class TargetValues:
     b: tuple[tuple[int, ...], ...]
 
 
-def _fnz_verdict(vals: Sequence[int], p: int) -> bool | None:
-    for v in vals:
-        if v % p != 0:
-            return v % p == 1
-    return None
+def _predicted_cells(vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-nonzero verdict of every grid cell of each target block, and whether it is defined.
+
+    vals is an (m, 2k-1, k) block of rows q, a_i, b_j (see target_table).
+    The cell (i, j) carries a_i + b_j - q with a_0 = b_0 = q, so the
+    boundary cells carry a_i, b_j and q themselves; a cell whose values are
+    all zero has no verdict.  Both results are (m, k, k) boolean arrays.
+    """
+    k = vals.shape[2]
+    q = vals[:, :1]
+    a, b = np.concatenate([q, vals[:, 1:k]], axis=1), np.concatenate([q, vals[:, k:]], axis=1)
+    cells = (a[:, :, None] + b[:, None] - q[:, None]) % p
+    nonzero = cells != 0
+    first = np.take_along_axis(cells, nonzero.argmax(axis=3)[..., None], axis=3)[..., 0]
+    return first == 1, nonzero.any(axis=3)
 
 
 def predicted_grid(tv: TargetValues, p: int) -> ContainmentMap:
     """Membership verdicts implied by the targets alone, via the first-nonzero rule.
 
-    Every cell value is determined: the grid cell (i, j) carries
-    a_i + b_j - q, the boundary cells carry a_i, b_j, q themselves.  Raises
-    if any cell is left with an all-zero prefix (membership would then
-    depend on uncontrolled higher forms).
+    The check target_table runs on every map, here on one.  Raises if any cell is left with an all-zero prefix (membership would
+    then depend on uncontrolled higher forms).
     """
-    k = tv.k
-    side = k  # grid [0, k-1]^2
-
-    def cell(i: int, j: int) -> tuple[int, ...]:
-        if i == 0 and j == 0:
-            return tv.q
-        if j == 0:
-            return tv.a[i - 1]
-        if i == 0:
-            return tv.b[j - 1]
-        return tuple((ai + bj - qq) % p for ai, bj, qq in zip(tv.a[i - 1], tv.b[j - 1], tv.q))
-
-    rows = []
-    for i in range(side):
-        row = []
-        for j in range(side):
-            v = _fnz_verdict(cell(i, j), p)
-            if v is None:
-                raise ValueError(f"cell ({i},{j}) has an all-zero value prefix")
-            row.append(v)
-        rows.append(tuple(row))
-    return ContainmentMap(side - 1, tuple(rows))
+    verdicts, defined = _predicted_cells(np.array([[tv.q, *tv.a, *tv.b]], dtype=np.int64), p)
+    if not defined.all():
+        i, j = np.argwhere(~defined[0])[0]
+        raise ValueError(f"cell ({i},{j}) has an all-zero value prefix")
+    return ContainmentMap(tv.k - 1, tuple(map(tuple, verdicts[0].tolist())))
 
 
-def _res(p: int, *vals: int) -> tuple[int, ...]:
-    """The residues of vals mod p."""
-    return tuple(v % p for v in vals)
+# The cases below read a batch of grid images g, a (k, k, images) boolean array
+# with g[i][j] True where the cell (i, j) lies in the set.  Each returns the
+# images it matches and, per image, its value rows q, a_1.., b_1.. as an
+# (images, 2k-1, k) array of small integers.
 
 
-def _targets_k2(g, p: int) -> TargetValues:
-    s = lambda v: 1 if v else 2
-    q = _res(p, 0, s(g[0][0]))
-    if g[1][1] == g[1][0]:
-        a, b = _res(p, s(g[1][0]), 0), _res(p, 0, s(g[0][1]))
-    elif g[1][1] == g[0][1]:
-        a, b = _res(p, 0, s(g[1][0])), _res(p, s(g[0][1]), 0)
-    elif g[1][1]:
-        a, b = _res(p, 2, 0), _res(p, -1, 0)
-    else:
-        a, b = _res(p, 1, 0), _res(p, 1, 0)
-    return TargetValues(2, q, (a,), (b,))
+def _s(v: np.ndarray) -> np.ndarray:
+    """The leading value that puts a cell in the set (1) or outside it (2)."""
+    return np.where(v, 1, 2)
 
 
-# Grid symmetries for the 3 x 3 case: optionally transpose (swap the roles of
-# X and Y), then swap x_1/x_2 (rows 1,2), then swap y_1/y_2 (columns 1,2).
-
-_SYMS = [(t, sx, sy) for t in (False, True) for sx in (False, True) for sy in (False, True)]
-
-
-def _apply_sym(g, sym):
-    t, sx, sy = sym
-    if t:
-        g = tuple(tuple(g[j][i] for j in range(3)) for i in range(3))
-    if sx:
-        g = (g[0], g[2], g[1])
-    if sy:
-        g = tuple((row[0], row[2], row[1]) for row in g)
-    return g
+def _vec(*entries) -> np.ndarray:
+    """A value row per image from entries that are ints or per-image arrays."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
-def _undo_sym_targets(tv: TargetValues, sym) -> TargetValues:
-    t, sx, sy = sym
-    a, b = list(tv.a), list(tv.b)
-    if sy:
-        b[0], b[1] = b[1], b[0]
-    if sx:
-        a[0], a[1] = a[1], a[0]
-    if t:
-        a, b = b, a
-    return TargetValues(tv.k, tv.q, tuple(a), tuple(b))
+def _rows(*rows) -> np.ndarray:
+    """Value rows, each a tuple of ints or an (images, k) array, stacked to (images, rows, k)."""
+    return np.stack(np.broadcast_arrays(*map(np.asarray, rows)), axis=-2)
+
+
+def _pick(table: dict, *cells: np.ndarray) -> np.ndarray:
+    """table[key] per image, the key being the tuple of the given cells' verdicts (one cell: its verdict)."""
+    lut = np.array([table[key if len(cells) > 1 else key[0]] for key in product((False, True), repeat=len(cells))])
+    return lut[sum(c.astype(np.intp) << (len(cells) - 1 - i) for i, c in enumerate(cells))]
+
+
+def _case_k2(g, p):
+    """The 2 x 2 grid: the interior cell agrees with its row's boundary cell, else its column's, else neither."""
+    row, col = g[1][1] == g[1][0], g[1][1] == g[0][1]
+    sa, sb = _s(g[1][0]), _s(g[0][1])
+    neither = _pick({True: ((2, 0), (-1, 0)), False: ((1, 0), (1, 0))}, g[1][1])
+    ab = np.where(row[:, None, None], _rows(_vec(sa, 0), _vec(0, sb)),
+                  np.where(col[:, None, None], _rows(_vec(0, sa), _vec(sb, 0)), neither))
+    return np.ones_like(row), np.concatenate([_vec(0, _s(g[0][0]))[:, None], ab], axis=1)
 
 
 def _case_const_row(g, p):
     """Row 1 constant including its boundary cell."""
-    if not (g[1][0] == g[1][1] == g[1][2]):
-        return None
-
-    a1 = _res(p, 1 if g[1][0] else -1, 0, 0)
-    q, a2 = {
-        (False, True): (_res(p, 0, 1, 1), _res(p, 0, 2, 2)),
-        (True, True): (_res(p, 0, 0, 1), _res(p, 0, 1, 2)),
-        (True, False): (_res(p, 0, 0, -1), _res(p, 0, 1, 0)),
-        (False, False): (_res(p, 0, -1, 1), _res(p, 0, 0, 2)),
-    }[(g[2][0], g[0][0])]
-    bsel = {
-        (True, True): _res(p, 0, 0, 1),
-        (False, True): _res(p, 0, 0, 2),
-        (True, False): _res(p, 0, 1, 0),
-        (False, False): _res(p, 0, -1, 1),
+    q_a2 = _pick({  # keyed by (g[2][0], g[0][0])
+        (False, True): ((0, 1, 1), (0, 2, 2)),
+        (True, True): ((0, 0, 1), (0, 1, 2)),
+        (True, False): ((0, 0, -1), (0, 1, 0)),
+        (False, False): ((0, -1, 1), (0, 0, 2)),
+    }, g[2][0], g[0][0])
+    bsel = {  # keyed by (g[0][j], g[2][j])
+        (True, True): (0, 0, 1),
+        (False, True): (0, 0, 2),
+        (True, False): (0, 1, 0),
+        (False, False): (0, -1, 1),
     }
-    b = tuple(bsel[(g[0][j], g[2][j])] for j in (1, 2))
-    return TargetValues(3, q, (a1, a2), b)
+    a1 = _vec(np.where(g[1][0], 1, -1), 0, 0)
+    return ((g[1][0] == g[1][1]) & (g[1][1] == g[1][2]),
+            _rows(q_a2[:, 0], a1, q_a2[:, 1], *(_pick(bsel, g[0][j], g[2][j]) for j in (1, 2))))
 
 
 def _case_const_rows_interior(g, p):
     """Both interior rows constant: per-row verdicts decouple."""
-    if not (g[1][1] == g[1][2] and g[2][1] == g[2][2]):
-        return None
-
-    q1 = 1 if g[0][0] else -1
-    rows = {
-        1: {
-            (False, True): _res(p, 2, 0, 0),
-            (True, True): _res(p, 1, 1, 0),
-            (True, False): _res(p, 0, 1, 0),
-            (False, False): _res(p, 0, 2, 0),
-        },
-        -1: {
-            (False, True): _res(p, -1, 1, 0),
-            (False, False): _res(p, -1, 2, 0),
-            (True, False): _res(p, 1, 0, 0),
-            (True, True): _res(p, 0, 1, 0),
-        },
-    }[q1]
-    a = tuple(rows[(g[i][0], g[i][1])] for i in (1, 2))
-    b = tuple(_res(p, 0, 0, 1 if g[0][j] else 2) for j in (1, 2))
-    return TargetValues(3, _res(p, q1, 0, 0), a, b)
+    rows = {  # keyed by (g[0][0], g[i][0], g[i][1])
+        (True, False, True): (2, 0, 0),
+        (True, True, True): (1, 1, 0),
+        (True, True, False): (0, 1, 0),
+        (True, False, False): (0, 2, 0),
+        (False, False, True): (-1, 1, 0),
+        (False, False, False): (-1, 2, 0),
+        (False, True, False): (1, 0, 0),
+        (False, True, True): (0, 1, 0),
+    }
+    a = (_pick(rows, g[0][0], g[i][0], g[i][1]) for i in (1, 2))
+    b = (_vec(0, 0, _s(g[0][j])) for j in (1, 2))
+    return ((g[1][1] == g[1][2]) & (g[2][1] == g[2][2]),
+            _rows(_vec(np.where(g[0][0], 1, -1), 0, 0), *a, *b))
 
 
-def _three_one_pattern(g) -> bool:
+def _three_one_pattern(g) -> np.ndarray:
     """Interior cells: (1,1) = (1,2) = (2,1) != (2,2), with row-1 boundary off."""
-    return g[1][0] != g[1][1] and g[1][1] == g[1][2] == g[2][1] and g[2][1] != g[2][2]
+    return (g[1][0] != g[1][1]) & (g[1][1] == g[1][2]) & (g[1][2] == g[2][1]) & (g[2][1] != g[2][2])
 
 
 def _case_31(g, p):
-    if not _three_one_pattern(g) or g[2][0] != g[0][0]:
-        return None
-
-    z1 = 1 if g[0][0] else -1
-    q = _res(p, z1, 0, 0)
-    a2 = _res(p, z1, 1, 0)
-    a1 = {
-        (1, True): _res(p, 2, 0, 0),
-        (1, False): _res(p, 0, 1, 0),
-        (-1, False): _res(p, 1, 0, 0),
-        (-1, True): _res(p, 0, 2, 0),
-    }[(z1, g[1][1])]
-    brow = {
-        (True, False): (1, 0),
-        (True, True): (0, 1),
-        (False, True): (0, 2),
-        (False, False): (-1, 2),
+    z1 = np.where(g[0][0], 1, -1)
+    a1 = _pick({  # keyed by (g[0][0], g[1][1])
+        (True, True): (2, 0, 0),
+        (True, False): (0, 1, 0),
+        (False, False): (1, 0, 0),
+        (False, True): (0, 2, 0),
+    }, g[0][0], g[1][1])
+    brow = {  # keyed by (g[0][j], g[2][j])
+        (True, False): (0, 1, 0),
+        (True, True): (0, 0, 1),
+        (False, True): (0, 0, 2),
+        (False, False): (0, -1, 2),
     }
-    b = tuple(_res(p, 0, *brow[(g[0][j], g[2][j])]) for j in (1, 2))
-    return TargetValues(3, q, (a1, a2), b)
+    return (_three_one_pattern(g) & (g[2][0] == g[0][0]),
+            _rows(_vec(z1, 0, 0), a1, _vec(z1, 1, 0), *(_pick(brow, g[0][j], g[2][j]) for j in (1, 2))))
 
 
 def _case_32(g, p):
-    if not _three_one_pattern(g) or g[0][1] != g[0][2]:
-        return None
-
-    zeta = 1 if g[2][0] else -1
-    eps = -zeta
-    a2 = _res(p, zeta, 0, 0)
-    rows = {
-        (-1, True, False): ((1, 0), _res(p, 2, 0, 0)),
-        (-1, True, True): ((0, 1), _res(p, 1, 1, 0)),
-        (-1, False, False): ((-1, 2), _res(p, 0, 2, 0)),
-        (-1, False, True): ((0, 2), _res(p, 1, 2, 0)),
-        (1, False, False): ((0, 2), _res(p, -1, 2, 0)),
-        (1, False, True): ((2, 0), _res(p, 1, 0, 0)),
-        (1, True, True): ((1, 1), _res(p, 0, 1, 0)),
-        (1, True, False): ((0, 1), _res(p, -1, 1, 0)),
-    }
-    pat, q = rows[(eps, g[0][1], g[0][0])]
-    b = tuple(_res(p, pat[0], pat[1], 1 if g[2][j] else 2) for j in (1, 2))
-    a1 = {
-        (-1, False): _res(p, 0, 0, 1),
-        (-1, True): _res(p, 2, 0, 0),
-        (1, True): _res(p, 0, 0, 2),
-        (1, False): _res(p, 1, 0, 0),
-    }[(eps, g[1][1])]
-    return TargetValues(3, q, (a1, a2), b)
+    pat_q = _pick({  # keyed by (g[2][0], g[0][1], g[0][0]): the pattern of b_j's first two values, then q
+        (True, True, False): ((1, 0, 0), (2, 0, 0)),
+        (True, True, True): ((0, 1, 0), (1, 1, 0)),
+        (True, False, False): ((-1, 2, 0), (0, 2, 0)),
+        (True, False, True): ((0, 2, 0), (1, 2, 0)),
+        (False, False, False): ((0, 2, 0), (-1, 2, 0)),
+        (False, False, True): ((2, 0, 0), (1, 0, 0)),
+        (False, True, True): ((1, 1, 0), (0, 1, 0)),
+        (False, True, False): ((0, 1, 0), (-1, 1, 0)),
+    }, g[2][0], g[0][1], g[0][0])
+    a1 = _pick({  # keyed by (g[2][0], g[1][1])
+        (True, False): (0, 0, 1),
+        (True, True): (2, 0, 0),
+        (False, True): (0, 0, 2),
+        (False, False): (1, 0, 0),
+    }, g[2][0], g[1][1])
+    a2 = _vec(np.where(g[2][0], 1, -1), 0, 0)
+    b = (pat_q[:, 0] + _vec(0, 0, _s(g[2][j])) for j in (1, 2))
+    return _three_one_pattern(g) & (g[0][1] == g[0][2]), _rows(pat_q[:, 1], a1, a2, *b)
 
 
 def _case_33(g, p):
-    if not _three_one_pattern(g):
-        return None
-    u = g[0][0]
-    expected = (
-        (u, u, not u),
-        (u, not u, not u),
-        (not u, not u, u),
-    )
-    if g != expected:
-        return None
-
-    if u:
-        return TargetValues(3, _res(p, 0, 0, 1), (_res(p, 0, 1, 0), _res(p, 2, 0, 0)),
-                            (_res(p, 0, 1, 0), _res(p, -1, 0, 0)))
-    return TargetValues(3, _res(p, 0, 0, 2), (_res(p, 0, 2, 0), _res(p, 1, 0, 0)),
-                        (_res(p, 0, -1, 0), _res(p, 1, 0, 0)))
+    """The grid (u, u, not u), (u, not u, not u), (not u, not u, u) with u = g[0][0]."""
+    shape = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=bool)[:, :, None]
+    return (g == (shape == g[0][0])).all(axis=(0, 1)), _pick({
+        True: ((0, 0, 1), (0, 1, 0), (2, 0, 0), (0, 1, 0), (-1, 0, 0)),
+        False: ((0, 0, 2), (0, 2, 0), (1, 0, 0), (0, -1, 0), (1, 0, 0)),
+    }, g[0][0])
 
 
-def _diagonal(g) -> bool:
-    return g[1][1] == g[2][2] and g[1][2] == g[2][1] and g[1][1] != g[1][2]
+def _diagonal(g) -> np.ndarray:
+    return (g[1][1] == g[2][2]) & (g[1][2] == g[2][1]) & (g[1][1] != g[1][2])
 
 
 def _case_41(g, p):
-    if not _diagonal(g) or not (g[0][1] and g[1][1]) or g[0][1] == g[0][2]:
-        return None
-
-    q = _res(p, 0, 0, 1 if g[0][0] else 2)
-    a1 = _res(p, 0, 0, 1 if g[1][0] else 2)
-    b1 = _res(p, 1, 2, 0)
-    if g[2][0]:
-        a2, b2 = _res(p, 1, 0, 0), _res(p, -1, 1, 0)
-    else:
-        a2, b2 = _res(p, -1, 0, 0), _res(p, 2, 0, 0)
-    return TargetValues(3, q, (a1, a2), (b1, b2))
+    a2_b2 = _pick({True: ((1, 0, 0), (-1, 1, 0)), False: ((-1, 0, 0), (2, 0, 0))}, g[2][0])
+    return (_diagonal(g) & g[0][1] & g[1][1] & (g[0][1] != g[0][2]),
+            _rows(_vec(0, 0, _s(g[0][0])), _vec(0, 0, _s(g[1][0])), a2_b2[:, 0], (1, 2, 0), a2_b2[:, 1]))
 
 
 def _case_42(g, p):
-    if not _diagonal(g) or not (g[0][1] and g[1][1]):
-        return None
-    if g[0][1] != g[0][2] or g[1][0] != g[2][0]:
-        return None
-
-    if g[1][0]:
-        q = _res(p, 0, 0, 1 if g[0][0] else 2)
-        a = (_res(p, 0, 1, 0), _res(p, 1, 0, 0))
-        b = (_res(p, 1, 0, 0), _res(p, 0, 1, 0))
-    elif g[0][0]:
-        q = _res(p, 0, 0, 1)
-        a = (_res(p, -1, 1, 1), _res(p, -1, 0, 0))
-        b = (_res(p, 1, 0, 0), _res(p, 1, 1, 0))
-    else:
-        q = _res(p, 0, 0, -1)
-        a = (_res(p, -1, 1, 0), _res(p, -1, 0, 1))
-        b = (_res(p, 1, 0, 0), _res(p, 1, 1, 0))
-    return TargetValues(3, q, a, b)
+    return _diagonal(g) & g[0][1] & g[1][1] & (g[0][1] == g[0][2]) & (g[1][0] == g[2][0]), _pick({
+        # keyed by (g[1][0], g[0][0]): rows q, a_1, a_2, b_1, b_2
+        (True, True): ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)),
+        (True, False): ((0, 0, 2), (0, 1, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)),
+        (False, True): ((0, 0, 1), (-1, 1, 1), (-1, 0, 0), (1, 0, 0), (1, 1, 0)),
+        (False, False): ((0, 0, -1), (-1, 1, 0), (-1, 0, 1), (1, 0, 0), (1, 1, 0)),
+    }, g[1][0], g[0][0])
 
 
 def _case_43(g, p):
@@ -673,59 +605,81 @@ def _case_43(g, p):
     No grid symmetry can bring such a map into the reach of the other
     diagonal cases, so it gets its own prescription.
     """
-    if not _diagonal(g) or g[0][1] or g[0][2] or g[1][0] or g[2][0]:
-        return None
-
-    w = 1 if g[0][0] else 2
     if p == 3:
-        al = ((0, 2), (2, 0))
-        be_diag = ((0, 2), (2, 0))  # sums: (0,4)->in, (2,2)->out, (4,0)->in
+        al = ((0, 2, 0), (2, 0, 0))
+        be_diag = ((0, 2, 0), (2, 0, 0))  # sums: (0,4)->in, (2,2)->out, (4,0)->in
     else:
-        al = ((2, 0), (p - 1, 0))
-        be_diag = ((p - 1, 0), (2, 0))  # sums: (1,0)->in, (4,0)->out, (-2,0)->out
-    be = be_diag if g[1][1] else (be_diag[1], be_diag[0])
-    q = _res(p, 0, 0, w)
-    a = tuple(_res(p, x0, x1, w) for x0, x1 in al)
-    b = tuple(_res(p, y0, y1, w) for y0, y1 in be)
-    return TargetValues(3, q, a, b)
+        al = ((2, 0, 0), (-1, 0, 0))
+        be_diag = ((-1, 0, 0), (2, 0, 0))  # sums: (1,0)->in, (4,0)->out, (-2,0)->out
+    be = _pick({True: be_diag, False: be_diag[::-1]}, g[1][1])
+    w = _vec(0, 0, _s(g[0][0]))[:, None]  # the last value of every row
+    return (_diagonal(g) & ~(g[0][1] | g[0][2] | g[1][0] | g[2][0]),
+            _rows((0, 0, 0), *al, be[:, 0], be[:, 1]) + w)
 
 
-_CASES_K3 = (
-    _case_const_row,
-    _case_const_rows_interior,
-    _case_31,
-    _case_32,
-    _case_33,
-    _case_41,
-    _case_42,
-    _case_43,
-)
+def _sym_cells(t: bool, sx: bool, sy: bool) -> list[int]:
+    """For each image cell i*3 + j, the map cell it shows under one grid symmetry of the 3 x 3 case.
+
+    The symmetry optionally transposes (swaps the roles of X and Y), then
+    swaps x_1/x_2 (rows 1, 2), then y_1/y_2 (columns 1, 2).
+    """
+    r = lambda i, swap: (0, 2, 1)[i] if swap else i
+    return [r(j, sy) * 3 + r(i, sx) if t else r(i, sx) * 3 + r(j, sy) for i in range(3) for j in range(3)]
+
+
+_SYMS = {2: np.arange(4)[None], 3: np.array([_sym_cells(*s) for s in product((False, True), repeat=3)])}
+_CASES = {
+    2: (_case_k2,),
+    3: (_case_const_row, _case_const_rows_interior, _case_31, _case_32, _case_33, _case_41, _case_42, _case_43),
+}
+
+
+def target_table(indices, k: int, p: int) -> np.ndarray:
+    """Prescribed Q-values realizing each map index on the [0, k-1]^2 grid, all maps at once.
+
+    Row m of the (maps, 2k-1, k) result holds, reduced mod p, the values of
+    Q_1..Q_k that map indices[m] prescribes at z (q), at x_i + z (a_i) and
+    at y_j + z (b_j), in that order.  A map takes the first case in _CASES
+    order that matches one of its images, images in _SYMS order, and the
+    symmetry is undone by permuting the rows.  Self-certifying: every map's
+    predicted grid (see predicted_grid) must equal the map, and an unmatched
+    or mispredicted map raises RuntimeError (a table transcription bug).
+    """
+    if k not in _CASES:
+        raise ValueError(f"only the 2 x 2 and 3 x 3 grids are supported, not {k} x {k}")
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if ((idx < 0) | (idx >= 1 << k * k)).any():
+        raise ValueError(f"map index outside [0, {1 << k * k})")
+    cells = ((idx[:, None] >> np.arange(k * k)) & 1) == 0  # True: the cell lies in the set
+    syms = _SYMS[k]
+    g = cells[:, syms].reshape(-1, k, k).transpose(1, 2, 0)  # images map by map, _SYMS order within
+    bound = [i * k for i in range(k)] + list(range(1, k))  # the cells of q, a_i, b_j
+    # under symmetry s, an image's value row r belongs to the map's row undo[s][r]
+    undo = np.array([[bound.index(src[c]) for c in bound] for src in syms.tolist()])
+    out = np.zeros((len(idx), 2 * k - 1, k), dtype=np.int64)
+    todo = np.ones(len(idx), dtype=bool)
+    for case in _CASES[k]:
+        mask, vals = case(g, p)
+        mask = mask.reshape(len(idx), len(syms)) & todo[:, None]
+        rows = np.flatnonzero(mask.any(axis=1))
+        sym = mask[rows].argmax(axis=1)
+        out[rows[:, None], undo[sym]] = vals.reshape(len(idx), len(syms), 2 * k - 1, k)[rows, sym]
+        todo[rows] = False
+    if todo.any():
+        raise RuntimeError(f"no case matched map index {idx[todo.argmax()]}")
+    out %= p
+    verdicts, defined = _predicted_cells(out, p)
+    bad = ~(defined & (verdicts == cells.reshape(-1, k, k))).all(axis=(1, 2))
+    if bad.any():
+        raise RuntimeError(f"case table bug: predicted grid mismatch at map index {idx[bad.argmax()]}")
+    return out
 
 
 def target_values_for_map(phi: ContainmentMap, p: int) -> TargetValues:
-    """Prescribed Q-values realizing phi on the [0, k-1]^2 grid, k inferred from phi.
-
-    Self-certifying: predicted_grid(result, p) always equals phi; an
-    unmatched map is a hard error (it would mean a table transcription bug).
-    """
-    if not phi.is_total():
-        raise ValueError("phi must be total")
+    """Prescribed Q-values realizing the total map phi on the [0, k-1]^2 grid, k inferred from phi: target_table for the one map."""
     k = phi.k + 1
-    g = phi.verdicts
-    if k == 2:
-        tv = _targets_k2(g, p)
-    elif k == 3:
-        # the first case in _CASES_K3 order matching an image, images in _SYMS order
-        images = [(sym, _apply_sym(g, sym)) for sym in _SYMS]
-        tv = next((_undo_sym_targets(got, sym) for case in _CASES_K3 for sym, img in images
-                   if (got := case(img, p)) is not None), None)
-        if tv is None:
-            raise RuntimeError(f"no case matched map index {phi.to_index()}")
-    else:
-        raise ValueError("grids larger than [0,2]^2 are not supported")
-    if predicted_grid(tv, p).verdicts != phi.verdicts:
-        raise RuntimeError(f"case table bug: predicted grid mismatch at map index {phi.to_index()}")
-    return tv
+    rows = target_table([phi.to_index()], k, p)[0].tolist()
+    return TargetValues(k, tuple(rows[0]), tuple(map(tuple, rows[1:k])), tuple(map(tuple, rows[k:])))
 
 
 def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> np.ndarray:
@@ -739,19 +693,19 @@ def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], see
     The atom label subtracts, per point u and form index t, both the shift
     value q_t and the point's own value Q_t(u) from the target.  All atoms
     are searched in one find_in_atoms call, map phi with the seed
-    derive_seed_for_map(seed, phi), and every grid is re-verified against
-    direct membership in one call before returning.
+    derive_seed_for_map(seed, phi), after one target_table call has built
+    and self-checked every map's targets, and every grid is re-verified
+    against direct membership in one call before returning.
     """
     if any(phi.k + 1 != c.k for phi in maps):
         raise ValueError("map grid does not match the construction size")
     if not maps:
         return []
     p, k = c.basis.ctx.p, c.k
-    tvs = [target_values_for_map(phi, p) for phi in maps]
-    q = np.array([tv.q for tv in tvs], dtype=np.int64)
+    vals = target_table([phi.to_index() for phi in maps], k, p)
     own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
-    lin = (np.array([tv.a + tv.b for tv in tvs], dtype=np.int64) - q[:, None] - own) % p
-    labels = np.concatenate([lin.reshape(len(maps), -1), q], axis=1)
+    lin = (vals[:, 1:] - vals[:, :1] - own) % p
+    labels = np.concatenate([lin.reshape(len(maps), -1), vals[:, 0]], axis=1)
     zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, phi) for phi in maps]))
     want = np.array([[v for row in phi.verdicts for v in row] for phi in maps])
     if (grid_verdicts(QgsSet(c.basis), c.X, c.Y, zs) != want).any():

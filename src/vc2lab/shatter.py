@@ -77,6 +77,10 @@ class ContainmentMap:
     @staticmethod
     def from_index(k: int, idx: int) -> "ContainmentMap":
         side = k + 1
+        if k < 0:
+            raise ValueError(f"grid size k = {k} is negative")
+        if not 0 <= idx < 1 << side * side:
+            raise ValueError(f"map index {idx} outside [0, {1 << side * side})")
         rows = tuple(
             tuple(not (idx >> (i * side + j)) & 1 for j in range(side))
             for i in range(side)

@@ -99,12 +99,11 @@ def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, 
 
 def test_vc2_verify_with_a_wrong_shift_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch):
     import vc2lab.factor as factor
-    from vc2lab.shatter import ContainmentMap
 
     # map 5 is given map 6's targets, so the shift found for it realizes map 6 instead
-    honest = factor.target_values_for_map
-    monkeypatch.setattr(factor, "target_values_for_map",
-                        lambda phi, p: honest(ContainmentMap.from_index(1, 6) if phi.to_index() == 5 else phi, p))
+    honest = factor.target_table
+    monkeypatch.setattr(factor, "target_table",
+                        lambda idx, k, p: honest([6 if i == 5 else i for i in idx], k, p))
     cert = tmp_path / "vc2.json"
     code = main(["vc2-verify", "--k", "2", "--p", "3", "--n", "13", "--cert", str(cert)])
     err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
     AtomLabel,
     QuadraticFactor,
+    TargetValues,
     atom_census,
     atom_label,
     check_cross_term_range,
@@ -39,9 +40,11 @@ from vc2lab.factor import (
     random_zero_cross_term_sets,
     realize_map,
     realize_maps,
+    target_table,
     target_values_for_map,
     zero_forcing_map,
 )
+import targets_reference
 
 ctx3 = FieldCtx(3)
 ctx5 = FieldCtx(5)
@@ -252,25 +255,88 @@ def test_atom_census_single_quadratic_level_sets(basis9):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+def _tables_equal_the_scalar_reference(k, p):
+    """The array table on every map equals the scalar reference row for row, and predicts the map."""
+    table = target_table(np.arange(1 << (k * k)), k, p)
+    for idx, rows in enumerate(table.tolist()):
+        phi = ContainmentMap.from_index(k - 1, idx)
+        tv = targets_reference.target_values(phi, p)
+        assert rows == [list(tv.q), *map(list, tv.a), *map(list, tv.b)]
+        assert target_values_for_map(phi, p) == tv
+        assert predicted_grid(tv, p) == targets_reference.predicted_grid(tv, p) == phi
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_k2_tables_cover_all_maps(p):
-    for idx in range(16):
-        phi = ContainmentMap.from_index(1, idx)
-        tv = target_values_for_map(phi, p)
-        assert predicted_grid(tv, p).verdicts == phi.verdicts
+    _tables_equal_the_scalar_reference(2, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_k3_tables_cover_all_maps(p):
-    for idx in range(512):
-        phi = ContainmentMap.from_index(2, idx)
-        tv = target_values_for_map(phi, p)
-        assert predicted_grid(tv, p).verdicts == phi.verdicts
+    _tables_equal_the_scalar_reference(3, p)
+
+
+def test_target_table_takes_indices_in_any_order():
+    idx = [511, 0, 77, 77, 300]
+    assert np.array_equal(target_table(idx, 3, 5), target_table(np.arange(512), 3, 5)[idx])
+    assert target_table([], 3, 5).shape == (0, 5, 3)
+
+
+def test_predicted_grid_rejects_an_all_zero_cell():
+    tv = TargetValues(2, (0, 1), ((0, 2),), ((0, 2),))  # a + b - q = (0, 3) at the interior cell
+    for predict in (predicted_grid, targets_reference.predicted_grid):
+        with pytest.raises(ValueError, match=r"cell \(1,1\) has an all-zero value prefix"):
+            predict(tv, 3)
 
 
 def test_target_values_reject_partial_maps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partial map has no index"):
         target_values_for_map(zero_forcing_map(), 3)
+
+
+@pytest.mark.parametrize("k,idx", [(0, 1), (3, 0)])
+def test_target_tables_name_the_supported_grid_sizes(k, idx):
+    with pytest.raises(ValueError, match="only the 2 x 2 and 3 x 3 grids are supported"):
+        target_values_for_map(ContainmentMap.from_index(k, idx), 3)
+
+
+@pytest.mark.parametrize("idx", [-1, 16, 1 << 40])
+def test_target_table_rejects_indices_out_of_range(idx):
+    with pytest.raises(ValueError, match=r"map index outside \[0, 16\)"):
+        target_table([0, idx], 2, 3)
+
+
+def test_a_corrupted_case_table_raises_before_any_search(basis13, monkeypatch):
+    import vc2lab.factor as factor
+
+    case = factor._CASES[2][0]
+
+    def corrupted(g, p):
+        # map 5's value rows are moved one step, so its predicted grid is no longer map 5
+        mask, vals = case(g, p)
+        five = (g.reshape(4, -1).T == np.ravel(ContainmentMap.from_index(1, 5).verdicts)).all(axis=1)
+        return mask, vals + five[:, None, None]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_in_atoms ran on a corrupted table")
+
+    c = construct_shatter_pair(basis13, 2, seed=0)
+    monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 2: (corrupted,)})
+    monkeypatch.setattr(factor, "find_in_atoms", no_search)
+    with pytest.raises(RuntimeError, match="case table bug: predicted grid mismatch at map index 5"):
+        realize_maps(c, _all_maps(2), seed=0)
+    with pytest.raises(RuntimeError, match="case table bug"):
+        target_values_for_map(ContainmentMap.from_index(1, 5), 3)
+    # a case that matches no map leaves every map unmatched
+    monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 2: (lambda g, p: (np.zeros(g.shape[2], bool), case(g, p)[1]),)})
+    with pytest.raises(RuntimeError, match="no case matched map index 0"):
+        realize_maps(c, _all_maps(2), seed=0)
+    # on the 3 x 3 grid, one k=3 case with every value moved one step
+    cases = list(factor._CASES[3])
+    cases[4] = lambda g, p: (lambda mask, vals: (mask, vals + 1))(*factor._case_33(g, p))
+    monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 3: tuple(cases)})
+    with pytest.raises(RuntimeError, match="case table bug: predicted grid mismatch"):
+        target_table(np.arange(512), 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +415,10 @@ def test_realize_maps_rejects_a_corrupted_target_table(basis13, monkeypatch):
     import vc2lab.factor as factor
 
     c = construct_shatter_pair(basis13, 2, seed=0)
-    honest = factor.target_values_for_map
+    honest = factor.target_table
     # map 5 is given map 6's targets, so its atom holds shifts realizing map 6 instead
-    monkeypatch.setattr(factor, "target_values_for_map",
-                        lambda phi, p: honest(ContainmentMap.from_index(1, 6) if phi.to_index() == 5 else phi, p))
+    monkeypatch.setattr(factor, "target_table",
+                        lambda idx, k, p: honest([6 if i == 5 else i for i in idx], k, p))
     with pytest.raises(RuntimeError, match="realization failed verification"):
         realize_maps(c, _all_maps(2), seed=0)
     assert len(realize_maps(c, _all_maps(2)[:5], seed=0)) == 5

@@ -275,6 +275,19 @@ def test_containment_map_index_round_trip():
     # index 0 is the all-in-set map
     phi = ContainmentMap.from_index(1, 0)
     assert all(v for row in phi.verdicts for v in row)
+    assert ContainmentMap.from_index(0, 0).verdicts == ((True,),)
+
+
+@pytest.mark.parametrize("k,idx,message", [
+    (2, 512, r"map index 512 outside \[0, 512\)"),
+    (2, -1, r"map index -1 outside \[0, 512\)"),
+    (1, 1 << 40, r"outside \[0, 16\)"),
+    (-1, 0, "grid size k = -1 is negative"),
+    (-3, 0, "grid size k = -3 is negative"),
+])
+def test_containment_map_from_index_rejects_out_of_range_input(k, idx, message):
+    with pytest.raises(ValueError, match=message):
+        ContainmentMap.from_index(k, idx)
 
 
 @pytest.mark.parametrize("which", ["gs", "qgs", "explicit"])
