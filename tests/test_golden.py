@@ -121,3 +121,27 @@ def test_report_digest(capsys, command, p, n, seed):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_GOLDEN[(command, p, n, seed)]
+
+
+# Reports pinned byte for byte, both outcomes of shatter-check and of ramsey-find
+REPORT_BYTES = {
+    ("shatter-check", "--p", "3", "--n", "2", "--points", "0 0;1 0;2 0;0 1"): (1, (
+        '{"certificate":null,"command":"shatter-check","details":[["shatter",3,2,4,"missing=0"]],'
+        '"outcome":"fail","params":{"n":2,"p":3,"set":"gs","size":4},"seed":0,"value":{"missing_pattern":0}}\n')),
+    ("shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0;0 1 2;0 2 1"): (0, (
+        '{"certificate":null,"command":"shatter-check","details":[["shatter",3,3,3,"pass"]],'
+        '"outcome":"pass","params":{"n":3,"p":3,"set":"gs","size":3},"seed":0,"value":null}\n')),
+    ("ramsey-find", "--m", "3", "--n", "3", "--r", "2"): (1, (
+        '{"certificate":null,"command":"ramsey-find","details":[["ramsey",3,3,2,"none"]],'
+        '"outcome":"fail","params":{"m":3,"n":3,"q":3,"r":2,"s":3},"seed":0,"value":"none found"}\n')),
+    ("ramsey-find", "--m", "101", "--n", "101", "--r", "2", "--seed", "3"): (0, (
+        '{"certificate":null,"command":"ramsey-find","details":[["ramsey",101,101,2,2]],'
+        '"outcome":"pass","params":{"m":101,"n":101,"q":3,"r":2,"s":3},"seed":3,'
+        '"value":{"colour":2,"left":[4,9,17],"right":[0,5,44]}}\n')),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_BYTES), ids=[" ".join(a) for a in REPORT_BYTES])
+def test_report_bytes(capsys, argv):
+    code = main([*argv, "--format", "json"])
+    assert (code, capsys.readouterr().out) == REPORT_BYTES[argv]
