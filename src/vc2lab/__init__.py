@@ -15,13 +15,10 @@ from .shatter import (
     vc_dim,
 )
 from .factor import (
-    AtomLabel,
     CheckResult,
     QuadraticFactor,
     ShatterPairConstruction,
-    TargetValues,
     atom_census,
-    atom_label,
     check_cross_term_range,
     check_forced_zeros,
     construct_shatter_pair,
@@ -31,10 +28,8 @@ from .factor import (
     find_in_atoms,
     forced_zero_probe,
     planted_qualifying_sets,
-    predicted_grid,
     realize_map,
     realize_maps,
-    target_values_for_map,
     zero_forcing_map,
 )
 from .ramsey import (

@@ -163,23 +163,16 @@ def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
     a = _oracle(cfg)
     pts = _parse_points(cfg.extra["points"], cfg.p, cfg.n)
     result = shatters(a, pts)
-    if isinstance(result, ShatterCertificate):
-        path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(result, a))
-        return RunReport(
-            command="shatter-check",
-            params={"p": cfg.p, "n": cfg.n, "set": cfg.extra.get("set", "gs"), "size": len(pts)},
-            outcome="pass",
-            certificate=path,
-            seed=cfg.seed,
-            details=[["shatter", cfg.p, cfg.n, len(pts), "pass"]],
-        )
+    ok = isinstance(result, ShatterCertificate)
+    path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(result, a)) if ok else None
     return RunReport(
         command="shatter-check",
         params={"p": cfg.p, "n": cfg.n, "set": cfg.extra.get("set", "gs"), "size": len(pts)},
-        outcome="fail",
-        value={"missing_pattern": result.missing},
+        outcome="pass" if ok else "fail",
+        value=None if ok else {"missing_pattern": result.missing},
+        certificate=path,
         seed=cfg.seed,
-        details=[["shatter", cfg.p, cfg.n, len(pts), f"missing={result.missing}"]],
+        details=[["shatter", cfg.p, cfg.n, len(pts), "pass" if ok else f"missing={result.missing}"]],
     )
 
 
@@ -210,6 +203,8 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
     ctx = FieldCtx(cfg.p)
     basis = build_trace_basis(ctx, cfg.n)
     l, q = cfg.extra.get("l", 2), cfg.extra.get("q", 2)
+    if l < 0 or q < 0:
+        raise ValueError(f"--l and --q must be at least 0, got l = {l}, q = {q}")
     factor = QuadraticFactor(ctx, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1)))
     census = atom_census(factor, basis)
     sizes = sorted(census.values())
@@ -219,7 +214,7 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
         outcome="pass",
         value={"atoms": len(census), "min_size": sizes[0], "max_size": sizes[-1]},
         seed=cfg.seed,
-        details=[[",".join(str(v) for v in label.values), count] for label, count in sorted(census.items(), key=lambda kv: kv[0].values)],
+        details=[[",".join(map(str, label)), count] for label, count in sorted(census.items())],
     )
 
 
@@ -251,22 +246,14 @@ def _cmd_ramsey_find(cfg: RunConfig) -> RunReport:
         colouring = random_colouring(cfg.extra["m"], cfg.extra["n_right"], cfg.extra["r"], seed=cfg.seed)
     q, s = cfg.extra.get("q", 3), cfg.extra.get("s", 3)
     witness = find_mono_biclique(colouring, q, s)
-    if witness is None:
-        return RunReport(
-            command="ramsey-find",
-            params={"m": colouring.m, "n": colouring.n, "r": colouring.r, "q": q, "s": s},
-            outcome="fail",
-            value="none found",
-            seed=cfg.seed,
-            details=[["ramsey", colouring.m, colouring.n, colouring.r, "none"]],
-        )
+    found = witness is not None
     return RunReport(
         command="ramsey-find",
         params={"m": colouring.m, "n": colouring.n, "r": colouring.r, "q": q, "s": s},
-        outcome="pass",
-        value={"left": list(witness.left), "right": list(witness.right), "colour": witness.colour},
+        outcome="pass" if found else "fail",
+        value={"left": list(witness.left), "right": list(witness.right), "colour": witness.colour} if found else "none found",
         seed=cfg.seed,
-        details=[["ramsey", colouring.m, colouring.n, colouring.r, witness.colour]],
+        details=[["ramsey", colouring.m, colouring.n, colouring.r, witness.colour if found else "none"]],
     )
 
 
@@ -421,13 +408,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report = dispatch(cfg)
+        payload = emit_report(report, cfg.format)
+        if cfg.output:
+            Path(cfg.output).write_bytes(payload)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = emit_report(report, cfg.format)
-    if cfg.output:
-        Path(cfg.output).write_bytes(payload)
-    else:
+    if not cfg.output:
         sys.stdout.write(payload.decode())
     print(f"# wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
     return 0 if report.outcome != "fail" else 1

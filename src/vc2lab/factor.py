@@ -93,13 +93,6 @@ class QuadraticFactor:
         return affine_solver(self.linear_polys, self.ctx.p)
 
 
-@dataclass(frozen=True)
-class AtomLabel:
-    """Prescribed values: linear values first, then quadratic values."""
-
-    values: tuple[int, ...]
-
-
 def _check_factor(f: QuadraticFactor, basis: HighRankBasis) -> None:
     for t in f.quad_indices:
         if not 1 <= t <= basis.n:
@@ -108,24 +101,14 @@ def _check_factor(f: QuadraticFactor, basis: HighRankBasis) -> None:
         raise ValueError("linear polynomial dimension mismatch")
 
 
-def atom_label(f: QuadraticFactor, basis: HighRankBasis, x) -> AtomLabel:
-    """Evaluate the factor's polynomials at the point x, linear then quadratic."""
-    _check_factor(f, basis)
-    q = QgsSet(basis)
-    x = as_points([x], q.p, q.n)[0]
-    lin = tuple(int(v) for v in matmul_mod(f.linear_polys, x, q.p))
-    quad = tuple(q.eval_q(t, x) for t in f.quad_indices)
-    return AtomLabel(lin + quad)
-
-
 def find_in_atom(
     f: QuadraticFactor,
     basis: HighRankBasis,
-    label: AtomLabel,
+    label: Sequence[int],
     seed: int = 0,
 ) -> np.ndarray:
-    """A point whose label matches: find_in_atoms for the one label."""
-    return find_in_atoms(f, basis, [label.values], [seed])[0]
+    """A point in the atom of label, linear values first: find_in_atoms for the one label."""
+    return find_in_atoms(f, basis, [label], [seed])[0]
 
 
 def find_in_atoms(
@@ -223,11 +206,12 @@ def find_in_atoms(
     return found
 
 
-def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int]:
+def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...], int]:
     """Exact atom sizes over the whole group (p**n <= 1e7), one count per label (p**D <= 1e7).
 
-    Checks |size - p**(n-D)| <= p**(n/2) for every label, including labels
-    of empty atoms; a violation raises.
+    Keys are the labels as tuples, linear values first.  Checks
+    |size - p**(n-D)| <= p**(n/2) for every label, including labels of
+    empty atoms; a violation raises.
     """
     _check_factor(f, basis)
     p, n = basis.ctx.p, basis.n
@@ -248,7 +232,7 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[AtomLabel, int
         bad = int(np.argmax((dev * dev) > p ** n))
         raise ValueError(f"atom size bound violated at label rank {bad}: size {int(counts[bad])}")
     labels = ranks_to_digits(np.arange(p ** d), p, d).tolist()
-    return {AtomLabel(tuple(label)): count for label, count in zip(labels, counts.tolist())}
+    return {tuple(label): count for label, count in zip(labels, counts.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +395,6 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TargetValues:
-    """Prescribed Q_{1..k} values at z (q), x_i + z (a), y_j + z (b)."""
-
-    k: int
-    q: tuple[int, ...]
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[tuple[int, ...], ...]
-
-
 def _predicted_cells(vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The first-nonzero verdict of every grid cell of each target block, and whether it is defined.
 
@@ -436,19 +410,6 @@ def _predicted_cells(vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     nonzero = cells != 0
     first = np.take_along_axis(cells, nonzero.argmax(axis=3)[..., None], axis=3)[..., 0]
     return first == 1, nonzero.any(axis=3)
-
-
-def predicted_grid(tv: TargetValues, p: int) -> ContainmentMap:
-    """Membership verdicts implied by the targets alone, via the first-nonzero rule.
-
-    The check target_table runs on every map, here on one.  Raises if any cell is left with an all-zero prefix (membership would
-    then depend on uncontrolled higher forms).
-    """
-    verdicts, defined = _predicted_cells(np.array([[tv.q, *tv.a, *tv.b]], dtype=np.int64), p)
-    if not defined.all():
-        i, j = np.argwhere(~defined[0])[0]
-        raise ValueError(f"cell ({i},{j}) has an all-zero value prefix")
-    return ContainmentMap(tv.k - 1, tuple(map(tuple, verdicts[0].tolist())))
 
 
 # The cases below read a batch of grid images g, a (k, k, images) boolean array
@@ -642,7 +603,7 @@ def target_table(indices, k: int, p: int) -> np.ndarray:
     at y_j + z (b_j), in that order.  A map takes the first case in _CASES
     order that matches one of its images, images in _SYMS order, and the
     symmetry is undone by permuting the rows.  Self-certifying: every map's
-    predicted grid (see predicted_grid) must equal the map, and an unmatched
+    predicted grid (see _predicted_cells) must equal the map, and an unmatched
     or mispredicted map raises RuntimeError (a table transcription bug).
     """
     if k not in _CASES:
@@ -673,13 +634,6 @@ def target_table(indices, k: int, p: int) -> np.ndarray:
     if bad.any():
         raise RuntimeError(f"case table bug: predicted grid mismatch at map index {idx[bad.argmax()]}")
     return out
-
-
-def target_values_for_map(phi: ContainmentMap, p: int) -> TargetValues:
-    """Prescribed Q-values realizing the total map phi on the [0, k-1]^2 grid, k inferred from phi: target_table for the one map."""
-    k = phi.k + 1
-    rows = target_table([phi.to_index()], k, p)[0].tolist()
-    return TargetValues(k, tuple(rows[0]), tuple(map(tuple, rows[1:k])), tuple(map(tuple, rows[k:])))
 
 
 def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> np.ndarray:

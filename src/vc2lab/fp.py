@@ -2,9 +2,8 @@
 
 Residues live in the canonical range [0, p).  A point of F_p^n is a
 length-n int64 row and a set of points an (m, n) int64 array of residues;
-as_points checks and reduces the points a caller passes.  Elimination runs
-on stacks of matrices (a leading batch axis), with one loop for reduced
-forms and one for ranks.  _rref computes reduced row echelon forms;
+as_points checks and reduces the points a caller passes.  Elimination has
+two loops.  _rref computes the reduced row echelon form of one matrix;
 affine solving, null spaces and orthogonal complements run on it.  It
 uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
 are scaled so their first nonzero coordinate is 1, which makes solved
@@ -13,20 +12,21 @@ bit-identical across runs and platforms.  It is exact for every p: int64
 while every product of two residues fits, (p-1)^2 < 2^63, Python integers
 beyond.
 
-Ranks (_rank_array) come from forward elimination with delayed modular
-reduction and no row swaps.  The matrices of a stack share their pivot
-row, the first row of what is left of them; a matrix whose pivot row is 0
-in the pivot column adds the first row below that is not, a row operation
-that leaves the rank alone.  Each column reduces only the pivot column and
-the pivot row mod p; the rows below take f * row with f and row in [0, p)
-and no reduction, so an entry drifts by at most (p-1)^2 per pivot and, a
-matrix meeting at most min(r, c) pivots, stays in (-min(r, c) (p-1)^2, p),
-while a pivot-row sum stays below 2p.  A matrix without a pivot in a
-column leaves the stack, and what is left of it is ranked as a stack of its
-own.  Ranks run in int16 while min(r, c) (p-1)^2 + 2p < 2^15, int64 or
-Python integers beyond, as above.  Both loops reduce arrays of 512 entries
-or more by floor division, x - p (x // p), since numpy divides by a scalar
-with SIMD but computes % one element at a time.
+Ranks (_rank_array) of a stack of matrices (a leading batch axis) come
+from forward elimination with delayed modular reduction and no row swaps.
+The matrices of a stack share their pivot row, the first row of what is
+left of them; a matrix whose pivot row is 0 in the pivot column adds the
+first row below that is not, a row operation that leaves the rank alone.
+Each column reduces only the pivot column and the pivot row mod p; the
+rows below take f * row with f and row in [0, p) and no reduction, so an
+entry drifts by at most (p-1)^2 per pivot and, a matrix meeting at most
+min(r, c) pivots, stays in (-min(r, c) (p-1)^2, p), while a pivot-row sum
+stays below 2p.  A matrix without a pivot in a column leaves the stack,
+and what is left of it is ranked as a stack of its own.  Ranks run in
+int16 while min(r, c) (p-1)^2 + 2p < 2^15, int64 or Python integers
+beyond, as above.  Both loops reduce arrays of 512 entries or more by
+floor division, x - p (x // p), since numpy divides by a scalar with SIMD
+but computes % one element at a time.
 
 Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
 every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
@@ -91,12 +91,6 @@ class FieldCtx:
             raise ValueError(f"p must be below {PRIME_BOUND}, the bound to which the primality test is exact")
         if not isinstance(self.p, int) or self.p < 3 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p!r}")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ValueError(f"not invertible: 0 mod {self.p}")
-        return pow(a, self.p - 2, self.p)
 
 
 def as_points(rows, p: int, n: int) -> np.ndarray:
@@ -196,50 +190,35 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms mod p of a stack of matrices, shape (..., r, c).
+    """Reduced row echelon form mod p of one (r, c) matrix.
 
     Pivots are chosen leftmost-column-first and, within a column, the first
     row (top to bottom) at or below the next pivot row with a nonzero entry.
-    Deterministic by design.  Returns the reduced stack and the (..., r) pivot
-    columns: row i of a matrix holds the pivot in pivots[..., i], -1 from its
-    rank on.  The arithmetic is exact for every p: int64 while every product
-    of two residues fits, (p-1)^2 < 2^63, Python integers beyond.
+    Deterministic by design.  Returns the reduced matrix and its (r,) pivot
+    columns: row i holds the pivot in pivots[i], -1 from the rank on.  The
+    arithmetic is exact for every p: int64 while every product of two
+    residues fits, (p-1)^2 < 2^63, Python integers beyond.
     """
-    a = np.asarray(a)
-    lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
-    count = math.prod(lead)
-    a = _residues(a.reshape(count, n_rows, n_cols), p)
-    # (r, c, batch): the batch axis is the inner loop of every row operation; always a copy
-    a = a.transpose(1, 2, 0).astype(_exact_dtype((p - 1) ** 2), order="C")
-    pivots = np.full((n_rows, count), -1, dtype=np.int64)
-    rank = np.zeros(count, dtype=np.int64)
-    row_idx = np.arange(n_rows)[:, None]
-    lo = 0 if count else n_rows  # rows above lo hold a pivot in every matrix
+    a = _residues(np.asarray(a), p).astype(_exact_dtype((p - 1) ** 2))  # always a copy
+    n_rows, n_cols = a.shape
+    pivots = np.full(n_rows, -1, dtype=np.int64)
+    r = 0
     for c in range(n_cols):
-        if lo == n_rows:
+        if r == n_rows:
             break
-        # column c, zeroed in the rows that hold a pivot
-        col = a[lo:, c] * (row_idx[lo:] >= rank)
-        # the matrices with a pivot in column c, their next pivot row r and the row i that moves there
-        ks = col.any(axis=0).nonzero()[0]
-        if ks.size == 0:
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
-        # the same matrices as a slice when they are all of them: views, not copies
-        some = slice(None) if ks.size == count else ks
-        r, i = rank[ks], (col[:, some] != 0).argmax(axis=0) + lo
         # every row from r down is zero left of column c, so only columns c: change
-        row = a[i, c:, ks].T
-        row = _mod(row * _inv_array(row[0], p), p)
-        # row r is zero in column c unless it is row i, which this clears
-        a[:, c:, some] = _mod(a[:, c:, some] - a[:, c:c + 1, some] * row, p)
-        # row i takes the row r it displaces
-        if (i != r).any():
-            a[i, c:, ks] = a[r, c:, ks]
-        a[r, c:, ks] = row.T
-        pivots[r, ks] = c
-        rank[some] += 1
-        lo = lo + 1 if ks.size == count else rank.min()
-    return a.transpose(2, 0, 1).reshape(*lead, n_rows, n_cols), pivots.T.reshape(*lead, n_rows)
+        i = r + nz[0]
+        row = _mod(a[i, c:] * _inv_array(a[i, c:c + 1], p), p)
+        # row i takes the row r it displaces, and row r the scaled pivot row after the elimination
+        a[i, c:] = a[r, c:]
+        a[:, c:] = _mod(a[:, c:] - a[:, c:c + 1] * row, p)
+        a[r, c:] = row
+        pivots[r] = c
+        r += 1
+    return a, pivots
 
 
 def _rank_dtype(n_rows: int, n_cols: int, p: int) -> type:
@@ -302,11 +281,12 @@ def mat_rank(a: np.ndarray, p: int) -> int:
     return int(_rank_array(a, p))
 
 
-def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, n_cols: int, p: int) -> np.ndarray:
+def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
     """One canonical null-space vector per free column of one reduced matrix, as rows.
 
     Each vector is scaled so that its first nonzero coordinate equals 1.
     """
+    n_cols = rref.shape[1]
     pivot_cols = pivots[pivots >= 0]
     is_free = np.ones(n_cols, dtype=bool)
     is_free[pivot_cols] = False
@@ -335,7 +315,7 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.n
         return None
     x = np.zeros(n_cols, dtype=rref.dtype)
     x[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols]
-    return x if p > 1 << 63 else x.astype(np.int64), _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
+    return x if p > 1 << 63 else x.astype(np.int64), _null_basis_from_rref(rref[:, :n_cols], pivots, p)
 
 
 def affine_solver(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -353,13 +333,13 @@ def affine_solver(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("affine_solver needs a matrix of full row rank")
     transform = np.zeros((n_cols, n_rows), dtype=np.int64)
     transform[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols:]
-    return transform, _null_basis_from_rref(rref[:, :n_cols], pivots, n_cols, p)
+    return transform, _null_basis_from_rref(rref[:, :n_cols], pivots, p)
 
 
 def orth_complement(vs: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {u : <u, v> = 0 for every row v of vs}, an (m, n) array; m = 0 gives the identity."""
     rref, pivots = _rref(vs, p)
-    return _null_basis_from_rref(rref, pivots, np.shape(vs)[1], p)
+    return _null_basis_from_rref(rref, pivots, p)
 
 
 def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -96,13 +96,6 @@ class QgsSet:
         """Q_t(x) = x^T M_t x mod p, with t in [1, n]."""
         return int(self._forms(t, as_points([x], self.p, self.n))[0])
 
-    def cross_term(self, t: int, x, y) -> int:
-        """2 x^T M_t y mod p, with t in [1, n]."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        x_row, y_row = as_points([x], self.p, self.n), as_points([y], self.p, self.n)
-        return int(cross_terms(x_row, y_row, self.basis.mats[t - 1:t], self.p)[0, 0, 0])
-
     contains = _contains
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:

@@ -105,10 +105,6 @@ class IrreduciblePoly:
         if not _is_irreducible(self.coeffs, self.ctx.p):
             raise ValueError("polynomial is reducible")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
     """Smallest monic irreducible of degree n, enumerating low coefficients fastest.

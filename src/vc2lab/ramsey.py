@@ -19,6 +19,13 @@ import numpy as np
 from .fp import derive_rng
 
 
+def _check_sizes(m: int, n: int, r: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be at least 0, got m = {m}, n = {n}")
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got r = {r}")
+
+
 @dataclass(frozen=True, eq=False)
 class BipartiteColouring:
     """r-colouring of the complete bipartite graph K_{m,n}; colours are 1-based."""
@@ -29,6 +36,7 @@ class BipartiteColouring:
     colours: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_sizes(self.m, self.n, self.r)
         c = np.asarray(self.colours, dtype=np.int32)
         if c.shape != (self.m, self.n):
             raise ValueError("colour array must be m x n")
@@ -58,6 +66,7 @@ class BipartiteColouring:
 
 
 def random_colouring(m: int, n: int, r: int, seed: int = 0) -> BipartiteColouring:
+    _check_sizes(m, n, r)
     rng = derive_rng(seed, "colouring")
     return BipartiteColouring(m, n, r, rng.integers(1, r + 1, size=(m, n)).astype(np.int32))
 

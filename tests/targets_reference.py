@@ -10,10 +10,20 @@ kernel factor.target_table must agree with target_values on every map.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from vc2lab.factor import TargetValues
 from vc2lab.shatter import ContainmentMap
+
+
+@dataclass(frozen=True)
+class TargetValues:
+    """Prescribed Q_{1..k} values at z (q), x_i + z (a), y_j + z (b)."""
+
+    k: int
+    q: tuple[int, ...]
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[tuple[int, ...], ...]
 
 
 def _fnz_verdict(vals: Sequence[int], p: int) -> bool | None:

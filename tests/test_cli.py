@@ -205,9 +205,18 @@ MISUSE = [
     # runs that would check nothing
     ["basis", "--p", "3", "--n", "5", "--mode", "sampled", "--count", "0"],
     ["prop32-check", "--p", "3", "--n", "5", "--instances", "0"],
+    # negative factor sizes
+    ["atom-census", "--p", "3", "--n", "5", "--q", "-1"],
+    ["atom-census", "--p", "3", "--n", "5", "--l", "-1"],
     ["ramsey-find", "--m", "x"],
     ["ramsey-find", "--m", "3", "--n", "3", "--r", "1", "--q", "0"],
+    # colourings of negative size or with no colour
+    ["ramsey-find", "--m", "3", "--n", "3", "--r", "0"],
+    ["ramsey-find", "--m", "-1", "--n", "3", "--r", "2"],
+    ["ramsey-find", "--m", "3", "--n", "-1", "--r", "2"],
     ["br-bound"],
+    # a report file in a directory that does not exist
+    ["br-bound", "--r", "2", "--output", "no-such-dir/report.txt"],
     ["verify-certificate"],
     ["verify-certificate", "no-such-file.json"],
     ["basis", "--p", "3", "--n", "3", "--format", "xml"],
@@ -226,6 +235,15 @@ def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv)
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["atom-census", "--p", "3", "--n", "5", "--q", "-1"], "q = -1"),
+    (["atom-census", "--p", "3", "--n", "5", "--l", "-1"], "l = -1"),
+])
+def test_atom_census_names_a_negative_size(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "3 3 2\n"], ids=["empty", "blank lines", "header only"])

@@ -16,16 +16,14 @@ from vc2lab.fp import (
     ranks_to_digits,
     solve_affine,
 )
-from vc2lab.gs import QgsSet
+from vc2lab.gs import QgsSet, cross_terms
 from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, _nonzero_rows, build_trace_basis
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes
 from vc2lab.factor import (
     ATOM_EXHAUST_LIMIT,
-    AtomLabel,
     QuadraticFactor,
-    TargetValues,
+    _predicted_cells,
     atom_census,
-    atom_label,
     check_cross_term_range,
     _construction_linear_polys,
     check_forced_zeros,
@@ -36,12 +34,10 @@ from vc2lab.factor import (
     find_in_atoms,
     forced_zero_probe,
     planted_qualifying_sets,
-    predicted_grid,
     random_zero_cross_term_sets,
     realize_map,
     realize_maps,
     target_table,
-    target_values_for_map,
     zero_forcing_map,
 )
 import targets_reference
@@ -72,12 +68,17 @@ def test_factor_rejects_dependent_linears():
         QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), (1, 1))
 
 
+def _atom_label(f, basis, x):
+    """The factor's values at the point x, linear values first."""
+    p = basis.ctx.p
+    mats = basis.mats[[t - 1 for t in f.quad_indices]]
+    return tuple(matmul_mod(f.linear_polys, x, p).tolist() + quad_forms(np.array([x]), mats, p)[0].tolist())
+
+
 def test_atom_label_examples(basis9):
     f = QuadraticFactor(ctx3, np.eye(1, 9, dtype=np.int64), (1,))
-    zero = np.zeros(9, dtype=np.int64)
-    assert atom_label(f, basis9, zero).values == (0, 0)
-    x = (2,) + (0,) * 8
-    assert atom_label(f, basis9, x).values[0] == 2
+    assert _atom_label(f, basis9, np.zeros(9, dtype=np.int64)) == (0, 0)
+    assert _atom_label(f, basis9, np.array((2,) + (0,) * 8))[0] == 2
 
 
 def test_find_in_atom_round_trip(basis9):
@@ -88,16 +89,15 @@ def test_find_in_atom_round_trip(basis9):
         for _ in range(4):
             vals.append(r % 3)
             r //= 3
-        label = AtomLabel(tuple(vals))
-        x = find_in_atom(f, basis9, label, seed=rank)
-        assert atom_label(f, basis9, x) == label
+        x = find_in_atom(f, basis9, vals, seed=rank)
+        assert _atom_label(f, basis9, x) == tuple(vals)
 
 
 def test_find_in_atom_rejects_high_complexity(basis5):
     f = QuadraticFactor(ctx3, np.eye(2, 5, dtype=np.int64), (1,))
     # complexity 3 >= 5/2: not guaranteed non-empty
     with pytest.raises(ValueError):
-        find_in_atom(f, basis5, AtomLabel((0, 0, 0)))
+        find_in_atom(f, basis5, (0, 0, 0))
 
 
 def _find_in_atom_full_scan(f, basis, label, seed):
@@ -110,11 +110,11 @@ def _find_in_atom_full_scan(f, basis, label, seed):
     p, n = basis.ctx.p, basis.n
     l = len(f.linear_polys)
     if l:
-        part, nb = solve_affine(f.linear_polys, np.array(label.values[:l], dtype=np.int64), p)
+        part, nb = solve_affine(f.linear_polys, np.array(label[:l], dtype=np.int64), p)
     else:
         part, nb = np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     mats = [basis.mats[t - 1].tolist() for t in f.quad_indices]
-    target = list(label.values[l:])
+    target = list(label[l:])
 
     def scan(alphas):
         for alpha in alphas:
@@ -150,7 +150,7 @@ def _random_factor(p, n, l, q, seed):
     if l and mat_rank(lin, p) != l:
         return None
     f = QuadraticFactor(ctx, lin, tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
-    label = AtomLabel(tuple(int(v) for v in rng.integers(0, p, l + q)))
+    label = tuple(int(v) for v in rng.integers(0, p, l + q))
     return f, basis, label
 
 
@@ -175,13 +175,13 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed, extra):
     assume(case is not None)
     f, basis, label = case
     z = find_in_atom(f, basis, label, seed=seed)
-    assert atom_label(f, basis, z) == label
+    assert _atom_label(f, basis, z) == label
     assert np.array_equal(z, _find_in_atom_full_scan(f, basis, label, seed))
-    batch = [(label.values, seed)] + _extra_labels(p, l, q, seed, extra)
+    batch = [(label, seed)] + _extra_labels(p, l, q, seed, extra)
     zs = find_in_atoms(f, basis, [vals for vals, _ in batch], [s for _, s in batch])
     assert len(zs) == len(batch) and np.array_equal(zs[0], z)
     for z, (vals, s) in zip(zs[1:], batch[1:]):
-        assert np.array_equal(z, _find_in_atom_full_scan(f, basis, AtomLabel(vals), s))
+        assert np.array_equal(z, _find_in_atom_full_scan(f, basis, vals, s))
 
 
 def test_find_in_atom_budget_counts_draws(monkeypatch):
@@ -190,10 +190,10 @@ def test_find_in_atom_budget_counts_draws(monkeypatch):
     import vc2lab.factor as factor
 
     f, basis, label = _random_factor(5, 13, 3, 3, 7)
-    batch = [(label.values, 7)] + _extra_labels(5, 3, 3, 7, 4)
+    batch = [(label, 7)] + _extra_labels(5, 3, 3, 7, 4)
     labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
     want = find_in_atom(f, basis, label, seed=7)
-    wants = [find_in_atom(f, basis, AtomLabel(vals), seed=s) for vals, s in zip(labels, seeds)]
+    wants = [find_in_atom(f, basis, vals, seed=s) for vals, s in zip(labels, seeds)]
     for budget in (0, 1, 64, 100, 436):
         monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
@@ -262,8 +262,7 @@ def _tables_equal_the_scalar_reference(k, p):
         phi = ContainmentMap.from_index(k - 1, idx)
         tv = targets_reference.target_values(phi, p)
         assert rows == [list(tv.q), *map(list, tv.a), *map(list, tv.b)]
-        assert target_values_for_map(phi, p) == tv
-        assert predicted_grid(tv, p) == targets_reference.predicted_grid(tv, p) == phi
+        assert targets_reference.predicted_grid(tv, p) == phi
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -283,21 +282,23 @@ def test_target_table_takes_indices_in_any_order():
 
 
 def test_predicted_grid_rejects_an_all_zero_cell():
-    tv = TargetValues(2, (0, 1), ((0, 2),), ((0, 2),))  # a + b - q = (0, 3) at the interior cell
-    for predict in (predicted_grid, targets_reference.predicted_grid):
-        with pytest.raises(ValueError, match=r"cell \(1,1\) has an all-zero value prefix"):
-            predict(tv, 3)
+    tv = targets_reference.TargetValues(2, (0, 1), ((0, 2),), ((0, 2),))  # a + b - q = (0, 3) at the interior cell
+    with pytest.raises(ValueError, match=r"cell \(1,1\) has an all-zero value prefix"):
+        targets_reference.predicted_grid(tv, 3)
+    _, defined = _predicted_cells(np.array([[tv.q, *tv.a, *tv.b]]), 3)
+    assert defined[0].tolist() == [[True, True], [True, False]]
 
 
-def test_target_values_reject_partial_maps():
+def test_target_values_reject_partial_maps(basis13):
+    partial = ContainmentMap(1, ((True, None), (False, True)))
     with pytest.raises(ValueError, match="partial map has no index"):
-        target_values_for_map(zero_forcing_map(), 3)
+        realize_maps(construct_shatter_pair(basis13, 2, seed=0), [partial], seed=0)
 
 
 @pytest.mark.parametrize("k,idx", [(0, 1), (3, 0)])
 def test_target_tables_name_the_supported_grid_sizes(k, idx):
     with pytest.raises(ValueError, match="only the 2 x 2 and 3 x 3 grids are supported"):
-        target_values_for_map(ContainmentMap.from_index(k, idx), 3)
+        target_table([idx], k + 1, 3)
 
 
 @pytest.mark.parametrize("idx", [-1, 16, 1 << 40])
@@ -326,7 +327,7 @@ def test_a_corrupted_case_table_raises_before_any_search(basis13, monkeypatch):
     with pytest.raises(RuntimeError, match="case table bug: predicted grid mismatch at map index 5"):
         realize_maps(c, _all_maps(2), seed=0)
     with pytest.raises(RuntimeError, match="case table bug"):
-        target_values_for_map(ContainmentMap.from_index(1, 5), 3)
+        target_table([5], 2, 3)
     # a case that matches no map leaves every map unmatched
     monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 2: (lambda g, p: (np.zeros(g.shape[2], bool), case(g, p)[1]),)})
     with pytest.raises(RuntimeError, match="no case matched map index 0"):
@@ -351,9 +352,7 @@ def test_construct_pair_k2_invariants(basis13):
     assert not (c.X.flags.writeable or c.h_star.flags.writeable or c.factor.linear_polys.flags.writeable)
     assert len(c.factor.linear_polys) == 4
     assert c.factor.complexity == 6
-    a = QgsSet(basis13)
-    for t in (1, 2):
-        assert a.cross_term(t, c.X[1], c.Y[1]) == 0
+    assert not cross_terms(c.X[1:2], c.Y[1:2], basis13.mats[:2], 3).any()
 
 
 def test_construct_pair_deterministic(basis13):
@@ -388,14 +387,14 @@ def test_k2_pipeline_realizes_all_maps(basis13):
 def _label_for_map(c, phi):
     """The atom label realize_maps searches for phi, computed point by point and form by form."""
     p = c.basis.ctx.p
-    tv = target_values_for_map(phi, p)
+    q, *targets = target_table([phi.to_index()], c.k, p)[0].tolist()
     a = QgsSet(c.basis)
     lin = [
-        (targ[t] - tv.q[t] - a.eval_q(t + 1, u)) % p
-        for u, targ in zip(list(c.X[1:]) + list(c.Y[1:]), list(tv.a) + list(tv.b))
+        (targ[t] - q[t] - a.eval_q(t + 1, u)) % p
+        for u, targ in zip(list(c.X[1:]) + list(c.Y[1:]), targets)
         for t in range(c.k)
     ]
-    return AtomLabel(tuple(lin) + tv.q)
+    return tuple(lin + q)
 
 
 @pytest.mark.parametrize("k,n", [(2, 13), (3, 31)])  # k=2: exhaustive branch; k=3: sampled
@@ -511,14 +510,11 @@ def test_forced_zero_probe_rejects_empty_runs(basis5, instances):
 
 
 def test_planted_instances_admit_realizers(basis5):
-    a = QgsSet(basis5)
     got = planted_qualifying_sets(basis5, seed=3)
     assert got is not None
     x, y = got
     # level-1 cross-terms vanish on the whole grid
-    for xi in x:
-        for yj in y:
-            assert a.cross_term(1, xi, yj) == 0
+    assert not cross_terms(x, y, basis5.mats[:1], 3).any()
 
 
 def _planted_qualifying_sets_reference(basis, seed=0):
@@ -628,7 +624,7 @@ def test_cross_term_range_p7_detects_outlier():
     while found is None:
         x = rng.integers(0, 7, 3)
         y = rng.integers(0, 7, 3)
-        if a.cross_term(1, x, y) in (3, 4):
+        if cross_terms(x[None], y[None], basis.mats[:1], 7)[0, 0, 0] in (3, 4):
             found = (x, y)
     x, y = found
     res = check_cross_term_range(a, (zero, x), (zero, y), 1)

@@ -10,6 +10,7 @@ from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
     _is_prime,
+    _inv_array,
     _narrow_dtype,
     _rank_array,
     _rank_dtype,
@@ -27,10 +28,6 @@ from vc2lab.fp import (
     shifted_ranks,
     solve_affine,
 )
-
-ctx3 = FieldCtx(3)
-ctx5 = FieldCtx(5)
-ctx7 = FieldCtx(7)
 
 primes = st.sampled_from([3, 5, 7])
 
@@ -85,18 +82,20 @@ def test_field_ctx_rejects_p_beyond_prime_bound():
 
 
 def test_scalar_inverse_examples():
-    assert ctx3.inv(2) == 2
-    assert ctx5.inv(3) == 2
-    assert ctx7.inv(1) == 1
+    assert _inv_array(np.array([2, 0]), 3).tolist() == [2, 0]
+    assert _inv_array(np.array([3, 0]), 5).tolist() == [2, 0]
+    assert _inv_array(np.array([1, 0]), 7).tolist() == [1, 0]
+    # by square-and-multiply beyond 2^15, in Python integers past int64
+    assert _inv_array(np.array([2, 0]), 32771).tolist() == [16386, 0]
+    assert _inv_array(np.array([2, 0], dtype=object), BIG_P).tolist() == [(BIG_P + 1) // 2, 0]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+# a table lookup up to 32749, the largest prime below 2^15, square-and-multiply from 32771 on
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 32749, 32771, 65537])
 def test_scalar_inverse_exhaustive(p):
-    ctx = FieldCtx(p)
-    for a in range(1, p):
-        assert (ctx.inv(a) * a) % p == 1
-    with pytest.raises(ValueError):
-        ctx.inv(0)
+    a = np.arange(p, dtype=np.int64)
+    inv = _inv_array(a, p)
+    assert inv[0] == 0 and (inv[1:] >= 0).all() and (inv[1:] * a[1:] % p == 1).all()
 
 
 def test_mat_rank_examples():
@@ -183,17 +182,15 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
     rnd = random.Random(seed)
     dims = {"square": (size, size), "wide": (size, size + 2), "tall": (size + 2, size)}[shape]
     mats = [_reference_matrix(rnd, p, dims, rank_deficient) for _ in range(batch)]
-    rref, pivots = _rref(np.array(mats, dtype=np.int64), p)
     ranks = _rank_array(np.array(mats, dtype=np.int64), p)
-    assert rref.shape == (batch, *dims) and pivots.shape == (batch, dims[0]) and ranks.shape == (batch,)
+    assert ranks.shape == (batch,)
     for k, m in enumerate(mats):
         want, want_piv = _rref_reference(m, p)
-        assert rref[k].tolist() == want
-        assert pivots[k].tolist() == want_piv + [-1] * (dims[0] - len(want_piv))
+        rref, pivots = _rref(np.array(m, dtype=np.int64), p)
+        assert rref.shape == dims and pivots.shape == (dims[0],)
+        assert rref.tolist() == want
+        assert pivots.tolist() == want_piv + [-1] * (dims[0] - len(want_piv))
         assert ranks[k] == len(want_piv)
-        # a batch of one gives the same answer as the batch it came from
-        one, one_piv = _rref(np.array(m, dtype=np.int64), p)
-        assert one.tolist() == want and one_piv.tolist() == pivots[k].tolist()
 
 
 # 181 ranks in int16 at min(r, c) = 1 (180^2 + 2 * 181 < 2^15) and in int64 from 2 on; 191 never in int16
@@ -297,8 +294,10 @@ def test_empty_stacks(shape, p):
     a = np.zeros(shape, dtype=np.int64)
     ranks = _rank_array(a, p)
     assert ranks.shape == shape[:-2] and not ranks.any()
-    out, pivots = _rref(a, p)
-    assert out.shape == shape and pivots.shape == shape[:-1] and (pivots == -1).all()
+    # _rref reduces the stack's matrices one at a time
+    for m in a.reshape(math.prod(shape[:-2]), *shape[-2:]):
+        out, pivots = _rref(m, p)
+        assert out.shape == m.shape and pivots.shape == m.shape[:1] and (pivots == -1).all()
 
 
 @pytest.mark.parametrize("p", [3, 5, 181, BIG_P])
@@ -315,9 +314,10 @@ def test_rref_reduces_unreduced_and_negative_input(p, seed):
         lifts = np.array([[[rnd.randrange(-1000, 1000) for _ in range(5)] for _ in range(4)] for _ in range(3)])
     unreduced = reduced + lifts * p
     before = unreduced.copy()
-    want, want_piv = _rref(reduced, p)
-    got, got_piv = _rref(unreduced, p)
-    assert np.array_equal(got_piv, want_piv) and got.tolist() == want.tolist()
+    for r, u in zip(reduced, unreduced):
+        want, want_piv = _rref(r, p)
+        got, got_piv = _rref(u, p)
+        assert np.array_equal(got_piv, want_piv) and got.tolist() == want.tolist()
     assert np.array_equal(unreduced, before)
     assert _rank_array(unreduced, p).tolist() == _rank_array(reduced, p).tolist()
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vc2lab.fp import FieldCtx, quad_forms, ranks_to_digits
-from vc2lab.gs import ExplicitSet, GsSet, QgsSet
+from vc2lab.gs import ExplicitSet, GsSet, QgsSet, cross_terms
 from vc2lab.highrank import build_trace_basis
 
 ctx3 = FieldCtx(3)
@@ -124,14 +124,11 @@ def test_qgs_depends_only_on_value_sequence(qgs5):
 
 
 def test_cross_term_examples(qgs5):
-    zero = np.zeros(5, dtype=np.int64)
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        x = rng.integers(0, 3, 5)
-        y = rng.integers(0, 3, 5)
-        t = int(rng.integers(1, 6))
-        assert qgs5.cross_term(t, x, zero) == 0
-        assert qgs5.cross_term(t, x, y) == qgs5.cross_term(t, y, x)
+    x, y = rng.integers(0, 3, (20, 5)), rng.integers(0, 3, (20, 5))
+    mats = qgs5.basis.mats
+    assert not cross_terms(x, np.zeros((1, 5), dtype=np.int64), mats, 3).any()
+    assert np.array_equal(cross_terms(x, y, mats, 3), cross_terms(y, x, mats, 3).transpose(1, 0, 2))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -143,7 +140,7 @@ def test_expansion_identity(seed):
     x, y, z = (rng.integers(0, 3, 4) for _ in range(3))
     t = int(rng.integers(1, 5))
     lhs = a.eval_q(t, x + y + z)
-    rhs = (a.eval_q(t, x + z) + a.eval_q(t, y + z) - a.eval_q(t, z) + a.cross_term(t, x, y)) % 3
+    rhs = (a.eval_q(t, x + z) + a.eval_q(t, y + z) - a.eval_q(t, z) + int(cross_terms(x[None], y[None], basis.mats[t - 1:t], 3)[0, 0, 0])) % 3
     assert lhs == rhs
 
 
@@ -206,5 +203,5 @@ def test_forms_and_membership_exact_at_large_p():
         members += member
         assert a.contains(v) == bool(in_batch) == member
         cross = tuple(2 * sum(v[i] * mats[t][i][j] * y[j] for i in range(n) for j in range(n)) % p for t in range(n))
-        assert tuple(a.cross_term(t, v, y) for t in range(1, n + 1)) == cross
+        assert tuple(cross_terms(np.array([v]), np.array([y]), a.basis.mats, p)[0, 0].tolist()) == cross
     assert members >= 20

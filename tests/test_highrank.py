@@ -274,7 +274,7 @@ def test_build_irreducible_tests_the_winner_once(monkeypatch):
     poly = build_irreducible(ctx3, 31)
     assert sizes == [8, 32]
     checked = IrreduciblePoly(ctx3, poly.coeffs)
-    assert poly == checked and hash(poly) == hash(checked) and poly.degree == 31
+    assert poly == checked and hash(poly) == hash(checked) and len(poly.coeffs) - 1 == 31
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
@@ -356,6 +356,13 @@ def test_high_rank_failure_witness():
     assert witness.dtype == np.int64 and witness.tolist() == [1, 1]
 
 
+def _first_failure(lams, mats, p, order):
+    """The first index in order whose combination of mats falls short of full rank, each combination
+    ranked by its own reduced form."""
+    n = len(mats)
+    return next(i for i in order if (_rref(np.tensordot(lams[i], mats, axes=1) % p, p)[1] >= 0).sum() < n)
+
+
 def test_planted_failure_same_witness_in_every_mode():
     # n = 9 trace matrices with M_1 replaced so that the combination planted = (1, 2, 0, 1, 0, 0, 2, 1, 1)
     # is the rank-1 matrix v v^T; other combinations with a nonzero first coefficient may fail too
@@ -368,8 +375,7 @@ def test_planted_failure_same_witness_in_every_mode():
     assert _rank_array(np.tensordot(planted, bad.mats, axes=1) % p, p) == 1
     # reference: the first failing combination in rank order, ranked by the full reduction
     lams = ranks_to_digits(np.arange(1, p ** n), p, n)
-    _, pivots = _rref((lams @ bad.mats.reshape(n, -1) % p).reshape(-1, n, n), p)
-    want = lams[np.flatnonzero((pivots >= 0).sum(axis=-1) < n)[0]].tolist()
+    want = lams[_first_failure(lams, bad.mats, p, range(len(lams)))].tolist()
     assert check_high_rank(bad, mode="exhaustive").tolist() == want
     # 10^5 draws from the 3^9 - 1 nonzero combinations miss a given one with probability e^-5
     assert check_high_rank(bad, mode="sampled", count=100_000, seed=0).tolist() == want
@@ -393,13 +399,12 @@ def test_planted_failure_past_the_first_batch(mode, n):
     mats = build_trace_basis(ctx3, n).mats.copy()
     mats[0] = pow(int(planted[0]), p - 2, p) * (np.outer(v, v) - np.tensordot(planted[1:], mats[1:], axes=1)) % p
     bad = HighRankBasis(ctx3, n, build_irreducible(ctx3, n), mats)
-    # reference: the rank of each combination from its own reduced form, by the full reduction
-    _, pivots = _rref((lams @ bad.mats.reshape(n, -1) % p).reshape(-1, n, n), p)
-    fails = np.flatnonzero((pivots >= 0).sum(axis=-1) < n)
+    # reference: the first failure by the full reduction, in rank order or, sampled, in the draws'
+    # lexicographic order (a stable sort: equal draws keep their draw order)
     if mode == "exhaustive":
-        want = fails[0]  # the first failure in rank order
+        want = _first_failure(lams, bad.mats, p, range(len(lams)))
     else:
-        want = min(fails, key=lambda i: tuple(lams[i]))
+        want = _first_failure(lams, bad.mats, p, sorted(range(len(lams)), key=lambda i: tuple(lams[i])))
         assert lams[want].tolist() == planted.tolist()
     assert want >= batch
     assert check_high_rank(bad, mode=mode, count=len(lams), seed=seed).tolist() == lams[want].tolist()

@@ -175,3 +175,15 @@ def test_colouring_validation():
         BipartiteColouring(2, 2, 2, np.zeros((2, 2), dtype=np.int32))
     with pytest.raises(ValueError):
         BipartiteColouring(2, 2, 2, np.full((2, 3), 1, dtype=np.int32))
+
+
+@pytest.mark.parametrize("m,n,r,message", [
+    (-1, 3, 2, "m = -1"), (3, -2, 2, "n = -2"), (3, 3, 0, "r = 0"), (0, 0, -1, "r = -1"),
+])
+def test_colouring_sizes_rejected(m, n, r, message):
+    with pytest.raises(ValueError, match=message):
+        random_colouring(m, n, r)
+    with pytest.raises(ValueError, match=message):
+        BipartiteColouring(m, n, r, np.ones((max(m, 0), max(n, 0)), dtype=np.int32))
+    with pytest.raises(ValueError, match=message):
+        BipartiteColouring.from_text(f"{m} {n} {r}\n")
