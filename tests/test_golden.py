@@ -103,12 +103,16 @@ def test_basis_file_digest(tmp_path, capsys):
 
 # Reports pinned by their stdout: prop32-check runs both zero-cross-term samplers
 # (at seed 0, 9 of its 20 instances are checked, not vacuous), and other seeds and
-# primes draw other planted instances; atom-census the exact census.
+# primes draw other planted instances, (3,4) with every plant running out its tries;
+# atom-census the exact census.
 REPORT_GOLDEN = {
     ("prop32-check", 3, 5, 0): "aee06f75034a1394b7bb35c7ea483cd7353525a4bcb3e33b0f2748f6f9a937b2",
     ("prop32-check", 3, 5, 1): "deadacc822d420f543198622803443f6b4cccdc05a1a8cad037e5e99c4b785c3",
     ("prop32-check", 3, 5, 2): "6680f642f5d1113835ee13ee6921cdb510f3e294f679a25b00305c13f3590b0a",
     ("prop32-check", 3, 5, 3): "0c3163541796f627d50ba4ed26506a11cec356f493b2f71d939bf80c1e57e5df",
+    ("prop32-check", 3, 4, 0): "d06b82ea9375695f62885534d3fd27224c22931aec47ab7c2ecff6ce7bc70b10",
+    ("prop32-check", 3, 6, 0): "2b08dd0f34b544bcc8313f0f87f4c00449c63f373430032d3ce9d2673c46cd65",
+    ("prop32-check", 5, 5, 0): "7dd91202b9d4db077372095d2f4d9eac4da4dd6d8f7f4225976ee8a6720e0905",
     ("prop32-check", 5, 3, 0): "5032d5695eea6f531d105f10d677e0b4271b0395d09df188d6be9ba4ce090ec7",
     ("prop32-check", 7, 3, 0): "8481c9e9220dfa49e8eef7e863a0797483a71b33ea91be162c3c2e372fed7c21",
     ("atom-census", 3, 9, 0): "82910919d9136177ce29ffd0ca6a5758fc2e70501b2b317455b00be998df7af4",
