@@ -46,7 +46,7 @@ from .fp import (
     shifted_ranks,
 )
 from .gs import QgsSet, cross_terms
-from .highrank import HighRankBasis, _nonzero_rows
+from .highrank import HighRankBasis
 from .shatter import ContainmentMap, grid_verdicts, realizing_shifts, vc2_realizes
 
 # Exhaustive atom search is used while the affine subspace stays this small;
@@ -718,15 +718,18 @@ def check_forced_zeros(a: QgsSet, x, y, m: int, z) -> CheckResult:
     if not vc2_realizes(a, x, y, phi, z):
         raise ValueError("inapplicable: z does not realize the zero-forcing map")
 
+    # Q_t for every t <= m at z, x_1 + z, y_1 + z, ..., x_3 + z, y_3 + z, the order the conclusions are checked in
+    names = ["z", *(f"{v}_{i}+z" for i in range(1, 4) for v in "xy")]
+    q = quad_forms(add_mod(np.vstack([x[:1], np.stack([x[1:], y[1:]], axis=1).reshape(-1, a.n)]), z, a.p),
+                   a.basis.mats[:m], a.p)
+
     def conclusion_holds(t: int) -> str | None:
-        if a.eval_q(t, z) != 0:
-            return f"Q_{t}(z) = {a.eval_q(t, z)} != 0"
-        for i in range(1, 4):
-            if a.eval_q(t, add_mod(x[i], z, a.p)) != 0:
-                return f"Q_{t}(x_{i}+z) != 0"
-            if a.eval_q(t, add_mod(y[i], z, a.p)) != 0:
-                return f"Q_{t}(y_{i}+z) != 0"
-        return None
+        bad = np.flatnonzero(q[:, t - 1])
+        if not bad.size:
+            return None
+        if bad[0] == 0:
+            return f"Q_{t}(z) = {q[0, t - 1]} != 0"
+        return f"Q_{t}({names[bad[0]]}) != 0"
 
     for t in range(1, m):
         bad = conclusion_holds(t)
@@ -800,70 +803,139 @@ def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> 
     raise RuntimeError("could not generate qualifying sets")
 
 
-def planted_qualifying_sets(basis: HighRankBasis, seed: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
-    """Qualifying point arrays (X, Y) for the level m = 2, built around a planted realizing shift.
+def _planted_tables(basis: HighRankBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The membership table of QGS(basis), the digits of every point and the mask of Q_1 = 0, by rank."""
+    p, n = basis.ctx.p, basis.n
+    digits = ranks_to_digits(np.arange(p ** n, dtype=np.int64), p, n)
+    return QgsSet(basis).membership_table(), digits, quad_forms(digits, basis.mats[:1], p)[:, 0] == 0
 
-    Level-1 cross-terms are forced to vanish, so the instance satisfies the
-    probe hypothesis at m = 2.  The x's are taken inside a 2-dimensional
-    span to keep the y-side subspace large: x_1, x_2 are drawn until some
-    2x2 minor is nonzero mod p, which is exact in int64 for the groups of
-    at most PROBE_MAX_GROUP points that forced_zero_probe admits.  Every
-    translate comes from fp.shifted_ranks: one call on the x's gives the
-    feasible shifts z, scanned in a seeded order, and one call on
-    [0, x_1, x_2, x_3] + z gives the grid rows over the y-side subspace.
-    Returns None when the seeded search fails.
+
+def _draw_x_tries(rng: np.random.Generator, p: int, n: int, count: int) -> tuple[list, int]:
+    """The x triples of the planted search's next count tries, read ahead without moving rng.
+
+    A try draws rows of n residues until two are nonzero, x_1 and x_2 (the
+    rows highrank._nonzero_rows gives); when they are independent it draws
+    c_1 and c_2, and x_3 = c_1 x_1 + c_2 x_2 must be nonzero and differ from
+    both.  Every value is an rng.integers(0, p) draw, and numpy's bounded
+    int64 draws are the same values, leaving the same generator state,
+    however they are split into calls; so the tries are read from one block
+    drawn ahead, and rng is set back.  Returns (index, values drawn up to
+    the end of the try, [x_1, x_2, x_3]) for each try whose x's pass, and
+    the values all count tries drew, for the caller to advance rng by.
     """
+    state = rng.bit_generator.state
+    vals: list[int] = []
+    pos = 0
+
+    def take(k: int) -> list[int]:
+        nonlocal pos
+        while len(vals) < pos + k:
+            vals.extend(rng.integers(0, p, size=count * (2 * n + 2)).tolist())
+        pos += k
+        return vals[pos - k:pos]
+
+    passed = []
+    for k in range(count):
+        rows: list[list[int]] = []
+        while len(rows) < 2:
+            row = take(n)
+            if any(row):
+                rows.append(row)
+        x1, x2 = rows
+        # independent iff some 2x2 minor is nonzero, a minor on x_1's first nonzero column if any is
+        i = next(j for j, v in enumerate(x1) if v)
+        if not any((x1[i] * v - x2[i] * u) % p for u, v in zip(x1, x2)):
+            continue
+        c1, c2 = take(2)
+        x3 = [(c1 * u + c2 * v) % p for u, v in zip(x1, x2)]
+        if any(x3) and x3 != x1 and x3 != x2:
+            passed.append((k, pos, [x1, x2, x3]))
+    rng.bit_generator.state = state
+    return passed, pos
+
+
+def _first_feasible_try(basis: HighRankBasis, digits: np.ndarray, good: list, passed: list) -> tuple | None:
+    """The first try of passed (see _draw_x_tries) with a feasible shift z and a nonzero y-side subspace.
+
+    z is feasible when x_i + z lies in good[i] for i = 0, ..., 3, x_0 = 0;
+    one fp.shifted_ranks call gives the translates of every try.  The
+    y-side subspace is the kernel of lin = the rows M_1 x_1, M_1 x_2, and
+    u's coset of it is keyed by the rank of lin u.  Returns (index, values
+    drawn, [x_1, x_2, x_3], their translates, the feasible shifts, lin, the
+    coset of every point) or None.
+    """
+    if not passed:
+        return None
+    p, n = basis.ctx.p, basis.n
+    xs = np.array([rows for _, _, rows in passed], dtype=np.int64)
+    shifted = shifted_ranks(xs.reshape(-1, n), p).reshape(len(passed), 3, len(digits))
+    z_ok = good[0] & good[1][shifted[:, 0]] & good[2][shifted[:, 1]] & good[3][shifted[:, 2]]
+    for (k, end, _), x, sh, ok in zip(passed, xs, shifted, z_ok):
+        if ok.any():
+            lin = matmul_mod(x[:2], basis.mats[:1], p)[0]
+            coset = digits_to_ranks(matmul_mod(digits, lin.T, p), p)
+            # coset 0 is the kernel itself
+            if np.count_nonzero(coset == 0) > 1:
+                return k, end, x, sh, np.flatnonzero(ok), lin, coset
+    return None
+
+
+def _plant(basis: HighRankBasis, tables: tuple[np.ndarray, np.ndarray, np.ndarray], seed: int):
+    """planted_qualifying_sets on the basis's _planted_tables."""
     a = QgsSet(basis)
     p, n = basis.ctx.p, basis.n
-    total = p ** n
+    table, digits, zero_q = tables
     rng = derive_rng(seed, "planted-instance", 2, 1)
-    table = a.membership_table()
-    digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
-    zero_q = (quad_forms(digits, basis.mats[:1], p) == 0).all(axis=1)
     phi = zero_forcing_map().verdicts
+    # a shift z is feasible when Q_1 vanishes at z and at each x_i + z, and x_i + z has the verdict of cell (i, 0)
+    good = [zero_q, *(zero_q & (table == phi[i][0]) for i in (1, 2, 3))]
+    # code(u) holds the membership of x_i + u in bit i (x_0 = 0) and Q_1(u) = 0 in bit 4; the pool of y_j is
+    # the nonzero s of the y-side subspace with code(z + s) = want[j - 1], from the verdicts of column j
+    want = [16 + sum(phi[i][j] << i for i in range(4)) for j in (1, 2, 3)]
 
-    # the verdicts of column 0 of phi in rows 1..3, and of columns 1..3, column j in row j - 1
-    row_want = np.array([phi[i][0] for i in (1, 2, 3)], dtype=bool)
-    col_want = np.array([[row[j] for row in phi] for j in (1, 2, 3)], dtype=bool)
+    tries, batch = 0, 1
+    while tries < 256:
+        size = min(batch, 256 - tries)
+        # the tries double from 1 to 8 while their translates stay within about 2^14 entries
+        if 2 * batch <= 8 and 3 * 2 * batch * len(table) <= 1 << 14:
+            batch *= 2
+        passed, drawn = _draw_x_tries(rng, p, n, size)
+        found = _first_feasible_try(basis, digits, good, passed)
+        if found is None:
+            rng.integers(0, p, size=drawn)
+            tries += size
+            continue
+        k, end, xs, shifted, order, lin, coset = found
+        rng.integers(0, p, size=end)
+        tries += k + 1
 
-    for _ in range(256):
-        # x_1, x_2 independent; x_3 a further nonzero combination of them
-        x12 = _nonzero_rows(rng, 2, n, p)
-        if not ((np.outer(x12[0], x12[1]) - np.outer(x12[1], x12[0])) % p).any():
+        order = order[rng.permutation(order.size)][:64]
+        code = table.view(np.uint8) + (zero_q.view(np.uint8) << 4)
+        for i in range(3):
+            code += table[shifted[i]].view(np.uint8) << (i + 1)
+        # z + s over the subspace points s is z's coset, so a pool is nonempty iff z's coset holds a point
+        # with its code other than z itself
+        full = np.ones(order.size, dtype=bool)
+        for w in want:
+            hit = code == w
+            full &= np.bincount(coset[hit], minlength=p ** len(lin))[coset[order]] > hit[order]
+        if not full.any():
             continue
-        c1, c2 = int(rng.integers(0, p)), int(rng.integers(0, p))
-        x3 = (c1 * x12[0] + c2 * x12[1]) % p
-        if not x3.any() or (x12 == x3).all(axis=1).any():
-            continue
-        xs = np.vstack([x12, x3])
-
-        # feasibility of each shift z (forced zeros at z and x_i + z, row verdicts), before the y-side subspace
-        shifted = shifted_ranks(xs, p)
-        z_ok = zero_q & (zero_q[shifted] & (table[shifted] == row_want[:, None])).all(axis=0)
-        order = np.flatnonzero(z_ok)
-        if order.size == 0:
-            continue
-        space = orth_complement(matmul_mod(x12, basis.mats[:1], p).reshape(-1, n), p)
-        if not len(space):
-            continue
-        sub = matmul_mod(ranks_to_digits(np.arange(p ** len(space), dtype=np.int64), p, len(space)), space, p)
-        sub_r = digits_to_ranks(sub, p)
-        order = order[rng.permutation(order.size)]
+        # the subspace points s in the order of their coefficients on the orth_complement basis
+        space = orth_complement(lin, p)
+        sub_r = digits_to_ranks(matmul_mod(digits[:p ** len(space), n - len(space):], space, p), p)
         grid = np.vstack([np.zeros(n, dtype=np.int64), xs])
-        for z_r in order[:64]:
-            # row i: ranks of x_i + s + z over the subspace points s, with x_0 = 0
-            at = shifted_ranks(add_mod(grid, digits[z_r], p), p)[:, sub_r]
-            free = zero_q[at[0]] & (sub_r != 0)
-            pools = [np.flatnonzero(free & (table[at] == want[:, None]).all(axis=0)) for want in col_want]
-            if any(pool.size == 0 for pool in pools):
-                continue
+        for z_r in order[full]:
+            at = code[shifted_ranks(digits[z_r:z_r + 1], p)[0, sub_r]]
             ys: list[int] = []
-            for pool in pools:
-                pick = [int(sub_r[s]) for s in pool if int(sub_r[s]) not in ys]
-                if not pick:
+            for w in want:
+                pick = sub_r[(at == w) & (sub_r != 0)]
+                for y in ys:
+                    pick = pick[pick != y]
+                if not pick.size:
                     ys = []
                     break
-                ys.append(pick[int(rng.integers(0, len(pick)))])
+                ys.append(int(pick[rng.integers(0, pick.size)]))
             if len(ys) != 3:
                 continue
             # rank 0 is the origin
@@ -871,6 +943,27 @@ def planted_qualifying_sets(basis: HighRankBasis, seed: int = 0) -> tuple[np.nda
             if cross_terms_vanish_below(a, x, y, 2):
                 return x, y
     return None
+
+
+def planted_qualifying_sets(basis: HighRankBasis, seed: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
+    """Qualifying point arrays (X, Y) for the level m = 2, built around a planted realizing shift.
+
+    Level-1 cross-terms are forced to vanish, so the instance satisfies the
+    probe hypothesis at m = 2.  The x's are taken inside a 2-dimensional
+    span to keep the y-side subspace large: x_1, x_2 are drawn until they
+    are independent mod p, and x_3 is a further combination of them.  Up to
+    256 tries are tested in batches of 1, 2, 4 and then 8 while their
+    translates stay small (one at a time on large groups): the batch is read
+    ahead from the seeded stream (see _draw_x_tries), one fp.shifted_ranks
+    call on its x's gives every feasible shift z, and the stream is advanced
+    only past the first try with one, so each try draws what a loop of one
+    try at a time would.  That try's shifts are scanned in a seeded order,
+    at most 64 of them; whether a shift leaves a y-pool empty is read for
+    all of them at once from counts over the cosets of the y-side subspace,
+    and the shifts with three nonempty pools pick their y's in order.
+    Returns None when the seeded search fails.
+    """
+    return _plant(basis, _planted_tables(basis), seed)
 
 
 @dataclass(frozen=True)
@@ -900,12 +993,13 @@ def forced_zero_probe(basis: HighRankBasis, instances: int = 20, seed: int = 0) 
     p, n = a.p, a.n
     if p ** n > PROBE_MAX_GROUP:
         raise ValueError(f"group too large for the forced-zero probe (p**n > {PROBE_MAX_GROUP})")
-    table = a.membership_table()
+    tables = _planted_tables(basis)
+    table = tables[0]
     out = []
     phi = zero_forcing_map()
     for idx in range(instances):
         m = 1 + idx % 2
-        planted = planted_qualifying_sets(basis, seed=seed * 1000 + idx) if m == 2 else None
+        planted = _plant(basis, tables, seed * 1000 + idx) if m == 2 else None
         if planted is not None:
             x, y = planted
         else:

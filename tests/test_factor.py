@@ -41,6 +41,8 @@ from vc2lab.factor import (
     zero_forcing_map,
 )
 import targets_reference
+from vc2lab import factor
+from vc2lab.certs import CheckResult
 
 ctx3 = FieldCtx(3)
 ctx5 = FieldCtx(5)
@@ -583,18 +585,96 @@ def _planted_qualifying_sets_reference(basis, seed=0):
     return None
 
 
-# only p = 3 with n >= 5 yields instances at these sizes; the rest exercise the search up to None
-@pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 3), (7, 3)])
+# only p = 3 with n >= 5 yields instances at these sizes; the rest exercise the search up to None.
+# (3,4) and (5,4) run out all 256 tries at every seed, and so does (3,5) at seed 9.
+PLANTED_SEEDS = {
+    (3, 5): [*range(8), 9], (3, 6): range(8), (5, 3): range(8), (7, 3): range(8),
+    (3, 4): range(12), (5, 4): range(12), (3, 7): range(12),
+}
+
+
+@pytest.mark.parametrize("p,n", list(PLANTED_SEEDS))
 def test_planted_qualifying_sets_match_reference(p, n):
     basis = build_trace_basis(FieldCtx(p), n)
-    for seed in range(8):
+    found = set()
+    for seed in PLANTED_SEEDS[(p, n)]:
         got = planted_qualifying_sets(basis, seed=seed)
         want = _planted_qualifying_sets_reference(basis, seed=seed)
         if want is None:
             assert got is None
         else:
+            found.add(seed)
             assert got is not None
             assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    if (p, n) == (3, 5):
+        assert 9 not in found and len(found) == 8
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_integer_draws_do_not_depend_on_their_split(p):
+    # the planted search reads its tries ahead in one block and then advances the stream by
+    # the values it used; that keeps its instances only while rng.integers(0, p) gives the
+    # same values, and leaves the same state, however the draws are split into calls
+    rnd = random.Random(p)
+    for seed in range(20):
+        sizes = [rnd.choice([None, rnd.randint(1, 50)]) for _ in range(rnd.randint(1, 30))]
+        split = derive_rng(seed, "split", p)
+        parts = [np.atleast_1d(split.integers(0, p, size=k)) for k in sizes]
+        whole = derive_rng(seed, "split", p)
+        block = whole.integers(0, p, size=sum(1 if k is None else k for k in sizes))
+        assert np.array_equal(np.concatenate(parts), block)
+        assert split.bit_generator.state == whole.bit_generator.state
+
+
+def _forced_zero_conclusions_reference(a, x, y, m, z):
+    """check_forced_zeros past its hypothesis checks, one eval_q call per point and level."""
+    def conclusion_holds(t):
+        if a.eval_q(t, z) != 0:
+            return f"Q_{t}(z) = {a.eval_q(t, z)} != 0"
+        for i in range(1, 4):
+            if a.eval_q(t, (x[i] + z) % a.p) != 0:
+                return f"Q_{t}(x_{i}+z) != 0"
+            if a.eval_q(t, (y[i] + z) % a.p) != 0:
+                return f"Q_{t}(y_{i}+z) != 0"
+        return None
+
+    for t in range(1, m):
+        bad = conclusion_holds(t)
+        if bad:
+            return CheckResult(False, f"forced zero violated below m: {bad}")
+    mu = set(cross_terms(x[1:], y[1:], a.basis.mats[m - 1:m], a.p).ravel().tolist())
+    if len(mu) == 1:
+        val = next(iter(mu))
+        if val != 0:
+            return CheckResult(False, f"constant level-{m} cross-term is {val}, not 0")
+        bad = conclusion_holds(m)
+        if bad:
+            return CheckResult(False, f"forced zero violated at m: {bad}")
+        return CheckResult(True, "conclusions hold; level-m cross-terms constant and zero")
+    return CheckResult(True, "conclusions hold below m; level-m cross-terms not constant")
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 3), (7, 2)])
+def test_check_forced_zeros_reports_the_first_failure_of_the_scalar_checks(monkeypatch, p, n):
+    # with both hypothesis checks passed by fiat, arbitrary points fail the conclusions at every
+    # point and level, and the one quad_forms call must name the failure the scalar loop names
+    monkeypatch.setattr(factor, "cross_terms_vanish_below", lambda *args: True)
+    monkeypatch.setattr(factor, "vc2_realizes", lambda *args: True)
+    a = QgsSet(build_trace_basis(FieldCtx(p), n))
+    rng = np.random.default_rng(p * 100 + n)
+    details = set()
+    for _ in range(300):
+        x, y = (np.vstack([np.zeros((1, n), dtype=np.int64), rng.integers(0, p, size=(3, n))]) for _ in "xy")
+        z, m = rng.integers(0, p, size=n), int(rng.integers(1, n + 1))
+        # zero points and repeated y's make level-m cross-terms constant and Q-values zero, so the
+        # level-m conclusions and both passes are reached too
+        x[1:] *= rng.random() < 0.8
+        y[1:] = y[1] * (rng.random() < 0.5) if rng.random() < 0.7 else y[1:]
+        z *= rng.random() < 0.7
+        got = check_forced_zeros(a, x, y, m, z)
+        assert got == _forced_zero_conclusions_reference(a, x, y, m, z)
+        details.add(got.detail.split(" != ")[0].split(" = ")[0])
+    assert len(details) >= 9
 
 
 def test_check_forced_zeros_inapplicable_without_hypothesis(basis5):
