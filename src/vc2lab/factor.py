@@ -718,10 +718,10 @@ def check_forced_zeros(a: QgsSet, x, y, m: int, z) -> CheckResult:
     if not vc2_realizes(a, x, y, phi, z):
         raise ValueError("inapplicable: z does not realize the zero-forcing map")
 
-    # Q_t for every t <= m at z, x_1 + z, y_1 + z, ..., x_3 + z, y_3 + z, the order the conclusions are checked in
+    # Q_t for every t <= m at z = x_0 + z, x_1 + z, y_1 + z, ..., x_3 + z, y_3 + z: the order of the checks
     names = ["z", *(f"{v}_{i}+z" for i in range(1, 4) for v in "xy")]
-    q = quad_forms(add_mod(np.vstack([x[:1], np.stack([x[1:], y[1:]], axis=1).reshape(-1, a.n)]), z, a.p),
-                   a.basis.mats[:m], a.p)
+    points = add_mod(np.vstack([x[0], *(v[i] for i in range(1, 4) for v in (x, y))]), z, a.p)
+    q = quad_forms(points, a.basis.mats[:m], a.p)
 
     def conclusion_holds(t: int) -> str | None:
         bad = np.flatnonzero(q[:, t - 1])
@@ -880,7 +880,7 @@ def _first_feasible_try(basis: HighRankBasis, digits: np.ndarray, good: list, pa
     return None
 
 
-def _plant(basis: HighRankBasis, tables: tuple[np.ndarray, np.ndarray, np.ndarray], seed: int):
+def _plant(basis: HighRankBasis, tables: tuple, seed: int) -> tuple[np.ndarray, np.ndarray] | None:
     """planted_qualifying_sets on the basis's _planted_tables."""
     a = QgsSet(basis)
     p, n = basis.ctx.p, basis.n
@@ -892,12 +892,13 @@ def _plant(basis: HighRankBasis, tables: tuple[np.ndarray, np.ndarray, np.ndarra
     # code(u) holds the membership of x_i + u in bit i (x_0 = 0) and Q_1(u) = 0 in bit 4; the pool of y_j is
     # the nonzero s of the y-side subspace with code(z + s) = want[j - 1], from the verdicts of column j
     want = [16 + sum(phi[i][j] << i for i in range(4)) for j in (1, 2, 3)]
+    code_0 = table.view(np.uint8) + (zero_q.view(np.uint8) << 4)
 
     tries, batch = 0, 1
     while tries < 256:
         size = min(batch, 256 - tries)
         # the tries double from 1 to 8 while their translates stay within about 2^14 entries
-        if 2 * batch <= 8 and 3 * 2 * batch * len(table) <= 1 << 14:
+        if 2 * batch <= 8 and 3 * (2 * batch) * len(table) <= 1 << 14:
             batch *= 2
         passed, drawn = _draw_x_tries(rng, p, n, size)
         found = _first_feasible_try(basis, digits, good, passed)
@@ -910,7 +911,7 @@ def _plant(basis: HighRankBasis, tables: tuple[np.ndarray, np.ndarray, np.ndarra
         tries += k + 1
 
         order = order[rng.permutation(order.size)][:64]
-        code = table.view(np.uint8) + (zero_q.view(np.uint8) << 4)
+        code = code_0.copy()
         for i in range(3):
             code += table[shifted[i]].view(np.uint8) << (i + 1)
         # z + s over the subspace points s is z's coset, so a pool is nonempty iff z's coset holds a point
@@ -924,12 +925,13 @@ def _plant(basis: HighRankBasis, tables: tuple[np.ndarray, np.ndarray, np.ndarra
         # the subspace points s in the order of their coefficients on the orth_complement basis
         space = orth_complement(lin, p)
         sub_r = digits_to_ranks(matmul_mod(digits[:p ** len(space), n - len(space):], space, p), p)
+        free = sub_r != 0
         grid = np.vstack([np.zeros(n, dtype=np.int64), xs])
         for z_r in order[full]:
-            at = code[shifted_ranks(digits[z_r:z_r + 1], p)[0, sub_r]]
+            codes = code[shifted_ranks(digits[z_r:z_r + 1], p)[0, sub_r]]
             ys: list[int] = []
             for w in want:
-                pick = sub_r[(at == w) & (sub_r != 0)]
+                pick = sub_r[free & (codes == w)]
                 for y in ys:
                     pick = pick[pick != y]
                 if not pick.size:
