@@ -954,15 +954,12 @@ def planted_qualifying_sets(basis: HighRankBasis, seed: int = 0) -> tuple[np.nda
     probe hypothesis at m = 2.  The x's are taken inside a 2-dimensional
     span to keep the y-side subspace large: x_1, x_2 are drawn until they
     are independent mod p, and x_3 is a further combination of them.  Up to
-    256 tries are tested in batches of 1, 2, 4 and then 8 while their
-    translates stay small (one at a time on large groups): the batch is read
-    ahead from the seeded stream (see _draw_x_tries), one fp.shifted_ranks
-    call on its x's gives every feasible shift z, and the stream is advanced
-    only past the first try with one, so each try draws what a loop of one
-    try at a time would.  That try's shifts are scanned in a seeded order,
-    at most 64 of them; whether a shift leaves a y-pool empty is read for
-    all of them at once from counts over the cosets of the y-side subspace,
-    and the shifts with three nonempty pools pick their y's in order.
+    256 tries are tested in batches read ahead from the seeded stream (see
+    _draw_x_tries), 1, 2, 4 and then 8 tries while their translates stay
+    small, so each try draws what a loop of one try at a time would.  The
+    first try with a feasible shift scans at most 64 of them in a seeded
+    order; the shifts whose three y-pools are nonempty, read at once from
+    counts over the cosets of the y-side subspace, pick their y's in turn.
     Returns None when the seeded search fails.
     """
     return _plant(basis, _planted_tables(basis), seed)
