@@ -123,18 +123,26 @@ def find_in_atoms(
     seeds one seed per label.  The linear constraints yield an affine
     subspace part + span(N); it is enumerated exhaustively in rank order
     while small (deterministic, seeds ignored), otherwise sampled with a
-    stream derived from the label's seed, ATOM_DRAW_CHUNK rows per label per
-    round, so each label gets the point a search for it alone would give; a
-    label still unmatched after ATOM_SAMPLE_BUDGET draws (read at call time)
-    raises RuntimeError.
+    stream derived from the label's seed, so each label gets the point a
+    search for it alone would give; a label still unmatched after
+    ATOM_SAMPLE_BUDGET draws of its own (read at call time) raises
+    RuntimeError.
     Candidates are tested in null-space coordinates: Q_t(part + alpha N) =
     alpha A_t alpha^T + alpha . 2 N M_t part^T + Q_t(part) with A_t =
     N M_t N^T shared by every label (M_t is symmetric), so one evaluation
     serves a block of candidates from many labels, and only the matching
-    point is ever built.  Labels are searched
-    ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK at a time, so at most that many
+    point is ever built.  The targets are tested one at a time, each on the
+    rows that met the ones before it, so the first one rejects all but
+    about 1/p of the rows before the others are evaluated.
+    Sampling keeps a pool of at most ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
+    labels: each round every pooled label draws ATOM_DRAW_CHUNK rows from
+    its generator and one evaluation tests them all; settled labels leave,
+    their generators dropped, and the next labels join, each generator made
+    as its label joins.  Once no label is left to join, the rest draw
+    ATOM_EVAL_CHUNK // (labels left) rows a round.  So at most that many
     generators are alive, and at most ATOM_EVAL_CHUNK candidate rows are
-    evaluated at once.
+    evaluated at once; the exhaustive search takes the labels in groups of
+    that size.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
     n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
@@ -164,45 +172,53 @@ def find_in_atoms(
     nm = matmul_mod(nb, mats, p)
     shared = matmul_mod(nm, nb.T, p)
     cross = matmul_mod(nm, parts.T, p)
-    linear = add_mod(cross, cross, p).transpose(2, 1, 0)  # (labels, dim, q)
+    linear = np.ascontiguousarray(add_mod(cross, cross, p).transpose(0, 2, 1))  # (q, labels, dim)
     const = quad_forms(parts, mats, p)
     found: list[np.ndarray | None] = [None] * len(vals)
 
-    def settle(owners: list[int], alphas: np.ndarray) -> None:
-        """Record each owner's first hit among its rows alphas[j], or among alphas[0] when all share them."""
-        quad = quad_forms(alphas.reshape(-1, dim), shared, p).reshape(*alphas.shape[:2], -1)
-        got = quad + matmul_mod(alphas, linear[owners], p) + const[owners, None]
-        hit = (got % p == target[owners, None]).all(axis=2)
-        cand = np.broadcast_to(alphas, hit.shape + (dim,))
-        for j in np.flatnonzero(hit.any(axis=1)):
-            found[owners[j]] = (parts[owners[j]] + cand[j, hit[j].argmax()] @ nb) % p
+    def settle(alphas: np.ndarray, owners: np.ndarray) -> None:
+        """Record each owner's first hit among its rows of alphas, which run in its draw order."""
+        a, o, rows = alphas, owners, np.arange(len(alphas))
+        for t in range(len(mats)):
+            got = quad_forms(a, shared[t:t + 1], p)[:, 0] + np.einsum("rd,rd->r", a, linear[t][o]) + const[o, t]
+            keep = got % p == target[o, t]
+            a, o, rows = a[keep], o[keep], rows[keep]
+        hit, first = np.unique(o, return_index=True)
+        for i, r in zip(hit.tolist(), rows[first]):
+            found[i] = (parts[i] + alphas[r] @ nb) % p
 
     group = ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
-    for start in range(0, len(vals), group):
-        pending = list(range(start, min(start + group, len(vals))))
-        if p ** dim <= ATOM_EXHAUST_LIMIT:
+    if p ** dim <= ATOM_EXHAUST_LIMIT:
+        for start in range(0, len(vals), group):
+            pending = list(range(start, min(start + group, len(vals))))
             for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK // len(pending)):
-                settle(pending, alphas[None])
+                settle(np.tile(alphas, (len(pending), 1)), np.repeat(pending, len(alphas)))
                 pending = [i for i in pending if found[i] is None]
                 if not pending:
                     break
             else:
                 raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
-            continue
+        return found
 
-        # Each pending label draws a chunk of candidates per round, and every
-        # chunk is tested before the next is drawn.  The generator yields the
-        # same rows however the draws are split, so the first hit does not
-        # depend on the chunk size or on which labels share an evaluation.
-        rngs = {i: derive_rng(seeds[i], "find-in-atom") for i in pending}
-        tried = 0
-        while pending and tried < ATOM_SAMPLE_BUDGET:
-            size = min(ATOM_DRAW_CHUNK, ATOM_SAMPLE_BUDGET - tried)
-            settle(pending, np.stack([rngs[i].integers(0, p, size=(size, dim)) for i in pending]))
-            pending = [i for i in pending if found[i] is None]
-            tried += size
-        if pending:
-            raise RuntimeError(f"sampling budget exhausted after {tried} draws")
+    # The generator yields the same rows however the draws are split, so the
+    # first hit does not depend on the round sizes or on which labels share an
+    # evaluation.
+    live: dict[int, np.random.Generator] = {}  # pooled label -> its generator, in joining order
+    tried = [0] * len(vals)
+    joined = 0
+    while live or joined < len(vals):
+        while len(live) < group and joined < len(vals):
+            live[joined] = derive_rng(seeds[joined], "find-in-atom")
+            joined += 1
+        spent = next((i for i in live if tried[i] >= ATOM_SAMPLE_BUDGET), None)
+        if spent is not None:
+            raise RuntimeError(f"sampling budget exhausted after {tried[spent]} draws")
+        size = ATOM_DRAW_CHUNK if joined < len(vals) else ATOM_EVAL_CHUNK // len(live)
+        blocks = [rng.integers(0, p, size=(min(size, ATOM_SAMPLE_BUDGET - tried[i]), dim)) for i, rng in live.items()]
+        for i, block in zip(live, blocks):
+            tried[i] += len(block)
+        settle(np.concatenate(blocks), np.repeat(list(live), [len(b) for b in blocks]))
+        live = {i: rng for i, rng in live.items() if found[i] is None}
     return found
 
 
@@ -647,7 +663,7 @@ def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], see
     The atom label subtracts, per point u and form index t, both the shift
     value q_t and the point's own value Q_t(u) from the target.  All atoms
     are searched in one find_in_atoms call, map phi with the seed
-    derive_seed_for_map(seed, phi), after one target_table call has built
+    derive_seed_for_map(seed, phi.to_index()), after one target_table call has built
     and self-checked every map's targets, and every grid is re-verified
     against direct membership in one call before returning.
     """
@@ -656,19 +672,21 @@ def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], see
     if not maps:
         return []
     p, k = c.basis.ctx.p, c.k
-    vals = target_table([phi.to_index() for phi in maps], k, p)
+    idx = np.array([phi.to_index() for phi in maps], dtype=np.int64)
+    vals = target_table(idx, k, p)
     own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
     lin = (vals[:, 1:] - vals[:, :1] - own) % p
     labels = np.concatenate([lin.reshape(len(maps), -1), vals[:, 0]], axis=1)
-    zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, phi) for phi in maps]))
-    want = np.array([[v for row in phi.verdicts for v in row] for phi in maps])
+    zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, i) for i in idx.tolist()]))
+    want = ((idx[:, None] >> np.arange(k * k)) & 1) == 0  # bit i k + j set: cell (i, j) is a complement cell
     if (grid_verdicts(QgsSet(c.basis), c.X, c.Y, zs) != want).any():
         raise RuntimeError("realization failed verification: case table or atom search bug")
     return list(zs)
 
 
-def derive_seed_for_map(seed: int, phi: ContainmentMap) -> int:
-    return (int(seed) * 0x1F1F1F1F + phi.to_index()) & 0x7FFFFFFF
+def derive_seed_for_map(seed: int, index: int) -> int:
+    """The atom-search seed of the map with this index (ContainmentMap.to_index) under the run's seed."""
+    return (int(seed) * 0x1F1F1F1F + int(index)) & 0x7FFFFFFF
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +209,93 @@ def test_find_in_atom_budget_counts_draws(monkeypatch):
         assert np.array_equal(z, w)
 
 
+class _TrackedGenerator(np.random.Generator):
+    """A generator on another's bit generator, the same stream, that a weakref can follow."""
+
+
+def _tracked_search(monkeypatch):
+    """Patch factor to record, as each derive_rng result is made, how many of them are alive
+    (followed by weakrefs), and the row count of each quad_forms call; returns both lists."""
+    derive, forms = factor.derive_rng, factor.quad_forms
+    refs, alive, rows = [], [], []
+
+    def tracked_rng(*key):
+        rng = _TrackedGenerator(derive(*key).bit_generator)
+        refs.append(weakref.ref(rng))
+        alive.append(sum(r() is not None for r in refs))
+        return rng
+
+    def counted_forms(points, mats, p):
+        rows.append(len(points))
+        return forms(points, mats, p)
+
+    monkeypatch.setattr(factor, "derive_rng", tracked_rng)
+    monkeypatch.setattr(factor, "quad_forms", counted_forms)
+    return alive, rows
+
+
+REFILL_LABELS = 10
+
+
+# ATOM_EVAL_CHUNK = 256 pools 4 labels of 64 draws, so ten labels refill the pool; exhaust=False
+# lowers ATOM_EXHAUST_LIMIT so that every factor is sampled
+@given(p=st.sampled_from([3, 5]), n=st.sampled_from([9, 13]), l=st.integers(0, 5), q=st.integers(0, 3),
+       seed=st.integers(0, 10_000), order=st.permutations(range(REFILL_LABELS)),
+       size=st.integers(1, REFILL_LABELS), exhaust=st.booleans())
+@example(p=5, n=13, l=3, q=3, seed=7, order=list(range(REFILL_LABELS)), size=REFILL_LABELS, exhaust=True)
+@example(p=5, n=13, l=3, q=0, seed=2, order=list(range(REFILL_LABELS))[::-1], size=REFILL_LABELS, exhaust=True)
+@example(p=5, n=13, l=0, q=0, seed=3, order=list(range(REFILL_LABELS)), size=7, exhaust=False)
+@example(p=5, n=13, l=0, q=3, seed=4, order=list(range(REFILL_LABELS)), size=REFILL_LABELS, exhaust=True)
+@example(p=3, n=9, l=0, q=2, seed=5, order=list(range(REFILL_LABELS))[::-1], size=6, exhaust=False)
+@settings(max_examples=25, deadline=None)
+def test_find_in_atoms_refills_its_pool(p, n, l, q, seed, order, size, exhaust):
+    """Labels in shuffled order and in subsets, beyond one pool: each gets its point alone,
+    every evaluation stays within ATOM_EVAL_CHUNK rows and at most a pool of generators lives."""
+    assume(2 * (l + q) < n)
+    case = _random_factor(p, n, l, q, seed)
+    assume(case is not None)
+    f, basis, label = case
+    batch = [(label, seed)] + _extra_labels(p, l, q, seed, REFILL_LABELS - 1)
+    picked = [batch[i] for i in order[:size]]
+    with pytest.MonkeyPatch.context() as mp:
+        if not exhaust:
+            mp.setattr(factor, "ATOM_EXHAUST_LIMIT", 0)
+        alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in picked]
+        mp.setattr(factor, "ATOM_EVAL_CHUNK", 256)
+        alive, rows = _tracked_search(mp)
+        got = find_in_atoms(f, basis, [vals for vals, _ in picked], [s for _, s in picked])
+    assert len(got) == size
+    for z, w, (vals, _) in zip(got, alone, picked):
+        assert np.array_equal(z, w) and _atom_label(f, basis, z) == vals
+    sampled = p ** (n - l) > factor.ATOM_EXHAUST_LIMIT or not exhaust
+    # one generator per sampled label, and the pool of 256 // 64 fills up but never overflows
+    assert len(alive) == (size if sampled else 0)
+    assert max(alive, default=0) == (min(size, 256 // factor.ATOM_DRAW_CHUNK) if sampled else 0)
+    assert max(rows) <= 256
+
+
+def test_find_in_atoms_late_label_exhausts_its_own_budget(monkeypatch):
+    # a pool of 2: the labels whose first hits are draws 10 and 11 settle in the first round, the
+    # one whose first hit is draw 436 joins in the second, and the last label joins long before
+    # it settles, so its last draws come in the larger rounds of the emptied queue; with a budget
+    # above 216 only it runs out, the others hitting at draws 216 and 62
+    f, basis, label = _random_factor(5, 13, 3, 3, 7)
+    extra = _extra_labels(5, 3, 3, 7, 4)
+    batch = [extra[1], extra[3], (label, 7), extra[0], extra[2]]
+    labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
+    alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in batch]
+    monkeypatch.setattr(factor, "ATOM_EVAL_CHUNK", 128)
+    alive, rows = _tracked_search(monkeypatch)
+    for budget in (217, 300, 436):
+        monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
+        with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
+            find_in_atoms(f, basis, labels, seeds)
+    monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", 437)
+    for z, w in zip(find_in_atoms(f, basis, labels, seeds), alone):
+        assert np.array_equal(z, w)
+    assert max(alive) == 2 and max(rows) <= 128
+
+
 def test_find_in_atoms_argument_checks(basis9):
     f = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
     assert find_in_atoms(f, basis9, [], []) == []
@@ -408,7 +496,7 @@ def test_realize_maps_equals_per_map_search(k, n, p, seed):
     got = realize_maps(c, maps, seed=seed)
     assert len(got) == len(maps)
     for phi, z in zip(maps, got):
-        want = find_in_atom(c.factor, c.basis, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi))
+        want = find_in_atom(c.factor, c.basis, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi.to_index()))
         assert np.array_equal(z, want)
 
 
