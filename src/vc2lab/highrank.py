@@ -36,6 +36,26 @@ def _krylov(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
         a = matmul_mod(a, a, p)
 
 
+def _frobenius_images(q: np.ndarray, ks: list[int], p: int) -> np.ndarray:
+    """x^(p^k) mod f for each k >= 1 of ks, a (len(ks), m, n) array, from the Frobenius matrices q of f.
+
+    q is (m, n, n), column i of q[r] holding x^(p i) mod the r-th f, so q^k x = x^(p^k).  The
+    powers q^(2^j) are squared up to the largest k, and each one is applied to the columns of the
+    k with bit j set: about log2(max ks) products and as many squarings, not max(ks) steps.
+    """
+    m, n = q.shape[0], q.shape[-1]
+    need = np.array(ks)
+    cols = np.zeros((m, n, len(ks)), dtype=q.dtype)
+    cols[:, 1] = 1  # the polynomial x
+    for j in range(int(need.max()).bit_length()):
+        if j:
+            q = matmul_mod(q, q, p)
+        sel = np.flatnonzero(need >> j & 1)
+        if sel.size:
+            cols[..., sel] = matmul_mod(q, cols[..., sel], p)
+    return cols.transpose(2, 0, 1)
+
+
 def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     """Which rows of f, (m, n + 1) little-endian coefficients of monic f of degree n, are irreducible.
 
@@ -43,9 +63,9 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     for each prime q | n, with the cheapest rejections first, each on the rows left:
     1. a root, which about two canonical candidates in three have: for p < 256 f is
        evaluated on all of F_p, beyond that gcd(f, x^p - x) = 1 is tested as in 3;
-    2. n Frobenius steps t <- t^p = Q t from t = x: a reducible f without a root passes
-       only if n is composite and the degree of each factor divides n;
-    3. for composite n, x^(p^(n/q)) != x for each prime q | n, which is free, then one gcd, of f
+    2. x^(p^n) = Q^n x, from the squares Q^(2^j) (see _frobenius_images): a reducible f
+       without a root passes only if n is composite and the degree of each factor divides n;
+    3. for composite n, x^(p^(n/q)) != x for each prime q | n, from the same squares, then one gcd, of f
        and the product of the x^(p^(n/q)) - x mod f, as a nonsingular multiplication matrix.
     Q, whose column i is x^(p i) mod f, is built from powers of the multiplication-by-x^p matrix.
     Products are fp.matmul_mod's.
@@ -67,14 +87,12 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     xp = _mpow(comp[live], p, p) if small else xp[live]
     q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
     ks = [n // r for r in range(2, n) if n % r == 0 and all(r % s for s in range(2, r))]
-    ts = [np.broadcast_to(unit[1], (live.size, n))]  # x^(p^k) mod f, k = 0 .. n
-    for _ in range(n):
-        ts.append(matmul_mod(q, ts[-1][..., None], p)[..., 0])
-    passed = (ts[n] == unit[1]).all(axis=1)
+    ts = _frobenius_images(q, [n, *ks], p)
+    passed = (ts[0] == unit[1]).all(axis=1)
     ok[live] = passed
     rest = live[passed]
     if ks and rest.size:
-        g = (np.stack([ts[k] for k in ks])[:, passed] - unit[1]) % p
+        g = (ts[1:, passed] - unit[1]) % p
         # x^(p^k) = x for a k < n already means every factor has degree dividing k
         ok[rest] = g.any(axis=2).all(axis=0)
         rest, g = rest[ok[rest]], g[:, ok[rest]]

@@ -10,6 +10,7 @@ from vc2lab import highrank
 from vc2lab.highrank import (
     HighRankBasis,
     IrreduciblePoly,
+    _frobenius_images,
     _irreducible_rows,
     _is_irreducible,
     _nonzero_rows,
@@ -253,6 +254,30 @@ def test_block_test_on_random_and_constructed_polynomials(p, degrees):
         assert [_is_irreducible(c, p) for c in polys] == want
         verdicts.update(want)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("p,n", [(3, 12), (3, 31), (5, 30), (13, 31), (257, 6), ((1 << 61) - 1, 4)])
+def test_frobenius_images_match_the_step_by_step_chain(p, n):
+    # x^(p^k) mod f from the squares of the Frobenius matrix Q, against t <- t^p mod f taken k
+    # times from t = x; Q is built column by column as x^(p i) mod f, and the k cover every bit
+    # pattern up to n: n itself, its prime cofactors, 1, 2 and one more
+    rng = random.Random(p * 1000 + n)
+    dtype = np.int64 if p < 1 << 63 else object
+    polys = [list(_random_monic(rng, p, n)) for _ in range(3)]
+    ks = sorted({n, 1, 2, n // 2 + 1, *(n // r for r in range(2, n) if n % r == 0)}, reverse=True)
+    q = np.zeros((len(polys), n, n), dtype=dtype)
+    want = np.zeros((len(ks), len(polys), n), dtype=dtype)
+    for r, f in enumerate(polys):
+        for i in range(n):
+            col = _ppowmod([0, 1], p * i, f, p)
+            q[r, :len(col), i] = col
+        t = [0, 1]
+        for k in range(1, n + 1):
+            t = _ppowmod(t, p, f, p)
+            if k in ks:
+                want[ks.index(k), r, :len(t)] = t
+    got = _frobenius_images(q, ks, p)
+    assert got.shape == want.shape and (got == want).all()
 
 
 @pytest.mark.parametrize("p", [3, 13])
