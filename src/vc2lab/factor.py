@@ -139,10 +139,10 @@ def find_in_atoms(
     its generator and one evaluation tests them all; settled labels leave,
     their generators dropped, and the next labels join, each generator made
     as its label joins.  Once no label is left to join, the rest draw
-    ATOM_EVAL_CHUNK // (labels left) rows a round.  So at most that many
-    generators are alive, and at most ATOM_EVAL_CHUNK candidate rows are
-    evaluated at once; the exhaustive search takes the labels in groups of
-    that size.
+    ATOM_EVAL_CHUNK // (labels left) rows a round.  So at most a pool's
+    worth of generators is alive, and at most ATOM_EVAL_CHUNK candidate
+    rows are evaluated at once; the exhaustive search takes the labels in
+    groups of a pool's size.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
     n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
