@@ -32,7 +32,7 @@ from .fp import FieldCtx, as_points
 from .gs import GsSet, QgsSet
 from .highrank import build_trace_basis, check_high_rank
 from .ramsey import BipartiteColouring, br_upper_bound, find_mono_biclique, random_colouring
-from .shatter import ContainmentMap, QuadShatterCertificate, ShatterCertificate, shatters, vc_dim
+from .shatter import QuadShatterCertificate, ShatterCertificate, shatters, vc_dim
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,9 @@ def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
     ctx = FieldCtx(cfg.p)
     basis = build_trace_basis(ctx, cfg.n)
     construction = construct_shatter_pair(basis, cfg.k, seed=cfg.seed)
-    maps = [ContainmentMap.from_index(cfg.k - 1, idx) for idx in range(1 << (cfg.k * cfg.k))]
     # realize_maps checks every grid, and _write_cert verifies the certificate independently
-    cert = QuadShatterCertificate(construction.X, construction.Y, realize_maps(construction, maps, seed=cfg.seed))
+    found = realize_maps(construction, np.arange(1 << (cfg.k * cfg.k)), seed=cfg.seed)
+    cert = QuadShatterCertificate(construction.X, construction.Y, found)
     cons_path = cfg.extra.get("construction")
     if cons_path:
         Path(cons_path).write_bytes(certs.dumps(construction_doc(construction)))

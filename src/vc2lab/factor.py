@@ -35,6 +35,7 @@ from .fp import (
     affine_solver,
     as_points,
     derive_rng,
+    derive_rng_states,
     digits_to_ranks,
     freeze_points,
     iter_group_chunks,
@@ -136,13 +137,15 @@ def find_in_atoms(
     about 1/p of the rows before the others are evaluated.
     Sampling keeps a pool of at most ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
     labels: each round every pooled label draws ATOM_DRAW_CHUNK rows from
-    its generator and one evaluation tests them all; settled labels leave,
-    their generators dropped, and the next labels join, each generator made
-    as its label joins.  Once no label is left to join, the rest draw
-    ATOM_EVAL_CHUNK // (labels left) rows a round.  So at most a pool's
-    worth of generators is alive, and at most ATOM_EVAL_CHUNK candidate
-    rows are evaluated at once; the exhaustive search takes the labels in
-    groups of a pool's size.
+    its generator and one evaluation tests them all; settled labels leave
+    and the next labels join, each taking a settled label's generator (or a
+    new one while the pool fills) set to its own stream's state.  Every
+    label's state, the one derive_rng(seed, "find-in-atom") starts from,
+    comes from one fp.derive_rng_states pass.  Once no label is left to
+    join, the rest draw ATOM_EVAL_CHUNK // (labels left) rows a round.  So
+    at most a pool's worth of generators is ever made, and at most
+    ATOM_EVAL_CHUNK candidate rows are evaluated at once; the exhaustive
+    search takes the labels in groups of a pool's size.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
     n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
@@ -203,12 +206,14 @@ def find_in_atoms(
     # The generator yields the same rows however the draws are split, so the
     # first hit does not depend on the round sizes or on which labels share an
     # evaluation.
+    states = derive_rng_states(seeds, "find-in-atom")
     live: dict[int, np.random.Generator] = {}  # pooled label -> its generator, in joining order
+    spare: list[np.random.Generator] = []  # the generators of settled labels
     tried = [0] * len(vals)
     joined = 0
     while live or joined < len(vals):
         while len(live) < group and joined < len(vals):
-            live[joined] = derive_rng(seeds[joined], "find-in-atom")
+            live[joined] = _pooled_generator(spare, states[joined])
             joined += 1
         spent = next((i for i in live if tried[i] >= ATOM_SAMPLE_BUDGET), None)
         if spent is not None:
@@ -218,12 +223,25 @@ def find_in_atoms(
         for i, block in zip(live, blocks):
             tried[i] += len(block)
         settle(np.concatenate(blocks), np.repeat(list(live), [len(b) for b in blocks]))
-        live = {i: rng for i, rng in live.items() if found[i] is None}
+        for i in [i for i in live if found[i] is not None]:
+            spare.append(live.pop(i))
     return found
 
 
+def _pooled_generator(spare: list[np.random.Generator], state: dict) -> np.random.Generator:
+    """A generator set to state (see fp.derive_rng_states): one taken from spare, else a new one."""
+    rng = spare.pop() if spare else np.random.Generator(np.random.PCG64(0))  # its seed is replaced at once
+    rng.bit_generator.state = state
+    return rng
+
+
+# A census report costs about 0.4 KB of memory and 4 us per label: 994,009 labels at
+# p = 997, n = 2 peaked at 399 MB and took 4.2 s in atom-census.
+CENSUS_MAX_LABELS = 10 ** 6
+
+
 def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...], int]:
-    """Exact atom sizes over the whole group (p**n <= 1e7), one count per label (p**D <= 1e7).
+    """Exact atom sizes over the whole group (p**n <= 1e7), one count per label (p**D <= CENSUS_MAX_LABELS).
 
     Keys are the labels as tuples, linear values first.  Checks
     |size - p**(n-D)| <= p**(n/2) for every label, including labels of
@@ -234,8 +252,8 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...
     if p ** n > 10 ** 7:
         raise ValueError("group too large for an exhaustive census")
     d = f.complexity
-    if p ** d > 10 ** 7:
-        raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > 1e7)")
+    if p ** d > CENSUS_MAX_LABELS:
+        raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > {CENSUS_MAX_LABELS:,})")
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
@@ -653,30 +671,32 @@ def target_table(indices, k: int, p: int) -> np.ndarray:
 
 
 def realize_map(c: ShatterPairConstruction, phi: ContainmentMap, seed: int = 0) -> np.ndarray:
-    """A shift z realizing phi: realize_maps for the one map."""
-    return realize_maps(c, [phi], seed)[0]
+    """A shift z realizing the total map phi on the construction's grid: realize_maps for its index."""
+    if phi.k + 1 != c.k:
+        raise ValueError("map grid does not match the construction size")
+    return realize_maps(c, [phi.to_index()], seed)[0]
 
 
-def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], seed: int = 0) -> list[np.ndarray]:
-    """A shift realizing each map, found inside the atom its target values select.
+def realize_maps(c: ShatterPairConstruction, indices: Sequence[int] | np.ndarray, seed: int = 0) -> list[np.ndarray]:
+    """A shift realizing each map, given by its index (ContainmentMap.to_index), found inside the
+    atom its target values select.
 
     The atom label subtracts, per point u and form index t, both the shift
     value q_t and the point's own value Q_t(u) from the target.  All atoms
-    are searched in one find_in_atoms call, map phi with the seed
-    derive_seed_for_map(seed, phi.to_index()), after one target_table call has built
-    and self-checked every map's targets, and every grid is re-verified
-    against direct membership in one call before returning.
+    are searched in one find_in_atoms call, the map of index i with the seed
+    derive_seed_for_map(seed, i), after one target_table call has checked
+    every index, built every map's targets and self-checked them, and every
+    grid is re-verified against direct membership in one call before
+    returning.
     """
-    if any(phi.k + 1 != c.k for phi in maps):
-        raise ValueError("map grid does not match the construction size")
-    if not maps:
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if not idx.size:
         return []
     p, k = c.basis.ctx.p, c.k
-    idx = np.array([phi.to_index() for phi in maps], dtype=np.int64)
     vals = target_table(idx, k, p)
     own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
     lin = (vals[:, 1:] - vals[:, :1] - own) % p
-    labels = np.concatenate([lin.reshape(len(maps), -1), vals[:, 0]], axis=1)
+    labels = np.concatenate([lin.reshape(len(idx), -1), vals[:, 0]], axis=1)
     zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, i) for i in idx.tolist()]))
     want = ((idx[:, None] >> np.arange(k * k)) & 1) == 0  # bit i k + j set: cell (i, j) is a complement cell
     if (grid_verdicts(QgsSet(c.basis), c.X, c.Y, zs) != want).any():
@@ -685,7 +705,9 @@ def realize_maps(c: ShatterPairConstruction, maps: Sequence[ContainmentMap], see
 
 
 def derive_seed_for_map(seed: int, index: int) -> int:
-    """The atom-search seed of the map with this index (ContainmentMap.to_index) under the run's seed."""
+    """The atom-search seed of the map with this index (ContainmentMap.to_index, the key of
+    target_table and of the certificate's witnesses) under the run's seed; find_in_atoms turns
+    it into the map's stream."""
     return (int(seed) * 0x1F1F1F1F + int(index)) & 0x7FFFFFFF
 
 
@@ -784,7 +806,10 @@ def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> 
     """Seeded point arrays (X, Y) of size 4, x_0 = y_0 = 0, with vanishing cross-terms below level m.
 
     The three further points of each side are distinct and nonzero, so the
-    group needs at least 4 points; a smaller one raises ValueError.
+    group needs at least 4 points; a smaller one raises ValueError.  When
+    256 tries of x's leave no three distinct nonzero y's (as at m = 2 in
+    F_3^3, where the y-side subspace has at most 2 nonzero points),
+    RuntimeError names the group.
     """
     p, n = basis.ctx.p, basis.n
     if p ** n < 4:
@@ -818,7 +843,7 @@ def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> 
         x, y = np.vstack([zero, xs]), np.vstack([zero, ys])
         if cross_terms_vanish_below(QgsSet(basis), x, y, m):
             return x, y
-    raise RuntimeError("could not generate qualifying sets")
+    raise RuntimeError(f"no qualifying sets in F_{p}^{n} after 256 tries")
 
 
 def _planted_tables(basis: HighRankBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -475,3 +475,60 @@ def derive_rng(seed: int, *key: object) -> np.random.Generator:
         else:
             parts.append(int(k) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+# The constants of numpy's SeedSequence hash (an entropy pool of 4 uint32 words) and of
+# PCG64's LCG step; NEP 19 fixes SeedSequence -> PCG64 seeding bit for bit.
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+
+
+def _hash_round(value: np.ndarray, mult: int, step: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash round on uint32 words: xor mult, times the next multiplier, xor-shift."""
+    mult_next = mult * step & _MASK32
+    value = (value ^ np.uint32(mult)) * np.uint32(mult_next)
+    return value ^ value >> np.uint32(16), mult_next
+
+
+def derive_rng_states(seeds, *key: object) -> list[dict]:
+    """derive_rng(s, *key).bit_generator.state for every seed s of seeds, from one array pass.
+
+    SeedSequence's pool hash and generate_state(4, uint64) run on every
+    seed at once in wrapping uint32 arithmetic; PCG64's seeding (state 0,
+    one LCG step, add the seed, one more step) runs in Python integers.  A
+    state is installed by assigning it to a PCG64's state.  The entropy
+    words (the seed and one per key part) must fit SeedSequence's pool of 4,
+    so a key of more than 3 parts raises ValueError.
+    """
+    words = [zlib.crc32(k.encode("utf-8")) if isinstance(k, str) else int(k) & _MASK32 for k in key]
+    if 1 + len(words) > _POOL_SIZE:
+        raise ValueError(f"a key of {len(key)} parts overflows the {_POOL_SIZE}-word entropy pool")
+    entropy = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    entropy[0] = [int(s) & _MASK32 for s in seeds]
+    entropy[1:1 + len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool, mult = [], _HASH_INIT_A
+    for w in entropy:
+        value, mult = _hash_round(w, mult, _HASH_MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, mult = _hash_round(pool[src], mult, _HASH_MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * value
+                pool[dst] = mixed ^ mixed >> np.uint32(16)
+    # generate_state(4, uint64): 8 uint32 words cycling through the pool, paired little-endian
+    out, mult = [], _HASH_INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value, mult = _hash_round(pool[i % _POOL_SIZE], mult, _HASH_MULT_B)
+        out.append(value.astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[2 * j] | out[2 * j + 1] << np.uint64(32) for j in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi.tolist(), seed_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states

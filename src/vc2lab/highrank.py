@@ -60,7 +60,8 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     """Which rows of f, (m, n + 1) little-endian coefficients of monic f of degree n, are irreducible.
 
     Rabin's test (SIAM J. Comput. 1980): x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1
-    for each prime q | n, with the cheapest rejections first, each on the rows left:
+    for each prime q | n, with the cheapest rejections first, each on the rows left (none
+    after the root test if no row is left):
     1. a root, which about two canonical candidates in three have: for p < 256 f is
        evaluated on all of F_p, beyond that gcd(f, x^p - x) = 1 is tested as in 3;
     2. x^(p^n) = Q^n x, from the squares Q^(2^j) (see _frobenius_images): a reducible f
@@ -84,6 +85,8 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
         xp = _mpow(comp, p, p)
         ok = _rank_array(xp - comp, p) == n
     live, unit = np.flatnonzero(ok), np.eye(n, dtype=f.dtype)
+    if not live.size:
+        return ok
     xp = _mpow(comp[live], p, p) if small else xp[live]
     q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
     ks = [n // r for r in range(2, n) if n % r == 0 and all(r % s for s in range(2, r))]

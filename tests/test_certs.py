@@ -37,7 +37,7 @@ def _vc2_base() -> dict:
     basis = build_trace_basis(ctx3, 13)
     c = construct_shatter_pair(basis, 2, seed=0)
     a = QgsSet(basis)
-    found = realize_maps(c, [ContainmentMap.from_index(1, idx) for idx in range(16)], seed=0)
+    found = realize_maps(c, np.arange(16), seed=0)
     cert = QuadShatterCertificate(c.X, c.Y, found)
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
 

@@ -257,6 +257,15 @@ def test_ramsey_find_rejects_a_colouring_file_without_rows(capsys, tmp_path, tex
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+def test_prop32_check_names_the_group_without_qualifying_sets(capsys):
+    # in F_3^3 three distinct nonzero x's leave a y-side subspace of at most 2 nonzero points
+    code = main(["prop32-check", "--p", "3", "--n", "3"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: no qualifying sets in F_3^3 after 256 tries\n"
+
+
 def test_prop32_check_refuses_a_group_below_4_points_in_a_child():
     # F_3^1 has 2 nonzero points, where X and Y each need 3: the blind sampler drew forever.
     # A child process with a time limit makes a regression fail this test instead of hanging it.

@@ -210,28 +210,36 @@ def test_find_in_atom_budget_counts_draws(monkeypatch):
 
 
 class _TrackedGenerator(np.random.Generator):
-    """A generator on another's bit generator, the same stream, that a weakref can follow."""
+    """A generator that a weakref can follow."""
 
 
 def _tracked_search(monkeypatch):
-    """Patch factor to record, as each derive_rng result is made, how many of them are alive
-    (followed by weakrefs), and the row count of each quad_forms call; returns both lists."""
-    derive, forms = factor.derive_rng, factor.quad_forms
-    refs, alive, rows = [], [], []
+    """Patch factor to record each stream installed in a pooled generator, the generators made for
+    the pool (followed by weakrefs) and the row count of each quad_forms call.
 
-    def tracked_rng(*key):
-        rng = _TrackedGenerator(derive(*key).bit_generator)
-        refs.append(weakref.ref(rng))
-        alive.append(sum(r() is not None for r in refs))
-        return rng
+    A generator is made where the pool has no spare one: the hook then stocks the spare list with a
+    new tracked generator, which factor._pooled_generator takes and sets to the label's state.
+    Returns the list of installed states, the count of made generators alive as each one is made,
+    and the row counts.
+    """
+    pooled, forms = factor._pooled_generator, factor.quad_forms
+    refs, installed, alive, rows = [], [], [], []
+
+    def tracked_generator(spare, state):
+        if not spare:
+            spare.append(_TrackedGenerator(np.random.PCG64(0)))
+            refs.append(weakref.ref(spare[-1]))
+            alive.append(sum(r() is not None for r in refs))
+        installed.append(state)
+        return pooled(spare, state)
 
     def counted_forms(points, mats, p):
         rows.append(len(points))
         return forms(points, mats, p)
 
-    monkeypatch.setattr(factor, "derive_rng", tracked_rng)
+    monkeypatch.setattr(factor, "_pooled_generator", tracked_generator)
     monkeypatch.setattr(factor, "quad_forms", counted_forms)
-    return alive, rows
+    return installed, alive, rows
 
 
 REFILL_LABELS = 10
@@ -262,15 +270,16 @@ def test_find_in_atoms_refills_its_pool(p, n, l, q, seed, order, size, exhaust):
             mp.setattr(factor, "ATOM_EXHAUST_LIMIT", 0)
         alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in picked]
         mp.setattr(factor, "ATOM_EVAL_CHUNK", 256)
-        alive, rows = _tracked_search(mp)
+        installed, alive, rows = _tracked_search(mp)
         got = find_in_atoms(f, basis, [vals for vals, _ in picked], [s for _, s in picked])
     assert len(got) == size
     for z, w, (vals, _) in zip(got, alone, picked):
         assert np.array_equal(z, w) and _atom_label(f, basis, z) == vals
     sampled = p ** (n - l) > factor.ATOM_EXHAUST_LIMIT or not exhaust
-    # one generator per sampled label, and the pool of 256 // 64 fills up but never overflows
-    assert len(alive) == (size if sampled else 0)
-    assert max(alive, default=0) == (min(size, 256 // factor.ATOM_DRAW_CHUNK) if sampled else 0)
+    # one stream per sampled label, its own, and the pool of 256 // 64 fills up but never overflows
+    assert installed == ([derive_rng(s, "find-in-atom").bit_generator.state for _, s in picked] if sampled else [])
+    pool = min(size, 256 // factor.ATOM_DRAW_CHUNK) if sampled else 0
+    assert len(alive) == pool and max(alive, default=0) == pool
     assert max(rows) <= 256
 
 
@@ -285,7 +294,7 @@ def test_find_in_atoms_late_label_exhausts_its_own_budget(monkeypatch):
     labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
     alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in batch]
     monkeypatch.setattr(factor, "ATOM_EVAL_CHUNK", 128)
-    alive, rows = _tracked_search(monkeypatch)
+    installed, alive, rows = _tracked_search(monkeypatch)
     for budget in (217, 300, 436):
         monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
@@ -293,7 +302,8 @@ def test_find_in_atoms_late_label_exhausts_its_own_budget(monkeypatch):
     monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", 437)
     for z, w in zip(find_in_atoms(f, basis, labels, seeds), alone):
         assert np.array_equal(z, w)
-    assert max(alive) == 2 and max(rows) <= 128
+    # each of the four runs installs every label's stream, in two generators that never grow more
+    assert len(installed) == 4 * len(batch) and len(alive) == 4 * 2 and max(alive) == 2 and max(rows) <= 128
 
 
 def test_find_in_atoms_argument_checks(basis9):
@@ -327,7 +337,23 @@ def test_atom_census_rejects_label_space_over_cap():
     # p**n = 3**14 is within the census cap, but a counts array of 3**28 labels would need 166 TiB
     b = build_trace_basis(ctx3, 14)
     f = QuadraticFactor(ctx3, np.eye(14, 14, dtype=np.int64), tuple(range(1, 15)))
-    with pytest.raises(ValueError, match="too many atom labels"):
+    with pytest.raises(ValueError, match=r"too many atom labels for an exhaustive census \(p\*\*D = 3\*\*28 > 1,000,000\)"):
+        atom_census(f, b)
+
+
+def test_atom_census_refuses_the_first_label_count_over_the_cap_before_counting(monkeypatch):
+    # 3**12 = 531,441 labels are within CENSUS_MAX_LABELS = 10**6 and 3**13 = 1,594,323 are not; the
+    # refusal comes before any point of the group is enumerated or evaluated
+    assert 3 ** 12 <= factor.CENSUS_MAX_LABELS < 3 ** 13
+    b = build_trace_basis(ctx3, 13)
+    f = QuadraticFactor(ctx3, np.eye(13, 13, dtype=np.int64), ())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the census started counting")
+
+    monkeypatch.setattr(factor, "iter_group_chunks", no_work)
+    monkeypatch.setattr(factor, "quad_forms", no_work)
+    with pytest.raises(ValueError, match=r"\(p\*\*D = 3\*\*13 > 1,000,000\)"):
         atom_census(f, b)
 
 
@@ -382,7 +408,7 @@ def test_predicted_grid_rejects_an_all_zero_cell():
 def test_target_values_reject_partial_maps(basis13):
     partial = ContainmentMap(1, ((True, None), (False, True)))
     with pytest.raises(ValueError, match="partial map has no index"):
-        realize_maps(construct_shatter_pair(basis13, 2, seed=0), [partial], seed=0)
+        realize_map(construct_shatter_pair(basis13, 2, seed=0), partial, seed=0)
 
 
 @pytest.mark.parametrize("k,idx", [(0, 1), (3, 0)])
@@ -415,13 +441,13 @@ def test_a_corrupted_case_table_raises_before_any_search(basis13, monkeypatch):
     monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 2: (corrupted,)})
     monkeypatch.setattr(factor, "find_in_atoms", no_search)
     with pytest.raises(RuntimeError, match="case table bug: predicted grid mismatch at map index 5"):
-        realize_maps(c, _all_maps(2), seed=0)
+        realize_maps(c, np.arange(16), seed=0)
     with pytest.raises(RuntimeError, match="case table bug"):
         target_table([5], 2, 3)
     # a case that matches no map leaves every map unmatched
     monkeypatch.setattr(factor, "_CASES", {**factor._CASES, 2: (lambda g, p: (np.zeros(g.shape[2], bool), case(g, p)[1]),)})
     with pytest.raises(RuntimeError, match="no case matched map index 0"):
-        realize_maps(c, _all_maps(2), seed=0)
+        realize_maps(c, np.arange(16), seed=0)
     # on the 3 x 3 grid, one k=3 case with every value moved one step
     cases = list(factor._CASES[3])
     cases[4] = lambda g, p: (lambda mask, vals: (mask, vals + 1))(*factor._case_33(g, p))
@@ -465,7 +491,7 @@ def _all_maps(k):
 def test_k2_pipeline_realizes_all_maps(basis13):
     c = construct_shatter_pair(basis13, 2, seed=0)
     a = QgsSet(basis13)
-    found = realize_maps(c, _all_maps(2), seed=0)
+    found = realize_maps(c, np.arange(16), seed=0)
     cert = QuadShatterCertificate(c.X, c.Y, found)
     assert len(cert.witnesses) == 16
     # independent re-check of a few witnesses
@@ -493,7 +519,7 @@ def _label_for_map(c, phi):
 def test_realize_maps_equals_per_map_search(k, n, p, seed):
     c = construct_shatter_pair(build_trace_basis(FieldCtx(p), n), k, seed=seed)
     maps = _all_maps(k)
-    got = realize_maps(c, maps, seed=seed)
+    got = realize_maps(c, np.arange(len(maps)), seed=seed)
     assert len(got) == len(maps)
     for phi, z in zip(maps, got):
         want = find_in_atom(c.factor, c.basis, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi.to_index()))
@@ -509,15 +535,18 @@ def test_realize_maps_rejects_a_corrupted_target_table(basis13, monkeypatch):
     monkeypatch.setattr(factor, "target_table",
                         lambda idx, k, p: honest([6 if i == 5 else i for i in idx], k, p))
     with pytest.raises(RuntimeError, match="realization failed verification"):
-        realize_maps(c, _all_maps(2), seed=0)
-    assert len(realize_maps(c, _all_maps(2)[:5], seed=0)) == 5
+        realize_maps(c, np.arange(16), seed=0)
+    assert len(realize_maps(c, range(5), seed=0)) == 5
 
 
 def test_realize_maps_rejects_a_grid_size_mismatch(basis13):
     c = construct_shatter_pair(basis13, 2, seed=0)
     assert realize_maps(c, [], seed=0) == []
     with pytest.raises(ValueError, match="grid does not match"):
-        realize_maps(c, [ContainmentMap.from_index(2, 0)], seed=0)
+        realize_map(c, ContainmentMap.from_index(2, 0), seed=0)
+    # an index of the 3 x 3 grid is outside the 2 x 2 grid's indices
+    with pytest.raises(ValueError, match=r"map index outside \[0, 16\)"):
+        realize_maps(c, [0, 16], seed=0)
 
 
 def test_realize_map_deterministic(basis13):

@@ -18,6 +18,8 @@ from vc2lab.fp import (
     add_mod,
     affine_solver,
     as_points,
+    derive_rng,
+    derive_rng_states,
     digits_to_ranks,
     iter_group_chunks,
     mat_rank,
@@ -621,3 +623,40 @@ def test_empty_products_at_large_p(p, rows):
     assert got.dtype == dtype and got.tolist() == [[0] * 3] * rows
     got = quad_forms(np.zeros((rows, 0), dtype=dtype), np.zeros((3, 0, 0), dtype=dtype), p)
     assert got.dtype == np.int64 and got.tolist() == [[0] * 3] * rows
+
+
+def _stream_seeds() -> list[int]:
+    """Seeds at the edges of the 32-bit word derive_rng keeps, beyond it and below 0, then seeded
+    ones of every size up to 64 bits and either sign, 10^4 distinct seeds in all."""
+    seeds = dict.fromkeys([0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 40 + 3, 2 ** 64 + 1,
+                           10 ** 30, -1, -2, -(2 ** 31), -(2 ** 32), -(2 ** 63)])
+    rnd = random.Random(7)
+    while len(seeds) < 10_000:
+        seeds[rnd.choice((1, -1)) * rnd.getrandbits(rnd.randrange(1, 65))] = None
+    return list(seeds)
+
+
+_STREAM_SEEDS = _stream_seeds()
+
+
+@pytest.mark.parametrize("key,count", [
+    (("find-in-atom",), len(_STREAM_SEEDS)),  # a string key
+    (("planted-instance", 2, 1), len(_STREAM_SEEDS)),  # string and ints, the pool's last words
+    (("shatter-pair", -3), 2_000),
+    ((0xFFFFFFFF + 7,), 2_000),
+    ((), 2_000),
+])
+def test_derive_rng_states_are_derive_rng_streams(key, count):
+    seeds = _STREAM_SEEDS[:count]
+    assert derive_rng_states(seeds, *key) == [derive_rng(s, *key).bit_generator.state for s in seeds]
+    # an installed state draws what derive_rng draws
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s, state in list(zip(seeds, derive_rng_states(seeds, *key)))[:20]:
+        rng.bit_generator.state = state
+        assert rng.integers(0, 5, size=50).tolist() == derive_rng(s, *key).integers(0, 5, size=50).tolist()
+
+
+def test_derive_rng_states_refuse_a_key_beyond_the_entropy_pool():
+    assert derive_rng_states([], "a", 1, 2) == []
+    with pytest.raises(ValueError, match="a key of 4 parts overflows the 4-word entropy pool"):
+        derive_rng_states([0, 1], "a", 1, 2, 3)

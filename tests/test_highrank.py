@@ -291,6 +291,38 @@ def test_block_test_runs_every_gcd(p):
     assert _irreducible_rows(np.array(polys), p).tolist() == [False, True]
 
 
+def _record_matmul_shapes(monkeypatch):
+    """Patch highrank's matmul_mod to record the shape of its left operand; returns the list."""
+    shapes, product = [], highrank.matmul_mod
+    monkeypatch.setattr(highrank, "matmul_mod", lambda a, b, p: shapes.append(np.shape(a)) or product(a, b, p))
+    return shapes
+
+
+@pytest.mark.parametrize("p,n", [(3, 12), (13, 31), (257, 4)])
+def test_block_test_stops_when_no_row_passes_the_root_test(monkeypatch, p, n):
+    # seeded blocks of random monic polynomials against Ben-Or, then a block of multiples of x,
+    # all with the root 0: its verdicts are all False, and nothing runs on an empty stack
+    rng = random.Random(p * 100 + n)
+    shapes = _record_matmul_shapes(monkeypatch)
+    for _ in range(3):
+        polys = [_random_monic(rng, p, n) for _ in range(6)]
+        assert _irreducible_rows(np.array(polys), p).tolist() == [_is_irreducible_ben_or(c, p) for c in polys]
+    rooted = [(0,) + _random_monic(rng, p, n - 1) for _ in range(6)]
+    assert _irreducible_rows(np.array(rooted), p).tolist() == [False] * 6
+    assert shapes and all(s[0] for s in shapes)
+
+
+def test_build_irreducible_skips_blocks_without_survivors(monkeypatch):
+    # at (13, 31) the first block of 8 candidates has no row without a root
+    blocks = []
+    monkeypatch.setattr(highrank, "_irreducible_rows", lambda f, p: blocks.append(f) or _irreducible_rows(f, p))
+    shapes = _record_matmul_shapes(monkeypatch)
+    poly = build_irreducible(FieldCtx(13), 31)
+    assert not _irreducible_rows(blocks[0], 13).any()
+    assert shapes and all(s[0] for s in shapes)
+    assert IrreduciblePoly(FieldCtx(13), poly.coeffs) == poly
+
+
 def test_build_irreducible_tests_the_winner_once(monkeypatch):
     # blocks of 8 and 32 candidates at (3, 31), and no second, one-row test of the winner
     sizes = []
