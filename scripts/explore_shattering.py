@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Search hooks for exploring shattering beyond the certified values.
+"""Random search for quadratically shattered pairs beyond the certified constructions.
 
-Examples:
-    # exact VC-dimension of the quadratic set on a small group
-    python scripts/explore_shattering.py vc --p 3 --n 3 --set qgs --k-max 5
-
+Example:
     # try to quadratically shatter random small pairs by one pattern scan over the grid cells
     python scripts/explore_shattering.py vc2-random --p 3 --n 5 --k 2 --tries 200
+
+The exact VC-dimension of a small set is a vc2lab command:
+    vc2lab vc-dim --p 3 --n 3 --set qgs --k-max 5
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ import numpy as np
 from vc2lab.fp import FieldCtx
 from vc2lab.gs import GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import QuadShatterCertificate, vc2_shatters, vc_dim
-
-
-def cmd_vc(args) -> int:
-    ctx = FieldCtx(args.p)
-    a = GsSet(ctx, args.n) if args.set == "gs" else QgsSet(build_trace_basis(ctx, args.n))
-    res = vc_dim(a, k_max=args.k_max)
-    print(f"vc-dim({args.set}, p={args.p}, n={args.n}) = {res.dim}")
-    if res.certificate:
-        print(f"witness set: {res.certificate.S.tolist()}")
-    return 0
+from vc2lab.shatter import QuadShatterCertificate, vc2_shatters
 
 
 def cmd_vc2_random(args) -> int:
@@ -56,13 +46,6 @@ def cmd_vc2_random(args) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser()
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("vc")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", choices=["gs", "qgs"], default="gs")
-    sp.add_argument("--k-max", type=int, default=5)
-    sp.set_defaults(fn=cmd_vc)
 
     sp = sub.add_parser("vc2-random")
     sp.add_argument("--p", type=int, required=True)

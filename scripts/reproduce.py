@@ -3,9 +3,11 @@
 
 Usage: python scripts/reproduce.py [--out DIR] [--seed N] [--skip-slow]
 
-The slowest part is the pair of k=3 pipelines at n=31 (under a second each);
-everything else is near-instant.  A failed check prints its step and exits
-with status 1 (also under python -O).
+Each step is a list of vc2lab commands run through vc2lab.cli.dispatch, the
+same call `vc2lab <command> ...` makes, so every certificate is verified before
+it is written.  A step fails when a command raises or reports outcome fail: it
+prints the step and exits with status 1.  The slowest part is the pair of k=3
+pipelines at n=31 (under a second each); everything else is near-instant.
 """
 
 from __future__ import annotations
@@ -15,33 +17,39 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+from vc2lab.cli import RunConfig, dispatch
 
-from vc2lab import certs
-from vc2lab.fp import FieldCtx
-from vc2lab.gs import GsSet, QgsSet
-from vc2lab.highrank import build_trace_basis, check_high_rank
-from vc2lab.shatter import QuadShatterCertificate, vc_dim
-from vc2lab.factor import QuadraticFactor, atom_census, construct_shatter_pair, forced_zero_probe, realize_maps
-from vc2lab.ramsey import br_upper_bound, find_mono_biclique, random_colouring
+LINEAR = [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]
 
 
-class Step:
-    """One headline verification: prints its name, then its time, or the check that failed."""
-
-    def __init__(self, name):
-        self.name = name
-        print(f"— {name}")
-        self.t0 = time.perf_counter()
-
-    def require(self, ok, detail=""):
-        """Stop with exit status 1, naming this step, unless ok holds."""
-        if not ok:
-            print(f"FAILED: {self.name}" + (f": {detail}" if detail else ""))
-            sys.exit(1)
-
-    def done(self, detail=""):
-        print(f"  ok ({time.perf_counter() - self.t0:.1f}s) {detail}")
+def steps(out: Path, seed: int, skip_slow: bool) -> list:
+    """(name, commands, one-line summary of their reports or None) per headline verification."""
+    pipelines = [(3, 13, 2)] if skip_slow else [(3, 13, 2), (3, 31, 3), (5, 31, 3)]
+    return [
+        ("VC-dimension of the linear set",
+         [RunConfig("vc-dim", p=p, n=n, extra={"k_max": 4, "cert": str(out / f"vc_witness_p{p}_n{n}.json")})
+          for p, n in LINEAR],
+         lambda reports: f"values: {dict(zip(LINEAR, (r.value for r in reports)))}"),
+        ("full-rank basis checks",
+         [RunConfig("basis", p=p, n=n, extra={"mode": "exhaustive"}) for p in (3, 5, 7) for n in range(1, 5)]
+         + [RunConfig("basis", p=3, n=31, seed=seed, extra={"mode": "sampled", "count": 10_000})],
+         None),
+        ("atom census at p=3, n=9 (l=2, q=2)",
+         [RunConfig("atom-census", p=3, n=9, extra={"l": 2, "q": 2})],
+         lambda reports: "{atoms} atoms, sizes {min_size}..{max_size}".format(**reports[0].value)),
+        *[(f"quadratic shattering pipeline k={k} at p={p}, n={n}",
+           [RunConfig("vc2-verify", p=p, n=n, k=k, seed=seed, extra={"cert": str(out / f"vc2_k{k}_p{p}_n{n}.json")})],
+           lambda reports: f"{reports[0].value['maps_realized']} maps -> {reports[0].certificate}")
+          for p, n, k in pipelines],
+        ("forced-zero probe at p=3, n=5",
+         [RunConfig("prop32-check", p=3, n=5, seed=seed, extra={"instances": 20})],
+         lambda reports: "checked={instances} vacuous={vacuous}".format(
+             instances=reports[0].value["instances"] - reports[0].value["vacuous"], vacuous=reports[0].value["vacuous"])),
+        ("biclique bound chain and constructive search",
+         [RunConfig("br-bound", extra={"r": r}) for r in range(1, 101)]
+         + [RunConfig("ramsey-find", seed=s, extra={"m": 501, "n_right": 501, "r": 5}) for s in range(20)],
+         None),
+    ]
 
 
 def main() -> int:
@@ -53,61 +61,20 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    st = Step("VC-dimension of the linear set")
-    values = {}
-    for p, n in [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]:
-        a = GsSet(FieldCtx(p), n)
-        res = vc_dim(a, k_max=4)
-        values[(p, n)] = res.dim
-        if res.certificate:
-            doc = certs.shatter_certificate_doc(res.certificate, a)
-            (out / f"vc_witness_p{p}_n{n}.json").write_bytes(certs.dumps(doc))
-    st.done(f"values: {values}")
-
-    st = Step("full-rank basis checks")
-    for p in (3, 5, 7):
-        for n in range(1, 5):
-            st.require(check_high_rank(build_trace_basis(FieldCtx(p), n), mode="exhaustive") is None, f"p={p}, n={n}")
-    st.require(check_high_rank(build_trace_basis(FieldCtx(3), 31), mode="sampled", count=10_000, seed=args.seed) is None,
-               "p=3, n=31 sampled")
-    st.done()
-
-    st = Step("atom census at p=3, n=9 (l=2, q=2)")
-    ctx3 = FieldCtx(3)
-    basis9 = build_trace_basis(ctx3, 9)
-    factor = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
-    census = atom_census(factor, basis9)
-    st.done(f"{len(census)} atoms, sizes {min(census.values())}..{max(census.values())}")
-
-    pipelines = [(3, 13, 2)] if args.skip_slow else [(3, 13, 2), (3, 31, 3), (5, 31, 3)]
-    for p, n, k in pipelines:
-        st = Step(f"quadratic shattering pipeline k={k} at p={p}, n={n}")
-        basis = build_trace_basis(FieldCtx(p), n)
-        c = construct_shatter_pair(basis, k, seed=args.seed)
-        a = QgsSet(basis)
-        # realize_maps raises unless every grid checks out; the certificate is re-verified below
-        found = realize_maps(c, np.arange(1 << (k * k)), seed=args.seed)
-        cert = QuadShatterCertificate(c.X, c.Y, found)
-        doc = certs.quad_certificate_doc(cert, a)
-        path = out / f"vc2_k{k}_p{p}_n{n}.json"
-        path.write_bytes(certs.dumps(doc))
-        check = certs.verify_certificate(certs.loads(path.read_bytes()))
-        st.require(check.ok, check.detail)
-        st.done(f"{len(cert.witnesses)} maps -> {path}")
-
-    st = Step("forced-zero probe at p=3, n=5")
-    results = forced_zero_probe(build_trace_basis(FieldCtx(3), 5), instances=20, seed=args.seed)
-    st.require(all(r.ok for r in results), "an instance failed")
-    vac = sum(r.vacuous for r in results)
-    st.done(f"checked={len(results) - vac} vacuous={vac}")
-
-    st = Step("biclique bound chain and constructive search")
-    st.require(all(br_upper_bound(r).value == 4 * r ** 3 + 1 for r in range(1, 101)), "bound is not 4r^3+1")
-    for seed in range(20):
-        col = random_colouring(501, 501, 5, seed=seed)
-        w = find_mono_biclique(col, 3, 3)
-        st.require(w is not None and w.verify(col), f"seed {seed}")
-    st.done()
+    for name, configs, summary in steps(out, args.seed, args.skip_slow):
+        print(f"— {name}")
+        t0 = time.perf_counter()
+        reports = []
+        for cfg in configs:
+            try:
+                reports.append(dispatch(cfg))
+            except Exception as exc:
+                print(f"FAILED: {name}: {cfg.command}: {exc}")
+                return 1
+            if reports[-1].outcome == "fail":
+                print(f"FAILED: {name}: {cfg.command} {reports[-1].params}: {reports[-1].value}")
+                return 1
+        print(f"  ok ({time.perf_counter() - t0:.1f}s) {summary(reports) if summary else ''}")
 
     print(f"all verifications passed; certificates in {out}/")
     return 0

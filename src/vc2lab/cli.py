@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .factor import (
 )
 from .fp import FieldCtx, as_points
 from .gs import GsSet, QgsSet
-from .highrank import build_trace_basis, check_high_rank
+from .highrank import EXHAUSTIVE_LIMIT, HighRankBasis, build_trace_basis, check_high_rank
 from .ramsey import BipartiteColouring, br_upper_bound, find_mono_biclique, random_colouring
 from .shatter import QuadShatterCertificate, ShatterCertificate, shatters, vc_dim
 
@@ -103,23 +103,37 @@ def _write_cert(path: str | None, doc: dict) -> str | None:
     return path
 
 
+def _basis(cfg: RunConfig) -> HighRankBasis:
+    """The canonical basis over F_p^n, refused for n beyond the verifier's qgs limit.
+
+    No certificate on a larger basis verifies, and its cost grows as about n^3:
+    built in a child process at p = 3 on a 2-vCPU x86-64 VM, n = 64 takes 0.03 s
+    of CPU and 39 MB, n = 128 0.9 s and 81 MB, n = 256 6.5 s and 418 MB, and at
+    n = 20001 the irreducibility test asks for an (8, n, n) array.  p is not
+    bounded here.
+    """
+    if cfg.n > certs.QGS_MAX_N:
+        raise ValueError(f"n = {cfg.n} is beyond the quadratic set's limit n <= {certs.QGS_MAX_N}")
+    return build_trace_basis(FieldCtx(cfg.p), cfg.n)
+
+
 def _oracle(cfg: RunConfig):
-    ctx = FieldCtx(cfg.p)
     which = cfg.extra.get("set", "gs")
     if which == "gs":
-        return GsSet(ctx, cfg.n)
+        return GsSet(FieldCtx(cfg.p), cfg.n)
     if which == "qgs":
+        basis = _basis(cfg)
         if cfg.n % 2 == 0:
             print("warning: quadratic set with even n; existence is only asserted for odd n", file=sys.stderr)
-        return QgsSet(build_trace_basis(ctx, cfg.n))
+        return QgsSet(basis)
     raise ValueError(f"unknown set {which!r}")
 
 
 def _cmd_basis(cfg: RunConfig) -> RunReport:
-    basis = build_trace_basis(FieldCtx(cfg.p), cfg.n)
+    basis = _basis(cfg)
     if cfg.n % 2 == 0:
         print("warning: even n; the full-rank basis is only asserted to exist for odd n", file=sys.stderr)
-    mode = cfg.extra.get("mode", "exhaustive" if cfg.p ** cfg.n <= 10 ** 6 else "sampled")
+    mode = cfg.extra.get("mode", "exhaustive" if cfg.p ** cfg.n <= EXHAUSTIVE_LIMIT else "sampled")
     witness = check_high_rank(basis, mode=mode, count=cfg.extra.get("count", 10_000), seed=cfg.seed)
     path = cfg.extra.get("cert")
     if path:
@@ -177,8 +191,7 @@ def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
 
 
 def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
-    ctx = FieldCtx(cfg.p)
-    basis = build_trace_basis(ctx, cfg.n)
+    basis = _basis(cfg)
     construction = construct_shatter_pair(basis, cfg.k, seed=cfg.seed)
     # realize_maps checks every grid, and _write_cert verifies the certificate independently
     found = realize_maps(construction, np.arange(1 << (cfg.k * cfg.k)), seed=cfg.seed)
@@ -200,12 +213,11 @@ def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
 
 
 def _cmd_atom_census(cfg: RunConfig) -> RunReport:
-    ctx = FieldCtx(cfg.p)
-    basis = build_trace_basis(ctx, cfg.n)
+    basis = _basis(cfg)
     l, q = cfg.extra.get("l", 2), cfg.extra.get("q", 2)
     if l < 0 or q < 0:
         raise ValueError(f"--l and --q must be at least 0, got l = {l}, q = {q}")
-    factor = QuadraticFactor(ctx, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1)))
+    factor = QuadraticFactor(basis.ctx, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1)))
     census = atom_census(factor, basis)
     sizes = sorted(census.values())
     return RunReport(
@@ -219,8 +231,7 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
 
 
 def _cmd_prop32_check(cfg: RunConfig) -> RunReport:
-    ctx = FieldCtx(cfg.p)
-    basis = build_trace_basis(ctx, cfg.n)
+    basis = _basis(cfg)
     instances = cfg.extra.get("instances", 20)
     results = forced_zero_probe(basis, instances=instances, seed=cfg.seed)
     ok = all(r.ok for r in results)
@@ -382,21 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("mode", "count", "cert", "set", "k_max", "points", "construction",
-                "l", "q", "instances", "m", "n_right", "r", "s", "file", "path"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            extra[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        p=getattr(args, "p", None),
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-        extra=extra,
-    )
+    """Flags named after a RunConfig field fill it; every other flag given goes to extra."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    own = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{key: value for key, value in given.items() if key in own},
+                     extra={key: value for key, value in given.items() if key not in own})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,6 +33,7 @@ from .fp import (
     FieldCtx,
     add_mod,
     affine_solver,
+    as_int,
     as_points,
     derive_rng,
     derive_rng_states,
@@ -98,7 +99,9 @@ def _check_factor(f: QuadraticFactor, basis: HighRankBasis) -> None:
     for t in f.quad_indices:
         if not 1 <= t <= basis.n:
             raise ValueError(f"quadratic index {t} outside [1, {basis.n}]")
-    if f.ctx != basis.ctx or f.linear_polys.shape[1] != basis.n:
+    if f.ctx != basis.ctx:
+        raise ValueError(f"factor over F_{f.ctx.p} checked against a basis over F_{basis.ctx.p}")
+    if f.linear_polys.shape[1] != basis.n:
         raise ValueError("linear polynomial dimension mismatch")
 
 
@@ -339,11 +342,11 @@ def construction_from_doc(doc: dict) -> ShatterPairConstruction:
 
     if doc.get("kind") != "construction":
         raise ValueError("not a construction document")
-    p, n, k = int(doc["p"]), int(doc["n"]), int(doc["k"])
+    p, n, k = as_int(doc["p"]), as_int(doc["n"]), as_int(doc["k"])
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     basis = build_trace_basis(FieldCtx(p), n)
-    if list(basis.poly.coeffs) != [int(c) for c in doc["poly"]]:
+    if list(basis.poly.coeffs) != [as_int(c) for c in doc["poly"]]:
         raise ValueError("polynomial does not match the canonical basis construction")
     x, y = as_points(doc["X"], p, n), as_points(doc["Y"], p, n)
     if len(x) != k or len(y) != k:
@@ -355,13 +358,13 @@ def construction_from_doc(doc: dict) -> ShatterPairConstruction:
     linear = as_points(doc["factor"]["linear"], p, n)
     if not np.array_equal(linear, _construction_linear_polys(basis, k, x[1:], y[1:])):
         raise ValueError("factor linear forms are not the forms 2 M_t u of the points")
-    quad = tuple(int(t) for t in doc["factor"]["quad"])
+    quad = tuple(as_int(t) for t in doc["factor"]["quad"])
     if quad != tuple(range(1, k + 1)):
         raise ValueError(f"factor quadratic indices must be 1..{k}")
     factor = QuadraticFactor(basis.ctx, linear, quad)
     prov = doc.get("provenance", {})
     return ShatterPairConstruction(
-        k, x, y, factor, basis, int(doc["seed"]),
+        k, x, y, factor, basis, as_int(doc["seed"]),
         as_points(prov.get("h_x", []), p, n), as_points(prov.get("h_star", []), p, n),
     )
 

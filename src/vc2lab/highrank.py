@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, _matmul_residues, _rank_array, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _matmul_residues, _rank_array, as_int, derive_rng, matmul_mod, ranks_to_digits
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -193,14 +193,14 @@ class HighRankBasis:
 
     @staticmethod
     def from_json(doc: dict) -> "HighRankBasis":
-        ctx = FieldCtx(int(doc["p"]))
-        if any(int(m["p"]) != ctx.p for m in doc["mats"]):
+        ctx = FieldCtx(as_int(doc["p"]))
+        if any(as_int(m["p"]) != ctx.p for m in doc["mats"]):
             raise ValueError("every matrix must be over the basis field")
         return HighRankBasis(
             ctx,
-            int(doc["n"]),
-            IrreduciblePoly(ctx, tuple(int(c) for c in doc["poly"])),
-            np.array([[[int(e) for e in row] for row in m["rows"]] for m in doc["mats"]], dtype=object),
+            as_int(doc["n"]),
+            IrreduciblePoly(ctx, tuple(as_int(c) for c in doc["poly"])),
+            np.array([[[as_int(e) for e in row] for row in m["rows"]] for m in doc["mats"]], dtype=object),
         )
 
 
@@ -245,6 +245,8 @@ def _nonzero_rows(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarra
 # 2^17 entries at a time, so no 2^19-entry int64 or float64 product is formed
 RANK_BATCH_ENTRIES = 1 << 19
 PRODUCT_ENTRIES = 1 << 17
+# the largest group, p**n, whose nonzero combinations an exhaustive check_high_rank runs through
+EXHAUSTIVE_LIMIT = 10 ** 6
 
 
 def check_high_rank(
@@ -257,12 +259,15 @@ def check_high_rank(
 
     Returns None on pass, or the offending coefficient vector, an int64 row,
     on failure (the lexicographically smallest one among the failures found).
-    Exhaustive mode requires p**n <= 10**6; sampled mode checks count >= 1 draws.
+    Exhaustive mode requires p**n <= EXHAUSTIVE_LIMIT; sampled mode checks count
+    draws.  count must be at least 1 in either mode.
     The combinations are built a chunk at a time by fp._matmul_residues, whose
     float64 products are reduced in the narrowest dtype that holds them (int16
     at p = 3, n = 31) and stored in an int16 buffer for p < 2^15, so no int64
     product is formed there.
     """
+    if count < 1:
+        raise ValueError(f"check_high_rank needs count >= 1, got {count}")
     p, n = basis.ctx.p, basis.n
     batch, chunk = max(1, RANK_BATCH_ENTRIES // (n * n)), max(1, PRODUCT_ENTRIES // (n * n))
     flat = basis.mats.reshape(n, n * n)
@@ -277,8 +282,8 @@ def check_high_rank(
 
     if mode == "exhaustive":
         total = p ** n
-        if total > 10 ** 6:
-            raise ValueError("exhaustive check infeasible: p**n > 1e6")
+        if total > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive check infeasible: p**n > {EXHAUSTIVE_LIMIT}")
         for lo in range(1, total, batch):
             lams = ranks_to_digits(np.arange(lo, min(lo + batch, total), dtype=np.int64), p, n)
             bad = failing(lams)
@@ -287,8 +292,6 @@ def check_high_rank(
         return None
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if count < 1:
-        raise ValueError(f"sampled check needs count >= 1, got {count}")
 
     rng = derive_rng(seed, "high-rank-check", 0)
     failures: list[tuple[int, ...]] = []

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 import vc2lab
 from vc2lab import certs
-from vc2lab.cli import RunConfig, dispatch, emit_report, main
+from vc2lab.cli import RunConfig, _build_parser, _config_from_args, dispatch, emit_report, main
 
 
 def run(capsys, *argv):
@@ -179,6 +181,43 @@ def test_basis_command(capsys, tmp_path):
     assert basis.n == 3
 
 
+def test_every_flag_reaches_the_config():
+    # each subcommand given every one of its flags at once: a RunConfig field or an extra key holds each
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    own = {f.name for f in dataclasses.fields(RunConfig)}
+    for name, parser in sub.choices.items():
+        flags = [a for a in parser._actions if a.dest != "help"]
+        argv, want = [name], {}
+        for a in flags:
+            text = str(a.choices[0]) if a.choices else "7"
+            argv += [*a.option_strings[:1], text]
+            want[a.dest] = a.type(text) if a.type else text
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        got = {dest: getattr(cfg, dest) if dest in own else cfg.extra[dest] for dest in want}
+        assert got == want, name
+        assert set(cfg.extra) == set(want) - own, name
+
+
+QGS_COMMANDS = [
+    ["basis", "--p", "3"],
+    ["vc2-verify", "--p", "3", "--k", "3"],
+    ["atom-census", "--p", "3"],
+    ["prop32-check", "--p", "3"],
+    ["vc-dim", "--p", "3", "--set", "qgs"],
+    ["shatter-check", "--p", "3", "--set", "qgs", "--points", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", QGS_COMMANDS, ids=[a[0] for a in QGS_COMMANDS])
+def test_qgs_commands_refuse_n_beyond_the_limit(capsys, argv):
+    # n = 20001 once asked the irreducibility test for an (8, n, n) array
+    for n in (certs.QGS_MAX_N + 1, 20001):
+        assert main([*argv, "--n", str(n)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: n = {n} is beyond the quadratic set's limit n <= {certs.QGS_MAX_N}\n"
+
+
 def test_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope"))
@@ -204,6 +243,7 @@ MISUSE = [
     ["prop32-check", "--p", "3", "--n", "11", "--instances", "1"],
     # runs that would check nothing
     ["basis", "--p", "3", "--n", "5", "--mode", "sampled", "--count", "0"],
+    ["basis", "--p", "3", "--n", "3", "--count", "-5"],
     ["prop32-check", "--p", "3", "--n", "5", "--instances", "0"],
     # negative factor sizes
     ["atom-census", "--p", "3", "--n", "5", "--q", "-1"],

@@ -315,6 +315,15 @@ def test_find_in_atoms_argument_checks(basis9):
         find_in_atoms(f, basis9, [(0, 0, 0)], [1])
 
 
+def test_factor_over_another_field_is_named(basis9):
+    # same n, same quadratic indices: only the field differs
+    f = QuadraticFactor(ctx5, np.eye(2, 9, dtype=np.int64), (1, 2))
+    with pytest.raises(ValueError, match="factor over F_5 checked against a basis over F_3"):
+        find_in_atom(f, basis9, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="factor over F_5"):
+        atom_census(f, basis9)
+
+
 def test_atom_census_trivial_factors(basis9):
     b3 = build_trace_basis(ctx3, 3)
     assert list(atom_census(QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), ()), b3).values()) == [27]
@@ -585,7 +594,12 @@ def test_construction_doc_round_trip(basis13):
     (lambda d: d["factor"].__setitem__("quad", [2, 1]), "quadratic indices"),
     (lambda d: d["factor"].__setitem__("quad", [1]), "quadratic indices"),
     (lambda d: d.__setitem__("k", 4), "k must be 2 or 3"),
-], ids=["x0", "y0", "short-X", "long-Y", "reordered-linear", "edited-linear", "quad-order", "quad-short", "k"])
+    (lambda d: d.__setitem__("p", 3.9), "expected an integer"),
+    (lambda d: d.__setitem__("n", 13.0), "expected an integer"),
+    (lambda d: d.__setitem__("k", 2.7), "expected an integer"),
+    (lambda d: d.__setitem__("seed", "0"), "expected an integer"),
+], ids=["x0", "y0", "short-X", "long-Y", "reordered-linear", "edited-linear", "quad-order", "quad-short", "k",
+        "float-p", "float-n", "float-k", "string-seed"])
 def test_construction_from_doc_rejects(basis13, edit, message):
     from vc2lab.factor import construction_doc, construction_from_doc
     from vc2lab import certs

@@ -535,6 +535,12 @@ def test_sampled_check_rejects_empty_runs(count):
         check_high_rank(build_trace_basis(ctx3, 5), mode="sampled", count=count)
 
 
+def test_exhaustive_check_rejects_count_below_1():
+    # exhaustive mode draws nothing, but a count below 1 is a misuse there too
+    with pytest.raises(ValueError, match="count >= 1"):
+        check_high_rank(build_trace_basis(ctx3, 3), mode="exhaustive", count=-5)
+
+
 def test_sampled_high_rank_n31():
     b = build_trace_basis(ctx3, 31)
     assert check_high_rank(b, mode="sampled", count=2_000, seed=1) is None
@@ -590,6 +596,21 @@ def test_basis_json_rejects_foreign_field_and_bad_shape():
                  [doc["mats"][0], {"p": 3, "rows": [[1, 0], [0]]}]):
         with pytest.raises(ValueError):
             HighRankBasis.from_json({**doc, "mats": mats})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.__setitem__("p", 3.0),
+    lambda d: d.__setitem__("n", "2"),
+    lambda d: d["poly"].__setitem__(0, 1.0),
+    lambda d: d["mats"][1].__setitem__("p", 3.9),
+    lambda d: d["mats"][0]["rows"][0].__setitem__(1, 0.5),
+], ids=["p", "n", "poly", "mat-p", "entry"])
+def test_basis_json_reads_integers_strictly(edit):
+    doc = json.loads(json.dumps(build_trace_basis(ctx3, 2).to_json()))
+    HighRankBasis.from_json(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match="expected an integer"):
+        HighRankBasis.from_json(doc)
 
 
 def test_basis_rejects_p_beyond_int64():

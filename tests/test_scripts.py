@@ -4,7 +4,7 @@
 first quadratically shattered one, or the deepest failing map index; its
 output is pinned, so a change to the VC₂ search that moves a witness, the
 failure order or the draw shows up here.  `reproduce.py --skip-slow` must
-pass and write certificates that verify.
+pass and write certificates that verify, and a failing step must stop it.
 """
 
 import argparse
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from vc2lab import certs
+from vc2lab.cli import RunConfig
 
 
 def _load_script(name):
@@ -79,3 +80,23 @@ def test_reproduce_skip_slow_writes_verified_certificates(capsys, monkeypatch, t
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(witnesses + ["vc2_k2_p3_n13.json"])
     for path in tmp_path.iterdir():
         assert certs.verify_certificate(certs.loads(path.read_bytes())).ok, path.name
+
+
+@pytest.mark.parametrize("config,detail", [
+    # a reported fail outcome: four points of F_3^2 that GS(3,2) does not shatter
+    (RunConfig("shatter-check", p=3, n=2, extra={"points": "0 0;1 0;2 0;0 1"}), "shatter-check {"),
+    # a raised error
+    (RunConfig("br-bound", extra={"r": 0}), "br-bound: r must be >= 1"),
+], ids=["fail-outcome", "raised"])
+def test_reproduce_stops_at_a_failing_step(capsys, monkeypatch, tmp_path, config, detail):
+    reproduce = _load_script("reproduce")
+    monkeypatch.setattr(reproduce, "steps", lambda out, seed, skip_slow: [
+        ("a passing step", [RunConfig("br-bound", extra={"r": 1})], None),
+        ("a failing step", [config], None),
+        ("a step never reached", [RunConfig("br-bound", extra={"r": 2})], None),
+    ])
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", "--out", str(tmp_path)])
+    assert reproduce.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[0] == "— a passing step" and lines[2] == "— a failing step"
+    assert lines[3].startswith(f"FAILED: a failing step: {detail}")
