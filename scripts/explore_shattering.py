@@ -16,15 +16,12 @@ import sys
 
 import numpy as np
 
-from vc2lab.fp import FieldCtx
-from vc2lab.gs import GsSet, QgsSet
-from vc2lab.highrank import build_trace_basis
+from vc2lab.cli import RunConfig, _oracle
 from vc2lab.shatter import QuadShatterCertificate, vc2_shatters
 
 
 def cmd_vc2_random(args) -> int:
-    ctx = FieldCtx(args.p)
-    a = GsSet(ctx, args.n) if args.set == "gs" else QgsSet(build_trace_basis(ctx, args.n))
+    a = _oracle(RunConfig("vc2-random", p=args.p, n=args.n, extra={"set": args.set}))
     rng = np.random.default_rng(args.seed)
     zero = np.zeros((1, args.n), dtype=np.int64)
     best = None
@@ -57,7 +54,11 @@ def main() -> int:
     sp.set_defaults(fn=cmd_vc2_random)
 
     args = ap.parse_args()
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,11 +19,8 @@ from .factor import (
     QuadraticFactor,
     ShatterPairConstruction,
     atom_census,
-    check_cross_term_range,
     check_forced_zeros,
     construct_shatter_pair,
-    construction_doc,
-    construction_from_doc,
     find_in_atom,
     find_in_atoms,
     forced_zero_probe,
@@ -37,7 +34,6 @@ from .ramsey import (
     BipartiteColouring,
     BrBound,
     br_upper_bound,
-    density_biclique_guarantee,
     find_mono_biclique,
     random_colouring,
 )

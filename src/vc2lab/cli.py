@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -24,7 +23,6 @@ from .factor import (
     QuadraticFactor,
     atom_census,
     construct_shatter_pair,
-    construction_doc,
     forced_zero_probe,
     realize_maps,
 )
@@ -57,12 +55,13 @@ class RunReport:
     seed: int = 0
     details: list = field(default_factory=list)
     wall_time_s: float = 0.0  # informational; excluded from serialized bytes
+    warnings: list = field(default_factory=list)  # main prints them once the report is written; not serialized
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
     """Deterministic serialization; wall time is deliberately left out."""
     if fmt == "json":
-        doc = {
+        return certs.dumps({
             "command": report.command,
             "params": report.params,
             "outcome": report.outcome,
@@ -70,8 +69,7 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
             "certificate": report.certificate,
             "seed": report.seed,
             "details": report.details,
-        }
-        return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        })
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -122,17 +120,18 @@ def _oracle(cfg: RunConfig):
     if which == "gs":
         return GsSet(FieldCtx(cfg.p), cfg.n)
     if which == "qgs":
-        basis = _basis(cfg)
-        if cfg.n % 2 == 0:
-            print("warning: quadratic set with even n; existence is only asserted for odd n", file=sys.stderr)
-        return QgsSet(basis)
+        return QgsSet(_basis(cfg))
     raise ValueError(f"unknown set {which!r}")
+
+
+def _even_qgs_warnings(cfg: RunConfig) -> list:
+    if cfg.extra.get("set") == "qgs" and cfg.n % 2 == 0:
+        return ["quadratic set with even n; existence is only asserted for odd n"]
+    return []
 
 
 def _cmd_basis(cfg: RunConfig) -> RunReport:
     basis = _basis(cfg)
-    if cfg.n % 2 == 0:
-        print("warning: even n; the full-rank basis is only asserted to exist for odd n", file=sys.stderr)
     mode = cfg.extra.get("mode", "exhaustive" if cfg.p ** cfg.n <= EXHAUSTIVE_LIMIT else "sampled")
     witness = check_high_rank(basis, mode=mode, count=cfg.extra.get("count", 10_000), seed=cfg.seed)
     path = cfg.extra.get("cert")
@@ -147,6 +146,7 @@ def _cmd_basis(cfg: RunConfig) -> RunReport:
         certificate=path,
         seed=cfg.seed,
         details=[["basis", cfg.p, cfg.n, mode, "pass" if ok else "fail"]],
+        warnings=["even n; the full-rank basis is only asserted to exist for odd n"] if cfg.n % 2 == 0 else [],
     )
 
 
@@ -164,6 +164,7 @@ def _cmd_vc_dim(cfg: RunConfig) -> RunReport:
         certificate=path,
         seed=cfg.seed,
         details=[[cfg.extra.get("set", "gs"), cfg.p, cfg.n, res.dim]],
+        warnings=_even_qgs_warnings(cfg),
     )
 
 
@@ -187,6 +188,7 @@ def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
         certificate=path,
         seed=cfg.seed,
         details=[["shatter", cfg.p, cfg.n, len(pts), "pass" if ok else f"missing={result.missing}"]],
+        warnings=_even_qgs_warnings(cfg),
     )
 
 
@@ -196,9 +198,6 @@ def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
     # realize_maps checks every grid, and _write_cert verifies the certificate independently
     found = realize_maps(construction, np.arange(1 << (cfg.k * cfg.k)), seed=cfg.seed)
     cert = QuadShatterCertificate(construction.X, construction.Y, found)
-    cons_path = cfg.extra.get("construction")
-    if cons_path:
-        Path(cons_path).write_bytes(certs.dumps(construction_doc(construction)))
     path = _write_cert(cfg.extra.get("cert"), certs.quad_certificate_doc(cert, QgsSet(basis)))
     n_maps = len(cert.witnesses)
     return RunReport(
@@ -362,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, choices=[2, 3], required=True)
     sp.add_argument("--cert")
-    sp.add_argument("--construction")
 
     sp = add("atom-census", help="exact atom sizes for a small quadratic factor")
     sp.add_argument("--p", type=int, required=True)
@@ -417,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not cfg.output:
         sys.stdout.write(payload.decode())
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"# wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
     return 0 if report.outcome != "fail" else 1
 

@@ -33,7 +33,6 @@ from .fp import (
     FieldCtx,
     add_mod,
     affine_solver,
-    as_int,
     as_points,
     derive_rng,
     derive_rng_states,
@@ -238,13 +237,14 @@ def _pooled_generator(spare: list[np.random.Generator], state: dict) -> np.rando
     return rng
 
 
+CENSUS_MAX_GROUP = 10 ** 7  # the census labels every point of the group
 # A census report costs about 0.4 KB of memory and 4 us per label: 994,009 labels at
 # p = 997, n = 2 peaked at 399 MB and took 4.2 s in atom-census.
 CENSUS_MAX_LABELS = 10 ** 6
 
 
 def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...], int]:
-    """Exact atom sizes over the whole group (p**n <= 1e7), one count per label (p**D <= CENSUS_MAX_LABELS).
+    """Exact atom sizes over the whole group (p**n <= CENSUS_MAX_GROUP), one count per label (p**D <= CENSUS_MAX_LABELS).
 
     Keys are the labels as tuples, linear values first.  Checks
     |size - p**(n-D)| <= p**(n/2) for every label, including labels of
@@ -252,8 +252,8 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...
     """
     _check_factor(f, basis)
     p, n = basis.ctx.p, basis.n
-    if p ** n > 10 ** 7:
-        raise ValueError("group too large for an exhaustive census")
+    if p ** n > CENSUS_MAX_GROUP:
+        raise ValueError(f"group too large for an exhaustive census (p**n > {CENSUS_MAX_GROUP})")
     d = f.complexity
     if p ** d > CENSUS_MAX_LABELS:
         raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > {CENSUS_MAX_LABELS:,})")
@@ -281,7 +281,7 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...
 class ShatterPairConstruction:
     """Points X, Y with vanishing cross-terms plus the factor that steers shifts.
 
-    X, Y and the spanning rows of H_x and H* are read-only point arrays.
+    X and Y are read-only point arrays.
     """
 
     k: int
@@ -289,12 +289,9 @@ class ShatterPairConstruction:
     Y: np.ndarray
     factor: QuadraticFactor
     basis: HighRankBasis
-    seed: int
-    h_x: np.ndarray
-    h_star: np.ndarray
 
     def __post_init__(self) -> None:
-        freeze_points(self, "X", "Y", "h_x", "h_star")
+        freeze_points(self, "X", "Y")
 
 
 def _verify_construction(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> bool:
@@ -312,61 +309,6 @@ def _construction_linear_polys(basis: HighRankBasis, k: int, xs: np.ndarray, ys:
     # M_t is symmetric, so u M_t = M_t u
     mu = matmul_mod(np.concatenate([xs, ys]), basis.mats[:k], p).transpose(1, 0, 2).reshape(-1, n)
     return add_mod(mu, mu, p)
-
-
-def construction_doc(c: ShatterPairConstruction) -> dict:
-    """Serializable form of a construction; the basis is referenced by its polynomial."""
-    return {
-        "kind": "construction",
-        "p": c.basis.ctx.p,
-        "n": c.basis.n,
-        "k": c.k,
-        "seed": c.seed,
-        "poly": list(c.basis.poly.coeffs),
-        "X": c.X.tolist(),
-        "Y": c.Y.tolist(),
-        "factor": {
-            "linear": c.factor.linear_polys.tolist(),
-            "quad": list(c.factor.quad_indices),
-        },
-        "provenance": {
-            "h_x": c.h_x.tolist(),
-            "h_star": c.h_star.tolist(),
-        },
-    }
-
-
-def construction_from_doc(doc: dict) -> ShatterPairConstruction:
-    """Rebuild a construction from its document, re-verifying every invariant."""
-    from .highrank import build_trace_basis
-
-    if doc.get("kind") != "construction":
-        raise ValueError("not a construction document")
-    p, n, k = as_int(doc["p"]), as_int(doc["n"]), as_int(doc["k"])
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    basis = build_trace_basis(FieldCtx(p), n)
-    if list(basis.poly.coeffs) != [as_int(c) for c in doc["poly"]]:
-        raise ValueError("polynomial does not match the canonical basis construction")
-    x, y = as_points(doc["X"], p, n), as_points(doc["Y"], p, n)
-    if len(x) != k or len(y) != k:
-        raise ValueError(f"X and Y must hold k = {k} points each")
-    if x[0].any() or y[0].any():
-        raise ValueError("X[0] and Y[0] must both be the origin")
-    if not _verify_construction(basis, k, x[1:], y[1:]):
-        raise ValueError("construction invariants fail verification")
-    linear = as_points(doc["factor"]["linear"], p, n)
-    if not np.array_equal(linear, _construction_linear_polys(basis, k, x[1:], y[1:])):
-        raise ValueError("factor linear forms are not the forms 2 M_t u of the points")
-    quad = tuple(as_int(t) for t in doc["factor"]["quad"])
-    if quad != tuple(range(1, k + 1)):
-        raise ValueError(f"factor quadratic indices must be 1..{k}")
-    factor = QuadraticFactor(basis.ctx, linear, quad)
-    prov = doc.get("provenance", {})
-    return ShatterPairConstruction(
-        k, x, y, factor, basis, as_int(doc["seed"]),
-        as_points(prov.get("h_x", []), p, n), as_points(prov.get("h_star", []), p, n),
-    )
 
 
 def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> ShatterPairConstruction:
@@ -405,7 +347,7 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
         # H_x is cut out by the M_t x_j, H* by those and the M_t' M_t x_j
         hx_rows = matmul_mod(xs, mats, p).reshape(-1, n)
         hstar_rows = np.vstack([hx_rows, matmul_mod(hx_rows, mats, p).reshape(-1, n)])
-        h_x, h_star = orth_complement(hx_rows, p), orth_complement(hstar_rows, p)
+        h_star = orth_complement(hstar_rows, p)
         if len(h_star) < npts:
             continue
         ys = np.zeros((0, n), dtype=np.int64)
@@ -421,9 +363,7 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
             continue
         factor = QuadraticFactor(basis.ctx, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
         zero = np.zeros((1, n), dtype=np.int64)
-        return ShatterPairConstruction(
-            k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor, basis, seed, h_x, h_star,
-        )
+        return ShatterPairConstruction(k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor, basis)
     raise RuntimeError("could not build a verified construction; basis invariant suspect")
 
 
@@ -788,21 +728,6 @@ def check_forced_zeros(a: QgsSet, x, y, m: int, z) -> CheckResult:
             return CheckResult(False, f"forced zero violated at m: {bad}")
         return CheckResult(True, "conclusions hold; level-m cross-terms constant and zero")
     return CheckResult(True, "conclusions hold below m; level-m cross-terms not constant")
-
-
-def check_cross_term_range(a: QgsSet, x, y, m: int) -> CheckResult:
-    """Every level-m cross-term over the nonzero grid must lie in {-2,...,2} mod p."""
-    x, y = as_points(x, a.p, a.n), as_points(y, a.p, a.n)
-    if not 1 <= m <= a.n:
-        raise ValueError("m out of range")
-    if not cross_terms_vanish_below(a, x, y, m):
-        raise ValueError("inapplicable: cross-terms below m do not vanish")
-    allowed = {v % a.p for v in (-2, -1, 0, 1, 2)}
-    mus = cross_terms(x[1:], y[1:], a.basis.mats[m - 1:m], a.p)[:, :, 0]
-    for (i, j), mu in np.ndenumerate(mus):
-        if mu not in allowed:
-            return CheckResult(False, f"cross-term at ({i + 1},{j + 1}) is {mu}, outside the range")
-    return CheckResult(True, "all level-m cross-terms within {-2..2}")
 
 
 def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -83,30 +83,6 @@ class BicliqueWitness:
         return all(int(colouring.colours[u, v]) == self.colour for u in self.left for v in self.right)
 
 
-def density_biclique_guarantee(m: int, n: int, rho: Fraction, q: int, s: int) -> bool:
-    """Exact-rational check that density rho forces a K_{q,s} in K_{m,n}.
-
-    Conditions: m > (q-1)/rho and n > C(m,q)/C(rho*m, q) * (s-1), with the
-    binomials evaluated as falling-factorial products of rational arguments.
-    """
-    rho = Fraction(rho)
-    if not 0 < rho <= 1:
-        raise ValueError("density must lie in (0, 1]")
-
-    def binom(x: Fraction, k: int) -> Fraction:
-        out = Fraction(1)
-        for i in range(k):
-            out *= (x - i)
-        for i in range(1, k + 1):
-            out /= i
-        return out
-
-    if Fraction(m) <= Fraction(q - 1) / rho:
-        return False
-    ratio = binom(Fraction(m), q) / binom(rho * Fraction(m), q)
-    return Fraction(n) > ratio * (s - 1)
-
-
 def _dominant_colours(colouring: BipartiteColouring) -> np.ndarray:
     """Per left vertex, the smallest colour on at least ceil(n/r) of its edges."""
     m, n, r = colouring.m, colouring.n, colouring.r

@@ -235,6 +235,8 @@ MISUSE = [
     ["shatter-check", "--p", "3", "--n", "3", "--points", "1;2"],
     ["shatter-check", "--p", "3", "--n", "3", "--points", "0 0 0 0;0 1 2 0"],
     ["vc2-verify", "--p", "3", "--n", "13", "--k", "4"],
+    # the construction file is gone; its flag is an unrecognized argument like any other
+    ["vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--construction", "x"],
     ["atom-census", "--p", "3", "--n", "9", "--l", "x"],
     # a group within the census cap whose 3**28 atom labels are not
     ["atom-census", "--p", "3", "--n", "14", "--l", "14", "--q", "14"],
@@ -275,6 +277,27 @@ def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv)
     assert code == 2
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+# Refused by a group cap after the basis is built: the error line alone, without the even-n warning
+# that a run on the same set prints once it is done
+@pytest.mark.parametrize("argv,err", [
+    (["vc-dim", "--p", "3", "--n", "64", "--set", "qgs"],
+     "error: group too large for the vc_dim table search (p**n > 6000)\n"),
+    (["shatter-check", "--p", "3", "--n", "64", "--set", "qgs", "--points", " ".join(["0"] * 64)],
+     "error: group too large to enumerate translates\n"),
+    (["atom-census", "--p", "3", "--n", "64"], "error: group too large for an exhaustive census (p**n > 10000000)\n"),
+], ids=["vc-dim", "shatter-check", "atom-census"])
+def test_group_cap_refusal_is_one_stderr_line(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_even_n_warning_follows_a_finished_run(capsys):
+    assert main(["vc-dim", "--p", "3", "--n", "2", "--set", "qgs", "--format", "csv"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "qgs,3,2,2\n"
+    assert out.err.splitlines()[0] == "warning: quadratic set with even n; existence is only asserted for odd n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,6 +1,6 @@
 """Pinned output bytes: seed-0 vc2-verify, vc-dim, shatter-check and basis certificates,
-seed-1 k=3 vc2-verify certificates, a construction file and the prop32-check and
-atom-census reports must not change.
+seed-1 k=3 vc2-verify certificates and the prop32-check and atom-census reports must
+not change.
 
 A change to the search, the kernels or the serialization that alters any
 witness shows up here as a digest mismatch.
@@ -47,17 +47,6 @@ def test_seed1_certificate_digest(tmp_path, capsys, k, p, n):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == SEED1_GOLDEN[(k, p, n)]
-
-
-CONSTRUCTION_GOLDEN = "ff8e74f905a1d6c31fe19d730ff03008d45744ed717a31fb16a90254ef64aeb1"
-
-
-def test_construction_file_digest(tmp_path, capsys):
-    cons = tmp_path / "construction.json"
-    code = main(["vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--construction", str(cons)])
-    capsys.readouterr()
-    assert code == 0
-    assert hashlib.sha256(cons.read_bytes()).hexdigest() == CONSTRUCTION_GOLDEN
 
 
 VCDIM_GOLDEN = {

@@ -1,46 +1,15 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from vc2lab.ramsey import (
     BipartiteColouring,
     BicliqueWitness,
     _dominant_colours,
     br_upper_bound,
-    density_biclique_guarantee,
     find_mono_biclique,
     random_colouring,
 )
-
-
-def test_density_guarantee_examples():
-    assert density_biclique_guarantee(21, 500, Fraction(1, 5), 3, 2)
-    assert density_biclique_guarantee(5, 10, Fraction(1), 3, 3)
-    assert not density_biclique_guarantee(2, 100, Fraction(1, 2), 3, 3)
-    with pytest.raises(ValueError):
-        density_biclique_guarantee(5, 10, Fraction(0), 3, 3)
-    with pytest.raises(ValueError):
-        density_biclique_guarantee(5, 10, Fraction(3, 2), 3, 3)
-
-
-@given(
-    m=st.integers(2, 40),
-    n=st.integers(1, 400),
-    num=st.integers(1, 4),
-    den=st.integers(4, 8),
-    q=st.integers(2, 4),
-    s=st.integers(2, 4),
-)
-@settings(max_examples=120, deadline=None)
-def test_density_guarantee_monotone_in_n(m, n, num, den, q, s):
-    rho = Fraction(num, den)
-    if rho > 1:
-        rho = Fraction(1)
-    if density_biclique_guarantee(m, n, rho, q, s):
-        assert density_biclique_guarantee(m, n + 1, rho, q, s)
-        assert density_biclique_guarantee(m, 2 * n, rho, q, s)
 
 
 def test_br_bound_values():

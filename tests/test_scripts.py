@@ -3,8 +3,9 @@
 `explore_shattering.py vc2-random` draws seeded (X, Y) pairs and reports the
 first quadratically shattered one, or the deepest failing map index; its
 output is pinned, so a change to the VC₂ search that moves a witness, the
-failure order or the draw shows up here.  `reproduce.py --skip-slow` must
-pass and write certificates that verify, and a failing step must stop it.
+failure order or the draw shows up here, and a group it cannot search is one
+`error:` line.  `reproduce.py` must pass and write certificates that verify,
+and a failing step must stop it.
 """
 
 import argparse
@@ -71,13 +72,25 @@ def test_vc2_random_k3_pinned(explore, capsys, seed):
     assert _run(explore, capsys, 6, 3, seed) == (1, want)
 
 
-def test_reproduce_skip_slow_writes_verified_certificates(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("which,err", [
+    ("qgs", "error: n = 128 is beyond the quadratic set's limit n <= 64\n"),
+    ("gs", "error: group too large to enumerate translates\n"),
+], ids=["qgs", "gs"])
+def test_vc2_random_beyond_its_group_is_one_error_line(explore, capsys, monkeypatch, which, err):
+    argv = ["explore_shattering.py", "vc2-random", "--p", "3", "--n", "128", "--set", which, "--tries", "1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert explore.main() == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_reproduce_writes_verified_certificates(capsys, monkeypatch, tmp_path):
     reproduce = _load_script("reproduce")
-    monkeypatch.setattr(sys, "argv", ["reproduce.py", "--skip-slow", "--out", str(tmp_path)])
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", "--out", str(tmp_path)])
     assert reproduce.main() == 0
     assert "all verifications passed" in capsys.readouterr().out
     witnesses = [f"vc_witness_p{p}_n{n}.json" for p, n in [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]]
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(witnesses + ["vc2_k2_p3_n13.json"])
+    pipelines = ["vc2_k2_p3_n13.json", "vc2_k3_p3_n31.json", "vc2_k3_p5_n31.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(witnesses + pipelines)
     for path in tmp_path.iterdir():
         assert certs.verify_certificate(certs.loads(path.read_bytes())).ok, path.name
 
@@ -90,7 +103,7 @@ def test_reproduce_skip_slow_writes_verified_certificates(capsys, monkeypatch, t
 ], ids=["fail-outcome", "raised"])
 def test_reproduce_stops_at_a_failing_step(capsys, monkeypatch, tmp_path, config, detail):
     reproduce = _load_script("reproduce")
-    monkeypatch.setattr(reproduce, "steps", lambda out, seed, skip_slow: [
+    monkeypatch.setattr(reproduce, "steps", lambda out, seed: [
         ("a passing step", [RunConfig("br-bound", extra={"r": 1})], None),
         ("a failing step", [config], None),
         ("a step never reached", [RunConfig("br-bound", extra={"r": 2})], None),
