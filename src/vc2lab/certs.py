@@ -8,11 +8,12 @@ as its k^2 cells x_i + y_j, with key full ^ idx for map idx.  Every number in
 a document is read as an integer (operator.index: bools count as 1/0, floats
 and digit strings are malformed).  Witness coordinates are read as one int64
 array when every row holds n integers that fit int64, else row by row up to
-the first bad row, and replayed in slices of at most _BLOCK_ROWS
-membership rows.  A qgs oracle is rebuilt by rerunning build_trace_basis's
-canonical polynomial search and matching the recorded polynomial, which is why
-QGS_MAX_P exists (ROADMAP item 1 would check the recorded polynomial instead).
-It does not import factor's search code.
+the first bad row, and replayed in blocks of at most _BLOCK_ROWS witnesses,
+each block one contains_translates call on the cells.  A qgs oracle is
+rebuilt by rerunning build_trace_basis's canonical polynomial search and
+matching the recorded polynomial, which is why QGS_MAX_P exists (ROADMAP
+item 1 would check the recorded polynomial instead).  It does not import
+factor's search code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .fp import FieldCtx, add_mod
+from .fp import FieldCtx, _holds_residues, add_mod
 from .gs import ExplicitSet, GsSet, QgsSet
 from .highrank import build_trace_basis
 from .shatter import QuadShatterCertificate, ShatterCertificate
@@ -52,9 +53,10 @@ P_BOUND = 1 << 63
 QGS_MAX_P = 13
 QGS_MAX_N = 64
 
-# Membership rows per batched call while a certificate is replayed.  On the
-# verify-replay benchmark (2-vCPU x86-64 VM) 1,024 beat 512, 2,048 and 4,096,
-# 0.22 s against 0.23-0.24 s; at n = 31 a block is a 254 KB int64 array.
+# Witnesses per contains_translates call while a certificate is replayed.  On the
+# verify-replay benchmark (2-vCPU x86-64 VM), whose documents hold at most 512
+# witnesses, 1,024 and 4,096 (one call per document) took 0.152-0.157 s and 256
+# 0.161-0.166 s; at n = 31 a block of 1,024 shifts is a 254 KB int64 array.
 _BLOCK_ROWS = 1024
 
 _MALFORMED = (KeyError, OverflowError, TypeError, ValueError)
@@ -137,16 +139,16 @@ def _rows(p: int, raw: list, n: int) -> tuple[np.ndarray, Exception | None]:
 
     When every row has length n and holds only integers that fit int64, the
     rows are read in one step by array('q'), which reads integers only (bools
-    as 1/0), and reduced with one % p.  numpy never guesses their dtype: it
-    would read a string among them as a fixed-width unicode array, every
-    element as wide as the longest string.  Anything else (ragged or nested
+    as 1/0), and reduced with one % p unless they are residues already.
+    numpy never guesses their dtype: it would read a string among them as a
+    fixed-width unicode array, every element as wide as the longest string.  Anything else (ragged or nested
     rows, floats, strings, None, integers beyond int64) is read row by row by
     _vec, and the array stops before the first row that raises.
     """
     try:
         if set(map(len, raw)) <= {n}:
-            flat = array("q", list(chain.from_iterable(raw)))
-            return np.frombuffer(flat, dtype=np.int64).reshape(len(raw), n) % p, None
+            flat = np.frombuffer(array("q", list(chain.from_iterable(raw))), dtype=np.int64).reshape(len(raw), n)
+            return (flat if _holds_residues(flat, p) else flat % p), None
     except _MALFORMED:
         pass
     rows, failure = [], None
@@ -168,8 +170,8 @@ def _verify(doc: dict, kind: str) -> CheckResult:
     of a map index marks cell (i, j) outside the set.  Witness keys are read
     in document order up to the first bad one, and their coordinates are then
     read as one array up to the first bad row (see _rows); the witnesses read
-    are replayed in blocks of at most _BLOCK_ROWS membership rows, so a
-    mismatch is reported before a bad witness that comes after it.
+    are replayed in blocks of at most _BLOCK_ROWS witnesses, so a mismatch is
+    reported before a bad witness that comes after it.
     """
     p, n = index(doc["p"]), index(doc["n"])
     if p >= P_BOUND:
@@ -211,12 +213,10 @@ def _verify(doc: dict, kind: str) -> CheckResult:
     if bad_row is not None:  # the bad row comes before any failure of the key loop
         keys, failure = keys[:len(shifts)], bad_row
     wants = [idx ^ flip for idx in keys]  # Python ints: no numpy xor loop to map in
-    per_block = max(1, _BLOCK_ROWS // width)
-    for lo in range(0, len(keys), per_block):
-        m = min(per_block, len(keys) - lo)
-        verdicts = a.contains_digits(add_mod(cells[None], shifts[lo:lo + m, None], p).reshape(m * width, n))
-        actual = verdicts.reshape(m, width) @ (1 << np.arange(width))
-        bad = np.flatnonzero(actual != np.array(wants[lo:lo + m]))
+    weights = 1 << np.arange(width)
+    for lo in range(0, len(keys), _BLOCK_ROWS):
+        actual = a.contains_translates(cells, shifts[lo:lo + _BLOCK_ROWS]) @ weights
+        bad = np.flatnonzero(actual != np.array(wants[lo:lo + _BLOCK_ROWS]))
         if bad.size:
             idx, got = keys[lo + bad[0]], int(actual[bad[0]])
             if kind == "shatter":

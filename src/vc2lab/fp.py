@@ -192,10 +192,16 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - p * (x // p)
 
 
+def _holds_residues(a: np.ndarray, p: int) -> bool:
+    """Whether a is a numpy integer array of residues in [0, p): two reductions, min and max,
+    where % p would cost one division per element."""
+    return a.dtype.kind in "iu" and (a.size == 0 or a.min() >= 0 and a.max() < p)
+
+
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """An integer array as residues mod p: a itself when it holds only residues, otherwise
     reduced in int64, or in Python integers once (p-1)^2 >= 2^63."""
-    if a.dtype.kind in "iu" and (a.size == 0 or a.min() >= 0 and a.max() < p):
+    if _holds_residues(a, p):
         return a
     return _mod(a.astype(_exact_dtype((p - 1) ** 2), copy=False), p)
 

@@ -4,6 +4,10 @@ GS(p, n) contains the vectors whose first nonzero coordinate equals 1.
 QGS(p, n) contains the vectors whose first nonzero value in the sequence
 Q_1(x), ..., Q_n(x) equals 1, where Q_t(x) = x^T M_t x for a basis
 M_1, ..., M_n of symmetric matrices with the full-rank-combination property.
+
+Each oracle answers membership of residue rows (contains_digits) and of
+translates: contains_translates(cells, shifts) is the (m, w) membership of
+cells[j] + shifts[i], the replay of a certificate's cells under its witnesses.
 """
 
 from __future__ import annotations
@@ -12,13 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, iter_group_chunks, quad_forms
+from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, iter_group_chunks, matmul_mod, quad_forms
 from .highrank import HighRankBasis
 
 
 def _contains(a, x) -> bool:
     """Membership of one point, as a one-row contains_digits call."""
     return bool(a.contains_digits(as_points([x], a.p, a.n))[0])
+
+
+def _contains_translates(a, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(m, w) membership of cells[j] + shifts[i], one contains_digits call on the m shifts per cell."""
+    out = np.empty((len(shifts), len(cells)), dtype=bool)
+    for j, c in enumerate(cells):
+        out[:, j] = a.contains_digits(add_mod(shifts, c, a.p))
+    return out
 
 
 def _membership_table(a) -> np.ndarray:
@@ -65,6 +77,7 @@ class GsSet:
         vals = digits[np.arange(digits.shape[0]), first]
         return has & (vals == 1)
 
+    contains_translates = _contains_translates
     membership_table = _membership_table
 
 
@@ -113,6 +126,30 @@ class QgsSet:
             undecided[idx[hit]] = False
         return member
 
+    def contains_translates(self, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """(m, w) membership of cells[j] + shifts[i] for residue rows cells (w, n) and shifts (m, n).
+
+        By polarization Q_t(c + z) = Q_t(c) + 2 (M_t c).z + Q_t(z), exact mod p since each M_t
+        is symmetric.  Q_t(c) and 2 M_t c are formed for all levels at once; each level of the
+        scan then costs one form per shift and one (shifts x n) (n x w) product, not one form
+        per cell, and a shift leaves the scan once each of its cells is decided.
+        """
+        p, mats = self.p, self.basis.mats
+        member = np.zeros((len(shifts), len(cells)), dtype=bool)
+        qc = quad_forms(cells, mats, p)  # (w, n): Q_t(c_j) at [j, t - 1]
+        twice = matmul_mod(mats, add_mod(cells, cells, p).T, p)  # (n, n, w): 2 M_t c_j in column j of [t - 1]
+        # the shifts still in the scan: their rows of member, their coordinates, their undecided cells
+        rows, z, open_ = np.arange(len(shifts)), shifts, np.ones_like(member)
+        for t in range(self.n):
+            q = add_mod(add_mod(matmul_mod(z, twice[t], p), qc[:, t], p), quad_forms(z, mats[t:t + 1], p), p)
+            member[rows] |= open_ & (q == 1)
+            open_ &= q == 0
+            keep = open_.any(axis=1)
+            if not keep.any():
+                break
+            rows, z, open_ = rows[keep], z[keep], open_[keep]
+        return member
+
     membership_table = _membership_table
 
 
@@ -139,6 +176,8 @@ class ExplicitSet:
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray:
         return self.table[digits_to_ranks(digits, self.p)]
+
+    contains_translates = _contains_translates
 
     def membership_table(self) -> np.ndarray:
         return self.table

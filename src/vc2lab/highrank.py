@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, _matmul_residues, _rank_array, as_int, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, as_int, derive_rng, matmul_mod, ranks_to_digits
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -175,10 +175,14 @@ class HighRankBasis:
         mats = np.asarray(self.mats)
         if mats.shape != (n, n, n) or mats.dtype.kind not in "iuO":
             raise ValueError(f"expected an ({n}, {n}, {n}) integer array of matrices")
-        mats = (mats % p).astype(np.int64)
+        # a copy either way: the caller's array stays writable and the basis's does not
+        mats = (mats if _holds_residues(mats, p) else mats % p).astype(np.int64)
         if not (mats == mats.transpose(0, 2, 1)).all():
             raise ValueError("matrices must be symmetric")
-        if _rank_array(mats.reshape(n, -1), p) != n:
+        # the first rows of the M_t are the first n columns of the n x n^2 matrix of the M_t, so
+        # rank n there settles independence (a trace basis's first rows form a nonsingular Hankel
+        # matrix); only a singular block needs the whole matrix ranked
+        if _rank_array(mats[:, 0], p) != n and _rank_array(mats.reshape(n, -1), p) != n:
             raise ValueError("matrices are linearly dependent")
         mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)

@@ -33,6 +33,8 @@ class MembershipOracle(Protocol):
 
     def contains_digits(self, digits: np.ndarray) -> np.ndarray: ...
 
+    def contains_translates(self, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray: ...
+
     def membership_table(self) -> np.ndarray: ...
 
 
@@ -137,7 +139,7 @@ def _pattern_scan(a: MembershipOracle, s_digits: np.ndarray) -> np.ndarray:
     shatters and vc2_shatters; add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
     p, n = a.p, a.n
     if p ** n > MAX_GROUP_ENUM:
-        raise ValueError("group too large to enumerate translates")
+        raise ValueError(f"group too large to enumerate translates (p**n > {MAX_GROUP_ENUM})")
     k = s_digits.shape[0]
     first = np.full(1 << k, -1, dtype=np.int64)
     dtype = np.min_scalar_type(-p)
@@ -249,11 +251,10 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
 def grid_verdicts(a: MembershipOracle, x: np.ndarray, y: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """(m, |x| |y|) membership of x_i + y_j + z for the m rows z of zs, cell (i, j) in column i |y| + j.
 
-    x, y and zs are residue rows (see fp.as_points); every grid goes through one contains_digits call.
+    x, y and zs are residue rows (see fp.as_points); every grid goes through one contains_translates
+    call on the cells x_i + y_j, so no (m |x| |y|, n) array of sums is formed.
     """
-    cells = add_mod(x[:, None], y[None, :], a.p).reshape(-1, a.n)
-    rows = add_mod(cells[None], zs[:, None], a.p).reshape(-1, a.n)
-    return a.contains_digits(rows).reshape(len(zs), len(x) * len(y))
+    return a.contains_translates(add_mod(x[:, None], y[None, :], a.p).reshape(-1, a.n), zs)
 
 
 def vc2_realizes(a: MembershipOracle, x, y, phi: ContainmentMap, z) -> bool:

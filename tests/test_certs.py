@@ -448,6 +448,35 @@ def test_malformed_row_wins_over_later_bad_key(shatter_doc, block_rows, edit):
         assert certs.verify_certificate(doc) == CheckResult(False, "pattern 8 out of range") == _reference_verify(doc)
 
 
+@pytest.mark.parametrize("which", ["explicit", "qgs"])
+def test_twenty_cells_over_several_blocks_match_per_witness_reference(which):
+    # 20 cells of F_3^8 and more than two blocks of witnesses, each the first translate with its pattern
+    rng = np.random.default_rng(20)
+    a = ExplicitSet(ctx3, 8, rng.random(3 ** 8) < 0.5) if which == "explicit" else QgsSet(build_trace_basis(ctx3, 8))
+    s = ranks_to_digits(rng.choice(3 ** 8, 20, replace=False), 3, 8)
+    ys = ranks_to_digits(np.arange(3 ** 8), 3, 8)
+    patterns = a.contains_translates(s, ys) @ (1 << np.arange(20))
+    keys, first = np.unique(patterns, return_index=True)
+    count = 2 * certs._BLOCK_ROWS + 3
+    assert len(keys) > count
+    witnesses = [{"pattern": int(key), "y": ys[i].tolist()} for key, i in zip(keys[:count], first[:count])]
+    doc = {"kind": "shatter", "p": 3, "n": 8, "set": certs.oracle_spec(a), "S": s.tolist(), "witnesses": witnesses}
+    res = certs.verify_certificate(doc)
+    assert res == _reference_verify(doc) == CheckResult(False, f"coverage incomplete: {count} of {1 << 20} patterns")
+    # a mismatch in the last block only
+    witnesses[-1]["y"], witnesses[-2]["y"] = witnesses[-2]["y"], witnesses[-1]["y"]
+    res = certs.verify_certificate(doc)
+    assert res == _reference_verify(doc)
+    assert res.detail.startswith(f"witness for pattern {witnesses[-2]['pattern']} realizes ")
+
+
+def test_witness_rows_read_as_residues():
+    # residues are read as they are; any other int64 row, hostile values included, is reduced by %
+    assert certs._rows(5, [[0, 4, 2], [1, 3, 0]], 3)[0].tolist() == [[0, 4, 2], [1, 3, 0]]
+    rows, failure = certs._rows(5, [[-1, 5, 2 ** 63 - 1], [-2 ** 63, 9, 4]], 3)
+    assert failure is None and rows.tolist() == [[4, 0, (2 ** 63 - 1) % 5], [(-2 ** 63) % 5, 4, 4]]
+
+
 def test_long_string_coordinate_among_many_witnesses_rejected_in_bounded_memory():
     # 1,024 witnesses of GS(3, 5); numpy would read a 100,000-character string among their rows as
     # 5,120 unicode elements of 400 KB each (2 GB), so the rows must reach numpy only as integers

@@ -285,7 +285,7 @@ def test_misuse_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, argv)
     (["vc-dim", "--p", "3", "--n", "64", "--set", "qgs"],
      "error: group too large for the vc_dim table search (p**n > 6000)\n"),
     (["shatter-check", "--p", "3", "--n", "64", "--set", "qgs", "--points", " ".join(["0"] * 64)],
-     "error: group too large to enumerate translates\n"),
+     "error: group too large to enumerate translates (p**n > 100000000)\n"),
     (["atom-census", "--p", "3", "--n", "64"], "error: group too large for an exhaustive census (p**n > 10000000)\n"),
 ], ids=["vc-dim", "shatter-check", "atom-census"])
 def test_group_cap_refusal_is_one_stderr_line(capsys, argv, err):

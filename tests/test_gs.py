@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, quad_forms, ranks_to_digits
+from vc2lab.fp import FieldCtx, add_mod, quad_forms, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet, cross_terms
 from vc2lab.highrank import build_trace_basis
 
@@ -162,6 +162,46 @@ def test_expansion_identity_bulk():
         rhs = (q((xs[sel] + zs[sel]) % 3) + q((ys[sel] + zs[sel]) % 3) - q(zs[sel])
                + 2 * np.einsum("ij,jk,ik->i", xs[sel], m, ys[sel])) % 3
         assert (lhs == rhs).all()
+
+
+# (p, n) for the translate kernel: small fields, and two large p where quad_forms leaves float64
+_TRANSLATE_FIELDS = [(3, 4), (5, 3), (7, 2), (13, 2), (2 ** 31 - 1, 2), (2 ** 61 - 1, 2)]
+
+
+@st.composite
+def _translate_case(draw):
+    """An oracle, w in [1, 20] cells and m in [0, 12] shifts, with a zero shift and coinciding cells drawn often."""
+    p, n = draw(st.sampled_from(_TRANSLATE_FIELDS))
+    kinds = ["gs", "qgs"] + (["explicit"] if p ** n <= 10 ** 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    ctx = FieldCtx(p)
+    if kind == "gs":
+        a = GsSet(ctx, n)
+    elif kind == "qgs":
+        a = QgsSet(build_trace_basis(ctx, n))
+    else:
+        bits = draw(st.lists(st.booleans(), min_size=p ** n, max_size=p ** n))
+        a = ExplicitSet(ctx, n, np.array(bits))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    cells = draw(st.lists(row, min_size=1, max_size=20))
+    shifts = draw(st.lists(row, max_size=12))
+    if draw(st.booleans()):
+        shifts.append([0] * n)
+    if len(cells) > 1 and draw(st.booleans()):
+        cells[-1] = cells[0]
+    as_rows = lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    return a, as_rows(cells), as_rows(shifts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_translate_case())
+def test_contains_translates_matches_contains_digits_of_sums(case):
+    a, cells, shifts = case
+    m, w = len(shifts), len(cells)
+    sums = add_mod(cells[None], shifts[:, None], a.p).reshape(m * w, a.n)
+    got = a.contains_translates(cells, shifts)
+    assert got.dtype == bool and got.shape == (m, w)
+    assert np.array_equal(got, a.contains_digits(sums).reshape(m, w))
 
 
 def test_explicit_set_round_trip():

@@ -1,6 +1,7 @@
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -557,6 +558,27 @@ def test_basis_rejects_dependent_matrices():
     HighRankBasis(ctx3, 2, poly, [swap, [[1, 0], [0, 2]]])
     with pytest.raises(ValueError, match="dependent"):
         HighRankBasis(ctx3, 2, poly, [swap, [[0, 2], [2, 0]]])
+
+
+def test_basis_independence_ranks_first_rows_then_falls_back():
+    # a trace basis is settled by the n x n block of first rows; first rows (0, 0) and (1, 0) are
+    # dependent, so those matrices take the full n x n^2 rank, which accepts one pair and refuses the other
+    poly, trace = build_irreducible(ctx3, 2), build_trace_basis(ctx3, 5)
+    with mock.patch.object(highrank, "_rank_array", wraps=_rank_array) as rank:
+        HighRankBasis(ctx3, 5, trace.poly, trace.mats)
+        assert rank.call_count == 1
+        HighRankBasis(ctx3, 2, poly, [[[0, 0], [0, 1]], [[1, 0], [0, 0]]])
+        assert rank.call_count == 3
+        with pytest.raises(ValueError, match="linearly dependent"):
+            HighRankBasis(ctx3, 2, poly, [[[0, 0], [0, 1]], [[0, 0], [0, 2]]])
+
+
+def test_basis_copies_residue_arrays():
+    # an int64 array of residues skips the reduction, but the basis still holds a read-only copy
+    given = build_trace_basis(ctx3, 3).mats.copy()
+    b = HighRankBasis(ctx3, 3, build_irreducible(ctx3, 3), given)
+    assert np.array_equal(b.mats, given) and b.mats is not given
+    assert not b.mats.flags.writeable and given.flags.writeable
 
 
 def test_basis_json_round_trip():

@@ -74,7 +74,7 @@ def test_vc2_random_k3_pinned(explore, capsys, seed):
 
 @pytest.mark.parametrize("which,err", [
     ("qgs", "error: n = 128 is beyond the quadratic set's limit n <= 64\n"),
-    ("gs", "error: group too large to enumerate translates\n"),
+    ("gs", "error: group too large to enumerate translates (p**n > 100000000)\n"),
 ], ids=["qgs", "gs"])
 def test_vc2_random_beyond_its_group_is_one_error_line(explore, capsys, monkeypatch, which, err):
     argv = ["explore_shattering.py", "vc2-random", "--p", "3", "--n", "128", "--set", which, "--tries", "1"]
