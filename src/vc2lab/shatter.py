@@ -183,6 +183,39 @@ def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of ranks (all below 2^16) as one bytes key: big-endian uint16 bytes compare as
+    the rows do lexicographically, so the keys sort, and searchsorted, exactly at every width."""
+    rows = np.ascontiguousarray(rows, dtype=">u2")
+    return rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
+
+
+def _row_index(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of rows in the non-empty sorted key array keys (from _row_keys), -1 where
+    absent."""
+    q = _row_keys(rows)
+    idx = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return np.where(keys[idx] == q, idx, -1)
+
+
+def _all_last_axis(flags: np.ndarray) -> np.ndarray:
+    """flags.all(axis=-1) for a C-contiguous bool array whose last axis has a power-of-two length.
+
+    numpy reduces a short last axis one element at a time, so up to 8 flags are read at once as
+    one little-endian word, all of whose bytes are 1 exactly when all of its flags are True."""
+    width = min(flags.shape[-1], 8)
+    return (flags.view(f"<u{width}") == int.from_bytes(b"\x01" * width, "little")).all(axis=-1)
+
+
+# vc_dim's frontier sets per chunk: at most _CHUNK_ENTRIES one-hot entries (translates x sets x
+# classes), but at least one set.  At the last level chunks start at _FIRST_CHUNK sets and grow 4x,
+# so a search that hits early does not pay for the whole level
+_CHUNK_ENTRIES = 1 << 19
+_FIRST_CHUNK = 8
+# rows of tt per count GEMM: neither the float64 row block nor its product exceeds _GEMM_ENTRIES
+_GEMM_ENTRIES = 1 << 17
+
+
 def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     """Largest k <= k_max with a shattered k-set, plus a certificate for it.
 
@@ -191,13 +224,21 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     other level-subset through 0 of s + {v} is already shattered.  Sets are
     searched in lexicographic rank order, so the certificate is for the first
     shattered set of the largest size found; at k_max the search stops there.
+
+    Each level runs in array passes over chunks of frontier sets.  A chunk's
+    candidate masks come from one sorted-key lookup per sub-prefix, and the
+    class counts of all its (set, candidate) pairs from float64 GEMMs of
+    translate rows against its class-indicator columns, exact since every count
+    is at most p^n < 2^53.  Hits are taken in (set, candidate) order, the order
+    of a loop over sets and then candidates, so the certificate does not depend
+    on the chunking.
     """
     p, n = a.p, a.n
     total = p ** n
     if total > MAX_VCDIM_GROUP:
         raise ValueError(f"group too large for the vc_dim table search (p**n > {MAX_VCDIM_GROUP})")
     if not 1 <= k_max <= 14:
-        raise ValueError("k_max out of range")
+        raise ValueError(f"k_max must be in [1, 14], got {k_max}")
     table = a.membership_table()
     if not table.any() or table.all():
         return VcDimResult(0, None)
@@ -212,36 +253,64 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     # every shattered level-set through 0, as sorted rank rows in lexicographic order;
     # patterns are rebuilt from tt when needed, so the frontier holds ranks only
     frontier = np.zeros((1, 1), dtype=np.int64)
+    ys = np.arange(total, dtype=np.int64)
     for level in range(1, k_max):
         # masks[g, v]: the g-th (level-1)-prefix of the frontier, extended by v, is in the frontier;
-        # rows sharing a prefix are adjacent, since the frontier is sorted
+        # rows sharing a prefix are adjacent, since the frontier is sorted.  The extra last row is
+        # all False, the mask of a prefix not in the frontier (index -1)
         starts = np.ones(frontier.shape[0], dtype=bool)
-        starts[1:] = (frontier[1:, :-1] != frontier[:-1, :-1]).any(axis=1)
-        masks = np.zeros((int(starts.sum()), total), dtype=bool)
+        starts[1:] = False
+        for j in range(level - 1):
+            starts[1:] |= frontier[1:, j] != frontier[:-1, j]
+        masks = np.zeros((int(starts.sum()) + 1, total), dtype=bool)
         masks[np.cumsum(starts) - 1, frontier[:, -1]] = True
-        mask_of = dict(zip(map(tuple, frontier[starts, :-1].tolist()), masks))
-        weights = np.int16(1) << np.arange(level, dtype=np.int16)
-        classes = np.arange(1 << level, dtype=np.int16)
-        above, none = np.arange(total), np.zeros(total, dtype=bool)
+        keys = _row_keys(frontier[starts, :-1])
+        last = level + 1 == k_max
+        most = max(1, _CHUNK_ENTRIES // (total << level))
+        size = min(_FIRST_CHUNK, most) if last else most
         nxt = []
-        for s in frontier.tolist():
-            ok = above > s[-1]
+        c0 = 0
+        while c0 < frontier.shape[0]:
+            sets = frontier[c0:c0 + size]
+            c0 += size
+            size = min(4 * size, most)
+            m = sets.shape[0]
+            # ok[c, v]: v > max(s_c) and every other level-subset through 0 of s_c + {v} is shattered
+            ok = ys > sets[:, -1:]
             for i in range(1, level):
-                ok &= mask_of.get(tuple(s[:i] + s[i + 1:]), none)
-            cands = np.flatnonzero(ok)
+                ok &= masks[_row_index(keys, np.delete(sets, i, axis=1))]
+            cands = np.flatnonzero(ok.any(axis=0))
             if cands.size == 0:
                 continue
             # s is shattered, so s + {v} is shattered iff v + y is in the set for some but not all y
-            # in each class Y_P of translates with pattern P on s; count[j, P] counts them for
-            # v = cands[j], all in one float64 GEMM, exact since each count is at most p**n < 2**53
-            pat = weights @ tt[s]
-            onehot = (pat[:, None] == classes).astype(np.float64)
-            count = (tt[cands].astype(np.float64) @ onehot).astype(np.int64)
-            hits = cands[((count > 0) & (count < np.bincount(pat, minlength=classes.size))).all(axis=1)]
-            if hits.size and level + 1 == k_max:
-                return VcDimResult(k_max, certificate_for(s + [hits[0]]))
-            if hits.size:
-                nxt.append(np.column_stack((np.broadcast_to(s, (hits.size, level)), hits)))
+            # in each class Y_P of translates with pattern P on s; column c 2^level + P of onehot marks
+            # the translates of class P of set c, and class sizes are one bincount
+            cls = (np.arange(m, dtype=np.int64) << level)[:, None]
+            for j in range(level):
+                cls = cls + (tt[sets[:, j]].astype(np.int64) << j)
+            cols = m << level
+            sizes = np.bincount(cls.ravel(), minlength=cols).reshape(m, 1 << level)
+            onehot = np.zeros((total, cols))
+            onehot.ravel()[cls + ys * cols] = 1.0
+            # hit[c, j]: cands[j] extends set c; each row block of tt multiplies only the columns of
+            # the sets with a candidate in it, a contiguous run
+            hit = ok[:, cands]
+            rows = max(1, _GEMM_ENTRIES // max(total, cols))
+            for r0 in range(0, cands.size, rows):
+                live = np.flatnonzero(hit[:, r0:r0 + rows].any(axis=1))
+                lo, hi = live[0], live[-1] + 1
+                count = tt[cands[r0:r0 + rows]].astype(np.float64) @ onehot[:, lo << level:hi << level]
+                count = count.astype(np.int64).reshape(-1, hi - lo, 1 << level)
+                hit[lo:hi, r0:r0 + rows] &= _all_last_axis((count > 0) & (count < sizes[lo:hi])).T
+            # hits in row-major (set, v) order, the order of a loop over sets and then candidates
+            hit_set, hit_v = np.nonzero(hit)
+            if hit_set.size and last:
+                return VcDimResult(k_max, certificate_for(np.append(sets[hit_set[0]], cands[hit_v[0]])))
+            if hit_set.size:
+                grown = np.empty((hit_set.size, level + 1), dtype=np.int64)
+                grown[:, :level] = sets.take(hit_set, axis=0)
+                grown[:, level] = cands[hit_v]
+                nxt.append(grown)
         if not nxt:
             return VcDimResult(level, certificate_for(frontier[0]))
         frontier = np.concatenate(nxt)

@@ -293,6 +293,12 @@ def test_group_cap_refusal_is_one_stderr_line(capsys, argv, err):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("k_max", [0, 15])
+def test_vc_dim_k_max_out_of_range_names_the_range(capsys, k_max):
+    assert main(["vc-dim", "--p", "3", "--n", "3", "--k-max", str(k_max)]) == 2
+    assert capsys.readouterr() == ("", f"error: k_max must be in [1, 14], got {k_max}\n")
+
+
 def test_even_n_warning_follows_a_finished_run(capsys):
     assert main(["vc-dim", "--p", "3", "--n", "2", "--set", "qgs", "--format", "csv"]) == 0
     out = capsys.readouterr()

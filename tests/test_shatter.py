@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from vc2lab.fp import FieldCtx, add_mod, as_points, digits_to_ranks, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
+from vc2lab import shatter
 from vc2lab.shatter import (
     ContainmentMap,
     NotShattered,
@@ -13,6 +14,8 @@ from vc2lab.shatter import (
     ShatterCertificate,
     VcDimResult,
     _pattern_scan,
+    _row_index,
+    _row_keys,
     _translate_table,
     grid_verdicts,
     realizing_shifts,
@@ -223,20 +226,47 @@ def vc_dim_naive(a) -> int:
     return best
 
 
+# (_CHUNK_ENTRIES, _FIRST_CHUNK): the module's chunking, one frontier set per chunk, one chunk per level
+CHUNKINGS = [(shatter._CHUNK_ENTRIES, shatter._FIRST_CHUNK), (1, 1), (1 << 62, 1 << 62)]
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (3, 3), (5, 2), (7, 2)])
-def test_vc_dim_matches_full_frontier_reference(p, n):
+def test_vc_dim_matches_full_frontier_reference(monkeypatch, p, n):
     ctx = FieldCtx(p)
     rng = np.random.default_rng(100 * p + n)
     for _ in range(8):
         a = ExplicitSet(ctx, n, rng.random(p ** n) < rng.uniform(0.1, 0.9))
         for k_max in range(1, 6):
-            got, want = vc_dim(a, k_max=k_max), _vc_dim_reference(a, k_max)
-            assert got.dim == want.dim
-            if want.certificate is None:
-                assert got.certificate is None
-            else:
-                assert np.array_equal(got.certificate.S, want.certificate.S)
-                assert np.array_equal(got.certificate.witnesses, want.certificate.witnesses)
+            want = _vc_dim_reference(a, k_max)
+            for entries, first in CHUNKINGS:
+                monkeypatch.setattr(shatter, "_CHUNK_ENTRIES", entries)
+                monkeypatch.setattr(shatter, "_FIRST_CHUNK", first)
+                got = vc_dim(a, k_max=k_max)
+                assert got.dim == want.dim
+                if want.certificate is None:
+                    assert got.certificate is None
+                else:
+                    assert np.array_equal(got.certificate.S, want.certificate.S)
+                    assert np.array_equal(got.certificate.witnesses, want.certificate.witnesses)
+
+
+def test_row_index_matches_tuple_dict_beyond_radix_keys():
+    # rows of 13 ranks below 6000: a mixed-radix int64 key of such a row wraps (6000**12 > 2**63)
+    rng = np.random.default_rng(0)
+    rows = np.sort([rng.choice(6000, 13, replace=False) for _ in range(400)], axis=1)
+    rows[:50, -1] = 5999
+    rows[50:100, 0] = 0
+    rows[100:150] = rows[150:200]
+    rows[100:150, -1] = np.minimum(rows[100:150, -1] + 1, 5999)
+    rows = np.unique(rows, axis=0)
+    where = {tuple(r): i for i, r in enumerate(rows.tolist())}
+    bumped = rows.copy()
+    bumped[np.arange(len(rows)), rng.integers(0, 13, len(rows))] ^= 1
+    queries = np.concatenate((rows, bumped, np.zeros((1, 13), dtype=np.int64), np.full((1, 13), 5999)))
+    keys = _row_keys(rows)
+    got = _row_index(keys, queries)
+    assert got.tolist() == [where.get(tuple(q), -1) for q in queries.tolist()]
+    assert (got[:len(rows)] == np.arange(len(rows))).all()
 
 
 def test_vc_dim_gs_values():
