@@ -9,7 +9,8 @@ a document is read as an integer (operator.index: bools count as 1/0, floats
 and digit strings are malformed).  Witness coordinates are read as one int64
 array when every row holds n integers that fit int64, else row by row up to
 the first bad row, and replayed in blocks of at most _BLOCK_ROWS witnesses,
-each block one contains_translates call on the cells.  A qgs oracle is
+each block one contains_translates call on the cells.  A document's set is
+gs or qgs, any other kind is malformed.  A qgs oracle is
 rebuilt by rerunning build_trace_basis's canonical polynomial search and
 matching the recorded polynomial, which is why QGS_MAX_P exists (ROADMAP
 item 1 would check the recorded polynomial instead).  It does not import
@@ -28,9 +29,9 @@ from typing import Any
 import numpy as np
 
 from .fp import FieldCtx, _holds_residues, add_mod
-from .gs import ExplicitSet, GsSet, QgsSet
+from .gs import GsSet, QgsSet
 from .highrank import build_trace_basis
-from .shatter import QuadShatterCertificate, ShatterCertificate
+from .shatter import MAX_GRID_K, MAX_SET_SIZE, QuadShatterCertificate, ShatterCertificate
 
 
 def oracle_spec(a) -> dict:
@@ -38,8 +39,6 @@ def oracle_spec(a) -> dict:
         return {"kind": "gs"}
     if isinstance(a, QgsSet):
         return {"kind": "qgs", "poly": list(a.basis.poly.coeffs)}
-    if isinstance(a, ExplicitSet):
-        return {"kind": "explicit", "bits_hex": np.packbits(a.table).tobytes().hex()}
     raise TypeError(f"cannot serialize oracle of type {type(a).__name__}")
 
 
@@ -88,12 +87,6 @@ def oracle_from_spec(spec: dict, p: int, n: int):
         if list(basis.poly.coeffs) != [index(c) for c in spec["poly"]]:
             raise ValueError("certificate polynomial does not match the canonical construction")
         return QgsSet(basis)
-    if kind == "explicit":
-        bits = np.unpackbits(np.frombuffer(bytes.fromhex(spec["bits_hex"]), dtype=np.uint8))
-        # p**n >= 2**n, so the first test bounds n before p**n is formed
-        if n >= bits.size.bit_length() or bits.size < p ** n:
-            raise ValueError("explicit bitset too short")
-        return ExplicitSet(ctx, n, bits[:p ** n].astype(bool))
     raise ValueError(f"unknown oracle kind {kind!r}")
 
 
@@ -180,14 +173,14 @@ def _verify(doc: dict, kind: str) -> CheckResult:
     a = oracle_from_spec(doc["set"], p, n)
     if kind == "shatter":
         s = [_vec(p, row, n) for row in doc["S"]]
-        if not 1 <= len(s) <= 20:
+        if not 1 <= len(s) <= MAX_SET_SIZE:
             return CheckResult(False, "set size out of range")
         cells, key, coords, name, noun, flip = np.stack(s), "pattern", "y", "pattern", "patterns", 0
     else:
         x = [_vec(p, row, n) for row in doc["X"]]
         y = [_vec(p, row, n) for row in doc["Y"]]
         k = len(x)
-        if len(y) != k or not 1 <= k <= 3:
+        if len(y) != k or not 1 <= k <= MAX_GRID_K:
             return CheckResult(False, "grid size invalid")
         if x[0].any() or y[0].any():
             return CheckResult(False, "x_0 and y_0 must be zero")

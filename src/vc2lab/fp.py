@@ -2,9 +2,8 @@
 
 Residues live in the canonical range [0, p).  A point of F_p^n is a
 length-n int64 row and a set of points an (m, n) int64 array of residues;
-as_points checks and reduces the points a caller passes, and as_int
-reads one integer from a document.  Elimination has two loops.  _rref
-computes the reduced row echelon form of one matrix;
+as_points checks and reduces the points a caller passes.  Elimination has
+two loops.  _rref computes the reduced row echelon form of one matrix;
 affine solving, null spaces and orthogonal complements run on it.  It
 uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
 are scaled so their first nonzero coordinate is 1, which makes solved
@@ -48,7 +47,6 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 
 import numpy as np
 
@@ -115,15 +113,6 @@ def as_points(rows, p: int, n: int) -> np.ndarray:
     a = (a % p).astype(np.int64)
     a.flags.writeable = False
     return a
-
-
-def as_int(value) -> int:
-    """value as an int by operator.index: bools count as 1/0; floats, digit strings
-    and anything else raise ValueError."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {value!r}") from None
 
 
 def freeze_points(obj, *names: str) -> None:

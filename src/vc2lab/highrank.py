@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, as_int, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, derive_rng, matmul_mod, ranks_to_digits
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -194,18 +194,6 @@ class HighRankBasis:
             "poly": list(self.poly.coeffs),
             "mats": [{"p": self.ctx.p, "rows": m.tolist()} for m in self.mats],
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "HighRankBasis":
-        ctx = FieldCtx(as_int(doc["p"]))
-        if any(as_int(m["p"]) != ctx.p for m in doc["mats"]):
-            raise ValueError("every matrix must be over the basis field")
-        return HighRankBasis(
-            ctx,
-            as_int(doc["n"]),
-            IrreduciblePoly(ctx, tuple(as_int(c) for c in doc["poly"])),
-            np.array([[[as_int(e) for e in row] for row in m["rows"]] for m in doc["mats"]], dtype=object),
-        )
 
 
 @lru_cache(maxsize=64)

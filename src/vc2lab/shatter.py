@@ -38,7 +38,10 @@ class MembershipOracle(Protocol):
     def membership_table(self) -> np.ndarray: ...
 
 
+# the largest set shatters takes and the largest grid side vc2_shatters takes; the verifier
+# replays certificates within the same bounds
 MAX_SET_SIZE = 20
+MAX_GRID_K = 3
 MAX_GROUP_ENUM = 10 ** 8
 # vc_dim materializes an N x N translate table; keep it modest.
 MAX_VCDIM_GROUP = 6000
@@ -135,20 +138,19 @@ class VcDimResult:
 def _pattern_scan(a: MembershipOracle, s_digits: np.ndarray) -> np.ndarray:
     """First translate rank achieving each bitmask (-1 where unachieved), stopping once all are.
 
-    Enumerates at most MAX_GROUP_ENUM translates, the one group-size guard of
-    shatters and vc2_shatters; add_mod runs in the narrowest signed dtype holding -p, int8 for p <= 127."""
+    Each block of translates is one contains_translates call on the cells, bit i of a pattern
+    covering s_digits[i].  Enumerates at most MAX_GROUP_ENUM translates, the one group-size guard
+    of shatters and vc2_shatters; cells and translates are passed in the narrowest signed dtype
+    holding -p, int8 for p <= 127, in which fp.add_mod sums them."""
     p, n = a.p, a.n
     if p ** n > MAX_GROUP_ENUM:
         raise ValueError(f"group too large to enumerate translates (p**n > {MAX_GROUP_ENUM})")
     k = s_digits.shape[0]
     first = np.full(1 << k, -1, dtype=np.int64)
     dtype = np.min_scalar_type(-p)
-    s_digits = s_digits.astype(dtype)
+    cells, weights = s_digits.astype(dtype), 1 << np.arange(k)
     for start, block in iter_group_chunks(p, n, 1 << 15):
-        block = block.astype(dtype)
-        pat = np.zeros(block.shape[0], dtype=np.int64)
-        for i in range(k):
-            pat |= a.contains_digits(add_mod(block, s_digits[i], p)).astype(np.int64) << i
+        pat = a.contains_translates(cells, block.astype(dtype)) @ weights
         uniq, idx = np.unique(pat, return_index=True)
         for u, i in zip(uniq, idx):
             if first[u] < 0:
@@ -369,8 +371,8 @@ def vc2_shatters(a: MembershipOracle, x, y) -> QuadShatterCertificate | NotShatt
     k = len(x)
     if len(y) != k:
         raise ValueError("X and Y must have equal size")
-    if not 1 <= k <= 3:
-        raise ValueError("grid size k must be between 1 and 3")
+    if not 1 <= k <= MAX_GRID_K:
+        raise ValueError(f"grid size k must be between 1 and {MAX_GRID_K}")
     p, n = a.p, a.n
     x, y = as_points(x, p, n), as_points(y, p, n)
     if x[0].any() or y[0].any():

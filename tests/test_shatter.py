@@ -98,6 +98,28 @@ def test_pattern_scan_matches_python_int_loop(p, n, density):
     assert _pattern_scan(a, s).tolist() == want
 
 
+@pytest.mark.parametrize("which", ["gs53", "qgs34", "qgs53"])
+def test_pattern_scan_of_green_sanders_sets_matches_python_int_loop(which):
+    # membership of each sum in Python integers: the first nonzero coordinate (GS), or the first
+    # nonzero Q_t by eval_q (QGS), is 1
+    a = _VC2_SETS[which]()
+    p, n = a.p, a.n
+
+    def member(x):
+        values = x if isinstance(a, GsSet) else (a.eval_q(t, x) for t in range(1, n + 1))
+        return next((v for v in values if v), 0) == 1
+
+    rng = np.random.default_rng(p * 10 + n)
+    s = ranks_to_digits(rng.choice(p ** n, size=4, replace=False), p, n)
+    want = [-1] * 16
+    for y in range(p ** n):
+        y_digits = [y // p ** (n - 1 - i) % p for i in range(n)]
+        mask = sum(member([(u + v) % p for u, v in zip(point, y_digits)]) << i for i, point in enumerate(s.tolist()))
+        if want[mask] < 0:
+            want[mask] = y
+    assert _pattern_scan(a, s).tolist() == want
+
+
 @given(seed=st.integers(0, 2_000))
 @settings(max_examples=40, deadline=None)
 def test_monotone_under_subsets(seed):
