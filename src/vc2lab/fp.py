@@ -19,26 +19,31 @@ left of them; a matrix whose pivot row is 0 in the pivot column adds the
 first row below that is not, a row operation that leaves the rank alone.
 Each column reduces only the pivot column and the pivot row mod p; the
 rows below take f * row with f and row in [0, p) and no reduction, so an
-entry drifts by at most (p-1)^2 per pivot and, a matrix meeting at most
-min(r, c) pivots, stays in (-min(r, c) (p-1)^2, p), while a pivot-row sum
-stays below 2p.  A matrix without a pivot in a column leaves the stack,
-and what is left of it is ranked as a stack of its own.  Ranks run in
-int16 while min(r, c) (p-1)^2 + 2p < 2^15, int64 or Python integers
-beyond, as above.  Both loops reduce arrays of 512 entries or more by
-floor division, x - p (x // p), since numpy divides by a scalar with SIMD
-but computes % one element at a time.
+entry drifts by at most (p-1)^2 per update.  The k-th pivot's update acts
+on the (r-k) x (c-k) block left after it, so an (r, c) matrix stores the
+results of at most min(r, c) - 1 updates: every entry stays in
+(-(min(r, c) - 1) (p-1)^2 - p, p) through the floor division that
+reduces it, and a pivot-row sum stays below 2p.  A matrix without a pivot
+in a column leaves the stack, and what is left of it is ranked as a stack
+of its own.  With B = max(min(r, c) - 1, 1) (p-1)^2 + 2p, ranks run in
+int8 while B < 2^7 (p = 3 to 31 x 31, p = 5 to 8 x 8), int16 while
+B < 2^15, int64 or Python integers beyond, as above.  Both loops reduce
+arrays of 512 entries or more by floor division, x - p (x // p), since
+numpy divides by a scalar with SIMD but computes % one element at a time.
 
 Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
-every p: float64 BLAS while n^2 (p-1)^3 < 2^53 (every partial sum is then an
-integer a double holds exactly), int64 while n (p-1)^2 < 2^63, Python
-integers beyond.  Products mod p, matmul_mod, follow the same rule with
-bound k (p-1)^2 for inner dimension k.  Both take residues in [0, p), which
-is what makes these bounds hold.  A float64 result is cast to the narrowest
-of int16, int32 and int64 that holds its bound and p (_narrow_dtype) and
-reduced there by floor division, which int16 does 5-12 times faster than
-int64 % at 64k-512k entries (numpy 2.4, a 2-vCPU x86-64 VM).  Delayed
-reduction and exact floating-point products are the ideas of FFLAS-FFPACK
-(Dumas, Giorgi, Pernet, ACM TOMS 2008).
+every p: BLAS while n^2 (p-1)^3 < 2^53, int64 while n (p-1)^2 < 2^63,
+Python integers beyond.  Products mod p, matmul_mod, follow the same rule
+with bound k (p-1)^2 for inner dimension k.  Both take residues in [0, p),
+which is what makes these bounds hold: every partial sum is a nonnegative
+integer at most the bound, so float32 holds it exactly below 2^24 and
+float64 below 2^53 (_blas_dtype), and sgemm runs 2-3x faster than dgemm on
+the repository's shapes (one thread of a 2-vCPU x86-64 VM).  A BLAS
+result is cast to the narrowest of int16, int32 and int64 that holds its
+bound and p (_narrow_dtype) and reduced there by floor division, which
+int16 does 5-12 times faster than int64 % at 64k-512k entries (numpy 2.4,
+the same VM).  Delayed reduction and exact floating-point products are the
+ideas of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
@@ -164,6 +169,12 @@ def _exact_dtype(bound: int) -> type:
     return np.int64 if bound < 1 << 63 else object
 
 
+def _blas_dtype(bound: int) -> type | None:
+    """The float dtype in which BLAS sums nonnegative integers up to bound exactly: float32 below
+    2^24, float64 below 2^53; None beyond, where products run in integers."""
+    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else None
+
+
 def _narrow_dtype(bound: int, p: int) -> type:
     """The narrowest of int16, int32 and int64 holding every integer up to bound and p itself, which
     _mod reduces by as a scalar of the array's dtype; Python integers beyond int64."""
@@ -228,18 +239,23 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_dtype(n_rows: int, n_cols: int, p: int) -> type:
-    """_rank_array's dtype for (r, c) matrices: int16 while min(r, c) (p-1)^2 + 2p < 2^15, then
-    int64 or Python integers as _exact_dtype says."""
-    bound = min(n_rows, n_cols) * (p - 1) ** 2 + 2 * p
-    return np.int16 if bound < 1 << 15 else _exact_dtype(bound)
+    """_rank_array's dtype for (r, c) matrices, from the drift bound B = max(min(r, c) - 1, 1) (p-1)^2
+    + 2p (see the module docstring): int8 while B < 2^7, int16 while B < 2^15, then int64 or Python
+    integers as _exact_dtype says."""
+    bound = max(min(n_rows, n_cols) - 1, 1) * (p - 1) ** 2 + 2 * p
+    return np.int8 if bound < 1 << 7 else np.int16 if bound < 1 << 15 else _exact_dtype(bound)
 
 
 def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks mod p of a stack of matrices, shape (..., r, c) -> (...).
 
     Forward elimination with delayed reduction, a shared pivot row and no
-    row swaps (see the module docstring).  Stacks that split off wait on a
-    work-list, so no depth of splitting recurses.
+    row swaps (see the module docstring).  The k-th pivot's update acts on
+    the (r-k) x (c-k) block below and right of it, so no stored entry takes
+    more than min(r, c) - 1 updates of at most (p-1)^2 each; the update
+    factors f are cast to the stack's dtype (_rank_dtype), which that drift
+    bound fits, so every product runs in it.  Stacks that split off wait on
+    a work-list, so no depth of splitting recurses.
     """
     a = np.asarray(a)
     lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
@@ -272,7 +288,7 @@ def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
             else:
                 piv, row = col[0], _mod(a[0, 1:], p)
             # the rows below take f * row with f and row in [0, p): nothing else is reduced
-            f = _mod(col[1:] * _inv_array(piv, p), p)
+            f = _mod(col[1:] * _inv_array(piv, p), p).astype(dtype, copy=False)
             a = a[1:, 1:]
             prod = scratch[:a.size].reshape(a.shape)
             np.multiply(f[:, None], row, out=prod)
@@ -350,13 +366,14 @@ def orth_complement(vs: np.ndarray, p: int) -> np.ndarray:
 
 def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for residue arrays, in the dtype it was reduced in: _narrow_dtype's for a
-    float64 product, int64 or Python integers beyond (see matmul_mod)."""
+    BLAS product, int64 or Python integers beyond (see matmul_mod)."""
     a, b = np.asarray(a), np.asarray(b)
     # the sums are at most k (p-1)^2; the dtype must also hold p itself, which matters at k = 0
     bound = max(a.shape[-1] * (p - 1) ** 2, p)
-    if bound < 1 << 53:
-        # every sum is an integer a double holds exactly, and so does the narrow dtype
-        return _mod((a.astype(np.float64) @ b.astype(np.float64)).astype(_narrow_dtype(bound, p)), p)
+    blas = _blas_dtype(bound)
+    if blas is not None:
+        # every sum is an integer the float dtype holds exactly, and so does the narrow dtype
+        return _mod((a.astype(blas) @ b.astype(blas)).astype(_narrow_dtype(bound, p)), p)
     dtype = _exact_dtype(bound)
     return _mod(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False), p)
 
@@ -364,12 +381,13 @@ def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for arrays of residues in [0, p), with numpy's matmul broadcasting.
 
-    Exact for every p: float64 BLAS while each row-by-column sum, at most
-    k (p-1)^2 for inner dimension k, stays below 2^53, then reduced in the
-    narrowest of int16, int32 and int64 that holds that bound and p; int64
-    while the sums stay below 2^63, Python integers beyond.  An entry
-    outside [0, p) can break the bound and wrap, so callers reduce first.
-    The result is int64 unless p itself exceeds int64.
+    Exact for every p: float32 BLAS while each row-by-column sum, at most
+    k (p-1)^2 for inner dimension k, stays below 2^24, float64 while it
+    stays below 2^53, either then reduced in the narrowest of int16, int32
+    and int64 that holds that bound and p; int64 while the sums stay below
+    2^63, Python integers beyond.  An entry outside [0, p) can break the
+    bound and wrap, so callers reduce first.  The result is int64 unless p
+    itself exceeds int64.
     """
     out = _matmul_residues(a, b, p)
     return out if p > 1 << 63 else out.astype(np.int64, copy=False)
@@ -387,19 +405,21 @@ def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     first.  One GEMM multiplies the points by the forms stacked side by
     side, then each row of the product is dotted with its point.  The
     arithmetic is chosen from p and n so that no intermediate can round or
-    wrap: float64 when n^2 (p-1)^3 < 2^53, the forms then reduced in the
-    narrowest of int16, int32 and int64 that holds that bound and p; int64
-    reduced mod p between the two products when n (p-1)^2 < 2^63, Python
-    integers otherwise.  The result is int64 unless p itself exceeds int64.
+    wrap: float32 when n^2 (p-1)^3 < 2^24, float64 when it is below 2^53,
+    the forms then reduced in the narrowest of int16, int32 and int64 that
+    holds that bound and p; int64 reduced mod p between the two products
+    when n (p-1)^2 < 2^63, Python integers otherwise.  The result is int64
+    unless p itself exceeds int64.
     """
     points, mats = np.asarray(points), np.asarray(mats)
     m, n = points.shape
     t = mats.shape[0]
     bound = n * n * (p - 1) ** 3
-    dtype = np.float64 if bound < 1 << 53 else _exact_dtype(n * (p - 1) ** 2)
+    blas = _blas_dtype(bound)
+    dtype = blas or _exact_dtype(n * (p - 1) ** 2)
     pts = points.astype(dtype)
     w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(dtype)).reshape(m, t, n)
-    if dtype is np.float64:
+    if blas is not None:
         q = _mod(np.einsum("mtn,mn->mt", w, pts).astype(_narrow_dtype(bound, p)), p)
     else:
         w %= p
@@ -438,14 +458,17 @@ def shifted_ranks(offsets: np.ndarray, p: int) -> np.ndarray:
     """(m, p**n) int64: row i holds rank(offsets[i] + z) for every z of F_p^n in rank order.
 
     offsets is an (m, n) array of residues.  The ranks are built one digit at a time, most
-    significant first, so no (m, p**n, n) array of sums is ever formed.
+    significant first, so no (m, p**n, n) array of sums is ever formed.  Every partial rank is
+    below p**n, so they are built in the narrowest unsigned dtype holding p**n - 1 and cast to
+    int64 once.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    out = np.zeros((offsets.shape[0], 1), dtype=np.int64)
-    for o in offsets.T:
-        digit = (np.arange(p, dtype=np.int64) + o[:, None]) % p
-        out = (out[:, :, None] * p + digit[:, None, :]).reshape(len(out), out.shape[1] * p)
-    return out
+    m, n = offsets.shape
+    digits = ((offsets[:, :, None] + np.arange(p)) % p).astype(np.min_scalar_type(p ** n - 1))
+    out = np.zeros((m, 1), dtype=digits.dtype)
+    for j in range(n):
+        out = (out[:, :, None] * p + digits[:, j, None, :]).reshape(m, out.shape[1] * p)
+    return out.astype(np.int64)
 
 
 def iter_group_chunks(p: int, n: int, chunk: int = 1 << 16):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, derive_rng, matmul_mod, ranks_to_digits
+from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, _rank_dtype, derive_rng, matmul_mod, ranks_to_digits
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -233,9 +233,10 @@ def _nonzero_rows(rng: np.random.Generator, m: int, n: int, p: int) -> np.ndarra
     return rows
 
 
-# check_high_rank ranks about 2^19 matrix entries per _rank_array call, and builds them
-# 2^17 entries at a time, so no 2^19-entry int64 or float64 product is formed
-RANK_BATCH_ENTRIES = 1 << 19
+# check_high_rank ranks about 2^20 bytes of matrices per _rank_array call, in _rank_dtype's dtype
+# (1,091 int8 matrices at p = 3, n = 31), and builds them 2^17 entries at a time, so no product
+# of the whole batch is formed
+RANK_BATCH_BYTES = 1 << 20
 PRODUCT_ENTRIES = 1 << 17
 # the largest group, p**n, whose nonzero combinations an exhaustive check_high_rank runs through
 EXHAUSTIVE_LIMIT = 10 ** 6
@@ -254,16 +255,18 @@ def check_high_rank(
     Exhaustive mode requires p**n <= EXHAUSTIVE_LIMIT; sampled mode checks count
     draws.  count must be at least 1 in either mode.
     The combinations are built a chunk at a time by fp._matmul_residues, whose
-    float64 products are reduced in the narrowest dtype that holds them (int16
-    at p = 3, n = 31) and stored in an int16 buffer for p < 2^15, so no int64
-    product is formed there.
+    BLAS products are reduced in the narrowest dtype that holds them (float32
+    sums reduced in int16 at p = 3, n = 31), and stored in a buffer of the
+    dtype _rank_array ranks them in (int8 there), so no int64 product is
+    formed.
     """
     if count < 1:
         raise ValueError(f"check_high_rank needs count >= 1, got {count}")
     p, n = basis.ctx.p, basis.n
-    batch, chunk = max(1, RANK_BATCH_ENTRIES // (n * n)), max(1, PRODUCT_ENTRIES // (n * n))
+    dtype = np.dtype(_rank_dtype(n, n, p))
+    batch, chunk = max(1, RANK_BATCH_BYTES // (n * n * dtype.itemsize)), max(1, PRODUCT_ENTRIES // (n * n))
     flat = basis.mats.reshape(n, n * n)
-    combos = np.empty((batch, n, n), dtype=np.int16 if p < 1 << 15 else np.int64)
+    combos = np.empty((batch, n, n), dtype=dtype)
 
     def failing(lams: np.ndarray) -> np.ndarray:
         """Indices of the coefficient rows whose combination has rank below n."""

@@ -15,7 +15,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .fp import FieldCtx, add_mod, as_points, freeze_points, iter_group_chunks, ranks_to_digits, shifted_ranks
+from .fp import FieldCtx, _blas_dtype, add_mod, as_points, freeze_points, iter_group_chunks, ranks_to_digits, shifted_ranks
 
 
 class MembershipOracle(Protocol):
@@ -175,11 +175,12 @@ def shatters(a: MembershipOracle, s) -> ShatterCertificate | NotShattered:
 
 
 def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
-    """T[v, y] = table[rank(v + y)], as a uint8 0/1 matrix."""
+    """T[v, y] = table[rank(v + y)], as a uint8 0/1 matrix, from blocks of at most 2^18 int64 ranks
+    (2 MB), the largest array built beside T."""
     total = table.shape[0]
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
     out = np.empty((total, total), dtype=np.uint8)
-    block = max(1, (1 << 20) // max(total, 1))
+    block = max(1, (1 << 18) // max(total, 1))
     for v0 in range(0, total, block):
         out[v0:v0 + block] = table[shifted_ranks(digits[v0:v0 + block], p)]
     return out
@@ -214,7 +215,7 @@ def _all_last_axis(flags: np.ndarray) -> np.ndarray:
 # so a search that hits early does not pay for the whole level
 _CHUNK_ENTRIES = 1 << 19
 _FIRST_CHUNK = 8
-# rows of tt per count GEMM: neither the float64 row block nor its product exceeds _GEMM_ENTRIES
+# rows of tt per count GEMM: neither the float32 row block nor its product exceeds _GEMM_ENTRIES
 _GEMM_ENTRIES = 1 << 17
 
 
@@ -229,11 +230,12 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
 
     Each level runs in array passes over chunks of frontier sets.  A chunk's
     candidate masks come from one sorted-key lookup per sub-prefix, and the
-    class counts of all its (set, candidate) pairs from float64 GEMMs of
-    translate rows against its class-indicator columns, exact since every count
-    is at most p^n < 2^53.  Hits are taken in (set, candidate) order, the order
-    of a loop over sets and then candidates, so the certificate does not depend
-    on the chunking.
+    class counts of all its (set, candidate) pairs from float32 GEMMs of
+    translate rows against the indicator columns of all classes but the last
+    of each set, whose count is |A| minus the others'; every count is at
+    most p^n < 2^24, so each is exact.  Hits are taken in (set, candidate)
+    order, the order of a loop over sets and then candidates, so the
+    certificate does not depend on the chunking.
     """
     p, n = a.p, a.n
     total = p ** n
@@ -245,6 +247,8 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
     if not table.any() or table.all():
         return VcDimResult(0, None)
     tt = _translate_table(table, p, n)
+    # every count is at most |A| <= p^n, so the count GEMMs run in _blas_dtype's float32
+    members, blas = int(table.sum()), _blas_dtype(total)
 
     def certificate_for(ranks) -> ShatterCertificate:
         cert = shatters(a, ranks_to_digits(ranks, p, n))
@@ -285,15 +289,18 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
             if cands.size == 0:
                 continue
             # s is shattered, so s + {v} is shattered iff v + y is in the set for some but not all y
-            # in each class Y_P of translates with pattern P on s; column c 2^level + P of onehot marks
-            # the translates of class P of set c, and class sizes are one bincount
-            cls = (np.arange(m, dtype=np.int64) << level)[:, None]
-            for j in range(level):
-                cls = cls + (tt[sets[:, j]].astype(np.int64) << j)
-            cols = m << level
-            sizes = np.bincount(cls.ravel(), minlength=cols).reshape(m, 1 << level)
-            onehot = np.zeros((total, cols))
-            onehot.ravel()[cls + ys * cols] = 1.0
+            # in each class Y_P of translates with pattern P on s; class sizes are one bincount.  The
+            # counts of a set's classes sum to |A|, so only the first w = 2^level - 1 are multiplied:
+            # column c w + P of onehot marks the translates of class P < w of set c, and the last
+            # class marks the spare column cols, which no GEMM reads
+            pat = tt[sets[:, 0]].astype(np.int64)
+            for j in range(1, level):
+                pat += tt[sets[:, j]].astype(np.int64) << j
+            w = (1 << level) - 1
+            cols, sid = m * w, np.arange(m, dtype=np.int64)[:, None]
+            sizes = np.bincount(((sid << level) + pat).ravel(), minlength=m << level).reshape(m, w + 1).astype(blas)
+            onehot = np.zeros((total, cols + 1), dtype=blas)
+            onehot.ravel()[np.where(pat == w, cols, sid * w + pat) + ys * (cols + 1)] = 1
             # hit[c, j]: cands[j] extends set c; each row block of tt multiplies only the columns of
             # the sets with a candidate in it, a contiguous run
             hit = ok[:, cands]
@@ -301,8 +308,10 @@ def vc_dim(a: MembershipOracle, k_max: int = 4) -> VcDimResult:
             for r0 in range(0, cands.size, rows):
                 live = np.flatnonzero(hit[:, r0:r0 + rows].any(axis=1))
                 lo, hi = live[0], live[-1] + 1
-                count = tt[cands[r0:r0 + rows]].astype(np.float64) @ onehot[:, lo << level:hi << level]
-                count = count.astype(np.int64).reshape(-1, hi - lo, 1 << level)
+                block = tt[cands[r0:r0 + rows]].astype(blas) @ onehot[:, lo * w:hi * w]
+                count = np.empty((block.shape[0], hi - lo, w + 1), dtype=blas)
+                count[..., :w] = block.reshape(-1, hi - lo, w)
+                count[..., w] = members - count[..., :w].sum(axis=-1)
                 hit[lo:hi, r0:r0 + rows] &= _all_last_axis((count > 0) & (count < sizes[lo:hi])).T
             # hits in row-major (set, v) order, the order of a loop over sets and then candidates
             hit_set, hit_v = np.nonzero(hit)

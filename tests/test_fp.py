@@ -10,6 +10,7 @@ from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
     _is_prime,
+    _blas_dtype,
     _inv_array,
     _narrow_dtype,
     _rank_array,
@@ -195,7 +196,8 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
         assert ranks[k] == len(want_piv)
 
 
-# 181 ranks in int16 at min(r, c) = 1 (180^2 + 2 * 181 < 2^15) and in int64 from 2 on; 191 never in int16
+# 181 ranks in int16 up to min(r, c) = 2 (180^2 + 2 * 181 < 2^15) and in int64 from 3 on; 191 never in
+# int16; 3 and 5 rank in int8 at these sizes
 @given(p=st.sampled_from([3, 5, 181, 191, BIG_P]), rows=st.integers(0, 7), cols=st.integers(0, 7),
        rank_deficient=st.booleans(), batch=st.integers(0, 6), seed=st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
@@ -258,11 +260,19 @@ def test_rank_stack_without_recursion(p):
 
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (40, 1)])
 def test_rank_at_int16_boundary(shape):
-    # 181 is the largest prime ranked in int16, and only at min(r, c) = 1; entries 0, 1 and p - 1
+    # 181 is the largest prime ranked in int16, and only up to min(r, c) = 2; entries 0, 1 and p - 1
     rnd = np.random.default_rng(shape[0])
     mats = rnd.choice([0, 1, 180], size=(200, *shape))
     assert _rank_dtype(*shape, 181) == np.int16
     assert _rank_array(mats, 181).tolist() == [len(_rref_reference(m.tolist(), 181)[1]) for m in mats]
+
+
+def _max_drift_matrix(p, size):
+    """L U mod p for L unit lower triangular and U upper triangular, every other entry of both p - 1:
+    each pivot's update subtracts f row = (p-1)^2 from every entry below and right of it, so the last
+    entry takes the most updates an entry can, size - 1 of the largest size."""
+    low = np.tril(np.full((size, size), p - 1), -1) + np.eye(size, dtype=np.int64)
+    return low @ np.triu(np.full((size, size), p - 1)) % p
 
 
 @pytest.mark.parametrize("size", [9, 31, 40])
@@ -270,9 +280,37 @@ def test_rank_mode_drift_at_p3(size):
     # up to 40 pivots of unreduced updates; low-rank products B C and full random matrices in one batch
     rnd = np.random.default_rng(size)
     mats = [rnd.integers(0, 3, (size, k)) @ rnd.integers(0, 3, (k, size)) % 3 for k in range(0, size + 1, 4)]
-    mats += [np.full((size, size), 2), rnd.integers(0, 3, (size, size))]
+    mats += [np.full((size, size), 2), rnd.integers(0, 3, (size, size)), _max_drift_matrix(3, size)]
     ranks = _rank_array(np.array(mats), 3)
     assert ranks.tolist() == [len(_rref_reference(m.tolist(), 3)[1]) for m in mats]
+
+
+# the int8 and int16 tiers meet at p = 3 between 31 x 31 and 32 x 32 and at p = 5 between 8 x 8 and 9 x 9;
+# at 10 x 10 the drift of p = 5, 9 * 16, no longer fits int8
+@pytest.mark.parametrize("p,size,dtype", [(3, 31, np.int8), (3, 32, np.int16), (5, 8, np.int8), (5, 9, np.int16),
+                                          (5, 10, np.int16)])
+def test_rank_at_int8_tier_edges(p, size, dtype):
+    assert _rank_dtype(size, size, p) == dtype
+    rnd = np.random.default_rng(size * p)
+    drift = _max_drift_matrix(p, size)
+    # the upper triangular U with its first row moved last: the pivot row is 0 in every pivot column
+    # but the last, so each of those pivots adds a row below; low-rank products B C; random matrices
+    mats = [drift, np.roll(drift, -1, axis=0), np.roll(np.triu(np.full((size, size), p - 1)), -1, axis=0)]
+    mats += [rnd.integers(0, p, (size, k)) @ rnd.integers(0, p, (k, size)) % p for k in range(1, size, 3)]
+    mats += [rnd.choice([0, 1, p - 1], size=(size, size)) for _ in range(8)]
+    ranks = _rank_array(np.array(mats), p)
+    assert ranks.tolist() == [len(_rref_reference(m.tolist(), p)[1]) for m in mats]
+    assert ranks.tolist() == [int((_rref(m, p)[1] >= 0).sum()) for m in mats]
+    assert ranks[:3].tolist() == [size] * 3
+
+
+# the largest primes that rank r x 1 and 1 x c stacks in int8, (p-1)^2 + 2p < 2^7, and in int16
+@pytest.mark.parametrize("p,dtype", [(11, np.int8), (13, np.int16), (181, np.int16), (191, np.int64)])
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (40, 1), (1, 40)])
+def test_rank_of_single_row_and_column_stacks(p, dtype, shape):
+    assert _rank_dtype(*shape, p) == dtype
+    mats = np.random.default_rng(p).choice([0, 1, p - 1], size=(200, *shape), p=[0.6, 0.2, 0.2])
+    assert _rank_array(mats, p).tolist() == [len(_rref_reference(m.tolist(), p)[1]) for m in mats]
 
 
 def test_rank_mode_drift_at_p181():
@@ -284,9 +322,13 @@ def test_rank_mode_drift_at_p181():
 
 
 def test_rank_mode_dtype():
-    # the smallest exact dtype: int16 while min(r, c) (p-1)^2 + 2p < 2^15, then int64, then Python ints
-    for p, shape, dtype in [(3, (40, 40), np.int16), (181, (1, 9), np.int16), (181, (9, 1), np.int16),
-                            (181, (2, 9), np.int64), (191, (1, 9), np.int64), (BIG_P, (2, 3), object)]:
+    # the smallest exact dtype for B = max(min(r, c) - 1, 1) (p-1)^2 + 2p: int8 while B < 2^7, int16
+    # while B < 2^15, then int64, then Python ints
+    for p, shape, dtype in [(3, (31, 31), np.int8), (3, (32, 32), np.int16), (3, (40, 40), np.int16),
+                            (5, (8, 8), np.int8), (5, (9, 9), np.int16), (11, (2, 9), np.int8),
+                            (11, (3, 9), np.int16), (13, (1, 9), np.int16), (181, (1, 9), np.int16),
+                            (181, (9, 1), np.int16), (181, (2, 9), np.int16), (181, (3, 9), np.int64),
+                            (191, (1, 9), np.int64), (BIG_P, (2, 3), object)]:
         assert _rank_dtype(*shape, p) == dtype
 
 
@@ -568,6 +610,47 @@ def test_narrow_dtype_holds_bound_and_p():
     # an empty product's bound is 0, but _mod reduces by p as a scalar of the array's dtype
     assert _narrow_dtype(0, 131071) is np.int32
     assert _narrow_dtype(0, 2 ** 89 - 1) is object
+
+
+def test_blas_dtype_tiers():
+    # nonnegative integer sums are exact in float32 below 2^24 and in float64 below 2^53
+    assert _blas_dtype((1 << 24) - 1) is np.float32
+    assert _blas_dtype(1 << 24) is np.float64
+    assert _blas_dtype((1 << 53) - 1) is np.float64
+    assert _blas_dtype(1 << 53) is None
+
+
+# with every entry p - 1, n^2 (p-1)^3 at n = 64 is just below 2^24 for p = 13 (float32) and exactly 2^24
+# for p = 17 (float64); at p = 19 one odd entry in a point and in a form makes an odd form above 2^24,
+# which float32 would round
+@pytest.mark.parametrize("p,blas", [(13, np.float32), (17, np.float64), (19, np.float64)])
+def test_quad_forms_and_matmul_mod_at_float32_limit(p, blas):
+    n = 64
+    assert _blas_dtype(n * n * (p - 1) ** 3) is blas
+    points, mats = np.full((3, n), p - 1), np.full((2, n, n), p - 1)
+    points[1, 0] = mats[1, 0, 0] = p - 2
+    points[2] = np.random.default_rng(p).integers(0, p, n)
+    want = _quad_forms_reference(points.tolist(), mats.tolist(), p)
+    assert quad_forms(points, mats, p).tolist() == want
+    # matmul_mod on the same operands, as the (3, n) by (n, n) products of the points and the forms
+    got = matmul_mod(points, mats, p)
+    want = [[[sum(x * m[i][j] for i, x in enumerate(pt)) % p for j in range(n)] for pt in points.tolist()]
+            for m in mats.tolist()]
+    assert got.tolist() == want
+
+
+# matmul_mod's own float32 limit, k (p-1)^2 < 2^24: at p = 17 an inner dimension of 2^16 - 1 stays below it,
+# and 2^16 + 1 reaches it with an odd sum, (k-1)(p-1)^2 + (p-2)^2 = 2^24 + 225, that float32 would round
+@pytest.mark.parametrize("k,blas", [((1 << 16) - 1, np.float32), ((1 << 16) + 1, np.float64)])
+def test_matmul_mod_at_float32_limit(k, blas):
+    p = 17
+    assert _blas_dtype(k * (p - 1) ** 2) is blas
+    a, b = np.full((2, k), p - 1), np.full((k, 2), p - 1)
+    a[0, -1] = b[-1, 0] = p - 2
+    a[1] = np.random.default_rng(k).integers(0, p, k)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in a.tolist()]
+    assert int(a[0] @ b[:, 0]) == _largest_odd_sum(k, p)
+    assert matmul_mod(a, b, p).tolist() == want
 
 
 def _primes_either_side(size, limit):

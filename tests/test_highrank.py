@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from vc2lab.fp import FieldCtx, _rank_array, _rref, derive_rng, ranks_to_digits
+from vc2lab.fp import FieldCtx, _rank_array, _rank_dtype, _rref, derive_rng, ranks_to_digits
 from vc2lab import highrank
 from vc2lab.highrank import (
     HighRankBasis,
@@ -439,28 +439,30 @@ def test_planted_failure_same_witness_in_every_mode():
     assert check_high_rank(bad, mode="sampled", count=100_000, seed=0).tolist() == want
 
 
-@pytest.mark.parametrize("mode,n", [("exhaustive", 9), ("sampled", 31)])
+@pytest.mark.parametrize("mode,n", [("exhaustive", 10), ("sampled", 31)])
 def test_planted_failure_past_the_first_batch(mode, n):
     # M_1 is edited so that one combination planted, with a nonzero first coefficient, is the rank-1
     # matrix v v^T; every failing combination has a nonzero first coefficient, so in exhaustive order
-    # (ranks from 3^8 on) and, at seed 2, among the sampled draws the witness lies past the first batch
+    # (ranks from 3^9 on, past the first batch of 10,485 at n = 10) and, at seed 2, among the sampled
+    # draws the witness lies past the first batch
     p, seed = 3, 2
-    batch = highrank.RANK_BATCH_ENTRIES // (n * n)
+    batch = highrank.RANK_BATCH_BYTES // (n * n * np.dtype(_rank_dtype(n, n, p)).itemsize)
     if mode == "exhaustive":
         lams = ranks_to_digits(np.arange(1, p ** n), p, n)
         planted = lams[p ** (n - 1) + 6]  # (1, 0, ..., 0, 2, 1)
     else:
         lams = _nonzero_rows(derive_rng(seed, "high-rank-check", 0), 2 * batch, n, p)
-        # the smallest draw with a nonzero first coefficient, draw 700 of 1,090
+        # the smallest draw with a nonzero first coefficient, draw 1,820 of 2,182
         planted = lams[min(np.flatnonzero(lams[:, 0]), key=lambda i: tuple(lams[i]))]
     v = np.random.default_rng(n).integers(0, p, n)
     mats = build_trace_basis(ctx3, n).mats.copy()
     mats[0] = pow(int(planted[0]), p - 2, p) * (np.outer(v, v) - np.tensordot(planted[1:], mats[1:], axes=1)) % p
     bad = HighRankBasis(ctx3, n, build_irreducible(ctx3, n), mats)
-    # reference: the first failure by the full reduction, in rank order or, sampled, in the draws'
-    # lexicographic order (a stable sort: equal draws keep their draw order)
+    # reference: the first failure by the full reduction, in rank order from the first coefficient 1
+    # on (the combinations before are those of the unedited M_2, ..., M_n, each of rank n) or,
+    # sampled, in the draws' lexicographic order (a stable sort: equal draws keep their draw order)
     if mode == "exhaustive":
-        want = _first_failure(lams, bad.mats, p, range(len(lams)))
+        want = _first_failure(lams, bad.mats, p, range(p ** (n - 1) - 1, len(lams)))
     else:
         want = _first_failure(lams, bad.mats, p, sorted(range(len(lams)), key=lambda i: tuple(lams[i])))
         assert lams[want].tolist() == planted.tolist()
