@@ -46,7 +46,7 @@ from .fp import (
     ranks_to_digits,
     shifted_ranks,
 )
-from .gs import QgsSet, cross_terms
+from .gs import QgsSet, _leading_one, cross_terms
 from .highrank import HighRankBasis
 from .shatter import ContainmentMap, grid_verdicts, realizing_shifts, vc2_realizes
 
@@ -384,9 +384,7 @@ def _predicted_cells(vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     q = vals[:, :1]
     a, b = np.concatenate([q, vals[:, 1:k]], axis=1), np.concatenate([q, vals[:, k:]], axis=1)
     cells = (a[:, :, None] + b[:, None] - q[:, None]) % p
-    nonzero = cells != 0
-    first = np.take_along_axis(cells, nonzero.argmax(axis=3)[..., None], axis=3)[..., 0]
-    return first == 1, nonzero.any(axis=3)
+    return _leading_one(cells), (cells != 0).any(axis=3)
 
 
 # The cases below read a batch of grid images g, a (k, k, images) boolean array

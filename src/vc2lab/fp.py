@@ -450,17 +450,18 @@ def ranks_to_digits(ranks: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 def digits_to_ranks(digits: np.ndarray, p: int) -> np.ndarray:
+    """The rank of each vector along the last axis of digits, so stacked blocks rank at once."""
     digits = np.asarray(digits, dtype=np.int64)
-    return digits @ rank_powers(p, digits.shape[1])
+    return digits @ rank_powers(p, digits.shape[-1])
 
 
 def shifted_ranks(offsets: np.ndarray, p: int) -> np.ndarray:
-    """(m, p**n) int64: row i holds rank(offsets[i] + z) for every z of F_p^n in rank order.
+    """(m, p**n) array: row i holds rank(offsets[i] + z) for every z of F_p^n in rank order.
 
     offsets is an (m, n) array of residues.  The ranks are built one digit at a time, most
     significant first, so no (m, p**n, n) array of sums is ever formed.  Every partial rank is
-    below p**n, so they are built in the narrowest unsigned dtype holding p**n - 1 and cast to
-    int64 once.
+    below p**n, so they are built and returned in the narrowest unsigned dtype holding
+    p**n - 1; every caller only gathers with them.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     m, n = offsets.shape
@@ -468,7 +469,7 @@ def shifted_ranks(offsets: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros((m, 1), dtype=digits.dtype)
     for j in range(n):
         out = (out[:, :, None] * p + digits[:, j, None, :]).reshape(m, out.shape[1] * p)
-    return out.astype(np.int64)
+    return out
 
 
 def iter_group_chunks(p: int, n: int, chunk: int = 1 << 16):

@@ -1,13 +1,12 @@
 """Membership oracles for the linear and quadratic Green-Sanders sets.
 
-GS(p, n) contains the vectors whose first nonzero coordinate equals 1.
-QGS(p, n) contains the vectors whose first nonzero value in the sequence
-Q_1(x), ..., Q_n(x) equals 1, where Q_t(x) = x^T M_t x for a basis
-M_1, ..., M_n of symmetric matrices with the full-rank-combination property.
-
-Each oracle answers membership of residue rows (contains_digits) and of
-translates: contains_translates(cells, shifts) is the (m, w) membership of
-cells[j] + shifts[i], the replay of a certificate's cells under its witnesses.
+A point lies in GS(p, n) when its first nonzero coordinate equals 1, and in
+QGS(p, n) when the first nonzero value of Q_1(x), ..., Q_n(x) equals 1, where
+Q_t(x) = x^T M_t x for a basis M_1, ..., M_n of symmetric matrices with the
+full-rank-combination property; _leading_one is that rule.  Each set implements
+one membership method, contains_translates(cells, shifts), the (m, w)
+membership of cells[j] + shifts[i]; contains_digits (the translates of the
+origin), contains and membership_table are shared functions built on it.
 """
 
 from __future__ import annotations
@@ -16,8 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import FieldCtx, add_mod, as_points, digits_to_ranks, iter_group_chunks, matmul_mod, quad_forms
+from .fp import FieldCtx, _exact_dtype, _mod, add_mod, as_points, digits_to_ranks, iter_group_chunks, matmul_mod, quad_forms
 from .highrank import HighRankBasis
+
+
+def _leading_one(values: np.ndarray) -> np.ndarray:
+    """The membership rule along the last axis: the first nonzero value is 1 (an all-zero row reads 0)."""
+    return np.take_along_axis(values, (values != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0] == 1
+
+
+def _polar(mats: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """(t, n, w) array of the polar forms 2 M_t x mod p: column j of [t] is 2 M_t x_j for the rows x_j of x."""
+    return matmul_mod(mats, add_mod(x, x, p).T, p)
 
 
 def _contains(a, x) -> bool:
@@ -25,12 +34,9 @@ def _contains(a, x) -> bool:
     return bool(a.contains_digits(as_points([x], a.p, a.n))[0])
 
 
-def _contains_translates(a, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """(m, w) membership of cells[j] + shifts[i], one contains_digits call on the m shifts per cell."""
-    out = np.empty((len(shifts), len(cells)), dtype=bool)
-    for j, c in enumerate(cells):
-        out[:, j] = a.contains_digits(add_mod(shifts, c, a.p))
-    return out
+def _contains_digits(a, digits: np.ndarray) -> np.ndarray:
+    """Membership of residue rows (see fp.as_points): the translates of the origin."""
+    return a.contains_translates(np.zeros((1, a.n), dtype=digits.dtype), digits)[:, 0]
 
 
 def _membership_table(a) -> np.ndarray:
@@ -42,14 +48,8 @@ def _membership_table(a) -> np.ndarray:
 
 
 def cross_terms(x: np.ndarray, y: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
-    """(|x|, |y|, t) array of 2 x^T M y mod p over the rows of x and y and the t matrices.
-
-    By polarization, Q(x + y) - Q(x) - Q(y), from one quad_forms call.
-    """
-    sums = add_mod(x[:, None], y[None, :], p).reshape(-1, x.shape[1])
-    q = quad_forms(np.concatenate([sums, x, y]), mats, p)
-    qs, qx, qy = np.split(q, [len(sums), len(sums) + len(x)])
-    return ((qs.reshape(len(x), len(y), len(mats)) - qx[:, None]) % p - qy[None, :]) % p
+    """(|x|, |y|, t) array of 2 x^T M y mod p over the rows of x and y and the t matrices."""
+    return matmul_mod(y, _polar(mats, x, p), p).transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,13 @@ class GsSet:
     def p(self) -> int:
         return self.ctx.p
 
+    def contains_translates(self, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """(m, w) membership of cells[j] + shifts[i] for residue rows cells (w, n) and shifts (m, n):
+        the leading-value rule on the coordinates of the (m, w, n) sums."""
+        return _leading_one(add_mod(shifts[:, None], cells[None], self.p))
+
     contains = _contains
-
-    def contains_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (m, n) coordinate block."""
-        nz = digits != 0
-        has = nz.any(axis=1)
-        first = np.argmax(nz, axis=1)
-        vals = digits[np.arange(digits.shape[0]), first]
-        return has & (vals == 1)
-
-    contains_translates = _contains_translates
+    contains_digits = _contains_digits
     membership_table = _membership_table
 
 
@@ -99,32 +95,11 @@ class QgsSet:
     def n(self) -> int:
         return self.basis.n
 
-    def _forms(self, t: int, points: np.ndarray) -> np.ndarray:
-        """Q_t on each row of points, t in [1, n]."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"form index {t} out of range [1, {self.n}]")
-        return quad_forms(points, self.basis.mats[t - 1:t], self.p)[:, 0]
-
     def eval_q(self, t: int, x) -> int:
         """Q_t(x) = x^T M_t x mod p, with t in [1, n]."""
-        return int(self._forms(t, as_points([x], self.p, self.n))[0])
-
-    contains = _contains
-
-    def contains_digits(self, digits: np.ndarray) -> np.ndarray:
-        """Vectorized membership of residue rows (see fp.as_points): scan Q_1, Q_2, ... short-circuiting per row."""
-        m = digits.shape[0]
-        member = np.zeros(m, dtype=bool)
-        undecided = np.ones(m, dtype=bool)
-        for t in range(1, self.n + 1):
-            if not undecided.any():
-                break
-            idx = np.flatnonzero(undecided)
-            q = self._forms(t, digits[idx])
-            hit = q != 0
-            member[idx[hit]] = q[hit] == 1
-            undecided[idx[hit]] = False
-        return member
+        if not 1 <= t <= self.n:
+            raise ValueError(f"form index {t} out of range [1, {self.n}]")
+        return int(quad_forms(as_points([x], self.p, self.n), self.basis.mats[t - 1:t], self.p)[0, 0])
 
     def contains_translates(self, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         """(m, w) membership of cells[j] + shifts[i] for residue rows cells (w, n) and shifts (m, n).
@@ -136,12 +111,13 @@ class QgsSet:
         """
         p, mats = self.p, self.basis.mats
         member = np.zeros((len(shifts), len(cells)), dtype=bool)
-        qc = quad_forms(cells, mats, p)  # (w, n): Q_t(c_j) at [j, t - 1]
-        twice = matmul_mod(mats, add_mod(cells, cells, p).T, p)  # (n, n, w): 2 M_t c_j in column j of [t - 1]
+        # (w, n): Q_t(c_j) at [j, t - 1], in a dtype that holds the sum of a level's three residues
+        qc = quad_forms(cells, mats, p).astype(_exact_dtype(3 * p), copy=False)
+        twice = _polar(mats, cells, p)  # (n, n, w): 2 M_t c_j in column j of [t - 1]
         # the shifts still in the scan: their rows of member, their coordinates, their undecided cells
         rows, z, open_ = np.arange(len(shifts)), shifts, np.ones_like(member)
         for t in range(self.n):
-            q = add_mod(add_mod(matmul_mod(z, twice[t], p), qc[:, t], p), quad_forms(z, mats[t:t + 1], p), p)
+            q = _mod(matmul_mod(z, twice[t], p) + qc[:, t] + quad_forms(z, mats[t:t + 1], p), p)
             member[rows] |= open_ & (q == 1)
             open_ &= q == 0
             keep = open_.any(axis=1)
@@ -150,6 +126,8 @@ class QgsSet:
             rows, z, open_ = rows[keep], z[keep], open_[keep]
         return member
 
+    contains = _contains
+    contains_digits = _contains_digits
     membership_table = _membership_table
 
 
@@ -172,12 +150,12 @@ class ExplicitSet:
     def p(self) -> int:
         return self.ctx.p
 
+    def contains_translates(self, cells: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """(m, w) membership of cells[j] + shifts[i]: the table at the ranks of the (m, w, n) sums."""
+        return self.table[digits_to_ranks(add_mod(shifts[:, None], cells[None], self.p), self.p)]
+
     contains = _contains
-
-    def contains_digits(self, digits: np.ndarray) -> np.ndarray:
-        return self.table[digits_to_ranks(digits, self.p)]
-
-    contains_translates = _contains_translates
+    contains_digits = _contains_digits
 
     def membership_table(self) -> np.ndarray:
         return self.table

@@ -1,11 +1,11 @@
 """Shattering search: VC-dimension by translates, quadratic shattering by shifts.
 
-The linear search enumerates every translate y once per candidate set,
-collects the achieved pattern bitmasks, and tests completeness; candidate
-sets are grown only from already-shattered sets (shattering is monotone
-under subsets), with the representative fixed to contain 0 (shattering is
-translation invariant).  Points are (m, n) int64 arrays of residues, one
-point per row (see fp.as_points); a single point is a length-n row.
+shatters and vc2_shatters scan the translates in rank order until every
+pattern is met.  vc_dim grows sets through 0 only from shattered sets
+(shattering is monotone under subsets and translation invariant): s + {v} is
+shattered iff v + y lies in the set for some but not all translates y of each
+pattern class of s, which counts over a translate table decide.  Points are
+(m, n) int64 arrays of residues, one point per row (see fp.as_points).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .fp import FieldCtx, _blas_dtype, add_mod, as_points, freeze_points, iter_g
 
 
 class MembershipOracle(Protocol):
-    """Total membership predicate on F_p^n."""
+    """Total membership predicate on F_p^n: a set implements contains_translates (see vc2lab.gs)."""
 
     ctx: FieldCtx
 
@@ -175,8 +175,8 @@ def shatters(a: MembershipOracle, s) -> ShatterCertificate | NotShattered:
 
 
 def _translate_table(table: np.ndarray, p: int, n: int) -> np.ndarray:
-    """T[v, y] = table[rank(v + y)], as a uint8 0/1 matrix, from blocks of at most 2^18 int64 ranks
-    (2 MB), the largest array built beside T."""
+    """T[v, y] = table[rank(v + y)], as a uint8 0/1 matrix, from blocks of at most 2^18 ranks (512 KB
+    of uint16 at most, as p^n <= MAX_VCDIM_GROUP), the largest array built beside T."""
     total = table.shape[0]
     digits = ranks_to_digits(np.arange(total, dtype=np.int64), p, n)
     out = np.empty((total, total), dtype=np.uint8)
@@ -337,13 +337,22 @@ def grid_verdicts(a: MembershipOracle, x: np.ndarray, y: np.ndarray, zs: np.ndar
     return a.contains_translates(add_mod(x[:, None], y[None, :], a.p).reshape(-1, a.n), zs)
 
 
-def vc2_realizes(a: MembershipOracle, x, y, phi: ContainmentMap, z) -> bool:
-    """True iff membership of x_i + y_j + z matches phi on every assigned cell."""
-    x, y, z = as_points(x, a.p, a.n), as_points(y, a.p, a.n), as_points([z], a.p, a.n)
+def _assigned_cells(a: MembershipOracle, x, y, phi: ContainmentMap) -> tuple[np.ndarray, np.ndarray]:
+    """The cells x_i + y_j that phi assigns, in row-major grid order, and the verdicts it wants there."""
+    p, n = a.p, a.n
+    x, y = as_points(x, p, n), as_points(y, p, n)
     if len(x) != phi.k + 1 or len(y) != phi.k + 1:
         raise ValueError("grid size mismatch between X, Y and phi")
-    want = [v for row in phi.verdicts for v in row]
-    return all(w is None or w == got for w, got in zip(want, grid_verdicts(a, x, y, z)[0].tolist()))
+    verdicts = [v for row in phi.verdicts for v in row]
+    assigned = np.array([v is not None for v in verdicts], dtype=bool)
+    return add_mod(x[:, None], y[None, :], p).reshape(-1, n)[assigned], np.array([bool(v) for v in verdicts])[assigned]
+
+
+def vc2_realizes(a: MembershipOracle, x, y, phi: ContainmentMap, z) -> bool:
+    """True iff membership of x_i + y_j + z matches phi on every assigned cell."""
+    z = as_points([z], a.p, a.n)
+    cells, want = _assigned_cells(a, x, y, phi)
+    return bool((a.contains_translates(cells, z)[0] == want).all())
 
 
 def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: ContainmentMap) -> np.ndarray:
@@ -354,13 +363,7 @@ def realizing_shifts(a: MembershipOracle, table: np.ndarray, x, y, phi: Containm
     from table in blocks of at most 2^20 translates.
     """
     p, n = a.p, a.n
-    x, y = as_points(x, p, n), as_points(y, p, n)
-    if len(x) != phi.k + 1 or len(y) != phi.k + 1:
-        raise ValueError("grid size mismatch between X, Y and phi")
-    verdicts = [v for row in phi.verdicts for v in row]
-    assigned = np.array([v is not None for v in verdicts], dtype=bool)
-    cells = add_mod(x[:, None], y[None, :], p).reshape(-1, n)[assigned]
-    want = np.array([bool(v) for v in verdicts])[assigned]
+    cells, want = _assigned_cells(a, x, y, phi)
     ok = np.ones(p ** n, dtype=bool)
     block = max(1, (1 << 20) // p ** n)
     for c0 in range(0, len(cells), block):

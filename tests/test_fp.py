@@ -477,7 +477,7 @@ def test_shifted_ranks_matches_add_mod(p, n):
     offsets = np.vstack([np.zeros((1, n), dtype=np.int64), np.full((1, n), p - 1), rng.integers(0, p, (5, n))])
     digits = ranks_to_digits(np.arange(p ** n), p, n)
     got = shifted_ranks(offsets, p)
-    assert got.dtype == np.int64 and got.shape == (len(offsets), p ** n)
+    assert got.dtype == np.min_scalar_type(p ** n - 1) and got.shape == (len(offsets), p ** n)
     for row, o in zip(got, offsets):
         assert np.array_equal(row, digits_to_ranks(add_mod(digits, o, p), p))
     assert np.array_equal(got[0], np.arange(p ** n))

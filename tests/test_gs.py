@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, add_mod, quad_forms, ranks_to_digits
-from vc2lab.gs import ExplicitSet, GsSet, QgsSet, cross_terms
+from vc2lab.fp import FieldCtx, quad_forms, ranks_to_digits
+from vc2lab.gs import ExplicitSet, GsSet, QgsSet, _leading_one, cross_terms
 from vc2lab.highrank import build_trace_basis
 
 ctx3 = FieldCtx(3)
@@ -170,7 +170,8 @@ _TRANSLATE_FIELDS = [(3, 4), (5, 3), (7, 2), (13, 2), (2 ** 31 - 1, 2), (2 ** 61
 
 @st.composite
 def _translate_case(draw):
-    """An oracle, w in [1, 20] cells and m in [0, 12] shifts, with a zero shift and coinciding cells drawn often."""
+    """An oracle, w in [1, 20] cells and m in [0, 12] shifts, with a zero shift and coinciding cells drawn
+    often, as int64 rows or, for p <= 127, often as the int8 rows the pattern scan passes."""
     p, n = draw(st.sampled_from(_TRANSLATE_FIELDS))
     kinds = ["gs", "qgs"] + (["explicit"] if p ** n <= 10 ** 4 else [])
     kind = draw(st.sampled_from(kinds))
@@ -189,19 +190,60 @@ def _translate_case(draw):
         shifts.append([0] * n)
     if len(cells) > 1 and draw(st.booleans()):
         cells[-1] = cells[0]
-    as_rows = lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    dtype = np.int8 if p <= 127 and draw(st.booleans()) else np.int64
+    as_rows = lambda rows: np.array(rows, dtype=dtype).reshape(len(rows), n)
     return a, as_rows(cells), as_rows(shifts)
+
+
+def _translate_reference(a, cell, shift) -> bool:
+    """Membership of cell + shift in Python integers: the table at the Horner rank for an ExplicitSet,
+    else the first nonzero coordinate (GS) or the first nonzero sum v_i M_ij v_j mod p (QGS)."""
+    v = [(int(c) + int(z)) % a.p for c, z in zip(cell, shift)]
+    if isinstance(a, ExplicitSet):
+        return bool(a.table[_horner_rank(v, a.p)])
+    return _gs_reference(_forms_reference(a, v) if isinstance(a, QgsSet) else v)
+
+
+def _forms_reference(a, v) -> list:
+    """Q_1(v), ..., Q_n(v) in Python integers."""
+    return [sum(v[i] * m[i][j] * v[j] for i in range(a.n) for j in range(a.n)) % a.p for m in a.basis.mats.tolist()]
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_translate_case())
-def test_contains_translates_matches_contains_digits_of_sums(case):
+def test_contains_translates_matches_scalar_rule(case):
     a, cells, shifts = case
-    m, w = len(shifts), len(cells)
-    sums = add_mod(cells[None], shifts[:, None], a.p).reshape(m * w, a.n)
     got = a.contains_translates(cells, shifts)
-    assert got.dtype == bool and got.shape == (m, w)
-    assert np.array_equal(got, a.contains_digits(sums).reshape(m, w))
+    assert got.dtype == bool and got.shape == (len(shifts), len(cells))
+    assert got.tolist() == [[_translate_reference(a, c, z) for c in cells] for z in shifts]
+
+
+def test_contains_translates_exact_near_int64_limit():
+    # a level's three residues sum past 2^63 at this p; make cells[i] + shifts[i] a member by scaling a
+    # point v with Q_1(v) a square to Q_1 = 1 (p = 3 mod 4, so r^((p+1)/4) is a square root of r)
+    p = 2 ** 63 - 25
+    a = QgsSet(build_trace_basis(FieldCtx(p), 2))
+    rng = np.random.default_rng(0)
+    members = []
+    for v in rng.integers(0, p, (40, 2), dtype=np.int64).tolist():
+        w = _forms_reference(a, v)[0]
+        if w and pow(w, (p - 1) // 2, p) == 1:
+            members.append([pow(pow(w, -1, p), (p + 1) // 4, p) * c % p for c in v])
+    cells = rng.integers(0, p, (len(members), 2), dtype=np.int64)
+    shifts = np.array([[(m - int(c)) % p for m, c in zip(v, cell)] for v, cell in zip(members, cells)], dtype=np.int64)
+    got = a.contains_translates(cells, shifts)
+    assert len(members) >= 10 and got.diagonal().all()
+    assert got.tolist() == [[_translate_reference(a, c, z) for c in cells] for z in shifts]
+
+
+def test_leading_one_rule():
+    # p = 5: an all-zero row, a leading p - 1, a leading 1 after zeros, a leading 1 followed by p - 1
+    rows = np.array([[0, 0, 0], [4, 1, 1], [0, 0, 1], [1, 4, 4], [0, 2, 1]], dtype=np.int8)
+    assert _leading_one(rows).tolist() == [False, False, True, True, False]
+    # stacked leading axes, and an empty one
+    stacked = np.stack([rows, rows[::-1], np.roll(rows, 1, axis=1)]).astype(np.int64)
+    assert _leading_one(stacked).tolist() == [[_gs_reference(r) for r in block] for block in stacked.tolist()]
+    assert _leading_one(stacked[:, :0]).shape == (3, 0)
 
 
 def test_explicit_set_round_trip():
