@@ -134,20 +134,26 @@ def find_in_atoms(
     alpha A_t alpha^T + alpha . 2 N M_t part^T + Q_t(part) with A_t =
     N M_t N^T shared by every label (M_t is symmetric), so one evaluation
     serves a block of candidates from many labels, and only the matching
-    point is ever built.  The targets are tested one at a time, each on the
-    rows that met the ones before it, so the first one rejects all but
-    about 1/p of the rows before the others are evaluated.
+    point is ever built.  Each evaluation takes an (owners, rows, dim)
+    block, or the exhaustive search's one chunk of rows shared by every
+    owner: the first target's shared form is evaluated once per row, each
+    owner's linear term and constant applied to its rows, and it rejects
+    all but about 1/p of them; each later target is evaluated on the rows
+    that met the ones before it.  The first hits become points in one product.
     Sampling keeps a pool of at most ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
     labels: each round every pooled label draws ATOM_DRAW_CHUNK rows from
-    its generator and one evaluation tests them all; settled labels leave
-    and the next labels join, each taking a settled label's generator (or a
-    new one while the pool fills) set to its own stream's state.  Every
-    label's state, the one derive_rng(seed, "find-in-atom") starts from,
-    comes from one fp.derive_rng_states pass.  Once no label is left to
-    join, the rest draw ATOM_EVAL_CHUNK // (labels left) rows a round.  So
-    at most a pool's worth of generators is ever made, and at most
-    ATOM_EVAL_CHUNK candidate rows are evaluated at once; the exhaustive
-    search takes the labels in groups of a pool's size.
+    its generator (in uint32, the same values as int64 draws) and one
+    evaluation tests them all; settled labels leave and the next labels
+    join, each taking a settled label's generator (or a new one while the
+    pool fills) set to its own stream's state.  Every label's state, the
+    one derive_rng(seed, "find-in-atom") starts from, comes from one
+    fp.derive_rng_states pass.  Once no label is left to join, the rest
+    draw ATOM_EVAL_CHUNK // (labels left) rows a round.  Every pooled label
+    draws as many rows in a round, at most what the label that has drawn
+    most has left of its budget.  So at most a pool's worth of generators
+    is ever made, and at most ATOM_EVAL_CHUNK candidate rows are evaluated
+    at once; the exhaustive search takes the labels in groups of a pool's
+    size.
     Requires complexity < n/2 so that non-emptiness is guaranteed, and
     n (p-1)^2 < 2^63 so that the int64 products are exact.
     """
@@ -182,32 +188,43 @@ def find_in_atoms(
     found: list[np.ndarray | None] = [None] * len(vals)
 
     def settle(alphas: np.ndarray, owners: np.ndarray) -> None:
-        """Record each owner's first hit among its rows of alphas, which run in its draw order."""
-        a, o, rows = alphas, owners, np.arange(len(alphas))
-        for t in range(len(mats)):
-            got = quad_forms(a, shared[t:t + 1], p)[:, 0] + np.einsum("rd,rd->r", a, linear[t][o]) + const[o, t]
-            keep = got % p == target[o, t]
-            a, o, rows = a[keep], o[keep], rows[keep]
+        """Record each owner's first hit among its rows of alphas, in draw order: an (owners, rows, dim)
+        block, or (1, rows, dim) for rows every owner shares, whose shared forms are evaluated once."""
+        keep = np.ones((len(owners), alphas.shape[1]), dtype=bool)
+        if len(mats):
+            got = quad_forms(alphas.reshape(-1, dim), shared[:1], p)[:, 0].reshape(alphas.shape[:2])
+            got = got + matmul_mod(alphas, linear[0][owners][:, :, None], p)[..., 0] + const[owners, :1]
+            keep = got % p == target[owners, :1]
+        # row-major, so each owner's rows stay in draw order
+        o, rows = np.nonzero(keep)
+        a = np.broadcast_to(alphas, (*keep.shape, dim))[o, rows]
+        for t in range(1, len(mats)):
+            w = owners[o]
+            got = quad_forms(a, shared[t:t + 1], p)[:, 0] + np.einsum("rd,rd->r", a, linear[t][w]) + const[w, t]
+            sel = got % p == target[w, t]
+            a, o = a[sel], o[sel]
         hit, first = np.unique(o, return_index=True)
-        for i, r in zip(hit.tolist(), rows[first]):
-            found[i] = (parts[i] + alphas[r] @ nb) % p
+        points = add_mod(parts[owners[hit]], matmul_mod(a[first], nb, p), p)
+        for i, z in zip(owners[hit].tolist(), points):
+            found[i] = z
 
     group = ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
     if p ** dim <= ATOM_EXHAUST_LIMIT:
         for start in range(0, len(vals), group):
-            pending = list(range(start, min(start + group, len(vals))))
+            pending = np.arange(start, min(start + group, len(vals)))
             for _, alphas in iter_group_chunks(p, dim, ATOM_EVAL_CHUNK // len(pending)):
-                settle(np.tile(alphas, (len(pending), 1)), np.repeat(pending, len(alphas)))
-                pending = [i for i in pending if found[i] is None]
-                if not pending:
+                settle(alphas[None], pending)
+                pending = pending[[found[i] is None for i in pending.tolist()]]
+                if not pending.size:
                     break
             else:
                 raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
         return found
 
-    # The generator yields the same rows however the draws are split, so the
-    # first hit does not depend on the round sizes or on which labels share an
-    # evaluation.
+    # The generator yields the same rows however the draws are split, and in
+    # uint32 as in int64 (both take numpy's 32-bit bounded draws below 2^32, and
+    # the guard above keeps p below it), so the first hit does not depend on the
+    # round sizes or on which labels share an evaluation.
     states = derive_rng_states(seeds, "find-in-atom")
     live: dict[int, np.random.Generator] = {}  # pooled label -> its generator, in joining order
     spare: list[np.random.Generator] = []  # the generators of settled labels
@@ -221,12 +238,13 @@ def find_in_atoms(
         if spent is not None:
             raise RuntimeError(f"sampling budget exhausted after {tried[spent]} draws")
         size = ATOM_DRAW_CHUNK if joined < len(vals) else ATOM_EVAL_CHUNK // len(live)
-        blocks = [rng.integers(0, p, size=(min(size, ATOM_SAMPLE_BUDGET - tried[i]), dim)) for i, rng in live.items()]
-        for i, block in zip(live, blocks):
-            tried[i] += len(block)
-        settle(np.concatenate(blocks), np.repeat(list(live), [len(b) for b in blocks]))
-        for i in [i for i in live if found[i] is not None]:
-            spare.append(live.pop(i))
+        size = min(size, ATOM_SAMPLE_BUDGET - max(tried[i] for i in live))
+        settle(np.stack([rng.integers(0, p, size=(size, dim), dtype=np.uint32) for rng in live.values()]),
+               np.array(list(live)))
+        for i in list(live):
+            tried[i] += size
+            if found[i] is not None:
+                spare.append(live.pop(i))
     return found
 
 
@@ -577,7 +595,8 @@ def target_table(indices, k: int, p: int) -> np.ndarray:
     Q_1..Q_k that map indices[m] prescribes at z (q), at x_i + z (a_i) and
     at y_j + z (b_j), in that order.  A map takes the first case in _CASES
     order that matches one of its images, images in _SYMS order, and the
-    symmetry is undone by permuting the rows.  Self-certifying: every map's
+    symmetry is undone by permuting the rows; each case is evaluated only
+    on the maps no earlier case matched.  Self-certifying: every map's
     predicted grid (see _predicted_cells) must equal the map, and an unmatched
     or mispredicted map raises RuntimeError (a table transcription bug).
     """
@@ -588,21 +607,23 @@ def target_table(indices, k: int, p: int) -> np.ndarray:
         raise ValueError(f"map index outside [0, {1 << k * k})")
     cells = ((idx[:, None] >> np.arange(k * k)) & 1) == 0  # True: the cell lies in the set
     syms = _SYMS[k]
-    g = cells[:, syms].reshape(-1, k, k).transpose(1, 2, 0)  # images map by map, _SYMS order within
     bound = [i * k for i in range(k)] + list(range(1, k))  # the cells of q, a_i, b_j
     # under symmetry s, an image's value row r belongs to the map's row undo[s][r]
     undo = np.array([[bound.index(src[c]) for c in bound] for src in syms.tolist()])
     out = np.zeros((len(idx), 2 * k - 1, k), dtype=np.int64)
-    todo = np.ones(len(idx), dtype=bool)
+    todo = np.arange(len(idx))  # the maps no case has matched yet, the only ones the next case sees
     for case in _CASES[k]:
+        if not todo.size:
+            break
+        g = cells[todo][:, syms].reshape(-1, k, k).transpose(1, 2, 0)  # images map by map, _SYMS order within
         mask, vals = case(g, p)
-        mask = mask.reshape(len(idx), len(syms)) & todo[:, None]
-        rows = np.flatnonzero(mask.any(axis=1))
-        sym = mask[rows].argmax(axis=1)
-        out[rows[:, None], undo[sym]] = vals.reshape(len(idx), len(syms), 2 * k - 1, k)[rows, sym]
-        todo[rows] = False
-    if todo.any():
-        raise RuntimeError(f"no case matched map index {idx[todo.argmax()]}")
+        mask = mask.reshape(len(todo), len(syms))
+        hit = mask.any(axis=1)
+        sym = mask[hit].argmax(axis=1)
+        out[todo[hit][:, None], undo[sym]] = vals.reshape(len(todo), len(syms), 2 * k - 1, k)[hit, sym]
+        todo = todo[~hit]
+    if todo.size:
+        raise RuntimeError(f"no case matched map index {idx[todo[0]]}")
     out %= p
     verdicts, defined = _predicted_cells(out, p)
     bad = ~(defined & (verdicts == cells.reshape(-1, k, k))).all(axis=(1, 2))

@@ -68,7 +68,8 @@ class BipartiteColouring:
 def random_colouring(m: int, n: int, r: int, seed: int = 0) -> BipartiteColouring:
     _check_sizes(m, n, r)
     rng = derive_rng(seed, "colouring")
-    return BipartiteColouring(m, n, r, rng.integers(1, r + 1, size=(m, n)).astype(np.int32))
+    # numpy draws int32 and int64 below 2^32 alike, so these are the int64 stream's values
+    return BipartiteColouring(m, n, r, rng.integers(1, r + 1, size=(m, n), dtype=np.int32))
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ def _dominant_colours(colouring: BipartiteColouring) -> np.ndarray:
     """Per left vertex, the smallest colour on at least ceil(n/r) of its edges."""
     m, n, r = colouring.m, colouring.n, colouring.r
     thresh = -(-n // r)
-    offsets = (np.arange(m, dtype=np.int64) * (r + 1))[:, None]
-    flat = np.bincount((colouring.colours.astype(np.int64) + offsets).ravel(), minlength=m * (r + 1))
-    counts = flat.reshape(m, r + 1)
+    counts = np.zeros((m, r + 1), dtype=np.int64)  # column 0 stays empty: colours are 1-based
+    for c in range(1, r + 1):
+        counts[:, c] = np.count_nonzero(colouring.colours == c, axis=1)
     heavy = counts >= thresh
     dom = np.argmax(heavy, axis=1)
     if not heavy[np.arange(m), dom].all():

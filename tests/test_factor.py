@@ -1,3 +1,4 @@
+import functools
 import random
 import weakref
 
@@ -405,6 +406,23 @@ def test_target_table_takes_indices_in_any_order():
     assert target_table([], 3, 5).shape == (0, 5, 3)
 
 
+@functools.cache
+def _full_target_table(k, p):
+    return target_table(np.arange(1 << (k * k)), k, p)
+
+
+@given(k=st.sampled_from([2, 3]), p=st.sampled_from([3, 5, 7, 13]), raw=st.lists(st.integers(0, 511), max_size=60))
+@example(k=3, p=5, raw=[])
+@example(k=2, p=3, raw=[15, 0, 15, 7, 7, 0])
+@example(k=3, p=13, raw=[511, 510, 0, 511, 300, 1, 300])
+@settings(max_examples=40, deadline=None)
+def test_target_table_on_any_index_list_matches_the_full_table(k, p, raw):
+    # each case sees only the maps of the list that no earlier case matched, so which maps
+    # reach a case depends on the list; a map's case and symmetry must not
+    idx = [i % (1 << (k * k)) for i in raw]
+    assert np.array_equal(target_table(idx, k, p), _full_target_table(k, p)[idx])
+
+
 def test_predicted_grid_rejects_an_all_zero_cell():
     tv = targets_reference.TargetValues(2, (0, 1), ((0, 2),), ((0, 2),))  # a + b - q = (0, 3) at the interior cell
     with pytest.raises(ValueError, match=r"cell \(1,1\) has an all-zero value prefix"):
@@ -707,6 +725,25 @@ def test_integer_draws_do_not_depend_on_their_split(p):
         block = whole.integers(0, p, size=sum(1 if k is None else k for k in sizes))
         assert np.array_equal(np.concatenate(parts), block)
         assert split.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 65537, 2 ** 31 - 1, 3_000_000_019])
+def test_32_bit_draws_match_int64_draws(p):
+    # find_in_atoms draws its candidate rows as uint32, for every p its guard admits (all below
+    # 2^32), and random_colouring its colours as int32; each keeps its stream only while
+    # integers(low, low + p) in these dtypes gives the int64 values and leaves the same state,
+    # with calls of all the dtypes mixed in one stream
+    rnd = random.Random(p)
+    dtypes = [np.uint32, np.int64] + [np.int32] * (p < 1 << 31)
+    for seed in range(20):
+        mixed, wide = derive_rng(seed, "int32", p), derive_rng(seed, "int32", p)
+        for _ in range(rnd.randint(1, 30)):
+            dtype, low = rnd.choice(dtypes), rnd.choice([0, 1])
+            size = rnd.choice([None, rnd.randint(1, 50), (rnd.randint(1, 8), rnd.randint(1, 19))])
+            got = mixed.integers(low, low + p, size=size, dtype=dtype)
+            assert np.asarray(got).dtype == dtype
+            assert np.array_equal(got, wide.integers(low, low + p, size=size))
+        assert mixed.bit_generator.state == wide.bit_generator.state
 
 
 def _forced_zero_conclusions_reference(a, x, y, m, z):
