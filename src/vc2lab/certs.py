@@ -45,11 +45,11 @@ def oracle_spec(a) -> dict:
 # The verifier's limits, checked before any oracle is rebuilt.  Points and shifts
 # are replayed as int64 residues, exact for every p below P_BOUND.  A qgs set is
 # rebuilt by the canonical search for its extension polynomial, whose time grows
-# with p and n: over every p <= 13 and n <= 64 it took at most 0.28 s of CPU time
-# (p = 11, n = 55) on a 2-vCPU x86-64 VM, beyond the limits below 5.9 s
-# (p = 127, n = 64) or 9.3 s (p = 10^6 + 3, n = 4).
+# with p and n: over every p <= 31 and n <= 64 build_trace_basis took at most
+# 0.34 s of CPU time (p = 31, n = 62) on a 2-vCPU x86-64 VM with one BLAS thread,
+# and below highrank.BASIS_P_BOUND = 2^8 at most 14.5 s (p = 251, n = 60).
 P_BOUND = 1 << 63
-QGS_MAX_P = 13
+QGS_MAX_P = 31
 QGS_MAX_N = 64
 
 # Witnesses per contains_translates call while a certificate is replayed.  On the

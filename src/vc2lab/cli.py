@@ -107,8 +107,8 @@ def _basis(cfg: RunConfig) -> HighRankBasis:
     No certificate on a larger basis verifies, and its cost grows as about n^3:
     built in a child process at p = 3 on a 2-vCPU x86-64 VM, n = 64 takes 0.03 s
     of CPU and 39 MB, n = 128 0.9 s and 81 MB, n = 256 6.5 s and 418 MB, and at
-    n = 20001 the irreducibility test asks for an (8, n, n) array.  p is not
-    bounded here.
+    n = 20001 the irreducibility test asks for an (8, n, n) array.  p is bounded
+    by build_trace_basis, which refuses p >= 2^8 before any search.
     """
     if cfg.n > certs.QGS_MAX_N:
         raise ValueError(f"n = {cfg.n} is beyond the quadratic set's limit n <= {certs.QGS_MAX_N}")

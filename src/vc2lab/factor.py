@@ -154,8 +154,7 @@ def find_in_atoms(
     is ever made, and at most ATOM_EVAL_CHUNK candidate rows are evaluated
     at once; the exhaustive search takes the labels in groups of a pool's
     size.
-    Requires complexity < n/2 so that non-emptiness is guaranteed, and
-    n (p-1)^2 < 2^63 so that the int64 products are exact.
+    Requires complexity < n/2 so that non-emptiness is guaranteed.
     """
     _check_factor(f, basis)
     n, p = basis.n, basis.ctx.p
@@ -169,8 +168,6 @@ def find_in_atoms(
     vals = np.asarray(labels, dtype=np.int64)
     if vals.ndim != 2 or vals.shape[1] != d:
         raise ValueError("label length mismatch")
-    if n * (p - 1) ** 2 >= 1 << 63:
-        raise ValueError("p too large for exact int64 atom search")
     l = len(f.linear_polys)
     if l:
         transform, nb = f._affine
@@ -223,8 +220,8 @@ def find_in_atoms(
 
     # The generator yields the same rows however the draws are split, and in
     # uint32 as in int64 (both take numpy's 32-bit bounded draws below 2^32, and
-    # the guard above keeps p below it), so the first hit does not depend on the
-    # round sizes or on which labels share an evaluation.
+    # a basis has p < 2^8), so the first hit does not depend on the round sizes
+    # or on which labels share an evaluation.
     states = derive_rng_states(seeds, "find-in-atom")
     live: dict[int, np.random.Generator] = {}  # pooled label -> its generator, in joining order
     spare: list[np.random.Generator] = []  # the generators of settled labels
@@ -256,8 +253,8 @@ def _pooled_generator(spare: list[np.random.Generator], state: dict) -> np.rando
 
 
 CENSUS_MAX_GROUP = 10 ** 7  # the census labels every point of the group
-# A census report costs about 0.4 KB of memory and 4 us per label: 994,009 labels at
-# p = 997, n = 2 peaked at 399 MB and took 4.2 s in atom-census.
+# A census report costs about 0.4 KB of memory and 4 us per label: 923,521 labels at
+# p = 31, n = 4 (l = q = 2) peaked at 349 MB and took 3.3 s in atom-census.
 CENSUS_MAX_LABELS = 10 ** 6
 
 
@@ -282,7 +279,7 @@ def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...
         labels = np.concatenate([block @ f.linear_polys.T % p, quad_forms(block, mats, p)], axis=1)
         counts += np.bincount(labels @ mult, minlength=p ** d)
     # |count - p**(n-d)| <= p**(n/2), compared in squared integers
-    dev = counts.astype(object) - p ** (n - d)
+    dev = counts - p ** (n - d)  # at most p**n <= CENSUS_MAX_GROUP, so dev^2 fits int64
     if ((dev * dev) > p ** n).any():
         bad = int(np.argmax((dev * dev) > p ** n))
         raise ValueError(f"atom size bound violated at label rank {bad}: size {int(counts[bad])}")

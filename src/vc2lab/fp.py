@@ -8,9 +8,8 @@ affine solving, null spaces and orthogonal complements run on it.  It
 uses leftmost-pivot / first-nonzero-row tie-breaking, and null-space vectors
 are scaled so their first nonzero coordinate is 1, which makes solved
 systems, orthogonal complements and every downstream certificate
-bit-identical across runs and platforms.  It is exact for every p: int64
-while every product of two residues fits, (p-1)^2 < 2^63, Python integers
-beyond.
+bit-identical across runs and platforms.  It runs in int64 for p < 2^15,
+the range of the inverse table (_inv_array) both loops divide by.
 
 Ranks (_rank_array) of a stack of matrices (a leading batch axis) come
 from forward elimination with delayed modular reduction and no row swaps.
@@ -27,23 +26,29 @@ reduces it, and a pivot-row sum stays below 2p.  A matrix without a pivot
 in a column leaves the stack, and what is left of it is ranked as a stack
 of its own.  With B = max(min(r, c) - 1, 1) (p-1)^2 + 2p, ranks run in
 int8 while B < 2^7 (p = 3 to 31 x 31, p = 5 to 8 x 8), int16 while
-B < 2^15, int64 or Python integers beyond, as above.  Both loops reduce
-arrays of 512 entries or more by floor division, x - p (x // p), since
-numpy divides by a scalar with SIMD but computes % one element at a time.
+B < 2^15, int64 beyond.  Both loops reduce arrays of 512 entries or more
+by floor division, x - p (x // p), since numpy divides by a scalar with
+SIMD but computes % one element at a time.
 
-Quadratic forms are evaluated by one batched kernel, quad_forms, exact for
-every p: BLAS while n^2 (p-1)^3 < 2^53, int64 while n (p-1)^2 < 2^63,
-Python integers beyond.  Products mod p, matmul_mod, follow the same rule
-with bound k (p-1)^2 for inner dimension k.  Both take residues in [0, p),
-which is what makes these bounds hold: every partial sum is a nonnegative
-integer at most the bound, so float32 holds it exactly below 2^24 and
-float64 below 2^53 (_blas_dtype), and sgemm runs 2-3x faster than dgemm on
-the repository's shapes (one thread of a 2-vCPU x86-64 VM).  A BLAS
-result is cast to the narrowest of int16, int32 and int64 that holds its
-bound and p (_narrow_dtype) and reduced there by floor division, which
-int16 does 5-12 times faster than int64 % at 64k-512k entries (numpy 2.4,
-the same VM).  Delayed reduction and exact floating-point products are the
-ideas of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008).
+Quadratic forms are evaluated by one batched kernel, quad_forms, in BLAS
+while n^2 (p-1)^3 < 2^53.  Products mod p, matmul_mod, follow the same
+rule with bound k (p-1)^2 for inner dimension k.  Both take residues in
+[0, p), which is what makes these bounds hold: every partial sum is a
+nonnegative integer at most the bound, so float32 holds it exactly below
+2^24 and float64 below 2^53 (_blas_dtype), and sgemm runs 2-3x faster
+than dgemm on the repository's shapes (one thread of a 2-vCPU x86-64 VM).
+A BLAS result is cast to the narrowest of int16, int32 and int64 that
+holds its bound and p (_narrow_dtype) and reduced there by floor division,
+which int16 does 5-12 times faster than int64 % at 64k-512k entries
+(numpy 2.4, the same VM).  Delayed reduction and exact floating-point
+products are the ideas of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
+2008).
+
+Each kernel raises ValueError before any arithmetic when p, or its bound,
+lies beyond what its dtypes hold exactly: _inv_array, _rref and
+_rank_array for p >= 2^15, matmul_mod and quad_forms for a bound (or p)
+of 2^53 or more.  Quadratic bases take p < 2^8 (highrank), where neither
+limit is reached.
 """
 
 from __future__ import annotations
@@ -148,46 +153,39 @@ def _inv_table(p: int) -> np.ndarray:
     return table
 
 
+def _check_inverse_field(p: int) -> None:
+    """Refuse p >= 2^15, beyond the inverse table that every elimination divides by."""
+    if p >= 1 << 15:
+        raise ValueError(f"elimination mod p inverts by a table of p < 2^15 entries; got p = {p}")
+
+
 def _inv_array(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of residues mod p, 0 mapping to 0: a table lookup for p < 2^15,
-    x^(p-2) by square-and-multiply beyond."""
-    if p < 1 << 15:
-        return _inv_table(p)[x]
-    out = np.ones_like(x)
-    e = p - 2
-    while True:
-        if e & 1:
-            out = out * x % p
-        e >>= 1
-        if not e:
-            return out
-        x = x * x % p
+    """Elementwise inverse of residues mod p < 2^15, 0 mapping to 0, by table lookup."""
+    _check_inverse_field(p)
+    return _inv_table(p)[x]
 
 
-def _exact_dtype(bound: int) -> type:
-    """int64 when every intermediate stays below bound and bound < 2^63, Python integers otherwise."""
-    return np.int64 if bound < 1 << 63 else object
-
-
-def _blas_dtype(bound: int) -> type | None:
+def _blas_dtype(bound: int) -> type:
     """The float dtype in which BLAS sums nonnegative integers up to bound exactly: float32 below
-    2^24, float64 below 2^53; None beyond, where products run in integers."""
-    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else None
+    2^24, float64 below 2^53.  Raises ValueError beyond, where no float dtype holds the sums."""
+    if bound >= 1 << 53:
+        raise ValueError(f"sums up to {bound} are beyond float64's exact integers, 2^53")
+    return np.float32 if bound < 1 << 24 else np.float64
 
 
 def _narrow_dtype(bound: int, p: int) -> type:
     """The narrowest of int16, int32 and int64 holding every integer up to bound and p itself, which
-    _mod reduces by as a scalar of the array's dtype; Python integers beyond int64."""
+    _mod reduces by as a scalar of the array's dtype; both are below 2^53 (_blas_dtype)."""
     top = max(bound, p)
-    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else _exact_dtype(top)
+    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in [0, p).  numpy divides an integer array by a scalar with SIMD but computes %
     one element at a time, so from 512 entries on x is reduced as x - p (x // p), three calls
-    that give the same residues; p (x // p) needs the dtype to hold x - p + 1.  Smaller arrays,
-    and Python integers, take the one call of %."""
-    if x.dtype == object or x.size < 512:
+    that give the same residues; p (x // p) needs the dtype to hold x - p + 1.  Smaller arrays
+    take the one call of %."""
+    if x.size < 512:
         return x % p
     return x - p * (x // p)
 
@@ -200,10 +198,10 @@ def _holds_residues(a: np.ndarray, p: int) -> bool:
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """An integer array as residues mod p: a itself when it holds only residues, otherwise
-    reduced in int64, or in Python integers once (p-1)^2 >= 2^63."""
+    reduced in int64."""
     if _holds_residues(a, p):
         return a
-    return _mod(a.astype(_exact_dtype((p - 1) ** 2), copy=False), p)
+    return _mod(a.astype(np.int64, copy=False), p)
 
 
 def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +211,11 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     row (top to bottom) at or below the next pivot row with a nonzero entry.
     Deterministic by design.  Returns the reduced matrix and its (r,) pivot
     columns: row i holds the pivot in pivots[i], -1 from the rank on.  The
-    arithmetic is exact for every p: int64 while every product of two
-    residues fits, (p-1)^2 < 2^63, Python integers beyond.
+    arithmetic runs in int64, which holds every product of two residues;
+    p >= 2^15 raises ValueError (_inv_array).
     """
-    a = _residues(np.asarray(a), p).astype(_exact_dtype((p - 1) ** 2))  # always a copy
+    _check_inverse_field(p)
+    a = _residues(np.asarray(a), p).astype(np.int64)  # always a copy
     n_rows, n_cols = a.shape
     pivots = np.full(n_rows, -1, dtype=np.int64)
     r = 0
@@ -240,10 +239,11 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rank_dtype(n_rows: int, n_cols: int, p: int) -> type:
     """_rank_array's dtype for (r, c) matrices, from the drift bound B = max(min(r, c) - 1, 1) (p-1)^2
-    + 2p (see the module docstring): int8 while B < 2^7, int16 while B < 2^15, then int64 or Python
-    integers as _exact_dtype says."""
+    + 2p (see the module docstring): int8 while B < 2^7, int16 while B < 2^15, int64 beyond.  p must
+    be below 2^15 (_inv_array), so B < 2^63 for every matrix with fewer than 2^33 rows or columns."""
+    _check_inverse_field(p)
     bound = max(min(n_rows, n_cols) - 1, 1) * (p - 1) ** 2 + 2 * p
-    return np.int8 if bound < 1 << 7 else np.int16 if bound < 1 << 15 else _exact_dtype(bound)
+    return np.int8 if bound < 1 << 7 else np.int16 if bound < 1 << 15 else np.int64
 
 
 def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
@@ -255,7 +255,8 @@ def _rank_array(a: np.ndarray, p: int) -> np.ndarray:
     more than min(r, c) - 1 updates of at most (p-1)^2 each; the update
     factors f are cast to the stack's dtype (_rank_dtype), which that drift
     bound fits, so every product runs in it.  Stacks that split off wait on
-    a work-list, so no depth of splitting recurses.
+    a work-list, so no depth of splitting recurses.  p >= 2^15 raises
+    ValueError (_rank_dtype).
     """
     a = np.asarray(a)
     lead, (n_rows, n_cols) = a.shape[:-2], a.shape[-2:]
@@ -317,8 +318,7 @@ def _null_basis_from_rref(rref: np.ndarray, pivots: np.ndarray, p: int) -> np.nd
     out[np.arange(free.size), free] = 1
     out[:, pivot_cols] = (-rref[:pivot_cols.size, free] % p).T
     first = out[np.arange(free.size), (out != 0).argmax(axis=1)]
-    out = out * _inv_array(first, p)[:, None] % p
-    return out if p > 1 << 63 else out.astype(np.int64)
+    return out * _inv_array(first, p)[:, None] % p
 
 
 def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -335,9 +335,9 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.n
     rref, pivots = _rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
     if n_cols in pivots:
         return None
-    x = np.zeros(n_cols, dtype=rref.dtype)
+    x = np.zeros(n_cols, dtype=np.int64)
     x[pivots[pivots >= 0]] = rref[pivots >= 0, n_cols]
-    return x if p > 1 << 63 else x.astype(np.int64), _null_basis_from_rref(rref[:, :n_cols], pivots, p)
+    return x, _null_basis_from_rref(rref[:, :n_cols], pivots, p)
 
 
 def affine_solver(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -365,32 +365,26 @@ def orth_complement(vs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matmul_residues(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays, in the dtype it was reduced in: _narrow_dtype's for a
-    BLAS product, int64 or Python integers beyond (see matmul_mod)."""
+    """a @ b mod p for residue arrays, in the narrow dtype it was reduced in (see matmul_mod)."""
     a, b = np.asarray(a), np.asarray(b)
     # the sums are at most k (p-1)^2; the dtype must also hold p itself, which matters at k = 0
     bound = max(a.shape[-1] * (p - 1) ** 2, p)
     blas = _blas_dtype(bound)
-    if blas is not None:
-        # every sum is an integer the float dtype holds exactly, and so does the narrow dtype
-        return _mod((a.astype(blas) @ b.astype(blas)).astype(_narrow_dtype(bound, p)), p)
-    dtype = _exact_dtype(bound)
-    return _mod(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False), p)
+    # every sum is an integer the float dtype holds exactly, and so does the narrow dtype
+    return _mod((a.astype(blas) @ b.astype(blas)).astype(_narrow_dtype(bound, p)), p)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for arrays of residues in [0, p), with numpy's matmul broadcasting.
+    """a @ b mod p for arrays of residues in [0, p), with numpy's matmul broadcasting, as int64.
 
-    Exact for every p: float32 BLAS while each row-by-column sum, at most
-    k (p-1)^2 for inner dimension k, stays below 2^24, float64 while it
-    stays below 2^53, either then reduced in the narrowest of int16, int32
-    and int64 that holds that bound and p; int64 while the sums stay below
-    2^63, Python integers beyond.  An entry outside [0, p) can break the
-    bound and wrap, so callers reduce first.  The result is int64 unless p
-    itself exceeds int64.
+    Float32 BLAS while each row-by-column sum, at most k (p-1)^2 for inner
+    dimension k, stays below 2^24, float64 while it stays below 2^53,
+    either then reduced in the narrowest of int16, int32 and int64 that
+    holds that bound and p; a bound of 2^53 or more raises ValueError
+    (_blas_dtype).  An entry outside [0, p) can break the bound and round,
+    so callers reduce first.
     """
-    out = _matmul_residues(a, b, p)
-    return out if p > 1 << 63 else out.astype(np.int64, copy=False)
+    return _matmul_residues(a, b, p).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +397,21 @@ def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     points is (m, n) and mats is (t, n, n), both with entries in [0, p): an
     entry outside it can break the bounds below and wrap, so callers reduce
     first.  One GEMM multiplies the points by the forms stacked side by
-    side, then each row of the product is dotted with its point.  The
-    arithmetic is chosen from p and n so that no intermediate can round or
-    wrap: float32 when n^2 (p-1)^3 < 2^24, float64 when it is below 2^53,
-    the forms then reduced in the narrowest of int16, int32 and int64 that
-    holds that bound and p; int64 reduced mod p between the two products
-    when n (p-1)^2 < 2^63, Python integers otherwise.  The result is int64
-    unless p itself exceeds int64.
+    side, then each row of the product is dotted with its point.  Every
+    partial sum is an integer at most n^2 (p-1)^3, which float32 holds
+    exactly below 2^24 and float64 below 2^53; the forms are then reduced
+    in the narrowest of int16, int32 and int64 that holds that bound and p,
+    and returned as int64.  A bound, or a p, of 2^53 or more raises
+    ValueError (_blas_dtype).
     """
     points, mats = np.asarray(points), np.asarray(mats)
     m, n = points.shape
     t = mats.shape[0]
-    bound = n * n * (p - 1) ** 3
+    bound = max(n * n * (p - 1) ** 3, p)  # the dtype must also hold p itself, which matters at n = 0
     blas = _blas_dtype(bound)
-    dtype = blas or _exact_dtype(n * (p - 1) ** 2)
-    pts = points.astype(dtype)
-    w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(dtype)).reshape(m, t, n)
-    if blas is not None:
-        q = _mod(np.einsum("mtn,mn->mt", w, pts).astype(_narrow_dtype(bound, p)), p)
-    else:
-        w %= p
-        q = np.einsum("mtn,mn->mt", w, pts) % p
-    return q if dtype is object and p > 1 << 63 else q.astype(np.int64)
+    pts = points.astype(blas)
+    w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(blas)).reshape(m, t, n)
+    return _mod(np.einsum("mtn,mn->mt", w, pts).astype(_narrow_dtype(bound, p)), p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

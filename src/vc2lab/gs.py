@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import FieldCtx, _exact_dtype, _mod, add_mod, as_points, digits_to_ranks, iter_group_chunks, matmul_mod, quad_forms
+from .fp import FieldCtx, _mod, add_mod, as_points, digits_to_ranks, iter_group_chunks, matmul_mod, quad_forms
 from .highrank import HighRankBasis
 
 
@@ -111,8 +111,7 @@ class QgsSet:
         """
         p, mats = self.p, self.basis.mats
         member = np.zeros((len(shifts), len(cells)), dtype=bool)
-        # (w, n): Q_t(c_j) at [j, t - 1], in a dtype that holds the sum of a level's three residues
-        qc = quad_forms(cells, mats, p).astype(_exact_dtype(3 * p), copy=False)
+        qc = quad_forms(cells, mats, p)  # (w, n): Q_t(c_j) at [j, t - 1]
         twice = _polar(mats, cells, p)  # (n, n, w): 2 M_t c_j in column j of [t - 1]
         # the shifts still in the scan: their rows of member, their coordinates, their undecided cells
         rows, z, open_ = np.arange(len(shifts)), shifts, np.ones_like(member)

@@ -5,6 +5,10 @@ M_t is the Gram matrix of the bilinear form (u, v) -> Tr(theta^(t-1) * u * v)
 in the power basis {1, theta, ..., theta^(n-1)}.  A nonzero combination of
 the M_t is the Gram matrix of Tr(a * u * v) for some a != 0, which is
 nondegenerate in odd characteristic, hence of rank n.
+
+Bases are built for p < 2^8 only (BASIS_P_BOUND): every root test is then an
+evaluation on all of F_p, and every product and form on a basis is exact in
+float32 or float64 BLAS (see fp).
 """
 
 from __future__ import annotations
@@ -16,6 +20,13 @@ from functools import lru_cache
 import numpy as np
 
 from .fp import FieldCtx, _holds_residues, _matmul_residues, _rank_array, _rank_dtype, derive_rng, matmul_mod, ranks_to_digits
+
+BASIS_P_BOUND = 1 << 8
+
+
+def _check_basis_field(p: int) -> None:
+    if p >= BASIS_P_BOUND:
+        raise ValueError(f"quadratic bases need p < 2^8; got p = {p}")
 
 
 def _mpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -62,8 +73,8 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     Rabin's test (SIAM J. Comput. 1980): x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1
     for each prime q | n, with the cheapest rejections first, each on the rows left (none
     after the root test if no row is left):
-    1. a root, which about two canonical candidates in three have: for p < 256 f is
-       evaluated on all of F_p, beyond that gcd(f, x^p - x) = 1 is tested as in 3;
+    1. a root, which about two canonical candidates in three have: f is evaluated on all of
+       F_p, so p >= 2^8 raises ValueError before any table is built;
     2. x^(p^n) = Q^n x, from the squares Q^(2^j) (see _frobenius_images): a reducible f
        without a root passes only if n is composite and the degree of each factor divides n;
     3. for composite n, x^(p^(n/q)) != x for each prime q | n, from the same squares, then one gcd, of f
@@ -71,23 +82,19 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     Q, whose column i is x^(p i) mod f, is built from powers of the multiplication-by-x^p matrix.
     Products are fp.matmul_mod's.
     """
+    _check_basis_field(p)
     m, n = f.shape[0], f.shape[1] - 1
     if n == 1:
         return np.ones(m, dtype=bool)
-    small = p < 256
     comp = np.zeros((m, n, n), dtype=f.dtype)
     comp[:, np.arange(1, n), np.arange(n - 1)] = 1
     comp[:, :, -1] = -f[:, :n] % p  # multiplication by x mod f
-    if small:
-        powers = np.array([[pow(a, i, p) for a in range(p)] for i in range(n + 1)])
-        ok = matmul_mod(f, powers, p).all(axis=1)
-    else:
-        xp = _mpow(comp, p, p)
-        ok = _rank_array(xp - comp, p) == n
+    powers = np.array([[pow(a, i, p) for a in range(p)] for i in range(n + 1)])
+    ok = matmul_mod(f, powers, p).all(axis=1)
     live, unit = np.flatnonzero(ok), np.eye(n, dtype=f.dtype)
     if not live.size:
         return ok
-    xp = _mpow(comp[live], p, p) if small else xp[live]
+    xp = _mpow(comp[live], p, p)
     q = _krylov(xp, np.broadcast_to(unit[0], (live.size, n)), p)
     ks = [n // r for r in range(2, n) if n % r == 0 and all(r % s for s in range(2, r))]
     ts = _frobenius_images(q, [n, *ks], p)
@@ -109,7 +116,7 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Whether the monic polynomial with these coefficients is irreducible: the block test on one row."""
-    return bool(_irreducible_rows(np.array([coeffs], dtype=np.int64 if p < 1 << 63 else object), p)[0])
+    return bool(_irreducible_rows(np.array([coeffs], dtype=np.int64), p)[0])
 
 
 @dataclass(frozen=True)
@@ -133,15 +140,17 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
     Candidates are ordered by the integer sum(c_i * p**i) over the non-leading
     coefficients, so x**2 + 2 precedes x**2 + x + 1 for p = 5.  They are tested
     in blocks of 8, 32, 128, ... candidates, at most about 2^18 matrix entries each.
+    p >= 2^8 raises ValueError before any candidate is built.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     p = ctx.p
+    _check_basis_field(p)  # before the int64 candidate rows, which no p >= 2^63 fits
     lo, size = 0, 8
     while True:
         # candidate c has the base-p digits of c as coefficients, only the low d of them nonzero
         d = min(n, 1 + int(math.log(lo + size, p)))
-        rows = np.zeros((size, n + 1), dtype=np.int64 if p < 1 << 63 else object)
+        rows = np.zeros((size, n + 1), dtype=np.int64)
         rows[:, :d] = np.arange(lo, lo + size, dtype=rows.dtype)[:, None] // np.array([p ** i for i in range(d)]) % p
         rows[:, n] = 1
         hit = np.flatnonzero(_irreducible_rows(rows, p))
@@ -150,11 +159,6 @@ def build_irreducible(ctx: FieldCtx, n: int) -> IrreduciblePoly:
             poly.__dict__.update(ctx=ctx, coeffs=tuple(int(c) for c in rows[hit[0]]))
             return poly
         lo, size = lo + size, min(4 * size, max(8, (1 << 18) // n ** 2))
-
-
-def _check_int64_field(ctx: FieldCtx) -> None:
-    if ctx.p >= 1 << 63:
-        raise ValueError(f"quadratic bases need p < 2^63, whose residues fit the int64 basis array; got p = {ctx.p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +175,7 @@ class HighRankBasis:
 
     def __post_init__(self) -> None:
         p, n = self.ctx.p, self.n
-        _check_int64_field(self.ctx)
+        _check_basis_field(p)
         mats = np.asarray(self.mats)
         if mats.shape != (n, n, n) or mats.dtype.kind not in "iuO":
             raise ValueError(f"expected an ({n}, {n}, {n}) integer array of matrices")
@@ -206,7 +210,6 @@ def build_trace_basis(ctx: FieldCtx, n: int) -> HighRankBasis:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_int64_field(ctx)
     p = ctx.p
     poly = build_irreducible(ctx, n)
     a = poly.coeffs

@@ -2,9 +2,6 @@ import ast
 import copy
 import hashlib
 import importlib.util
-import os
-import resource
-import subprocess
 import sys
 from datetime import timedelta
 from operator import index
@@ -13,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from child import run_in_child
 from hypothesis import given, settings, strategies as st
 
 import vc2lab
@@ -71,18 +69,9 @@ _VERIFY_STDIN = (
 
 
 def _result_in_child(doc, max_address_space: int | None = None) -> tuple[bool, str]:
-    """verify_certificate's verdict and detail on doc, from a child process with a time limit,
-    so a verifier that hangs fails the calling test instead of blocking the suite.  With
-    max_address_space (bytes), an allocation beyond it fails the child, and so the test."""
-    src = str(Path(vc2lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    cap = None
-    if max_address_space is not None:
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (max_address_space, max_address_space))
-    out = subprocess.run([sys.executable, "-c", _VERIFY_STDIN], input=certs.dumps(doc),
-                         capture_output=True, timeout=10, env=env, check=True, preexec_fn=cap)
-    ok, _, detail = out.stdout.decode().strip().partition(" ")
+    """verify_certificate's verdict and detail on doc, from a child process (see child.run_in_child)."""
+    out = run_in_child(_VERIFY_STDIN, stdin=certs.dumps(doc), max_address_space=max_address_space)
+    ok, _, detail = out.strip().partition(" ")
     return ok == "True", detail
 
 
@@ -130,7 +119,7 @@ def _qgs_doc(p: int, n: int) -> dict:
             "X": [[0] * n], "Y": [[0] * n], "witnesses": []}
 
 
-@pytest.mark.parametrize("p,n", [(3, 400), (2 ** 31 - 1, 13), (17, 2)])
+@pytest.mark.parametrize("p,n", [(3, 400), (2 ** 31 - 1, 13), (37, 2)])
 def test_qgs_certificate_beyond_limits_fails_at_once(p, n):
     limits = f"p <= {certs.QGS_MAX_P}, n <= {certs.QGS_MAX_N}"
     assert _result_in_child(_qgs_doc(p, n)) == (False, f"qgs set beyond the verifier's limits {limits}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,26 @@ def test_qgs_commands_refuse_n_beyond_the_limit(capsys, argv):
         assert out.err == f"error: n = {n} is beyond the quadratic set's limit n <= {certs.QGS_MAX_N}\n"
 
 
+@pytest.mark.parametrize("argv", QGS_COMMANDS, ids=[a[0] for a in QGS_COMMANDS])
+def test_qgs_commands_refuse_p_beyond_the_basis_bound(capsys, argv):
+    # 257, the first prime past 2^8, and 10^6 + 3, whose canonical search once took 9.3 s at n = 4
+    for p in (257, 10 ** 6 + 3):
+        t0 = time.perf_counter()
+        assert main([argv[0], "--p", str(p), *argv[3:], "--n", "1"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr() == ("", f"error: quadratic bases need p < 2^8; got p = {p}\n")
+
+
+def test_k3_certificate_above_p_13_verifies(tmp_path):
+    # p = 17 lay beyond the verifier's old qgs limit p <= 13; the certificate is verified before it
+    # is written, and once more here from its bytes
+    cert = tmp_path / "k3_p17.json"
+    assert main(["vc2-verify", "--p", "17", "--n", "31", "--k", "3", "--cert", str(cert)]) == 0
+    doc = certs.loads(cert.read_bytes())
+    assert (doc["p"], doc["n"], len(doc["witnesses"])) == (17, 31, 512)
+    assert certs.verify_certificate(doc).ok
+
+
 def test_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope"))
@@ -265,6 +286,13 @@ MISUSE = [
     [],
     # a prime FieldCtx accepts whose residues overflow the int64 basis array
     ["basis", "--p", "9223372036854775837", "--n", "2"],
+    # the first prime past the quadratic basis bound p < 2^8, on every command that builds a basis
+    ["basis", "--p", "257", "--n", "3"],
+    ["vc2-verify", "--p", "257", "--n", "13", "--k", "2"],
+    ["atom-census", "--p", "257", "--n", "2"],
+    ["prop32-check", "--p", "257", "--n", "2"],
+    ["vc-dim", "--p", "257", "--n", "2", "--set", "qgs"],
+    ["shatter-check", "--p", "257", "--n", "2", "--set", "qgs", "--points", "0 0;0 1"],
 ]
 
 

@@ -729,8 +729,8 @@ def test_integer_draws_do_not_depend_on_their_split(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 65537, 2 ** 31 - 1, 3_000_000_019])
 def test_32_bit_draws_match_int64_draws(p):
-    # find_in_atoms draws its candidate rows as uint32, for every p its guard admits (all below
-    # 2^32), and random_colouring its colours as int32; each keeps its stream only while
+    # find_in_atoms draws its candidate rows as uint32, for every p a basis admits (below 2^8,
+    # far below 2^32), and random_colouring its colours as int32; each keeps its stream only while
     # integers(low, low + p) in these dtypes gives the int64 values and leaves the same state,
     # with calls of all the dtypes mixed in one stream
     rnd = random.Random(p)
@@ -808,9 +808,8 @@ def test_check_forced_zeros_inapplicable_without_hypothesis(basis5):
 
 
 def test_products_exact_at_large_p():
-    # n (p - 1)^2 >= 2^63: a matrix-vector product summed in plain int64 wraps at this p
-    p, n = 2 ** 61 - 1, 4
-    assert n * (p - 1) ** 2 >= 1 << 63
+    # 251, the largest p a basis takes, on a made-up basis of extreme entries
+    p, n = 251, 4
     ctx = FieldCtx(p)
     rnd = random.Random(0)
     poly = None

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from child import refusals_in_child
 from hypothesis import example, given, settings, strategies as st
 
 from vc2lab.fp import (
@@ -88,15 +89,21 @@ def test_scalar_inverse_examples():
     assert _inv_array(np.array([2, 0]), 3).tolist() == [2, 0]
     assert _inv_array(np.array([3, 0]), 5).tolist() == [2, 0]
     assert _inv_array(np.array([1, 0]), 7).tolist() == [1, 0]
-    # by square-and-multiply beyond 2^15, in Python integers past int64
-    assert _inv_array(np.array([2, 0]), 32771).tolist() == [16386, 0]
-    assert _inv_array(np.array([2, 0], dtype=object), BIG_P).tolist() == [(BIG_P + 1) // 2, 0]
+    assert _inv_array(np.array([2, 0]), TOP_P).tolist() == [(TOP_P + 1) // 2, 0]
+    # beyond 2^15 there is no table, and no inverse
+    for p in (32771, BIG_P):
+        with pytest.raises(ValueError, match="2\\^15"):
+            _inv_array(np.array([2, 0]), p)
 
 
-# a table lookup up to 32749, the largest prime below 2^15, square-and-multiply from 32771 on
+# a table lookup up to 32749, the largest prime below 2^15; refused from 32771 on
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97, 32749, 32771, 65537])
 def test_scalar_inverse_exhaustive(p):
     a = np.arange(p, dtype=np.int64)
+    if p >= 1 << 15:
+        with pytest.raises(ValueError, match="2\\^15"):
+            _inv_array(a, p)
+        return
     inv = _inv_array(a, p)
     assert inv[0] == 0 and (inv[1:] >= 0).all() and (inv[1:] * a[1:] % p == 1).all()
 
@@ -107,13 +114,18 @@ def test_mat_rank_examples():
     assert mat_rank(np.array([[1, 2], [2, 4]]), 5) == 1
 
 
-# (p - 1)^2 > 2^63 here: products of two residues no longer fit in int64
+# the largest prime the elimination kernels take: their inverse table holds p < 2^15
+TOP_P = 32749
+# (p - 1)^2 > 2^63 here, far beyond that table: every elimination kernel refuses it
 BIG_P = 4294967311
 
 
 def test_mat_rank_exact_at_large_p():
+    # 2 x 3 matrices at TOP_P rank in int64, the drift (p-1)^2 + 2p past int16
     row = [3, 5, 7]
-    assert mat_rank(np.array([row, [(BIG_P - 1) * c % BIG_P for c in row]]), BIG_P) == 1
+    assert _rank_dtype(2, 3, TOP_P) is np.int64
+    assert mat_rank(np.array([row, [(TOP_P - 1) * c % TOP_P for c in row]]), TOP_P) == 1
+    assert mat_rank(np.array([row, [TOP_P - 1, 0, 1]]), TOP_P) == 2
 
 
 def _dot(u, v, p):
@@ -122,8 +134,8 @@ def _dot(u, v, p):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_solvers_exact_at_large_p(seed):
-    # checked with Python-int dot products only
-    p = BIG_P
+    # checked with Python-int dot products only, at the largest p the inverse table holds
+    p = TOP_P
     rnd = random.Random(seed)
     rows = [[rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(5)] for _ in range(3)]
     a = np.array(rows, dtype=np.int64)
@@ -178,7 +190,7 @@ def _reference_matrix(rnd, p, shape, rank_deficient):
     return a
 
 
-@given(p=st.sampled_from([3, 5, 7, BIG_P]), shape=st.sampled_from(["square", "wide", "tall"]),
+@given(p=st.sampled_from([3, 5, 7, TOP_P]), shape=st.sampled_from(["square", "wide", "tall"]),
        size=st.integers(1, 5), rank_deficient=st.booleans(), batch=st.integers(1, 6), seed=st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, seed):
@@ -198,7 +210,7 @@ def test_rref_matches_scalar_reference(p, shape, size, rank_deficient, batch, se
 
 # 181 ranks in int16 up to min(r, c) = 2 (180^2 + 2 * 181 < 2^15) and in int64 from 3 on; 191 never in
 # int16; 3 and 5 rank in int8 at these sizes
-@given(p=st.sampled_from([3, 5, 181, 191, BIG_P]), rows=st.integers(0, 7), cols=st.integers(0, 7),
+@given(p=st.sampled_from([3, 5, 181, 191, TOP_P]), rows=st.integers(0, 7), cols=st.integers(0, 7),
        rank_deficient=st.booleans(), batch=st.integers(0, 6), seed=st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_rank_mode_matches_scalar_reference(p, rows, cols, rank_deficient, batch, seed):
@@ -214,10 +226,9 @@ def test_rank_mode_matches_scalar_reference(p, rows, cols, rank_deficient, batch
 def _echelon_stack(rnd, p, rows, cols, pivot_sets):
     """One (rows, cols) matrix per set of pivot columns: an echelon form with those pivots,
     times a random invertible matrix on the left, so its reduced form has exactly those pivots."""
-    dtype = np.int64 if rows * (p - 1) ** 2 < 1 << 63 else object
     out = []
     for cs in pivot_sets:
-        e = np.zeros((rows, cols), dtype=dtype)
+        e = np.zeros((rows, cols), dtype=np.int64)
         for r, c in enumerate(cs):
             e[r, c] = rnd.randrange(1, p)
             e[r, c + 1:] = [rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(c + 1, cols)]
@@ -225,11 +236,11 @@ def _echelon_stack(rnd, p, rows, cols, pivot_sets):
             left = [[rnd.randrange(p) for _ in range(rows)] for _ in range(rows)]
             if len(_rref_reference(left, p)[1]) == rows:
                 break
-        out.append((np.array(left, dtype=dtype) @ e % p).tolist())
+        out.append((np.array(left, dtype=np.int64) @ e % p).tolist())
     return out
 
 
-@given(p=st.sampled_from([3, 5, 181, BIG_P]), rows=st.integers(1, 6), extra_cols=st.integers(-2, 5),
+@given(p=st.sampled_from([3, 5, 181, TOP_P]), rows=st.integers(1, 6), extra_cols=st.integers(-2, 5),
        data=st.data(), seed=st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_rank_stack_leaves_at_several_depths(p, rows, extra_cols, data, seed):
@@ -247,12 +258,15 @@ def test_rank_stack_leaves_at_several_depths(p, rows, extra_cols, data, seed):
 @pytest.mark.parametrize("p", [3, 181, BIG_P])
 def test_rank_stack_without_recursion(p):
     # a single (64, 4096) matrix never splits; 64 (2, 200) matrices whose pivots diverge leave at
-    # 64 depths; the Python-integer kernel takes the small stack only
+    # 64 depths; BIG_P is refused before any elimination
+    if p == BIG_P:
+        with pytest.raises(ValueError, match="2\\^15"):
+            _rank_array(np.zeros((64, 2, 200), dtype=np.int64), p)
+        return
     rnd = random.Random(p)
-    if p != BIG_P:
-        cs = sorted(rnd.sample(range(4096), 60))
-        wide = np.array(_echelon_stack(rnd, p, 64, 4096, [cs])[0], dtype=np.int64)
-        assert _rank_array(wide, p) == 60 and (_rref(wide, p)[1] >= 0).sum() == 60
+    cs = sorted(rnd.sample(range(4096), 60))
+    wide = np.array(_echelon_stack(rnd, p, 64, 4096, [cs])[0], dtype=np.int64)
+    assert _rank_array(wide, p) == 60 and (_rref(wide, p)[1] >= 0).sum() == 60
     sets = [[c] if k % 2 else [c, c + 1 + k % 7] for k, c in enumerate(range(0, 192, 3))]
     stack = np.array(_echelon_stack(rnd, p, 2, 200, sets), dtype=np.int64)
     assert _rank_array(stack, p).tolist() == [len(s) for s in sets]
@@ -323,19 +337,28 @@ def test_rank_mode_drift_at_p181():
 
 def test_rank_mode_dtype():
     # the smallest exact dtype for B = max(min(r, c) - 1, 1) (p-1)^2 + 2p: int8 while B < 2^7, int16
-    # while B < 2^15, then int64, then Python ints
+    # while B < 2^15, then int64; p beyond the inverse table is refused
     for p, shape, dtype in [(3, (31, 31), np.int8), (3, (32, 32), np.int16), (3, (40, 40), np.int16),
                             (5, (8, 8), np.int8), (5, (9, 9), np.int16), (11, (2, 9), np.int8),
                             (11, (3, 9), np.int16), (13, (1, 9), np.int16), (181, (1, 9), np.int16),
                             (181, (9, 1), np.int16), (181, (2, 9), np.int16), (181, (3, 9), np.int64),
-                            (191, (1, 9), np.int64), (BIG_P, (2, 3), object)]:
+                            (191, (1, 9), np.int64), (TOP_P, (2, 3), np.int64)]:
         assert _rank_dtype(*shape, p) == dtype
+    with pytest.raises(ValueError, match="2\\^15"):
+        _rank_dtype(2, 3, BIG_P)
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (0, 3, 4), (2, 0, 4), (2, 3, 0), (0, 0, 0)])
 @pytest.mark.parametrize("p", [3, BIG_P])
 def test_empty_stacks(shape, p):
     a = np.zeros(shape, dtype=np.int64)
+    if p == BIG_P:
+        # refused before any elimination, even of nothing
+        with pytest.raises(ValueError, match="2\\^15"):
+            _rank_array(a, p)
+        with pytest.raises(ValueError, match="2\\^15"):
+            _rref(np.zeros(shape[-2:], dtype=np.int64), p)
+        return
     ranks = _rank_array(a, p)
     assert ranks.shape == shape[:-2] and not ranks.any()
     # _rref reduces the stack's matrices one at a time
@@ -352,11 +375,15 @@ def test_rref_reduces_unreduced_and_negative_input(p, seed):
     rnd = random.Random(seed)
     mats = [_reference_matrix(rnd, p, (4, 5), seed % 2 == 1) for _ in range(3)]
     reduced = np.array(mats, dtype=np.int64)
-    if p == BIG_P:
-        lifts = np.array([[[rnd.randrange(-3, 3) for _ in range(5)] for _ in range(4)] for _ in range(3)], dtype=np.int64)
-    else:
-        lifts = np.array([[[rnd.randrange(-1000, 1000) for _ in range(5)] for _ in range(4)] for _ in range(3)])
+    lifts = np.array([[[rnd.randrange(-1000, 1000) for _ in range(5)] for _ in range(4)] for _ in range(3)], dtype=np.int64)
     unreduced = reduced + lifts * p
+    if p == BIG_P:
+        # refused before the input is read, let alone reduced
+        with pytest.raises(ValueError, match="2\\^15"):
+            _rref(unreduced[0], p)
+        with pytest.raises(ValueError, match="2\\^15"):
+            _rank_array(unreduced, p)
+        return
     before = unreduced.copy()
     for r, u in zip(reduced, unreduced):
         want, want_piv = _rref(r, p)
@@ -517,7 +544,8 @@ def test_affine_solver_matches_solve_affine(p, rows, cols, seed):
 
 # float64 covers 3, 5 and 131071 with n <= 2 (n^2 (p-1)^3 just below 2^53 at n = 2);
 # int64 covers 131071 with n >= 3, 2097169, and 2^31 - 1 with n = 1;
-# Python integers cover 2^31 - 1 with n >= 2 and 2^89 - 1, whose residues overflow int64.
+# quad_forms takes n^2 (p-1)^3 < 2^53: 131071 up to n = 2, the others at n = 0 only, and 2^89 - 1,
+# whose residues overflow int64, never.
 QF_PRIMES = [3, 5, 131071, 2097169, 2 ** 31 - 1, 2 ** 89 - 1]
 
 
@@ -527,7 +555,8 @@ def _quad_forms_reference(points, mats, p):
 
 
 def _residues(rnd, p, shape):
-    """Random residues with the extremes 0, 1, p - 1 over-represented, as int64 or object."""
+    """Random residues with the extremes 0, 1, p - 1 over-represented, as int64 or, for the refused
+    p >= 2^63, object."""
     flat = [rnd.choice((0, 1, p - 1, rnd.randrange(p))) for _ in range(int(np.prod(shape)))]
     return np.array(flat, dtype=np.int64 if p < 1 << 63 else object).reshape(shape)
 
@@ -538,6 +567,10 @@ def _residues(rnd, p, shape):
 def test_quad_forms_matches_python_ints(p, m, n, t, seed):
     rnd = random.Random(seed)
     points, mats = _residues(rnd, p, (m, n)), _residues(rnd, p, (t, n, n))
+    if max(n * n * (p - 1) ** 3, p) >= 1 << 53:
+        with pytest.raises(ValueError, match="2\\^53"):
+            quad_forms(points, mats, p)
+        return
     got = quad_forms(points, mats, p)
     assert got.shape == (m, t)
     assert got.tolist() == _quad_forms_reference(points.tolist(), mats.tolist(), p)
@@ -546,10 +579,15 @@ def test_quad_forms_matches_python_ints(p, m, n, t, seed):
 @pytest.mark.parametrize("p", QF_PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 3, 31])
 def test_quad_forms_extreme_entries(p, n):
-    # every entry p - 1: the largest value each product and partial sum can take
+    # every entry p - 1: the largest value each product and partial sum can take; refused where
+    # that is 2^53 or more
     dtype = np.int64 if p < 1 << 63 else object
     points = np.full((2, n), p - 1, dtype=dtype)
     mats = np.full((2, n, n), p - 1, dtype=dtype)
+    if n * n * (p - 1) ** 3 >= 1 << 53:
+        with pytest.raises(ValueError, match="2\\^53"):
+            quad_forms(points, mats, p)
+        return
     want = (n * n * (p - 1) ** 3) % p
     assert quad_forms(points, mats, p).tolist() == [[want, want], [want, want]]
 
@@ -557,16 +595,21 @@ def test_quad_forms_extreme_entries(p, n):
 @given(p=st.sampled_from(QF_PRIMES[:-1] + [2 ** 61 - 1, 2 ** 63 - 25]), lead=st.integers(0, 3),
        m=st.integers(0, 4), k=st.integers(0, 6), r=st.integers(0, 4), seed=st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
-@example(p=2 ** 89 - 1, lead=0, m=2, k=0, r=3, seed=0)  # an empty inner dimension beyond int64
+@example(p=2 ** 89 - 1, lead=0, m=2, k=0, r=3, seed=0)  # an empty inner dimension, p itself past 2^53
 def test_matmul_mod_matches_python_ints(p, lead, m, k, r, seed):
-    # a stack of lead matrices (none for lead = 0) times one matrix; p = 2^63 - 25 needs Python ints at k = 1
+    # a stack of lead matrices (none for lead = 0) times one matrix; refused once k (p-1)^2 or p
+    # reaches 2^53
     rnd = random.Random(seed)
     a = _residues(rnd, p, (lead, m, k) if lead else (m, k))
     b = _residues(rnd, p, (k, r))
+    if max(k * (p - 1) ** 2, p) >= 1 << 53:
+        with pytest.raises(ValueError, match="2\\^53"):
+            matmul_mod(a, b, p)
+        return
     got = matmul_mod(a, b, p)
     want = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()] for row in mat]
             for mat in (a.tolist() if lead else [a.tolist()])]
-    assert got.dtype == (np.int64 if p < 1 << 63 else object)
+    assert got.dtype == np.int64
     assert (got.tolist() if lead else [got.tolist()]) == want
 
 
@@ -577,7 +620,7 @@ def _largest_odd_sum(k, p):
 
 def _float64_boundary_primes(k):
     """The largest prime p with k (p-1)^2 < 2^53, inside matmul_mod's float64 limit, and the smallest
-    prime whose largest odd sum reaches 2^53."""
+    prime whose largest odd sum reaches 2^53, which matmul_mod refuses."""
     q = math.isqrt(((1 << 53) - 1) // k)  # the largest p - 1 inside the limit
     below = next(m for m in range(q + 1, 2, -1) if _is_prime(m))
     above = next(m for m in range(q + 2, 4 * q) if _is_prime(m) and _largest_odd_sum(k, m) >= 1 << 53)
@@ -595,6 +638,10 @@ def test_matmul_mod_at_float64_limit(k):
         a[0], b[:, 0] = p - 1, p - 1
         a[0, -1] = b[-1, 0] = p - 2
         assert int(a[0] @ b[:, 0]) == _largest_odd_sum(k, p)
+        if k * (p - 1) ** 2 >= 1 << 53:
+            with pytest.raises(ValueError, match="2\\^53"):
+                matmul_mod(a, b, p)
+            continue
         got = matmul_mod(a, b, p)
         assert got.dtype == np.int64
         assert got.tolist() == [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T.tolist()]
@@ -606,10 +653,10 @@ def test_narrow_dtype_holds_bound_and_p():
     assert _narrow_dtype(1 << 15, 3) is np.int32
     assert _narrow_dtype((1 << 31) - 1, 3) is np.int32
     assert _narrow_dtype(1 << 31, 3) is np.int64
-    assert _narrow_dtype(1 << 63, 3) is object
+    assert _narrow_dtype((1 << 53) - 1, 3) is np.int64
     # an empty product's bound is 0, but _mod reduces by p as a scalar of the array's dtype
     assert _narrow_dtype(0, 131071) is np.int32
-    assert _narrow_dtype(0, 2 ** 89 - 1) is object
+    assert _narrow_dtype(0, 2 ** 31) is np.int64
 
 
 def test_blas_dtype_tiers():
@@ -617,7 +664,9 @@ def test_blas_dtype_tiers():
     assert _blas_dtype((1 << 24) - 1) is np.float32
     assert _blas_dtype(1 << 24) is np.float64
     assert _blas_dtype((1 << 53) - 1) is np.float64
-    assert _blas_dtype(1 << 53) is None
+    # beyond, no float dtype holds the sums, and the products are refused
+    with pytest.raises(ValueError, match="2\\^53"):
+        _blas_dtype(1 << 53)
 
 
 # with every entry p - 1, n^2 (p-1)^3 at n = 64 is just below 2^24 for p = 13 (float32) and exactly 2^24
@@ -700,8 +749,14 @@ def test_quad_forms_at_narrow_dtype_limits(limit, n, seed):
 @pytest.mark.parametrize("rows", [3, 200])
 def test_empty_products_at_large_p(p, rows):
     # k = 0 and n = 0: every sum is 0, reduced in a dtype that must still hold p, by % below
-    # 512 entries and by floor division from there on
+    # 512 entries and by floor division from there on; a p of 2^53 or more is refused
     dtype = np.int64 if p < 1 << 63 else object
+    if p >= 1 << 53:
+        with pytest.raises(ValueError, match="2\\^53"):
+            matmul_mod(np.zeros((rows, 0), dtype=dtype), np.zeros((0, 3), dtype=dtype), p)
+        with pytest.raises(ValueError, match="2\\^53"):
+            quad_forms(np.zeros((rows, 0), dtype=dtype), np.zeros((3, 0, 0), dtype=dtype), p)
+        return
     got = matmul_mod(np.zeros((rows, 0), dtype=dtype), np.zeros((0, 3), dtype=dtype), p)
     assert got.dtype == dtype and got.tolist() == [[0] * 3] * rows
     got = quad_forms(np.zeros((rows, 0), dtype=dtype), np.zeros((3, 0, 0), dtype=dtype), p)
@@ -743,3 +798,22 @@ def test_derive_rng_states_refuse_a_key_beyond_the_entropy_pool():
     assert derive_rng_states([], "a", 1, 2) == []
     with pytest.raises(ValueError, match="a key of 4 parts overflows the 4-word entropy pool"):
         derive_rng_states([0, 1], "a", 1, 2, 3)
+
+
+_EYE = "np.eye(3, dtype=np.int64)"
+
+
+# Each kernel takes the largest prime inside the range its dtypes hold exactly and refuses the first
+# one beyond it, and 2^61 - 1, whose inverse table alone would take 2^64 bytes, before any arithmetic
+@pytest.mark.parametrize("call,size,limit", [
+    ("fp._inv_array(np.arange(3), p)", lambda q: q, 1 << 15),
+    (f"fp._rref({_EYE}, p)", lambda q: q, 1 << 15),
+    (f"fp._rank_array({_EYE}[None], p)", lambda q: q, 1 << 15),
+    (f"fp.matmul_mod({_EYE}, {_EYE}, p)", lambda q: 3 * (q - 1) ** 2, 1 << 53),
+    (f"fp.quad_forms({_EYE}, {_EYE}[None], p)", lambda q: 9 * (q - 1) ** 3, 1 << 53),
+], ids=["_inv_array", "_rref", "_rank_array", "matmul_mod", "quad_forms"])
+def test_kernel_refuses_the_first_p_beyond_its_range(call, size, limit):
+    below, first = _primes_either_side(size, limit)
+    got = refusals_in_child(call, [below, first, 2 ** 61 - 1])
+    bound = "2^15" if limit == 1 << 15 else "2^53"
+    assert got[0] == "ok" and all(bound in line for line in got[1:]), got

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from child import refusals_in_child
 
 from vc2lab.fp import FieldCtx, _rank_array, _rank_dtype, _rref, derive_rng, ranks_to_digits
 from vc2lab import highrank
@@ -195,10 +196,21 @@ def test_block_test_matches_ben_or_exhaustively(p, n_max):
         assert _irreducible_rows(np.array(polys), p).tolist() == [_is_irreducible_ben_or(c, p) for c in polys]
 
 
+def _assert_refused(p):
+    """Every way to a quadratic basis refuses p >= 2^8 with one ValueError, before any search."""
+    ctx = FieldCtx(p)
+    for build in (lambda: _irreducible_rows(np.array([[1, 0, 1]]), p), lambda: IrreduciblePoly(ctx, (1, 0, 1)),
+                  lambda: build_irreducible(ctx, 2), lambda: build_trace_basis(ctx, 2)):
+        with pytest.raises(ValueError, match="p < 2\\^8"):
+            build()
+
+
 @pytest.mark.parametrize("p", [251, 257])
 def test_block_test_is_a_root_test_below_degree_4(p):
     # a monic polynomial of degree 2 or 3 is irreducible iff it has no root: 2,000 seeded ones
-    # of each degree, either side of the switch between the two root tests
+    # of each degree at 251, the largest p a basis takes; 257 is refused
+    if p >= highrank.BASIS_P_BOUND:
+        return _assert_refused(p)
     rng = random.Random(p)
     for n in (2, 3):
         polys = np.array([_random_monic(rng, p, n) for _ in range(2000)])
@@ -220,17 +232,16 @@ def _random_irreducible(rng, p, n):
     return next(c for c in iter(lambda: _random_monic(rng, p, n), None) if _is_irreducible(c, p))
 
 
-# matmul_mod's products run in float64 at p = 3, 5, 13, 251 and 257, in int64 at 268435399
-# (below 2^28) for n <= 7, and in Python integers at 2^31 - 1, 2^61 - 1 and 2^63 + 29, whose
-# residues need object arrays.  The root test evaluates f on F_p up to p = 251 and is a gcd
-# from p = 257 on
+# matmul_mod's products run in float32 at p = 3, 5, 13 and 251, the largest p a basis takes, and
+# the root test evaluates f on all of F_p; from 257 on every p is refused
 @pytest.mark.parametrize("p,degrees", [(3, (12, 31, 48, 64)), (5, (12, 31, 48, 64)), (13, (12, 31, 48, 64)),
                                        (251, (2, 3, 4, 6, 12)), (257, (2, 3, 4, 6, 12)),
                                        (268435399, (2, 3, 4, 6)), ((1 << 31) - 1, (2, 3, 4, 6)),
                                        ((1 << 61) - 1, (2, 3, 4)), (9223372036854775837, (2, 3, 4))])
 def test_block_test_on_random_and_constructed_polynomials(p, degrees):
+    if p >= highrank.BASIS_P_BOUND:
+        return _assert_refused(p)
     rng, verdicts = random.Random(p), set()
-    dtype = np.int64 if p < 1 << 63 else object
     for n in degrees:
         # random monic polynomials, and below 2^8 the canonical irreducible, against Ben-Or
         polys = [_random_monic(rng, p, n) for _ in range(8)]
@@ -251,7 +262,7 @@ def test_block_test_on_random_and_constructed_polynomials(p, degrees):
                 g = _pmul(g, list(_random_irreducible(rng, p, d)), p)
             polys.append(tuple(g))
         want += [False] * (len(polys) - len(want))
-        assert _irreducible_rows(np.array(polys, dtype=dtype), p).tolist() == want
+        assert _irreducible_rows(np.array(polys), p).tolist() == want
         assert [_is_irreducible(c, p) for c in polys] == want
         verdicts.update(want)
     assert verdicts == {False, True}
@@ -261,7 +272,8 @@ def test_block_test_on_random_and_constructed_polynomials(p, degrees):
 def test_frobenius_images_match_the_step_by_step_chain(p, n):
     # x^(p^k) mod f from the squares of the Frobenius matrix Q, against t <- t^p mod f taken k
     # times from t = x; Q is built column by column as x^(p i) mod f, and the k cover every bit
-    # pattern up to n: n itself, its prime cofactors, 1, 2 and one more
+    # pattern up to n: n itself, its prime cofactors, 1, 2 and one more.  At 2^61 - 1 the sums
+    # n (p-1)^2 pass 2^53, and matmul_mod refuses the first product
     rng = random.Random(p * 1000 + n)
     dtype = np.int64 if p < 1 << 63 else object
     polys = [list(_random_monic(rng, p, n)) for _ in range(3)]
@@ -277,6 +289,10 @@ def test_frobenius_images_match_the_step_by_step_chain(p, n):
             t = _ppowmod(t, p, f, p)
             if k in ks:
                 want[ks.index(k), r, :len(t)] = t
+    if n * (p - 1) ** 2 >= 1 << 53:
+        with pytest.raises(ValueError, match="2\\^53"):
+            _frobenius_images(q, ks, p)
+        return
     got = _frobenius_images(q, ks, p)
     assert got.shape == want.shape and (got == want).all()
 
@@ -302,9 +318,14 @@ def _record_matmul_shapes(monkeypatch):
 @pytest.mark.parametrize("p,n", [(3, 12), (13, 31), (257, 4)])
 def test_block_test_stops_when_no_row_passes_the_root_test(monkeypatch, p, n):
     # seeded blocks of random monic polynomials against Ben-Or, then a block of multiples of x,
-    # all with the root 0: its verdicts are all False, and nothing runs on an empty stack
-    rng = random.Random(p * 100 + n)
+    # all with the root 0: its verdicts are all False, and nothing runs on an empty stack; 257 is
+    # refused before any product
     shapes = _record_matmul_shapes(monkeypatch)
+    if p >= highrank.BASIS_P_BOUND:
+        _assert_refused(p)
+        assert not shapes
+        return
+    rng = random.Random(p * 100 + n)
     for _ in range(3):
         polys = [_random_monic(rng, p, n) for _ in range(6)]
         assert _irreducible_rows(np.array(polys), p).tolist() == [_is_irreducible_ben_or(c, p) for c in polys]
@@ -355,8 +376,9 @@ def test_build_irreducible_is_first_candidate(p):
 @pytest.mark.parametrize("p,n", [(101, 4), (251, 4), (251, 6), (257, 4), (257, 6), ((1 << 61) - 1, 3),
                                  (9223372036854775837, 2)])
 def test_build_irreducible_is_first_candidate_at_large_p(p, n):
-    # either side of the switch between the two root tests, then Python-integer products
-    # and, at 2^63 + 29, object arrays
+    # up to 251, the largest p a basis takes; every p from 257 on is refused
+    if p >= highrank.BASIS_P_BOUND:
+        return _assert_refused(p)
     first = next(c for c in (_monic(i, p, n) for i in range(p ** n)) if _is_irreducible_ben_or(c, p))
     assert build_irreducible(FieldCtx(p), n).coeffs == first
 
@@ -488,10 +510,12 @@ def _rank_reference(rows, p):
 
 
 # the combinations' float64 sums, at most n (p-1)^2, are reduced in int32 at p = 37, n = 31
-# (40,176 >= 2^15) and in int64 at p = 65537, n = 4 (2^34 >= 2^31); p = 37 stores them in the
-# int16 buffer, p = 65537 in an int64 one
+# (40,176 >= 2^15) and stored in the int16 buffer; p = 65537, whose sums would need int64, is
+# refused, as every p >= 2^8 is
 @pytest.mark.parametrize("p,n", [(37, 31), (65537, 4)])
 def test_planted_failure_beyond_int16_products(p, n):
+    if p >= highrank.BASIS_P_BOUND:
+        return _assert_refused(p)
     ctx, seed, count = FieldCtx(p), 5, 32
     lams = _nonzero_rows(derive_rng(seed, "high-rank-check", 0), count, n, p)
     planted = lams[np.flatnonzero(lams[:, 0])[-1]]
@@ -611,10 +635,20 @@ def test_basis_checks_outside_input():
             HighRankBasis(ctx3, 2, poly, bad)
 
 
+@pytest.mark.parametrize("call", ["highrank._irreducible_rows(np.array([[1, 0, 1]]), p)",
+                                  "highrank.IrreduciblePoly(fp.FieldCtx(p), (1, 0, 1))"],
+                         ids=["_irreducible_rows", "IrreduciblePoly"])
+def test_irreducibility_test_refuses_the_first_p_beyond_the_basis_bound(call):
+    # x^2 + 1 is irreducible at 251 = 3 mod 4; 257, and 2^61 - 1, where the root test would tabulate
+    # all of F_p, are refused before it
+    got = refusals_in_child(call, [251, 257, 2 ** 61 - 1])
+    assert got == ["ok"] + [f"quadratic bases need p < 2^8; got p = {p}" for p in (257, 2 ** 61 - 1)]
+
+
 def test_basis_rejects_p_beyond_int64():
-    # 2^63 + 29 is a prime FieldCtx accepts, but its residues overflow the int64 basis array
+    # 2^63 + 29 is a prime FieldCtx accepts, whose residues overflow the int64 basis array; like
+    # every p >= 2^8 it is refused
     big = FieldCtx(9223372036854775837)
-    with pytest.raises(ValueError, match="2\\^63"):
-        build_trace_basis(big, 2)
-    with pytest.raises(ValueError, match="2\\^63"):
-        HighRankBasis(big, 1, IrreduciblePoly(big, (0, 1)), np.array([[[big.p - 1]]], dtype=object))
+    _assert_refused(big.p)
+    with pytest.raises(ValueError, match="p < 2\\^8"):
+        HighRankBasis(big, 1, build_irreducible(ctx3, 1), np.array([[[big.p - 1]]], dtype=object))
