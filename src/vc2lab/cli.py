@@ -47,13 +47,13 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    command: str
     params: dict
     outcome: str  # "pass", "fail", or a value echo
     value: object = None
     certificate: str | None = None
-    seed: int = 0
     details: list = field(default_factory=list)
+    command: str = ""  # command and seed are stamped by dispatch from the RunConfig that ran
+    seed: int = 0
     wall_time_s: float = 0.0  # informational; excluded from serialized bytes
     warnings: list = field(default_factory=list)  # main prints them once the report is written; not serialized
 
@@ -101,17 +101,21 @@ def _write_cert(path: str | None, doc: dict) -> str | None:
     return path
 
 
-def _basis(cfg: RunConfig) -> HighRankBasis:
+def _basis(cfg: RunConfig, certified: bool = False) -> HighRankBasis:
     """The canonical basis over F_p^n, refused for n beyond the verifier's qgs limit.
 
     No certificate on a larger basis verifies, and its cost grows as about n^3:
     built in a child process at p = 3 on a 2-vCPU x86-64 VM, n = 64 takes 0.03 s
     of CPU and 39 MB, n = 128 0.9 s and 81 MB, n = 256 6.5 s and 418 MB, and at
     n = 20001 the irreducibility test asks for an (8, n, n) array.  p is bounded
-    by build_trace_basis, which refuses p >= 2^8 before any search.
+    by build_trace_basis, which refuses p >= 2^8 before any search.  certified
+    says a --cert on this basis goes to the verifier, which refuses p beyond
+    its qgs limit: that p is refused here, before any search.
     """
     if cfg.n > certs.QGS_MAX_N:
         raise ValueError(f"n = {cfg.n} is beyond the quadratic set's limit n <= {certs.QGS_MAX_N}")
+    if certified and cfg.p > certs.QGS_MAX_P:
+        raise ValueError(f"--cert: p = {cfg.p} is beyond the verifier's qgs limit p <= {certs.QGS_MAX_P}")
     return build_trace_basis(FieldCtx(cfg.p), cfg.n)
 
 
@@ -120,7 +124,7 @@ def _oracle(cfg: RunConfig):
     if which == "gs":
         return GsSet(FieldCtx(cfg.p), cfg.n)
     if which == "qgs":
-        return QgsSet(_basis(cfg))
+        return QgsSet(_basis(cfg, certified="cert" in cfg.extra))
     raise ValueError(f"unknown set {which!r}")
 
 
@@ -139,12 +143,10 @@ def _cmd_basis(cfg: RunConfig) -> RunReport:
         Path(path).write_bytes(certs.dumps(basis.to_json()))
     ok = witness is None
     return RunReport(
-        command="basis",
         params={"p": cfg.p, "n": cfg.n, "mode": mode},
         outcome="pass" if ok else "fail",
         value=None if ok else witness.tolist(),
         certificate=path,
-        seed=cfg.seed,
         details=[["basis", cfg.p, cfg.n, mode, "pass" if ok else "fail"]],
         warnings=["even n; the full-rank basis is only asserted to exist for odd n"] if cfg.n % 2 == 0 else [],
     )
@@ -157,12 +159,10 @@ def _cmd_vc_dim(cfg: RunConfig) -> RunReport:
     if res.certificate is not None:
         path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(res.certificate, a))
     return RunReport(
-        command="vc-dim",
         params={"p": cfg.p, "n": cfg.n, "set": cfg.extra.get("set", "gs")},
         outcome=str(res.dim),
         value=res.dim,
         certificate=path,
-        seed=cfg.seed,
         details=[[cfg.extra.get("set", "gs"), cfg.p, cfg.n, res.dim]],
         warnings=_even_qgs_warnings(cfg),
     )
@@ -181,19 +181,17 @@ def _cmd_shatter_check(cfg: RunConfig) -> RunReport:
     ok = isinstance(result, ShatterCertificate)
     path = _write_cert(cfg.extra.get("cert"), certs.shatter_certificate_doc(result, a)) if ok else None
     return RunReport(
-        command="shatter-check",
         params={"p": cfg.p, "n": cfg.n, "set": cfg.extra.get("set", "gs"), "size": len(pts)},
         outcome="pass" if ok else "fail",
         value=None if ok else {"missing_pattern": result.missing},
         certificate=path,
-        seed=cfg.seed,
         details=[["shatter", cfg.p, cfg.n, len(pts), "pass" if ok else f"missing={result.missing}"]],
         warnings=_even_qgs_warnings(cfg),
     )
 
 
 def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
-    basis = _basis(cfg)
+    basis = _basis(cfg, certified="cert" in cfg.extra)
     construction = construct_shatter_pair(basis, cfg.k, seed=cfg.seed)
     # realize_maps checks every grid, and _write_cert verifies the certificate independently
     found = realize_maps(construction, np.arange(1 << (cfg.k * cfg.k)), seed=cfg.seed)
@@ -201,12 +199,10 @@ def _cmd_vc2_verify(cfg: RunConfig) -> RunReport:
     path = _write_cert(cfg.extra.get("cert"), certs.quad_certificate_doc(cert, QgsSet(basis)))
     n_maps = len(cert.witnesses)
     return RunReport(
-        command="vc2-verify",
         params={"p": cfg.p, "n": cfg.n, "k": cfg.k},
         outcome="pass",
         value={"maps_realized": n_maps},
         certificate=path,
-        seed=cfg.seed,
         details=[["vc2", cfg.p, cfg.n, cfg.k, n_maps, "pass"]],
     )
 
@@ -220,11 +216,9 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
     census = atom_census(factor, basis)
     sizes = sorted(census.values())
     return RunReport(
-        command="atom-census",
         params={"p": cfg.p, "n": cfg.n, "l": l, "q": q},
         outcome="pass",
         value={"atoms": len(census), "min_size": sizes[0], "max_size": sizes[-1]},
-        seed=cfg.seed,
         details=[[",".join(map(str, label)), count] for label, count in sorted(census.items())],
     )
 
@@ -236,11 +230,9 @@ def _cmd_prop32_check(cfg: RunConfig) -> RunReport:
     ok = all(r.ok for r in results)
     vacuous = sum(1 for r in results if r.vacuous)
     return RunReport(
-        command="prop32-check",
         params={"p": cfg.p, "n": cfg.n, "instances": instances},
         outcome="pass" if ok else "fail",
         value={"instances": len(results), "vacuous": vacuous},
-        seed=cfg.seed,
         details=[[r.index, r.m, r.realizing_shifts, "vacuous" if r.vacuous else "checked", "pass" if r.ok else r.detail] for r in results],
     )
 
@@ -258,11 +250,9 @@ def _cmd_ramsey_find(cfg: RunConfig) -> RunReport:
     witness = find_mono_biclique(colouring, q, s)
     found = witness is not None
     return RunReport(
-        command="ramsey-find",
         params={"m": colouring.m, "n": colouring.n, "r": colouring.r, "q": q, "s": s},
         outcome="pass" if found else "fail",
         value={"left": list(witness.left), "right": list(witness.right), "colour": witness.colour} if found else "none found",
-        seed=cfg.seed,
         details=[["ramsey", colouring.m, colouring.n, colouring.r, witness.colour if found else "none"]],
     )
 
@@ -270,11 +260,9 @@ def _cmd_ramsey_find(cfg: RunConfig) -> RunReport:
 def _cmd_br_bound(cfg: RunConfig) -> RunReport:
     bound = br_upper_bound(cfg.extra["r"])
     return RunReport(
-        command="br-bound",
         params={"r": bound.r},
         outcome=str(bound.value),
         value=bound.value,
-        seed=cfg.seed,
         details=[[desc, holds] for desc, holds in bound.checks],
     )
 
@@ -283,11 +271,9 @@ def _cmd_verify_certificate(cfg: RunConfig) -> RunReport:
     doc = certs.loads(Path(cfg.extra["path"]).read_bytes())
     result = certs.verify_certificate(doc)
     return RunReport(
-        command="verify-certificate",
         params={"path": cfg.extra["path"]},
         outcome="pass" if result.ok else "fail",
         value=result.detail,
-        seed=cfg.seed,
         details=[["verify", cfg.extra["path"], "pass" if result.ok else result.detail]],
     )
 
@@ -306,11 +292,12 @@ _COMMANDS = {
 
 
 def dispatch(cfg: RunConfig) -> RunReport:
-    """Run exactly one command; parameter errors raise ValueError."""
+    """Run exactly one command, its report stamped with cfg's command and seed; parameter errors raise ValueError."""
     if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
     started = time.perf_counter()
     report = _COMMANDS[cfg.command](cfg)
+    report.command, report.seed = cfg.command, cfg.seed
     report.wall_time_s = time.perf_counter() - started
     return report
 
@@ -323,57 +310,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # each flag that several subcommands share is declared once, in a parent parser
+    common, space, which, cert = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=["json", "csv", "text"], default="text")
     common.add_argument("--output", help="write the report here instead of stdout")
+    space.add_argument("--p", type=int, required=True)
+    space.add_argument("--n", type=int, required=True)
+    which.add_argument("--set", choices=["gs", "qgs"])
+    cert.add_argument("--cert")
 
     parser = _Parser(prog="vc2lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        sp = sub.add_parser(name, parents=[common], **kwargs)
-        return sp
-
-    sp = add("basis", help="build the full-rank basis and check it")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp = sub.add_parser("basis", parents=[common, space, cert], help="build the full-rank basis and check it")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"])
     sp.add_argument("--count", type=int)
-    sp.add_argument("--cert")
 
-    sp = add("vc-dim", help="compute the VC-dimension by pruned shattering search")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", choices=["gs", "qgs"])
+    sp = sub.add_parser("vc-dim", parents=[common, space, which, cert],
+                        help="compute the VC-dimension by pruned shattering search")
     sp.add_argument("--k-max", type=int)
-    sp.add_argument("--cert")
 
-    sp = add("shatter-check", help="test whether a specific point set is shattered")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--set", choices=["gs", "qgs"])
+    sp = sub.add_parser("shatter-check", parents=[common, space, which, cert],
+                        help="test whether a specific point set is shattered")
     sp.add_argument("--points", required=True, help="semicolon-separated vectors, e.g. '0 0 0;0 1 2'")
-    sp.add_argument("--cert")
 
-    sp = add("vc2-verify", help="run the k=2 or k=3 quadratic shattering pipeline")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp = sub.add_parser("vc2-verify", parents=[common, space, cert],
+                        help="run the k=2 or k=3 quadratic shattering pipeline")
     sp.add_argument("--k", type=int, choices=[2, 3], required=True)
-    sp.add_argument("--cert")
 
-    sp = add("atom-census", help="exact atom sizes for a small quadratic factor")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp = sub.add_parser("atom-census", parents=[common, space], help="exact atom sizes for a small quadratic factor")
     sp.add_argument("--l", type=int)
     sp.add_argument("--q", type=int)
 
-    sp = add("prop32-check", help="forced-zero checks over seeded qualifying instances")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp = sub.add_parser("prop32-check", parents=[common, space],
+                        help="forced-zero checks over seeded qualifying instances")
     sp.add_argument("--instances", type=int)
 
-    sp = add("ramsey-find", help="find a monochromatic biclique in a colouring")
+    # --n here is the colouring's right side, not a field dimension
+    sp = sub.add_parser("ramsey-find", parents=[common], help="find a monochromatic biclique in a colouring")
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", dest="n_right", type=int)
     sp.add_argument("--r", type=int)
@@ -381,10 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int)
     sp.add_argument("--file", help="read the colouring from a file instead of generating one")
 
-    sp = add("br-bound", help="the 4r^3+1 bound with its arithmetic chain")
+    sp = sub.add_parser("br-bound", parents=[common], help="the 4r^3+1 bound with its arithmetic chain")
     sp.add_argument("--r", type=int, required=True)
 
-    sp = add("verify-certificate", help="independently re-check a certificate file")
+    sp = sub.add_parser("verify-certificate", parents=[common], help="independently re-check a certificate file")
     sp.add_argument("path")
 
     return parser

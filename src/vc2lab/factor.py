@@ -169,11 +169,8 @@ def find_in_atoms(
     if vals.ndim != 2 or vals.shape[1] != d:
         raise ValueError("label length mismatch")
     l = len(f.linear_polys)
-    if l:
-        transform, nb = f._affine
-        parts = vals[:, :l] @ transform.T % p
-    else:
-        parts, nb = np.zeros((len(vals), n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    transform, nb = f._affine
+    parts = vals[:, :l] @ transform.T % p
     dim = nb.shape[0]
     target = vals[:, l:]
     mats = basis.mats[[t - 1 for t in f.quad_indices]]
@@ -309,15 +306,6 @@ class ShatterPairConstruction:
         freeze_points(self, "X", "Y")
 
 
-def _verify_construction(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> bool:
-    """Cross-terms vanish at levels 1..k and the 2k(k-1) linear forms are independent."""
-    p = basis.ctx.p
-    if cross_terms(xs, ys, basis.mats[:k], p).any():
-        return False
-    lin = _construction_linear_polys(basis, k, xs, ys)
-    return mat_rank(lin, p) == len(lin)
-
-
 def _construction_linear_polys(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Rows 2 M_t u, point by point over xs then ys, t = 1..k within each point."""
     p, n = basis.ctx.p, basis.n
@@ -374,9 +362,12 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
                 ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
-        if not _verify_construction(basis, k, xs, ys):
+        if cross_terms(xs, ys, mats, p).any():
             continue
-        factor = QuadraticFactor(basis.ctx, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
+        try:
+            factor = QuadraticFactor(basis.ctx, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
+        except ValueError:  # QuadraticFactor refuses the draw when the 2k(k-1) linear forms are dependent
+            continue
         zero = np.zeros((1, n), dtype=np.int64)
         return ShatterPairConstruction(k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor, basis)
     raise RuntimeError("could not build a verified construction; basis invariant suspect")

@@ -409,6 +409,9 @@ def quad_forms(points: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     t = mats.shape[0]
     bound = max(n * n * (p - 1) ** 3, p)  # the dtype must also hold p itself, which matters at n = 0
     blas = _blas_dtype(bound)
+    if n == 0:
+        # every form of an empty point is 0, with no zero-length product or einsum to trust
+        return np.zeros((m, t), dtype=np.int64)
     pts = points.astype(blas)
     w = (pts @ mats.transpose(1, 0, 2).reshape(n, t * n).astype(blas)).reshape(m, t, n)
     return _mod(np.einsum("mtn,mn->mt", w, pts).astype(_narrow_dtype(bound, p)), p).astype(np.int64)

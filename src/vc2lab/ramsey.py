@@ -19,11 +19,19 @@ import numpy as np
 from .fp import derive_rng
 
 
+# colouring cells m n; in ramsey-find (x86-64 VM, ru_maxrss) K_{10001,10001} peaks at about 650 MB
+# on the constructive path and K_{10000,10000} at about 800 MB in the direct search
+MAX_CELLS = 10 ** 8
+
+
 def _check_sizes(m: int, n: int, r: int) -> None:
+    """Refuses sizes no colouring has, and colourings beyond MAX_CELLS, before any allocation."""
     if m < 0 or n < 0:
         raise ValueError(f"m and n must be at least 0, got m = {m}, n = {n}")
     if r < 1:
         raise ValueError(f"r must be at least 1, got r = {r}")
+    if m * n > MAX_CELLS:
+        raise ValueError(f"a colouring of K_{{{m},{n}}} has {m * n} cells, beyond the cap of {MAX_CELLS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +65,7 @@ class BipartiteColouring:
         if not lines:
             raise ValueError("empty colouring: expected a header line 'm n r'")
         m, n, r = (int(t) for t in lines[0].split())
+        _check_sizes(m, n, r)
         rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
         colours = np.array(rows, dtype=np.int32)
         if not rows and min(m, n) == 0:
@@ -131,7 +140,7 @@ def _constructive_33(colouring: BipartiteColouring) -> BicliqueWitness | None:
     return witness
 
 
-FALLBACK_WORK_CAP = 10 ** 8  # neighbour visits plus q-subsets, after which the direct search gives up
+FALLBACK_WORK_CAP = 10 ** 8  # neighbour visits, q-subsets and m n per colour searched; then the search gives up
 
 
 def _fallback_search(colouring: BipartiteColouring, q: int, s: int) -> BicliqueWitness | None:
@@ -140,7 +149,7 @@ def _fallback_search(colouring: BipartiteColouring, q: int, s: int) -> BicliqueW
     if m < q or n < s:
         return None
     work = 0
-    for c in range(1, colouring.r + 1):
+    for c in np.unique(colouring.colours).tolist():  # a colour on no edge holds no biclique
         graph = colouring.colours == c
         degs = graph.sum(axis=0)
         order = sorted(range(n), key=lambda v: (-int(degs[v]), v))
@@ -161,6 +170,10 @@ def _fallback_search(colouring: BipartiteColouring, q: int, s: int) -> BicliqueW
                     if not witness.verify(colouring):
                         raise AssertionError("fallback witness failed verification")
                     return witness
+        # the colour's m n scan, charged once it is searched so that it never spends that colour's budget
+        work += m * n
+        if work > FALLBACK_WORK_CAP:
+            return None
     return None
 
 

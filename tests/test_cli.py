@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -8,10 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from child import run_in_child
 
 import vc2lab
-from vc2lab import certs
-from vc2lab.cli import RunConfig, _build_parser, _config_from_args, dispatch, emit_report, main
+from vc2lab import certs, cli, ramsey
+from vc2lab.cli import _COMMANDS, RunConfig, _build_parser, _config_from_args, dispatch, emit_report, main
 
 
 def run(capsys, *argv):
@@ -87,16 +89,31 @@ def test_rerun_is_byte_identical(capsys, tmp_path):
 
 
 def test_certificate_failing_self_verification_is_not_written(capsys, tmp_path, monkeypatch):
-    # a verifier limit below every prime makes the verifier refuse the k=2 certificate
-    monkeypatch.setattr(certs, "QGS_MAX_P", 2)
+    # a verifier that refuses every document refuses the k=2 certificate
+    monkeypatch.setattr(certs, "verify_certificate", lambda doc: certs.CheckResult(False, "refused for the test"))
     cert = tmp_path / "vc2.json"
     code = main(["vc2-verify", "--p", "3", "--n", "13", "--k", "2", "--cert", str(cert)])
     err = capsys.readouterr().err
     assert code == 2
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: emitted certificate failed self-verification: qgs set beyond the verifier's limits "
-        f"p <= 2, n <= {certs.QGS_MAX_N}"
+        "error: emitted certificate failed self-verification: refused for the test"
     ]
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vc2-verify", "--k", "2", "--n", "13"],
+    ["vc-dim", "--set", "qgs", "--n", "3"],
+    ["shatter-check", "--set", "qgs", "--n", "2", "--points", "0 0;0 1"],
+], ids=["vc2-verify", "vc-dim", "shatter-check"])
+def test_qgs_cert_beyond_the_verifiers_p_limit_is_refused_before_any_search(capsys, tmp_path, argv):
+    # vc2-verify at k = 2, n = 13, p = 37 once ran the whole pipeline before its self-check refused it
+    cert = tmp_path / "cert.json"
+    t0 = time.perf_counter()
+    assert main([*argv, "--p", "37", "--cert", str(cert)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr() == ("", f"error: --cert: p = 37 is beyond the verifier's qgs limit "
+                                       f"p <= {certs.QGS_MAX_P}\n")
     assert not cert.exists()
 
 
@@ -171,6 +188,41 @@ def test_ramsey_find_without_colouring_is_usage_error(capsys, argv):
     assert err.startswith("error: ramsey-find needs --file") and err.count("\n") == 1
 
 
+_MAIN_IN_CHILD = """
+import sys, time
+from vc2lab.cli import main
+sys.stderr = sys.stdout
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - t0 < 1)
+"""
+
+
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_ramsey_find_refuses_a_colouring_beyond_the_cell_cap_in_a_child(tmp_path, source):
+    # K_{100000,100000} once ended in numpy's allocation traceback, exit 1, under a 3 GB address-space cap;
+    # a file's header is checked before its rows are parsed: this row is no integer
+    path = tmp_path / "colouring.txt"
+    path.write_text("100000 100000 5\nx\n")
+    argv = ["--m", "100000", "--n", "100000", "--r", "5"] if source == "flags" else ["--file", str(path)]
+    out = run_in_child(_MAIN_IN_CHILD, ("ramsey-find", *argv), max_address_space=1 << 30)
+    assert out == (f"error: a colouring of K_{{100000,100000}} has {10 ** 10} cells, beyond the cap of "
+                   f"{ramsey.MAX_CELLS}\n2 True\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # each colour's m x n scan counts toward FALLBACK_WORK_CAP: r = 20,000 once took 40 s
+    ["--m", "501", "--n", "501", "--r", "20000"],
+    # more colours than cells: only the colours on some edge are scanned, so r costs nothing here
+    ["--m", "2", "--n", "2", "--r", "1000000000", "--q", "2", "--s", "2"],
+], ids=["K501,501 r=20000", "K2,2 r=10^9"])
+def test_ramsey_find_gives_up_within_the_work_cap_at_many_colours(capsys, argv):
+    t0 = time.perf_counter()
+    code, out = run(capsys, "ramsey-find", *argv, "--format", "json")
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and json.loads(out)["value"] == "none found"
+
+
 def test_basis_command(capsys, tmp_path):
     path = tmp_path / "basis.json"
     code, _ = run(capsys, "basis", "--p", "3", "--n", "3", "--cert", str(path))
@@ -241,6 +293,22 @@ def test_k3_certificate_above_p_13_verifies(tmp_path):
 def test_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         dispatch(RunConfig(command="nope"))
+
+
+def test_parser_subcommands_are_the_dispatched_commands():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+
+
+def test_dispatch_stamps_the_command_and_seed_that_ran():
+    report = dispatch(RunConfig("br-bound", seed=9, extra={"r": 2}))
+    assert (report.command, report.seed) == ("br-bound", 9)
+    # no handler names a command or seed of its own
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    stamped = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "RunReport"
+               and {kw.arg for kw in node.keywords} & {"command", "seed"}]
+    assert stamped == []
 
 
 # One misuse per subcommand.

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from vc2lab import ramsey
 from vc2lab.ramsey import (
     BipartiteColouring,
     BicliqueWitness,
@@ -104,6 +105,16 @@ def test_fallback_path_small_regime():
     col = random_colouring(40, 40, 2, seed=4)
     w = find_mono_biclique(col, 2, 2)
     assert w is not None and w.verify(col)
+
+
+def test_scan_charge_leaves_the_first_colour_its_whole_budget(monkeypatch):
+    # MAX_CELLS admits a colouring whose one scan costs the whole FALLBACK_WORK_CAP; a cap of m n
+    # stands in for it here, and the first colour must still be searched
+    assert ramsey.MAX_CELLS <= ramsey.FALLBACK_WORK_CAP
+    col = random_colouring(200, 200, 10, seed=0)
+    want = find_mono_biclique(col, 2, 2)
+    monkeypatch.setattr(ramsey, "FALLBACK_WORK_CAP", 200 * 200)
+    assert want is not None and find_mono_biclique(col, 2, 2) == want
 
 
 def test_witness_verify_rejects_wrong_colour():
