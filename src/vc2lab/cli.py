@@ -212,8 +212,7 @@ def _cmd_atom_census(cfg: RunConfig) -> RunReport:
     l, q = cfg.extra.get("l", 2), cfg.extra.get("q", 2)
     if l < 0 or q < 0:
         raise ValueError(f"--l and --q must be at least 0, got l = {l}, q = {q}")
-    factor = QuadraticFactor(basis.ctx, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1)))
-    census = atom_census(factor, basis)
+    census = atom_census(QuadraticFactor(basis, np.eye(l, cfg.n, dtype=np.int64), tuple(range(1, q + 1))))
     sizes = sorted(census.values())
     return RunReport(
         params={"p": cfg.p, "n": cfg.n, "l": l, "q": q},

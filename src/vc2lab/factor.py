@@ -30,7 +30,6 @@ import numpy as np
 
 from .certs import CheckResult
 from .fp import (
-    FieldCtx,
     add_mod,
     affine_solver,
     as_points,
@@ -60,24 +59,25 @@ ATOM_DRAW_CHUNK = 64  # candidate rows each label draws per round of sampling
 
 @dataclass(frozen=True, eq=False)
 class QuadraticFactor:
-    """Joint level-set partition data over ctx: linear forms plus quadratic form indices.
+    """Joint level-set partition data over a basis: linear forms plus indices of its quadratic forms.
 
     linear_polys holds one form per row, an (l, n) array (l may be 0); the
     factor keeps a read-only copy reduced mod p.
     """
 
-    ctx: FieldCtx
+    basis: HighRankBasis
     linear_polys: np.ndarray
-    quad_indices: tuple[int, ...]  # 1-based indices into the basis matrices
+    quad_indices: tuple[int, ...]  # distinct 1-based indices into basis.mats
 
     def __post_init__(self) -> None:
+        p, n = self.basis.ctx.p, self.basis.n
         if len(set(self.quad_indices)) != len(self.quad_indices):
             raise ValueError("quadratic indices must be distinct")
-        lin = np.asarray(self.linear_polys)
-        if lin.ndim != 2:
-            raise ValueError("linear polynomials must be the rows of an (l, n) array")
-        lin = as_points(lin, self.ctx.p, lin.shape[1])
-        if len(lin) and mat_rank(lin, self.ctx.p) != len(lin):
+        for t in self.quad_indices:
+            if not 1 <= t <= n:
+                raise ValueError(f"quadratic index {t} outside [1, {n}]")
+        lin = as_points(self.linear_polys, p, n)  # one form of n coordinates per row
+        if len(lin) and mat_rank(lin, p) != len(lin):
             raise ValueError("linear polynomials must be independent")
         object.__setattr__(self, "linear_polys", lin)
 
@@ -91,32 +91,16 @@ class QuadraticFactor:
 
         Row-reduced once per factor.
         """
-        return affine_solver(self.linear_polys, self.ctx.p)
+        return affine_solver(self.linear_polys, self.basis.ctx.p)
 
 
-def _check_factor(f: QuadraticFactor, basis: HighRankBasis) -> None:
-    for t in f.quad_indices:
-        if not 1 <= t <= basis.n:
-            raise ValueError(f"quadratic index {t} outside [1, {basis.n}]")
-    if f.ctx != basis.ctx:
-        raise ValueError(f"factor over F_{f.ctx.p} checked against a basis over F_{basis.ctx.p}")
-    if f.linear_polys.shape[1] != basis.n:
-        raise ValueError("linear polynomial dimension mismatch")
-
-
-def find_in_atom(
-    f: QuadraticFactor,
-    basis: HighRankBasis,
-    label: Sequence[int],
-    seed: int = 0,
-) -> np.ndarray:
+def find_in_atom(f: QuadraticFactor, label: Sequence[int], seed: int = 0) -> np.ndarray:
     """A point in the atom of label, linear values first: find_in_atoms for the one label."""
-    return find_in_atoms(f, basis, [label], [seed])[0]
+    return find_in_atoms(f, [label], [seed])[0]
 
 
 def find_in_atoms(
     f: QuadraticFactor,
-    basis: HighRankBasis,
     labels: Sequence[Sequence[int]] | np.ndarray,
     seeds: Sequence[int],
 ) -> list[np.ndarray]:
@@ -156,8 +140,7 @@ def find_in_atoms(
     size.
     Requires complexity < n/2 so that non-emptiness is guaranteed.
     """
-    _check_factor(f, basis)
-    n, p = basis.n, basis.ctx.p
+    n, p = f.basis.n, f.basis.ctx.p
     d = f.complexity
     if 2 * d >= n:
         raise ValueError("nonemptiness not guaranteed: complexity must be < n/2")
@@ -173,7 +156,7 @@ def find_in_atoms(
     parts = vals[:, :l] @ transform.T % p
     dim = nb.shape[0]
     target = vals[:, l:]
-    mats = basis.mats[[t - 1 for t in f.quad_indices]]
+    mats = f.basis.mats[[t - 1 for t in f.quad_indices]]
     nm = matmul_mod(nb, mats, p)
     shared = matmul_mod(nm, nb.T, p)
     cross = matmul_mod(nm, parts.T, p)
@@ -255,21 +238,20 @@ CENSUS_MAX_GROUP = 10 ** 7  # the census labels every point of the group
 CENSUS_MAX_LABELS = 10 ** 6
 
 
-def atom_census(f: QuadraticFactor, basis: HighRankBasis) -> dict[tuple[int, ...], int]:
+def atom_census(f: QuadraticFactor) -> dict[tuple[int, ...], int]:
     """Exact atom sizes over the whole group (p**n <= CENSUS_MAX_GROUP), one count per label (p**D <= CENSUS_MAX_LABELS).
 
     Keys are the labels as tuples, linear values first.  Checks
     |size - p**(n-D)| <= p**(n/2) for every label, including labels of
     empty atoms; a violation raises.
     """
-    _check_factor(f, basis)
-    p, n = basis.ctx.p, basis.n
+    p, n = f.basis.ctx.p, f.basis.n
     if p ** n > CENSUS_MAX_GROUP:
         raise ValueError(f"group too large for an exhaustive census (p**n > {CENSUS_MAX_GROUP})")
     d = f.complexity
     if p ** d > CENSUS_MAX_LABELS:
         raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > {CENSUS_MAX_LABELS:,})")
-    mats = basis.mats[[t - 1 for t in f.quad_indices]]
+    mats = f.basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
     mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for _, block in iter_group_chunks(p, n):
@@ -300,7 +282,6 @@ class ShatterPairConstruction:
     X: np.ndarray
     Y: np.ndarray
     factor: QuadraticFactor
-    basis: HighRankBasis
 
     def __post_init__(self) -> None:
         freeze_points(self, "X", "Y")
@@ -365,11 +346,11 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
         if cross_terms(xs, ys, mats, p).any():
             continue
         try:
-            factor = QuadraticFactor(basis.ctx, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
+            factor = QuadraticFactor(basis, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
         except ValueError:  # QuadraticFactor refuses the draw when the 2k(k-1) linear forms are dependent
             continue
         zero = np.zeros((1, n), dtype=np.int64)
-        return ShatterPairConstruction(k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor, basis)
+        return ShatterPairConstruction(k, np.vstack([zero, xs]), np.vstack([zero, ys]), factor)
     raise RuntimeError("could not build a verified construction; basis invariant suspect")
 
 
@@ -642,14 +623,14 @@ def realize_maps(c: ShatterPairConstruction, indices: Sequence[int] | np.ndarray
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if not idx.size:
         return []
-    p, k = c.basis.ctx.p, c.k
+    basis, k, p = c.factor.basis, c.k, c.factor.basis.ctx.p
     vals = target_table(idx, k, p)
-    own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), c.basis.mats[:k], p)
+    own = quad_forms(np.concatenate([c.X[1:], c.Y[1:]]), basis.mats[:k], p)
     lin = (vals[:, 1:] - vals[:, :1] - own) % p
     labels = np.concatenate([lin.reshape(len(idx), -1), vals[:, 0]], axis=1)
-    zs = np.array(find_in_atoms(c.factor, c.basis, labels, [derive_seed_for_map(seed, i) for i in idx.tolist()]))
+    zs = np.array(find_in_atoms(c.factor, labels, [derive_seed_for_map(seed, i) for i in idx.tolist()]))
     want = ((idx[:, None] >> np.arange(k * k)) & 1) == 0  # bit i k + j set: cell (i, j) is a complement cell
-    if (grid_verdicts(QgsSet(c.basis), c.X, c.Y, zs) != want).any():
+    if (grid_verdicts(QgsSet(basis), c.X, c.Y, zs) != want).any():
         raise RuntimeError("realization failed verification: case table or atom search bug")
     return list(zs)
 

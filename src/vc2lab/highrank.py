@@ -67,6 +67,14 @@ def _frobenius_images(q: np.ndarray, ks: list[int], p: int) -> np.ndarray:
     return cols.transpose(2, 0, 1)
 
 
+@lru_cache(maxsize=16)
+def _power_table(p: int, n: int) -> np.ndarray:
+    """Read-only (n + 1, p) int64 table of a^i mod p: a degree-n polynomial's values on F_p are its row times it."""
+    table = np.array([[pow(a, i, p) for a in range(p)] for i in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     """Which rows of f, (m, n + 1) little-endian coefficients of monic f of degree n, are irreducible.
 
@@ -74,7 +82,8 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     for each prime q | n, with the cheapest rejections first, each on the rows left (none
     after the root test if no row is left):
     1. a root, which about two canonical candidates in three have: f is evaluated on all of
-       F_p, so p >= 2^8 raises ValueError before any table is built;
+       F_p by one product with the cached _power_table, so p >= 2^8 raises ValueError before
+       any table is built;
     2. x^(p^n) = Q^n x, from the squares Q^(2^j) (see _frobenius_images): a reducible f
        without a root passes only if n is composite and the degree of each factor divides n;
     3. for composite n, x^(p^(n/q)) != x for each prime q | n, from the same squares, then one gcd, of f
@@ -89,8 +98,7 @@ def _irreducible_rows(f: np.ndarray, p: int) -> np.ndarray:
     comp = np.zeros((m, n, n), dtype=f.dtype)
     comp[:, np.arange(1, n), np.arange(n - 1)] = 1
     comp[:, :, -1] = -f[:, :n] % p  # multiplication by x mod f
-    powers = np.array([[pow(a, i, p) for a in range(p)] for i in range(n + 1)])
-    ok = matmul_mod(f, powers, p).all(axis=1)
+    ok = matmul_mod(f, _power_table(p, n), p).all(axis=1)
     live, unit = np.flatnonzero(ok), np.eye(n, dtype=f.dtype)
     if not live.size:
         return ok

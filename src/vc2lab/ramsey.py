@@ -22,14 +22,15 @@ from .fp import derive_rng
 # colouring cells m n; in ramsey-find (x86-64 VM, ru_maxrss) K_{10001,10001} peaks at about 650 MB
 # on the constructive path and K_{10000,10000} at about 800 MB in the direct search
 MAX_CELLS = 10 ** 8
+COLOUR_BOUND = 1 << 31  # colours are int32, so r < 2^31
 
 
 def _check_sizes(m: int, n: int, r: int) -> None:
     """Refuses sizes no colouring has, and colourings beyond MAX_CELLS, before any allocation."""
     if m < 0 or n < 0:
         raise ValueError(f"m and n must be at least 0, got m = {m}, n = {n}")
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got r = {r}")
+    if not 1 <= r < COLOUR_BOUND:
+        raise ValueError(f"r must lie in [1, 2^31), the int32 colours' range, got r = {r}")
     if m * n > MAX_CELLS:
         raise ValueError(f"a colouring of K_{{{m},{n}}} has {m * n} cells, beyond the cap of {MAX_CELLS}")
 
@@ -45,32 +46,42 @@ class BipartiteColouring:
 
     def __post_init__(self) -> None:
         _check_sizes(self.m, self.n, self.r)
-        c = np.asarray(self.colours, dtype=np.int32)
+        c = np.asarray(self.colours)
         if c.shape != (self.m, self.n):
             raise ValueError("colour array must be m x n")
-        if c.size and (c.min() < 1 or c.max() > self.r):
+        if c.size and (c.min() < 1 or c.max() > self.r):  # before the int32 cast, which would wrap
             raise ValueError("colours must lie in [1, r]")
+        c = c.astype(np.int32, copy=False)
         c.flags.writeable = False
         object.__setattr__(self, "colours", c)
 
     def to_text(self) -> str:
-        lines = [f"{self.m} {self.n} {self.r}"]
-        for row in self.colours:
-            lines.append(" ".join(str(int(c)) for c in row))
-        return "\n".join(lines) + "\n"
+        rows = (" ".join(map(str, row)) for row in self.colours.tolist())
+        return "\n".join([f"{self.m} {self.n} {self.r}", *rows]) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "BipartiteColouring":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        """The header 'm n r', then m rows of n colours, each checked against [1, r] before it fills its int32 row."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty colouring: expected a header line 'm n r'")
         m, n, r = (int(t) for t in lines[0].split())
         _check_sizes(m, n, r)
-        rows = [[int(t) for t in ln.split()] for ln in lines[1:]]
-        colours = np.array(rows, dtype=np.int32)
-        if not rows and min(m, n) == 0:
-            # to_text writes no row for m = 0, and for n = 0 blank rows, which the filter above drops
-            colours = colours.reshape(m, n)
+        # to_text writes no row for m = 0, and for n = 0 blank rows, which the filter above drops
+        if len(lines) - 1 != (m if n else 0):
+            raise ValueError(f"colour array must be m x n: expected {m} rows of {n} colours, got {len(lines) - 1}")
+        colours = np.empty((m, n), dtype=np.int32)
+        for i, ln in enumerate(lines[1:]):
+            tokens = ln.split()
+            if len(tokens) != n:
+                raise ValueError(f"colour array must be m x n: row {i} holds {len(tokens)} colours, not {n}")
+            try:
+                row = np.array(tokens, dtype=np.int64)
+            except OverflowError:  # a token beyond int64, so beyond r: a row that fails the range check
+                row = np.zeros(1, dtype=np.int64)
+            if row.min() < 1 or row.max() > r:
+                raise ValueError(f"colours must lie in [1, r]: row {i} holds a colour outside [1, {r}]")
+            colours[i] = row
         return BipartiteColouring(m, n, r, colours)
 
 

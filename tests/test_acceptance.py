@@ -133,8 +133,7 @@ def test_c06_expansion_identity_bulk():
 def test_c07_atom_census_bound():
     t0 = time.perf_counter()
     basis = build_trace_basis(ctx3, 9)
-    factor = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
-    census = atom_census(factor, basis)  # raises on violation
+    census = atom_census(QuadraticFactor(basis, np.eye(2, 9, dtype=np.int64), (1, 2)))  # raises on violation
     ok = len(census) == 81 and min(census.values()) > 0
     elapsed = time.perf_counter() - t0
     report("atom census bound at p=3, n=9, l=2, q=2", ok, elapsed, 60,

@@ -421,6 +421,25 @@ def test_ramsey_find_rejects_a_colouring_file_without_rows(capsys, tmp_path, tex
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    # once a traceback, exit 1: the int32 cast ran before the range check
+    ([], "1 1 5\n99999999999\n", "colours must lie in [1, r]: row 0 holds a colour outside [1, 5]"),
+    ([], f"1 2 5\n1 {10 ** 20}\n", "colours must lie in [1, r]: row 0 holds a colour outside [1, 5]"),
+    ([], "2 2 5\n1 2\n3\n", "colour array must be m x n: row 1 holds 1 colours, not 2"),
+    ([], "2 2 5\n1 2\n3 x\n", "invalid literal for int() with base 10: 'x'"),
+    # once numpy's wording, 'high is out of bounds for int32'
+    (["--m", "3", "--n", "3", "--r", "3000000000"], None, "r must lie in [1, 2^31), the int32 colours' range, got r = 3000000000"),
+], ids=["beyond int32", "beyond int64", "ragged", "bad token", "r beyond int32"])
+def test_ramsey_find_refuses_colours_beyond_int32_in_one_line(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "colouring.txt"
+        path.write_text(text)
+        argv = ["--file", str(path)]
+    assert main(["ramsey-find", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 def test_prop32_check_names_the_group_without_qualifying_sets(capsys):
     # in F_3^3 three distinct nonzero x's leave a y-side subspace of at most 2 nonzero points
     code = main(["prop32-check", "--p", "3", "--n", "3"])

@@ -46,7 +46,6 @@ from vc2lab import factor
 from vc2lab.certs import CheckResult
 
 ctx3 = FieldCtx(3)
-ctx5 = FieldCtx(5)
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +63,16 @@ def basis5():
     return build_trace_basis(ctx3, 5)
 
 
-def test_factor_rejects_dependent_linears():
-    with pytest.raises(ValueError):
-        QuadraticFactor(ctx3, [(1, 1, 0), (2, 2, 0)], ())
-    with pytest.raises(ValueError):
-        QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), (1, 1))
+@pytest.mark.parametrize("lin,indices,message", [
+    (np.zeros((0, 3), dtype=np.int64), (0,), r"quadratic index 0 outside \[1, 3\]"),
+    (np.zeros((0, 3), dtype=np.int64), (1, 4), r"quadratic index 4 outside \[1, 3\]"),
+    ([(1, 0)], (1,), r"expected points with 3 coordinates each, got an array of shape \(1, 2\)"),
+    (np.zeros((0, 3), dtype=np.int64), (1, 1), "quadratic indices must be distinct"),
+    ([(1, 1, 0), (2, 2, 0)], (), "linear polynomials must be independent"),
+], ids=["index 0", "index n + 1", "n - 1 coordinates", "repeated index", "dependent forms"])
+def test_factor_is_checked_against_its_basis_once_at_construction(lin, indices, message):
+    with pytest.raises(ValueError, match=message):
+        QuadraticFactor(build_trace_basis(ctx3, 3), lin, indices)
 
 
 def _atom_label(f, basis, x):
@@ -79,28 +83,28 @@ def _atom_label(f, basis, x):
 
 
 def test_atom_label_examples(basis9):
-    f = QuadraticFactor(ctx3, np.eye(1, 9, dtype=np.int64), (1,))
+    f = QuadraticFactor(basis9, np.eye(1, 9, dtype=np.int64), (1,))
     assert _atom_label(f, basis9, np.zeros(9, dtype=np.int64)) == (0, 0)
     assert _atom_label(f, basis9, np.array((2,) + (0,) * 8))[0] == 2
 
 
 def test_find_in_atom_round_trip(basis9):
-    f = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
+    f = QuadraticFactor(basis9, np.eye(2, 9, dtype=np.int64), (1, 2))
     for rank in range(0, 81, 5):
         vals = []
         r = rank
         for _ in range(4):
             vals.append(r % 3)
             r //= 3
-        x = find_in_atom(f, basis9, vals, seed=rank)
+        x = find_in_atom(f, vals, seed=rank)
         assert _atom_label(f, basis9, x) == tuple(vals)
 
 
 def test_find_in_atom_rejects_high_complexity(basis5):
-    f = QuadraticFactor(ctx3, np.eye(2, 5, dtype=np.int64), (1,))
+    f = QuadraticFactor(basis5, np.eye(2, 5, dtype=np.int64), (1,))
     # complexity 3 >= 5/2: not guaranteed non-empty
     with pytest.raises(ValueError):
-        find_in_atom(f, basis5, (0, 0, 0))
+        find_in_atom(f, (0, 0, 0))
 
 
 def _find_in_atom_full_scan(f, basis, label, seed):
@@ -152,7 +156,7 @@ def _random_factor(p, n, l, q, seed):
     lin = np.array([rng.integers(0, p, n) for _ in range(l)], dtype=np.int64).reshape(l, n)
     if l and mat_rank(lin, p) != l:
         return None
-    f = QuadraticFactor(ctx, lin, tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
+    f = QuadraticFactor(basis, lin, tuple(int(t) for t in rng.choice(np.arange(1, n + 1), q, replace=False)))
     label = tuple(int(v) for v in rng.integers(0, p, l + q))
     return f, basis, label
 
@@ -177,11 +181,11 @@ def test_find_in_atom_matches_full_coordinate_scan(p, n, l, q, seed, extra):
     case = _random_factor(p, n, l, q, seed)
     assume(case is not None)
     f, basis, label = case
-    z = find_in_atom(f, basis, label, seed=seed)
+    z = find_in_atom(f, label, seed=seed)
     assert _atom_label(f, basis, z) == label
     assert np.array_equal(z, _find_in_atom_full_scan(f, basis, label, seed))
     batch = [(label, seed)] + _extra_labels(p, l, q, seed, extra)
-    zs = find_in_atoms(f, basis, [vals for vals, _ in batch], [s for _, s in batch])
+    zs = find_in_atoms(f, [vals for vals, _ in batch], [s for _, s in batch])
     assert len(zs) == len(batch) and np.array_equal(zs[0], z)
     for z, (vals, s) in zip(zs[1:], batch[1:]):
         assert np.array_equal(z, _find_in_atom_full_scan(f, basis, vals, s))
@@ -195,17 +199,17 @@ def test_find_in_atom_budget_counts_draws(monkeypatch):
     f, basis, label = _random_factor(5, 13, 3, 3, 7)
     batch = [(label, 7)] + _extra_labels(5, 3, 3, 7, 4)
     labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
-    want = find_in_atom(f, basis, label, seed=7)
-    wants = [find_in_atom(f, basis, vals, seed=s) for vals, s in zip(labels, seeds)]
+    want = find_in_atom(f, label, seed=7)
+    wants = [find_in_atom(f, vals, seed=s) for vals, s in zip(labels, seeds)]
     for budget in (0, 1, 64, 100, 436):
         monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
-            find_in_atom(f, basis, label, seed=7)
+            find_in_atom(f, label, seed=7)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
-            find_in_atoms(f, basis, labels, seeds)
+            find_in_atoms(f, labels, seeds)
     monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", 437)
-    assert np.array_equal(find_in_atom(f, basis, label, seed=7), want)
-    for z, w in zip(find_in_atoms(f, basis, labels, seeds), wants):
+    assert np.array_equal(find_in_atom(f, label, seed=7), want)
+    for z, w in zip(find_in_atoms(f, labels, seeds), wants):
         assert np.array_equal(z, w)
 
 
@@ -268,10 +272,10 @@ def test_find_in_atoms_refills_its_pool(p, n, l, q, seed, order, size, exhaust):
     with pytest.MonkeyPatch.context() as mp:
         if not exhaust:
             mp.setattr(factor, "ATOM_EXHAUST_LIMIT", 0)
-        alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in picked]
+        alone = [find_in_atom(f, vals, seed=s) for vals, s in picked]
         mp.setattr(factor, "ATOM_EVAL_CHUNK", 256)
         installed, alive, rows = _tracked_search(mp)
-        got = find_in_atoms(f, basis, [vals for vals, _ in picked], [s for _, s in picked])
+        got = find_in_atoms(f, [vals for vals, _ in picked], [s for _, s in picked])
     assert len(got) == size
     for z, w, (vals, _) in zip(got, alone, picked):
         assert np.array_equal(z, w) and _atom_label(f, basis, z) == vals
@@ -292,42 +296,33 @@ def test_find_in_atoms_late_label_exhausts_its_own_budget(monkeypatch):
     extra = _extra_labels(5, 3, 3, 7, 4)
     batch = [extra[1], extra[3], (label, 7), extra[0], extra[2]]
     labels, seeds = [vals for vals, _ in batch], [s for _, s in batch]
-    alone = [find_in_atom(f, basis, vals, seed=s) for vals, s in batch]
+    alone = [find_in_atom(f, vals, seed=s) for vals, s in batch]
     monkeypatch.setattr(factor, "ATOM_EVAL_CHUNK", 128)
     installed, alive, rows = _tracked_search(monkeypatch)
     for budget in (217, 300, 436):
         monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", budget)
         with pytest.raises(RuntimeError, match=rf"^sampling budget exhausted after {budget} draws$"):
-            find_in_atoms(f, basis, labels, seeds)
+            find_in_atoms(f, labels, seeds)
     monkeypatch.setattr(factor, "ATOM_SAMPLE_BUDGET", 437)
-    for z, w in zip(find_in_atoms(f, basis, labels, seeds), alone):
+    for z, w in zip(find_in_atoms(f, labels, seeds), alone):
         assert np.array_equal(z, w)
     # each of the four runs installs every label's stream, in two generators that never grow more
     assert len(installed) == 4 * len(batch) and len(alive) == 4 * 2 and max(alive) == 2 and max(rows) <= 128
 
 
 def test_find_in_atoms_argument_checks(basis9):
-    f = QuadraticFactor(ctx3, np.eye(2, 9, dtype=np.int64), (1, 2))
-    assert find_in_atoms(f, basis9, [], []) == []
+    f = QuadraticFactor(basis9, np.eye(2, 9, dtype=np.int64), (1, 2))
+    assert find_in_atoms(f, [], []) == []
     with pytest.raises(ValueError, match="one seed per label"):
-        find_in_atoms(f, basis9, [(0, 0, 0, 0)], [1, 2])
+        find_in_atoms(f, [(0, 0, 0, 0)], [1, 2])
     with pytest.raises(ValueError, match="label length mismatch"):
-        find_in_atoms(f, basis9, [(0, 0, 0)], [1])
-
-
-def test_factor_over_another_field_is_named(basis9):
-    # same n, same quadratic indices: only the field differs
-    f = QuadraticFactor(ctx5, np.eye(2, 9, dtype=np.int64), (1, 2))
-    with pytest.raises(ValueError, match="factor over F_5 checked against a basis over F_3"):
-        find_in_atom(f, basis9, (0, 0, 0, 0))
-    with pytest.raises(ValueError, match="factor over F_5"):
-        atom_census(f, basis9)
+        find_in_atoms(f, [(0, 0, 0)], [1])
 
 
 def test_atom_census_trivial_factors(basis9):
     b3 = build_trace_basis(ctx3, 3)
-    assert list(atom_census(QuadraticFactor(ctx3, np.zeros((0, 3), dtype=np.int64), ()), b3).values()) == [27]
-    census = atom_census(QuadraticFactor(ctx3, np.eye(1, 3, dtype=np.int64), ()), b3)
+    assert list(atom_census(QuadraticFactor(b3, np.zeros((0, 3), dtype=np.int64), ())).values()) == [27]
+    census = atom_census(QuadraticFactor(b3, np.eye(1, 3, dtype=np.int64), ()))
     assert sorted(census.values()) == [9, 9, 9]
 
 
@@ -335,8 +330,8 @@ def test_atom_census_bound_sweep(basis9):
     # every (l, q) combination with l, q <= 2 over the same basis
     for l in range(3):
         for q in range(3):
-            f = QuadraticFactor(ctx3, np.eye(l, 9, dtype=np.int64), tuple(range(1, q + 1)))
-            census = atom_census(f, basis9)
+            f = QuadraticFactor(basis9, np.eye(l, 9, dtype=np.int64), tuple(range(1, q + 1)))
+            census = atom_census(f)
             assert len(census) == 3 ** (l + q)
             if l + q * 2 < 9:
                 assert min(census.values()) > 0
@@ -345,9 +340,9 @@ def test_atom_census_bound_sweep(basis9):
 def test_atom_census_rejects_label_space_over_cap():
     # p**n = 3**14 is within the census cap, but a counts array of 3**28 labels would need 166 TiB
     b = build_trace_basis(ctx3, 14)
-    f = QuadraticFactor(ctx3, np.eye(14, 14, dtype=np.int64), tuple(range(1, 15)))
+    f = QuadraticFactor(b, np.eye(14, 14, dtype=np.int64), tuple(range(1, 15)))
     with pytest.raises(ValueError, match=r"too many atom labels for an exhaustive census \(p\*\*D = 3\*\*28 > 1,000,000\)"):
-        atom_census(f, b)
+        atom_census(f)
 
 
 def test_atom_census_refuses_the_first_label_count_over_the_cap_before_counting(monkeypatch):
@@ -355,7 +350,7 @@ def test_atom_census_refuses_the_first_label_count_over_the_cap_before_counting(
     # refusal comes before any point of the group is enumerated or evaluated
     assert 3 ** 12 <= factor.CENSUS_MAX_LABELS < 3 ** 13
     b = build_trace_basis(ctx3, 13)
-    f = QuadraticFactor(ctx3, np.eye(13, 13, dtype=np.int64), ())
+    f = QuadraticFactor(b, np.eye(13, 13, dtype=np.int64), ())
 
     def no_work(*args, **kwargs):
         raise AssertionError("the census started counting")
@@ -363,12 +358,12 @@ def test_atom_census_refuses_the_first_label_count_over_the_cap_before_counting(
     monkeypatch.setattr(factor, "iter_group_chunks", no_work)
     monkeypatch.setattr(factor, "quad_forms", no_work)
     with pytest.raises(ValueError, match=r"\(p\*\*D = 3\*\*13 > 1,000,000\)"):
-        atom_census(f, b)
+        atom_census(f)
 
 
 def test_atom_census_single_quadratic_level_sets(basis9):
-    f = QuadraticFactor(ctx3, np.zeros((0, 9), dtype=np.int64), (1,))
-    census = atom_census(f, basis9)
+    f = QuadraticFactor(basis9, np.zeros((0, 9), dtype=np.int64), (1,))
+    census = atom_census(f)
     assert len(census) == 3
     assert sum(census.values()) == 3 ** 9
     for size in census.values():
@@ -528,9 +523,9 @@ def test_k2_pipeline_realizes_all_maps(basis13):
 
 def _label_for_map(c, phi):
     """The atom label realize_maps searches for phi, computed point by point and form by form."""
-    p = c.basis.ctx.p
+    p = c.factor.basis.ctx.p
     q, *targets = target_table([phi.to_index()], c.k, p)[0].tolist()
-    a = QgsSet(c.basis)
+    a = QgsSet(c.factor.basis)
     lin = [
         (targ[t] - q[t] - a.eval_q(t + 1, u)) % p
         for u, targ in zip(list(c.X[1:]) + list(c.Y[1:]), targets)
@@ -548,7 +543,7 @@ def test_realize_maps_equals_per_map_search(k, n, p, seed):
     got = realize_maps(c, np.arange(len(maps)), seed=seed)
     assert len(got) == len(maps)
     for phi, z in zip(maps, got):
-        want = find_in_atom(c.factor, c.basis, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi.to_index()))
+        want = find_in_atom(c.factor, _label_for_map(c, phi), seed=derive_seed_for_map(seed, phi.to_index()))
         assert np.array_equal(z, want)
 
 

@@ -356,6 +356,17 @@ def test_build_irreducible_tests_the_winner_once(monkeypatch):
     assert poly == checked and hash(poly) == hash(checked) and len(poly.coeffs) - 1 == 31
 
 
+def test_power_table_is_built_once_per_field_and_degree():
+    # at (13, 31) the search tests more than one block, and every block shares the one table
+    highrank._power_table.cache_clear()
+    build_irreducible(FieldCtx(13), 31)
+    info = highrank._power_table.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    table = highrank._power_table(13, 31)
+    assert not table.flags.writeable
+    assert table.tolist() == [[pow(a, i, 13) for a in range(13)] for i in range(32)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_trace_basis_matches_power_basis_reference(p):
     # n up to 40 includes n divisible by p, where s_0 = Tr(1) = n = 0: (3, 9), (5, 25), (13, 26), ...

@@ -157,8 +157,19 @@ def test_colouring_validation():
         BipartiteColouring(2, 2, 2, np.full((2, 3), 1, dtype=np.int32))
 
 
+def test_colours_are_checked_before_the_int32_cast():
+    # 2^32 + 1 would wrap to colour 1
+    with pytest.raises(ValueError, match=r"colours must lie in \[1, r\]"):
+        BipartiteColouring(1, 1, 5, np.array([[(1 << 32) + 1]]))
+    top = (1 << 31) - 1
+    col = BipartiteColouring.from_text(f"1 2 {top}\n{top} 1\n")
+    assert col.colours.dtype == np.int32 and col.colours.tolist() == [[top, 1]]
+    assert random_colouring(2, 2, top, seed=0).colours.max() <= top
+
+
 @pytest.mark.parametrize("m,n,r,message", [
     (-1, 3, 2, "m = -1"), (3, -2, 2, "n = -2"), (3, 3, 0, "r = 0"), (0, 0, -1, "r = -1"),
+    (1, 1, 1 << 31, r"\[1, 2\^31\), the int32 colours' range, got r = 2147483648"),
 ])
 def test_colouring_sizes_rejected(m, n, r, message):
     with pytest.raises(ValueError, match=message):
