@@ -21,6 +21,7 @@ row (see fp.as_points); the dataclasses below hold them read-only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -45,7 +46,7 @@ from .fp import (
     ranks_to_digits,
     shifted_ranks,
 )
-from .gs import QgsSet, _leading_one, cross_terms
+from .gs import QgsSet, _leading_one, _polar, cross_terms
 from .highrank import HighRankBasis
 from .shatter import ContainmentMap, grid_verdicts, realizing_shifts, vc2_realizes
 
@@ -67,15 +68,21 @@ class QuadraticFactor:
 
     basis: HighRankBasis
     linear_polys: np.ndarray
-    quad_indices: tuple[int, ...]  # distinct 1-based indices into basis.mats
+    quad_indices: tuple[int, ...]  # distinct 1-based indices into basis.mats, kept as Python ints
 
     def __post_init__(self) -> None:
         p, n = self.basis.ctx.p, self.basis.n
-        if len(set(self.quad_indices)) != len(self.quad_indices):
-            raise ValueError("quadratic indices must be distinct")
+        indices = []
         for t in self.quad_indices:
-            if not 1 <= t <= n:
+            try:
+                indices.append(operator.index(t))
+            except TypeError:
+                raise ValueError(f"quadratic index {t!r} is not an integer") from None
+            if not 1 <= indices[-1] <= n:
                 raise ValueError(f"quadratic index {t} outside [1, {n}]")
+        if len(set(indices)) != len(indices):
+            raise ValueError("quadratic indices must be distinct")
+        object.__setattr__(self, "quad_indices", tuple(indices))
         lin = as_points(self.linear_polys, p, n)  # one form of n coordinates per row
         if len(lin) and mat_rank(lin, p) != len(lin):
             raise ValueError("linear polynomials must be independent")
@@ -153,14 +160,12 @@ def find_in_atoms(
         raise ValueError("label length mismatch")
     l = len(f.linear_polys)
     transform, nb = f._affine
-    parts = vals[:, :l] @ transform.T % p
+    parts = matmul_mod(vals[:, :l] % p, transform.T, p)
     dim = nb.shape[0]
     target = vals[:, l:]
     mats = f.basis.mats[[t - 1 for t in f.quad_indices]]
-    nm = matmul_mod(nb, mats, p)
-    shared = matmul_mod(nm, nb.T, p)
-    cross = matmul_mod(nm, parts.T, p)
-    linear = np.ascontiguousarray(add_mod(cross, cross, p).transpose(0, 2, 1))  # (q, labels, dim)
+    shared = matmul_mod(matmul_mod(nb, mats, p), nb.T, p)
+    linear = matmul_mod(_polar(mats, parts, p), nb.T, p)  # (labels, q, dim): N 2 M_t part
     const = quad_forms(parts, mats, p)
     found: list[np.ndarray | None] = [None] * len(vals)
 
@@ -170,14 +175,14 @@ def find_in_atoms(
         keep = np.ones((len(owners), alphas.shape[1]), dtype=bool)
         if len(mats):
             got = quad_forms(alphas.reshape(-1, dim), shared[:1], p)[:, 0].reshape(alphas.shape[:2])
-            got = got + matmul_mod(alphas, linear[0][owners][:, :, None], p)[..., 0] + const[owners, :1]
+            got = got + matmul_mod(alphas, linear[owners, 0, :, None], p)[..., 0] + const[owners, :1]
             keep = got % p == target[owners, :1]
         # row-major, so each owner's rows stay in draw order
         o, rows = np.nonzero(keep)
         a = np.broadcast_to(alphas, (*keep.shape, dim))[o, rows]
         for t in range(1, len(mats)):
             w = owners[o]
-            got = quad_forms(a, shared[t:t + 1], p)[:, 0] + np.einsum("rd,rd->r", a, linear[t][w]) + const[w, t]
+            got = quad_forms(a, shared[t:t + 1], p)[:, 0] + np.einsum("rd,rd->r", a, linear[w, t]) + const[w, t]
             sel = got % p == target[w, t]
             a, o = a[sel], o[sel]
         hit, first = np.unique(o, return_index=True)
@@ -253,10 +258,9 @@ def atom_census(f: QuadraticFactor) -> dict[tuple[int, ...], int]:
         raise ValueError(f"too many atom labels for an exhaustive census (p**D = {p}**{d} > {CENSUS_MAX_LABELS:,})")
     mats = f.basis.mats[[t - 1 for t in f.quad_indices]]
     counts = np.zeros(p ** d, dtype=np.int64)
-    mult = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     for _, block in iter_group_chunks(p, n):
-        labels = np.concatenate([block @ f.linear_polys.T % p, quad_forms(block, mats, p)], axis=1)
-        counts += np.bincount(labels @ mult, minlength=p ** d)
+        labels = np.concatenate([matmul_mod(block, f.linear_polys.T, p), quad_forms(block, mats, p)], axis=1)
+        counts += np.bincount(digits_to_ranks(labels, p), minlength=p ** d)
     # |count - p**(n-d)| <= p**(n/2), compared in squared integers
     dev = counts - p ** (n - d)  # at most p**n <= CENSUS_MAX_GROUP, so dev^2 fits int64
     if ((dev * dev) > p ** n).any():
@@ -287,14 +291,6 @@ class ShatterPairConstruction:
         freeze_points(self, "X", "Y")
 
 
-def _construction_linear_polys(basis: HighRankBasis, k: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Rows 2 M_t u, point by point over xs then ys, t = 1..k within each point."""
-    p, n = basis.ctx.p, basis.n
-    # M_t is symmetric, so u M_t = M_t u
-    mu = matmul_mod(np.concatenate([xs, ys]), basis.mats[:k], p).transpose(1, 0, 2).reshape(-1, n)
-    return add_mod(mu, mu, p)
-
-
 def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> ShatterPairConstruction:
     """Build X = {0, x_1, ..}, Y = {0, y_1, ..} with the zero-cross-term property.
 
@@ -302,10 +298,11 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
     H* = H_x intersect M_1^{-1} H_x ... M_k^{-1} H_x, where
     H_x = <M_i x_j>^perp.  Membership u in M_i^{-1} H_x is equivalent to
     u being orthogonal to every M_i M_{i'} x_j, so H* is cut out by the
-    vectors M_i x_j and M_i M_{i'} x_j.  All invariants (independence of the
-    2k(k-1) forms, vanishing cross-terms) are verified before returning;
-    the construction retries with fresh seeded draws if a degenerate choice
-    slips through.
+    vectors M_i x_j and M_i M_{i'} x_j, or by their unit multiples: the x's
+    polar rows 2 M_i x_j (gs._polar) and their own polar rows.  All
+    invariants (independence of the 2k(k-1) forms, vanishing cross-terms)
+    are verified before returning; the construction retries with fresh
+    seeded draws if a degenerate choice slips through.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
@@ -328,10 +325,9 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
             cand = rng.integers(0, p, size=n)
             if independent(xs, cand):
                 xs = np.vstack([xs, cand])
-        # H_x is cut out by the M_t x_j, H* by those and the M_t' M_t x_j
-        hx_rows = matmul_mod(xs, mats, p).reshape(-1, n)
-        hstar_rows = np.vstack([hx_rows, matmul_mod(hx_rows, mats, p).reshape(-1, n)])
-        h_star = orth_complement(hstar_rows, p)
+        # H_x is cut out by the x's polar rows, H* by those and their own polar rows
+        px = _polar(mats, xs, p).reshape(-1, n)
+        h_star = orth_complement(np.vstack([px, _polar(mats, px, p).reshape(-1, n)]), p)
         if len(h_star) < npts:
             continue
         ys = np.zeros((0, n), dtype=np.int64)
@@ -343,10 +339,10 @@ def construct_shatter_pair(basis: HighRankBasis, k: int, seed: int = 0) -> Shatt
                 ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
-        if cross_terms(xs, ys, mats, p).any():
+        if matmul_mod(px, ys.T, p).any():  # the cross-terms 2 x_j^T M_t y
             continue
-        try:
-            factor = QuadraticFactor(basis, _construction_linear_polys(basis, k, xs, ys), tuple(range(1, k + 1)))
+        try:  # the forms 2 M_t u, point by point over the x's then the y's, t = 1..k within each point
+            factor = QuadraticFactor(basis, np.vstack([px, _polar(mats, ys, p).reshape(-1, n)]), tuple(range(1, k + 1)))
         except ValueError:  # QuadraticFactor refuses the draw when the 2k(k-1) linear forms are dependent
             continue
         zero = np.zeros((1, n), dtype=np.int64)
@@ -744,7 +740,8 @@ def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> 
             cand = rng.integers(0, p, size=n)
             if fresh(xs, cand):
                 xs = np.vstack([xs, cand])
-        space = orth_complement(matmul_mod(xs, basis.mats[:max(m - 1, 0)], p).reshape(-1, n), p)
+        polar = _polar(basis.mats[:max(m - 1, 0)], xs, p).reshape(-1, n)
+        space = orth_complement(polar, p)
         if not len(space):
             continue
         ys = zero[:0]
@@ -756,9 +753,8 @@ def random_zero_cross_term_sets(basis: HighRankBasis, m: int, seed: int = 0) -> 
                 ys = np.vstack([ys, cand])
         if len(ys) < npts:
             continue
-        x, y = np.vstack([zero, xs]), np.vstack([zero, ys])
-        if cross_terms_vanish_below(QgsSet(basis), x, y, m):
-            return x, y
+        if not matmul_mod(polar, ys.T, p).any():  # the cross-terms below level m
+            return np.vstack([zero, xs]), np.vstack([zero, ys])
     raise RuntimeError(f"no qualifying sets in F_{p}^{n} after 256 tries")
 
 
@@ -818,8 +814,8 @@ def _first_feasible_try(basis: HighRankBasis, digits: np.ndarray, good: list, pa
 
     z is feasible when x_i + z lies in good[i] for i = 0, ..., 3, x_0 = 0;
     one fp.shifted_ranks call gives the translates of every try.  The
-    y-side subspace is the kernel of lin = the rows M_1 x_1, M_1 x_2, and
-    u's coset of it is keyed by the rank of lin u.  Returns (index, values
+    y-side subspace is the kernel of lin = the polar rows 2 M_1 x_1, 2 M_1 x_2,
+    and u's coset of it is keyed by the rank of lin u.  Returns (index, values
     drawn, [x_1, x_2, x_3], their translates, the feasible shifts, lin, the
     coset of every point) or None.
     """
@@ -831,7 +827,7 @@ def _first_feasible_try(basis: HighRankBasis, digits: np.ndarray, good: list, pa
     z_ok = good[0] & good[1][shifted[:, 0]] & good[2][shifted[:, 1]] & good[3][shifted[:, 2]]
     for (k, end, _), x, sh, ok in zip(passed, xs, shifted, z_ok):
         if ok.any():
-            lin = matmul_mod(x[:2], basis.mats[:1], p)[0]
+            lin = _polar(basis.mats[:1], x[:2], p).reshape(-1, n)
             coset = digits_to_ranks(matmul_mod(digits, lin.T, p), p)
             # coset 0 is the kernel itself
             if np.count_nonzero(coset == 0) > 1:
@@ -841,7 +837,6 @@ def _first_feasible_try(basis: HighRankBasis, digits: np.ndarray, good: list, pa
 
 def _plant(basis: HighRankBasis, tables: tuple, seed: int) -> tuple[np.ndarray, np.ndarray] | None:
     """planted_qualifying_sets on the basis's _planted_tables."""
-    a = QgsSet(basis)
     p, n = basis.ctx.p, basis.n
     table, digits, zero_q = tables
     rng = derive_rng(seed, "planted-instance", 2, 1)
@@ -899,10 +894,10 @@ def _plant(basis: HighRankBasis, tables: tuple, seed: int) -> tuple[np.ndarray, 
                 ys.append(int(pick[rng.integers(0, pick.size)]))
             if len(ys) != 3:
                 continue
-            # rank 0 is the origin
-            x, y = grid, digits[[0, *ys]]
-            if cross_terms_vanish_below(a, x, y, 2):
-                return x, y
+            # rank 0 is the origin; x_3 is a combination of x_1 and x_2, so lin gives every level-1 cross-term
+            y = digits[[0, *ys]]
+            if not matmul_mod(lin, y.T, p).any():
+                return grid, y
     return None
 
 

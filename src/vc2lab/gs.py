@@ -25,8 +25,9 @@ def _leading_one(values: np.ndarray) -> np.ndarray:
 
 
 def _polar(mats: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """(t, n, w) array of the polar forms 2 M_t x mod p: column j of [t] is 2 M_t x_j for the rows x_j of x."""
-    return matmul_mod(mats, add_mod(x, x, p).T, p)
+    """(w, t, n) array of the polar forms 2 M_t x mod p: row [j, t - 1] is 2 M_t x_j for the rows x_j of x,
+    so reshape(-1, n) lists them point by point (M_t is symmetric, so 2 M_t x_j is the row 2 x_j M_t)."""
+    return matmul_mod(add_mod(x, x, p), mats, p).transpose(1, 0, 2)
 
 
 def _contains(a, x) -> bool:
@@ -49,7 +50,7 @@ def _membership_table(a) -> np.ndarray:
 
 def cross_terms(x: np.ndarray, y: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
     """(|x|, |y|, t) array of 2 x^T M y mod p over the rows of x and y and the t matrices."""
-    return matmul_mod(y, _polar(mats, x, p), p).transpose(2, 1, 0)
+    return matmul_mod(_polar(mats, x, p), y.T, p).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,11 @@ class QgsSet:
         p, mats = self.p, self.basis.mats
         member = np.zeros((len(shifts), len(cells)), dtype=bool)
         qc = quad_forms(cells, mats, p)  # (w, n): Q_t(c_j) at [j, t - 1]
-        twice = _polar(mats, cells, p)  # (n, n, w): 2 M_t c_j in column j of [t - 1]
+        twice = _polar(mats, cells, p)  # (w, n, n): 2 M_t c_j at [j, t - 1]
         # the shifts still in the scan: their rows of member, their coordinates, their undecided cells
         rows, z, open_ = np.arange(len(shifts)), shifts, np.ones_like(member)
         for t in range(self.n):
-            q = _mod(matmul_mod(z, twice[t], p) + qc[:, t] + quad_forms(z, mats[t:t + 1], p), p)
+            q = _mod(matmul_mod(z, twice[:, t].T, p) + qc[:, t] + quad_forms(z, mats[t:t + 1], p), p)
             member[rows] |= open_ & (q == 1)
             open_ &= q == 0
             keep = open_.any(axis=1)

@@ -49,6 +49,8 @@ class BipartiteColouring:
         c = np.asarray(self.colours)
         if c.shape != (self.m, self.n):
             raise ValueError("colour array must be m x n")
+        if c.dtype.kind not in "iu":  # a float or bool array would be truncated by the int32 cast
+            raise ValueError(f"colours must be integers, got an array of dtype {c.dtype}")
         if c.size and (c.min() < 1 or c.max() > self.r):  # before the int32 cast, which would wrap
             raise ValueError("colours must lie in [1, r]")
         c = c.astype(np.int32, copy=False)

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from vc2lab.fp import (
     ranks_to_digits,
     solve_affine,
 )
-from vc2lab.gs import QgsSet, cross_terms
+from vc2lab.gs import QgsSet, _polar, cross_terms
 from vc2lab.highrank import HighRankBasis, IrreduciblePoly, _is_irreducible, _nonzero_rows, build_trace_basis
 from vc2lab.shatter import ContainmentMap, QuadShatterCertificate, vc2_realizes
 from vc2lab.factor import (
@@ -26,7 +27,6 @@ from vc2lab.factor import (
     QuadraticFactor,
     _predicted_cells,
     atom_census,
-    _construction_linear_polys,
     check_forced_zeros,
     construct_shatter_pair,
     cross_terms_vanish_below,
@@ -69,10 +69,19 @@ def basis5():
     ([(1, 0)], (1,), r"expected points with 3 coordinates each, got an array of shape \(1, 2\)"),
     (np.zeros((0, 3), dtype=np.int64), (1, 1), "quadratic indices must be distinct"),
     ([(1, 1, 0), (2, 2, 0)], (), "linear polynomials must be independent"),
-], ids=["index 0", "index n + 1", "n - 1 coordinates", "repeated index", "dependent forms"])
+    (np.zeros((0, 3), dtype=np.int64), (1.5,), "quadratic index 1.5 is not an integer"),
+    (np.zeros((0, 3), dtype=np.int64), (np.float64(2.0),), re.escape(f"quadratic index {np.float64(2.0)!r} is not")),
+    (np.zeros((0, 3), dtype=np.int64), ("1",), "quadratic index '1' is not an integer"),
+], ids=["index 0", "index n + 1", "n - 1 coordinates", "repeated index", "dependent forms",
+        "float index", "numpy float index", "string index"])
 def test_factor_is_checked_against_its_basis_once_at_construction(lin, indices, message):
     with pytest.raises(ValueError, match=message):
         QuadraticFactor(build_trace_basis(ctx3, 3), lin, indices)
+
+
+def test_factor_keeps_its_quadratic_indices_as_python_ints():
+    f = QuadraticFactor(build_trace_basis(ctx3, 3), np.zeros((0, 3), dtype=np.int64), (np.int64(1), 3))
+    assert f.quad_indices == (1, 3) and all(type(t) is int for t in f.quad_indices)
 
 
 def _atom_label(f, basis, x):
@@ -828,8 +837,7 @@ def test_products_exact_at_large_p():
     got = matmul_mod(np.array(pts, dtype=np.int64), basis.mats, p)
     assert got.tolist() == [[mat_vec(m, v) for v in pts] for m in mats]
 
-    xs, ys = np.array(pts[:2], dtype=np.int64), np.array(pts[2:], dtype=np.int64)
-    lin = _construction_linear_polys(basis, 2, xs, ys)
+    lin = _polar(basis.mats[:2], np.array(pts, dtype=np.int64), p).reshape(-1, n)  # the construction's forms
     assert lin.tolist() == [[2 * c % p for c in mat_vec(m, v)] for v in pts for m in mats[:2]]
 
     def cross(t, x, y):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vc2lab.fp import FieldCtx, quad_forms, ranks_to_digits
-from vc2lab.gs import ExplicitSet, GsSet, QgsSet, _leading_one, cross_terms
+from vc2lab.fp import FieldCtx, digits_to_ranks, matmul_mod, orth_complement, quad_forms, ranks_to_digits
+from vc2lab.gs import ExplicitSet, GsSet, QgsSet, _leading_one, _polar, cross_terms
 from vc2lab.highrank import BASIS_P_BOUND, build_trace_basis
 
 ctx3 = FieldCtx(3)
@@ -129,6 +129,23 @@ def test_cross_term_examples(qgs5):
     mats = qgs5.basis.mats
     assert not cross_terms(x, np.zeros((1, 5), dtype=np.int64), mats, 3).any()
     assert np.array_equal(cross_terms(x, y, mats, 3), cross_terms(y, x, mats, 3).transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_zero_cross_terms_are_the_complement_of_the_polar_forms(p, n):
+    # 2 x^T M_t y = (2 M_t x) . y, so the y with every cross-term zero are exactly the y orthogonal to
+    # every polar form: the identity behind the construction's H*, the blind sampler and the plant
+    mats = build_trace_basis(FieldCtx(p), n).mats
+    group = ranks_to_digits(np.arange(p ** n), p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    for _ in range(6):
+        x = rng.integers(0, p, (int(rng.integers(1, 4)), n))
+        for t in range(n + 1):
+            zero = ~cross_terms(x, group, mats[:t], p).any(axis=(0, 2))
+            space = orth_complement(_polar(mats[:t], x, p).reshape(-1, n), p)
+            span = digits_to_ranks(matmul_mod(ranks_to_digits(np.arange(p ** len(space)), p, len(space)), space, p), p)
+            assert set(np.flatnonzero(zero).tolist()) == set(span.tolist())
 
 
 @given(seed=st.integers(0, 10_000))

@@ -161,6 +161,10 @@ def test_colours_are_checked_before_the_int32_cast():
     # 2^32 + 1 would wrap to colour 1
     with pytest.raises(ValueError, match=r"colours must lie in \[1, r\]"):
         BipartiteColouring(1, 1, 5, np.array([[(1 << 32) + 1]]))
+    # a float array would be truncated to [[1, 4]] by the cast, and a bool one read as colour 1
+    for colours in (np.array([[1.5, 4.9]]), np.array([[True, True]])):
+        with pytest.raises(ValueError, match=f"colours must be integers, got an array of dtype {colours.dtype}"):
+            BipartiteColouring(1, 2, 5, colours)
     top = (1 << 31) - 1
     col = BipartiteColouring.from_text(f"1 2 {top}\n{top} 1\n")
     assert col.colours.dtype == np.int32 and col.colours.tolist() == [[top, 1]]
