@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -280,11 +281,16 @@ def test_qgs_commands_refuse_p_beyond_the_basis_bound(capsys, argv):
         assert capsys.readouterr() == ("", f"error: quadratic bases need p < 2^8; got p = {p}\n")
 
 
+K3_P17_DIGEST = "2ad40d48c00841377609bbc40bd2eaa87037d347b056edcfdd80dc0905529f76"
+
+
 def test_k3_certificate_above_p_13_verifies(tmp_path):
     # p = 17 lay beyond the verifier's old qgs limit p <= 13; the certificate is verified before it
-    # is written, and once more here from its bytes
+    # is written, and once more here from its bytes, which are pinned: no other k = 3 certificate
+    # this far above the benchmark's primes is built by the tests
     cert = tmp_path / "k3_p17.json"
     assert main(["vc2-verify", "--p", "17", "--n", "31", "--k", "3", "--cert", str(cert)]) == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == K3_P17_DIGEST
     doc = certs.loads(cert.read_bytes())
     assert (doc["p"], doc["n"], len(doc["witnesses"])) == (17, 31, 512)
     assert certs.verify_certificate(doc).ok
