@@ -39,6 +39,7 @@ from .fp import (
     digits_to_ranks,
     freeze_points,
     iter_group_chunks,
+    lemire_draws,
     mat_rank,
     matmul_mod,
     orth_complement,
@@ -133,11 +134,15 @@ def find_in_atoms(
     that met the ones before it.  The first hits become points in one product.
     Sampling keeps a pool of at most ATOM_EVAL_CHUNK // ATOM_DRAW_CHUNK
     labels: each round every pooled label draws ATOM_DRAW_CHUNK rows from
-    its generator (in uint32, the same values as int64 draws) and one
-    evaluation tests them all; settled labels leave and the next labels
-    join, each taking a settled label's generator (or a new one while the
-    pool fills) set to its own stream's state.  Every label's state, the
-    one derive_rng(seed, "find-in-atom") starts from, comes from one
+    its generator's PCG64 raw words, reduced by Lemire's rule in one
+    fp.lemire_draws pass over the round, so a label's rows are the values
+    its generator's integers(0, p, dtype=np.uint32) would draw, however
+    the rounds split them (a spare high half waits for the label's next
+    round, as numpy's buffer keeps it); one evaluation tests them all.
+    Settled labels leave and the next labels join, each taking a settled
+    label's generator (or a new one while the pool fills) set to its own
+    stream's state.  Every label's state, the one
+    derive_rng(seed, "find-in-atom") starts from, comes from one
     fp.derive_rng_states pass.  Once no label is left to join, the rest
     draw ATOM_EVAL_CHUNK // (labels left) rows a round.  Every pooled label
     draws as many rows in a round, at most what the label that has drawn
@@ -158,9 +163,12 @@ def find_in_atoms(
     vals = np.asarray(labels, dtype=np.int64)
     if vals.ndim != 2 or vals.shape[1] != d:
         raise ValueError("label length mismatch")
+    outside = ((vals < 0) | (vals >= p)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"label {vals[outside.argmax()].tolist()} has a value outside [0, {p})")
     l = len(f.linear_polys)
     transform, nb = f._affine
-    parts = matmul_mod(vals[:, :l] % p, transform.T, p)
+    parts = matmul_mod(vals[:, :l], transform.T, p)
     dim = nb.shape[0]
     target = vals[:, l:]
     mats = f.basis.mats[[t - 1 for t in f.quad_indices]]
@@ -203,12 +211,12 @@ def find_in_atoms(
                 raise RuntimeError("atom is empty despite the complexity bound; basis invariant violated")
         return found
 
-    # The generator yields the same rows however the draws are split, and in
-    # uint32 as in int64 (both take numpy's 32-bit bounded draws below 2^32, and
-    # a basis has p < 2^8), so the first hit does not depend on the round sizes
-    # or on which labels share an evaluation.
+    # A label's stream yields the same rows however its draws are split into
+    # rounds, so the first hit does not depend on the round sizes or on which
+    # labels share an evaluation.
     states = derive_rng_states(seeds, "find-in-atom")
     live: dict[int, np.random.Generator] = {}  # pooled label -> its generator, in joining order
+    halves: dict[int, int | None] = {}  # pooled label -> the spare high half of its last raw word
     spare: list[np.random.Generator] = []  # the generators of settled labels
     tried = [0] * len(vals)
     joined = 0
@@ -221,8 +229,11 @@ def find_in_atoms(
             raise RuntimeError(f"sampling budget exhausted after {tried[spent]} draws")
         size = ATOM_DRAW_CHUNK if joined < len(vals) else ATOM_EVAL_CHUNK // len(live)
         size = min(size, ATOM_SAMPLE_BUDGET - max(tried[i] for i in live))
-        settle(np.stack([rng.integers(0, p, size=(size, dim), dtype=np.uint32) for rng in live.values()]),
-               np.array(list(live)))
+        pooled = list(live)
+        alphas, after = lemire_draws([live[i].bit_generator for i in pooled], [halves.get(i) for i in pooled],
+                                     p, size * dim)
+        halves = dict(zip(pooled, after))
+        settle(alphas.reshape(len(pooled), size, dim), np.array(pooled))
         for i in list(live):
             tried[i] += size
             if found[i] is not None:

@@ -552,3 +552,52 @@ def derive_rng_states(seeds, *key: object) -> list[dict]:
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
     return states
+
+
+def lemire_draws(streams, halves, p: int, count: int) -> tuple[np.ndarray, list]:
+    """count residues in [0, p) from each PCG64 bit generator of streams, as a (streams, count)
+    array in the narrowest unsigned dtype, and each stream's spare half after the draws.
+
+    Row i is Generator(streams[i]).integers(0, p, size=count, dtype=np.uint32) for a generator
+    whose has_uint32 buffer holds halves[i] (None when empty), and the stream's raw state after
+    the call is what that generator's would be, buffer included: numpy splits each 64-bit raw
+    word into two 32-bit words, the low half first, and keeps the high half for the next word it
+    needs.  Each word w gives floor(w p / 2^32) unless (w p mod 2^32) < 2^32 mod p, when it is
+    rejected and the next word is drawn (Lemire, ACM TOMACS 2019; numpy's
+    buffered_bounded_lemire_uint32).  The words come from one random_raw call per stream and
+    are reduced in one array pass: w p / 2^32 is exact in float64 while w p < 2^53, and
+    w p mod 2^32 is the wrapping uint32 product.  A row holds a rejected word with probability
+    below count p / 2^32; it is redone from that word on in a scalar loop.  Requires
+    2 <= p < 2^21.
+    """
+    if not 2 <= p < 1 << 21:
+        raise ValueError(f"bounded draws need 2 <= p < 2^21; got p = {p}")
+    words = np.empty((len(streams), count + 1), dtype=np.uint32)  # count words, then any spare half
+    after = []
+    for row, stream, half in zip(words, streams, halves):
+        skip = half is not None
+        if skip:
+            row[0] = half
+        raw = stream.random_raw((count - skip + 1) // 2).astype("<u8", copy=False).view("<u4")
+        row[skip:skip + raw.size] = raw
+        after.append(int(row[count]) if (count - skip) % 2 else None)
+    words = words[:, :count]
+    out = (words * (p / (1 << 32))).astype(np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else np.uint32)
+    threshold = (1 << 32) % p
+    rejected = words * np.uint32(p) < threshold
+    for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+        start = int(rejected[i].argmax())
+        queue, vals, half = words[i, start + 1:].tolist()[::-1], [], after[i]
+        while start + len(vals) < count:
+            if queue:
+                w = queue.pop()
+            elif half is not None:
+                w, half = half, None
+            else:
+                raw = int(streams[i].random_raw())
+                w, half = raw & _MASK32, raw >> 32
+            if w * p & _MASK32 >= threshold:
+                vals.append(w * p >> 32)
+        out[i, start:] = vals
+        after[i] = half
+    return out, after

@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+import time
 import weakref
 
 import numpy as np
@@ -326,6 +327,24 @@ def test_find_in_atoms_argument_checks(basis9):
         find_in_atoms(f, [(0, 0, 0, 0)], [1, 2])
     with pytest.raises(ValueError, match="label length mismatch"):
         find_in_atoms(f, [(0, 0, 0)], [1])
+
+
+@pytest.mark.parametrize("exhaust", [True, False])
+@pytest.mark.parametrize("lin,quad", [([0], [3]), ([], [3]), ([], [-1]), ([3], [0]), ([-1], [2])])
+def test_find_in_atoms_refuses_a_label_value_outside_the_field(monkeypatch, exhaust, lin, quad):
+    # a quadratic target of p or more can never be met: refused before any search, in either branch,
+    # with the label named, as is a linear value outside [0, p); the first case is find_in_atom's
+    # [0, 3] on one linear and one quadratic form, which the sampled branch used to spend its whole
+    # draw budget on
+    if not exhaust:
+        monkeypatch.setattr(factor, "ATOM_EXHAUST_LIMIT", 0)
+    basis = build_trace_basis(FieldCtx(3), 9)
+    f = QuadraticFactor(basis, np.eye(len(lin), 9, dtype=np.int64), (1,))
+    label = [*lin, *quad]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^label \[{', '.join(map(str, label))}\] has a value outside \[0, 3\)$"):
+        find_in_atoms(f, [[0] * len(label), label], [0, 1])
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_atom_census_trivial_factors(basis9):
@@ -733,8 +752,7 @@ def test_integer_draws_do_not_depend_on_their_split(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 65537, 2 ** 31 - 1, 3_000_000_019])
 def test_32_bit_draws_match_int64_draws(p):
-    # find_in_atoms draws its candidate rows as uint32, for every p a basis admits (below 2^8,
-    # far below 2^32), and random_colouring its colours as int32; each keeps its stream only while
+    # random_colouring draws its colours as int32; it keeps its stream only while
     # integers(low, low + p) in these dtypes gives the int64 values and leaves the same state,
     # with calls of all the dtypes mixed in one stream
     rnd = random.Random(p)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from vc2lab.fp import (
     PRIME_BOUND,
     FieldCtx,
+    _PCG_MULT,
     _is_prime,
     _blas_dtype,
     _inv_array,
@@ -24,6 +25,7 @@ from vc2lab.fp import (
     derive_rng_states,
     digits_to_ranks,
     iter_group_chunks,
+    lemire_draws,
     mat_rank,
     matmul_mod,
     orth_complement,
@@ -799,6 +801,85 @@ def test_derive_rng_states_refuse_a_key_beyond_the_entropy_pool():
     assert derive_rng_states([], "a", 1, 2) == []
     with pytest.raises(ValueError, match="a key of 4 parts overflows the 4-word entropy pool"):
         derive_rng_states([0, 1], "a", 1, 2, 3)
+
+
+def _buffer(gen):
+    """A generator's has_uint32 buffer as lemire_draws keeps it: the spare half, or None."""
+    state = gen.bit_generator.state
+    return state["uinteger"] if state["has_uint32"] else None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101, 251])
+def test_lemire_draws_are_generator_integers(p):
+    # several streams drawn together in rounds of random sizes, odd and empty ones included: every
+    # row is what the stream's own generator draws, and each stream ends in its generator's state;
+    # every other generator starts with a spare half in its buffer, so the streams' halves differ
+    rnd = random.Random(p)
+    seeds = list(range(12))
+    refs = [derive_rng(s, "lemire", p) for s in seeds]
+    for ref in refs[1::2]:
+        ref.integers(0, 1 << 32, dtype=np.uint32)  # one word, its raw word's high half left buffered
+    streams = [np.random.PCG64(0) for _ in seeds]
+    for stream, ref in zip(streams, refs):
+        stream.state = {**ref.bit_generator.state, "has_uint32": 0, "uinteger": 0}
+    halves = [_buffer(ref) for ref in refs]
+    for _ in range(40):
+        count = rnd.choice([0, 1, rnd.randint(2, 9), 2 * rnd.randint(1, 40) + 1, 2 * rnd.randint(1, 40)])
+        got, halves = lemire_draws(streams, halves, p, count)
+        assert got.dtype == np.uint8 and got.shape == (len(seeds), count)
+        for row, ref in zip(got, refs):
+            assert np.array_equal(row, ref.integers(0, p, size=count, dtype=np.uint32))
+    assert {h is None for h in halves} == {True, False}
+    for stream, half, ref in zip(streams, halves, refs):
+        assert stream.state["state"] == ref.bit_generator.state["state"] and half == _buffer(ref)
+
+
+def _pcg64_before(output: int, steps: int, inc: int) -> dict:
+    """A PCG64 state whose raw output `steps` draws on (0: the next draw) is output.
+
+    PCG64 steps its LCG state s -> s a + inc mod 2^128 and outputs the XSL-RR of the new state:
+    (hi ^ lo) rotated right by hi >> 58.  The state after the step is built from the output with
+    any hi, and the LCG is run backwards from it steps + 1 times."""
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    lo = (output << rot | output >> (64 - rot)) & (2 ** 64 - 1) ^ hi
+    state = hi << 64 | lo
+    for _ in range(steps + 1):
+        state = (state - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("p", [3, 5, 31, 251])
+@pytest.mark.parametrize("output", [0xFFFFFFFF00000000, 0])  # a rejected low half, then both halves
+@pytest.mark.parametrize("steps,half,count", [(0, None, 6), (0, None, 7), (0, 0x9E3779B9, 6), (3, None, 12),
+                                              (3, 0x9E3779B9, 9), (2, None, 5)])
+def test_lemire_draws_redo_a_rejected_word(p, output, steps, half, count):
+    # the word 0 gives w p mod 2^32 = 0 < 2^32 mod p, so Lemire's rule rejects it at every odd p:
+    # the generator skips it, while the plain multiply-shift would keep it
+    state = _pcg64_before(output, steps, 0xDA3E39CB94B95BDB)
+    ref, stream = np.random.Generator(np.random.PCG64(0)), np.random.PCG64(0)
+    ref.bit_generator.state = {**state, "has_uint32": int(half is not None), "uinteger": half or 0}
+    stream.state = state
+    assert stream.random_raw(steps + 1)[-1] == output
+    stream.state = state
+    want = ref.integers(0, p, size=count, dtype=np.uint32)
+    got, (after,) = lemire_draws([stream], [half], p, count)
+    assert np.array_equal(got[0], want)
+    assert stream.state["state"] == ref.bit_generator.state["state"] and after == _buffer(ref)
+    # the multiply-shift of the first count words alone differs
+    probe = np.random.PCG64(0)
+    probe.state = state
+    words = ([half] if half is not None else []) + [h for w in probe.random_raw(count).tolist()
+                                                   for h in (w & 0xFFFFFFFF, w >> 32)]
+    assert [w * p >> 32 for w in words[:count]] != want.tolist()
+
+
+def test_lemire_draws_refuse_p_beyond_exact_float64():
+    stream = np.random.PCG64(0)
+    for p in (0, 1, 1 << 21, 1 << 32):
+        with pytest.raises(ValueError, match=rf"bounded draws need 2 <= p < 2\^21; got p = {p}$"):
+            lemire_draws([stream], [None], p, 4)
+    assert stream.state == np.random.PCG64(0).state
 
 
 _EYE = "np.eye(3, dtype=np.int64)"
